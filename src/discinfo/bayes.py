@@ -21,19 +21,28 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .dist import JointDistribution, Variable
-from .errors import BatchTooLarge, SupportMismatch, ZeroEvidence, ZeroProbabilityEvent
+from .errors import (
+    BatchTooLarge,
+    InvalidIndex,
+    SupportMismatch,
+    ZeroEvidence,
+    ZeroProbabilityEvent,
+)
 
 MAX_HYPOTHESES = 10_000
 MAX_LABEL_CONFIGS = 10**6
 MAX_BATCH = 6
 _ZERO = 1e-15  # exact-zero cutoff for 0 * log 0 terms
 _EVIDENCE_FLOOR = 1e-300
+# cells in one temporary of the whole-pool scores (512 KiB of float64), so
+# scoring a pool never holds a second array the size of the likelihood table
+_BLOCK_CELLS = 1 << 16
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    mask = p > _ZERO
-    out[mask] = p[mask] * np.log(p[mask])
+    out = np.where(p > _ZERO, p, 1.0)  # log 1 = 0 makes the exact zeros' terms 0
+    np.log(out, out=out)
+    out *= p
     return out
 
 
@@ -104,10 +113,12 @@ class BayesModel:
         return len(self.labels)
 
     def input_index(self, x) -> int:
-        return self.inputs.index(str(x)) if not isinstance(x, int) else x
+        """The position of input ``x``, given by position or by name."""
+        return _resolve(self.inputs, x, "input")
 
     def label_index(self, y) -> int:
-        return self.labels.index(str(y)) if not isinstance(y, int) else y
+        """The position of label ``y``, given by position or by name."""
+        return _resolve(self.labels, y, "label")
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,6 +150,28 @@ class BayesModel:
                    tuple(inputs), tuple(labels), lik)
 
 
+def _resolve(names: tuple[str, ...], key, what: str) -> int:
+    """Integers (Python or numpy) are positions and must lie in range; any
+    other key is looked up by its string form."""
+    if isinstance(key, (int, np.integer)):
+        if 0 <= key < len(names):
+            return int(key)
+        raise InvalidIndex(f"{what} index {key} is out of range 0..{len(names) - 1}")
+    try:
+        return names.index(str(key))
+    except ValueError:
+        raise InvalidIndex(f"unknown {what} {key!r}") from None
+
+
+def _resolve_all(names: tuple[str, ...], keys, what: str) -> np.ndarray:
+    """:func:`_resolve` for many keys; an integer array already in range is
+    checked in one pass."""
+    idx = np.asarray(keys)
+    if idx.dtype.kind in "iu" and idx.size and idx.min() >= 0 and idx.max() < len(names):
+        return idx.astype(np.intp, copy=False)
+    return np.array([_resolve(names, k, what) for k in keys], dtype=np.intp)
+
+
 def load_model(path) -> BayesModel:
     with open(path, "r", encoding="utf-8") as fh:
         return BayesModel.from_json_dict(json.load(fh))
@@ -158,15 +191,9 @@ class Dataset:
 
     @classmethod
     def from_pairs(cls, model: BayesModel, pairs) -> "Dataset":
-        resolved = tuple(
+        return cls(tuple(
             (model.input_index(x), model.label_index(y)) for x, y in pairs
-        )
-        for xi, yi in resolved:
-            if not 0 <= xi < len(model.inputs):
-                raise ValueError(f"input index {xi} out of range")
-            if not 0 <= yi < model.n_labels:
-                raise ValueError(f"label index {yi} out of range")
-        return cls(resolved)
+        ))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -189,11 +216,10 @@ class Posterior:
 
 
 def _log_likelihood_sum(model: BayesModel, data: Dataset) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        loglik = np.log(model.likelihood)
     total = np.zeros(model.n_hypotheses)
-    for xi, yi in data.pairs:
-        total += loglik[:, xi, yi]
+    with np.errstate(divide="ignore"):
+        for xi, yi in data.pairs:
+            total += np.log(model.likelihood[:, xi, yi])
     return total
 
 
@@ -257,20 +283,167 @@ def joint_label_hypothesis(model: BayesModel, post: Posterior, x) -> JointDistri
     )
 
 
+def predictive_table(model: BayesModel, post: Posterior) -> np.ndarray:
+    """p(y | x, data) for every input, shape (n_x, n_y): one matmul of the
+    posterior with the likelihood table."""
+    n_omega, n_x, n_y = model.likelihood.shape
+    return (post.probs @ model.likelihood.reshape(n_omega, n_x * n_y)).reshape(n_x, n_y)
+
+
+def _label_entropy(lik: np.ndarray) -> np.ndarray:
+    """H[Y | x, omega] of likelihood rows p(. | x, omega) on the last axis.
+
+    The label axis is short, so it is summed one slice at a time: a numpy
+    reduction over a short innermost axis runs several times slower.
+    """
+    terms = _xlogx(lik)
+    entropy = -terms[..., 0]
+    for y in range(1, terms.shape[-1]):
+        entropy -= terms[..., y]
+    return entropy
+
+
+def _block(cells_per_column: int) -> int:
+    return max(1, _BLOCK_CELLS // cells_per_column)
+
+
+def label_entropy_table(model: BayesModel) -> np.ndarray:
+    """The conditional label entropy H[Y | x, omega] of every hypothesis and
+    input, shape (n_omega, n_x).
+
+    This is the posterior-independent half of every BALD score, so a
+    simulation builds it once and reuses it at every step.  It is built a
+    block of inputs at a time, so no temporary as large as the likelihood
+    table is held.
+    """
+    lik = model.likelihood
+    n_omega, n_x, n_y = lik.shape
+    table = np.empty((n_omega, n_x))
+    step = _block(n_omega * n_y)
+    for start in range(0, n_x, step):
+        table[:, start:start + step] = _label_entropy(lik[:, start:start + step])
+    return table
+
+
+@dataclass(frozen=True, eq=False)
+class LabelConfigs:
+    """The labels of a batch prefix x_1..x_k under each hypothesis.
+
+    ``probs[omega, c]`` is p(y_1..y_k = c | x_1..x_k, omega) for each of the
+    n_y**k label configurations c, and ``cond[omega]`` is
+    H[Y_1..Y_k | x_1..x_k, omega].  The labels are independent given omega,
+    so both grow by one input at a time (BatchBALD) instead of being rebuilt
+    for every candidate.
+    """
+
+    probs: np.ndarray  # (n_omega, n_y**k)
+    cond: np.ndarray  # (n_omega,)
+
+    @classmethod
+    def empty(cls, model: BayesModel) -> "LabelConfigs":
+        return cls(np.ones((model.n_hypotheses, 1)), np.zeros(model.n_hypotheses))
+
+    def extend(self, model: BayesModel, x) -> "LabelConfigs":
+        """The configurations of the prefix followed by input ``x``."""
+        lik = model.likelihood[:, model.input_index(x), :]
+        probs = (self.probs[:, :, None] * lik[:, None, :]).reshape(len(lik), -1)
+        return LabelConfigs(probs, self.cond + _label_entropy(lik))
+
+
+def _joint_bald(probs: np.ndarray, lik: np.ndarray, table: np.ndarray,
+                prefix: LabelConfigs) -> np.ndarray:
+    """I[Omega; Y_1..Y_k, Y | x_1..x_k, x] for each input x of the likelihood
+    block ``lik`` (n_omega, n, n_y), whose label entropies are ``table``
+    (n_omega, n): the entropy of the joint label predictive minus the
+    posterior mean of the prefix's and x's conditional entropies."""
+    n_omega, n, n_y = lik.shape
+    weighted = (probs[:, None] * prefix.probs).T  # (n_configs, n_omega)
+    n_configs = len(weighted)
+    joint_entropy = np.empty(n)
+    step = _block(n_configs * n_y)
+    for start in range(0, n, step):
+        block = lik[:, start:start + step].reshape(n_omega, -1)
+        joint = (weighted @ block).reshape(n_configs, -1, n_y)
+        joint_entropy[start:start + step] = _label_entropy(joint).sum(axis=0)
+    return joint_entropy - (probs @ prefix.cond + probs @ table)
+
+
+def bald_scores(model: BayesModel, post: Posterior, table: np.ndarray,
+                prefix: LabelConfigs | None = None) -> np.ndarray:
+    """The BALD score of every input, shape (n_x,).
+
+    ``table`` is :func:`label_entropy_table` of the model.  Without a
+    ``prefix``, entry x is the expected information gain I[Omega; Y | x];
+    with one it is the joint gain I[Omega; Y_1..Y_k, Y | x_1..x_k, x] of the
+    prefix's inputs followed by x, which greedy batch acquisition maximises
+    one input at a time.
+    """
+    if prefix is None:
+        prefix = LabelConfigs.empty(model)
+    return _joint_bald(post.probs, model.likelihood, table, prefix)
+
+
+def csd_scores(model: BayesModel, post: Posterior, xs, ys, given=()) -> np.ndarray:
+    """The realized information gain H[Omega] - H[Omega | y, x] of every
+    labelled candidate (xs[i], ys[i]), shape (len(xs),); -inf where the
+    label has zero predictive probability.
+
+    With ``given`` labelled pairs the gain is H[Omega] - H[Omega | given,
+    y, x], the joint gain of the pairs followed by the candidate.  The
+    candidates are scored a block at a time, so no temporary of shape
+    (n_omega, len(xs)) is held whole.
+    """
+    xs = _resolve_all(model.inputs, xs, "input")
+    ys = _resolve_all(model.labels, ys, "label")
+    if len(xs) != len(ys):
+        raise ValueError("xs and ys must have equal length")
+    weights = post.probs
+    for x, y in given:
+        weights = weights * model.likelihood[:, model.input_index(x), model.label_index(y)]
+    before = post.entropy
+    cells = model.likelihood.reshape(len(weights), -1)
+    columns = xs * model.n_labels + ys
+    scores = np.empty(len(xs))
+    step = _block(len(weights))
+    for start in range(0, len(xs), step):
+        cut = slice(start, start + step)
+        # one contiguous row per candidate, so each row sums in the order the
+        # entropy of the current posterior does, and a row equal to that
+        # posterior scores exactly 0
+        joint = np.multiply(np.take(cells, columns[cut], axis=1).T, weights, order="C")
+        total = joint.sum(axis=1)
+        possible = total > _EVIDENCE_FLOOR
+        joint /= np.where(possible, total, 1.0)[:, None]
+        after = -_xlogx(joint).sum(axis=1)
+        scores[cut] = np.where(possible, before - after, -np.inf)
+    return scores
+
+
 def bald(model: BayesModel, post: Posterior, x) -> float:
     """Expected information gain about the hypotheses from labelling x:
-    the predictive entropy minus the posterior-average conditional entropy."""
-    xi = model.input_index(x)
-    pred = post.probs @ model.likelihood[:, xi, :]
-    cond = -_xlogx(model.likelihood[:, xi, :]).sum(axis=1)
-    return _entropy_of(pred) - float(post.probs @ cond)
+    the predictive entropy minus the posterior-average conditional entropy.
+    One input of :func:`bald_scores`."""
+    return _bald_at(model, post, model.input_index(x), LabelConfigs.empty(model))
+
+
+def _bald_at(model: BayesModel, post: Posterior, xi: int, prefix: LabelConfigs) -> float:
+    """:func:`bald_scores` restricted to input ``xi``."""
+    lik = model.likelihood[:, xi:xi + 1]
+    return float(_joint_bald(post.probs, lik, _label_entropy(lik), prefix)[0])
 
 
 def csd(model: BayesModel, post: Posterior, x, y) -> float:
     """Realized information gain of the labelled pair (x, y): the posterior
-    entropy drop after the exact Bayes step.  May be negative."""
-    new_post, _ = _updated(model, post, x, y)
-    return post.entropy - new_post.entropy
+    entropy drop after the exact Bayes step.  May be negative.  One
+    candidate of :func:`csd_scores`."""
+    xi, yi = model.input_index(x), model.label_index(y)
+    score = float(csd_scores(model, post, [xi], [yi])[0])
+    if score == -np.inf:
+        raise ZeroProbabilityEvent(
+            f"label {model.labels[yi]!r} has zero predictive probability at "
+            f"x={model.inputs[xi]!r}"
+        )
+    return score
 
 
 def surprise(model: BayesModel, post: Posterior, x, y) -> float:
@@ -353,37 +526,36 @@ def batch_score(model: BayesModel, post: Posterior, xs, ys=None, *,
     it is the realized joint information gain of the labelled batch.
     """
     xis = [model.input_index(x) for x in xs]
-    b = len(xis)
+    check_batch_size(model, len(xis), labelled=ys is not None, max_batch=max_batch)
+    if ys is not None:
+        yis = [model.label_index(y) for y in ys]
+        if len(yis) != len(xis):
+            raise ValueError("xs and ys must have equal length")
+        score = float(csd_scores(model, post, xis[-1:], yis[-1:],
+                                 given=zip(xis[:-1], yis[:-1]))[0])
+        if score == -np.inf:
+            raise ZeroProbabilityEvent("the labelled batch has zero probability")
+        return score
+    prefix = LabelConfigs.empty(model)
+    for xi in xis[:-1]:
+        prefix = prefix.extend(model, xi)
+    return _bald_at(model, post, xis[-1], prefix)
+
+
+def check_batch_size(model: BayesModel, b: int, *, labelled: bool,
+                     max_batch: int = MAX_BATCH) -> None:
+    """Raise unless a joint score over ``b`` inputs is allowed: at least one
+    and at most ``max_batch`` inputs, and for an unlabelled batch at most
+    ``MAX_LABEL_CONFIGS`` label configurations."""
     if b < 1:
         raise ValueError("batch must contain at least one input")
     if b > max_batch:
         raise BatchTooLarge(f"batch size {b} exceeds the cap of {max_batch}")
-    if ys is not None:
-        yis = [model.label_index(y) for y in ys]
-        if len(yis) != b:
-            raise ValueError("xs and ys must have equal length")
-        weights = post.probs.copy()
-        for xi, yi in zip(xis, yis):
-            weights = weights * model.likelihood[:, xi, yi]
-        total = weights.sum()
-        if total <= _EVIDENCE_FLOOR:
-            raise ZeroProbabilityEvent("the labelled batch has zero probability")
-        return post.entropy - _entropy_of(weights / total)
-
-    n_configs = model.n_labels**b
-    if n_configs > MAX_LABEL_CONFIGS:
+    if not labelled and model.n_labels**b > MAX_LABEL_CONFIGS:
         raise BatchTooLarge(
-            f"{n_configs} label configurations exceed the cap of {MAX_LABEL_CONFIGS}"
+            f"{model.n_labels**b} label configurations exceed the cap of "
+            f"{MAX_LABEL_CONFIGS}"
         )
-    # p(y_1..y_b | omega) factorizes given omega; build it over all configs
-    config_probs = np.ones((model.n_hypotheses, 1))
-    for xi in xis:
-        config_probs = (
-            config_probs[:, :, None] * model.likelihood[:, xi, None, :]
-        ).reshape(model.n_hypotheses, -1)
-    pred = post.probs @ config_probs
-    cond = -_xlogx(config_probs).sum(axis=1)
-    return _entropy_of(pred) - float(post.probs @ cond)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@ class ZeroEvidence(DiscinfoError):
     """Observed data has probability zero under every hypothesis."""
 
 
+class InvalidIndex(DiscinfoError, ValueError):
+    """An input or label, given by position or by name, that the model lacks."""
+
+
 class BatchTooLarge(DiscinfoError):
     """A joint batch score would enumerate too many label configurations."""
 

@@ -6,6 +6,9 @@ pool index), performs an exact posterior update, and records evaluation
 metrics.  Runs are deterministic given the config and seed; the CSV output
 is byte-identical across repeats.
 
+Scoring is whole-pool: one pass of the ``bayes`` table operations scores
+every candidate at once, and the evaluation pass is one predictive matmul.
+
 Label-aware acquisitions (csd, batch_csd) see the pool labels; bald only
 ever receives the input, so it cannot peek at labels by construction.
 """
@@ -14,13 +17,14 @@ from __future__ import annotations
 
 import json
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bayes
 from .bayes import BayesModel, Posterior
-from .errors import ZeroEvidence, ZeroProbabilityEvent
+from .errors import ZeroEvidence
 
 logger = logging.getLogger(__name__)
 
@@ -129,17 +133,13 @@ class SimResult:
         return None
 
 
-def _evaluate(model: BayesModel, post: Posterior, eval_set) -> tuple[float, float]:
-    correct = 0
-    total_ll = 0.0
-    for xi, yi in eval_set:
-        pred = bayes.predictive(model, post, xi)
-        if int(np.argmax(pred)) == yi:  # argmax ties break to the lowest index
-            correct += 1
-        p = pred[yi]
-        total_ll += -np.log(p) if p > 0 else np.inf
-    n = len(eval_set)
-    return correct / n, total_ll / n
+def _evaluate(model: BayesModel, post: Posterior, eval_x, eval_y) -> tuple[float, float]:
+    """Accuracy and mean log loss over the evaluation set, as Python floats."""
+    pred = bayes.predictive_table(model, post)[eval_x]
+    correct = pred.argmax(axis=1) == eval_y  # argmax ties go to the lowest label
+    with np.errstate(divide="ignore"):
+        loss = -np.log(pred[np.arange(len(eval_y)), eval_y])
+    return float(correct.mean()), float(loss.mean())
 
 
 def _apply_label_noise(pool, n_labels: int, rate: float, rng) -> tuple:
@@ -161,61 +161,90 @@ def _apply_label_noise(pool, n_labels: int, rate: float, rng) -> tuple:
     return tuple(noisy)
 
 
-def _select_batch(model, post, remaining, pool, cfg, rng):
-    """Return [(pool index, score), ...] for one step, in acquisition order."""
-    b = min(cfg.batch_size, len(remaining))
+def _select_batch(model, post, remaining, pool_x, pool_y, cfg, rng, table):
+    """One step's batch as [(pool index, score), ...] in acquisition order,
+    and the first scoring pass's score of every remaining candidate.
+
+    ``remaining`` is in ascending pool order, so a stable sort on the score
+    ranks ties by pool index, and the greedy variants' first maximum is the
+    lowest pool index among the tied (the first candidate when every score
+    is -inf).
+    """
+    cands = np.asarray(remaining)
+    xs, ys = pool_x[cands], pool_y[cands]
+    b = min(cfg.batch_size, len(cands))
     if cfg.acquisition == "uniform":
-        scores = {i: float(rng.random()) for i in remaining}
-        ranked = sorted(remaining, key=lambda i: (-scores[i], i))
-        return [(i, scores[i]) for i in ranked[:b]]
-    if cfg.acquisition == "bald":
-        scores = {i: bayes.bald(model, post, pool[i][0]) for i in remaining}
-        ranked = sorted(remaining, key=lambda i: (-scores[i], i))
-        return [(i, scores[i]) for i in ranked[:b]]
-    if cfg.acquisition == "csd":
-        scores = {}
-        for i in remaining:
-            xi, yi = pool[i]
-            try:
-                scores[i] = bayes.csd(model, post, xi, yi)
-            except ZeroProbabilityEvent:
-                scores[i] = -np.inf
-        ranked = sorted(remaining, key=lambda i: (-scores[i], i))
-        return [(i, scores[i]) for i in ranked[:b]]
-    # greedy joint scoring for the batch variants
+        scores = rng.random(len(cands))
+    elif cfg.acquisition == "bald":
+        scores = bayes.bald_scores(model, post, table)[xs]
+    elif cfg.acquisition == "csd":
+        scores = bayes.csd_scores(model, post, xs, ys)
+    else:
+        return _select_greedy(model, post, cands, xs, ys, b, cfg.acquisition, table)
+    order = np.argsort(-scores, kind="stable")[:b]
+    return [(int(cands[k]), float(scores[k])) for k in order], scores
+
+
+def _select_greedy(model, post, cands, xs, ys, b, acquisition, table):
+    """Greedy joint scoring for the batch variants: each pick maximises the
+    joint score of the batch so far plus one candidate."""
+    labelled = acquisition == "batch_csd"
+    bayes.check_batch_size(model, b, labelled=labelled)
+    prefix = None if labelled else bayes.LabelConfigs.empty(model)
+    left = np.arange(len(cands))  # positions into cands not yet chosen
+    picked: list[int] = []
     chosen: list[tuple[int, float]] = []
-    candidates = list(remaining)
+    first = None
     for _ in range(b):
-        best = None
-        for i in candidates:
-            xs = [pool[j][0] for j, _ in chosen] + [pool[i][0]]
-            if cfg.acquisition == "batch_bald":
-                score = bayes.batch_score(model, post, xs)
-            else:
-                ys = [pool[j][1] for j, _ in chosen] + [pool[i][1]]
-                try:
-                    score = bayes.batch_score(model, post, xs, ys)
-                except ZeroProbabilityEvent:
-                    score = -np.inf
-            if best is None or score > best[1]:
-                best = (i, score)
-        chosen.append(best)
-        candidates.remove(best[0])
-    return chosen
+        if labelled:
+            given = [(xs[p], ys[p]) for p in picked]
+            scores = bayes.csd_scores(model, post, xs[left], ys[left], given)
+        else:
+            scores = bayes.bald_scores(model, post, table, prefix)[xs[left]]
+        if first is None:
+            first = scores
+        k = int(np.argmax(scores))
+        pick = left[k]
+        picked.append(pick)
+        chosen.append((int(cands[pick]), float(scores[k])))
+        if not labelled:
+            prefix = prefix.extend(model, xs[pick])
+        left = np.delete(left, k)
+    return chosen, first
+
+
+def _leaders(model, scores, remaining, pool_x, k=3) -> str:
+    """The ``k`` best (input, score) pairs of one scoring pass, for the log."""
+    order = np.argsort(-scores, kind="stable")[:k]
+    return ", ".join(f"{model.inputs[pool_x[remaining[j]]]}={scores[j]:.6g}" for j in order)
 
 
 def run_sim(cfg: SimConfig) -> SimResult:
-    """Run the experiment; deterministic given the config (incl. its seed)."""
+    """Run the experiment; deterministic given the config (incl. its seed).
+
+    At DEBUG level each step logs its wall time and the top three candidate
+    scores of its first scoring pass.
+    """
     rng = np.random.default_rng(cfg.seed)
     model = cfg.model
     pool = _apply_label_noise(cfg.pool, model.n_labels, cfg.noise_rate, rng)
     post = bayes.posterior(model, list(cfg.initial))
+    # depends on the model alone, so every step of the run reuses it
+    table = (bayes.label_entropy_table(model)
+             if cfg.acquisition in ("bald", "batch_bald") else None)
+    pool_x, pool_y = (np.array(col, dtype=np.intp) for col in zip(*pool))
+    eval_x, eval_y = (np.array(col, dtype=np.intp) for col in zip(*cfg.eval_set))
+    debug = logger.isEnabledFor(logging.DEBUG)
     remaining = list(range(len(pool)))
     rows: list[SimRow] = []
     for step in range(1, cfg.steps + 1):
         if not remaining:
             break
-        batch = _select_batch(model, post, remaining, pool, cfg, rng)
+        if debug:
+            started = time.perf_counter()
+        batch, scores = _select_batch(model, post, remaining, pool_x, pool_y, cfg, rng, table)
+        if debug:
+            leaders = _leaders(model, scores, remaining, pool_x)
         for pool_idx, score in batch:
             remaining.remove(pool_idx)
             xi, yi = pool[pool_idx]
@@ -226,18 +255,21 @@ def run_sim(cfg: SimConfig) -> SimResult:
                     "step %d: skipped (x=%s, y=%s): zero likelihood under every "
                     "hypothesis", step, model.inputs[xi], model.labels[yi],
                 )
-            accuracy, logloss = _evaluate(model, post, cfg.eval_set)
+            accuracy, logloss = _evaluate(model, post, eval_x, eval_y)
             rows.append(
                 SimRow(
                     step=step,
                     x=model.inputs[xi],
                     y=model.labels[yi],
-                    score=float(score),
+                    score=score,
                     posterior_entropy=post.entropy,
                     accuracy=accuracy,
                     logloss=logloss,
                 )
             )
+        if debug:
+            logger.debug("step %d: %.3f ms; top candidates %s", step,
+                         1e3 * (time.perf_counter() - started), leaders)
     return SimResult(config=cfg, rows=tuple(rows))
 
 
@@ -261,10 +293,9 @@ def threshold_task(n_points: int = 32, true_threshold: int | None = None, *,
     inputs = tuple(str(i) for i in range(n_points))
     hypotheses = tuple(f"t{t}" for t in range(n_points + 1))
     lik = np.empty((n_points + 1, n_points, 2))
-    for t in range(n_points + 1):
-        for x in range(n_points):
-            p_one = 1.0 - label_flip if x >= t else label_flip
-            lik[t, x] = (1.0 - p_one, p_one)
+    above = np.arange(n_points)[None, :] >= np.arange(n_points + 1)[:, None]  # x >= t
+    lik[..., 1] = np.where(above, 1.0 - label_flip, label_flip)
+    lik[..., 0] = 1.0 - lik[..., 1]
     model = BayesModel(
         hypotheses=hypotheses,
         prior=np.full(n_points + 1, 1.0 / (n_points + 1)),

@@ -6,6 +6,8 @@ import pytest
 from discinfo import (
     BatchTooLarge,
     BayesModel,
+    DiscinfoError,
+    InvalidIndex,
     LatentVarModel,
     SupportMismatch,
     ZeroEvidence,
@@ -24,7 +26,19 @@ from discinfo import (
     surprise,
     update,
 )
-from discinfo.bayes import Dataset, Posterior, dump_model, load_model
+from discinfo.bayes import (
+    Dataset,
+    LabelConfigs,
+    Posterior,
+    _log_likelihood_sum,
+    bald_scores,
+    csd_scores,
+    dump_model,
+    label_entropy_table,
+    load_model,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 LN2 = math.log(2.0)
 
@@ -529,3 +543,143 @@ class TestDatasetAndEvidence:
         m = opposite_coins_model()
         with pytest.raises(ValueError):
             Dataset.from_pairs(m, [("x9", "0")])
+
+
+class TestIndexResolver:
+    def test_negative_index_is_rejected(self):
+        m = opposite_coins_model()
+        with pytest.raises(InvalidIndex):
+            bald(m, posterior(m, []), -1)
+        with pytest.raises(InvalidIndex):
+            csd(m, posterior(m, []), "x1", -1)
+
+    def test_index_past_the_end_is_a_package_error(self):
+        m = opposite_coins_model()
+        post = posterior(m, [])
+        for call in (
+            lambda: bald(m, post, 99),
+            lambda: predictive(m, post, 99),
+            lambda: update(m, post, 0, 99),
+            lambda: Dataset.from_pairs(m, [(99, 0)]),
+        ):
+            with pytest.raises(DiscinfoError):
+                call()
+
+    def test_numpy_integers_are_positions(self):
+        m = opposite_coins_model()
+        post = posterior(m, [])
+        assert bald(m, post, np.int64(1)) == bald(m, post, "x1")
+        assert m.label_index(np.uint8(1)) == 1
+        with pytest.raises(InvalidIndex):
+            m.input_index(np.int64(2))
+
+    def test_unknown_names(self):
+        m = opposite_coins_model()
+        with pytest.raises(InvalidIndex):
+            m.input_index("x9")
+        with pytest.raises(InvalidIndex):
+            m.label_index("2")
+
+    def test_whole_pool_indices_are_checked(self):
+        m = opposite_coins_model()
+        post = posterior(m, [])
+        with pytest.raises(InvalidIndex):
+            csd_scores(m, post, np.array([0, -1]), np.array([0, 0]))
+        np.testing.assert_array_equal(
+            csd_scores(m, post, ["x1", "x1"], ["0", "1"]),
+            csd_scores(m, post, np.array([1, 1]), np.array([0, 1])),
+        )
+
+
+@st.composite
+def models_with_posteriors(draw):
+    """Small models whose likelihoods and posterior may hold exact zeros."""
+    n_omega = draw(st.integers(1, 5))
+    n_x = draw(st.integers(1, 4))
+    n_y = draw(st.integers(2, 4))
+    cells = draw(st.lists(st.integers(0, 4), min_size=n_omega * n_x * n_y,
+                          max_size=n_omega * n_x * n_y))
+    lik = np.array(cells, dtype=float).reshape(n_omega, n_x, n_y)
+    lik[..., 0] += lik.sum(axis=2) == 0  # no all-zero row
+    weights = np.array(draw(st.lists(st.integers(0, 4), min_size=n_omega,
+                                     max_size=n_omega)), dtype=float)
+    weights[0] += weights.sum() == 0
+    model = BayesModel(
+        hypotheses=tuple(f"w{i}" for i in range(n_omega)),
+        prior=np.full(n_omega, 1.0 / n_omega),
+        inputs=tuple(f"x{i}" for i in range(n_x)),
+        labels=tuple(f"y{i}" for i in range(n_y)),
+        likelihood=lik / lik.sum(axis=2, keepdims=True),
+    )
+    return model, Posterior(weights / weights.sum())
+
+
+def _pair_joint(m, post, x1, x2):
+    """The engine's joint over (Omega, Y1, Y2) for the inputs x1, x2."""
+    from discinfo import JointDistribution, Variable
+
+    cells = np.einsum("w,wa,wb->wab", post.probs, m.likelihood[:, x1, :],
+                      m.likelihood[:, x2, :])
+    return JointDistribution(
+        (Variable("Omega", m.hypotheses), Variable("Y1", m.labels), Variable("Y2", m.labels)),
+        cells,
+    )
+
+
+class TestWholePoolScores:
+    """The whole-pool scores against the information engine, cell by cell."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(models_with_posteriors())
+    def test_bald_and_csd_equal_engine(self, case):
+        m, post = case
+        table = label_entropy_table(m)
+        pool_bald = bald_scores(m, post, table)
+        xs, ys = np.divmod(np.arange(len(m.inputs) * m.n_labels), m.n_labels)
+        pool_csd = csd_scores(m, post, xs, ys)
+        for x in range(len(m.inputs)):
+            joint = joint_label_hypothesis(m, post, x)
+            assert pool_bald[x] == pytest.approx(
+                mutual_info(joint, [["Omega"], ["Y"]]), abs=1e-9)
+            assert bald(m, post, x) == pytest.approx(pool_bald[x], abs=1e-12)
+            for y in range(m.n_labels):
+                score = pool_csd[x * m.n_labels + y]
+                if joint.probs[:, y].sum() == 0:
+                    assert score == -np.inf
+                    with pytest.raises(ZeroProbabilityEvent):
+                        csd(m, post, x, y)
+                    continue
+                assert score == pytest.approx(
+                    mutual_info(joint, [["Omega"], [("Y", y)]]), abs=1e-9)
+                assert csd(m, post, x, y) == pytest.approx(score, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(models_with_posteriors(), st.data())
+    def test_joint_scores_with_a_prefix_equal_engine(self, case, data):
+        m, post = case
+        x1 = data.draw(st.integers(0, len(m.inputs) - 1))
+        y1, y2 = (data.draw(st.integers(0, m.n_labels - 1)) for _ in range(2))
+        prefix = LabelConfigs.empty(m).extend(m, x1)
+        pool_bald = bald_scores(m, post, label_entropy_table(m), prefix)
+        xs = np.arange(len(m.inputs))
+        pool_csd = csd_scores(m, post, xs, np.full(len(xs), y2), given=[(x1, y1)])
+        for x2 in xs:
+            joint = _pair_joint(m, post, x1, x2)
+            assert pool_bald[x2] == pytest.approx(
+                mutual_info(joint, [["Omega"], ["Y1", "Y2"]]), abs=1e-9)
+            if joint.probs[:, y1, y2].sum() == 0:
+                assert pool_csd[x2] == -np.inf
+            else:
+                assert pool_csd[x2] == pytest.approx(
+                    mutual_info(joint, [["Omega"], [("Y1", y1), ("Y2", y2)]]), abs=1e-9)
+
+    def test_log_likelihood_sum_matches_the_full_table_log(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            m = random_model(rng)
+            data = Dataset.from_pairs(m, random_data(rng, m, 4))
+            full = np.log(m.likelihood)
+            expected = np.zeros(m.n_hypotheses)
+            for xi, yi in data.pairs:
+                expected += full[:, xi, yi]
+            np.testing.assert_array_equal(_log_likelihood_sum(m, data), expected)

@@ -162,21 +162,37 @@ class TestSim:
     def test_byte_identical_reruns(self, tmp_path):
         model, pool, eval_set = __import__("discinfo").threshold_task(12, 4)
         dump_model(model, tmp_path / "m.json")
+        for acquisition in ("uniform", "bald", "csd", "batch_bald", "batch_csd"):
+            cfg = {
+                "model": str(tmp_path / "m.json"),
+                "pool": [[model.inputs[x], model.labels[y]] for x, y in pool],
+                "eval": [[model.inputs[x], model.labels[y]] for x, y in eval_set],
+                "acquisition": acquisition,
+                "batch_size": 2,
+                "steps": 6,
+                "seed": 9,
+                "noise_rate": 0.25,
+            }
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+            assert main(["sim", "--config", str(cfg_path), "--out", str(a)]) == 0
+            assert main(["sim", "--config", str(cfg_path), "--out", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("entry", [[-1, 0], [99, 0], ["x1", "7"], [0, 2]])
+    def test_bad_pool_entry_is_usage_error(self, tmp_path, capsys, entry):
+        model, pool, eval_set = __import__("discinfo").threshold_task(8, 4)
         cfg = {
-            "model": str(tmp_path / "m.json"),
-            "pool": [[model.inputs[x], model.labels[y]] for x, y in pool],
-            "eval": [[model.inputs[x], model.labels[y]] for x, y in eval_set],
-            "acquisition": "uniform",
-            "steps": 6,
-            "seed": 9,
-            "noise_rate": 0.25,
+            "model": model.to_json_dict(),
+            "pool": [list(pool[0]), entry],
+            "eval": [list(p) for p in eval_set],
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["sim", "--config", str(cfg_path), "--out", str(a)]) == 0
-        assert main(["sim", "--config", str(cfg_path), "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert main(["sim", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestUsageErrors:

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from discinfo import BayesModel, SimConfig, run_sim, threshold_task
-from discinfo.simulate import CSV_HEADER, load_config
+from discinfo import BatchTooLarge, BayesModel, InvalidIndex, SimConfig, run_sim, threshold_task
+from discinfo.bayes import bald_scores, label_entropy_table, posterior, update
+from discinfo.simulate import ACQUISITIONS, CSV_HEADER, _select_batch, load_config
 
 LN2 = math.log(2.0)
 
@@ -102,6 +103,16 @@ class TestDeterminism:
                             acquisition="uniform", steps=10, seed=seed)
             rows.append(run_sim(cfg).to_csv())
         assert rows[0] != rows[1]
+
+    def test_every_numeric_csv_field_parses_as_a_float(self):
+        model, pool, eval_set = threshold_task(16, 9)
+        for acq in ACQUISITIONS:
+            cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acq,
+                            batch_size=2, steps=3, seed=4, noise_rate=0.25)
+            for line in run_sim(cfg).to_csv().splitlines()[1:]:
+                fields = line.split(",")
+                for value in fields[:1] + fields[3:]:
+                    float(value)
 
     def test_csv_shape(self):
         result = run_sim(small_config(steps=2))
@@ -243,3 +254,155 @@ class TestConfigJson:
             small_config(noise_rate=1.5)
         with pytest.raises(ValueError):
             small_config(batch_size=0)
+
+    def test_pool_indices_are_checked(self):
+        with pytest.raises(InvalidIndex):
+            small_config(pool=((-1, 0),))
+        with pytest.raises(InvalidIndex):
+            small_config(pool=((99, 0),))
+        with pytest.raises(InvalidIndex):
+            small_config(eval_set=(("x1", "7"),))
+        cfg = small_config(pool=((np.int64(1), np.int64(0)),))
+        assert cfg.pool == ((1, 0),)
+
+
+def _entropy(p):
+    p = p[p > 1e-15]
+    return float(-(p * np.log(p)).sum())
+
+
+def _reference_score(model, probs, pool, prefix, i, acquisition):
+    """One candidate's score computed on its own, as the simulator did before
+    scoring became whole-pool: the joint score of the batch prefix plus i."""
+    lik = model.likelihood
+    batch = [pool[j] for j in prefix] + [pool[i]]
+    if acquisition in ("bald", "batch_bald"):
+        configs = np.ones((len(probs), 1))
+        for x, _ in batch:
+            configs = (configs[:, :, None] * lik[:, x, None, :]).reshape(len(probs), -1)
+        cond = np.array([_entropy(row) for row in configs])
+        return _entropy(probs @ configs) - float(probs @ cond)
+    weights = probs.copy()
+    for x, y in batch:
+        weights = weights * lik[:, x, y]
+    if weights.sum() <= 1e-300:
+        return -np.inf
+    return _entropy(probs) - _entropy(weights / weights.sum())
+
+
+def _pool_arrays(pool):
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*pool))
+
+
+class TestWholePoolSelection:
+    @pytest.mark.parametrize("acquisition", ["bald", "csd", "batch_bald", "batch_csd"])
+    def test_matches_the_per_candidate_reference(self, acquisition):
+        model, pool, eval_set = threshold_task(24, 9)
+        pool = pool + pool[3:8] + pool[20:22]  # duplicate entries tie exactly
+        cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acquisition,
+                        batch_size=3 if acquisition.startswith("batch_") else 1, seed=0)
+        pool_x, pool_y = _pool_arrays(cfg.pool)
+        table = label_entropy_table(model)
+        post = posterior(model, [])
+        remaining = list(range(len(pool)))
+        for _ in range(6):
+            batch, _ = _select_batch(model, post, remaining, pool_x, pool_y, cfg, None, table)
+            if acquisition in ("bald", "csd"):
+                ref = {j: _reference_score(model, post.probs, cfg.pool, [], j, acquisition)
+                       for j in remaining}
+            prefix = []
+            for i, score in batch:
+                if acquisition.startswith("batch_"):
+                    ref = {j: _reference_score(model, post.probs, cfg.pool, prefix, j, acquisition)
+                           for j in remaining if j not in prefix}
+                assert score == pytest.approx(ref[i], abs=1e-12)
+                assert ref[i] >= max(v for j, v in ref.items() if j not in prefix) - 1e-12
+                # of identical entries, the lowest pool index goes first
+                assert i == min(j for j in ref if j not in prefix and cfg.pool[j] == cfg.pool[i])
+                prefix.append(i)
+            for i in prefix:
+                remaining.remove(i)
+                post = update(model, post, *cfg.pool[i])
+
+    def test_uniform_draws_one_number_per_candidate_in_pool_order(self):
+        model, pool, eval_set = threshold_task(20, 5)
+        cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition="uniform",
+                        batch_size=4, seed=3)
+        rng = np.random.default_rng(3)
+        draws = {i: rng.random() for i in range(len(pool))}
+        ranked = sorted(draws, key=lambda i: (-draws[i], i))[:4]
+        batch, _ = _select_batch(model, posterior(model, []), list(range(len(pool))),
+                                 *_pool_arrays(cfg.pool), cfg, np.random.default_rng(3), None)
+        assert batch == [(i, draws[i]) for i in ranked]
+
+    def test_symmetric_inputs_tie_to_the_lower_index(self):
+        # the uniform prior makes inputs 255 and 256 of a 512-point grid
+        # mirror images, so their expected gains are exactly equal
+        model, pool, eval_set = threshold_task(512, seed=1)
+        scores = bald_scores(model, posterior(model, []), label_entropy_table(model))
+        assert scores[255] == scores[256] == scores.max()
+        for acq in ("bald", "batch_bald"):
+            cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acq,
+                            batch_size=2, steps=1, seed=1)
+            assert run_sim(cfg).rows[0].x == "255"
+
+    def test_all_minus_inf_csd_pool_takes_the_first_candidate(self):
+        # after (x0, 0) only hypothesis A is left, and A never labels 1
+        lik = np.array([[[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]])
+        model = BayesModel(("A", "B"), [0.5, 0.5], ("x0", "x1"), ("0", "1"), lik)
+        for acq in ("csd", "batch_csd"):
+            cfg = SimConfig(model=model, pool=(("x1", "1"), ("x0", "1")),
+                            eval_set=(("x1", "0"),), initial=(("x0", "0"),),
+                            acquisition=acq, batch_size=2, steps=1)
+            batch, _ = _select_batch(model, posterior(model, list(cfg.initial)), [0, 1],
+                                     *_pool_arrays(cfg.pool), cfg, None, None)
+            assert batch == [(0, -np.inf), (1, -np.inf)]
+
+    def test_batch_larger_than_the_remaining_pool(self):
+        model, pool, eval_set = threshold_task(8, 3)
+        for acq in ACQUISITIONS:
+            cfg = SimConfig(model=model, pool=pool[:2], eval_set=eval_set, acquisition=acq,
+                            batch_size=3, steps=2, seed=0)
+            rows = run_sim(cfg).rows
+            assert [r.step for r in rows] == [1, 1]
+            assert sorted(r.x for r in rows) == ["0", "1"]
+
+    def test_batch_too_large(self):
+        model, pool, eval_set = threshold_task(8, 3)
+        for acq in ("batch_bald", "batch_csd"):
+            cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acq,
+                            batch_size=7, steps=1)
+            with pytest.raises(BatchTooLarge):
+                run_sim(cfg)
+            # the batch shrinks to the six remaining points, within the cap
+            cfg = SimConfig(model=model, pool=pool[:6], eval_set=eval_set, acquisition=acq,
+                            batch_size=7, steps=1)
+            assert len(run_sim(cfg).rows) == 6
+        # 11 labels: six unlabelled inputs have 11**6 > 10**6 configurations
+        lik = np.full((2, 6, 11), 1.0 / 11)
+        many = BayesModel(("A", "B"), [0.5, 0.5], tuple("abcdef"), tuple("0123456789X"), lik)
+        pairs = tuple((x, 0) for x in range(6))
+        for acq, raises in (("batch_bald", True), ("batch_csd", False)):
+            cfg = SimConfig(model=many, pool=pairs, eval_set=pairs, acquisition=acq,
+                            batch_size=6, steps=1)
+            if raises:
+                with pytest.raises(BatchTooLarge):
+                    run_sim(cfg)
+            else:
+                assert len(run_sim(cfg).rows) == 6
+
+
+class TestObservability:
+    def test_debug_logs_step_time_and_top_scores(self, caplog):
+        model, pool, eval_set = threshold_task(16, 5)
+        cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition="bald",
+                        steps=3, seed=0)
+        with caplog.at_level("DEBUG", logger="discinfo.simulate"):
+            run_sim(cfg)
+        steps = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+        assert len(steps) == 3
+        assert all(" ms; top candidates " in m and m.count("=") == 3 for m in steps)
+        caplog.clear()
+        with caplog.at_level("INFO", logger="discinfo.simulate"):
+            run_sim(cfg)
+        assert not caplog.records
