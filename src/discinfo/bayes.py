@@ -18,36 +18,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .dist import JointDistribution, Variable
+from .dist import RENORM_TOLERANCE, ZERO_CELL, ZERO_MASS, JointDistribution, Variable
 from .errors import (
     BatchTooLarge,
     InvalidIndex,
     SupportMismatch,
     ZeroEvidence,
     ZeroProbabilityEvent,
+    malformed_input,
 )
+from .quantities import plogq
 
 MAX_HYPOTHESES = 10_000
 MAX_LABEL_CONFIGS = 10**6
 MAX_BATCH = 6
-_ZERO = 1e-15  # exact-zero cutoff for 0 * log 0 terms
-_EVIDENCE_FLOOR = 1e-300
 # cells in one temporary of the whole-pool scores (512 KiB of float64), so
 # scoring a pool never holds a second array the size of the likelihood table
 _BLOCK_CELLS = 1 << 16
-
-
-def _xlogx(p: np.ndarray) -> np.ndarray:
-    out = np.where(p > _ZERO, p, 1.0)  # log 1 = 0 makes the exact zeros' terms 0
-    np.log(out, out=out)
-    out *= p
-    return out
-
-
-def _entropy_of(p: np.ndarray) -> float:
-    return float(-_xlogx(np.asarray(p, dtype=float)).sum())
 
 
 def _normalized(vec, what: str) -> np.ndarray:
@@ -55,7 +43,7 @@ def _normalized(vec, what: str) -> np.ndarray:
     if np.any(vec < 0) or not np.all(np.isfinite(vec)):
         raise ValueError(f"{what} must be finite and non-negative")
     total = vec.sum()
-    if abs(total - 1.0) > 1e-6:
+    if abs(total - 1.0) > RENORM_TOLERANCE:
         raise ValueError(f"{what} sums to {total!r}, not 1")
     return vec / total
 
@@ -93,7 +81,7 @@ class BayesModel:
         if np.any(lik < 0) or not np.all(np.isfinite(lik)):
             raise ValueError("likelihood entries must be finite and non-negative")
         row_sums = lik.sum(axis=2)
-        if np.any(np.abs(row_sums - 1.0) > 1e-6):
+        if np.any(np.abs(row_sums - 1.0) > RENORM_TOLERANCE):
             raise ValueError("every likelihood row p(. | x, omega) must sum to 1")
         lik = lik / row_sums[:, :, None]
         prior.setflags(write=False)
@@ -137,17 +125,18 @@ class BayesModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BayesModel":
-        hypotheses = [str(h) for h in doc["hypotheses"]]
-        inputs = [str(x) for x in doc["inputs"]]
-        labels = [str(y) for y in doc["labels"]]
-        table = doc["likelihood"]
-        lik = np.empty((len(hypotheses), len(inputs), len(labels)))
-        for i, h in enumerate(hypotheses):
-            rows = table[h]
-            for j, x in enumerate(inputs):
-                lik[i, j] = np.asarray(rows[x], dtype=float)
-        return cls(tuple(hypotheses), np.asarray(doc["prior"], dtype=float),
-                   tuple(inputs), tuple(labels), lik)
+        with malformed_input("model"):
+            hypotheses = [str(h) for h in doc["hypotheses"]]
+            inputs = [str(x) for x in doc["inputs"]]
+            labels = [str(y) for y in doc["labels"]]
+            table = doc["likelihood"]
+            lik = np.empty((len(hypotheses), len(inputs), len(labels)))
+            for i, h in enumerate(hypotheses):
+                rows = table[h]
+                for j, x in enumerate(inputs):
+                    lik[i, j] = np.asarray(rows[x], dtype=float)
+            prior = np.asarray(doc["prior"], dtype=float)
+        return cls(tuple(hypotheses), prior, tuple(inputs), tuple(labels), lik)
 
 
 def _resolve(names: tuple[str, ...], key, what: str) -> int:
@@ -212,7 +201,7 @@ class Posterior:
 
     @property
     def entropy(self) -> float:
-        return _entropy_of(self.probs)
+        return float(-plogq(self.probs).sum())
 
 
 def _log_likelihood_sum(model: BayesModel, data: Dataset) -> np.ndarray:
@@ -238,10 +227,10 @@ def log_evidence(model: BayesModel, data: Dataset | list) -> float:
         data = Dataset.from_pairs(model, data)
     with np.errstate(divide="ignore"):
         log_joint = np.log(model.prior) + _log_likelihood_sum(model, data)
-    value = float(logsumexp(log_joint))
-    if not np.isfinite(value):
+    top = log_joint.max()
+    if not np.isfinite(top):
         raise ZeroEvidence("the dataset has probability zero under every hypothesis")
-    return value
+    return float(top + np.log(np.exp(log_joint - top).sum()))
 
 
 def _posterior_from_log(log_post: np.ndarray) -> Posterior:
@@ -258,7 +247,7 @@ def update(model: BayesModel, post: Posterior, x, y) -> Posterior:
     xi, yi = model.input_index(x), model.label_index(y)
     weights = post.probs * model.likelihood[:, xi, yi]
     total = weights.sum()
-    if total <= _EVIDENCE_FLOOR:
+    if total <= ZERO_MASS:
         raise ZeroEvidence(
             f"observation (x={model.inputs[xi]!r}, y={model.labels[yi]!r}) has zero "
             f"probability under the current posterior"
@@ -296,7 +285,7 @@ def _label_entropy(lik: np.ndarray) -> np.ndarray:
     The label axis is short, so it is summed one slice at a time: a numpy
     reduction over a short innermost axis runs several times slower.
     """
-    terms = _xlogx(lik)
+    terms = plogq(lik)
     entropy = -terms[..., 0]
     for y in range(1, terms.shape[-1]):
         entropy -= terms[..., y]
@@ -386,7 +375,7 @@ def bald_scores(model: BayesModel, post: Posterior, table: np.ndarray,
 def csd_scores(model: BayesModel, post: Posterior, xs, ys, given=()) -> np.ndarray:
     """The realized information gain H[Omega] - H[Omega | y, x] of every
     labelled candidate (xs[i], ys[i]), shape (len(xs),); -inf where the
-    label has zero predictive probability.
+    label's predictive probability is at most ``ZERO_MASS``.
 
     With ``given`` labelled pairs the gain is H[Omega] - H[Omega | given,
     y, x], the joint gain of the pairs followed by the candidate.  The
@@ -412,9 +401,9 @@ def csd_scores(model: BayesModel, post: Posterior, xs, ys, given=()) -> np.ndarr
         # posterior scores exactly 0
         joint = np.multiply(np.take(cells, columns[cut], axis=1).T, weights, order="C")
         total = joint.sum(axis=1)
-        possible = total > _EVIDENCE_FLOOR
+        possible = total > ZERO_MASS
         joint /= np.where(possible, total, 1.0)[:, None]
-        after = -_xlogx(joint).sum(axis=1)
+        after = -plogq(joint).sum(axis=1)
         scores[cut] = np.where(possible, before - after, -np.inf)
     return scores
 
@@ -448,26 +437,28 @@ def csd(model: BayesModel, post: Posterior, x, y) -> float:
 
 def surprise(model: BayesModel, post: Posterior, x, y) -> float:
     """KL of the updated posterior from the current one; always >= 0."""
-    new_post, _ = _updated(model, post, x, y)
-    return _kl_vec(new_post.probs, post.probs)
+    new_post, _, _ = _updated(model, post, x, y)
+    return _kl(new_post.probs, post.probs)
 
 
 def _updated(model: BayesModel, post: Posterior, x, y):
+    """The posterior after observing (x, y), the evidence p(y | x, data),
+    and the likelihood column p(y | x, omega)."""
     xi, yi = model.input_index(x), model.label_index(y)
-    evidence = float(post.probs @ model.likelihood[:, xi, yi])
-    if evidence <= _EVIDENCE_FLOOR:
+    lik = model.likelihood[:, xi, yi]
+    evidence = float(post.probs @ lik)
+    if evidence <= ZERO_MASS:
         raise ZeroProbabilityEvent(
             f"label {model.labels[yi]!r} has zero predictive probability at "
             f"x={model.inputs[xi]!r}"
         )
-    return Posterior(post.probs * model.likelihood[:, xi, yi] / evidence), evidence
+    return Posterior(post.probs * lik / evidence), evidence, lik
 
 
-def _kl_vec(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > _ZERO
-    if np.any(q[mask] <= 0):
-        raise SupportMismatch("q is zero where p has mass")
-    return float((p[mask] * (np.log(p[mask]) - np.log(q[mask]))).sum())
+def _kl(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(p || q) of two vectors: the expectation under p of -log(q / p)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(-plogq(p, q / p).sum())
 
 
 @dataclass(frozen=True)
@@ -491,29 +482,15 @@ def csd_decomposition(model: BayesModel, post: Posterior, x, y) -> CsdDecomposit
     the current posterior is uniform, in which case the information gain
     equals the surprise exactly.
     """
-    new_post, evidence = _updated(model, post, x, y)
+    new_post, evidence, lik = _updated(model, post, x, y)
     old, new = post.probs, new_post.probs
-    mask_new = new > _ZERO
-    # IC of each hypothesis under the *old* posterior code
-    old_ic = np.zeros_like(old)
-    old_ic[old > _ZERO] = -np.log(old[old > _ZERO])
-    if np.any(old[mask_new] <= _ZERO):
-        raise SupportMismatch("updated posterior has mass outside the old support")
-    code_shift = float(old @ old_ic) - float(new @ old_ic)
-    surprise_value = _kl_vec(new, old)
-
-    xi, yi = model.input_index(x), model.label_index(y)
-    lik = model.likelihood[:, xi, yi]
-    with np.errstate(divide="ignore"):
-        label_ic = np.where(lik > _ZERO, -np.log(np.maximum(lik, _ZERO)), 0.0)
-    direct = float(new @ label_ic)
-    importance = float(old @ (lik / evidence * label_ic))
     return CsdDecomposition(
         info_gain=post.entropy - new_post.entropy,
-        code_shift=code_shift,
-        surprise=surprise_value,
-        label_entropy_direct=direct,
-        label_entropy_importance=importance,
+        # the old posterior code's expected length under the old and new beliefs
+        code_shift=post.entropy + float(plogq(new, old).sum()),
+        surprise=_kl(new, old),
+        label_entropy_direct=float(-plogq(new, lik).sum()),
+        label_entropy_importance=float(-plogq(old * lik / evidence, lik).sum()),
     )
 
 
@@ -580,23 +557,16 @@ def elbo_vi(model: BayesModel, data: Dataset | list, q) -> ElboVIResult:
         data = Dataset.from_pairs(model, data)
     q = _normalized(q, "variational distribution")
     post = posterior(model, data)
-    if np.any((post.probs > _ZERO) & (q <= 0)):
+    if np.any((post.probs > ZERO_CELL) & (q <= 0)):
         raise SupportMismatch("q must be positive wherever the posterior has mass")
-    loglik = _log_likelihood_sum(model, data)
-    mask = q > _ZERO
-    if np.any(~np.isfinite(loglik[mask])) :
-        # q puts mass on a hypothesis that rules the data out: the expected
-        # log likelihood diverges, so the bound is vacuous
-        raise SupportMismatch(
-            "q has mass on a hypothesis with zero data likelihood"
-        )
-    expected_loglik = float(q[mask] @ loglik[mask])
-    kl_prior = _kl_vec(q, model.prior)
-    elbo = expected_loglik - kl_prior
+    xs, ys = np.array(data.pairs, dtype=np.intp).reshape(-1, 2).T
+    # E_q IC(p(data | omega)), one observation per column; q mass on a
+    # hypothesis that rules the data out makes the bound vacuous (SupportMismatch)
+    expected_nll = float(-plogq(q[:, None], model.likelihood[:, xs, ys]).sum())
     return ElboVIResult(
-        elbo=elbo,
+        elbo=-expected_nll - _kl(q, model.prior),
         log_evidence=log_evidence(model, data),
-        kl_gap=_kl_vec(q, post.probs),
+        kl_gap=_kl(q, post.probs),
     )
 
 
@@ -624,7 +594,7 @@ class LatentVarModel:
             if np.any(table < 0) or not np.all(np.isfinite(table)):
                 raise ValueError(f"{name} entries must be finite and non-negative")
             sums = table.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > 1e-6):
+            if np.any(np.abs(sums - 1.0) > RENORM_TOLERANCE):
                 raise ValueError(f"every {name} row must sum to 1")
         decoder = decoder / decoder.sum(axis=1, keepdims=True)
         encoder = encoder / encoder.sum(axis=1, keepdims=True)
@@ -681,30 +651,25 @@ def elbo_vae(lv: LatentVarModel, x_weights=None) -> ElboVAEResult:
     kl_prior = np.zeros(n_x)
     gap = np.zeros(n_x)
     for xi in range(n_x):
-        if weights[xi] <= _ZERO and x_weights is not None:
+        if weights[xi] <= ZERO_CELL and x_weights is not None:
             continue
-        if marginal[xi] <= _ZERO:
-            if weights[xi] > _ZERO:
+        if marginal[xi] <= ZERO_CELL:
+            if weights[xi] > ZERO_CELL:
                 raise ZeroProbabilityEvent(
                     f"input {xi} has zero model probability but positive weight"
                 )
             continue
         q_z = lv.encoder[xi]
         post_z = lv.prior_z * lv.decoder[:, xi] / marginal[xi]
-        if np.any((post_z > _ZERO) & (q_z <= 0)):
+        if np.any((post_z > ZERO_CELL) & (q_z <= 0)):
             raise SupportMismatch(
                 f"encoder is zero where the exact latent posterior has mass (x={xi})"
             )
-        mask = q_z > _ZERO
-        if np.any(lv.decoder[mask, xi] <= 0):
-            # q reaches a latent that cannot produce x: the bound diverges
-            raise SupportMismatch(
-                f"encoder has mass on a latent with zero emission probability (x={xi})"
-            )
         nll[xi] = -math.log(marginal[xi])
-        recon[xi] = float(-(q_z[mask] * np.log(lv.decoder[mask, xi])).sum())
-        kl_prior[xi] = _kl_vec(q_z, lv.prior_z)
-        gap[xi] = _kl_vec(q_z, post_z)
+        # SupportMismatch where q reaches a latent that cannot produce x
+        recon[xi] = float(-plogq(q_z, lv.decoder[:, xi]).sum())
+        kl_prior[xi] = _kl(q_z, lv.prior_z)
+        gap[xi] = _kl(q_z, post_z)
     return ElboVAEResult(
         x_weights=weights,
         nll=nll,

@@ -16,13 +16,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ZeroProbabilityEvent
+from .errors import ZeroProbabilityEvent, malformed_input
 
 DEFAULT_MAX_CELLS = 2**22
-SUM_TOLERANCE = 1e-9  # accepted as normalized without adjustment
-RENORM_TOLERANCE = 1e-6  # renormalized exactly, flagged on the value
-ZERO_MASS = 1e-12  # conditioning below this slice mass is an error
-Z_RELATIVE_TOLERANCE = 1e-9  # declared total mass vs. actual cell sum
+
+# Every numerical threshold of the package, one name per decision.
+SUM_TOLERANCE = 1e-9  # a total this close to 1 is accepted as normalized
+RENORM_TOLERANCE = 1e-6  # a total this close to 1 is renormalized; further off is an error
+Z_RELATIVE_TOLERANCE = 1e-9  # declared total mass vs. actual cell sum, relative
+ZERO_MASS = 1e-12  # conditioning on an event of at most this mass is an error
+ZERO_CELL = 1e-15  # a cell at or below this is an exact zero for 0 * log 0
+EQ_TOLERANCE = 1e-9  # slack of "==", "<=" and ">=", and of an identity that always holds
+NEQ_GAP = 1e-6  # "!=" needs a larger gap, and so does a counterexample
+CELL_FLOOR = 1e-3  # per-cell floor of the identity search's random distributions
+WITNESS_SEPARATION = 1e-3  # the chaining witness's two sides differ by more than this
 
 
 def _check_identifier(name: str) -> None:
@@ -151,8 +158,10 @@ class JointDistribution:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "JointDistribution":
-        variables = [Variable(v["name"], tuple(v["support"])) for v in doc["variables"]]
-        return cls(tuple(variables), np.asarray(doc["probs"], dtype=float))
+        with malformed_input("distribution"):
+            variables = [Variable(v["name"], tuple(v["support"])) for v in doc["variables"]]
+            probs = np.asarray(doc["probs"], dtype=float)
+        return cls(tuple(variables), probs)
 
 
 @dataclass(frozen=True, eq=False)

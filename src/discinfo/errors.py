@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class DiscinfoError(Exception):
     """Base class for every error raised by this package."""
@@ -27,6 +29,21 @@ class MissingQDistribution(DiscinfoError):
 
 class ZeroEvidence(DiscinfoError):
     """Observed data has probability zero under every hypothesis."""
+
+
+class MalformedInput(DiscinfoError, ValueError):
+    """A JSON document whose structure is not the documented one."""
+
+
+@contextmanager
+def malformed_input(what: str):
+    """Report a wrong-shaped document (a number where a list belongs, a
+    missing key, ...) as :class:`MalformedInput` instead of the bare error
+    that indexing it raised."""
+    try:
+        yield
+    except (TypeError, KeyError, AttributeError, IndexError) as exc:
+        raise MalformedInput(f"malformed {what} JSON: {type(exc).__name__}: {exc}") from None
 
 
 class InvalidIndex(DiscinfoError, ValueError):

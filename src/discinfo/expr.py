@@ -43,22 +43,20 @@ import numpy as np
 
 from . import quantities as qt
 from .dist import (
+    EQ_TOLERANCE,
+    NEQ_GAP,
+    ZERO_CELL,
     Assignment,
     JointDistribution,
     UnnormalizedWeight,
-    ZERO_MASS,
     _tensor_of,
 )
 from .errors import (
     DiscinfoError,
     MissingQDistribution,
     UnknownVariable,
-    ZeroProbabilityEvent,
 )
-from .quantities import LogBase, Term, ZERO_CELL
-
-EQ_TOLERANCE = 1e-9  # |lhs - rhs| for "==" (and slack for "<=" / ">=")
-NEQ_GAP = 1e-6  # strict gap required by "!="
+from .quantities import LogBase, Term
 
 _QUANTITY_HEADS = ("H", "I", "CE", "KL", "IC", "E")
 
@@ -598,29 +596,22 @@ def _eval_expectation(node: ExpectationNode, scope: _Scope):
     if len(set(iter_names)) != len(iter_names):
         raise EvaluationError("expectation variables must be distinct")
     given = _resolve_terms(measure_dist, node.measure.given, scope.env)
-    tensor, kept = qt._subtensor(
-        measure_dist.variables, _tensor_of(measure_dist), iter_names + [t.name for t in given]
-    )
     tied = {t.name: t.outcome for t in given}
-    ix = tuple(tied[n] if n in tied else slice(None) for n in kept)
-    weights = tensor[ix]
-    mass = float(weights.sum())
-    if mass <= ZERO_MASS:
-        raise ZeroProbabilityEvent(f"expectation measure {tied} has zero mass")
-    weights = weights / mass
+    tensor, kept = qt._subtensor(measure_dist.names, _tensor_of(measure_dist),
+                                 iter_names + list(tied))
+    weights, mass = qt.tied_slice(tensor, kept, tied)
     free = [n for n in kept if n not in tied]
     total = 0.0
     for idx, w in np.ndenumerate(weights):
-        if w <= ZERO_CELL:
-            continue
-        extra = dict(zip(free, idx))
-        value = _as_number(_eval(node.body, scope.with_bindings(extra)))
-        total += w * value
-    return total
+        if w > ZERO_CELL:
+            extra = dict(zip(free, idx))
+            total += float(w) * _as_number(_eval(node.body, scope.with_bindings(extra)))
+    return total / mass
 
 
 def compare(lhs: float, op: str, rhs: float) -> bool:
-    """Tolerance-aware comparison: 1e-9 slack for ==/<=/>=; != needs a 1e-6 gap."""
+    """Tolerance-aware comparison: ``EQ_TOLERANCE`` slack for ==/<=/>=; !=
+    needs a gap above ``NEQ_GAP``."""
     if op == "==":
         return abs(lhs - rhs) <= EQ_TOLERANCE
     if op == "!=":
@@ -657,80 +648,71 @@ def evaluate(expression, dist: JointDistribution, q=None, bindings=None, *,
     return _eval(node, _Scope(dist, q, env, base))
 
 
+def children(node) -> tuple:
+    """The sub-expressions of an AST node, in surface order."""
+    if isinstance(node, (SumNode, DiffNode)):
+        return (node.left, node.right)
+    if isinstance(node, ComparisonNode):
+        return (node.lhs, node.rhs)
+    if isinstance(node, ScaledNode):
+        return (node.child,)
+    if isinstance(node, ExpectationNode):
+        return (node.body,)
+    return ()
+
+
+def termlists(node) -> tuple:
+    """The term lists written in an AST node itself (not in its
+    sub-expressions), in surface order, each as a pair (letter of the
+    distribution it refers to, terms)."""
+    if isinstance(node, EntropyNode):
+        return (("p", node.terms), ("p", node.given))
+    if isinstance(node, MINode):
+        return tuple(("p", terms) for terms in node.groups + (node.given,))
+    if isinstance(node, (CrossEntropyNode, KLNode)):
+        specs = (node.p_spec, node.q_spec)
+    elif isinstance(node, ExpectationNode):
+        specs = (node.measure,)
+    else:
+        return ()
+    return tuple((s.letter, terms) for s in specs for terms in (s.head, s.given))
+
+
+def scoped_termlists(node, bound=frozenset()):
+    """Every term list of the expression as (letter, terms, bound), in
+    surface order; ``bound`` holds the lowercase names that enclosing
+    expectations bind where the list is written.  An expectation binds its
+    measure's head in its body and at the head itself; its conditioning side
+    is read in the enclosing scope."""
+    lists = termlists(node)
+    if isinstance(node, ExpectationNode):
+        (letter, head), (_, given) = lists
+        inner = bound | {t.name.lower() for t in head}
+        lists = ((letter, head, inner), (letter, given, bound))
+        bound = inner
+    else:
+        lists = tuple((letter, terms, bound) for letter, terms in lists)
+    yield from lists
+    for child in children(node):
+        yield from scoped_termlists(child, bound)
+
+
 def collect_identifiers(node) -> list[str]:
     """Every variable identifier mentioned anywhere in the expression, in
     order of first appearance (case preserved)."""
-    seen: list[str] = []
-
-    def visit_terms(terms):
-        for t in terms:
-            if t.name not in seen:
-                seen.append(t.name)
-
-    def walk(n):
-        if isinstance(n, EntropyNode):
-            visit_terms(n.terms)
-            visit_terms(n.given)
-        elif isinstance(n, MINode):
-            for g in n.groups:
-                visit_terms(g)
-            visit_terms(n.given)
-        elif isinstance(n, (CrossEntropyNode, KLNode)):
-            for spec in (n.p_spec, n.q_spec):
-                visit_terms(spec.head)
-                visit_terms(spec.given)
-        elif isinstance(n, ExpectationNode):
-            visit_terms(n.measure.head)
-            visit_terms(n.measure.given)
-            walk(n.body)
-        elif isinstance(n, ScaledNode):
-            walk(n.child)
-        elif isinstance(n, (SumNode, DiffNode)):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, ComparisonNode):
-            walk(n.lhs)
-            walk(n.rhs)
-
-    walk(node)
-    return seen
+    seen = {}
+    for _, terms, _ in scoped_termlists(node):
+        seen.update(dict.fromkeys(t.name for t in terms))
+    return list(seen)
 
 
 def free_tied_identifiers(node) -> list[str]:
     """Bare lowercase identifiers that require external bindings (i.e. not
     bound by a literal outcome or an enclosing expectation)."""
-    free: list[str] = []
-
-    def visit_terms(terms, bound):
-        for t in terms:
-            if t.tied and t.outcome is None and t.name.lower() not in bound:
-                if t.name not in free:
-                    free.append(t.name)
-
-    def walk(n, bound):
-        if isinstance(n, EntropyNode):
-            visit_terms(n.terms, bound)
-            visit_terms(n.given, bound)
-        elif isinstance(n, MINode):
-            for g in n.groups:
-                visit_terms(g, bound)
-            visit_terms(n.given, bound)
-        elif isinstance(n, (CrossEntropyNode, KLNode)):
-            for spec in (n.p_spec, n.q_spec):
-                visit_terms(spec.head, bound)
-                visit_terms(spec.given, bound)
-        elif isinstance(n, ExpectationNode):
-            visit_terms(n.measure.given, bound)
-            inner = bound | {t.name.lower() for t in n.measure.head}
-            walk(n.body, inner)
-        elif isinstance(n, ScaledNode):
-            walk(n.child, bound)
-        elif isinstance(n, (SumNode, DiffNode)):
-            walk(n.left, bound)
-            walk(n.right, bound)
-        elif isinstance(n, ComparisonNode):
-            walk(n.lhs, bound)
-            walk(n.rhs, bound)
-
-    walk(node, set())
-    return free
+    free = {}
+    for _, terms, bound in scoped_termlists(node):
+        free.update(dict.fromkeys(
+            t.name for t in terms
+            if t.tied and t.outcome is None and t.name.lower() not in bound
+        ))
+    return list(free)

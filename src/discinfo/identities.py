@@ -4,7 +4,7 @@ A suite entry pairs a comparison with an expectation: ``ALWAYS_TRUE``
 entries must hold on every sampled distribution; ``EXISTS_VIOLATION``
 entries must be *refuted* by some witness within the search budget (for a
 ``!=`` entry the witness violates the corresponding equality).  Witness
-declarations require a gap above ``VIOLATION_GAP`` so float noise can never
+declarations require a gap above ``NEQ_GAP`` so float noise can never
 masquerade as a counterexample, and every witness is re-checked after a
 serialization round-trip before it is reported.
 
@@ -26,6 +26,10 @@ import numpy as np
 from . import expr as ex
 from . import quantities as qt
 from .dist import (
+    CELL_FLOOR,
+    EQ_TOLERANCE,
+    NEQ_GAP,
+    WITNESS_SEPARATION,
     JointDistribution,
     UnnormalizedWeight,
     Variable,
@@ -40,10 +44,7 @@ from .errors import (
     ZeroProbabilityEvent,
 )
 
-HOLD_TOLERANCE = 1e-9  # an ALWAYS_TRUE entry must hold this tightly
-VIOLATION_GAP = 1e-6  # a witness must miss by at least this much
 DEFAULT_SEEDS = 500
-CELL_FLOOR = 1e-3
 
 
 class Expectation(Enum):
@@ -92,7 +93,8 @@ class SuiteEntry:
             idents = ex.collect_identifiers(node)
             object.__setattr__(self, "_node", node)
             object.__setattr__(self, "_identifiers", idents)
-            object.__setattr__(self, "needs_q", _mentions_q(node))
+            object.__setattr__(self, "needs_q", any(
+                letter == "q" for letter, _, _ in ex.scoped_termlists(node)))
 
     @property
     def node(self):
@@ -108,25 +110,9 @@ class SuiteEntry:
         return tuple(seen)
 
 
-def _mentions_q(node) -> bool:
-    if isinstance(node, (ex.CrossEntropyNode, ex.KLNode)):
-        return node.p_spec.letter == "q" or node.q_spec.letter == "q"
-    if isinstance(node, ex.ExpectationNode):
-        return node.measure.letter == "q" or _mentions_q(node.body)
-    if isinstance(node, ex.ScaledNode):
-        return _mentions_q(node.child)
-    if isinstance(node, (ex.SumNode, ex.DiffNode)):
-        return _mentions_q(node.left) or _mentions_q(node.right)
-    if isinstance(node, ex.ComparisonNode):
-        return _mentions_q(node.lhs) or _mentions_q(node.rhs)
-    return False
-
-
 @dataclass(frozen=True)
 class IdentitySuite:
     entries: tuple[SuiteEntry, ...]
-    support_range: tuple[int, int] = (2, 4)
-    cell_floor: float = CELL_FLOOR
 
     def __post_init__(self):
         names = [e.name for e in self.entries]
@@ -233,7 +219,7 @@ def _margin(lhs: float, op: str, rhs: float) -> float:
     if op == ">=":
         return rhs - lhs
     if op == "!=":
-        return VIOLATION_GAP - abs(lhs - rhs)
+        return NEQ_GAP - abs(lhs - rhs)
     raise ValueError(f"unknown comparison operator {op!r}")
 
 
@@ -299,12 +285,12 @@ def check_entry(entry: SuiteEntry, seeds: int, rng) -> SearchReport:
 
     if entry.expect is Expectation.ALWAYS_TRUE:
         for d, q, bindings, case in cases():
-            if case.margin > HOLD_TOLERANCE:
+            if case.margin > EQ_TOLERANCE:
                 return _violated_report(entry, d, q, bindings, case, tried)
         return SearchReport(entry.name, entry.expect, Status.HELD, tried)
 
     for d, q, bindings, case in cases():
-        if case.margin > VIOLATION_GAP:
+        if case.margin > NEQ_GAP:
             report = _violated_report(entry, d, q, bindings, case, tried)
             if _reconfirm(entry, op, report):
                 return report
@@ -371,7 +357,7 @@ def _reconfirm(entry, op, report) -> bool:
     node = entry.node
     lhs = ex.evaluate(node.lhs, d, q=q, bindings=w["bindings"])
     rhs = ex.evaluate(node.rhs, d, q=q, bindings=w["bindings"])
-    return _margin(lhs, op, rhs) > VIOLATION_GAP
+    return _margin(lhs, op, rhs) > NEQ_GAP
 
 
 def _check_programmatic(entry, seeds, rng) -> SearchReport:
@@ -380,14 +366,14 @@ def _check_programmatic(entry, seeds, rng) -> SearchReport:
         tried += 1
         outcome, witness_dist = entry.check(rng)
         if entry.expect is Expectation.ALWAYS_TRUE:
-            if outcome.margin > HOLD_TOLERANCE:
+            if outcome.margin > EQ_TOLERANCE:
                 witness = {"distribution": witness_dist.to_json_dict(), "bindings": {}}
                 return SearchReport(
                     entry.name, entry.expect, Status.VIOLATED, tried,
                     lhs=outcome.lhs, rhs=outcome.rhs, gap=outcome.margin,
                     witness=witness,
                 )
-        elif outcome.margin > VIOLATION_GAP:
+        elif outcome.margin > NEQ_GAP:
             witness = {"distribution": witness_dist.to_json_dict(), "bindings": {}}
             return SearchReport(
                 entry.name, entry.expect, Status.VIOLATED, tried,
@@ -730,7 +716,7 @@ class WitnessReport:
     chaining_rhs: float  # I[y1; X] + I[y2; X | y1]
 
     def golden_values(self):
-        """(label, computed, expected) triples checked against 1e-9."""
+        """(label, computed, expected) triples checked against ``EQ_TOLERANCE``."""
         return [
             ("E_{p(x|y=1)}[H[x]]", self.three_cell_expected_marginal_ic,
              THREE_CELL_EXPECTED_MARGINAL_IC),
@@ -744,7 +730,7 @@ class WitnessReport:
         ]
 
 
-def verify_reference_witnesses(tolerance: float = 1e-9) -> WitnessReport:
+def verify_reference_witnesses(tolerance: float = EQ_TOLERANCE) -> WitnessReport:
     """Evaluate the two built-in counterexample distributions and confirm
     their values; raises :class:`CounterexampleMismatch` on any deviation.
 
@@ -793,7 +779,7 @@ def verify_reference_witnesses(tolerance: float = 1e-9) -> WitnessReport:
         for label, got, want in report.golden_values()
         if abs(got - want) > tolerance
     ]
-    if abs(report.chaining_lhs - report.chaining_rhs) <= 1e-3:
+    if abs(report.chaining_lhs - report.chaining_rhs) <= WITNESS_SEPARATION:
         failures.append("the chaining equation sides do not differ")
     if failures:
         raise CounterexampleMismatch("; ".join(failures))

@@ -33,6 +33,7 @@ import numpy as np
 from .dist import (
     Assignment,
     JointDistribution,
+    ZERO_CELL,
     ZERO_MASS,
     _tensor_of,
 )
@@ -43,7 +44,6 @@ from .errors import (
     ZeroProbabilityEvent,
 )
 
-ZERO_CELL = 1e-15  # below this, a cell is an exact zero for 0*log(0)
 _LN2 = math.log(2.0)
 
 
@@ -91,166 +91,151 @@ def information_content(rho: float, base: LogBase = LogBase.NATS) -> float:
     return base.from_nats(-math.log(rho))
 
 
-def _subtensor(variables, tensor, names):
-    """Marginal of ``tensor`` onto ``names``, keeping the declared axis order."""
-    order = [v.name for v in variables]
-    wanted = set(names)
-    unknown = wanted - set(order)
-    if unknown:
-        raise UnknownVariable(f"unknown variable(s): {sorted(unknown)}")
-    drop = tuple(i for i, n in enumerate(order) if n not in wanted)
-    sub = tensor.sum(axis=drop) if drop else tensor
-    kept = [n for n in order if n in wanted]
-    return sub, kept
+def plogq(p: np.ndarray, q=None) -> np.ndarray:
+    """The terms p * log q elementwise, whose negated sum is a cross-entropy;
+    ``q`` defaults to ``p`` (the terms of an entropy) and broadcasts
+    against it.
 
-
-def _check_terms(d, terms):
-    for t in terms:
-        idx = d.index_of(t.name)  # KeyError -> caller converts
-        if t.outcome is not None and not 0 <= t.outcome < d.variables[idx].size:
-            raise ValueError(
-                f"outcome index {t.outcome} out of range for variable {t.name!r}"
-            )
-
-
-def _entropy_nats(d: JointDistribution, head, given) -> float:
-    head = as_terms(head)
-    given = as_terms(given)
-    if not head:
-        raise ValueError("entropy query needs at least one head term")
-    names = [t.name for t in head] + [t.name for t in given]
-    if len(set(names)) != len(names):
-        raise ValueError(f"a variable may appear only once per query: {names}")
-    try:
-        _check_terms(d, head + given)
-    except KeyError as exc:
-        raise UnknownVariable(str(exc)) from exc
-
-    tensor, kept = _subtensor(d.variables, d.probs, names)
-    tied = {t.name: t.outcome for t in head + given if t.outcome is not None}
-    given_names = {t.name for t in given}
-
-    ix = tuple(tied[n] if n in tied else slice(None) for n in kept)
-    joint = tensor[ix]  # p(untied, tied-outcomes), axes = untied vars in kept order
-    mass = float(np.sum(joint))
-    if mass <= ZERO_MASS:
-        raise ZeroProbabilityEvent(
-            f"tied outcomes {tied} have probability {mass!r}"
-        )
-
-    untied = [n for n in kept if n not in tied]
-    if given:
-        head_axes = tuple(i for i, n in enumerate(kept) if n not in given_names)
-        cond_marg = tensor.sum(axis=head_axes) if head_axes else tensor
-        kept_given = [n for n in kept if n in given_names]
-        gix = tuple(tied[n] if n in tied else slice(None) for n in kept_given)
-        den = cond_marg[gix]  # over untied conditioning vars, kept order
-        if untied:
-            shape = tuple(
-                d.variables[d.index_of(n)].size
-                if (n in given_names and n not in tied)
-                else 1
-                for n in untied
-            )
-            den = np.broadcast_to(np.reshape(den, shape), np.shape(joint))
-    else:
-        den = 1.0
-
-    joint_arr = np.asarray(joint, dtype=float)
-    mask = joint_arr > ZERO_CELL
-    if not np.any(mask):
-        return 0.0
-    num = joint_arr[mask]
-    den_arr = np.broadcast_to(np.asarray(den, dtype=float), joint_arr.shape)[mask]
-    # p(head | given) per expectation point; den >= num > 0 wherever mask holds
-    return float(-(num * np.log(num / den_arr)).sum() / mass) + 0.0
-
-
-def _q_value_arrays(q, q_head, q_given, tied_p, untied_p, point_shape, sizes_p):
-    """Evaluate q(head | given) for every expectation point of the p measure.
-
-    Returns an array broadcastable to ``point_shape``.  A q-side term takes
-    its value from its own tie, from a p-side tie of the same name, or from
-    the p-side expectation point.
+    A cell of ``p`` at or below ``ZERO_CELL`` contributes an exact zero
+    (0 * log 0 == 0), whatever q is there.  Elsewhere q must be positive,
+    or :class:`SupportMismatch` is raised.
     """
-    q_names = [t.name for t in q_head] + [t.name for t in q_given]
-    if len(set(q_names)) != len(q_names):
-        raise ValueError(f"a variable may appear only once per query: {q_names}")
-    tensor, kept = _subtensor(q.variables, _tensor_of(q), q_names)
-    fixed = {}
-    for t in q_head + q_given:
-        if t.outcome is not None:
-            fixed[t.name] = t.outcome
-        elif t.name in tied_p:
-            fixed[t.name] = tied_p[t.name]
-        elif t.name not in untied_p:
-            raise UnknownVariable(
-                f"q-side variable {t.name!r} is neither tied nor part of the "
-                f"left-hand measure"
-            )
-
-    def indexed(arr, arr_names):
-        idx = []
-        for n in arr_names:
-            if n in fixed:
-                idx.append(fixed[n])
-            else:
-                pos = untied_p.index(n)
-                shape = [1] * len(untied_p)
-                shape[pos] = sizes_p[pos]
-                idx.append(np.arange(sizes_p[pos]).reshape(shape))
-        return arr[tuple(idx)]
-
-    num = indexed(tensor, kept)
-    q_given_names = {t.name for t in q_given}
-    if q_given:
-        head_axes = tuple(i for i, n in enumerate(kept) if n not in q_given_names)
-        cond_marg = tensor.sum(axis=head_axes) if head_axes else tensor
-        kept_given = [n for n in kept if n in q_given_names]
-        den = indexed(cond_marg, kept_given)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = np.asarray(num, dtype=float) / np.asarray(den, dtype=float)
-    else:
-        values = np.asarray(num, dtype=float)
-    return np.broadcast_to(values, point_shape)
-
-
-def _cross_entropy_nats(p: JointDistribution, q, p_head, p_given,
-                        q_head=None, q_given=None) -> float:
-    p_head = as_terms(p_head)
-    p_given = as_terms(p_given)
-    q_head = p_head if q_head is None else as_terms(q_head)
-    q_given = p_given if q_given is None else as_terms(q_given)
-    if not p_head or not q_head:
-        raise ValueError("cross-entropy query needs head terms on both sides")
-    names = [t.name for t in p_head] + [t.name for t in p_given]
-    if len(set(names)) != len(names):
-        raise ValueError(f"a variable may appear only once per query: {names}")
-    try:
-        _check_terms(p, p_head + p_given)
-    except KeyError as exc:
-        raise UnknownVariable(str(exc)) from exc
-
-    tensor, kept = _subtensor(p.variables, p.probs, names)
-    tied = {t.name: t.outcome for t in p_head + p_given if t.outcome is not None}
-    ix = tuple(tied[n] if n in tied else slice(None) for n in kept)
-    joint = np.asarray(tensor[ix], dtype=float)
-    mass = float(np.sum(joint))
-    if mass <= ZERO_MASS:
-        raise ZeroProbabilityEvent(f"tied outcomes {tied} have probability {mass!r}")
-    untied = [n for n in kept if n not in tied]
-    sizes = [p.variables[p.index_of(n)].size for n in untied]
-
-    q_vals = _q_value_arrays(q, q_head, q_given, tied, untied, joint.shape, sizes)
-    mask = joint > ZERO_CELL
-    if not np.any(mask):
-        return 0.0
-    qv = q_vals[mask]
-    if np.any(~np.isfinite(qv)) or np.any(qv <= 0):
+    out = np.where(p > ZERO_CELL, p if q is None else q, 1.0)
+    if q is not None and not np.all(out > 0):  # a NaN fails too
         raise SupportMismatch(
             "q is zero (or undefined) at an outcome where p has positive mass"
         )
-    return float(-(joint[mask] * np.log(qv)).sum() / mass)
+    np.log(out, out=out)
+    out *= p
+    return out
+
+
+def tied_slice(tensor: np.ndarray, names, tied: dict):
+    """The cells of ``tensor`` (one axis per name) at the ``tied`` outcomes,
+    and their total mass; the untied axes keep their order.
+
+    Raises :class:`ZeroProbabilityEvent` when the mass is at most
+    ``ZERO_MASS``.
+    """
+    part = tensor[tuple(tied.get(n, slice(None)) for n in names)]
+    mass = float(part.sum())
+    if mass <= ZERO_MASS:
+        raise ZeroProbabilityEvent(f"tied outcomes {tied} have probability {mass!r}")
+    return part, mass
+
+
+def _subtensor(names, tensor, wanted):
+    """Marginal of ``tensor`` (one axis per entry of ``names``) onto the
+    ``wanted`` names, keeping the axis order of ``names``."""
+    wanted = set(wanted)
+    unknown = wanted.difference(names)
+    if unknown:
+        raise UnknownVariable(f"unknown variable(s): {sorted(unknown)}")
+    drop = tuple(i for i, n in enumerate(names) if n not in wanted)
+    kept = [n for n in names if n in wanted]
+    return (tensor.sum(axis=drop) if drop else tensor), kept
+
+
+def _in_coords(q, q_names, fixed, kept):
+    """q's marginal on ``q_names`` with one axis per ``kept`` name (unit axes
+    for the names q lacks), its q-only names fixed at their ties."""
+    sub, names = _subtensor(q.names, _tensor_of(q), q_names)
+    shared = [n for n in names if n in kept]
+    sub = sub[tuple(slice(None) if n in shared else fixed[n] for n in names)]
+    pos = {n: i for i, n in enumerate(shared)}
+    sub = sub.transpose([pos[n] for n in kept if n in pos])
+    sizes = iter(sub.shape)
+    return sub.reshape([next(sizes) if n in pos else 1 for n in kept])
+
+
+def _at_points(arr, kept, tied, fixed):
+    """``arr`` (one axis per ``kept`` name, unit axes where summed out) at
+    the expectation points: the p-tied axes are indexed away and a q-side
+    tie of a p-untied name leaves a unit axis, so the result broadcasts
+    against the tied slice of p."""
+    ix = []
+    for n, size in zip(kept, arr.shape):
+        if n in tied:
+            ix.append(fixed[n] if size > 1 else 0)
+        elif n in fixed and size > 1:
+            ix.append(slice(fixed[n], fixed[n] + 1))
+        else:
+            ix.append(slice(None))
+    return arr[tuple(ix)]
+
+
+def _check_terms(d, terms) -> None:
+    """Each name once and known to ``d``, and each tie within its
+    variable's outcomes."""
+    names = [t.name for t in terms]
+    if len(set(names)) != len(names):
+        raise ValueError(f"a variable may appear only once per query: {names}")
+    for t in terms:
+        try:
+            size = d.variables[d.index_of(t.name)].size
+        except KeyError as exc:
+            raise UnknownVariable(str(exc)) from exc
+        if t.outcome is not None and not 0 <= t.outcome < size:
+            raise ValueError(f"outcome index {t.outcome} out of range for variable {t.name!r}")
+
+
+def _expected_ic_nats(p: JointDistribution, q, p_head, p_given, q_head=None,
+                      q_given=None) -> float:
+    """E over p(p_head, p_given) of -log q(q_head | q_given), in nats.
+
+    The one information kernel: every quantity of this module is this
+    expectation or a difference of two.  The expectation runs over the
+    untied p-side variables conditioned on every p-side tie.  The q sides
+    default to the p sides; a q-side term takes its own tie, else a p-side
+    tie of that name, else the expectation point.  With ``q is p`` and the
+    default q sides it is the entropy of p_head given p_given.
+    """
+    p_head, p_given = as_terms(p_head), as_terms(p_given)
+    same_sides = q_head is None and q_given is None
+    q_head = p_head if q_head is None else as_terms(q_head)
+    q_given = p_given if q_given is None else as_terms(q_given)
+    if not p_head or not q_head:
+        raise ValueError("an information query needs head terms on both sides")
+    p_terms, q_terms = p_head + p_given, q_head + q_given
+    _check_terms(p, p_terms)
+
+    tensor, kept = _subtensor(p.names, p.probs, [t.name for t in p_terms])
+    tied = {t.name: t.outcome for t in p_terms if t.outcome is not None}
+    joint, mass = tied_slice(tensor, kept, tied)
+
+    if same_sides and q is p:
+        fixed = tied
+    else:
+        _check_terms(q, q_terms)
+        fixed = {}
+        for t in q_terms:
+            if t.outcome is not None:
+                fixed[t.name] = t.outcome
+            elif t.name in tied:
+                fixed[t.name] = tied[t.name]
+            elif t.name not in kept:
+                raise UnknownVariable(
+                    f"q-side variable {t.name!r} is neither tied nor part of the "
+                    f"left-hand measure"
+                )
+    from_p = q is p and all(t.name in kept for t in q_terms)
+
+    def q_marginal(names):
+        """q's marginal on ``names`` at the expectation points; when q is p,
+        it is summed from the p-side subtensor in hand."""
+        if from_p:
+            drop = tuple(i for i, n in enumerate(kept) if n not in names)
+            arr = tensor.sum(axis=drop, keepdims=True) if drop else tensor
+        else:
+            arr = _in_coords(q, names, fixed, kept)
+        return _at_points(arr, kept, tied, fixed)
+
+    # with q = p on the p sides, the numerator is the tied slice itself
+    values = joint if same_sides and q is p else q_marginal({t.name for t in q_terms})
+    if q_given:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = values / q_marginal({t.name for t in q_given})
+    return float(-plogq(joint, values).sum() / mass) + 0.0
 
 
 def entropy(d: JointDistribution, head, given=(), *, base: LogBase = LogBase.NATS) -> float:
@@ -263,7 +248,7 @@ def entropy(d: JointDistribution, head, given=(), *, base: LogBase = LogBase.NAT
         entropy(d, ["X"], [("Y", 1)])          # H[X | Y=1]
         entropy(d, [("Y", 1)], ["X"])          # H[y | X] with y = outcome 1
     """
-    return base.from_nats(_entropy_nats(d, head, given))
+    return base.from_nats(_expected_ic_nats(d, d, head, given))
 
 
 def cross_entropy(p: JointDistribution, q, head, given=(), *,
@@ -279,7 +264,7 @@ def cross_entropy(p: JointDistribution, q, head, given=(), *,
     cross-entropy.
     """
     return base.from_nats(
-        _cross_entropy_nats(p, q, head, given, q_head=q_head, q_given=q_given)
+        _expected_ic_nats(p, q, head, given, q_head=q_head, q_given=q_given)
     )
 
 
@@ -291,8 +276,8 @@ def kl_divergence(p: JointDistribution, q, head, given=(), *,
     cross-entropy): ``kl(p, q, ["X"], ["Y"])`` subtracts H[X|Y] while a
     joint left side would subtract H[X,Y].
     """
-    ce = _cross_entropy_nats(p, q, head, given, q_head=q_head, q_given=q_given)
-    return base.from_nats(ce - _entropy_nats(p, head, given))
+    ce = _expected_ic_nats(p, q, head, given, q_head=q_head, q_given=q_given)
+    return base.from_nats(ce - _expected_ic_nats(p, p, head, given))
 
 
 def mutual_info(d: JointDistribution, groups, given=(), *,
@@ -315,7 +300,8 @@ def _mi_nats(d, groups, given) -> float:
     given = as_terms(given)
     if len(groups) == 2:
         left, right = groups
-        return _entropy_nats(d, left, given) - _entropy_nats(d, left, given + right)
+        return (_expected_ic_nats(d, d, left, given)
+                - _expected_ic_nats(d, d, left, given + right))
     return _mi_nats(d, groups[:-1], given) - _mi_nats(
         d, groups[:-1], given + groups[-1]
     )
@@ -338,7 +324,7 @@ def expected_marginal_ic(d: JointDistribution, x_names, observed, *,
     x_terms = as_terms(x_names)
     obs_terms = as_terms(obs.bindings)
     return base.from_nats(
-        _cross_entropy_nats(d, d, x_terms, obs_terms, q_head=x_terms, q_given=())
+        _expected_ic_nats(d, d, x_terms, obs_terms, q_head=x_terms, q_given=())
     )
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bayes
 from .bayes import BayesModel, Posterior
-from .errors import ZeroEvidence
+from .errors import ZeroEvidence, malformed_input
 
 logger = logging.getLogger(__name__)
 
@@ -76,22 +76,23 @@ class SimConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict, *, model: BayesModel | None = None) -> "SimConfig":
-        if model is None:
-            spec = doc["model"]
-            model = bayes.load_model(spec) if isinstance(spec, str) else (
-                BayesModel.from_json_dict(spec)
+        with malformed_input("simulation config"):
+            if model is None:
+                spec = doc["model"]
+                model = bayes.load_model(spec) if isinstance(spec, str) else (
+                    BayesModel.from_json_dict(spec)
+                )
+            fields = dict(
+                pool=tuple(tuple(p) for p in doc["pool"]),
+                eval_set=tuple(tuple(p) for p in doc["eval"]),
+                initial=tuple(tuple(p) for p in doc.get("initial", ())),
+                acquisition=doc.get("acquisition", "bald"),
+                batch_size=int(doc.get("batch_size", 1)),
+                steps=int(doc.get("steps", 10)),
+                seed=int(doc.get("seed", 0)),
+                noise_rate=float(doc.get("noise_rate", 0.0)),
             )
-        return cls(
-            model=model,
-            pool=tuple(tuple(p) for p in doc["pool"]),
-            eval_set=tuple(tuple(p) for p in doc["eval"]),
-            initial=tuple(tuple(p) for p in doc.get("initial", ())),
-            acquisition=doc.get("acquisition", "bald"),
-            batch_size=int(doc.get("batch_size", 1)),
-            steps=int(doc.get("steps", 10)),
-            seed=int(doc.get("seed", 0)),
-            noise_rate=float(doc.get("noise_rate", 0.0)),
-        )
+        return cls(model=model, **fields)
 
 
 def load_config(path) -> SimConfig:

@@ -76,12 +76,21 @@ def oracle_mutual_info(names, sizes, cells, groups, given=()):
     return a - b
 
 
-def oracle_cross_entropy(names, sizes, p_cells, q_cells, head, given=()):
-    """E_p IC(q(head | given)); q_cells may be unnormalized weights."""
+def oracle_cross_entropy(names, sizes, p_cells, q_cells, head, given=(),
+                         q_head=None, q_given=None):
+    """E_p IC(q(q_head | q_given)); q_cells may be unnormalized weights.
+
+    The expectation runs over the untied variables of the p side (``head``
+    and ``given``), conditioned on its tied outcomes.  The q sides default
+    to the p sides; a q-side term takes its own tie, else the p side's tie
+    of that name, else the value at the expectation point.  Returns None
+    when the p side's tied outcomes have zero probability, and inf when q is
+    zero where p has mass.
+    """
+    q_head = list(head) if q_head is None else list(q_head)
+    q_given = list(given) if q_given is None else list(q_given)
     tied = {n: i for n, i in list(head) + list(given) if i is not None}
     untied = [n for n, i in list(head) + list(given) if i is None]
-    head_names = [n for n, _ in head]
-    given_names = [n for n, _ in given]
     positions = {n: i for i, n in enumerate(names)}
 
     mass_tied = _mass(p_cells, names, tied)
@@ -94,10 +103,17 @@ def oracle_cross_entropy(names, sizes, p_cells, q_cells, head, given=()):
         weight = _mass(p_cells, names, values) / mass_tied
         if weight <= 1e-15:
             continue
-        q_joint = _mass(q_cells, names, {n: values[n] for n in head_names + given_names})
-        if given_names:
-            q_cond = q_joint / _mass(q_cells, names, {n: values[n] for n in given_names})
+
+        def q_value(n, i):
+            return values[n] if i is None else i
+
+        q_joint = _mass(q_cells, names, {n: q_value(n, i) for n, i in q_head + q_given})
+        if q_given:
+            q_cond_mass = _mass(q_cells, names, {n: q_value(n, i) for n, i in q_given})
+            q_cond = q_joint / q_cond_mass if q_cond_mass > 0 else 0.0
         else:
             q_cond = q_joint
+        if q_cond <= 0:
+            return math.inf
         total += weight * (-math.log(q_cond))
     return total

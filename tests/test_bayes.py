@@ -266,6 +266,38 @@ class TestCsdAndSurprise:
             assert surprise(m, post, x, y) == pytest.approx(via_engine, abs=1e-9)
 
 
+class TestEvidenceFloor:
+    """One floor, ``ZERO_MASS`` = 1e-12, for observing or conditioning on an
+    outcome, whichever layer does it."""
+
+    @pytest.mark.parametrize("rho,possible", [(1e-13, False), (1e-11, True)])
+    def test_layers_agree(self, rho, possible):
+        from discinfo import condition, entropy
+
+        lik = np.array([[[1.0 - 2.0 * rho, 2.0 * rho]], [[1.0, 0.0]]])
+        m = BayesModel(("A", "B"), [0.5, 0.5], ("x0",), ("0", "1"), lik)
+        post = posterior(m, [])
+        assert predictive(m, post, "x0")[1] == pytest.approx(rho, rel=1e-12)
+        joint = joint_label_hypothesis(m, post, "x0")
+        scores = csd_scores(m, post, [0], [1])
+        if possible:
+            assert condition(joint, {"Y": 1}).probs.tolist() == [1.0, 0.0]
+            assert entropy(joint, ["Omega"], [("Y", 1)]) == 0.0
+            assert update(m, post, "x0", "1").probs.tolist() == [1.0, 0.0]
+            assert csd(m, post, "x0", "1") == pytest.approx(LN2, abs=1e-12)
+            assert scores[0] == pytest.approx(LN2, abs=1e-12)
+        else:
+            with pytest.raises(ZeroProbabilityEvent):
+                condition(joint, {"Y": 1})
+            with pytest.raises(ZeroProbabilityEvent):
+                entropy(joint, ["Omega"], [("Y", 1)])
+            with pytest.raises(ZeroEvidence):
+                update(m, post, "x0", "1")
+            with pytest.raises(ZeroProbabilityEvent):
+                csd(m, post, "x0", "1")
+            assert scores[0] == -np.inf
+
+
 class TestCsdDecomposition:
     def test_identity_holds(self):
         rng = np.random.default_rng(9)

@@ -49,6 +49,14 @@ class TestEval:
         assert code == 0
         assert capsys.readouterr().out.strip() == "true"
 
+    @pytest.mark.parametrize("expression,word,code", [
+        ("E_{p(x)}[H[x]] == H[X]", "true", 0),
+        ("E_{p(x)}[H[x]] == 0", "false", 1),
+    ])
+    def test_expectation_comparison(self, coin_path, capsys, expression, word, code):
+        assert main(["eval", "--dist", coin_path, expression]) == code
+        assert capsys.readouterr().out.strip() == word
+
     def test_malformed_expression_is_usage_error(self, coin_path, capsys):
         assert main(["eval", "--dist", coin_path, "H[X"]) == 2
         assert "offset" in capsys.readouterr().err
@@ -193,6 +201,53 @@ class TestSim:
         assert main(["sim", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+_MALFORMED_DIST = [
+    {"variables": 5, "probs": [1.0]},
+    [1, 2],
+    {"variables": [5], "probs": [1.0]},
+    {"variables": [{"name": "X", "support": 3}], "probs": [0.5, 0.5]},
+    {"probs": [1.0]},
+]
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("doc", _MALFORMED_DIST)
+    @pytest.mark.parametrize("command", [["eval", "H[X]"], ["diagram", "--observe", "X=0"]])
+    def test_distribution(self, tmp_path, capsys, doc, command):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        argv = command[:1] + ["--dist", str(path)] + command[1:]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed distribution JSON")
+
+    @pytest.mark.parametrize("change", [
+        {"pool": [1, 2]},
+        {"model": [1]},
+        {"model": {"likelihood": {"t0": 3}}},
+        {"model": {"hypotheses": 7}},
+        {"steps": [1]},
+        {"eval": None},
+    ])
+    def test_sim_config(self, tmp_path, capsys, change):
+        model, pool, eval_set = __import__("discinfo").threshold_task(4, 2)
+        cfg = {
+            "model": model.to_json_dict(),
+            "pool": [list(p) for p in pool],
+            "eval": [list(p) for p in eval_set],
+        }
+        for key, value in change.items():
+            if key == "model" and isinstance(value, dict):
+                cfg["model"].update(value)
+            else:
+                cfg[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sim", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed") and "Traceback" not in err
 
 
 class TestUsageErrors:

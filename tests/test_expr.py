@@ -34,6 +34,8 @@ from discinfo.expr import (
     ScaledNode,
     SumNode,
     TermSpec,
+    collect_identifiers,
+    free_tied_identifiers,
 )
 
 LN2 = math.log(2.0)
@@ -305,6 +307,18 @@ class TestEvaluate:
         assert evaluate("H[X] != 0.6931471805599453", d) is False
         assert evaluate("H[X] != 0.69", d) is True
 
+    @pytest.mark.parametrize("text,kind", [
+        ("E_{p(x)}[H[x]]", float),
+        ("E_{p(x)}[E_{p(y|x)}[H[x, y]]]", float),
+        ("2.0 * E_{p(y)}[I[X;y]] - H[X]", float),
+        ("E_{p(x)}[H[x]] == H[X]", bool),
+        ("E_{p(x)}[H[x]] != 0", bool),
+        ("H[X] >= E_{p(y)}[H[X|y]]", bool),
+    ])
+    def test_returns_python_types(self, text, kind):
+        value = evaluate(text, random_dist(np.random.default_rng(5)))
+        assert type(value) is kind
+
     def test_nested_expectation(self):
         rng = np.random.default_rng(1)
         d = random_dist(rng)
@@ -315,6 +329,25 @@ class TestEvaluate:
         rng = np.random.default_rng(2)
         d = random_dist(rng)
         assert evaluate("I[y;X] == KL[p(X|y) || p(X)]", d, bindings={"Y": 0}) is True
+
+
+class TestTraversal:
+    @pytest.mark.parametrize("text,identifiers,free", [
+        # the inner expectation binds y, the outer one x; z stays free
+        ("E_{p(x)}[E_{p(y|x)}[I[x;y]] + H[x]] == H[z]", ["x", "y", "z"], ["z"]),
+        # a name bound inside an expectation is free again outside it
+        ("E_{p(y)}[H[y]] + H[y] == 0", ["y"], ["y"]),
+        # a measure's conditioning side is read in the enclosing scope
+        ("E_{q(x|y)}[E_{p(x)}[H[x,y]]] >= KL[p(X|w) || q(X|w)]",
+         ["x", "y", "X", "w"], ["y", "w"]),
+        # a literal outcome binds only its own mention
+        ("H[x=1, y] == E_{p(y)}[I[y; x] - 2 * H[Z|y]]", ["x", "y", "Z"], ["y", "x"]),
+        ("IC[0.5] + 3.0 >= 0", [], []),
+    ])
+    def test_nested_expectations(self, text, identifiers, free):
+        node = parse(text)
+        assert collect_identifiers(node) == identifiers
+        assert free_tied_identifiers(node) == free
 
 
 class TestEvaluatorAgainstDirectCalls:

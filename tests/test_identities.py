@@ -16,6 +16,7 @@ from discinfo import (
     three_cell_distribution,
     verify_reference_witnesses,
 )
+from discinfo.expr import collect_identifiers, free_tied_identifiers, parse
 from discinfo.identities import (
     Status,
     check_entry,
@@ -152,6 +153,69 @@ class TestSuiteMechanics:
         f = SuiteEntry("same", Expectation.ALWAYS_TRUE, expression="H[Y] >= 0")
         with pytest.raises(ValueError):
             IdentitySuite((e, f))
+
+
+# every built-in expression entry: (identifiers in order of first mention,
+# bare tied identifiers left free, whether it mentions q)
+BUILT_IN_TRAVERSALS = [
+    ("H[X,Y] == H[X] + H[Y|X]", ["X", "Y"], [], False),
+    ("I[X;Y] == I[Y;X]", ["X", "Y"], [], False),
+    ("I[x;y] == I[y;x]", ["x", "y"], ["x", "y"], False),
+    ("I[X;Y] == E_{p(y)}[I[X;y]]", ["X", "Y", "y"], [], False),
+    ("I[X;Y] == E_{p(y)}[I[y;X]]", ["X", "Y", "y"], [], False),
+    ("I[X;Y] == E_{p(x,y)}[I[x;y]]", ["X", "Y", "x", "y"], [], False),
+    ("H[X,Y] == E_{p(x)}[H[x,Y]]", ["X", "Y", "x"], [], False),
+    ("H[X,Y] == E_{p(y)}[H[X,y]]", ["X", "Y", "y"], [], False),
+    ("H[X|y] == H[X,y] - H[y]", ["X", "y"], ["y"], False),
+    ("H[y|X] == H[X,y] - E_{p(x|y)}[H[x]]", ["y", "X", "x"], ["y"], False),
+    ("I[X;y1,y2] == I[X;y1] + I[X;y2|y1]", ["X", "y1", "y2"], ["y1", "y2"], False),
+    ("I[X1,X2;y] == I[X1;y] + I[X2;y|X1]", ["X1", "X2", "y"], ["y"], False),
+    ("I[y;X1,X2] == I[y;X1] + I[y;X2|X1]", ["y", "X1", "X2"], ["y"], False),
+    ("I[x;y1,y2] == I[x;y1] + I[x;y2|y1]", ["x", "y1", "y2"], ["x", "y1", "y2"], False),
+    ("I[X;Y;Z] == E_{p(z)}[I[X;Y;z]]", ["X", "Y", "Z", "z"], [], False),
+    ("I[X;Y] >= 0", ["X", "Y"], [], False),
+    ("H[X] >= H[X|Y]", ["X", "Y"], [], False),
+    ("H[X] >= 0", ["X"], [], False),
+    ("I[X;Y] <= H[X]", ["X", "Y"], [], False),
+    ("I[y;X] >= 0", ["y", "X"], ["y"], False),
+    ("H[y] >= H[y|X]", ["y", "X"], ["y"], False),
+    ("E_{p(x|y)}[H[x]] >= H[X|y]", ["x", "y", "X"], ["y"], False),
+    ("H[y|X] >= 0", ["y", "X"], ["y"], False),
+    ("I[y;X] <= H[y]", ["y", "X"], ["y"], False),
+    ("I[y;X] <= E_{p(x|y)}[H[x]]", ["y", "X", "x"], ["y"], False),
+    ("I[y;X] == KL[p(X|y) || p(X)]", ["y", "X"], ["y"], False),
+    ("CE[p(X) || p(X)] == H[X]", ["X"], [], False),
+    ("KL[p(X) || p(X)] == 0", ["X"], [], False),
+    ("KL[p(X) || q(X)] >= 0", ["X"], [], True),
+    ("CE[p(X) || q(X)] >= H[X]", ["X"], [], True),
+    ("CE[p(X|Y) || q(X|Y)] == CE[p(X,Y) || q(X|Y)]", ["X", "Y"], [], True),
+    ("H[y|X] != H[X,y] - H[X]", ["y", "X"], ["y"], False),
+    ("I[y1,y2;X] != I[y1;X] + I[y2;X|y1]", ["y1", "y2", "X"], ["y1", "y2"], False),
+    ("I[X;y] >= 0", ["X", "y"], ["y"], False),
+    ("KL[p(X,Y) || q(X|Y)] != KL[p(X|Y) || q(X|Y)]", ["X", "Y"], [], True),
+]
+
+
+class TestTraversal:
+    def test_covers_every_built_in_expression(self):
+        texts = [e.expression for e in default_suite().entries if e.expression is not None]
+        assert sorted(texts) == sorted(t for t, *_ in BUILT_IN_TRAVERSALS)
+
+    @pytest.mark.parametrize("text,identifiers,free,needs_q", BUILT_IN_TRAVERSALS)
+    def test_built_in_expression(self, text, identifiers, free, needs_q):
+        node = parse(text)
+        assert collect_identifiers(node) == identifiers
+        assert free_tied_identifiers(node) == free
+        assert SuiteEntry("e", Expectation.ALWAYS_TRUE, expression=text).needs_q is needs_q
+
+    @pytest.mark.parametrize("text,needs_q", [
+        ("E_{q(x)}[H[x]] >= 0", True),
+        ("2 * CE[q(X) || p(X)] - H[X] >= 0", True),
+        ("E_{p(x)}[H[x] + KL[p(Y|x) || q(Y)]] >= 0", True),
+        ("E_{p(x)}[E_{p(y|x)}[H[x, y]]] >= IC[0.5]", False),
+    ])
+    def test_needs_q_looks_through_every_node(self, text, needs_q):
+        assert SuiteEntry("e", Expectation.ALWAYS_TRUE, expression=text).needs_q is needs_q
 
 
 class TestGenerators:

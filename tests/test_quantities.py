@@ -171,6 +171,13 @@ class TestCrossEntropyAndKL:
         with pytest.raises(SupportMismatch):
             cross_entropy(p, q, ["X"])
 
+    def test_q_side_terms_are_checked(self):
+        d = three_cell_distribution()
+        with pytest.raises(ValueError, match="out of range"):
+            cross_entropy(d, d, ["X"], q_head=[("X", 5)])
+        with pytest.raises(ValueError, match="only once"):
+            cross_entropy(d, d, ["X"], q_head=["X"], q_given=["X"])
+
     def test_conditional_ce_left_insensitivity(self):
         rng = np.random.default_rng(7)
         d = random_dist(rng, 2)
@@ -370,6 +377,67 @@ class TestAgainstOracle:
             expected = oracle_cross_entropy(names, sizes, p_cells, q_cells, head, given)
             got = cross_entropy(d, q, head, given)
             assert got == pytest.approx(expected, abs=1e-10)
+
+    def test_cross_entropy_three_variable_patterns(self):
+        """Tied terms on either side, q sides that differ from p's or reorder
+        them, exact zeros in p and q, and unnormalized q weights."""
+        rng = np.random.default_rng(104)
+        outcomes = {"value": 0, "zero_event": 0, "mismatch": 0}
+        for _ in range(150):
+            d = random_dist(rng, 3)
+            if rng.random() < 0.4:
+                cells = np.where(rng.random(d.shape) < 0.4, 0.0, d.probs)
+                if cells.sum() > 0:
+                    d = JointDistribution(d.variables, cells / cells.sum())
+            q_cells = rng.exponential(1.0, size=d.shape) + 1e-3
+            if rng.random() < 0.3:
+                q_cells = np.where(rng.random(d.shape) < 0.5, 0.0, q_cells)
+            if q_cells.sum() == 0:
+                q_cells[(0,) * 3] = 1.0
+            if rng.random() < 0.5:
+                q = UnnormalizedWeight(d.variables, q_cells * rng.uniform(0.2, 5.0))
+            else:
+                q = JointDistribution(d.variables, q_cells / q_cells.sum())
+            names, sizes, p_cells = dist_to_cells(d)
+            q_tensor = q.weights if isinstance(q, UnnormalizedWeight) else q.probs
+            q_map = dict(np.ndenumerate(q_tensor))
+
+            def tie(n):
+                return int(rng.integers(d.variable(n).size)) if rng.random() < 0.4 else None
+
+            p_names = list(rng.permutation(names))[: int(rng.integers(1, 4))]
+            split = int(rng.integers(1, len(p_names) + 1))
+            head = [(n, tie(n)) for n in p_names[:split]]
+            given = [(n, tie(n)) for n in p_names[split:]]
+            if rng.random() < 0.25:
+                q_head = q_given = None
+            else:
+                # any p-side names in a fresh order and split, with fresh ties,
+                # plus names the p side lacks, which must then be tied on q
+                q_names = list(rng.permutation(p_names))[: int(rng.integers(1, len(p_names) + 1))]
+                q_terms = [(n, tie(n)) for n in q_names]
+                q_terms += [(n, int(rng.integers(d.variable(n).size)))
+                            for n in names if n not in p_names and rng.random() < 0.5]
+                order = rng.permutation(len(q_terms))
+                q_terms = [q_terms[i] for i in order]
+                q_split = int(rng.integers(1, len(q_terms) + 1))
+                q_head, q_given = q_terms[:q_split], q_terms[q_split:]
+            expected = oracle_cross_entropy(names, sizes, p_cells, q_map, head, given,
+                                            q_head=q_head, q_given=q_given)
+            kwargs = {"q_head": q_head, "q_given": q_given}
+            if expected is None:
+                outcomes["zero_event"] += 1
+                with pytest.raises(ZeroProbabilityEvent):
+                    cross_entropy(d, q, head, given, **kwargs)
+            elif expected == math.inf:
+                outcomes["mismatch"] += 1
+                with pytest.raises(SupportMismatch):
+                    cross_entropy(d, q, head, given, **kwargs)
+            else:
+                outcomes["value"] += 1
+                got = cross_entropy(d, q, head, given, **kwargs)
+                assert got == pytest.approx(expected, abs=1e-10)
+        assert all(count > 0 for count in outcomes.values()), outcomes
 
     def test_unnormalized_weight_cross_entropy(self):
         rng = np.random.default_rng(103)
