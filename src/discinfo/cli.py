@@ -3,13 +3,15 @@
 Subcommands: ``eval``, ``diagram``, ``check``, ``search``, ``verify-paper``,
 ``stirling``, ``sim``.  Exit codes: 0 on success, 1 when a verification
 fails, 2 on usage errors (bad flags, unreadable files, malformed
-expressions).
+expressions).  ``--log-level`` sets what the package logs to stderr:
+``INFO`` adds one line per searched entry, ``DEBUG`` each simulator step.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 from . import identities, simulate, stirling
@@ -142,6 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--base", choices=["nats", "bits"], default="nats",
         help="logarithm base for reported values (default: nats)",
     )
+    parser.add_argument(
+        "--log-level", choices=["DEBUG", "INFO", "WARNING", "ERROR"], default="WARNING",
+        help="what to log to stderr (default: WARNING)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate an expression against a distribution")
@@ -193,6 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(level=args.log_level, stream=sys.stderr,
+                        format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except ParseError as exc:

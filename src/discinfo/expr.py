@@ -45,11 +45,9 @@ from . import quantities as qt
 from .dist import (
     EQ_TOLERANCE,
     NEQ_GAP,
-    ZERO_CELL,
+    ZERO_MASS,
     Assignment,
     JointDistribution,
-    UnnormalizedWeight,
-    _tensor_of,
 )
 from .errors import (
     DiscinfoError,
@@ -488,13 +486,14 @@ def format_expression(node) -> str:
 # Evaluator
 
 class _Scope:
-    """Distributions plus the current tied-outcome environment."""
+    """Stacks of distributions plus the current tied-outcome environment."""
 
-    def __init__(self, p, q, env, base):
+    def __init__(self, p, q, env, base, n=1):
         self.p = p
         self.q = q
-        self.env = env  # exact variable name -> outcome index
+        self.env = env  # exact variable name -> outcome index, or one per element
         self.base = base
+        self.n = n  # the stack length
 
     def dist(self, letter: str):
         if letter == "p":
@@ -505,10 +504,13 @@ class _Scope:
             )
         return self.q
 
-    def with_bindings(self, extra: dict):
-        merged = dict(self.env)
-        merged.update(extra)
-        return _Scope(self.p, self.q, merged, self.base)
+    def take(self, elements, extra: dict):
+        """The scope of the given elements, with more tied outcomes."""
+        p = self.p.take(elements)
+        q = p if self.q is self.p else None if self.q is None else self.q.take(elements)
+        env = {n: o[elements] if isinstance(o, np.ndarray) else o for n, o in self.env.items()}
+        env.update(extra)
+        return _Scope(p, q, env, self.base, len(elements))
 
 
 def _resolve_variable(dist, ident: str) -> str:
@@ -526,7 +528,7 @@ def _resolve_term(dist, spec: TermSpec, env: dict) -> Term:
     if not spec.tied:
         return Term(name)
     if spec.outcome is not None:
-        var = dist.variables[dist.index_of(name)]
+        var = dist.variables[dist.names.index(name)]
         try:
             idx = var.index_of(spec.outcome)
         except ValueError as exc:
@@ -545,73 +547,105 @@ def _resolve_terms(dist, specs, env):
 
 
 def _eval(node, scope: _Scope):
+    """``(values, undefined)`` of ``node`` for every element of the scope's
+    stacks: arrays of the stack length, or of length 1 where nothing varies
+    per element.  ``undefined`` holds, per element, 0 or the code of the
+    first zero-probability or support error the evaluation meets (see
+    :func:`~discinfo.quantities._expected_ic_nats`)."""
     if isinstance(node, ScalarNode):
-        return node.value
+        return np.array([node.value]), qt.DEFINED
     if isinstance(node, ICNode):
-        return qt.information_content(node.value, scope.base)
+        return np.array([qt.information_content(node.value, scope.base)]), qt.DEFINED
     if isinstance(node, ScaledNode):
-        return node.coeff * _as_number(_eval(node.child, scope))
-    if isinstance(node, SumNode):
-        return _as_number(_eval(node.left, scope)) + _as_number(_eval(node.right, scope))
-    if isinstance(node, DiffNode):
-        return _as_number(_eval(node.left, scope)) - _as_number(_eval(node.right, scope))
+        values, undefined = _eval_number(node.child, scope)
+        return node.coeff * values, undefined
+    if isinstance(node, (SumNode, DiffNode)):
+        left, lu = _eval_number(node.left, scope)
+        right, ru = _eval_number(node.right, scope)
+        values = left + right if isinstance(node, SumNode) else left - right
+        return values, qt.first_undefined(lu, ru)
     if isinstance(node, EntropyNode):
         head = _resolve_terms(scope.p, node.terms, scope.env)
         given = _resolve_terms(scope.p, node.given, scope.env)
-        return qt.entropy(scope.p, head, given, base=scope.base)
+        return _in_base(qt._expected_ic_nats(scope.p, scope.p, head, given), scope.base)
     if isinstance(node, MINode):
         groups = [_resolve_terms(scope.p, g, scope.env) for g in node.groups]
         given = _resolve_terms(scope.p, node.given, scope.env)
-        return qt.mutual_info(scope.p, groups, given, base=scope.base)
+        return _in_base(qt._mi_nats(scope.p, groups, given), scope.base)
     if isinstance(node, (CrossEntropyNode, KLNode)):
         p_ref = scope.dist(node.p_spec.letter)
         q_ref = scope.dist(node.q_spec.letter)
-        if isinstance(p_ref, UnnormalizedWeight):
+        if p_ref.weight:
             raise EvaluationError("the left-hand side of CE/KL must be a distribution")
         p_head = _resolve_terms(p_ref, node.p_spec.head, scope.env)
         p_given = _resolve_terms(p_ref, node.p_spec.given, scope.env)
         q_head = _resolve_terms(q_ref, node.q_spec.head, scope.env)
         q_given = _resolve_terms(q_ref, node.q_spec.given, scope.env)
-        fn = qt.cross_entropy if isinstance(node, CrossEntropyNode) else qt.kl_divergence
-        return fn(p_ref, q_ref, p_head, p_given,
-                  q_head=q_head, q_given=q_given, base=scope.base)
+        result = qt._expected_ic_nats(p_ref, q_ref, p_head, p_given, q_head, q_given)
+        if isinstance(node, KLNode):
+            result = qt._minus(result, qt._expected_ic_nats(p_ref, p_ref, p_head, p_given))
+        return _in_base(result, scope.base)
     if isinstance(node, ExpectationNode):
         return _eval_expectation(node, scope)
     if isinstance(node, ComparisonNode):
-        lhs = _as_number(_eval(node.lhs, scope))
-        rhs = _as_number(_eval(node.rhs, scope))
-        return compare(lhs, node.op, rhs)
+        lhs, lu = _eval_number(node.lhs, scope)
+        rhs, ru = _eval_number(node.rhs, scope)
+        return compare(lhs, node.op, rhs), qt.first_undefined(lu, ru)
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _as_number(value):
-    if isinstance(value, bool):
+def _in_base(result, base: LogBase):
+    values, undefined = result
+    return base.from_nats(values), undefined
+
+
+def _eval_number(node, scope):
+    result = _eval(node, scope)
+    if result[0].dtype == bool:
         raise EvaluationError("comparisons cannot be nested inside arithmetic")
-    return value
+    return result
 
 
 def _eval_expectation(node: ExpectationNode, scope: _Scope):
-    measure_dist = scope.dist(node.measure.letter)
-    iter_names = [_resolve_variable(measure_dist, t.name) for t in node.measure.head]
+    """A weighted sum of the body over the measure's cells: the cells above
+    ``ZERO_MASS`` of every element become the elements of one stack, on
+    which the body is evaluated once."""
+    measure = scope.dist(node.measure.letter)
+    iter_names = [_resolve_variable(measure, t.name) for t in node.measure.head]
     if len(set(iter_names)) != len(iter_names):
         raise EvaluationError("expectation variables must be distinct")
-    given = _resolve_terms(measure_dist, node.measure.given, scope.env)
+    given = _resolve_terms(measure, node.measure.given, scope.env)
     tied = {t.name: t.outcome for t in given}
-    tensor, kept = qt._subtensor(measure_dist.names, _tensor_of(measure_dist),
-                                 iter_names + list(tied))
-    weights, mass = qt.tied_slice(tensor, kept, tied)
-    free = [n for n in kept if n not in tied]
-    total = 0.0
-    for idx, w in np.ndenumerate(weights):
-        if w > ZERO_CELL:
-            extra = dict(zip(free, idx))
-            total += float(w) * _as_number(_eval(node.body, scope.with_bindings(extra)))
-    return total / mass
+    tensor, kept = qt._subtensor(measure.names, measure.tensor, iter_names + list(tied))
+    weights = qt.gather(tensor, kept, tied, measure.rows)
+    if len(weights) < scope.n:
+        weights = np.broadcast_to(weights, (scope.n,) + weights.shape[1:])
+    flat = weights.reshape(len(weights), -1)
+    mass = flat.sum(axis=1)
+    elements, cells = np.nonzero(flat > ZERO_MASS)
+    total = np.zeros(len(flat))
+    undefined = np.zeros(len(flat), dtype=np.int8)
+    if len(elements):
+        free = [n for n in kept if n not in tied]
+        extra = dict(zip(free, np.unravel_index(cells, weights.shape[1:])))
+        values, body_undefined = _eval_number(node.body, scope.take(elements, extra))
+        values = np.broadcast_to(values, elements.shape)
+        total = np.bincount(elements, weights=flat[elements, cells] * values, minlength=len(flat))
+        if body_undefined.any():
+            bad = np.flatnonzero(np.broadcast_to(body_undefined, elements.shape))
+            first_bad, at = np.unique(elements[bad], return_index=True)
+            undefined[first_bad] = np.broadcast_to(body_undefined, elements.shape)[bad[at]]
+    undefined[mass <= ZERO_MASS] = qt.ZERO_PROBABILITY
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = total / mass
+    if not undefined.any():
+        return values, qt.DEFINED
+    return np.where(undefined == 0, values, np.nan), undefined
 
 
-def compare(lhs: float, op: str, rhs: float) -> bool:
+def compare(lhs, op: str, rhs):
     """Tolerance-aware comparison: ``EQ_TOLERANCE`` slack for ==/<=/>=; !=
-    needs a gap above ``NEQ_GAP``."""
+    needs a gap above ``NEQ_GAP``.  Works elementwise on arrays."""
     if op == "==":
         return abs(lhs - rhs) <= EQ_TOLERANCE
     if op == "!=":
@@ -621,6 +655,24 @@ def compare(lhs: float, op: str, rhs: float) -> bool:
     if op == ">=":
         return lhs >= rhs - EQ_TOLERANCE
     raise ValueError(f"unknown comparison operator {op!r}")
+
+
+def _environment(bindings, p, q) -> dict:
+    """Bindings keyed by exact variable names (matched case-insensitively,
+    in p first, then in q)."""
+    env = {}
+    if bindings is None:
+        return env
+    items = bindings.bindings if isinstance(bindings, Assignment) else dict(bindings).items()
+    for name, idx in items:
+        try:
+            exact = _resolve_variable(p, name)
+        except UnknownVariable:
+            if q is None:
+                raise
+            exact = _resolve_variable(q, name)
+        env[exact] = idx
+    return env
 
 
 def evaluate(expression, dist: JointDistribution, q=None, bindings=None, *,
@@ -634,18 +686,27 @@ def evaluate(expression, dist: JointDistribution, q=None, bindings=None, *,
     comparisons.
     """
     node = parse(expression) if isinstance(expression, str) else expression
-    env = {}
-    if bindings is not None:
-        items = bindings.bindings if isinstance(bindings, Assignment) else dict(bindings).items()
-        for name, idx in items:
-            try:
-                exact = _resolve_variable(dist, name)
-            except UnknownVariable:
-                if q is None:
-                    raise
-                exact = _resolve_variable(q, name)
-            env[exact] = int(idx)
-    return _eval(node, _Scope(dist, q, env, base))
+    env = {n: int(i) for n, i in _environment(bindings, dist, q).items()}
+    p = qt.Stack.of(dist)
+    qs = None if q is None else p if q is dist else qt.Stack.of(q)
+    return qt.one_value(*_eval(node, _Scope(p, qs, env, base)))
+
+
+def evaluate_stack(expression, p, q=None, bindings=None, *, base: LogBase = LogBase.NATS):
+    """Evaluate an expression over a stack of same-shape distributions.
+
+    ``p`` and ``q`` are :class:`~discinfo.quantities.Stack` values, and
+    ``bindings`` maps names to an outcome index or to an array of one index
+    per element.  Returns ``(values, defined)``, two arrays of the stack
+    length: ``defined`` is False exactly where :func:`evaluate` on that
+    element raises :class:`ZeroProbabilityEvent` or :class:`SupportMismatch`.
+    """
+    node = parse(expression) if isinstance(expression, str) else expression
+    env = _environment(bindings, p, q)
+    n = max(len(p), 1 if q is None else len(q),
+            *(len(o) for o in env.values() if isinstance(o, np.ndarray)))
+    values, undefined = _eval(node, _Scope(p, q, env, base, n))
+    return np.broadcast_to(values, n), np.broadcast_to(undefined == 0, n)
 
 
 def children(node) -> tuple:

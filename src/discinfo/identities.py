@@ -10,14 +10,23 @@ serialization round-trip before it is reported.
 
 The search draws Dirichlet-like positive tensors (with a small per-cell
 floor so conditioning stays well-defined) and additionally walks small
-deterministic grids, including grids with exact zeros; grid points whose
-preconditions fail (zero-probability conditioning) are skipped.
+deterministic grids, including grids with exact zeros; cases whose
+preconditions fail (zero-probability conditioning, q zero under p's mass)
+are skipped and counted.
+
+The cases are evaluated as stacks: the random draws grouped by support
+shape, each grid as one array, and every binding of the free tied
+outcomes as further stack elements.  The first case in draw order whose
+stacked margin crosses the threshold is re-evaluated on its own before it
+is reported, so reports do not depend on how the cases were stacked.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -40,11 +49,16 @@ from .dist import (
 )
 from .errors import (
     CounterexampleMismatch,
+    DiscinfoError,
     SupportMismatch,
     ZeroProbabilityEvent,
 )
 
 DEFAULT_SEEDS = 500
+GRID_CHUNK = 1024  # grid tensors per stack, so a full grid is never held at once
+MARGIN_SLACK = 1e-12  # stacked margins this far below a threshold are re-checked alone
+
+logger = logging.getLogger(__name__)
 
 
 class Expectation(Enum):
@@ -55,6 +69,7 @@ class Expectation(Enum):
 class Status(Enum):
     HELD = "HELD"
     VIOLATED = "VIOLATED"
+    UNTESTED = "UNTESTED"  # no case could be evaluated
 
 
 @dataclass(frozen=True)
@@ -127,7 +142,15 @@ class SearchReport:
     For ``ALWAYS_TRUE`` entries HELD is the passing status.  For
     ``EXISTS_VIOLATION`` entries VIOLATED means a confirmed witness was
     found (the passing status); HELD means the budget ran out without one,
-    which callers should treat as a failure.
+    which callers should treat as a failure.  UNTESTED means no case could
+    be evaluated, and fails either way.
+
+    ``seeds_tried`` counts the distributions drawn (random and grid) up to
+    the verdict; ``cases_evaluated`` and ``cases_skipped`` count the cases
+    (a distribution with one binding of the free tied outcomes) evaluated
+    and skipped as undefined up to it.  ``worst_margin`` is, for an
+    ``ALWAYS_TRUE`` entry, the largest violation margin among the evaluated
+    cases: how close the entry came to failing.
     """
 
     name: str
@@ -138,6 +161,9 @@ class SearchReport:
     rhs: float | None = None
     gap: float | None = None
     witness: dict | None = None  # distribution / bindings / q, JSON-ready
+    cases_evaluated: int = 0
+    cases_skipped: int = 0
+    worst_margin: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -146,7 +172,10 @@ class SearchReport:
 
     def format_line(self) -> str:
         flag = "ok  " if self.passed else "FAIL"
-        detail = f"{self.status.value} after {self.seeds_tried} samples"
+        detail = (f"{self.status.value} after {self.seeds_tried} samples, "
+                  f"{self.cases_evaluated} cases evaluated, {self.cases_skipped} skipped")
+        if self.worst_margin is not None:
+            detail += f", worst margin {self.worst_margin:.3g}"
         if self.gap is not None:
             detail += f"; lhs={self.lhs:.9g} rhs={self.rhs:.9g} gap={self.gap:.3g}"
         return f"{flag} [{self.expect.value:9s}] {self.name}: {detail}"
@@ -162,42 +191,53 @@ class SearchReport:
             "rhs": self.rhs,
             "gap": self.gap,
             "witness": self.witness,
+            "cases_evaluated": self.cases_evaluated,
+            "cases_skipped": self.cases_skipped,
+            "worst_margin": self.worst_margin,
         }
 
 
-def random_distribution(rng, names, support_range=(2, 4), floor=CELL_FLOOR) -> JointDistribution:
-    """A positive random joint: normalized exponentials, floored per cell."""
+def _random_cells(rng, n_vars, support_range=(2, 4), floor=CELL_FLOOR) -> np.ndarray:
+    """The cells of :func:`random_distribution`, drawn in the same order."""
     lo, hi = support_range
-    variables = tuple(
-        Variable(n, tuple(str(i) for i in range(int(rng.integers(lo, hi + 1)))))
-        for n in names
-    )
-    shape = tuple(v.size for v in variables)
+    shape = tuple(int(rng.integers(lo, hi + 1)) for _ in range(n_vars))
     cells = rng.exponential(1.0, size=shape)
     cells /= cells.sum()
     if floor > 0:
         cells = np.maximum(cells, floor)
         cells /= cells.sum()
-    return JointDistribution(variables, cells)
+    return cells
 
 
-def _grid_tensors(shape, values):
+def _variables(names, shape) -> tuple[Variable, ...]:
+    return tuple(Variable(n, tuple(str(i) for i in range(s))) for n, s in zip(names, shape))
+
+
+def random_distribution(rng, names, support_range=(2, 4), floor=CELL_FLOOR) -> JointDistribution:
+    """A positive random joint: normalized exponentials, floored per cell."""
+    cells = _random_cells(rng, len(names), support_range, floor)
+    return JointDistribution(_variables(names, cells.shape), cells)
+
+
+def _grid_chunks(shape, values):
     """All normalized tensors with cells drawn from ``values`` (zero-sum
-    combinations skipped)."""
-    k = int(np.prod(shape))
-    for combo in itertools.product(values, repeat=k):
-        total = sum(combo)
-        if total <= 0:
-            continue
-        yield np.asarray(combo, dtype=float).reshape(shape) / total
+    combinations skipped), as stacks of at most ``GRID_CHUNK``."""
+    combos = itertools.product(values, repeat=math.prod(shape))
+    while chunk := list(itertools.islice(combos, GRID_CHUNK)):
+        cells = np.array(chunk, dtype=float)
+        total = cells[:, 0].copy()
+        for column in cells.T[1:]:  # left to right, so each tensor is combo / sum(combo)
+            total += column
+        keep = total > 0
+        yield (cells[keep] / total[keep, None]).reshape((-1, *shape))
 
 
 def grid_distributions(names, values):
     """Deterministic grid of binary-support distributions over ``names``."""
-    variables = tuple(Variable(n, ("0", "1")) for n in names)
-    shape = tuple(v.size for v in variables)
-    for cells in _grid_tensors(shape, values):
-        yield JointDistribution(variables, cells)
+    variables = _variables(names, (2,) * len(names))
+    for chunk in _grid_chunks(tuple(v.size for v in variables), values):
+        for cells in chunk:
+            yield JointDistribution(variables, cells)
 
 
 FULL_GRID_VALUES = {
@@ -210,8 +250,9 @@ ZERO_GRID_VALUES = {
 }
 
 
-def _margin(lhs: float, op: str, rhs: float) -> float:
-    """How badly the comparison fails (<= 0 means it holds exactly)."""
+def _margin(lhs, op: str, rhs):
+    """How badly the comparison fails (<= 0 means it holds exactly);
+    elementwise on arrays."""
     if op == "==":
         return abs(lhs - rhs)
     if op == "<=":
@@ -223,26 +264,8 @@ def _margin(lhs: float, op: str, rhs: float) -> float:
     raise ValueError(f"unknown comparison operator {op!r}")
 
 
-def _all_bindings(d, free_idents):
-    if not free_idents:
-        yield {}
-        return
-    sizes = []
-    names = []
-    for ident in free_idents:
-        canon = ident[0].upper() + ident[1:]
-        names.append(canon)
-        sizes.append(d.variable(canon).size)
-    for combo in itertools.product(*(range(s) for s in sizes)):
-        yield dict(zip(names, combo))
-
-
-def _random_binding(rng, d, free_idents):
-    out = {}
-    for ident in free_idents:
-        canon = ident[0].upper() + ident[1:]
-        out[canon] = int(rng.integers(d.variable(canon).size))
-    return out
+def _canonical(ident: str) -> str:
+    return ident[0].upper() + ident[1:]
 
 
 def _search_op(entry) -> str:
@@ -255,56 +278,189 @@ def _search_op(entry) -> str:
 
 def check_entry(entry: SuiteEntry, seeds: int, rng) -> SearchReport:
     """Run one entry: sample, walk the grids, and produce its report."""
+    start = time.perf_counter()
     if entry.check is not None:
-        return _check_programmatic(entry, seeds, rng)
-    node = entry.node
-    op = _search_op(entry)
-    free = ex.free_tied_identifiers(node)
-    names = entry.variable_names()
-    tried = 0
+        report = _check_programmatic(entry, seeds, rng)
+    else:
+        report = _Search(entry, seeds).run(rng)
+    logger.info("%s: %s, %d cases evaluated, %d skipped, %.3f s", entry.name,
+                report.status.value, report.cases_evaluated, report.cases_skipped,
+                time.perf_counter() - start)
+    return report
 
-    def cases():
-        nonlocal tried
-        for _ in range(seeds):
-            d = random_distribution(rng, names)
-            # q, when referenced, shares d's variables and support sizes
-            q = JointDistribution(d.variables, _floored(rng, d.shape)) if entry.needs_q else None
-            tried += 1
-            if entry.expect is Expectation.ALWAYS_TRUE:
-                bindings_iter = [_random_binding(rng, d, free)]
-            else:
-                bindings_iter = _all_bindings(d, free)
-            for bindings, case in _expression_cases_for(node, op, d, q, bindings_iter):
-                yield d, q, bindings, case
-        include_full = entry.expect is Expectation.EXISTS_VIOLATION
-        for d in _entry_grid(names, include_full):
-            q = _uniform_like(d) if entry.needs_q else None
-            tried += 1
-            for bindings, case in _expression_cases_for(node, op, d, q, _all_bindings(d, free)):
-                yield d, q, bindings, case
 
-    if entry.expect is Expectation.ALWAYS_TRUE:
-        for d, q, bindings, case in cases():
-            if case.margin > EQ_TOLERANCE:
-                return _violated_report(entry, d, q, bindings, case, tried)
-        return SearchReport(entry.name, entry.expect, Status.HELD, tried)
+@dataclass(frozen=True)
+class _Block:
+    """One evaluated stack of cases; per case: its distribution's row in
+    ``p`` (and ``q``), its ordinal in draw order, the index and values of
+    its binding, its margin and whether it is defined."""
 
-    for d, q, bindings, case in cases():
-        if case.margin > NEQ_GAP:
-            report = _violated_report(entry, d, q, bindings, case, tried)
-            if _reconfirm(entry, op, report):
+    variables: tuple
+    p: np.ndarray
+    q: np.ndarray | None
+    rows: np.ndarray
+    ordinal: np.ndarray
+    binding: np.ndarray
+    bindings: np.ndarray
+    margin: np.ndarray
+    defined: np.ndarray
+
+
+class _Search:
+    """The random draws, then the zero grid, then (for a witness search)
+    the full grid, each evaluated as stacks until a case is confirmed."""
+
+    def __init__(self, entry, seeds):
+        self.entry, self.seeds = entry, seeds
+        self.node, self.op = entry.node, _search_op(entry)
+        self.always = entry.expect is Expectation.ALWAYS_TRUE
+        self.threshold = EQ_TOLERANCE if self.always else NEQ_GAP
+        self.names = entry.variable_names()
+        self.free = [_canonical(i) for i in ex.free_tied_identifiers(self.node)]
+        self.blocks = []
+
+    def run(self, rng) -> SearchReport:
+        draws = []  # per sample, in this order: sizes, cells, q, binding
+        for _ in range(self.seeds):
+            cells = _random_cells(rng, len(self.names))
+            q = _floored(rng, cells.shape) if self.entry.needs_q else None
+            binding = None
+            if self.always:
+                binding = [int(rng.integers(cells.shape[self.names.index(n)])) for n in self.free]
+            draws.append((cells, q, binding))
+        # a witness search looks at the first draw alone first: most stop there
+        cut = self.seeds if self.always else min(1, self.seeds)
+        for part in (range(cut), range(cut, self.seeds)):
+            report = self.stage(self.random_batches(draws, part))
+            if report is not None:
                 return report
-    return SearchReport(entry.name, entry.expect, Status.HELD, tried)
+        tried = self.seeds
+        n = len(self.names)
+        shape = (2,) * n
+        variables = _variables(self.names, shape)
+        q = np.full((1, *shape), 1.0 / 2**n) if self.entry.needs_q else None  # uniform
+        # the dense positive grids are the discovery guarantee of witness searches
+        grids = (ZERO_GRID_VALUES,) if self.always else (ZERO_GRID_VALUES, FULL_GRID_VALUES)
+        for values in (grid[n] for grid in grids if n in grid):
+            for cells in _grid_chunks(shape, values):
+                ordinals = np.arange(tried, tried + len(cells))
+                tried += len(cells)
+                report = self.stage([(variables, cells, q, ordinals, None)])
+                if report is not None:
+                    return report
+        return self.report(Status.HELD, tried)
 
+    def random_batches(self, draws, part):
+        groups = {}
+        for i in part:
+            groups.setdefault(draws[i][0].shape, []).append(i)
+        for shape, idx in groups.items():
+            q = np.stack([draws[i][1] for i in idx]) if self.entry.needs_q else None
+            bindings = None
+            if self.always:
+                bindings = np.array([draws[i][2] for i in idx], dtype=np.intp)
+                bindings = bindings.reshape(len(idx), len(self.free))
+            yield (_variables(self.names, shape), np.stack([draws[i][0] for i in idx]), q,
+                   np.array(idx), bindings)
 
-def _expression_cases_for(node, op, d, q, bindings_iter):
-    for bindings in bindings_iter:
+    def evaluate(self, variables, p, q, ordinals, bindings) -> _Block:
+        """Stack the cases of one batch: each distribution with its own
+        binding, or (``bindings`` None) with every binding in turn."""
+        if bindings is None:
+            sizes = [p.shape[1 + self.names.index(n)] for n in self.free]
+            combos = list(itertools.product(*map(range, sizes)))
+            combos = np.array(combos, dtype=np.intp).reshape(len(combos), len(self.free))
+            rows = np.repeat(np.arange(len(p)), len(combos))
+            binding = np.tile(np.arange(len(combos)), len(p))
+            bindings = combos[binding]
+        else:
+            rows = np.arange(len(p))
+            binding = np.zeros(len(p), dtype=np.intp)
+        stack_rows = None if len(rows) == len(p) else rows
+        ps = qt.Stack(variables, p, stack_rows)
+        qs = None if q is None else qt.Stack(variables, q, stack_rows if len(q) > 1 else None)
+        env = {n: bindings[:, j] for j, n in enumerate(self.free)}
+        lhs, lhs_defined = ex.evaluate_stack(self.node.lhs, ps, qs, env)
+        rhs, rhs_defined = ex.evaluate_stack(self.node.rhs, ps, qs, env)
+        return _Block(variables, p, q, rows, ordinals[rows], binding, bindings,
+                      _margin(lhs, self.op, rhs), lhs_defined & rhs_defined)
+
+    def stage(self, batches) -> SearchReport | None:
+        """Evaluate the batches, then report the first case in draw order
+        that is confirmed on its own; None when there is none.  A batch that
+        raises raises here too, unless a case before its first is reported."""
+        first_block, errors = len(self.blocks), []
+        for batch in batches:
+            try:
+                self.blocks.append(self.evaluate(*batch))
+            except (DiscinfoError, ValueError) as exc:
+                errors.append((int(batch[3][0]), exc))
+        candidates = sorted(
+            (int(b.ordinal[i]), int(b.binding[i]), b, int(i))
+            for b in self.blocks[first_block:]
+            for i in np.flatnonzero(b.defined & (b.margin > self.threshold - MARGIN_SLACK))
+        )
+        error = min(errors, key=lambda e: e[0], default=None)
+        for ordinal, binding, block, i in candidates:
+            if error is not None and error[0] <= ordinal:
+                break
+            found = self.confirm(block, i)
+            if found is not None:
+                return self.report(Status.VIOLATED, ordinal + 1, (ordinal, binding), found)
+        if error is not None:
+            raise error[1]
+        return None
+
+    def confirm(self, block, i):
+        """Case ``i`` of ``block`` evaluated on its own, as (outcome,
+        witness), if it violates the entry (and, for a witness search,
+        still does after a JSON round trip); else None."""
+        row = block.rows[i]
+        d = JointDistribution(block.variables, block.p[row])
+        q = None
+        if block.q is not None:
+            q = JointDistribution(block.variables, block.q[row if len(block.q) > 1 else 0])
+        bindings = {n: int(block.bindings[i, j]) for j, n in enumerate(self.free)}
         try:
-            lhs = ex.evaluate(node.lhs, d, q=q, bindings=bindings)
-            rhs = ex.evaluate(node.rhs, d, q=q, bindings=bindings)
+            lhs = ex.evaluate(self.node.lhs, d, q=q, bindings=bindings)
+            rhs = ex.evaluate(self.node.rhs, d, q=q, bindings=bindings)
         except (ZeroProbabilityEvent, SupportMismatch):
-            continue
-        yield bindings, CaseOutcome(lhs, rhs, _margin(lhs, op, rhs))
+            return None
+        case = CaseOutcome(lhs, rhs, _margin(lhs, self.op, rhs))
+        if case.margin <= self.threshold:
+            return None
+        witness = _witness(d, q, bindings)
+        if not self.always and not _reconfirm(self.entry, self.op, witness):
+            return None
+        return case, witness
+
+    def report(self, status, tried, verdict=None, found=None) -> SearchReport:
+        """The report, with the cases counted up to the verdict, the
+        (ordinal, binding) of the reported case."""
+        evaluated = skipped = 0
+        worst = None
+        for b in self.blocks:
+            counted = True
+            if verdict is not None:
+                ordinal, binding = verdict
+                counted = (b.ordinal < ordinal) | ((b.ordinal == ordinal) & (b.binding <= binding))
+            defined = b.defined & counted
+            evaluated += int(defined.sum())
+            skipped += int((~b.defined & counted).sum())
+            if self.always and defined.any():
+                margin = float(b.margin[defined].max())
+                worst = margin if worst is None else max(worst, margin)
+        if evaluated == 0:
+            status = Status.UNTESTED
+        lhs = rhs = gap = witness = None
+        if found is not None:
+            case, witness = found
+            lhs, rhs, gap = case.lhs, case.rhs, case.margin
+        return SearchReport(
+            self.entry.name, self.entry.expect, status, tried, lhs=lhs, rhs=rhs, gap=gap,
+            witness=witness, cases_evaluated=evaluated, cases_skipped=skipped,
+            worst_margin=worst,
+        )
 
 
 def _floored(rng, shape, floor=CELL_FLOOR):
@@ -314,44 +470,18 @@ def _floored(rng, shape, floor=CELL_FLOOR):
     return cells / cells.sum()
 
 
-def _uniform_like(d: JointDistribution) -> JointDistribution:
-    return JointDistribution(d.variables, np.full(d.shape, 1.0 / d.probs.size))
-
-
-def _entry_grid(names, include_full: bool):
-    """Deterministic grids for 2- and 3-variable entries.  Zero-including
-    grids cover degenerate cases for everyone; the dense positive grids are
-    reserved for witness searches (they are the discovery guarantee)."""
-    n = len(names)
-    if n not in FULL_GRID_VALUES:
-        return
-    yield from grid_distributions(names, ZERO_GRID_VALUES[n])
-    if include_full:
-        yield from grid_distributions(names, FULL_GRID_VALUES[n])
-
-
-def _violated_report(entry, d, q, bindings, case, tried) -> SearchReport:
+def _witness(d, q, bindings) -> dict:
     witness = {
         "distribution": d.to_json_dict(),
         "bindings": dict(bindings),
     }
     if q is not None:
         witness["q"] = q.to_json_dict()
-    return SearchReport(
-        entry.name,
-        entry.expect,
-        Status.VIOLATED,
-        tried,
-        lhs=case.lhs,
-        rhs=case.rhs,
-        gap=case.margin,
-        witness=witness,
-    )
+    return witness
 
 
-def _reconfirm(entry, op, report) -> bool:
+def _reconfirm(entry, op, w) -> bool:
     """Reload the witness from its serialized form and re-check the verdict."""
-    w = report.witness
     d = JointDistribution.from_json_dict(w["distribution"])
     q = JointDistribution.from_json_dict(w["q"]) if "q" in w else None
     node = entry.node
@@ -361,26 +491,23 @@ def _reconfirm(entry, op, report) -> bool:
 
 
 def _check_programmatic(entry, seeds, rng) -> SearchReport:
-    tried = 0
-    for _ in range(seeds):
-        tried += 1
+    always = entry.expect is Expectation.ALWAYS_TRUE
+    threshold = EQ_TOLERANCE if always else NEQ_GAP
+    tried, worst = 0, None
+    for tried in range(1, seeds + 1):
         outcome, witness_dist = entry.check(rng)
-        if entry.expect is Expectation.ALWAYS_TRUE:
-            if outcome.margin > EQ_TOLERANCE:
-                witness = {"distribution": witness_dist.to_json_dict(), "bindings": {}}
-                return SearchReport(
-                    entry.name, entry.expect, Status.VIOLATED, tried,
-                    lhs=outcome.lhs, rhs=outcome.rhs, gap=outcome.margin,
-                    witness=witness,
-                )
-        elif outcome.margin > NEQ_GAP:
-            witness = {"distribution": witness_dist.to_json_dict(), "bindings": {}}
+        if always:
+            worst = outcome.margin if worst is None else max(worst, outcome.margin)
+        if outcome.margin > threshold:
             return SearchReport(
                 entry.name, entry.expect, Status.VIOLATED, tried,
                 lhs=outcome.lhs, rhs=outcome.rhs, gap=outcome.margin,
-                witness=witness,
+                witness={"distribution": witness_dist.to_json_dict(), "bindings": {}},
+                cases_evaluated=tried, worst_margin=worst,
             )
-    return SearchReport(entry.name, entry.expect, Status.HELD, tried)
+    status = Status.HELD if tried else Status.UNTESTED
+    return SearchReport(entry.name, entry.expect, status, tried,
+                        cases_evaluated=tried, worst_margin=worst)
 
 
 def check_suite(suite: IdentitySuite, seeds: int = DEFAULT_SEEDS,

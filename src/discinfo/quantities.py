@@ -18,6 +18,12 @@ Terms contribute zero whenever their expectation weight is zero (the
 exact zeros).  Tying to an outcome combination of zero probability raises
 :class:`~discinfo.errors.ZeroProbabilityEvent`.
 
+The one kernel, :func:`_expected_ic_nats`, evaluates a whole
+:class:`Stack` of same-shape distributions at once, with tied outcomes
+that may differ per element, and marks the elements it cannot evaluate
+instead of raising.  The public functions are its calls on a stack of
+one, and raise the error the mark names.
+
 All functions are pure and operate on immutable values, so concurrent use
 needs no coordination.
 """
@@ -33,6 +39,7 @@ import numpy as np
 from .dist import (
     Assignment,
     JointDistribution,
+    UnnormalizedWeight,
     ZERO_CELL,
     ZERO_MASS,
     _tensor_of,
@@ -59,10 +66,11 @@ class LogBase(Enum):
 
 @dataclass(frozen=True)
 class Term:
-    """One variable reference in a query: untied, or tied to an outcome index."""
+    """One variable reference in a query: untied, or tied to an outcome index
+    (or, over a stack, to an array of one outcome index per element)."""
 
     name: str
-    outcome: int | None = None
+    outcome: int | np.ndarray | None = None
 
     @property
     def tied(self) -> bool:
@@ -79,7 +87,9 @@ def as_terms(specs) -> tuple[Term, ...]:
             out.append(Term(spec))
         else:
             name, idx = spec
-            out.append(Term(str(name), None if idx is None else int(idx)))
+            if idx is not None and not isinstance(idx, np.ndarray):
+                idx = int(idx)
+            out.append(Term(str(name), idx))
     return tuple(out)
 
 
@@ -91,6 +101,22 @@ def information_content(rho: float, base: LogBase = LogBase.NATS) -> float:
     return base.from_nats(-math.log(rho))
 
 
+def _plogq(p: np.ndarray, q=None):
+    """The terms of :func:`plogq`, and the mask of the cells where q is not
+    positive under p's mass (None when there is no such cell); those cells'
+    terms are 0."""
+    out = np.where(p > ZERO_CELL, p if q is None else q, 1.0)
+    bad = None
+    if q is not None:
+        ok = out > 0  # a NaN fails too
+        if not ok.all():
+            bad = ~ok
+            out[bad] = 1.0
+    np.log(out, out=out)
+    out *= p
+    return out, bad
+
+
 def plogq(p: np.ndarray, q=None) -> np.ndarray:
     """The terms p * log q elementwise, whose negated sum is a cross-entropy;
     ``q`` defaults to ``p`` (the terms of an entropy) and broadcasts
@@ -100,68 +126,107 @@ def plogq(p: np.ndarray, q=None) -> np.ndarray:
     (0 * log 0 == 0), whatever q is there.  Elsewhere q must be positive,
     or :class:`SupportMismatch` is raised.
     """
-    out = np.where(p > ZERO_CELL, p if q is None else q, 1.0)
-    if q is not None and not np.all(out > 0):  # a NaN fails too
-        raise SupportMismatch(
-            "q is zero (or undefined) at an outcome where p has positive mass"
-        )
-    np.log(out, out=out)
-    out *= p
+    out, bad = _plogq(p, q)
+    if bad is not None:
+        raise SupportMismatch(_SUPPORT_MESSAGE)
     return out
 
 
-def tied_slice(tensor: np.ndarray, names, tied: dict):
-    """The cells of ``tensor`` (one axis per name) at the ``tied`` outcomes,
-    and their total mass; the untied axes keep their order.
+# Why an element of a stack has no value: the error a one-case call raises.
+ZERO_PROBABILITY = 1
+SUPPORT_MISMATCH = 2
+DEFINED = np.zeros(1, dtype=np.int8)
+DEFINED.setflags(write=False)
+_ALL = slice(None)
+_sum = np.add.reduce
+_SUPPORT_MESSAGE = "q is zero (or undefined) at an outcome where p has positive mass"
 
-    Raises :class:`ZeroProbabilityEvent` when the mass is at most
-    ``ZERO_MASS``.
+
+class Stack:
+    """Same-shape tensors over one set of variables, with a leading batch axis.
+
+    ``tensor`` has shape ``(rows, *shape)``.  Element ``i`` of the stack is
+    ``tensor[rows[i]]``, or ``tensor[i]`` when ``rows`` is None.  A stack of
+    one broadcasts against stacks of any length.  ``weight`` marks
+    unnormalized weights.
     """
-    part = tensor[tuple(tied.get(n, slice(None)) for n in names)]
-    mass = float(part.sum())
-    if mass <= ZERO_MASS:
-        raise ZeroProbabilityEvent(f"tied outcomes {tied} have probability {mass!r}")
-    return part, mass
+
+    __slots__ = ("variables", "names", "tensor", "rows", "weight")
+
+    def __init__(self, variables, tensor, rows=None, weight=False):
+        self.variables = variables
+        self.names = tuple([v.name for v in variables])
+        self.tensor = tensor
+        self.rows = rows
+        self.weight = weight
+
+    @classmethod
+    def of(cls, d) -> "Stack":
+        """The stack of one holding a distribution or weight."""
+        if isinstance(d, JointDistribution):
+            return cls(d.variables, d.probs[None])
+        return cls(d.variables, _tensor_of(d)[None], weight=True)
+
+    def __len__(self) -> int:
+        return len(self.tensor) if self.rows is None else len(self.rows)
+
+    def take(self, elements) -> "Stack":
+        """The stack of the given elements."""
+        if self.rows is not None:
+            rows = self.rows[elements]
+        elif len(self.tensor) > 1:
+            rows = elements
+        else:
+            return self
+        return Stack(self.variables, self.tensor, rows, self.weight)
+
+
+def first_undefined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise, the first of two undefined codes that is set (0 if none):
+    an evaluation reports the error it meets first."""
+    if a is DEFINED or not a.any():
+        return b
+    if b is DEFINED or not b.any():
+        return a
+    return np.where(a != 0, a, b)
+
+
+def one_value(values: np.ndarray, undefined: np.ndarray, *term_lists):
+    """The value of a stack of one, or the error that leaves it undefined;
+    the terms name the tied outcomes in the error message."""
+    if undefined is DEFINED:
+        return values.item()
+    code = undefined[0]
+    if code == ZERO_PROBABILITY:
+        tied = {t.name: t.outcome for terms in term_lists for t in as_terms(terms) if t.tied}
+        what = f"tied outcomes {tied}" if tied else "the tied outcomes"
+        raise ZeroProbabilityEvent(f"{what} have probability at most {ZERO_MASS!r}")
+    if code == SUPPORT_MISMATCH:
+        raise SupportMismatch(_SUPPORT_MESSAGE)
+    return values[0].item()
 
 
 def _subtensor(names, tensor, wanted):
-    """Marginal of ``tensor`` (one axis per entry of ``names``) onto the
-    ``wanted`` names, keeping the axis order of ``names``."""
+    """Marginal of ``tensor`` (a batch axis, then one axis per entry of
+    ``names``) onto the ``wanted`` names, keeping the axis order of ``names``."""
     wanted = set(wanted)
     unknown = wanted.difference(names)
     if unknown:
         raise UnknownVariable(f"unknown variable(s): {sorted(unknown)}")
-    drop = tuple(i for i, n in enumerate(names) if n not in wanted)
+    drop = tuple(1 + i for i, n in enumerate(names) if n not in wanted)
     kept = [n for n in names if n in wanted]
-    return (tensor.sum(axis=drop) if drop else tensor), kept
+    return (_sum(tensor, axis=drop) if drop else tensor), kept
 
 
-def _in_coords(q, q_names, fixed, kept):
-    """q's marginal on ``q_names`` with one axis per ``kept`` name (unit axes
-    for the names q lacks), its q-only names fixed at their ties."""
-    sub, names = _subtensor(q.names, _tensor_of(q), q_names)
-    shared = [n for n in names if n in kept]
-    sub = sub[tuple(slice(None) if n in shared else fixed[n] for n in names)]
-    pos = {n: i for i, n in enumerate(shared)}
-    sub = sub.transpose([pos[n] for n in kept if n in pos])
-    sizes = iter(sub.shape)
-    return sub.reshape([next(sizes) if n in pos else 1 for n in kept])
-
-
-def _at_points(arr, kept, tied, fixed):
-    """``arr`` (one axis per ``kept`` name, unit axes where summed out) at
-    the expectation points: the p-tied axes are indexed away and a q-side
-    tie of a p-untied name leaves a unit axis, so the result broadcasts
-    against the tied slice of p."""
-    ix = []
-    for n, size in zip(kept, arr.shape):
-        if n in tied:
-            ix.append(fixed[n] if size > 1 else 0)
-        elif n in fixed and size > 1:
-            ix.append(slice(fixed[n], fixed[n] + 1))
-        else:
-            ix.append(slice(None))
-    return arr[tuple(ix)]
+def gather(tensor, names, at: dict, rows=None):
+    """``tensor`` (a batch axis, then one axis per name) at the outcomes
+    ``at`` (name -> outcome index, or one index per stack element), for each
+    element; ``rows`` picks each element's batch row.  The named axes in
+    ``at`` are indexed away; the others keep their order."""
+    ix = [at.get(n, _ALL) for n in names]
+    if rows is None and any(type(o) is np.ndarray for o in at.values()):
+        rows = np.arange(len(tensor)) if len(tensor) > 1 else 0
+    return tensor[(_ALL if rows is None else rows, *ix)]
 
 
 def _check_terms(d, terms) -> None:
@@ -171,24 +236,32 @@ def _check_terms(d, terms) -> None:
     if len(set(names)) != len(names):
         raise ValueError(f"a variable may appear only once per query: {names}")
     for t in terms:
-        try:
-            size = d.variables[d.index_of(t.name)].size
-        except KeyError as exc:
-            raise UnknownVariable(str(exc)) from exc
-        if t.outcome is not None and not 0 <= t.outcome < size:
+        if t.name not in d.names:
+            raise UnknownVariable(f"no variable named {t.name!r}")
+        size = d.variables[d.names.index(t.name)].size
+        o = t.outcome
+        if o is not None and not (((o >= 0) & (o < size)).all() if type(o) is np.ndarray
+                                  else 0 <= o < size):
             raise ValueError(f"outcome index {t.outcome} out of range for variable {t.name!r}")
 
 
-def _expected_ic_nats(p: JointDistribution, q, p_head, p_given, q_head=None,
-                      q_given=None) -> float:
-    """E over p(p_head, p_given) of -log q(q_head | q_given), in nats.
+def _expected_ic_nats(p: Stack, q: Stack, p_head, p_given, q_head=None, q_given=None):
+    """E over p(p_head, p_given) of -log q(q_head | q_given), in nats, for
+    every element of the stacks at once.
 
     The one information kernel: every quantity of this module is this
     expectation or a difference of two.  The expectation runs over the
-    untied p-side variables conditioned on every p-side tie.  The q sides
+    untied p-side variables conditioned on every p-side tie.  A tie is an
+    outcome index, or an array with one index per element.  The q sides
     default to the p sides; a q-side term takes its own tie, else a p-side
     tie of that name, else the expectation point.  With ``q is p`` and the
     default q sides it is the entropy of p_head given p_given.
+
+    Returns ``(values, undefined)``, arrays of the stack length (1 when
+    nothing varies per element).  ``undefined`` is 0 where the value is
+    defined, ``ZERO_PROBABILITY`` where the p-side ties have mass at most
+    ``ZERO_MASS``, and else ``SUPPORT_MISMATCH`` where q is not positive
+    under p's mass; the value is NaN there.
     """
     p_head, p_given = as_terms(p_head), as_terms(p_given)
     same_sides = q_head is None and q_given is None
@@ -198,11 +271,8 @@ def _expected_ic_nats(p: JointDistribution, q, p_head, p_given, q_head=None,
         raise ValueError("an information query needs head terms on both sides")
     p_terms, q_terms = p_head + p_given, q_head + q_given
     _check_terms(p, p_terms)
-
-    tensor, kept = _subtensor(p.names, p.probs, [t.name for t in p_terms])
+    tensor, kept = _subtensor(p.names, p.tensor, [t.name for t in p_terms])
     tied = {t.name: t.outcome for t in p_terms if t.outcome is not None}
-    joint, mass = tied_slice(tensor, kept, tied)
-
     if same_sides and q is p:
         fixed = tied
     else:
@@ -218,24 +288,58 @@ def _expected_ic_nats(p: JointDistribution, q, p_head, p_given, q_head=None,
                     f"q-side variable {t.name!r} is neither tied nor part of the "
                     f"left-hand measure"
                 )
+
+    joint = gather(tensor, kept, tied, p.rows)
+    untied = [n for n in kept if n not in tied]
+    mass = _sum(joint.reshape(len(joint), -1), axis=1)
     from_p = q is p and all(t.name in kept for t in q_terms)
 
     def q_marginal(names):
-        """q's marginal on ``names`` at the expectation points; when q is p,
-        it is summed from the p-side subtensor in hand."""
+        """q's marginal on ``names`` at the expectation points, one axis per
+        untied p-side name (a unit axis where q has none); when q is p, it
+        is summed from the p-side subtensor in hand."""
         if from_p:
-            drop = tuple(i for i, n in enumerate(kept) if n not in names)
-            arr = tensor.sum(axis=drop, keepdims=True) if drop else tensor
+            drop = tuple(1 + i for i, n in enumerate(kept) if n not in names)
+            arr = _sum(tensor, axis=drop) if drop else tensor
+            arr_names, rows = [n for n in kept if n in names], p.rows
         else:
-            arr = _in_coords(q, names, fixed, kept)
-        return _at_points(arr, kept, tied, fixed)
+            arr, arr_names = _subtensor(q.names, q.tensor, names)
+            rows = q.rows
+        arr = gather(arr, arr_names, {n: fixed[n] for n in arr_names if n in fixed}, rows)
+        left = [n for n in arr_names if n not in fixed]
+        order = [n for n in untied if n in left]
+        if order != left:
+            arr = arr.transpose([0] + [1 + left.index(n) for n in order])
+        if len(order) != len(untied):
+            arr = arr.reshape([len(arr)] + [arr.shape[1 + order.index(n)] if n in order else 1
+                                            for n in untied])
+        return arr
 
     # with q = p on the p sides, the numerator is the tied slice itself
     values = joint if same_sides and q is p else q_marginal({t.name for t in q_terms})
     if q_given:
         with np.errstate(divide="ignore", invalid="ignore"):
             values = values / q_marginal({t.name for t in q_given})
-    return float(-plogq(joint, values).sum() / mass) + 0.0
+    terms, bad = _plogq(joint, values)
+    n = len(terms)
+    zero = None
+    if np.minimum.reduce(mass) <= ZERO_MASS:
+        zero = mass <= ZERO_MASS
+        mass = np.where(zero, 1.0, mass)
+    out = 0.0 - _sum(terms.reshape(n, -1), axis=1) / mass  # 0.0 - makes -0.0 a 0.0
+    if bad is None and zero is None:
+        return out, DEFINED
+    undefined = np.zeros(n, dtype=np.int8)
+    if bad is not None:
+        undefined[bad.reshape(n, -1).any(axis=1)] = SUPPORT_MISMATCH
+    if zero is not None:
+        undefined[np.broadcast_to(zero, n)] = ZERO_PROBABILITY
+    return np.where(undefined == 0, out, np.nan), undefined
+
+
+def _minus(a, b):
+    """The difference of two (values, undefined) results."""
+    return a[0] - b[0], first_undefined(a[1], b[1])
 
 
 def entropy(d: JointDistribution, head, given=(), *, base: LogBase = LogBase.NATS) -> float:
@@ -248,7 +352,8 @@ def entropy(d: JointDistribution, head, given=(), *, base: LogBase = LogBase.NAT
         entropy(d, ["X"], [("Y", 1)])          # H[X | Y=1]
         entropy(d, [("Y", 1)], ["X"])          # H[y | X] with y = outcome 1
     """
-    return base.from_nats(_expected_ic_nats(d, d, head, given))
+    s = Stack.of(d)
+    return base.from_nats(one_value(*_expected_ic_nats(s, s, head, given), head, given))
 
 
 def cross_entropy(p: JointDistribution, q, head, given=(), *,
@@ -263,9 +368,10 @@ def cross_entropy(p: JointDistribution, q, head, given=(), *,
     a conditional left side and the matching joint left side give the same
     cross-entropy.
     """
-    return base.from_nats(
-        _expected_ic_nats(p, q, head, given, q_head=q_head, q_given=q_given)
-    )
+    ps = Stack.of(p)
+    qs = ps if q is p else Stack.of(q)
+    result = _expected_ic_nats(ps, qs, head, given, q_head=q_head, q_given=q_given)
+    return base.from_nats(one_value(*result, head, given))
 
 
 def kl_divergence(p: JointDistribution, q, head, given=(), *,
@@ -276,8 +382,11 @@ def kl_divergence(p: JointDistribution, q, head, given=(), *,
     cross-entropy): ``kl(p, q, ["X"], ["Y"])`` subtracts H[X|Y] while a
     joint left side would subtract H[X,Y].
     """
-    ce = _expected_ic_nats(p, q, head, given, q_head=q_head, q_given=q_given)
-    return base.from_nats(ce - _expected_ic_nats(p, p, head, given))
+    ps = Stack.of(p)
+    qs = ps if q is p else Stack.of(q)
+    result = _minus(_expected_ic_nats(ps, qs, head, given, q_head=q_head, q_given=q_given),
+                    _expected_ic_nats(ps, ps, head, given))
+    return base.from_nats(one_value(*result, head, given))
 
 
 def mutual_info(d: JointDistribution, groups, given=(), *,
@@ -290,21 +399,21 @@ def mutual_info(d: JointDistribution, groups, given=(), *,
     about X from observing Y=1, while the swapped order is the surprise of
     that outcome, and the two generally differ.
     """
-    return base.from_nats(_mi_nats(d, groups, given))
+    result = _mi_nats(Stack.of(d), groups, given)
+    return base.from_nats(one_value(*result, *groups, given))
 
 
-def _mi_nats(d, groups, given) -> float:
+def _mi_nats(s: Stack, groups, given):
+    """The (values, undefined) of a mutual information over a stack."""
     groups = [as_terms(g) for g in groups]
     if len(groups) < 2:
         raise ValueError("mutual information needs at least two groups")
     given = as_terms(given)
     if len(groups) == 2:
         left, right = groups
-        return (_expected_ic_nats(d, d, left, given)
-                - _expected_ic_nats(d, d, left, given + right))
-    return _mi_nats(d, groups[:-1], given) - _mi_nats(
-        d, groups[:-1], given + groups[-1]
-    )
+        return _minus(_expected_ic_nats(s, s, left, given),
+                      _expected_ic_nats(s, s, left, given + right))
+    return _minus(_mi_nats(s, groups[:-1], given), _mi_nats(s, groups[:-1], given + groups[-1]))
 
 
 def triple_mi(d: JointDistribution, groups, given=(), *,
@@ -313,7 +422,7 @@ def triple_mi(d: JointDistribution, groups, given=(), *,
     groups = [as_terms(g) for g in groups]
     if len(groups) != 3:
         raise ValueError("triple mutual information needs exactly three groups")
-    return base.from_nats(_mi_nats(d, groups, given))
+    return mutual_info(d, groups, given, base=base)
 
 
 def expected_marginal_ic(d: JointDistribution, x_names, observed, *,
@@ -323,9 +432,9 @@ def expected_marginal_ic(d: JointDistribution, x_names, observed, *,
     obs = observed if isinstance(observed, Assignment) else Assignment(tuple(dict(observed).items()))
     x_terms = as_terms(x_names)
     obs_terms = as_terms(obs.bindings)
-    return base.from_nats(
-        _expected_ic_nats(d, d, x_terms, obs_terms, q_head=x_terms, q_given=())
-    )
+    s = Stack.of(d)
+    result = _expected_ic_nats(s, s, x_terms, obs_terms, q_head=x_terms, q_given=())
+    return base.from_nats(one_value(*result, obs_terms))
 
 
 class QueryKind(Enum):

@@ -1,0 +1,423 @@
+"""The stacked kernel, the stacked evaluator and the batched identity search.
+
+``data/golden_search.json`` holds search reports recorded from the
+one-case-at-a-time search that the batched one replaced: the default suite
+and a suite file, both at 25 random samples with ``rng_seed`` 7.  The
+batched search must reproduce their verdicts, sample counts and witnesses
+exactly, and their values to 1e-12.
+"""
+
+import json
+import logging
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from discinfo import (
+    Expectation,
+    JointDistribution,
+    SuiteEntry,
+    SupportMismatch,
+    UnknownVariable,
+    UnnormalizedWeight,
+    Variable,
+    ZeroProbabilityEvent,
+    check_suite,
+    cross_entropy,
+    default_suite,
+    entropy,
+    evaluate,
+    parse_suite_file,
+)
+from discinfo import quantities as qt
+from discinfo.expr import evaluate_stack
+from discinfo.identities import Status, check_entry, grid_distributions, random_distribution
+
+from oracle import oracle_cross_entropy
+
+DATA = Path(__file__).resolve().parent / "data" / "golden_search.json"
+LN2 = math.log(2.0)
+
+
+def _same_report(got, want):
+    assert (got["name"], got["status"], got["seeds_tried"]) == (
+        want["name"], want["status"], want["seeds_tried"])
+    assert got["witness"] == want["witness"]
+    for key in ("lhs", "rhs", "gap"):
+        if want[key] is None:
+            assert got[key] is None
+        else:
+            assert got[key] == pytest.approx(want[key], abs=1e-12)
+
+
+class TestGoldenReports:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(DATA.read_text(encoding="utf-8"))
+
+    def test_default_suite(self, golden):
+        run = golden["recorded_with"]
+        reports = check_suite(default_suite(), seeds=run["seeds"], rng_seed=run["rng_seed"])
+        assert len(reports) == len(golden["default_suite"])
+        for got, want in zip(reports, golden["default_suite"]):
+            _same_report(got.to_json_dict(), want)
+
+    def test_suite_file(self, golden):
+        run = golden["recorded_with"]
+        suite = parse_suite_file(golden["suite_file"])
+        reports = check_suite(suite, seeds=run["seeds"], rng_seed=run["rng_seed"])
+        assert len(reports) == len(golden["suite_file_reports"])
+        for got, want in zip(reports, golden["suite_file_reports"]):
+            _same_report(got.to_json_dict(), want)
+
+    def test_false_identities_are_pinned(self, golden):
+        # the first violating draw of each false identity is in the record
+        wanted = {r["name"]: r for r in golden["suite_file_reports"]}
+        for name in ("L2: H[X] == H[X|Y]", "L3: I[X;Y] >= H[X]"):
+            assert wanted[name]["status"] == "VIOLATED"
+            assert wanted[name]["witness"]["distribution"]["probs"]
+
+
+def _two_binary(cells):
+    variables = (Variable("X", ("0", "1")), Variable("Y", ("0", "1")))
+    return JointDistribution(variables, cells)
+
+
+class TestExpectationFloor:
+    """A measure cell at or below ZERO_MASS is skipped, as conditioning on
+    it would be refused."""
+
+    CELLS = [0.5, 1e-13, 0.5 - 1e-13, 0.0]
+
+    def test_one_case(self):
+        d = _two_binary(self.CELLS)
+        assert entropy(d, ["X"], ["Y"]) == pytest.approx(LN2, abs=1e-12)
+        assert evaluate("E_{p(y)}[H[X|y]]", d) == pytest.approx(LN2, abs=1e-12)
+        assert evaluate("E_{p(y)}[H[X|y]] == H[X|Y]", d) is True
+
+    def test_stacked(self):
+        d = _two_binary(self.CELLS)
+        stack = qt.Stack(d.variables, np.stack([d.probs, np.full((2, 2), 0.25)]))
+        values, defined = evaluate_stack("E_{p(y)}[H[X|y]]", stack)
+        assert defined.tolist() == [True, True]
+        np.testing.assert_allclose(values, [LN2, LN2], atol=1e-12)
+        # conditioning on the light cell itself stays undefined
+        values, defined = evaluate_stack("H[X|y]", stack, bindings={"Y": np.array([1, 1])})
+        assert defined.tolist() == [False, True]
+        with pytest.raises(ZeroProbabilityEvent):
+            evaluate("H[X|y]", d, bindings={"Y": 1})
+
+
+# ---------------------------------------------------------------------------
+# The stacked kernel against its stack-of-one calls and the oracle
+
+NAMES = ("X", "Y", "Z")
+CELL_VALUES = (0.0, 0.0, 0.1, 0.5, 1.0, 2.0)
+
+
+def _cells(tensor):
+    return {idx: float(v) for idx, v in np.ndenumerate(tensor)}
+
+
+@st.composite
+def kernel_cases(draw):
+    n_vars = draw(st.integers(1, 3))
+    names = NAMES[:n_vars]
+    shape = tuple(draw(st.integers(2, 4)) for _ in names)
+    n = draw(st.integers(1, 4))
+    size = math.prod(shape)
+
+    def tensors(normalized):
+        out = []
+        for _ in range(n):
+            cells = np.array(draw(st.lists(st.sampled_from(CELL_VALUES), min_size=size,
+                                           max_size=size)), dtype=float)
+            if cells.sum() == 0:
+                cells[draw(st.integers(0, size - 1))] = 1.0
+            out.append((cells / cells.sum() if normalized else cells).reshape(shape))
+        return np.stack(out)
+
+    def outcome(name):
+        """None (untied), one index, or one index per element."""
+        kind = draw(st.sampled_from(["untied", "tied", "per_element"]))
+        k = shape[names.index(name)]
+        if kind == "untied":
+            return None
+        if kind == "tied":
+            return draw(st.integers(0, k - 1))
+        return np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+
+    order = list(draw(st.permutations(names)))
+    n_head = draw(st.integers(1, n_vars))
+    n_given = draw(st.integers(0, n_vars - n_head))
+    p_head = [(m, outcome(m)) for m in order[:n_head]]
+    p_given = [(m, outcome(m)) for m in order[n_head:n_head + n_given]]
+    p_side = {m for m, _ in p_head + p_given}
+
+    q_kind = draw(st.sampled_from(["entropy", "p_other_sides", "distribution", "weight"]))
+    q = None if q_kind in ("entropy", "p_other_sides") else tensors(q_kind == "distribution")
+    q_head = q_given = None
+    if q_kind != "entropy" and draw(st.booleans()):
+        q_order = list(draw(st.permutations(names)))
+        n_qh = draw(st.integers(1, n_vars))
+        n_qg = draw(st.integers(0, n_vars - n_qh))
+
+        def q_term(m):
+            # a q-only name must be tied
+            tie = outcome(m)
+            if tie is None and m not in p_side:
+                tie = draw(st.integers(0, shape[names.index(m)] - 1))
+            return (m, tie)
+
+        q_head = [q_term(m) for m in q_order[:n_qh]]
+        q_given = [q_term(m) for m in q_order[n_qh:n_qh + n_qg]]
+    return names, shape, tensors(True), q_kind, q, p_head, p_given, q_head, q_given
+
+
+def _at(terms, i):
+    if terms is None:
+        return None
+    return [(m, o[i] if isinstance(o, np.ndarray) else o) for m, o in terms]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kernel_cases())
+def test_stacked_kernel_matches_one_case_and_oracle(case):
+    names, shape, p, q_kind, q, p_head, p_given, q_head, q_given = case
+    variables = tuple(Variable(m, tuple(str(i) for i in range(k))) for m, k in zip(names, shape))
+    ps = qt.Stack(variables, p)
+    qs = ps if q is None else qt.Stack(variables, q, weight=q_kind == "weight")
+    values, undefined = qt._expected_ic_nats(ps, qs, p_head, p_given, q_head, q_given)
+    n = len(p)
+    values, undefined = np.broadcast_to(values, n), np.broadcast_to(undefined, n)
+    event(f"q: {q_kind}")
+    ties = [o for _, o in p_head + p_given + (q_head or []) + (q_given or []) if o is not None]
+    event(f"per-element ties: {any(isinstance(o, np.ndarray) for o in ties)}")
+    for i in range(n):
+        d = JointDistribution(variables, p[i])
+        if q is None:
+            qi = d
+        elif q_kind == "weight":
+            qi = UnnormalizedWeight(variables, q[i])
+        else:
+            qi = JointDistribution(variables, q[i])
+        head, cond = _at(p_head, i), _at(p_given, i)
+        try:
+            if q_kind == "entropy":
+                one = entropy(d, head, cond)
+            else:
+                one = cross_entropy(d, qi, head, cond, q_head=_at(q_head, i),
+                                    q_given=_at(q_given, i))
+        except ZeroProbabilityEvent:
+            one = ZeroProbabilityEvent
+        except SupportMismatch:
+            one = SupportMismatch
+        reference = oracle_cross_entropy(
+            list(names), list(shape), _cells(d.probs), _cells(q[i] if q is not None else d.probs),
+            head, cond, q_head=_at(q_head, i), q_given=_at(q_given, i))
+        event(f"outcome: {getattr(one, '__name__', 'value')}")
+        if one is ZeroProbabilityEvent:
+            assert undefined[i] == qt.ZERO_PROBABILITY
+            assert reference is None
+        elif one is SupportMismatch:
+            assert undefined[i] == qt.SUPPORT_MISMATCH
+            assert reference == math.inf
+        else:
+            assert undefined[i] == 0
+            assert values[i] == pytest.approx(one, abs=1e-12)
+            assert values[i] == pytest.approx(reference, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The stacked evaluator against one-case evaluation
+
+STACKED_EXPRESSIONS = [
+    "H[X,Y] - H[X] - H[Y|X]",
+    "I[x;y] - I[y;x]",
+    "E_{p(y)}[I[X;y]]",
+    "E_{p(x,y)}[I[x;y]]",
+    "H[y|X] - E_{p(x|y)}[H[x]]",
+    "E_{p(x)}[E_{p(y|x)}[H[x, y]]] + IC[0.5]",
+    "2 * KL[p(X|y) || q(X|y)] - CE[p(X) || q(X)]",
+    "E_{q(x)}[H[Y|x]]",
+    "H[X|y] >= 0.3",
+]
+
+
+@pytest.mark.parametrize("expression", STACKED_EXPRESSIONS)
+def test_stacked_evaluation_matches_one_case(expression):
+    rng = np.random.default_rng(5)
+    variables = (Variable("X", ("0", "1", "2")), Variable("Y", ("0", "1")))
+    n = 40
+    p = rng.exponential(1.0, size=(n, 3, 2)) * (rng.random((n, 3, 2)) < 0.7)
+    p[p.reshape(n, -1).sum(axis=1) == 0, 0, 0] = 1.0
+    p /= p.sum(axis=(1, 2), keepdims=True)
+    q = rng.exponential(1.0, size=(n, 3, 2)) * (rng.random((n, 3, 2)) < 0.8)
+    q[q.reshape(n, -1).sum(axis=1) == 0, 1, 1] = 1.0
+    q /= q.sum(axis=(1, 2), keepdims=True)
+    bindings = {"X": rng.integers(0, 3, n), "Y": rng.integers(0, 2, n)}
+    values, defined = evaluate_stack(expression, qt.Stack(variables, p),
+                                     qt.Stack(variables, q), bindings)
+    undefined = 0
+    for i in range(n):
+        try:
+            one = evaluate(expression, JointDistribution(variables, p[i]),
+                           q=JointDistribution(variables, q[i]),
+                           bindings={k: int(v[i]) for k, v in bindings.items()})
+        except (ZeroProbabilityEvent, SupportMismatch):
+            assert not defined[i]
+            undefined += 1
+            continue
+        assert defined[i]
+        assert values[i] == pytest.approx(one, abs=1e-12)
+    assert undefined < n
+
+
+@pytest.mark.parametrize("rng_seed", range(6))
+def test_an_error_after_the_verdict_is_not_raised(rng_seed):
+    # y=3 exists only when Y has 4 outcomes: a one-case-at-a-time search
+    # stops at a first draw that has it, and raises at one that lacks it
+    entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, expression="H[X|y=3] >= 5")
+    first = random_distribution(np.random.default_rng(rng_seed), ["X", "Y"])
+    if first.variable("Y").size == 4:
+        report = check_entry(entry, 20, np.random.default_rng(rng_seed))
+        assert (report.status, report.seeds_tried) == (Status.VIOLATED, 1)
+    else:
+        with pytest.raises(UnknownVariable):
+            check_entry(entry, 20, np.random.default_rng(rng_seed))
+
+
+# ---------------------------------------------------------------------------
+# Search observability
+
+
+def _scalar_count(expression, names, seeds, rng_seed):
+    """(evaluated, skipped) of an always entry, one case at a time in the
+    search's order: each random draw with its random binding of y, then
+    every binding of y on every zero-grid distribution."""
+    rng = np.random.default_rng(rng_seed)
+    cases = []
+    for _ in range(seeds):
+        d = random_distribution(rng, names)
+        cases.append((d, {"Y": int(rng.integers(d.variable("Y").size))}))
+    for d in grid_distributions(names, (0.0, 0.5, 1.0)):
+        cases += [(d, {"Y": y}) for y in (0, 1)]
+    skipped = 0
+    for d, b in cases:
+        try:
+            evaluate(expression, d, bindings=b)
+        except ZeroProbabilityEvent:
+            skipped += 1
+    return len(cases) - skipped, skipped
+
+
+class TestSearchObservability:
+    def test_counts_match_one_case_evaluation(self):
+        text = "H[X|y] <= H[X] + 1"
+        entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, expression=text)
+        report = check_entry(entry, 30, np.random.default_rng(4))
+        assert report.status is Status.HELD
+        assert report.seeds_tried == 30 + 80
+        evaluated, skipped = _scalar_count(text, ["X", "Y"], 30, 4)
+        assert (report.cases_evaluated, report.cases_skipped) == (evaluated, skipped)
+        assert skipped > 0
+
+    def test_worst_margin_of_an_always_entry(self):
+        entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, expression="H[X] >= H[X|Y]")
+        report = check_entry(entry, 20, np.random.default_rng(0))
+        assert report.passed
+        # equality holds on the independent grid points, so the worst case is ~0
+        assert -1e-9 < report.worst_margin <= 1e-9
+        violation = SuiteEntry("v", Expectation.EXISTS_VIOLATION, expression="I[X;y] >= 0")
+        assert check_entry(violation, 20, np.random.default_rng(0)).worst_margin is None
+
+    def test_counts_stop_at_the_witness(self):
+        entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, expression="H[X] == H[X|Y]")
+        report = check_entry(entry, 20, np.random.default_rng(0))
+        assert report.status is Status.VIOLATED
+        assert report.seeds_tried == 1
+        assert (report.cases_evaluated, report.cases_skipped) == (1, 0)
+        assert report.worst_margin == pytest.approx(report.gap, abs=1e-12)
+
+    @pytest.mark.parametrize("offset,status", [("2e-9", Status.VIOLATED), ("5e-10", Status.HELD)])
+    def test_margins_at_the_tolerance(self, offset, status):
+        # always entries fail on a margin above EQ_TOLERANCE = 1e-9, however small
+        entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, expression=f"H[X] + {offset} == H[X]")
+        report = check_entry(entry, 5, np.random.default_rng(0))
+        assert report.status is status
+        assert report.worst_margin == pytest.approx(float(offset), rel=1e-6)
+
+    def test_no_evaluated_case_fails(self):
+        for expect in Expectation:
+            entry = SuiteEntry("e", expect, expression="H[X] >= 0")
+            report = check_entry(entry, 0, np.random.default_rng(0))
+            assert report.status is Status.UNTESTED
+            assert report.cases_evaluated == 0
+            assert not report.passed
+            assert report.format_line().startswith("FAIL")
+
+    def test_report_fields(self):
+        reports = check_suite(default_suite(), seeds=5, rng_seed=0)
+        for r in reports:
+            doc = r.to_json_dict()
+            assert doc["cases_evaluated"] == r.cases_evaluated > 0
+            assert doc["cases_skipped"] == r.cases_skipped >= 0
+            if r.expect is Expectation.ALWAYS_TRUE:
+                assert isinstance(doc["worst_margin"], float)
+            else:
+                assert doc["worst_margin"] is None
+            assert f"{r.cases_evaluated} cases evaluated, {r.cases_skipped} skipped" in (
+                r.format_line())
+
+    def test_info_line_per_entry(self, caplog):
+        entry = SuiteEntry("logged", Expectation.ALWAYS_TRUE, expression="H[X] >= 0")
+        with caplog.at_level(logging.INFO, logger="discinfo.identities"):
+            check_entry(entry, 7, np.random.default_rng(0))
+        assert any("logged" in m and "7 cases evaluated, 0 skipped" in m
+                   for m in caplog.messages)
+
+
+# ---------------------------------------------------------------------------
+# CLI log level
+
+
+def test_cli_log_level_debug_keeps_stdout(tmp_path):
+    model = {
+        "hypotheses": ["A", "B"],
+        "prior": [0.5, 0.5],
+        "inputs": ["x0", "x1"],
+        "labels": ["0", "1"],
+        "likelihood": {
+            "A": {"x0": [0.5, 0.5], "x1": [0.9, 0.1]},
+            "B": {"x0": [0.5, 0.5], "x1": [0.2, 0.8]},
+        },
+    }
+    config = {
+        "model": model,
+        "pool": [["x0", "0"], ["x1", "1"], ["x1", "0"]],
+        "eval": [["x0", "0"], ["x1", "1"]],
+        "acquisition": "bald",
+        "steps": 2,
+        "seed": 0,
+    }
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def run(*flags):
+        return subprocess.run(
+            [sys.executable, "-m", "discinfo.cli", *flags, "sim", "--config", str(path)],
+            capture_output=True, text=True, env=env, check=True, timeout=120)
+
+    quiet, debug = run(), run("--log-level", "DEBUG")
+    assert quiet.stdout == debug.stdout
+    assert quiet.stderr == ""
+    assert "DEBUG" in debug.stderr and "step" in debug.stderr
