@@ -201,12 +201,6 @@ class UnnormalizedWeight:
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
-    def index_of(self, name: str) -> int:
-        for i, v in enumerate(self.variables):
-            if v.name == name:
-                return i
-        raise KeyError(f"no variable named {name!r}")
-
     def normalize(self) -> JointDistribution:
         return JointDistribution(self.variables, self.weights / self.z)
 
@@ -238,9 +232,6 @@ class Assignment:
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.bindings)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.bindings)
 
     def validate_against(self, d: JointDistribution) -> None:
         for name, idx in self.bindings:

@@ -30,12 +30,14 @@ Grammar (EBNF)::
     termlist   = termspec { "," termspec }
     termspec   = UPPER_IDENT | LOWER_IDENT [ "=" OUTCOME ]
 
+A NUMBER is a decimal literal that fits a float; ``1e400`` does not.
 Parsing is total: every malformed input raises :class:`ParseError` carrying
 the byte offset of the failure and the set of expected tokens.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -236,6 +238,19 @@ class _Parser:
             return tok.text
         self.fail(set(closers) | {","})
 
+    def number(self) -> float:
+        """The numeric literal here; one too large for a float is an error,
+        as it would not print back as written."""
+        tok = self.peek()
+        if tok.kind != "number":
+            self.fail({"NUMBER"})
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise ParseError(tok.offset, {"NUMBER"},
+                             f"numeric literal {tok.text!r} is out of range")
+        self.advance()
+        return value
+
     def accept_op(self, op: str) -> bool:
         tok = self.peek()
         if tok.kind == "op" and tok.text == op:
@@ -267,8 +282,7 @@ class _Parser:
     def parse_term(self):
         tok = self.peek()
         if tok.kind == "number":
-            self.advance()
-            value = float(tok.text)
+            value = self.number()
             if self.accept_op("*"):
                 return ScaledNode(value, self.parse_term())
             return ScalarNode(value)
@@ -327,12 +341,9 @@ class _Parser:
     def parse_ic(self):
         self.advance()  # IC
         self.expect_op("[")
-        tok = self.peek()
-        if tok.kind != "number":
-            self.fail({"NUMBER"})
-        self.advance()
+        value = self.number()
         self.expect_op("]")
-        return ICNode(float(tok.text))
+        return ICNode(value)
 
     def parse_expectation(self):
         tok = self.advance()  # E or E_

@@ -19,6 +19,10 @@ shape, each grid as one array, and every binding of the free tied
 outcomes as further stack elements.  The first case in draw order whose
 stacked margin crosses the threshold is re-evaluated on its own before it
 is reported, so reports do not depend on how the cases were stacked.
+
+The weight-algebra entries (scaled, powered, multiplied and mixed
+weights, which the notation cannot express) are rows of one table whose
+sides are written over stacks and evaluated by the same kernel.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import itertools
 import logging
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -40,12 +45,7 @@ from .dist import (
     NEQ_GAP,
     WITNESS_SEPARATION,
     JointDistribution,
-    UnnormalizedWeight,
     Variable,
-    mixture,
-    multiply,
-    power,
-    scale,
 )
 from .errors import (
     CounterexampleMismatch,
@@ -73,23 +73,34 @@ class Status(Enum):
 
 
 @dataclass(frozen=True)
-class CaseOutcome:
-    """One evaluated comparison: both sides and the violation margin."""
+class WeightRow:
+    """A comparison over weights that the notation cannot express.
 
-    lhs: float
-    rhs: float
-    margin: float  # > 0 means the comparison is violated by that much
+    One case draws ``dists`` floored distributions (at least one; the
+    first is the witness of a violation), then ``weights`` positive
+    weights, then (unless ``factor`` is None) a factor uniform on the
+    ``factor`` interval.  ``sides(ce, *drawn)`` returns the two sides
+    compared with ``op``; it is written once over stacks, so each drawn
+    tensor has a leading axis of cases, the factor has a unit axis per
+    variable to broadcast against them, and ``ce(p, q)`` is the
+    cross-entropy of p against q over all variables, shaped like the factor.
+    """
+
+    dists: int
+    weights: int
+    factor: tuple[float, float] | None
+    op: str
+    sides: Callable
 
 
 @dataclass(frozen=True)
 class SuiteEntry:
-    """A named comparison, either an expression or a programmatic check.
+    """A named comparison: an expression, or a :class:`WeightRow`.
 
     Expression entries are comparison expressions in the surface notation;
     bare lowercase identifiers are searched over all their outcomes.
-    Programmatic entries supply ``check(rng) -> (CaseOutcome, witness_dist)``
-    for comparisons the notation cannot express (mixtures, unnormalized
-    weights).
+    ``check`` entries are weight-algebra rows for the comparisons the
+    notation cannot express (mixtures, scaled and powered weights).
     """
 
     name: str
@@ -101,6 +112,8 @@ class SuiteEntry:
     def __post_init__(self):
         if (self.expression is None) == (self.check is None):
             raise ValueError("an entry needs exactly one of expression / check")
+        if self.check is not None and not isinstance(self.check, WeightRow):
+            raise TypeError("an entry's check must be a WeightRow")
         if self.expression is not None:
             node = ex.parse(self.expression)
             if not isinstance(node, ex.ComparisonNode):
@@ -117,12 +130,7 @@ class SuiteEntry:
 
     def variable_names(self) -> tuple[str, ...]:
         """Canonical distribution variable names for the identifiers used."""
-        seen = []
-        for ident in getattr(self, "_identifiers", ()):
-            canon = ident[0].upper() + ident[1:]
-            if canon not in seen:
-                seen.append(canon)
-        return tuple(seen)
+        return tuple(dict.fromkeys(map(_canonical, getattr(self, "_identifiers", ()))))
 
 
 @dataclass(frozen=True)
@@ -197,16 +205,20 @@ class SearchReport:
         }
 
 
-def _random_cells(rng, n_vars, support_range=(2, 4), floor=CELL_FLOOR) -> np.ndarray:
-    """The cells of :func:`random_distribution`, drawn in the same order."""
-    lo, hi = support_range
-    shape = tuple(int(rng.integers(lo, hi + 1)) for _ in range(n_vars))
+def _floored(rng, shape, floor=CELL_FLOOR) -> np.ndarray:
+    """Normalized exponentials of the given shape, floored per cell."""
     cells = rng.exponential(1.0, size=shape)
     cells /= cells.sum()
     if floor > 0:
         cells = np.maximum(cells, floor)
         cells /= cells.sum()
     return cells
+
+
+def _random_cells(rng, n_vars, support_range=(2, 4), floor=CELL_FLOOR) -> np.ndarray:
+    """The cells of :func:`random_distribution`, drawn in the same order."""
+    lo, hi = support_range
+    return _floored(rng, tuple(int(rng.integers(lo, hi + 1)) for _ in range(n_vars)), floor)
 
 
 def _variables(names, shape) -> tuple[Variable, ...]:
@@ -270,7 +282,7 @@ def _canonical(ident: str) -> str:
 
 def _search_op(entry) -> str:
     # a violation search for "a != b" hunts for the equality being broken
-    op = entry.node.op
+    op = entry.node.op if entry.check is None else entry.check.op
     if entry.expect is Expectation.EXISTS_VIOLATION and op == "!=":
         return "=="
     return op
@@ -280,7 +292,7 @@ def check_entry(entry: SuiteEntry, seeds: int, rng) -> SearchReport:
     """Run one entry: sample, walk the grids, and produce its report."""
     start = time.perf_counter()
     if entry.check is not None:
-        report = _check_programmatic(entry, seeds, rng)
+        report = _check_weights(entry, seeds, rng)
     else:
         report = _Search(entry, seeds).run(rng)
     logger.info("%s: %s, %d cases evaluated, %d skipped, %.3f s", entry.name,
@@ -412,9 +424,9 @@ class _Search:
         return None
 
     def confirm(self, block, i):
-        """Case ``i`` of ``block`` evaluated on its own, as (outcome,
-        witness), if it violates the entry (and, for a witness search,
-        still does after a JSON round trip); else None."""
+        """Case ``i`` of ``block`` evaluated on its own, as (lhs, rhs,
+        margin, witness), if it violates the entry (and, for a witness
+        search, still does after a JSON round trip); else None."""
         row = block.rows[i]
         d = JointDistribution(block.variables, block.p[row])
         q = None
@@ -426,13 +438,13 @@ class _Search:
             rhs = ex.evaluate(self.node.rhs, d, q=q, bindings=bindings)
         except (ZeroProbabilityEvent, SupportMismatch):
             return None
-        case = CaseOutcome(lhs, rhs, _margin(lhs, self.op, rhs))
-        if case.margin <= self.threshold:
+        margin = _margin(lhs, self.op, rhs)
+        if margin <= self.threshold:
             return None
         witness = _witness(d, q, bindings)
         if not self.always and not _reconfirm(self.entry, self.op, witness):
             return None
-        return case, witness
+        return lhs, rhs, margin, witness
 
     def report(self, status, tried, verdict=None, found=None) -> SearchReport:
         """The report, with the cases counted up to the verdict, the
@@ -450,24 +462,18 @@ class _Search:
             if self.always and defined.any():
                 margin = float(b.margin[defined].max())
                 worst = margin if worst is None else max(worst, margin)
-        if evaluated == 0:
-            status = Status.UNTESTED
-        lhs = rhs = gap = witness = None
-        if found is not None:
-            case, witness = found
-            lhs, rhs, gap = case.lhs, case.rhs, case.margin
-        return SearchReport(
-            self.entry.name, self.entry.expect, status, tried, lhs=lhs, rhs=rhs, gap=gap,
-            witness=witness, cases_evaluated=evaluated, cases_skipped=skipped,
-            worst_margin=worst,
-        )
+        return _report(self.entry, status, tried, evaluated, skipped, worst, found)
 
 
-def _floored(rng, shape, floor=CELL_FLOOR):
-    cells = rng.exponential(1.0, size=shape)
-    cells /= cells.sum()
-    cells = np.maximum(cells, floor)
-    return cells / cells.sum()
+def _report(entry, status, tried, evaluated, skipped, worst, found=None) -> SearchReport:
+    """The report of an entry; ``found`` is the reported case's (lhs, rhs,
+    margin, witness).  With no case evaluated the entry is UNTESTED."""
+    if evaluated == 0:
+        status = Status.UNTESTED
+    lhs, rhs, gap, witness = found or (None,) * 4
+    return SearchReport(entry.name, entry.expect, status, tried, lhs=lhs, rhs=rhs, gap=gap,
+                        witness=witness, cases_evaluated=evaluated, cases_skipped=skipped,
+                        worst_margin=worst)
 
 
 def _witness(d, q, bindings) -> dict:
@@ -490,26 +496,6 @@ def _reconfirm(entry, op, w) -> bool:
     return _margin(lhs, op, rhs) > NEQ_GAP
 
 
-def _check_programmatic(entry, seeds, rng) -> SearchReport:
-    always = entry.expect is Expectation.ALWAYS_TRUE
-    threshold = EQ_TOLERANCE if always else NEQ_GAP
-    tried, worst = 0, None
-    for tried in range(1, seeds + 1):
-        outcome, witness_dist = entry.check(rng)
-        if always:
-            worst = outcome.margin if worst is None else max(worst, outcome.margin)
-        if outcome.margin > threshold:
-            return SearchReport(
-                entry.name, entry.expect, Status.VIOLATED, tried,
-                lhs=outcome.lhs, rhs=outcome.rhs, gap=outcome.margin,
-                witness={"distribution": witness_dist.to_json_dict(), "bindings": {}},
-                cases_evaluated=tried, worst_margin=worst,
-            )
-    status = Status.HELD if tried else Status.UNTESTED
-    return SearchReport(entry.name, entry.expect, status, tried,
-                        cases_evaluated=tried, worst_margin=worst)
-
-
 def check_suite(suite: IdentitySuite, seeds: int = DEFAULT_SEEDS,
                 rng_seed: int = 0) -> list[SearchReport]:
     """Check every entry; reports come back in entry order and are fully
@@ -524,148 +510,91 @@ def check_suite(suite: IdentitySuite, seeds: int = DEFAULT_SEEDS,
 
 
 # ---------------------------------------------------------------------------
-# Programmatic entries: mixture / weight algebra the notation cannot express
+# Weight-algebra entries: the cross-entropy of unnormalized q under scaling,
+# powers, products and mixtures
 
 
-def _random_pair_shape(rng):
-    n_vars = int(rng.integers(1, 3))
-    names = ["X", "Y"][:n_vars]
-    variables = tuple(
-        Variable(n, tuple(str(i) for i in range(int(rng.integers(2, 5)))))
-        for n in names
-    )
-    return variables
+def _draw_case(rng, row) -> list:
+    """One case of a :class:`WeightRow`, drawn in this order: the variable
+    count and sizes, each distribution, each weight's cells and then its
+    scale, and the factor."""
+    drawn = [_random_cells(rng, int(rng.integers(1, 3)))]
+    shape = drawn[0].shape
+    drawn += [_floored(rng, shape) for _ in range(row.dists - 1)]
+    drawn += [(rng.exponential(1.0, size=shape) + CELL_FLOOR) * float(rng.uniform(0.2, 5.0))
+              for _ in range(row.weights)]
+    if row.factor is not None:
+        drawn.append(np.full((1,) * len(shape), float(rng.uniform(*row.factor))))
+    return drawn
 
 
-def _random_dist_for(rng, variables) -> JointDistribution:
-    shape = tuple(v.size for v in variables)
-    return JointDistribution(variables, _floored(rng, shape))
+def _check_weights(entry, seeds, rng) -> SearchReport:
+    """Draw every case of a :class:`WeightRow`, evaluate its sides once per
+    support shape, and report the first violating case in draw order."""
+    row = entry.check
+    draws = [_draw_case(rng, row) for _ in range(seeds)]
+    groups = {}
+    for i, drawn in enumerate(draws):
+        groups.setdefault(drawn[0].shape, []).append(i)
+    lhs, rhs, defined = np.empty(seeds), np.empty(seeds), np.empty(seeds, dtype=bool)
+    for shape, idx in groups.items():
+        variables = _variables(("X", "Y"), shape)
+        codes = []
+
+        def ce(p, q):
+            ps = qt.Stack(variables, p)
+            qs = ps if q is p else qt.Stack(variables, q)
+            values, undefined = qt._expected_ic_nats(ps, qs, ps.names, ())
+            codes.append(undefined)
+            return values.reshape(-1, *(1,) * len(shape))
+
+        left, right = row.sides(ce, *map(np.stack, zip(*(draws[i] for i in idx))))
+        lhs[idx], rhs[idx], defined[idx] = left.ravel(), right.ravel(), True
+        for undefined in codes:
+            defined[idx] &= undefined == 0
+    always = entry.expect is Expectation.ALWAYS_TRUE
+    margin = _margin(lhs, _search_op(entry), rhs)
+    bad = np.flatnonzero(defined & (margin > (EQ_TOLERANCE if always else NEQ_GAP)))
+    tried = int(bad[0]) + 1 if len(bad) else seeds
+    counted = defined[:tried]
+    worst = float(margin[:tried][counted].max()) if always and counted.any() else None
+    found = None
+    if len(bad):
+        i = bad[0]
+        d = JointDistribution(_variables(("X", "Y"), draws[i][0].shape), draws[i][0])
+        found = (float(lhs[i]), float(rhs[i]), float(margin[i]), _witness(d, None, {}))
+    return _report(entry, Status.VIOLATED if found else Status.HELD, tried,
+                   int(counted.sum()), int(tried - counted.sum()), worst, found)
 
 
-def _random_weight_for(rng, variables) -> UnnormalizedWeight:
-    shape = tuple(v.size for v in variables)
-    cells = rng.exponential(1.0, size=shape) + CELL_FLOOR
-    return UnnormalizedWeight(variables, cells * float(rng.uniform(0.2, 5.0)))
+def _mass(w):
+    """The total mass of each weight, shaped like a factor."""
+    return w.sum(axis=tuple(range(1, w.ndim)), keepdims=True)
 
 
-def _head_terms(variables):
-    return [v.name for v in variables]
+def _mix(a, p1, p2):
+    return a * p1 + (1.0 - a) * p2
 
 
-def _ce(p, q, heads):
-    return qt.cross_entropy(p, q, heads)
-
-
-def _make_ce_scale_check():
-    def check(rng):
-        variables = _random_pair_shape(rng)
-        p = _random_dist_for(rng, variables)
-        q = _random_weight_for(rng, variables)
-        alpha = float(rng.uniform(0.1, 3.0))
-        heads = _head_terms(variables)
-        lhs = _ce(p, scale(q, alpha), heads)
-        rhs = _ce(p, q, heads) + qt.information_content(alpha)
-        return CaseOutcome(lhs, rhs, abs(lhs - rhs)), p
-
-    return check
-
-
-def _make_ce_power_check():
-    def check(rng):
-        variables = _random_pair_shape(rng)
-        p = _random_dist_for(rng, variables)
-        q = _random_weight_for(rng, variables)
-        alpha = float(rng.uniform(0.2, 2.5))
-        heads = _head_terms(variables)
-        lhs = _ce(p, power(q, alpha), heads)
-        rhs = alpha * _ce(p, q, heads)
-        return CaseOutcome(lhs, rhs, abs(lhs - rhs)), p
-
-    return check
-
-
-def _make_ce_product_check():
-    def check(rng):
-        variables = _random_pair_shape(rng)
-        p = _random_dist_for(rng, variables)
-        q1 = _random_weight_for(rng, variables)
-        q2 = _random_weight_for(rng, variables)
-        heads = _head_terms(variables)
-        lhs = _ce(p, multiply(q1, q2), heads)
-        rhs = _ce(p, q1, heads) + _ce(p, q2, heads)
-        return CaseOutcome(lhs, rhs, abs(lhs - rhs)), p
-
-    return check
-
-
-def _make_ce_mixture_linear_check():
-    def check(rng):
-        variables = _random_pair_shape(rng)
-        p1 = _random_dist_for(rng, variables)
-        p2 = _random_dist_for(rng, variables)
-        q = _random_weight_for(rng, variables)
-        alpha = float(rng.uniform(0.0, 1.0))
-        heads = _head_terms(variables)
-        mixed = mixture(p1, p2, alpha)
-        lhs = _ce(mixed, q, heads)
-        rhs = alpha * _ce(p1, q, heads) + (1.0 - alpha) * _ce(p2, q, heads)
-        return CaseOutcome(lhs, rhs, abs(lhs - rhs)), mixed
-
-    return check
-
-
-def _make_ce_mixture_exponent_check():
-    def check(rng):
-        variables = _random_pair_shape(rng)
-        p1 = _random_dist_for(rng, variables)
-        p2 = _random_dist_for(rng, variables)
-        q = _random_weight_for(rng, variables)
-        alpha = float(rng.uniform(0.05, 0.95))
-        heads = _head_terms(variables)
-        lhs = _ce(mixture(p1, p2, alpha), q, heads)
-        rhs = _ce(p1, power(q, alpha), heads) + _ce(p2, power(q, 1.0 - alpha), heads)
-        return CaseOutcome(lhs, rhs, abs(lhs - rhs)), p1
-
-    return check
-
-
-def _make_ce_mass_bound_check():
-    def check(rng):
-        variables = _random_pair_shape(rng)
-        p = _random_dist_for(rng, variables)
-        q = _random_weight_for(rng, variables)
-        heads = _head_terms(variables)
-        lhs = _ce(p, q, heads)
-        rhs = qt.entropy(p, heads) + qt.information_content(q.z)
-        return CaseOutcome(lhs, rhs, _margin(lhs, ">=", rhs)), p
-
-    return check
-
-
-def _make_kl_mass_bound_check():
-    def check(rng):
-        variables = _random_pair_shape(rng)
-        p = _random_dist_for(rng, variables)
-        q = _random_weight_for(rng, variables)
-        heads = _head_terms(variables)
-        lhs = qt.kl_divergence(p, q, heads)
-        rhs = qt.information_content(q.z)
-        return CaseOutcome(lhs, rhs, _margin(lhs, ">=", rhs)), p
-
-    return check
-
-
-def _make_kl_mass_equality_check():
-    def check(rng):
-        variables = _random_pair_shape(rng)
-        p = _random_dist_for(rng, variables)
-        c = float(rng.uniform(0.25, 4.0))
-        heads = _head_terms(variables)
-        lhs = qt.kl_divergence(p, scale(p, c), heads)
-        rhs = qt.information_content(c)
-        return CaseOutcome(lhs, rhs, abs(lhs - rhs)), p
-
-    return check
+# name, distributions, weights, factor interval, operator, sides(ce, *drawn)
+_WEIGHT_ALGEBRA = [
+    ("ce_scaling_shifts_by_ic", 1, 1, (0.1, 3.0), "==",
+     lambda ce, p, q, a: (ce(p, q * a), ce(p, q) - np.log(a))),
+    ("ce_power_scales_linearly", 1, 1, (0.2, 2.5), "==",
+     lambda ce, p, q, a: (ce(p, q ** a), a * ce(p, q))),
+    ("ce_product_splits", 1, 2, None, "==",
+     lambda ce, p, q1, q2: (ce(p, q1 * q2), ce(p, q1) + ce(p, q2))),
+    ("ce_linear_in_left_mixture", 2, 1, (0.0, 1.0), "==",
+     lambda ce, p1, p2, q, a: (ce(_mix(a, p1, p2), q), _mix(a, ce(p1, q), ce(p2, q)))),
+    ("ce_mixture_exponent_form", 2, 1, (0.05, 0.95), "==",
+     lambda ce, p1, p2, q, a: (ce(_mix(a, p1, p2), q), ce(p1, q ** a) + ce(p2, q ** (1.0 - a)))),
+    ("ce_lower_bound_with_mass", 1, 1, None, ">=",
+     lambda ce, p, q: (ce(p, q), ce(p, p) - np.log(_mass(q)))),
+    ("kl_lower_bound_with_mass", 1, 1, None, ">=",
+     lambda ce, p, q: (ce(p, q) - ce(p, p), -np.log(_mass(q)))),
+    ("kl_mass_bound_equality_case", 1, 0, (0.25, 4.0), "==",
+     lambda ce, p, c: (ce(p, p * c) - ce(p, p), -np.log(c))),
+]
 
 
 _EXPRESSION_ALWAYS = [
@@ -709,18 +638,6 @@ _EXPRESSION_VIOLATIONS = [
     ("kl_left_structure_matters", "KL[p(X,Y) || q(X|Y)] != KL[p(X|Y) || q(X|Y)]"),
 ]
 
-_PROGRAMMATIC_ALWAYS = [
-    ("ce_scaling_shifts_by_ic", _make_ce_scale_check),
-    ("ce_power_scales_linearly", _make_ce_power_check),
-    ("ce_product_splits", _make_ce_product_check),
-    ("ce_linear_in_left_mixture", _make_ce_mixture_linear_check),
-    ("ce_mixture_exponent_form", _make_ce_mixture_exponent_check),
-    ("ce_lower_bound_with_mass", _make_ce_mass_bound_check),
-    ("kl_lower_bound_with_mass", _make_kl_mass_bound_check),
-    ("kl_mass_bound_equality_case", _make_kl_mass_equality_check),
-]
-
-
 def default_suite() -> IdentitySuite:
     """Every shipped identity plus the counterexample searches."""
     entries = [
@@ -728,8 +645,8 @@ def default_suite() -> IdentitySuite:
         for name, text in _EXPRESSION_ALWAYS
     ]
     entries += [
-        SuiteEntry(name, Expectation.ALWAYS_TRUE, check=make())
-        for name, make in _PROGRAMMATIC_ALWAYS
+        SuiteEntry(name, Expectation.ALWAYS_TRUE, check=WeightRow(*row))
+        for name, *row in _WEIGHT_ALGEBRA
     ]
     entries += [
         SuiteEntry(name, Expectation.EXISTS_VIOLATION, expression=text)

@@ -61,6 +61,13 @@ class TestEval:
         assert main(["eval", "--dist", coin_path, "H[X"]) == 2
         assert "offset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expression", ["IC[1e400]", "1e400 * H[X]", "H[X] == 1e999"])
+    def test_literal_too_large_is_usage_error(self, coin_path, capsys, expression):
+        assert main(["eval", "--dist", coin_path, expression]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out of range" in captured.err
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["eval", "--dist", missing, "H[X]"]) == 2

@@ -118,6 +118,22 @@ class TestParse:
     def test_ic_literal(self):
         assert parse("IC[0.5]") == ICNode(0.5)
 
+    @pytest.mark.parametrize("text,offset", [
+        ("IC[1e400]", 3),
+        ("1e400 * H[X]", 0),
+        ("H[X] == 1e999", 8),
+    ])
+    def test_literal_too_large_for_a_float(self, text, offset):
+        # it would read as inf, which does not print back as written
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == offset
+        assert "NUMBER" in err.value.expected
+
+    def test_large_finite_literal_round_trips(self):
+        node = parse("H[X] + 1e300")
+        assert parse(format_expression(node)) == node
+
     def test_whitespace_insensitive(self):
         assert parse("H[ X ,y=1|Z ]") == parse("H[X, y=1 | Z]")
 

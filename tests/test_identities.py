@@ -226,6 +226,13 @@ class TestGenerators:
             assert d.probs.min() >= 1e-3 / (1 + 1e-3 * d.probs.size) - 1e-12
             assert 2 <= d.variable("X").size <= 4
 
+    def test_random_distribution_without_floor_is_normalized_exponentials(self):
+        d = random_distribution(np.random.default_rng(3), ["X", "Y"], floor=0)
+        rng = np.random.default_rng(3)
+        shape = (int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+        cells = rng.exponential(1.0, size=shape)
+        assert np.array_equal(d.probs, cells / cells.sum())
+
     def test_grid_includes_zeros_and_skips_zero_sum(self):
         dists = list(grid_distributions(["X", "Y"], (0.0, 1.0)))
         assert len(dists) == 15  # 2^4 - 1 all-zero

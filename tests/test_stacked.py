@@ -5,6 +5,11 @@ one-case-at-a-time search that the batched one replaced: the default suite
 and a suite file, both at 25 random samples with ``rng_seed`` 7.  The
 batched search must reproduce their verdicts, sample counts and witnesses
 exactly, and their values to 1e-12.
+
+``data/golden_weight_algebra.json`` holds the full reports of the eight
+weight-algebra entries of the default suite, recorded from their
+one-case-at-a-time checks at 1, 25 and 500 random samples with ``rng_seed``
+0 and 7; the stacked rows must reproduce them the same way.
 """
 
 import json
@@ -37,12 +42,20 @@ from discinfo import (
     parse_suite_file,
 )
 from discinfo import quantities as qt
+from discinfo.dist import scale
 from discinfo.expr import evaluate_stack
-from discinfo.identities import Status, check_entry, grid_distributions, random_distribution
+from discinfo.identities import (
+    Status,
+    WeightRow,
+    check_entry,
+    grid_distributions,
+    random_distribution,
+)
 
 from oracle import oracle_cross_entropy
 
 DATA = Path(__file__).resolve().parent / "data" / "golden_search.json"
+WEIGHT_DATA = DATA.with_name("golden_weight_algebra.json")
 LN2 = math.log(2.0)
 
 
@@ -83,6 +96,105 @@ class TestGoldenReports:
         for name in ("L2: H[X] == H[X|Y]", "L3: I[X;Y] >= H[X]"):
             assert wanted[name]["status"] == "VIOLATED"
             assert wanted[name]["witness"]["distribution"]["probs"]
+
+
+class TestWeightAlgebraReports:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(WEIGHT_DATA.read_text(encoding="utf-8"))
+
+    def test_recorded_reports(self, golden):
+        entries = default_suite().entries
+        index = {e.name: i for i, e in enumerate(entries)}
+        assert [e.name for e in entries if e.check is not None] == golden["entries"]
+        assert len(golden["runs"]) == 6
+        for run in golden["runs"]:
+            for want in run["reports"]:
+                i = index[want["name"]]
+                rng = np.random.default_rng([run["rng_seed"], i])
+                got = check_entry(entries[i], run["seeds"], rng).to_json_dict()
+                _same_report(got, want)
+                for key in ("expect", "passed", "cases_evaluated", "cases_skipped"):
+                    assert got[key] == want[key]
+                assert got["worst_margin"] == pytest.approx(want["worst_margin"], abs=1e-12)
+
+
+def _replay_weight_cases(rng, seeds):
+    """The (p, q, a) of a one-distribution, one-weight row with a factor on
+    (0.1, 3.0), drawn one case at a time in the documented order."""
+    cases = []
+    for _ in range(seeds):
+        shape = tuple(int(rng.integers(2, 5)) for _ in range(int(rng.integers(1, 3))))
+        variables = tuple(Variable(n, [str(k) for k in range(s)]) for n, s in zip("XY", shape))
+        cells = rng.exponential(1.0, size=shape)
+        cells /= cells.sum()
+        cells = np.maximum(cells, 1e-3)
+        p = JointDistribution(variables, cells / cells.sum())
+        weights = rng.exponential(1.0, size=shape) + 1e-3
+        q = UnnormalizedWeight(variables, weights * float(rng.uniform(0.2, 5.0)))
+        cases.append((p, q, float(rng.uniform(0.1, 3.0))))
+    return cases
+
+
+class TestWeightRows:
+    @pytest.mark.parametrize("rng_seed", range(4))
+    @pytest.mark.parametrize("above", [0.0, 2.7])
+    def test_a_false_row_is_violated_at_its_first_violating_draw(self, rng_seed, above):
+        # scaling q by a shifts the cross-entropy by -log a (here only for
+        # a > above): the first draw where that is not ~0 fails
+        row = WeightRow(1, 1, (0.1, 3.0), "==",
+                        lambda ce, p, q, a: (ce(p, q * np.where(a > above, a, 1.0)), ce(p, q)))
+        entry = SuiteEntry("scaling_is_free", Expectation.ALWAYS_TRUE, check=row)
+        report = check_entry(entry, 40, np.random.default_rng(rng_seed))
+        cases = _replay_weight_cases(np.random.default_rng(rng_seed), 40)
+        first = next(i for i, (_, _, a) in enumerate(cases)
+                     if a > above and abs(math.log(a)) > 1e-9)
+        p, q, a = cases[first]
+        assert report.status is Status.VIOLATED and not report.passed
+        assert report.seeds_tried == report.cases_evaluated == first + 1
+        assert report.cases_skipped == 0
+        assert report.lhs == cross_entropy(p, scale(q, a), p.names)
+        assert report.rhs == cross_entropy(p, q, p.names)
+        assert report.gap == pytest.approx(abs(math.log(a)), abs=1e-12)
+        assert report.worst_margin == report.gap
+        witness = JointDistribution.from_json_dict(report.witness["distribution"])
+        assert witness.names == p.names
+        assert np.array_equal(witness.probs, p.probs)
+        assert report.witness["bindings"] == {}
+
+    def test_undefined_cases_are_skipped_and_counted(self):
+        # q * 0 is zero under p's mass: those cases have no cross-entropy
+        row = WeightRow(1, 1, (0.1, 3.0), "==",
+                        lambda ce, p, q, a: (ce(p, q * (a > 1)), ce(p, q * (a > 1))))
+        entry = SuiteEntry("masked", Expectation.ALWAYS_TRUE, check=row)
+        report = check_entry(entry, 40, np.random.default_rng(3))
+        masked = sum(a <= 1 for _, _, a in _replay_weight_cases(np.random.default_rng(3), 40))
+        assert report.status is Status.HELD
+        assert (report.cases_evaluated, report.cases_skipped) == (40 - masked, masked)
+        assert 0 < masked < 40
+        assert report.worst_margin == 0.0
+
+    def test_a_witness_search_over_a_row(self):
+        # as for expressions, "!=" hunts for a case where the equality breaks
+        row = WeightRow(1, 1, (0.1, 3.0), "!=", lambda ce, p, q, a: (ce(p, q * a), ce(p, q)))
+        entry = SuiteEntry("scaling_matters", Expectation.EXISTS_VIOLATION, check=row)
+        report = check_entry(entry, 40, np.random.default_rng(0))
+        a = _replay_weight_cases(np.random.default_rng(0), 1)[0][2]
+        assert report.passed and report.seeds_tried == 1
+        assert report.gap == pytest.approx(abs(math.log(a)), abs=1e-12)
+        assert report.worst_margin is None
+
+    def test_a_check_is_a_row(self):
+        with pytest.raises(TypeError):
+            SuiteEntry("e", Expectation.ALWAYS_TRUE, check=lambda rng: None)
+
+    def test_no_defined_case_is_untested(self):
+        row = WeightRow(1, 1, None, ">=", lambda ce, p, q: (ce(p, 0 * q), ce(p, p)))
+        entry = SuiteEntry("never", Expectation.ALWAYS_TRUE, check=row)
+        report = check_entry(entry, 10, np.random.default_rng(0))
+        assert report.status is Status.UNTESTED
+        assert (report.seeds_tried, report.cases_evaluated, report.cases_skipped) == (10, 0, 10)
+        assert report.worst_margin is None
 
 
 def _two_binary(cells):
