@@ -15,10 +15,10 @@ import logging
 import sys
 
 from . import identities, simulate, stirling
-from .dist import load_distribution
+from .dist import Assignment, load_distribution
 from .errors import CounterexampleMismatch, DiscinfoError
-from .expr import ParseError, evaluate
-from .quantities import LogBase, diagram
+from .expr import ParseError, diagram, evaluate
+from .quantities import LogBase
 
 
 def _base(args) -> LogBase:
@@ -43,8 +43,6 @@ def _cmd_eval(args) -> int:
     q = load_distribution(args.q) if args.q else None
     bindings = None
     if args.observe:
-        from .dist import Assignment
-
         bindings = Assignment.from_labels(d, _parse_observe(args.observe)).as_dict()
     value = evaluate(args.expression, d, q=q, bindings=bindings, base=_base(args))
     if isinstance(value, bool):
@@ -56,12 +54,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_diagram(args) -> int:
     d = load_distribution(args.dist)
-    observe = _parse_observe(args.observe)
-    if len(observe) != 1:
-        raise ValueError("--observe must bind exactly one variable")
-    from .dist import Assignment
-
-    a = Assignment.from_labels(d, observe)
+    a = Assignment.from_labels(d, _parse_observe(args.observe))
     table = diagram(d, a, base=_base(args))
     width = max(len(label) for label, _ in table.rows())
     for label, value in table.rows():

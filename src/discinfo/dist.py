@@ -315,22 +315,6 @@ def power(q, alpha: float) -> UnnormalizedWeight:
     return UnnormalizedWeight(q.variables, _tensor_of(q) ** float(alpha))
 
 
-def multiply(q1, q2) -> UnnormalizedWeight:
-    """Cell-wise product of two weights over the same variables."""
-    if q1.names != q2.names:
-        raise ValueError("cell-wise product requires identical variables")
-    return UnnormalizedWeight(q1.variables, _tensor_of(q1) * _tensor_of(q2))
-
-
-def mixture(d1: JointDistribution, d2: JointDistribution, alpha: float) -> JointDistribution:
-    """The convex combination ``alpha * d1 + (1 - alpha) * d2``."""
-    if d1.names != d2.names:
-        raise ValueError("mixture requires identical variables")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("mixture weight must lie in [0, 1]")
-    return JointDistribution(d1.variables, alpha * d1.probs + (1.0 - alpha) * d2.probs)
-
-
 def _tensor_of(obj) -> np.ndarray:
     if isinstance(obj, JointDistribution):
         return obj.probs

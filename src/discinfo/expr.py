@@ -50,6 +50,7 @@ from .dist import (
     ZERO_MASS,
     Assignment,
     JointDistribution,
+    _coerce_assignment,
 )
 from .errors import (
     DiscinfoError,
@@ -718,6 +719,76 @@ def evaluate_stack(expression, p, q=None, bindings=None, *, base: LogBase = LogB
             *(len(o) for o in env.values() if isinstance(o, np.ndarray)))
     values, undefined = _eval(node, _Scope(p, q, env, base, n))
     return np.broadcast_to(values, n), np.broadcast_to(undefined == 0, n)
+
+
+# The eight rows of a diagram: a DiagramTable field and its expression, with
+# {X} the untied X group, {x} the same names tied and {y} the observed one.
+_DIAGRAM_ROWS = (
+    ("joint", "H[{X},{y}]"),
+    ("outcome", "H[{y}]"),
+    ("marginal", "H[{X}]"),
+    ("gain", "I[{X};{y}]"),
+    ("surprise", "I[{y};{X}]"),
+    ("cond_head", "H[{X}|{y}]"),
+    ("cond_outcome", "H[{y}|{X}]"),
+    ("expected_marginal_ic", "E_{{p({x}|{y})}}[H[{x}]]"),
+)
+# a name the notation can write both untied and tied
+_WRITABLE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+@dataclass(frozen=True)
+class DiagramTable:
+    """The eight quantities relating X and an observed outcome Y=y, each the
+    value of its expression in ``labels``.
+
+    The additive structure: ``joint = cond_head + outcome``, ``joint =
+    cond_outcome + expected_marginal_ic``, ``gain = marginal - cond_head``,
+    ``surprise = outcome - cond_outcome = expected_marginal_ic - cond_head``.
+    """
+
+    labels: tuple[str, ...]  # one expression per row, in row order
+    joint: float
+    outcome: float
+    marginal: float
+    gain: float
+    surprise: float
+    cond_head: float
+    cond_outcome: float
+    expected_marginal_ic: float
+
+    def rows(self):
+        """The (expression, value) pairs, in row order."""
+        return [(label, getattr(self, field))
+                for label, (field, _) in zip(self.labels, _DIAGRAM_ROWS)]
+
+
+def diagram(d: JointDistribution, observed, *, base: LogBase = LogBase.NATS) -> DiagramTable:
+    """Evaluate the eight-quantity decomposition for one observed variable.
+
+    ``observed`` binds exactly one variable of ``d``; every other variable
+    forms the (joint) X group.  Each row is an expression over ``d`` with
+    the observed variable as a bare tied identifier, evaluated with that
+    binding.  A variable name that does not start with an ASCII letter or
+    holds a non-ASCII character, or two names equal up to case, cannot be
+    written so: :class:`UnknownVariable`.
+    """
+    obs = _coerce_assignment(observed)
+    if len(obs.bindings) != 1:
+        raise ValueError("diagram needs exactly one observed variable")
+    (y_name, y_idx), = obs.bindings
+    obs.validate_against(d)
+    unwritable = [n for n in d.names if not _WRITABLE_NAME.fullmatch(n)]
+    if unwritable:
+        raise UnknownVariable(f"the notation cannot write the variable name(s) {unwritable}: "
+                              f"a name must be an ASCII letter, then ASCII letters, digits or _")
+    xs = ",".join(n[0].upper() + n[1:] for n in d.names if n != y_name)
+    if not xs:
+        raise ValueError("diagram needs at least one unobserved variable")
+    labels = tuple(template.format(X=xs, x=xs.lower(), y=y_name.lower())
+                   for _, template in _DIAGRAM_ROWS)
+    scope = _Scope(qt.Stack.of(d), None, {y_name: y_idx}, base)
+    return DiagramTable(labels, *(qt.one_value(*_eval(parse(label), scope)) for label in labels))
 
 
 def children(node) -> tuple:

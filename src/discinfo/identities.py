@@ -738,39 +738,48 @@ def chaining_distribution() -> JointDistribution:
     return JointDistribution(variables, t)
 
 
-# golden values, in nats
-THREE_CELL_EXPECTED_MARGINAL_IC = math.log(1.5)
-THREE_CELL_MARGINAL_ENTROPY = math.log(3.0 * 2.0 ** (1.0 / 3.0) / 2.0)
-THREE_CELL_DECOMPOSITION_GAP = math.log(2.0) / 3.0
-CHAINING_POINTWISE_EXPECTATION = math.log(6.0 / 5.0)
-CHAINING_SURPRISE = math.log(2.0 * math.sqrt(3.0) * 5.0**0.25 / 5.0)
+# the expression whose value on its witness is each WitnessReport field
+_THREE_CELL_EXPRESSIONS = {
+    "three_cell_expected_marginal_ic": "E_{p(x|y=1)}[H[x]]",
+    "three_cell_marginal_entropy": "H[X]",
+    "three_cell_cond_outcome": "H[y=1|X]",
+    "three_cell_wrong_decomposition": "H[X,y=1] - H[X]",
+}
+_CHAINING_EXPRESSIONS = {
+    "chaining_pointwise_expectation": "E_{p(x|y1=1,y2=1)}[I[y1=1;x]]",
+    "chaining_surprise": "I[y1=1;X]",
+    "chaining_lhs": "I[y1=1,y2=1;X]",
+    "chaining_rhs": "I[y1=1;X] + I[y2=1;X|y1=1]",
+}
 
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Computed values for the two built-in reference counterexamples."""
+    """Computed values for the two built-in reference counterexamples, each
+    the value of an expression on the three-cell or the chaining witness."""
 
-    three_cell_expected_marginal_ic: float  # E_{p(x|y=1)} H[x]
-    three_cell_marginal_entropy: float  # H[X]
-    three_cell_cond_outcome: float  # H[y|X]
-    three_cell_wrong_decomposition: float  # H[X,y] - H[X]
-    chaining_pointwise_expectation: float  # E_{p(x|y1,y2)} I[y1; x]
-    chaining_surprise: float  # I[y1; X]
-    chaining_lhs: float  # I[y1,y2; X]
-    chaining_rhs: float  # I[y1; X] + I[y2; X | y1]
+    three_cell_expected_marginal_ic: float
+    three_cell_marginal_entropy: float
+    three_cell_cond_outcome: float
+    three_cell_wrong_decomposition: float
+    chaining_pointwise_expectation: float
+    chaining_surprise: float
+    chaining_lhs: float
+    chaining_rhs: float
 
     def golden_values(self):
-        """(label, computed, expected) triples checked against ``EQ_TOLERANCE``."""
+        """(label, computed, expected) triples checked against ``EQ_TOLERANCE``,
+        in nats; each label evaluates to its computed value on its witness."""
         return [
-            ("E_{p(x|y=1)}[H[x]]", self.three_cell_expected_marginal_ic,
-             THREE_CELL_EXPECTED_MARGINAL_IC),
-            ("H[X]", self.three_cell_marginal_entropy, THREE_CELL_MARGINAL_ENTROPY),
-            ("H[y|X] - (H[X,y] - H[X])",
+            ("E_{p(x|y=1)}[H[x]]", self.three_cell_expected_marginal_ic, math.log(1.5)),
+            ("H[X]", self.three_cell_marginal_entropy, math.log(3.0 * 2.0 ** (1.0 / 3.0) / 2.0)),
+            ("H[y=1|X] - H[X,y=1] + H[X]",
              self.three_cell_cond_outcome - self.three_cell_wrong_decomposition,
-             THREE_CELL_DECOMPOSITION_GAP),
+             math.log(2.0) / 3.0),
             ("E_{p(x|y1=1,y2=1)}[I[y1=1;x]]", self.chaining_pointwise_expectation,
-             CHAINING_POINTWISE_EXPECTATION),
-            ("I[y1=1;X]", self.chaining_surprise, CHAINING_SURPRISE),
+             math.log(6.0 / 5.0)),
+            ("I[y1=1;X]", self.chaining_surprise,
+             math.log(2.0 * math.sqrt(3.0) * 5.0**0.25 / 5.0)),
         ]
 
 
@@ -786,36 +795,14 @@ def verify_reference_witnesses(tolerance: float = EQ_TOLERANCE) -> WitnessReport
     """
     for order in (("X", "Y"), ("Y", "X")):  # value must not depend on axis order
         d3 = three_cell_distribution(order)
-        y = ("Y", 1)
-        report3 = {
-            "expected_marginal_ic": qt.expected_marginal_ic(d3, ["X"], {"Y": 1}),
-            "marginal_entropy": qt.entropy(d3, ["X"]),
-            "cond_outcome": qt.entropy(d3, [y], ["X"]),
-            "wrong": qt.entropy(d3, ["X", y]) - qt.entropy(d3, ["X"]),
-        }
+        values = {field: ex.evaluate(e, d3) for field, e in _THREE_CELL_EXPRESSIONS.items()}
         if order == ("X", "Y"):
-            base3 = report3
-        elif any(abs(report3[k] - base3[k]) > tolerance for k in report3):
+            base3 = values
+        elif any(abs(values[k] - base3[k]) > tolerance for k in values):
             raise CounterexampleMismatch("axis order changed the three-cell values")
-
     dc = chaining_distribution()
-    y1, y2 = ("Y1", 1), ("Y2", 1)
-    pointwise_expectation = ex.evaluate(
-        "E_{p(x | y1=1, y2=1)}[I[y1=1; x]]", dc
-    )
-    surprise_term = qt.mutual_info(dc, [[y1], ["X"]])
-    chaining_lhs = qt.mutual_info(dc, [[y1, y2], ["X"]])
-    chaining_rhs = surprise_term + qt.mutual_info(dc, [[y2], ["X"]], [y1])
-
     report = WitnessReport(
-        three_cell_expected_marginal_ic=base3["expected_marginal_ic"],
-        three_cell_marginal_entropy=base3["marginal_entropy"],
-        three_cell_cond_outcome=base3["cond_outcome"],
-        three_cell_wrong_decomposition=base3["wrong"],
-        chaining_pointwise_expectation=pointwise_expectation,
-        chaining_surprise=surprise_term,
-        chaining_lhs=chaining_lhs,
-        chaining_rhs=chaining_rhs,
+        **base3, **{field: ex.evaluate(e, dc) for field, e in _CHAINING_EXPRESSIONS.items()}
     )
 
     failures = [

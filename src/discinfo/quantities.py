@@ -37,11 +37,11 @@ from enum import Enum
 import numpy as np
 
 from .dist import (
-    Assignment,
     JointDistribution,
     UnnormalizedWeight,
     ZERO_CELL,
     ZERO_MASS,
+    _coerce_assignment,
     _tensor_of,
 )
 from .errors import (
@@ -429,134 +429,8 @@ def expected_marginal_ic(d: JointDistribution, x_names, observed, *,
                          base: LogBase = LogBase.NATS) -> float:
     """E over p(x | observed) of IC(p(x)): the marginal code length of the
     head group averaged under the conditioned distribution."""
-    obs = observed if isinstance(observed, Assignment) else Assignment(tuple(dict(observed).items()))
     x_terms = as_terms(x_names)
-    obs_terms = as_terms(obs.bindings)
+    obs_terms = as_terms(_coerce_assignment(observed).bindings)
     s = Stack.of(d)
     result = _expected_ic_nats(s, s, x_terms, obs_terms, q_head=x_terms, q_given=())
     return base.from_nats(one_value(*result, obs_terms))
-
-
-class QueryKind(Enum):
-    ENTROPY = "entropy"
-    CROSS_ENTROPY = "cross_entropy"
-    KL = "kl"
-    MUTUAL_INFO = "mutual_info"
-    TRIPLE_MI = "triple_mi"
-
-
-@dataclass(frozen=True)
-class Query:
-    """A declarative information query: term groups, conditioning, and kind.
-
-    ``head`` always holds groups of terms; entropy / cross-entropy / KL
-    queries use exactly one group, mutual information two or more, triple
-    mutual information exactly three.
-    """
-
-    kind: QueryKind
-    head: tuple[tuple[Term, ...], ...]
-    given: tuple[Term, ...] = ()
-
-    def __post_init__(self):
-        head = tuple(as_terms(g) for g in self.head)
-        given = as_terms(self.given)
-        if not head or any(not g for g in head):
-            raise ValueError("head groups must be non-empty")
-        names = [t.name for g in head for t in g] + [t.name for t in given]
-        if len(set(names)) != len(names):
-            raise ValueError("a variable may appear only once across head and given")
-        if self.kind in (QueryKind.ENTROPY, QueryKind.CROSS_ENTROPY, QueryKind.KL):
-            if len(head) != 1:
-                raise ValueError(f"{self.kind.value} takes exactly one head group")
-        elif self.kind is QueryKind.MUTUAL_INFO and len(head) < 2:
-            raise ValueError("mutual information needs at least two groups")
-        elif self.kind is QueryKind.TRIPLE_MI and len(head) != 3:
-            raise ValueError("triple mutual information needs exactly three groups")
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "given", given)
-
-
-def evaluate_query(d: JointDistribution, query: Query, q=None, *,
-                   base: LogBase = LogBase.NATS) -> float:
-    """Evaluate a :class:`Query` against a distribution (and optional q)."""
-    if query.kind is QueryKind.ENTROPY:
-        return entropy(d, query.head[0], query.given, base=base)
-    if query.kind is QueryKind.CROSS_ENTROPY:
-        if q is None:
-            raise ValueError("cross-entropy query needs a second distribution")
-        return cross_entropy(d, q, query.head[0], query.given, base=base)
-    if query.kind is QueryKind.KL:
-        if q is None:
-            raise ValueError("KL query needs a second distribution")
-        return kl_divergence(d, q, query.head[0], query.given, base=base)
-    if query.kind is QueryKind.TRIPLE_MI:
-        return triple_mi(d, query.head, query.given, base=base)
-    return mutual_info(d, query.head, query.given, base=base)
-
-
-@dataclass(frozen=True)
-class DiagramTable:
-    """The eight quantities relating X and an observed outcome Y=y.
-
-    The additive structure: ``joint = cond_head + outcome``, ``joint =
-    cond_outcome + expected_marginal_ic``, ``gain = marginal - cond_head``,
-    ``surprise = outcome - cond_outcome = expected_marginal_ic - cond_head``.
-    """
-
-    x_names: tuple[str, ...]
-    observed_name: str
-    observed_index: int
-    joint: float  # H[X, y]
-    outcome: float  # H[y]
-    marginal: float  # H[X]
-    gain: float  # I[X; y]
-    surprise: float  # I[y; X]
-    cond_head: float  # H[X | y]
-    cond_outcome: float  # H[y | X]
-    expected_marginal_ic: float  # E_{p(x|y)} H[x]
-
-    def rows(self):
-        xs = ",".join(self.x_names)
-        y = self.observed_name.lower()
-        return [
-            (f"H[{xs},{y}]", self.joint),
-            (f"H[{y}]", self.outcome),
-            (f"H[{xs}]", self.marginal),
-            (f"I[{xs};{y}]", self.gain),
-            (f"I[{y};{xs}]", self.surprise),
-            (f"H[{xs}|{y}]", self.cond_head),
-            (f"H[{y}|{xs}]", self.cond_outcome),
-            (f"E_{{p({xs.lower()}|{y})}}[H[{xs.lower()}]]", self.expected_marginal_ic),
-        ]
-
-
-def diagram(d: JointDistribution, observed, *, base: LogBase = LogBase.NATS) -> DiagramTable:
-    """Compute the eight-quantity decomposition for one observed variable.
-
-    ``observed`` binds exactly one variable of ``d``; every other variable
-    forms the (joint) X group.
-    """
-    obs = observed if isinstance(observed, Assignment) else Assignment(tuple(dict(observed).items()))
-    if len(obs.bindings) != 1:
-        raise ValueError("diagram needs exactly one observed variable")
-    (y_name, y_idx), = obs.bindings
-    obs.validate_against(d)
-    x_names = tuple(n for n in d.names if n != y_name)
-    if not x_names:
-        raise ValueError("diagram needs at least one unobserved variable")
-    y = (y_name, y_idx)
-    xs = list(x_names)
-    return DiagramTable(
-        x_names=x_names,
-        observed_name=y_name,
-        observed_index=y_idx,
-        joint=entropy(d, xs + [y], base=base),
-        outcome=entropy(d, [y], base=base),
-        marginal=entropy(d, xs, base=base),
-        gain=mutual_info(d, [xs, [y]], base=base),
-        surprise=mutual_info(d, [[y], xs], base=base),
-        cond_head=entropy(d, xs, [y], base=base),
-        cond_outcome=entropy(d, [y], xs, base=base),
-        expected_marginal_ic=expected_marginal_ic(d, xs, {y_name: y_idx}, base=base),
-    )

@@ -91,6 +91,35 @@ class TestDiagram:
         assert len(lines) == 8
         assert any(line.startswith("H[X,y]") for line in lines)
 
+    @pytest.mark.parametrize("names", [("a", "b"), ("X", "Y1", "Yy")])
+    def test_each_row_evaluates_to_its_value(self, tmp_path, capsys, names):
+        rng = np.random.default_rng(3)
+        variables = tuple(Variable(n, ("0", "1", "2")) for n in names)
+        cells = rng.exponential(1.0, size=(3,) * len(names))
+        path = str(tmp_path / "d.json")
+        dump_distribution(JointDistribution(variables, cells / cells.sum()), path)
+        for y in names:
+            for outcome in ("0", "1", "2"):
+                observe = f"{y}={outcome}"
+                assert main(["diagram", "--dist", path, "--observe", observe]) == 0
+                lines = capsys.readouterr().out.strip().splitlines()
+                assert len(lines) == 8
+                for line in lines:
+                    label, value = line.rsplit(None, 1)
+                    assert main(["eval", "--dist", path, "--observe", observe, label]) == 0
+                    assert capsys.readouterr().out.strip() == value
+
+    @pytest.mark.parametrize("names,observe", [
+        (("X", "_y"), "_y=1"), (("A", "a"), "a=1"), (("X", "Y"), "X=0,Y=1"), (("X", "Y"), ""),
+    ])
+    def test_unprintable_table_is_usage_error(self, tmp_path, capsys, names, observe):
+        variables = tuple(Variable(n, ("0", "1")) for n in names)
+        path = str(tmp_path / "d.json")
+        dump_distribution(JointDistribution(variables, np.full((2, 2), 0.25)), path)
+        assert main(["diagram", "--dist", path, "--observe", observe]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
 
 class TestVerifyPaper:
     def test_exit_zero_and_golden_values(self, capsys):

@@ -74,6 +74,14 @@ class TestReferenceWitnesses:
             math.log(2 * math.sqrt(3) * 5**0.25 / 5), abs=1e-12
         )
 
+    def test_golden_labels_evaluate_to_their_values(self):
+        rows = verify_reference_witnesses().golden_values()
+        witnesses = [three_cell_distribution()] * 3 + [chaining_distribution()] * 2
+        assert len(rows) == len(witnesses)
+        for (label, got, _), d in zip(rows, witnesses):
+            parse(label)
+            assert evaluate(label, d) == pytest.approx(got, abs=1e-12)
+
     def test_mismatch_raises(self):
         with pytest.raises(CounterexampleMismatch):
             verify_reference_witnesses(tolerance=1e-30)

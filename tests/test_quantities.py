@@ -7,16 +7,15 @@ from discinfo import (
     JointDistribution,
     LogBase,
     NonPositiveProbability,
-    Query,
-    QueryKind,
     SupportMismatch,
+    UnknownVariable,
     UnnormalizedWeight,
     Variable,
     ZeroProbabilityEvent,
     cross_entropy,
     diagram,
     entropy,
-    evaluate_query,
+    evaluate,
     expected_marginal_ic,
     information_content,
     kl_divergence,
@@ -307,20 +306,41 @@ class TestDiagram:
         rows = diagram(three_cell_distribution(), {"Y": 1}).rows()
         assert len(rows) == 8
 
+    @pytest.mark.parametrize("names", [
+        ("a", "b"), ("X", "Y1", "Yy"), ("Yy", "b", "C1", "d"), ("A", "b", "Cc", "dD", "E_2"),
+    ])
+    def test_rows_are_the_expressions_they_print(self, names):
+        rng = np.random.default_rng(len(names))
+        variables = tuple(
+            Variable(n, tuple(str(k) for k in range(rng.integers(2, 4)))) for n in names
+        )
+        cells = rng.exponential(1.0, size=tuple(v.size for v in variables))
+        d = JointDistribution(variables, cells / cells.sum())
+        for y in names:
+            xs = [n for n in names if n != y]
+            for yi in range(d.variable(y).size):
+                t = diagram(d, {y: yi})
+                for label, value in t.rows():
+                    assert evaluate(label, d, bindings={y: yi}) == pytest.approx(value, abs=1e-12)
+                obs = [(y, yi)]
+                direct = [
+                    entropy(d, xs + obs), entropy(d, obs), entropy(d, xs),
+                    mutual_info(d, [xs, obs]), mutual_info(d, [obs, xs]),
+                    entropy(d, xs, obs), entropy(d, obs, xs),
+                    expected_marginal_ic(d, xs, {y: yi}),
+                ]
+                assert [v for _, v in t.rows()] == pytest.approx(direct, abs=1e-12)
 
-class TestQuery:
-    def test_entropy_query(self):
-        q = Query(QueryKind.ENTROPY, (( "X", ),), (("Y", 1),))
-        d = three_cell_distribution()
-        assert evaluate_query(d, q) == pytest.approx(entropy(d, ["X"], [("Y", 1)]))
-
-    def test_mi_needs_two_groups(self):
-        with pytest.raises(ValueError):
-            Query(QueryKind.MUTUAL_INFO, (("X",),))
-
-    def test_variable_unique_across_head_and_given(self):
-        with pytest.raises(ValueError):
-            Query(QueryKind.ENTROPY, (("X",),), (("X", 0),))
+    @pytest.mark.parametrize("names,observed", [
+        (("X", "_y"), "_y"), (("_x", "Y"), "Y"), (("\u00c9", "Y"), "Y"),
+        (("A", "a", "B"), "B"), (("A", "a"), "a"),
+    ])
+    def test_names_the_notation_cannot_write(self, names, observed):
+        d = JointDistribution(
+            tuple(Variable(n, ("0", "1")) for n in names), np.full((2,) * len(names), 0.5 ** len(names))
+        )
+        with pytest.raises(UnknownVariable):
+            diagram(d, {observed: 1})
 
 
 class TestAgainstOracle:
