@@ -33,8 +33,9 @@ from .quantities import plogq
 MAX_HYPOTHESES = 10_000
 MAX_LABEL_CONFIGS = 10**6
 MAX_BATCH = 6
-# cells in one temporary of the whole-pool scores (512 KiB of float64), so
-# scoring a pool never holds a second array the size of the likelihood table
+# cells in one temporary of the whole-pool scores and of the label-entropy
+# table (512 KiB of float64), so neither holds a second array the size of the
+# likelihood table (a block still holds at least one whole row)
 _BLOCK_CELLS = 1 << 16
 
 
@@ -292,8 +293,8 @@ def _label_entropy(lik: np.ndarray) -> np.ndarray:
     return entropy
 
 
-def _block(cells_per_column: int) -> int:
-    return max(1, _BLOCK_CELLS // cells_per_column)
+def _block(cells_per_slice: int) -> int:
+    return max(1, _BLOCK_CELLS // cells_per_slice)
 
 
 def label_entropy_table(model: BayesModel) -> np.ndarray:
@@ -302,15 +303,15 @@ def label_entropy_table(model: BayesModel) -> np.ndarray:
 
     This is the posterior-independent half of every BALD score, so a
     simulation builds it once and reuses it at every step.  It is built a
-    block of inputs at a time, so no temporary as large as the likelihood
-    table is held.
+    block of hypotheses at a time, each block one contiguous run of the
+    likelihood table, so no temporary as large as that table is held.
     """
     lik = model.likelihood
     n_omega, n_x, n_y = lik.shape
     table = np.empty((n_omega, n_x))
-    step = _block(n_omega * n_y)
-    for start in range(0, n_x, step):
-        table[:, start:start + step] = _label_entropy(lik[:, start:start + step])
+    step = _block(n_x * n_y)
+    for start in range(0, n_omega, step):
+        table[start:start + step] = _label_entropy(lik[start:start + step])
     return table
 
 

@@ -105,6 +105,13 @@ def _plogq(p: np.ndarray, q=None):
     """The terms of :func:`plogq`, and the mask of the cells where q is not
     positive under p's mass (None when there is no such cell); those cells'
     terms are 0."""
+    if np.minimum.reduce(p, axis=None, initial=np.inf) > ZERO_CELL:  # no 0 * log 0 cell
+        if q is None:
+            out = np.log(p)
+            out *= p
+            return out, None
+        if np.minimum.reduce(q, axis=None, initial=np.inf) > 0:  # a NaN fails too
+            return np.log(q) * p, None
     out = np.where(p > ZERO_CELL, p if q is None else q, 1.0)
     bad = None
     if q is not None:

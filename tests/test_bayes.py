@@ -8,8 +8,10 @@ from discinfo import (
     BayesModel,
     DiscinfoError,
     InvalidIndex,
+    JointDistribution,
     LatentVarModel,
     SupportMismatch,
+    Variable,
     ZeroEvidence,
     ZeroProbabilityEvent,
     bald,
@@ -18,6 +20,7 @@ from discinfo import (
     csd_decomposition,
     elbo_vae,
     elbo_vi,
+    entropy,
     joint_label_hypothesis,
     log_evidence,
     mutual_info,
@@ -27,6 +30,7 @@ from discinfo import (
     update,
 )
 from discinfo.bayes import (
+    _BLOCK_CELLS,
     Dataset,
     LabelConfigs,
     Posterior,
@@ -37,6 +41,7 @@ from discinfo.bayes import (
     label_entropy_table,
     load_model,
 )
+from discinfo.dist import ZERO_CELL
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -715,3 +720,63 @@ class TestWholePoolScores:
             for xi, yi in data.pairs:
                 expected += full[:, xi, yi]
             np.testing.assert_array_equal(_log_likelihood_sum(m, data), expected)
+
+
+def input_blocked_table(lik):
+    """The label-entropy table built a block of inputs at a time, with the
+    0 * log 0 mask on every cell: the reference the hypothesis-blocked
+    build must match bit for bit."""
+    n_omega, n_x, n_y = lik.shape
+    table = np.empty((n_omega, n_x))
+    step = max(1, _BLOCK_CELLS // (n_omega * n_y))
+    for start in range(0, n_x, step):
+        block = lik[:, start:start + step]
+        terms = np.where(block > ZERO_CELL, block, 1.0)
+        np.log(terms, out=terms)
+        terms *= block
+        h = -terms[..., 0]
+        for y in range(1, n_y):
+            h -= terms[..., y]
+        table[:, start:start + step] = h
+    return table
+
+
+class TestLabelEntropyTable:
+    """The table is H[Y | x, omega] cell by cell, whatever its blocking."""
+
+    @staticmethod
+    def model_with_zeros(rng, n_omega, n_x, n_y=3):
+        lik = rng.dirichlet(np.ones(n_y), size=(n_omega, n_x))
+        # exact zeros in the first half of the hypotheses only, so blocks
+        # with and without a zero cell both occur
+        zeros = rng.random(lik.shape) < 0.2
+        zeros[n_omega // 2:] = False
+        lik[zeros] = 0.0
+        lik[lik.sum(axis=-1) == 0, 0] = 1.0
+        lik /= lik.sum(axis=-1, keepdims=True)
+        return BayesModel(
+            hypotheses=tuple(f"w{i}" for i in range(n_omega)),
+            prior=np.full(n_omega, 1.0 / n_omega),
+            inputs=tuple(f"x{i}" for i in range(n_x)),
+            labels=tuple(f"y{i}" for i in range(n_y)),
+            likelihood=lik,
+        )
+
+    @pytest.mark.parametrize("n_omega, n_x", [
+        (4, 5),
+        (50, 1000),  # blocks of 21 hypotheses, the last one ragged
+        (3, _BLOCK_CELLS // 3 + 1),  # n_x * n_y > _BLOCK_CELLS: one row per block
+    ])
+    def test_equals_input_blocked_build_and_per_cell_entropy(self, n_omega, n_x):
+        rng = np.random.default_rng(n_omega * 7919 + n_x)
+        m = self.model_with_zeros(rng, n_omega, n_x)
+        lik = m.likelihood
+        assert (lik[0] == 0).any() and (lik[-1] > 0).all()
+        table = label_entropy_table(m)
+        assert table.shape == (n_omega, n_x)
+        assert np.array_equal(table, input_blocked_table(lik))
+        omegas = rng.integers(n_omega, size=60)
+        xs = rng.integers(n_x, size=60)
+        for w, x in zip(omegas, xs):
+            row = JointDistribution((Variable("Y", m.labels),), lik[w, x])
+            assert table[w, x] == pytest.approx(entropy(row, ["Y"]), abs=1e-12)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from discinfo import (
     JointDistribution,
@@ -28,6 +30,8 @@ from discinfo import (
     triple_mi,
 )
 
+from discinfo.dist import ZERO_CELL
+from discinfo.quantities import _plogq, plogq
 from oracle import dist_to_cells, oracle_cross_entropy, oracle_entropy, oracle_mutual_info
 
 LN2 = math.log(2.0)
@@ -472,3 +476,77 @@ class TestAgainstOracle:
             )
             got = cross_entropy(d, w, [names[0]])
             assert got == pytest.approx(expected, abs=1e-10)
+
+
+def masked_plogq(p, q=None):
+    """The kernel's masked branch as it runs whatever the cells hold: the
+    reference the mask-free branch must match bit for bit."""
+    out = np.where(p > ZERO_CELL, p if q is None else q, 1.0)
+    bad = None
+    if q is not None:
+        ok = out > 0
+        if not ok.all():
+            bad = ~ok
+            out[bad] = 1.0
+    np.log(out, out=out)
+    out *= p
+    return out, bad
+
+
+# ZERO_CELL itself is a zero, so a tensor holding it takes the masked branch
+P_CELLS = st.sampled_from([0.0, ZERO_CELL, 2 * ZERO_CELL, 1e-9, 0.1, 0.25, 0.5, 1.0, 3.0])
+Q_CELLS = st.sampled_from([0.0, np.nan, np.inf, -0.5, 1e-300, 1e-9, 0.2, 0.5, 1.0, 7.0])
+
+
+@st.composite
+def kernel_inputs(draw):
+    """p of 0 to 3 axes (empty axes included), and q None or a tensor that
+    broadcasts against p through unit axes, as q_marginal returns it."""
+    shape = tuple(draw(st.lists(st.integers(0, 4), max_size=3)))
+    size = int(np.prod(shape))
+    positive = draw(st.booleans())
+    cells = P_CELLS.filter(lambda c: c > ZERO_CELL) if positive else P_CELLS
+    p = np.array(draw(st.lists(cells, min_size=size, max_size=size)), dtype=float).reshape(shape)
+    if draw(st.booleans()):
+        return p, None
+    q_shape = tuple(draw(st.sampled_from([n, 1])) for n in shape)
+    q_size = int(np.prod(q_shape))
+    q_cells = Q_CELLS.filter(lambda c: c > 0) if draw(st.booleans()) else Q_CELLS
+    q = np.array(draw(st.lists(q_cells, min_size=q_size, max_size=q_size)),
+                 dtype=float).reshape(q_shape)
+    return p, q
+
+
+class TestKernelBranches:
+    """plogq skips the 0 * log 0 mask when no cell needs it; both branches
+    give the same terms, the same mismatch mask and the same errors."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(kernel_inputs())
+    # a cell exactly at ZERO_CELL is a zero, whatever q holds there
+    @example((np.array([[0.5, ZERO_CELL], [0.25, 0.25]]), None))
+    @example((np.array([[0.5, ZERO_CELL], [0.25, 0.25]]), np.array([[0.5, np.nan], [1.0, 1.0]])))
+    # q through a unit axis, with 0, NaN, inf and a negative under p's mass
+    @example((np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([[0.5], [0.0]])))
+    @example((np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([[np.nan], [1.0]])))
+    @example((np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([[np.inf, 1.0]])))
+    @example((np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([[-1.0, 1.0]])))
+    # empty and 0-d inputs
+    @example((np.empty(0), None))
+    @example((np.empty((0, 3)), np.zeros((1, 3))))
+    @example((np.array(0.5), None))
+    @example((np.array(0.5), np.array(0.0)))
+    @example((np.array(0.0), np.array(np.nan)))
+    def test_mask_free_branch_equals_masked_branch(self, case):
+        p, q = case
+        expected, expected_bad = masked_plogq(p, q)
+        out, bad = _plogq(p, q)
+        assert np.shape(out) == expected.shape
+        assert np.array_equal(out, expected, equal_nan=True)
+        assert (bad is None) == (expected_bad is None)
+        if bad is not None:
+            assert np.array_equal(bad, expected_bad)
+            with pytest.raises(SupportMismatch):
+                plogq(p, q)
+        else:
+            assert np.array_equal(plogq(p, q), expected, equal_nan=True)
