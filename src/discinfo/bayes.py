@@ -33,7 +33,7 @@ from .quantities import plogq
 MAX_HYPOTHESES = 10_000
 MAX_LABEL_CONFIGS = 10**6
 MAX_BATCH = 6
-# cells in one temporary of the whole-pool scores and of the label-entropy
+# cells in one temporary of the joint BALD scores and of the label-entropy
 # table (512 KiB of float64), so neither holds a second array the size of the
 # likelihood table (a block still holds at least one whole row)
 _BLOCK_CELLS = 1 << 16
@@ -373,40 +373,66 @@ def bald_scores(model: BayesModel, post: Posterior, table: np.ndarray,
     return _joint_bald(post.probs, model.likelihood, table, prefix)
 
 
-def csd_scores(model: BayesModel, post: Posterior, xs, ys, given=()) -> np.ndarray:
-    """The realized information gain H[Omega] - H[Omega | y, x] of every
-    labelled candidate (xs[i], ys[i]), shape (len(xs),); -inf where the
-    label's predictive probability is at most ``ZERO_MASS``.
+def _xlogx(v: np.ndarray) -> np.ndarray:
+    """v log v elementwise, 0 only at exact zeros: unlike :func:`plogq`, no
+    cell up to ``ZERO_CELL`` is dropped, because reweighting by a candidate of
+    small predictive probability can lift such a cell to real mass."""
+    out = np.maximum(v, np.nextafter(0.0, 1.0))  # a positive cell stays as it is
+    np.log(out, out=out)
+    out *= v
+    return out
 
-    With ``given`` labelled pairs the gain is H[Omega] - H[Omega | given,
-    y, x], the joint gain of the pairs followed by the candidate.  The
-    candidates are scored a block at a time, so no temporary of shape
-    (n_omega, len(xs)) is held whole.
-    """
+
+@dataclass(frozen=True, eq=False)
+class CsdTable:
+    """The likelihood columns p(y | x, omega) of labelled candidates and
+    their terms p log p, each of shape (n_omega, n): the
+    posterior-independent half of every csd score."""
+
+    lik: np.ndarray
+    plogp: np.ndarray
+
+
+def csd_table(model: BayesModel, xs, ys) -> CsdTable:
+    """The :class:`CsdTable` of the labelled candidates (xs[i], ys[i]); a
+    simulation builds it once over its pool and reuses it at every step."""
     xs = _resolve_all(model.inputs, xs, "input")
     ys = _resolve_all(model.labels, ys, "label")
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
+    cells = model.likelihood.reshape(model.n_hypotheses, -1)
+    lik = np.take(cells, xs * model.n_labels + ys, axis=1)
+    plogp = _xlogx(lik)
+    lik.setflags(write=False)
+    plogp.setflags(write=False)
+    return CsdTable(lik, plogp)
+
+
+def csd_scores(model: BayesModel, post: Posterior, table: CsdTable, given=()) -> np.ndarray:
+    """The realized information gain H[Omega] - H[Omega | y, x] of every
+    candidate of ``table`` (:func:`csd_table`), shape (n,); -inf where the
+    label's predictive probability is at most ``ZERO_MASS``.
+
+    With ``given`` labelled pairs the gain is H[Omega] - H[Omega | given,
+    y, x], the joint gain of the pairs followed by the candidate.  By Bayes'
+    rule h(omega | y, x) = h(omega) + h(y | x, omega) - h(y | x), so the
+    entropy after each candidate is three matvecs against the table.  Both
+    entropies are exact: 0 log 0 = 0 at exact zeros only.
+    """
     weights = post.probs
     for x, y in given:
         weights = weights * model.likelihood[:, model.input_index(x), model.label_index(y)]
-    before = post.entropy
-    cells = model.likelihood.reshape(len(weights), -1)
-    columns = xs * model.n_labels + ys
-    scores = np.empty(len(xs))
-    step = _block(len(weights))
-    for start in range(0, len(xs), step):
-        cut = slice(start, start + step)
-        # one contiguous row per candidate, so each row sums in the order the
-        # entropy of the current posterior does, and a row equal to that
-        # posterior scores exactly 0
-        joint = np.multiply(np.take(cells, columns[cut], axis=1).T, weights, order="C")
-        total = joint.sum(axis=1)
-        possible = total > ZERO_MASS
-        joint /= np.where(possible, total, 1.0)[:, None]
-        after = -plogq(joint).sum(axis=1)
-        scores[cut] = np.where(possible, before - after, -np.inf)
-    return scores
+    total = weights @ table.lik  # unnormalised, so the floor is on the joint mass
+    possible = total > ZERO_MASS
+    scale = weights.sum() or 1.0  # without mass every candidate is impossible
+    p = weights / scale
+    z = np.where(possible, total / scale, 1.0)
+    # E_p[log p] is taken out of the matvec, so it sums only the small centred
+    # terms, and scores equal in exact arithmetic round well inside TIE_TOLERANCE
+    plogp = _xlogx(p)
+    mean = plogp.sum()
+    after = np.log(z) - (p @ table.plogp + (plogp - mean * p) @ table.lik) / z - mean
+    return np.where(possible, -_xlogx(post.probs).sum() - after, -np.inf)
 
 
 def bald(model: BayesModel, post: Posterior, x) -> float:
@@ -427,7 +453,7 @@ def csd(model: BayesModel, post: Posterior, x, y) -> float:
     entropy drop after the exact Bayes step.  May be negative.  One
     candidate of :func:`csd_scores`."""
     xi, yi = model.input_index(x), model.label_index(y)
-    score = float(csd_scores(model, post, [xi], [yi])[0])
+    score = float(csd_scores(model, post, csd_table(model, [xi], [yi]))[0])
     if score == -np.inf:
         raise ZeroProbabilityEvent(
             f"label {model.labels[yi]!r} has zero predictive probability at "
@@ -509,8 +535,8 @@ def batch_score(model: BayesModel, post: Posterior, xs, ys=None, *,
         yis = [model.label_index(y) for y in ys]
         if len(yis) != len(xis):
             raise ValueError("xs and ys must have equal length")
-        score = float(csd_scores(model, post, xis[-1:], yis[-1:],
-                                 given=zip(xis[:-1], yis[:-1]))[0])
+        table = csd_table(model, xis[-1:], yis[-1:])
+        score = float(csd_scores(model, post, table, given=zip(xis[:-1], yis[:-1]))[0])
         if score == -np.inf:
             raise ZeroProbabilityEvent("the labelled batch has zero probability")
         return score

@@ -30,6 +30,7 @@ EQ_TOLERANCE = 1e-9  # slack of "==", "<=" and ">=", and of an identity that alw
 NEQ_GAP = 1e-6  # "!=" needs a larger gap, and so does a counterexample
 CELL_FLOOR = 1e-3  # per-cell floor of the identity search's random distributions
 WITNESS_SEPARATION = 1e-3  # the chaining witness's two sides differ by more than this
+TIE_TOLERANCE = 1e-13  # acquisition scores this close (nats, absolute) to the best tie
 
 
 def _check_identifier(name: str) -> None:

@@ -1,10 +1,10 @@
 """Desk-scale pool-based active-learning / core-set simulator.
 
 Each step scores every remaining pool candidate with the configured
-acquisition function, acquires the top scorer(s) (ties broken by lowest
-pool index), performs an exact posterior update, and records evaluation
-metrics.  Runs are deterministic given the config and seed; the CSV output
-is byte-identical across repeats.
+acquisition function, acquires the top scorer(s) (a score within
+``TIE_TOLERANCE`` of the best ties with it; ties go to the lowest pool index),
+performs an exact posterior update, and records evaluation metrics.  Runs are
+deterministic given the config and seed; the CSV output is byte-identical.
 
 Scoring is whole-pool: one pass of the ``bayes`` table operations scores
 every candidate at once, and the evaluation pass is one predictive matmul.
@@ -24,6 +24,7 @@ import numpy as np
 
 from . import bayes
 from .bayes import BayesModel, Posterior
+from .dist import TIE_TOLERANCE
 from .errors import ZeroEvidence, malformed_input
 
 logger = logging.getLogger(__name__)
@@ -162,55 +163,56 @@ def _apply_label_noise(pool, n_labels: int, rate: float, rng) -> tuple:
     return tuple(noisy)
 
 
+def _score_table(model, acquisition, pool_x, pool_y):
+    """The posterior-independent half of the scores, built once per run."""
+    if acquisition in ("bald", "batch_bald"):
+        return bayes.label_entropy_table(model)
+    if acquisition in ("csd", "batch_csd"):
+        return bayes.csd_table(model, pool_x, pool_y)
+    return None
+
+
+def _tied(scores: np.ndarray) -> np.ndarray:
+    """Which scores lie within ``TIE_TOLERANCE`` of the best (all if all are -inf)."""
+    return scores >= scores.max() - TIE_TOLERANCE
+
+
 def _select_batch(model, post, remaining, pool_x, pool_y, cfg, rng, table):
     """One step's batch as [(pool index, score), ...] in acquisition order,
     and the first scoring pass's score of every remaining candidate.
 
-    ``remaining`` is in ascending pool order, so a stable sort on the score
-    ranks ties by pool index, and the greedy variants' first maximum is the
-    lowest pool index among the tied (the first candidate when every score
-    is -inf).
+    ``remaining`` is in ascending pool order.  Uniform draws are ranked by a
+    stable sort; every other pick is the lowest remaining pool index tied with
+    the best score.  The greedy batch variants rescore after each pick the
+    joint gain of the batch so far plus one candidate.
     """
     cands = np.asarray(remaining)
-    xs, ys = pool_x[cands], pool_y[cands]
     b = min(cfg.batch_size, len(cands))
     if cfg.acquisition == "uniform":
         scores = rng.random(len(cands))
-    elif cfg.acquisition == "bald":
-        scores = bayes.bald_scores(model, post, table)[xs]
-    elif cfg.acquisition == "csd":
-        scores = bayes.csd_scores(model, post, xs, ys)
-    else:
-        return _select_greedy(model, post, cands, xs, ys, b, cfg.acquisition, table)
-    order = np.argsort(-scores, kind="stable")[:b]
-    return [(int(cands[k]), float(scores[k])) for k in order], scores
-
-
-def _select_greedy(model, post, cands, xs, ys, b, acquisition, table):
-    """Greedy joint scoring for the batch variants: each pick maximises the
-    joint score of the batch so far plus one candidate."""
-    labelled = acquisition == "batch_csd"
-    bayes.check_batch_size(model, b, labelled=labelled)
-    prefix = None if labelled else bayes.LabelConfigs.empty(model)
+        order = np.argsort(-scores, kind="stable")[:b]
+        return [(int(cands[k]), float(scores[k])) for k in order], scores
+    greedy = cfg.acquisition.startswith("batch_")
+    labelled = cfg.acquisition.endswith("csd")
+    if greedy:
+        bayes.check_batch_size(model, b, labelled=labelled)
+    prefix = bayes.LabelConfigs.empty(model)
     left = np.arange(len(cands))  # positions into cands not yet chosen
-    picked: list[int] = []
     chosen: list[tuple[int, float]] = []
     first = None
     for _ in range(b):
-        if labelled:
-            given = [(xs[p], ys[p]) for p in picked]
-            scores = bayes.csd_scores(model, post, xs[left], ys[left], given)
-        else:
-            scores = bayes.bald_scores(model, post, table, prefix)[xs[left]]
-        if first is None:
-            first = scores
-        k = int(np.argmax(scores))
-        pick = left[k]
-        picked.append(pick)
-        chosen.append((int(cands[pick]), float(scores[k])))
-        if not labelled:
-            prefix = prefix.extend(model, xs[pick])
-        left = np.delete(left, k)
+        if first is None or greedy:
+            if labelled:
+                given = [(pool_x[i], pool_y[i]) for i, _ in chosen]
+                scores = bayes.csd_scores(model, post, table, given)[cands]
+            else:
+                scores = bayes.bald_scores(model, post, table, prefix)[pool_x[cands]]
+            first = scores if first is None else first
+        k = left[int(np.argmax(_tied(scores[left])))]
+        chosen.append((int(cands[k]), float(scores[k])))
+        if greedy and not labelled:
+            prefix = prefix.extend(model, pool_x[cands[k]])
+        left = left[left != k]
     return chosen, first
 
 
@@ -223,17 +225,15 @@ def _leaders(model, scores, remaining, pool_x, k=3) -> str:
 def run_sim(cfg: SimConfig) -> SimResult:
     """Run the experiment; deterministic given the config (incl. its seed).
 
-    At DEBUG level each step logs its wall time and the top three candidate
-    scores of its first scoring pass.
+    At DEBUG level each step logs its wall time, the top three candidate
+    scores of its first scoring pass, and how many tied at the top.
     """
     rng = np.random.default_rng(cfg.seed)
     model = cfg.model
     pool = _apply_label_noise(cfg.pool, model.n_labels, cfg.noise_rate, rng)
     post = bayes.posterior(model, list(cfg.initial))
-    # depends on the model alone, so every step of the run reuses it
-    table = (bayes.label_entropy_table(model)
-             if cfg.acquisition in ("bald", "batch_bald") else None)
     pool_x, pool_y = (np.array(col, dtype=np.intp) for col in zip(*pool))
+    table = _score_table(model, cfg.acquisition, pool_x, pool_y)
     eval_x, eval_y = (np.array(col, dtype=np.intp) for col in zip(*cfg.eval_set))
     debug = logger.isEnabledFor(logging.DEBUG)
     remaining = list(range(len(pool)))
@@ -246,6 +246,7 @@ def run_sim(cfg: SimConfig) -> SimResult:
         batch, scores = _select_batch(model, post, remaining, pool_x, pool_y, cfg, rng, table)
         if debug:
             leaders = _leaders(model, scores, remaining, pool_x)
+            ties = int(_tied(scores).sum())
         for pool_idx, score in batch:
             remaining.remove(pool_idx)
             xi, yi = pool[pool_idx]
@@ -269,8 +270,8 @@ def run_sim(cfg: SimConfig) -> SimResult:
                 )
             )
         if debug:
-            logger.debug("step %d: %.3f ms; top candidates %s", step,
-                         1e3 * (time.perf_counter() - started), leaders)
+            logger.debug("step %d: %.3f ms; top candidates %s; %d tied at the top", step,
+                         1e3 * (time.perf_counter() - started), leaders, ties)
     return SimResult(config=cfg, rows=tuple(rows))
 
 

@@ -16,6 +16,7 @@ from discinfo import (
     ZeroProbabilityEvent,
     bald,
     batch_score,
+    condition,
     csd,
     csd_decomposition,
     elbo_vae,
@@ -27,6 +28,7 @@ from discinfo import (
     posterior,
     predictive,
     surprise,
+    threshold_task,
     update,
 )
 from discinfo.bayes import (
@@ -37,11 +39,13 @@ from discinfo.bayes import (
     _log_likelihood_sum,
     bald_scores,
     csd_scores,
+    csd_table,
     dump_model,
     label_entropy_table,
     load_model,
 )
-from discinfo.dist import ZERO_CELL
+from discinfo.dist import ZERO_CELL, ZERO_MASS
+from discinfo.quantities import plogq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -284,7 +288,7 @@ class TestEvidenceFloor:
         post = posterior(m, [])
         assert predictive(m, post, "x0")[1] == pytest.approx(rho, rel=1e-12)
         joint = joint_label_hypothesis(m, post, "x0")
-        scores = csd_scores(m, post, [0], [1])
+        scores = csd_scores(m, post, csd_table(m, [0], [1]))
         if possible:
             assert condition(joint, {"Y": 1}).probs.tolist() == [1.0, 0.0]
             assert entropy(joint, ["Omega"], [("Y", 1)]) == 0.0
@@ -621,10 +625,10 @@ class TestIndexResolver:
         m = opposite_coins_model()
         post = posterior(m, [])
         with pytest.raises(InvalidIndex):
-            csd_scores(m, post, np.array([0, -1]), np.array([0, 0]))
+            csd_table(m, np.array([0, -1]), np.array([0, 0]))
         np.testing.assert_array_equal(
-            csd_scores(m, post, ["x1", "x1"], ["0", "1"]),
-            csd_scores(m, post, np.array([1, 1]), np.array([0, 1])),
+            csd_scores(m, post, csd_table(m, ["x1", "x1"], ["0", "1"])),
+            csd_scores(m, post, csd_table(m, np.array([1, 1]), np.array([0, 1]))),
         )
 
 
@@ -673,7 +677,7 @@ class TestWholePoolScores:
         table = label_entropy_table(m)
         pool_bald = bald_scores(m, post, table)
         xs, ys = np.divmod(np.arange(len(m.inputs) * m.n_labels), m.n_labels)
-        pool_csd = csd_scores(m, post, xs, ys)
+        pool_csd = csd_scores(m, post, csd_table(m, xs, ys))
         for x in range(len(m.inputs)):
             joint = joint_label_hypothesis(m, post, x)
             assert pool_bald[x] == pytest.approx(
@@ -699,7 +703,7 @@ class TestWholePoolScores:
         prefix = LabelConfigs.empty(m).extend(m, x1)
         pool_bald = bald_scores(m, post, label_entropy_table(m), prefix)
         xs = np.arange(len(m.inputs))
-        pool_csd = csd_scores(m, post, xs, np.full(len(xs), y2), given=[(x1, y1)])
+        pool_csd = csd_scores(m, post, csd_table(m, xs, np.full(len(xs), y2)), given=[(x1, y1)])
         for x2 in xs:
             joint = _pair_joint(m, post, x1, x2)
             assert pool_bald[x2] == pytest.approx(
@@ -720,6 +724,132 @@ class TestWholePoolScores:
             for xi, yi in data.pairs:
                 expected += full[:, xi, yi]
             np.testing.assert_array_equal(_log_likelihood_sum(m, data), expected)
+
+
+def block_csd_scores(m, post, xs, ys, given=()):
+    """The block code csd_scores replaced: each candidate's reweighted
+    posterior built and normalised, with the 0 * log 0 rule on its cells.
+    The reference for which candidates are impossible and for the masked
+    value (test pools fit in one block)."""
+    weights = post.probs
+    for x, y in given:
+        weights = weights * m.likelihood[:, x, y]
+    cells = m.likelihood.reshape(len(weights), -1)
+    joint = np.multiply(np.take(cells, xs * m.n_labels + ys, axis=1).T, weights, order="C")
+    total = joint.sum(axis=1)
+    possible = total > ZERO_MASS
+    joint /= np.where(possible, total, 1.0)[:, None]
+    after = -plogq(joint).sum(axis=1)
+    return np.where(possible, post.entropy - after, -np.inf)
+
+
+def engine_csd(m, post, given, x, y):
+    """H[Omega] - H[Omega | given, y] at input x from the information engine:
+    the joint over (Omega, Y) under the posterior after ``given``,
+    conditioned on Y = y."""
+    weights = post.probs
+    for gx, gy in given:
+        weights = weights * m.likelihood[:, gx, gy]
+    joint = joint_label_hypothesis(m, Posterior(weights / weights.sum()), x)
+    before = entropy(joint_label_hypothesis(m, post, x), ["Omega"])
+    return before - entropy(condition(joint, {"Y": y}), ["Omega"])
+
+
+@st.composite
+def concentrated_cases(draw):
+    """Models with exact-zero likelihood cells, a posterior concentrated by
+    10 to 40 updates, and 0 to 2 given pairs, each the least likely pair of
+    positive probability, so their joint mass is far below 1."""
+    n_omega, n_x, n_y = draw(st.integers(2, 6)), draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    cells = draw(st.lists(st.integers(0, 4), min_size=n_omega * n_x * n_y,
+                          max_size=n_omega * n_x * n_y))
+    cells = np.array(cells, dtype=float).reshape(n_omega, n_x, n_y)
+    # odds up to 1e18 between labels, so some likelihood cells lie below ZERO_CELL
+    lik = np.where(cells > 0, 10.0 ** (6 * cells), 0.0)
+    lik[..., 0] += lik.sum(axis=2) == 0
+    m = BayesModel(
+        hypotheses=tuple(f"w{i}" for i in range(n_omega)),
+        prior=np.full(n_omega, 1.0 / n_omega),
+        inputs=tuple(f"x{i}" for i in range(n_x)),
+        labels=tuple(f"y{i}" for i in range(n_y)),
+        likelihood=lik / lik.sum(axis=2, keepdims=True),
+    )
+    post = posterior(m, [])
+    # labels drawn from one hypothesis, so the posterior concentrates on it
+    truth = draw(st.integers(0, n_omega - 1))
+    observed = st.tuples(st.integers(0, n_x - 1), st.integers(0, n_y - 1))
+    for x, k in draw(st.lists(observed, min_size=10, max_size=40)):
+        possible = predictive(m, post, x) > ZERO_MASS
+        labels = np.flatnonzero(possible & (m.likelihood[truth, x] > 0))
+        labels = labels if len(labels) else np.flatnonzero(possible)
+        post = update(m, post, x, labels[k % len(labels)])
+    weights, given_pairs = post.probs, []
+    for _ in range(draw(st.integers(0, 2))):
+        pred = np.einsum("w,wxy->xy", weights, m.likelihood)
+        x, y = np.unravel_index(np.argmin(np.where(pred > 0, pred, np.inf)), pred.shape)
+        given_pairs.append((int(x), int(y)))
+        weights = weights * m.likelihood[:, x, y]
+    return m, post, given_pairs
+
+
+# labelled points from a batch_csd run on threshold_task(512, seed=1) at
+# noise_rate 0.1: 18 observed, then the two given pairs of a greedy step
+NOISY_OBSERVED = [(31, 1), (9, 1), (6, 0), (13, 1), (8, 0), (7, 0), (16, 1), (41, 1), (5, 0),
+                  (47, 1), (4, 0), (59, 1), (3, 0), (60, 1), (2, 0), (61, 1), (1, 0), (62, 0)]
+NOISY_GIVEN = [(66, 1), (68, 0)]
+
+
+class TestCsdClosedForm:
+    """csd_scores is H[Omega] - H[Omega | given, y, x] by Bayes' rule in
+    information-content form: three matvecs against the pool table."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(concentrated_cases())
+    def test_equals_the_engine_and_the_block_code(self, case):
+        m, post, given_pairs = case
+        xs, ys = np.divmod(np.arange(len(m.inputs) * m.n_labels), m.n_labels)
+        scores = csd_scores(m, post, csd_table(m, xs, ys), given_pairs)
+        block = block_csd_scores(m, post, xs, ys, given_pairs)
+        np.testing.assert_array_equal(np.isneginf(scores), np.isneginf(block))
+        # the block code drops cells of the reweighted posterior at or below
+        # ZERO_CELL; the closed form is exact, at most this far from it
+        masked_gap = m.n_hypotheses * ZERO_CELL * math.log(1 / ZERO_CELL)
+        for k in np.flatnonzero(np.isfinite(scores)):
+            assert scores[k] == pytest.approx(
+                engine_csd(m, post, given_pairs, xs[k], ys[k]), abs=1e-12)
+            assert abs(scores[k] - block[k]) <= masked_gap + 1e-12
+
+    def test_a_cell_below_zero_cell_that_the_candidate_lifts(self):
+        # the label has predictive probability 0.02, so posterior cells of
+        # 2.7e-14 and 5.6e-16 carry real mass after the update.  Dropping the
+        # 5.6e-16 cell's terms (the 0 * log 0 rule on p) moves the score by
+        # about 2e-12; applying that rule to the unnormalised given weights
+        # made it +4.7e-9.  The 40-digit value is -1.62532464908571e-8.
+        model, _, _ = threshold_task(512, seed=1)
+        post = posterior(model, NOISY_OBSERVED)
+        score = csd_scores(model, post, csd_table(model, [63], [0]), NOISY_GIVEN)[0]
+        assert score == pytest.approx(-1.62532464908571e-8, abs=1e-13)
+        assert score == pytest.approx(engine_csd(model, post, NOISY_GIVEN, 63, 0), abs=1e-12)
+        xs, ys = zip(*NOISY_GIVEN, (63, 0))
+        assert batch_score(model, post, xs, ys) == score
+
+    def test_a_likelihood_cell_below_zero_cell_that_the_update_lifts(self):
+        # p(y | x, A) = 1e-17, but A holds almost all the mass and B labels y
+        # with 1e-5, so A keeps about 1e-6 of the updated posterior
+        lik = np.array([[[1.0 - 1e-17, 1e-17]], [[1.0 - 1e-5, 1e-5]]])
+        m = BayesModel(("A", "B"), [1.0 - 1e-6, 1e-6], ("x0",), ("0", "1"), lik)
+        post = posterior(m, [])
+        score = csd_scores(m, post, csd_table(m, [0], [1]))[0]
+        assert score == pytest.approx(engine_csd(m, post, [], 0, 1), abs=1e-12)
+
+    def test_an_uninformative_input_scores_zero(self):
+        m = random_model(np.random.default_rng(4), n_omega=7, n_x=3, n_y=2)
+        lik = m.likelihood.copy()
+        lik[:, 1] = [0.3, 0.7]  # input 1 tells nothing about omega
+        m = BayesModel(m.hypotheses, m.prior, m.inputs, m.labels, lik)
+        post = posterior(m, [(0, 1), (2, 0)])
+        scores = csd_scores(m, post, csd_table(m, [1, 1], [0, 1]))
+        np.testing.assert_allclose(scores, 0.0, atol=1e-15)
 
 
 def input_blocked_table(lik):

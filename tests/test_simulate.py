@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from discinfo import BatchTooLarge, BayesModel, InvalidIndex, SimConfig, run_sim, threshold_task
+from discinfo import bayes
 from discinfo.bayes import bald_scores, label_entropy_table, posterior, update
-from discinfo.simulate import ACQUISITIONS, CSV_HEADER, _select_batch, load_config
+from discinfo.simulate import (
+    ACQUISITIONS,
+    CSV_HEADER,
+    _score_table,
+    _select_batch,
+    load_config,
+)
 
 LN2 = math.log(2.0)
 
@@ -302,7 +309,7 @@ class TestWholePoolSelection:
         cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acquisition,
                         batch_size=3 if acquisition.startswith("batch_") else 1, seed=0)
         pool_x, pool_y = _pool_arrays(cfg.pool)
-        table = label_entropy_table(model)
+        table = _score_table(model, acquisition, pool_x, pool_y)
         post = posterior(model, [])
         remaining = list(range(len(pool)))
         for _ in range(6):
@@ -354,8 +361,10 @@ class TestWholePoolSelection:
             cfg = SimConfig(model=model, pool=(("x1", "1"), ("x0", "1")),
                             eval_set=(("x1", "0"),), initial=(("x0", "0"),),
                             acquisition=acq, batch_size=2, steps=1)
+            pool_x, pool_y = _pool_arrays(cfg.pool)
             batch, _ = _select_batch(model, posterior(model, list(cfg.initial)), [0, 1],
-                                     *_pool_arrays(cfg.pool), cfg, None, None)
+                                     pool_x, pool_y, cfg, None,
+                                     _score_table(model, acq, pool_x, pool_y))
             assert batch == [(0, -np.inf), (1, -np.inf)]
 
     def test_batch_larger_than_the_remaining_pool(self):
@@ -392,6 +401,82 @@ class TestWholePoolSelection:
                 assert len(run_sim(cfg).rows) == 6
 
 
+class TestTieBand:
+    """Scores within TIE_TOLERANCE of the best tie with it, and every tie
+    goes to the lowest remaining pool index."""
+
+    @pytest.mark.parametrize("acquisition", ["bald", "csd", "batch_bald", "batch_csd"])
+    @pytest.mark.parametrize("x", [30, 100, 255])
+    def test_mirror_image_pairs_pick_the_lower_index(self, acquisition, x):
+        # under the uniform prior, (x, 1) and (511 - x, 0) are mirror images,
+        # so their scores are equal but may differ in the last bits
+        model, _, eval_set = threshold_task(512, seed=1)
+        for pool in (((x, 1), (511 - x, 0)), ((511 - x, 0), (x, 1))):
+            cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acquisition,
+                            steps=1, seed=0)
+            pool_x, pool_y = _pool_arrays(cfg.pool)
+            table = _score_table(model, acquisition, pool_x, pool_y)
+            batch, scores = _select_batch(model, posterior(model, []), [0, 1], pool_x, pool_y,
+                                          cfg, None, table)
+            assert scores[0] == pytest.approx(scores[1], abs=1e-13)
+            assert batch[0][0] == 0
+
+    def test_csd_and_batch_csd_agree_at_batch_size_one(self):
+        model, pool, eval_set = threshold_task(8, seed=1)
+        csv = {
+            acq: run_sim(SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acq,
+                                   steps=8, seed=1)).to_csv()
+            for acq in ("csd", "batch_csd")
+        }
+        assert csv["csd"] == csv["batch_csd"]
+
+    @pytest.mark.parametrize("acquisition", ["bald", "csd", "batch_bald", "batch_csd"])
+    def test_of_duplicate_entries_the_lowest_index_goes_first(self, acquisition):
+        model, pool, eval_set = threshold_task(16, seed=2)
+        pool = pool + pool[::-1]
+        cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acquisition,
+                        batch_size=3 if acquisition.startswith("batch_") else 1, seed=0)
+        pool_x, pool_y = _pool_arrays(cfg.pool)
+        table = _score_table(model, acquisition, pool_x, pool_y)
+        post, remaining = posterior(model, []), list(range(len(pool)))
+        for _ in range(8):
+            batch, _ = _select_batch(model, post, remaining, pool_x, pool_y, cfg, None, table)
+            for i, _ in batch:
+                twin = len(pool) - 1 - i
+                assert i < twin or twin not in remaining
+                remaining.remove(i)
+                post = update(model, post, *cfg.pool[i])
+
+    @pytest.mark.parametrize("acquisition", ["bald", "batch_bald"])
+    @pytest.mark.parametrize("scores, picks", [
+        ([0.5, 0.5 + 5e-14, 0.3], [0, 1]),
+        ([0.5, 0.5 + 2e-13, 0.3], [1, 0]),
+        ([-4e-14, 1e-16, -1.0], [0, 1]),
+        ([0.1, -np.inf, 0.1 + 2e-13], [2, 0]),
+        ([-np.inf, -np.inf, -np.inf], [0, 1]),
+    ])
+    def test_band_width(self, monkeypatch, acquisition, scores, picks):
+        model, pool, eval_set = threshold_task(3, seed=0)
+        monkeypatch.setattr(bayes, "bald_scores", lambda *args: np.array(scores))
+        cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acquisition,
+                        batch_size=2, steps=1)
+        batch, _ = _select_batch(model, posterior(model, []), [0, 1, 2],
+                                 *_pool_arrays(cfg.pool), cfg, None, None)
+        assert [i for i, _ in batch] == picks
+
+    def test_uniform_draws_keep_their_exact_order(self):
+        class Draws:
+            def random(self, n):
+                return np.array([0.5, 0.5 + 5e-14, 0.5])
+
+        model, pool, eval_set = threshold_task(3, seed=0)
+        cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition="uniform",
+                        batch_size=3, steps=1)
+        batch, _ = _select_batch(model, posterior(model, []), [0, 1, 2],
+                                 *_pool_arrays(cfg.pool), cfg, Draws(), None)
+        assert [i for i, _ in batch] == [1, 0, 2]
+
+
 class TestObservability:
     def test_debug_logs_step_time_and_top_scores(self, caplog):
         model, pool, eval_set = threshold_task(16, 5)
@@ -402,6 +487,9 @@ class TestObservability:
         steps = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
         assert len(steps) == 3
         assert all(" ms; top candidates " in m and m.count("=") == 3 for m in steps)
+        # under the uniform prior the mirror-image inputs 7 and 8 tie
+        assert [m.rsplit("; ", 1)[1] for m in steps] == [
+            "2 tied at the top", "1 tied at the top", "1 tied at the top"]
         caplog.clear()
         with caplog.at_level("INFO", logger="discinfo.simulate"):
             run_sim(cfg)
