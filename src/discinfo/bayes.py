@@ -39,14 +39,18 @@ MAX_BATCH = 6
 _BLOCK_CELLS = 1 << 16
 
 
-def _normalized(vec, what: str) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    if np.any(vec < 0) or not np.all(np.isfinite(vec)):
-        raise ValueError(f"{what} must be finite and non-negative")
-    total = vec.sum()
-    if abs(total - 1.0) > RENORM_TOLERANCE:
-        raise ValueError(f"{what} sums to {total!r}, not 1")
-    return vec / total
+def _normalized(table, what: str) -> np.ndarray:
+    """``table`` as floats, each row along its last axis divided by its sum;
+    raises unless every entry is finite and non-negative and every row sums
+    to 1 within ``RENORM_TOLERANCE``."""
+    table = np.asarray(table, dtype=float)
+    if table.ndim == 0 or (table < 0).any() or not np.isfinite(table).all():
+        raise ValueError(f"{what} must hold finite, non-negative numbers")
+    total = table.sum(axis=-1, keepdims=True)
+    for extreme in (total.min(), total.max()):  # no temporary the size of ``total``
+        if abs(extreme - 1.0) > RENORM_TOLERANCE:
+            raise ValueError(f"{what} sums to {float(extreme)!r}, not 1")
+    return table / total
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,12 +83,7 @@ class BayesModel:
         expected = (len(hypotheses), len(inputs), len(labels))
         if lik.shape != expected:
             raise ValueError(f"likelihood must have shape {expected}, got {lik.shape}")
-        if np.any(lik < 0) or not np.all(np.isfinite(lik)):
-            raise ValueError("likelihood entries must be finite and non-negative")
-        row_sums = lik.sum(axis=2)
-        if np.any(np.abs(row_sums - 1.0) > RENORM_TOLERANCE):
-            raise ValueError("every likelihood row p(. | x, omega) must sum to 1")
-        lik = lik / row_sums[:, :, None]
+        lik = _normalized(lik, "a likelihood row p(. | x, omega)")
         prior.setflags(write=False)
         lik.setflags(write=False)
         object.__setattr__(self, "hypotheses", hypotheses)
@@ -521,8 +520,7 @@ def csd_decomposition(model: BayesModel, post: Posterior, x, y) -> CsdDecomposit
     )
 
 
-def batch_score(model: BayesModel, post: Posterior, xs, ys=None, *,
-                max_batch: int = MAX_BATCH) -> float:
+def batch_score(model: BayesModel, post: Posterior, xs, ys=None) -> float:
     """Joint acquisition score for a batch of inputs.
 
     Without labels this is the joint expected information gain
@@ -530,7 +528,7 @@ def batch_score(model: BayesModel, post: Posterior, xs, ys=None, *,
     it is the realized joint information gain of the labelled batch.
     """
     xis = [model.input_index(x) for x in xs]
-    check_batch_size(model, len(xis), labelled=ys is not None, max_batch=max_batch)
+    check_batch_size(model, len(xis), labelled=ys is not None)
     if ys is not None:
         yis = [model.label_index(y) for y in ys]
         if len(yis) != len(xis):
@@ -546,15 +544,14 @@ def batch_score(model: BayesModel, post: Posterior, xs, ys=None, *,
     return _bald_at(model, post, xis[-1], prefix)
 
 
-def check_batch_size(model: BayesModel, b: int, *, labelled: bool,
-                     max_batch: int = MAX_BATCH) -> None:
+def check_batch_size(model: BayesModel, b: int, *, labelled: bool) -> None:
     """Raise unless a joint score over ``b`` inputs is allowed: at least one
-    and at most ``max_batch`` inputs, and for an unlabelled batch at most
+    and at most ``MAX_BATCH`` inputs, and for an unlabelled batch at most
     ``MAX_LABEL_CONFIGS`` label configurations."""
     if b < 1:
         raise ValueError("batch must contain at least one input")
-    if b > max_batch:
-        raise BatchTooLarge(f"batch size {b} exceeds the cap of {max_batch}")
+    if b > MAX_BATCH:
+        raise BatchTooLarge(f"batch size {b} exceeds the cap of {MAX_BATCH}")
     if not labelled and model.n_labels**b > MAX_LABEL_CONFIGS:
         raise BatchTooLarge(
             f"{model.n_labels**b} label configurations exceed the cap of "
@@ -617,14 +614,8 @@ class LatentVarModel:
             raise ValueError("decoder must have one row per latent outcome")
         if encoder.shape != (decoder.shape[1], prior_z.size):
             raise ValueError("encoder must have shape (n_x, n_z)")
-        for name, table in (("decoder", decoder), ("encoder", encoder)):
-            if np.any(table < 0) or not np.all(np.isfinite(table)):
-                raise ValueError(f"{name} entries must be finite and non-negative")
-            sums = table.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > RENORM_TOLERANCE):
-                raise ValueError(f"every {name} row must sum to 1")
-        decoder = decoder / decoder.sum(axis=1, keepdims=True)
-        encoder = encoder / encoder.sum(axis=1, keepdims=True)
+        decoder = _normalized(decoder, "a decoder row")
+        encoder = _normalized(encoder, "an encoder row")
         for arr in (prior_z, decoder, encoder):
             arr.setflags(write=False)
         object.__setattr__(self, "prior_z", prior_z)

@@ -22,7 +22,11 @@ is reported, so reports do not depend on how the cases were stacked.
 
 The weight-algebra entries (scaled, powered, multiplied and mixed
 weights, which the notation cannot express) are rows of one table whose
-sides are written over stacks and evaluated by the same kernel.
+sides are written over stacks and evaluated by the same kernel.  A row is
+one more source of cases for the same search, staged, counted and
+reported as an expression is; it has no tied outcome and walks no grid,
+and its case is confirmed from its own stacked values, since its weights
+have no serialized form to re-check.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .errors import (
 DEFAULT_SEEDS = 500
 GRID_CHUNK = 1024  # grid tensors per stack, so a full grid is never held at once
 MARGIN_SLACK = 1e-12  # stacked margins this far below a threshold are re-checked alone
+SUPPORT_SIZES = range(2, 5)  # the support sizes a random variable is drawn with
 
 logger = logging.getLogger(__name__)
 
@@ -215,19 +220,20 @@ def _floored(rng, shape, floor=CELL_FLOOR) -> np.ndarray:
     return cells
 
 
-def _random_cells(rng, n_vars, support_range=(2, 4), floor=CELL_FLOOR) -> np.ndarray:
+def _random_cells(rng, n_vars, floor=CELL_FLOOR) -> np.ndarray:
     """The cells of :func:`random_distribution`, drawn in the same order."""
-    lo, hi = support_range
-    return _floored(rng, tuple(int(rng.integers(lo, hi + 1)) for _ in range(n_vars)), floor)
+    sizes = (int(rng.integers(SUPPORT_SIZES.start, SUPPORT_SIZES.stop)) for _ in range(n_vars))
+    return _floored(rng, tuple(sizes), floor)
 
 
 def _variables(names, shape) -> tuple[Variable, ...]:
     return tuple(Variable(n, tuple(str(i) for i in range(s))) for n, s in zip(names, shape))
 
 
-def random_distribution(rng, names, support_range=(2, 4), floor=CELL_FLOOR) -> JointDistribution:
-    """A positive random joint: normalized exponentials, floored per cell."""
-    cells = _random_cells(rng, len(names), support_range, floor)
+def random_distribution(rng, names, floor=CELL_FLOOR) -> JointDistribution:
+    """A positive random joint: normalized exponentials, floored per cell,
+    each variable's support size drawn from ``SUPPORT_SIZES``."""
+    cells = _random_cells(rng, len(names), floor)
     return JointDistribution(_variables(names, cells.shape), cells)
 
 
@@ -291,10 +297,7 @@ def _search_op(entry) -> str:
 def check_entry(entry: SuiteEntry, seeds: int, rng) -> SearchReport:
     """Run one entry: sample, walk the grids, and produce its report."""
     start = time.perf_counter()
-    if entry.check is not None:
-        report = _check_weights(entry, seeds, rng)
-    else:
-        report = _Search(entry, seeds).run(rng)
+    report = _Search(entry, seeds).run(rng)
     logger.info("%s: %s, %d cases evaluated, %d skipped, %.3f s", entry.name,
                 report.status.value, report.cases_evaluated, report.cases_skipped,
                 time.perf_counter() - start)
@@ -303,43 +306,45 @@ def check_entry(entry: SuiteEntry, seeds: int, rng) -> SearchReport:
 
 @dataclass(frozen=True)
 class _Block:
-    """One evaluated stack of cases; per case: its distribution's row in
-    ``p`` (and ``q``), its ordinal in draw order, the index and values of
-    its binding, its margin and whether it is defined."""
+    """One evaluated stack of cases: the stacked arrays of its draws (the
+    first holds the distributions), and per case: its distribution's row in
+    them, its ordinal in draw order, the index and values of its binding,
+    its two sides, its margin and whether it is defined."""
 
     variables: tuple
-    p: np.ndarray
-    q: np.ndarray | None
+    arrays: list
     rows: np.ndarray
     ordinal: np.ndarray
     binding: np.ndarray
     bindings: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
     margin: np.ndarray
     defined: np.ndarray
 
 
 class _Search:
-    """The random draws, then the zero grid, then (for a witness search)
-    the full grid, each evaluated as stacks until a case is confirmed."""
+    """The random draws, then for an expression the zero grid and (for a
+    witness search) the full grid, each evaluated as stacks until a case is
+    confirmed.  A weight row's cases are its random draws alone."""
 
     def __init__(self, entry, seeds):
         self.entry, self.seeds = entry, seeds
-        self.node, self.op = entry.node, _search_op(entry)
+        self.row, self.node, self.op = entry.check, entry.node, _search_op(entry)
         self.always = entry.expect is Expectation.ALWAYS_TRUE
         self.threshold = EQ_TOLERANCE if self.always else NEQ_GAP
-        self.names = entry.variable_names()
-        self.free = [_canonical(i) for i in ex.free_tied_identifiers(self.node)]
+        if self.row is None:
+            self.names = entry.variable_names()
+            self.free = [_canonical(i) for i in ex.free_tied_identifiers(self.node)]
+            # the dense positive grids are the discovery guarantee of witness searches
+            self.grids = (ZERO_GRID_VALUES,) if self.always else (ZERO_GRID_VALUES,
+                                                                  FULL_GRID_VALUES)
+        else:  # one or two variables per case, no tied outcome and no grid
+            self.names, self.free, self.grids = ("X", "Y"), [], ()
         self.blocks = []
 
     def run(self, rng) -> SearchReport:
-        draws = []  # per sample, in this order: sizes, cells, q, binding
-        for _ in range(self.seeds):
-            cells = _random_cells(rng, len(self.names))
-            q = _floored(rng, cells.shape) if self.entry.needs_q else None
-            binding = None
-            if self.always:
-                binding = [int(rng.integers(cells.shape[self.names.index(n)])) for n in self.free]
-            draws.append((cells, q, binding))
+        draws = [self.draw(rng) for _ in range(self.seeds)]
         # a witness search looks at the first draw alone first: most stop there
         cut = self.seeds if self.always else min(1, self.seeds)
         for part in (range(cut), range(cut, self.seeds)):
@@ -350,34 +355,48 @@ class _Search:
         n = len(self.names)
         shape = (2,) * n
         variables = _variables(self.names, shape)
-        q = np.full((1, *shape), 1.0 / 2**n) if self.entry.needs_q else None  # uniform
-        # the dense positive grids are the discovery guarantee of witness searches
-        grids = (ZERO_GRID_VALUES,) if self.always else (ZERO_GRID_VALUES, FULL_GRID_VALUES)
-        for values in (grid[n] for grid in grids if n in grid):
+        q = [np.full((1, *shape), 1.0 / 2**n)] if self.entry.needs_q else []  # uniform
+        for values in (grid[n] for grid in self.grids if n in grid):
             for cells in _grid_chunks(shape, values):
                 ordinals = np.arange(tried, tried + len(cells))
                 tried += len(cells)
-                report = self.stage([(variables, cells, q, ordinals, None)])
+                report = self.stage([(variables, [cells, *q], ordinals, None)])
                 if report is not None:
                     return report
         return self.report(Status.HELD, tried)
 
+    def draw(self, rng):
+        """One case's arrays (the first is its distribution) and, for an
+        "always" search, its binding, drawn in that order."""
+        if self.row is not None:
+            arrays = _draw_case(rng, self.row)
+        else:
+            arrays = [_random_cells(rng, len(self.names))]
+            if self.entry.needs_q:
+                arrays.append(_floored(rng, arrays[0].shape))
+        binding = None
+        if self.always:
+            shape = arrays[0].shape
+            binding = [int(rng.integers(shape[self.names.index(n)])) for n in self.free]
+        return arrays, binding
+
     def random_batches(self, draws, part):
         groups = {}
         for i in part:
-            groups.setdefault(draws[i][0].shape, []).append(i)
+            groups.setdefault(draws[i][0][0].shape, []).append(i)
         for shape, idx in groups.items():
-            q = np.stack([draws[i][1] for i in idx]) if self.entry.needs_q else None
             bindings = None
             if self.always:
-                bindings = np.array([draws[i][2] for i in idx], dtype=np.intp)
+                bindings = np.array([draws[i][1] for i in idx], dtype=np.intp)
                 bindings = bindings.reshape(len(idx), len(self.free))
-            yield (_variables(self.names, shape), np.stack([draws[i][0] for i in idx]), q,
-                   np.array(idx), bindings)
+            yield (_variables(self.names, shape),
+                   [np.stack(a) for a in zip(*(draws[i][0] for i in idx))], np.array(idx),
+                   bindings)
 
-    def evaluate(self, variables, p, q, ordinals, bindings) -> _Block:
+    def evaluate(self, variables, arrays, ordinals, bindings) -> _Block:
         """Stack the cases of one batch: each distribution with its own
         binding, or (``bindings`` None) with every binding in turn."""
+        p = arrays[0]
         if bindings is None:
             sizes = [p.shape[1 + self.names.index(n)] for n in self.free]
             combos = list(itertools.product(*map(range, sizes)))
@@ -388,14 +407,37 @@ class _Search:
         else:
             rows = np.arange(len(p))
             binding = np.zeros(len(p), dtype=np.intp)
-        stack_rows = None if len(rows) == len(p) else rows
-        ps = qt.Stack(variables, p, stack_rows)
-        qs = None if q is None else qt.Stack(variables, q, stack_rows if len(q) > 1 else None)
+        lhs, rhs, defined = self.sides(variables, arrays, rows, bindings)
+        return _Block(variables, arrays, rows, ordinals[rows], binding, bindings, lhs, rhs,
+                      _margin(lhs, self.op, rhs), defined)
+
+    def sides(self, variables, arrays, rows, bindings):
+        """Both sides of every case, and whether each case is defined."""
+        if self.row is not None:
+            codes = []
+
+            def ce(p, q):
+                ps = qt.Stack(variables, p)
+                qs = ps if q is p else qt.Stack(variables, q)
+                values, undefined = qt._expected_ic_nats(ps, qs, ps.names, ())
+                codes.append(undefined)
+                return values.reshape(-1, *(1,) * len(variables))
+
+            left, right = self.row.sides(ce, *arrays)
+            defined = np.ones(len(rows), dtype=bool)
+            for undefined in codes:
+                defined &= undefined == 0
+            return left.ravel(), right.ravel(), defined
+        stack_rows = None if len(rows) == len(arrays[0]) else rows
+        ps = qt.Stack(variables, arrays[0], stack_rows)
+        qs = None
+        if self.entry.needs_q:
+            q = arrays[1]
+            qs = qt.Stack(variables, q, stack_rows if len(q) > 1 else None)
         env = {n: bindings[:, j] for j, n in enumerate(self.free)}
         lhs, lhs_defined = ex.evaluate_stack(self.node.lhs, ps, qs, env)
         rhs, rhs_defined = ex.evaluate_stack(self.node.rhs, ps, qs, env)
-        return _Block(variables, p, q, rows, ordinals[rows], binding, bindings,
-                      _margin(lhs, self.op, rhs), lhs_defined & rhs_defined)
+        return lhs, rhs, lhs_defined & rhs_defined
 
     def stage(self, batches) -> SearchReport | None:
         """Evaluate the batches, then report the first case in draw order
@@ -406,7 +448,7 @@ class _Search:
             try:
                 self.blocks.append(self.evaluate(*batch))
             except (DiscinfoError, ValueError) as exc:
-                errors.append((int(batch[3][0]), exc))
+                errors.append((int(batch[2][0]), exc))
         candidates = sorted(
             (int(b.ordinal[i]), int(b.binding[i]), b, int(i))
             for b in self.blocks[first_block:]
@@ -424,76 +466,66 @@ class _Search:
         return None
 
     def confirm(self, block, i):
-        """Case ``i`` of ``block`` evaluated on its own, as (lhs, rhs,
-        margin, witness), if it violates the entry (and, for a witness
-        search, still does after a JSON round trip); else None."""
+        """Case ``i`` of ``block`` as (lhs, rhs, margin, witness) if it
+        violates the entry, else None.  A row's case is confirmed from its
+        own values; an expression's is evaluated on its own and, for a
+        witness search, again after a JSON round trip."""
         row = block.rows[i]
-        d = JointDistribution(block.variables, block.p[row])
-        q = None
-        if block.q is not None:
-            q = JointDistribution(block.variables, block.q[row if len(block.q) > 1 else 0])
+        d = JointDistribution(block.variables, block.arrays[0][row])
         bindings = {n: int(block.bindings[i, j]) for j, n in enumerate(self.free)}
-        try:
-            lhs = ex.evaluate(self.node.lhs, d, q=q, bindings=bindings)
-            rhs = ex.evaluate(self.node.rhs, d, q=q, bindings=bindings)
-        except (ZeroProbabilityEvent, SupportMismatch):
-            return None
-        margin = _margin(lhs, self.op, rhs)
+        q = None
+        if self.row is not None:
+            lhs, rhs, margin = (float(a[i]) for a in (block.lhs, block.rhs, block.margin))
+        else:
+            if self.entry.needs_q:
+                cells = block.arrays[1]
+                q = JointDistribution(block.variables, cells[row if len(cells) > 1 else 0])
+            try:
+                lhs, rhs, margin = self.alone(d, q, bindings)
+            except (ZeroProbabilityEvent, SupportMismatch):
+                return None
         if margin <= self.threshold:
             return None
-        witness = _witness(d, q, bindings)
-        if not self.always and not _reconfirm(self.entry, self.op, witness):
-            return None
+        witness = {"distribution": d.to_json_dict(), "bindings": bindings}
+        if q is not None:
+            witness["q"] = q.to_json_dict()
+        if self.row is None and not self.always:  # reload the witness and re-check it
+            d, q = (JointDistribution.from_json_dict(witness[k]) if k in witness else None
+                    for k in ("distribution", "q"))
+            if self.alone(d, q, witness["bindings"])[2] <= self.threshold:
+                return None
         return lhs, rhs, margin, witness
+
+    def alone(self, d, q, bindings):
+        """The expression's two sides on one case, and its margin."""
+        lhs = ex.evaluate(self.node.lhs, d, q=q, bindings=bindings)
+        rhs = ex.evaluate(self.node.rhs, d, q=q, bindings=bindings)
+        return lhs, rhs, _margin(lhs, self.op, rhs)
 
     def report(self, status, tried, verdict=None, found=None) -> SearchReport:
         """The report, with the cases counted up to the verdict, the
-        (ordinal, binding) of the reported case."""
+        (ordinal, binding) of the reported case; ``found`` is that case's
+        (lhs, rhs, margin, witness).  With no case evaluated the entry is
+        UNTESTED."""
         evaluated = skipped = 0
         worst = None
         for b in self.blocks:
-            counted = True
+            defined, cases = b.defined, len(b.defined)
             if verdict is not None:
                 ordinal, binding = verdict
                 counted = (b.ordinal < ordinal) | ((b.ordinal == ordinal) & (b.binding <= binding))
-            defined = b.defined & counted
-            evaluated += int(defined.sum())
-            skipped += int((~b.defined & counted).sum())
-            if self.always and defined.any():
+                defined, cases = defined & counted, int(np.count_nonzero(counted))
+            n = int(np.count_nonzero(defined))
+            evaluated, skipped = evaluated + n, skipped + cases - n
+            if self.always and n:
                 margin = float(b.margin[defined].max())
                 worst = margin if worst is None else max(worst, margin)
-        return _report(self.entry, status, tried, evaluated, skipped, worst, found)
-
-
-def _report(entry, status, tried, evaluated, skipped, worst, found=None) -> SearchReport:
-    """The report of an entry; ``found`` is the reported case's (lhs, rhs,
-    margin, witness).  With no case evaluated the entry is UNTESTED."""
-    if evaluated == 0:
-        status = Status.UNTESTED
-    lhs, rhs, gap, witness = found or (None,) * 4
-    return SearchReport(entry.name, entry.expect, status, tried, lhs=lhs, rhs=rhs, gap=gap,
-                        witness=witness, cases_evaluated=evaluated, cases_skipped=skipped,
-                        worst_margin=worst)
-
-
-def _witness(d, q, bindings) -> dict:
-    witness = {
-        "distribution": d.to_json_dict(),
-        "bindings": dict(bindings),
-    }
-    if q is not None:
-        witness["q"] = q.to_json_dict()
-    return witness
-
-
-def _reconfirm(entry, op, w) -> bool:
-    """Reload the witness from its serialized form and re-check the verdict."""
-    d = JointDistribution.from_json_dict(w["distribution"])
-    q = JointDistribution.from_json_dict(w["q"]) if "q" in w else None
-    node = entry.node
-    lhs = ex.evaluate(node.lhs, d, q=q, bindings=w["bindings"])
-    rhs = ex.evaluate(node.rhs, d, q=q, bindings=w["bindings"])
-    return _margin(lhs, op, rhs) > NEQ_GAP
+        if evaluated == 0:
+            status = Status.UNTESTED
+        lhs, rhs, gap, witness = found or (None,) * 4
+        return SearchReport(self.entry.name, self.entry.expect, status, tried, lhs=lhs, rhs=rhs,
+                            gap=gap, witness=witness, cases_evaluated=evaluated,
+                            cases_skipped=skipped, worst_margin=worst)
 
 
 def check_suite(suite: IdentitySuite, seeds: int = DEFAULT_SEEDS,
@@ -526,45 +558,6 @@ def _draw_case(rng, row) -> list:
     if row.factor is not None:
         drawn.append(np.full((1,) * len(shape), float(rng.uniform(*row.factor))))
     return drawn
-
-
-def _check_weights(entry, seeds, rng) -> SearchReport:
-    """Draw every case of a :class:`WeightRow`, evaluate its sides once per
-    support shape, and report the first violating case in draw order."""
-    row = entry.check
-    draws = [_draw_case(rng, row) for _ in range(seeds)]
-    groups = {}
-    for i, drawn in enumerate(draws):
-        groups.setdefault(drawn[0].shape, []).append(i)
-    lhs, rhs, defined = np.empty(seeds), np.empty(seeds), np.empty(seeds, dtype=bool)
-    for shape, idx in groups.items():
-        variables = _variables(("X", "Y"), shape)
-        codes = []
-
-        def ce(p, q):
-            ps = qt.Stack(variables, p)
-            qs = ps if q is p else qt.Stack(variables, q)
-            values, undefined = qt._expected_ic_nats(ps, qs, ps.names, ())
-            codes.append(undefined)
-            return values.reshape(-1, *(1,) * len(shape))
-
-        left, right = row.sides(ce, *map(np.stack, zip(*(draws[i] for i in idx))))
-        lhs[idx], rhs[idx], defined[idx] = left.ravel(), right.ravel(), True
-        for undefined in codes:
-            defined[idx] &= undefined == 0
-    always = entry.expect is Expectation.ALWAYS_TRUE
-    margin = _margin(lhs, _search_op(entry), rhs)
-    bad = np.flatnonzero(defined & (margin > (EQ_TOLERANCE if always else NEQ_GAP)))
-    tried = int(bad[0]) + 1 if len(bad) else seeds
-    counted = defined[:tried]
-    worst = float(margin[:tried][counted].max()) if always and counted.any() else None
-    found = None
-    if len(bad):
-        i = bad[0]
-        d = JointDistribution(_variables(("X", "Y"), draws[i][0].shape), draws[i][0])
-        found = (float(lhs[i]), float(rhs[i]), float(margin[i]), _witness(d, None, {}))
-    return _report(entry, Status.VIOLATED if found else Status.HELD, tried,
-                   int(counted.sum()), int(tried - counted.sum()), worst, found)
 
 
 def _mass(w):

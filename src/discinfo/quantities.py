@@ -101,10 +101,11 @@ def information_content(rho: float, base: LogBase = LogBase.NATS) -> float:
     return base.from_nats(-math.log(rho))
 
 
-def _plogq(p: np.ndarray, q=None):
+def _plogq(p: np.ndarray, q=None, floor=ZERO_CELL):
     """The terms of :func:`plogq`, and the mask of the cells where q is not
     positive under p's mass (None when there is no such cell); those cells'
-    terms are 0."""
+    terms are 0.  A cell of p at or below ``floor`` (at most ``ZERO_CELL``,
+    broadcasting against p) is a 0 * log 0 cell."""
     if np.minimum.reduce(p, axis=None, initial=np.inf) > ZERO_CELL:  # no 0 * log 0 cell
         if q is None:
             out = np.log(p)
@@ -112,7 +113,7 @@ def _plogq(p: np.ndarray, q=None):
             return out, None
         if np.minimum.reduce(q, axis=None, initial=np.inf) > 0:  # a NaN fails too
             return np.log(q) * p, None
-    out = np.where(p > ZERO_CELL, p if q is None else q, 1.0)
+    out = np.where(p > floor, p if q is None else q, 1.0)
     bad = None
     if q is not None:
         ok = out > 0  # a NaN fails too
@@ -327,12 +328,13 @@ def _expected_ic_nats(p: Stack, q: Stack, p_head, p_given, q_head=None, q_given=
     if q_given:
         with np.errstate(divide="ignore", invalid="ignore"):
             values = values / q_marginal({t.name for t in q_given})
-    terms, bad = _plogq(joint, values)
-    n = len(terms)
     zero = None
     if np.minimum.reduce(mass) <= ZERO_MASS:
         zero = mass <= ZERO_MASS
         mass = np.where(zero, 1.0, mass)
+    # 0 * log 0 is judged on the cells of the conditioned measure, joint / mass
+    terms, bad = _plogq(joint, values, ZERO_CELL * mass.reshape(-1, *(1,) * (joint.ndim - 1)))
+    n = len(terms)
     out = 0.0 - _sum(terms.reshape(n, -1), axis=1) / mass  # 0.0 - makes -0.0 a 0.0
     if bad is None and zero is None:
         return out, DEFINED

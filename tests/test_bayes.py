@@ -466,6 +466,19 @@ def random_latent_model(rng, n_z=3, n_x=4):
 
 
 class TestElboVAE:
+    @pytest.mark.parametrize("table", ["prior_z", "decoder", "encoder"])
+    @pytest.mark.parametrize("fault", ["sum", "negative"])
+    def test_the_last_row_of_every_table_is_checked(self, table, fault):
+        lv = random_latent_model(np.random.default_rng(5))
+        tables = {name: getattr(lv, name).copy() for name in ("prior_z", "decoder", "encoder")}
+        row = tables[table] if table == "prior_z" else tables[table][-1]
+        if fault == "sum":
+            row[0] += 1e-3
+        else:  # the row still sums to 1
+            row[:2] = row[0] + row[1] + 0.5, -0.5
+        with pytest.raises(ValueError, match="sums to" if fault == "sum" else "non-negative"):
+            LatentVarModel(**tables)
+
     def test_exact_encoder_meets_bound(self):
         rng = np.random.default_rng(17)
         lv = random_latent_model(rng)
@@ -553,6 +566,13 @@ class TestModelJson:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_model(path)
+
+    def test_the_last_likelihood_row_is_checked(self):
+        m = opposite_coins_model()
+        lik = m.likelihood.copy()
+        lik[-1, -1] = [0.5, 0.6]
+        with pytest.raises(ValueError, match="sums to 1.1"):
+            BayesModel(m.hypotheses, m.prior, m.inputs, m.labels, lik)
 
     def test_hypothesis_cap(self):
         with pytest.raises(ValueError, match="cap"):

@@ -14,6 +14,7 @@ from discinfo import (
     UnnormalizedWeight,
     Variable,
     ZeroProbabilityEvent,
+    condition,
     cross_entropy,
     diagram,
     entropy,
@@ -102,6 +103,18 @@ class TestEntropy:
         assert entropy(d, ["X"]) == pytest.approx(
             math.log(3 * 2 ** (1 / 3) / 2), abs=1e-9
         )
+
+    def test_zero_cell_rule_applies_to_the_conditioned_measure(self):
+        # given y=1, Omega's cells are 5e-16 and 2e-12 before conditioning but
+        # about 2.5e-4 and 1 after it: neither is a 0 * log 0 cell
+        d = JointDistribution(
+            (Variable("Omega", ("0", "1")), Variable("Y", ("0", "1"))),
+            [[0.5 - 2e-12 - 5e-16, 5e-16], [0.5, 2e-12]],
+        )
+        conditioned = entropy(condition(d, {"Y": 1}), ["Omega"])
+        assert conditioned == pytest.approx(2.3229629166923e-3, rel=1e-9)
+        assert entropy(d, ["Omega"], [("Y", 1)]) == pytest.approx(conditioned, abs=1e-15)
+        assert evaluate("H[Omega|y=1]", d) == pytest.approx(conditioned, abs=1e-15)
 
     def test_zero_probability_tie(self):
         d = JointDistribution(

@@ -184,6 +184,22 @@ class TestWeightRows:
         assert report.gap == pytest.approx(abs(math.log(a)), abs=1e-12)
         assert report.worst_margin is None
 
+    def test_an_error_after_the_first_violation_is_not_raised(self):
+        # as for expressions, a stack that raises only matters if no case
+        # drawn before it violates: here the first draw has one variable
+        def sides(ce, p, q):
+            if p.ndim > 2:
+                raise ValueError("no two-variable case")
+            return ce(p, q), ce(p, q) + 1.0
+
+        entry = SuiteEntry("one_variable_only", Expectation.ALWAYS_TRUE,
+                           check=WeightRow(1, 1, None, "==", sides))
+        assert len(_replay_weight_cases(np.random.default_rng(1), 1)[0][0].names) == 1
+        report = check_entry(entry, 40, np.random.default_rng(1))
+        assert report.status is Status.VIOLATED
+        assert (report.seeds_tried, report.cases_evaluated, report.cases_skipped) == (1, 1, 0)
+        assert report.gap == pytest.approx(1.0, abs=1e-12)
+
     def test_a_check_is_a_row(self):
         with pytest.raises(TypeError):
             SuiteEntry("e", Expectation.ALWAYS_TRUE, check=lambda rng: None)
