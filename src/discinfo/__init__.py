@@ -7,30 +7,12 @@ the surprise -- plus a parser for an ASCII notation, an identity /
 counterexample search suite, an entropy-form bound for binomial
 coefficients, and exact-enumeration Bayesian models with BALD and
 label-aware core-set acquisition at desk scale.
+
+``bayes``, ``simulate`` and ``stirling`` load on first use of a name (PEP 562).
 """
 
-from .bayes import (
-    BayesModel,
-    CsdDecomposition,
-    Dataset,
-    ElboVAEResult,
-    ElboVIResult,
-    LatentVarModel,
-    Posterior,
-    bald,
-    batch_score,
-    csd,
-    csd_decomposition,
-    elbo_vae,
-    elbo_vi,
-    joint_label_hypothesis,
-    load_model,
-    log_evidence,
-    posterior,
-    predictive,
-    surprise,
-    update,
-)
+import importlib
+
 from .dist import (
     Assignment,
     JointDistribution,
@@ -83,8 +65,6 @@ from .quantities import (
     mutual_info,
     triple_mi,
 )
-from .simulate import SimConfig, SimResult, run_sim, threshold_task
-from .stirling import StirlingReport, log_binomial_exact, log_binomial_sweep, stirling_bound
 
 __version__ = "0.1.0"
 
@@ -167,3 +147,22 @@ __all__ = [
     "update",
     "verify_reference_witnesses",
 ]
+
+_LAZY = {
+    "bayes": ("BayesModel", "CsdDecomposition", "Dataset", "ElboVAEResult", "ElboVIResult",
+              "LatentVarModel", "Posterior", "bald", "batch_score", "csd", "csd_decomposition",
+              "elbo_vae", "elbo_vi", "joint_label_hypothesis", "load_model", "log_evidence",
+              "posterior", "predictive", "surprise", "update"),
+    "simulate": ("SimConfig", "SimResult", "run_sim", "threshold_task"),
+    "stirling": ("StirlingReport", "log_binomial_exact", "log_binomial_sweep", "stirling_bound"),
+}
+
+
+def __getattr__(name):
+    """Load the module that exports ``name`` and bind all its exported names."""
+    for module, names in _LAZY.items():
+        if name in names:
+            mod = importlib.import_module(f".{module}", __name__)
+            globals().update({n: getattr(mod, n) for n in names})
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,7 @@ import json
 import logging
 import sys
 
-from . import identities, simulate, stirling
+from . import identities
 from .dist import Assignment, load_distribution
 from .errors import CounterexampleMismatch, DiscinfoError
 from .expr import ParseError, diagram, evaluate
@@ -101,6 +101,8 @@ def _cmd_verify_paper(args) -> int:
 
 
 def _cmd_stirling(args) -> int:
+    from . import stirling
+
     report = stirling.stirling_bound(args.n, args.r, args.rho, base=_base(args))
     if args.csv:
         print("n,r,rho,exact,bound,error,error_bound")
@@ -117,6 +119,8 @@ def _cmd_stirling(args) -> int:
 
 
 def _cmd_sim(args) -> int:
+    from . import simulate
+
     cfg = simulate.load_config(args.config)
     result = simulate.run_sim(cfg)
     csv_text = result.to_csv()

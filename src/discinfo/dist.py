@@ -34,12 +34,12 @@ TIE_TOLERANCE = 1e-13  # acquisition scores this close (nats, absolute) to the b
 
 
 def _check_identifier(name: str) -> None:
+    """A variable name must be one the notation can write: an ASCII letter,
+    then ASCII letters, digits or ``_``."""
     if not isinstance(name, str) or not name:
         raise ValueError("variable name must be a non-empty string")
-    if not (name[0].isalpha() or name[0] == "_"):
-        raise ValueError(f"variable name {name!r} must start with a letter")
-    if not all(ch.isalnum() or ch == "_" for ch in name):
-        raise ValueError(f"variable name {name!r} contains invalid characters")
+    if not (name.isascii() and name[0].isalpha() and name.replace("_", "a").isalnum()):
+        raise ValueError(f"variable name {name!r}: not an ASCII letter, then letters, digits or _")
 
 
 @dataclass(frozen=True)

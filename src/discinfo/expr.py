@@ -733,8 +733,6 @@ _DIAGRAM_ROWS = (
     ("cond_outcome", "H[{y}|{X}]"),
     ("expected_marginal_ic", "E_{{p({x}|{y})}}[H[{x}]]"),
 )
-# a name the notation can write both untied and tied
-_WRITABLE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -769,19 +767,15 @@ def diagram(d: JointDistribution, observed, *, base: LogBase = LogBase.NATS) -> 
     ``observed`` binds exactly one variable of ``d``; every other variable
     forms the (joint) X group.  Each row is an expression over ``d`` with
     the observed variable as a bare tied identifier, evaluated with that
-    binding.  A variable name that does not start with an ASCII letter or
-    holds a non-ASCII character, or two names equal up to case, cannot be
-    written so: :class:`UnknownVariable`.
+    binding.  Every variable name is one the notation can write (see
+    :class:`~discinfo.dist.Variable`), but two names equal up to case
+    cannot be told apart: :class:`UnknownVariable`.
     """
     obs = _coerce_assignment(observed)
     if len(obs.bindings) != 1:
         raise ValueError("diagram needs exactly one observed variable")
     (y_name, y_idx), = obs.bindings
     obs.validate_against(d)
-    unwritable = [n for n in d.names if not _WRITABLE_NAME.fullmatch(n)]
-    if unwritable:
-        raise UnknownVariable(f"the notation cannot write the variable name(s) {unwritable}: "
-                              f"a name must be an ASCII letter, then ASCII letters, digits or _")
     xs = ",".join(n[0].upper() + n[1:] for n in d.names if n != y_name)
     if not xs:
         raise ValueError("diagram needs at least one unobserved variable")

@@ -14,19 +14,22 @@ deterministic grids, including grids with exact zeros; cases whose
 preconditions fail (zero-probability conditioning, q zero under p's mass)
 are skipped and counted.
 
-The cases are evaluated as stacks: the random draws grouped by support
-shape, each grid as one array, and every binding of the free tied
-outcomes as further stack elements.  The first case in draw order whose
-stacked margin crosses the threshold is re-evaluated on its own before it
-is reported, so reports do not depend on how the cases were stacked.
+The cases are evaluated as stacks: all random draws as one stack, each
+padded with exact zeros to the largest drawn size of every variable (exact
+zeros are 0 * log 0 and carry no expectation weight), each grid as one
+array, and every binding of the free tied outcomes inside a case's own
+support as further stack elements.  The first case in draw order whose
+stacked margin crosses the threshold is cut to its own support and
+re-evaluated on its own before it is reported, so reports do not depend on
+how the cases were stacked.
 
 The weight-algebra entries (scaled, powered, multiplied and mixed
 weights, which the notation cannot express) are rows of one table whose
 sides are written over stacks and evaluated by the same kernel.  A row is
 one more source of cases for the same search, staged, counted and
 reported as an expression is; it has no tied outcome and walks no grid,
-and its case is confirmed from its own stacked values, since its weights
-have no serialized form to re-check.
+its draws form one stack per variable count, and its case is confirmed by
+its sides on that case alone, since its weights have no serialized form.
 """
 
 from __future__ import annotations
@@ -210,20 +213,30 @@ class SearchReport:
         }
 
 
-def _floored(rng, shape, floor=CELL_FLOOR) -> np.ndarray:
-    """Normalized exponentials of the given shape, floored per cell."""
-    cells = rng.exponential(1.0, size=shape)
-    cells /= cells.sum()
+def _inside(sizes) -> np.ndarray:
+    """Per case, which cells of the padded shape (each variable's largest
+    drawn size) lie inside the case's own support ``sizes[i]``."""
+    full = sizes.max(axis=0, initial=1)
+    return (np.indices(full) < sizes.reshape(*sizes.shape, *(1,) * len(full))).all(axis=1)
+
+
+def _floored(rng, inside, floor=CELL_FLOOR) -> np.ndarray:
+    """Normalized exponentials inside each case's support, floored per cell
+    there and renormalized; the cells outside are exact zeros."""
+    axes = tuple(range(1, inside.ndim))
+    cells = np.where(inside, rng.exponential(1.0, size=inside.shape), 0.0)
+    cells /= cells.sum(axis=axes, keepdims=True)
     if floor > 0:
-        cells = np.maximum(cells, floor)
-        cells /= cells.sum()
+        cells = np.where(inside, np.maximum(cells, floor), 0.0)
+        cells /= cells.sum(axis=axes, keepdims=True)
     return cells
 
 
-def _random_cells(rng, n_vars, floor=CELL_FLOOR) -> np.ndarray:
-    """The cells of :func:`random_distribution`, drawn in the same order."""
-    sizes = (int(rng.integers(SUPPORT_SIZES.start, SUPPORT_SIZES.stop)) for _ in range(n_vars))
-    return _floored(rng, tuple(sizes), floor)
+def _crop(variables, arrays, row, own):
+    """One case of a padded stack: its variables and arrays cut to its support ``own``."""
+    cut = tuple(slice(s) for s in own)
+    return (tuple(Variable(v.name, v.support[:s]) for v, s in zip(variables, own)),
+            [a[row if len(a) > 1 else 0][cut] for a in arrays])
 
 
 def _variables(names, shape) -> tuple[Variable, ...]:
@@ -231,9 +244,10 @@ def _variables(names, shape) -> tuple[Variable, ...]:
 
 
 def random_distribution(rng, names, floor=CELL_FLOOR) -> JointDistribution:
-    """A positive random joint: normalized exponentials, floored per cell,
-    each variable's support size drawn from ``SUPPORT_SIZES``."""
-    cells = _random_cells(rng, len(names), floor)
+    """A positive random joint, drawn as one case of the search: support
+    sizes from ``SUPPORT_SIZES``, then normalized exponentials floored per cell."""
+    sizes = rng.integers(SUPPORT_SIZES.start, SUPPORT_SIZES.stop, size=(1, len(names)))
+    cells = _floored(rng, _inside(sizes), floor)[0]
     return JointDistribution(_variables(names, cells.shape), cells)
 
 
@@ -307,12 +321,13 @@ def check_entry(entry: SuiteEntry, seeds: int, rng) -> SearchReport:
 @dataclass(frozen=True)
 class _Block:
     """One evaluated stack of cases: the stacked arrays of its draws (the
-    first holds the distributions), and per case: its distribution's row in
-    them, its ordinal in draw order, the index and values of its binding,
-    its two sides, its margin and whether it is defined."""
+    first holds the distributions) and their own support sizes, and per case:
+    its distribution's row in them, its ordinal in draw order, the index and
+    values of its binding, its two sides, its margin and whether it is defined."""
 
     variables: tuple
     arrays: list
+    sizes: np.ndarray
     rows: np.ndarray
     ordinal: np.ndarray
     binding: np.ndarray
@@ -336,19 +351,25 @@ class _Search:
         if self.row is None:
             self.names = entry.variable_names()
             self.free = [_canonical(i) for i in ex.free_tied_identifiers(self.node)]
+            self.need = np.zeros(len(self.names), dtype=np.intp)  # y=3 needs 4 outcomes of Y
+            for t in (t for _, terms, _ in ex.scoped_termlists(self.node) for t in terms):
+                if t.outcome is not None and t.outcome.isdigit():
+                    j = self.names.index(_canonical(t.name))
+                    self.need[j] = max(self.need[j], int(t.outcome) + 1)
             # the dense positive grids are the discovery guarantee of witness searches
             self.grids = (ZERO_GRID_VALUES,) if self.always else (ZERO_GRID_VALUES,
                                                                   FULL_GRID_VALUES)
         else:  # one or two variables per case, no tied outcome and no grid
-            self.names, self.free, self.grids = ("X", "Y"), [], ()
+            self.names, self.free, self.need, self.grids = ("X", "Y"), [], 0, ()
+        self.free_axes = [self.names.index(n) for n in self.free]
         self.blocks = []
 
     def run(self, rng) -> SearchReport:
-        draws = [self.draw(rng) for _ in range(self.seeds)]
+        stacks = self.draw(rng)
         # a witness search looks at the first draw alone first: most stop there
         cut = self.seeds if self.always else min(1, self.seeds)
         for part in (range(cut), range(cut, self.seeds)):
-            report = self.stage(self.random_batches(draws, part))
+            report = self.stage(self.random_batches(stacks, part))
             if report is not None:
                 return report
         tried = self.seeds
@@ -360,56 +381,76 @@ class _Search:
             for cells in _grid_chunks(shape, values):
                 ordinals = np.arange(tried, tried + len(cells))
                 tried += len(cells)
-                report = self.stage([(variables, [cells, *q], ordinals, None)])
+                sizes = np.broadcast_to(shape, (len(cells), n))
+                report = self.stage([(variables, [cells, *q], ordinals, None, sizes)])
                 if report is not None:
                     return report
         return self.report(Status.HELD, tried)
 
     def draw(self, rng):
-        """One case's arrays (the first is its distribution) and, for an
-        "always" search, its binding, drawn in that order."""
-        if self.row is not None:
-            arrays = _draw_case(rng, self.row)
-        else:
-            arrays = [_random_cells(rng, len(self.names))]
-            if self.entry.needs_q:
-                arrays.append(_floored(rng, arrays[0].shape))
-        binding = None
-        if self.always:
-            shape = arrays[0].shape
-            binding = [int(rng.integers(shape[self.names.index(n)])) for n in self.free]
-        return arrays, binding
+        """Every random case at once, as padded stacks, one per variable count,
+        each (variables, arrays, ordinals, bindings, own sizes).  Drawn in this
+        order: a row's variable counts, the sizes, each distribution's (or q's)
+        cells, each weight's cells then scales, the factors, and an "always"
+        search's bindings, inside each case's support."""
+        n, width = self.seeds, len(self.names)
+        counts = rng.integers(1, 3, size=n) if self.row else np.full(n, width)
+        sizes = rng.integers(SUPPORT_SIZES.start, SUPPORT_SIZES.stop, size=(n, width))
+        sizes[np.arange(width) >= counts[:, None]] = 1  # a row's one-variable cases
+        inside = _inside(sizes)
+        unit = (n,) + (1,) * width
+        arrays = [_floored(rng, inside)
+                  for _ in range(self.row.dists if self.row else 1 + self.entry.needs_q)]
+        for _ in range(self.row.weights if self.row else 0):
+            cells = np.where(inside, rng.exponential(1.0, size=inside.shape) + CELL_FLOOR, 0.0)
+            arrays.append(cells * rng.uniform(0.2, 5.0, size=unit))
+        if self.row and self.row.factor is not None:
+            arrays.append(rng.uniform(*self.row.factor, size=unit))
+        bindings = rng.integers(0, sizes[:, self.free_axes]) if self.always else None
+        stacks = []
+        for count in sorted(set(counts.tolist())):  # np.unique would import numpy.ma
+            idx = np.flatnonzero(counts == count)
+            cut = (idx,) + (slice(None),) * count + (0,) * (width - count)
+            stacks.append((_variables(self.names, inside.shape[1:1 + count]),
+                           [a[cut] for a in arrays], idx,
+                           None if bindings is None else bindings[idx], sizes[idx, :count]))
+        return stacks
 
-    def random_batches(self, draws, part):
-        groups = {}
-        for i in part:
-            groups.setdefault(draws[i][0][0].shape, []).append(i)
-        for shape, idx in groups.items():
-            bindings = None
-            if self.always:
-                bindings = np.array([draws[i][1] for i in idx], dtype=np.intp)
-                bindings = bindings.reshape(len(idx), len(self.free))
-            yield (_variables(self.names, shape),
-                   [np.stack(a) for a in zip(*(draws[i][0] for i in idx))], np.array(idx),
-                   bindings)
+    def random_batches(self, stacks, part):
+        """The cases of each stack whose ordinals are in ``part``.  The first
+        case that lacks an outcome the expression writes (such as y=3) comes
+        alone, cut to its own support, so it raises at its ordinal as it
+        would alone."""
+        for variables, arrays, ordinals, bindings, sizes in stacks:
+            keep = (ordinals >= part.start) & (ordinals < part.stop)
+            for i in np.flatnonzero(keep & (sizes < self.need).any(axis=1))[:1]:
+                own, cells = _crop(variables, arrays, i, sizes[i])
+                yield (own, [c[None] for c in cells], ordinals[[i]],
+                       None if bindings is None else bindings[[i]], sizes[[i]])
+                keep[i:] = False  # the later cases cannot come before its error
+            if keep.any():
+                yield (variables, [a[keep] for a in arrays], ordinals[keep],
+                       None if bindings is None else bindings[keep], sizes[keep])
 
-    def evaluate(self, variables, arrays, ordinals, bindings) -> _Block:
+    def evaluate(self, variables, arrays, ordinals, bindings, sizes) -> _Block:
         """Stack the cases of one batch: each distribution with its own
-        binding, or (``bindings`` None) with every binding in turn."""
+        binding, or (``bindings`` None) with every binding inside its own
+        support in turn."""
         p = arrays[0]
         if bindings is None:
-            sizes = [p.shape[1 + self.names.index(n)] for n in self.free]
-            combos = list(itertools.product(*map(range, sizes)))
+            combos = list(itertools.product(*(range(variables[j].size) for j in self.free_axes)))
             combos = np.array(combos, dtype=np.intp).reshape(len(combos), len(self.free))
             rows = np.repeat(np.arange(len(p)), len(combos))
             binding = np.tile(np.arange(len(combos)), len(p))
             bindings = combos[binding]
+            own = (bindings < sizes[rows][:, self.free_axes]).all(axis=1)
+            rows, binding, bindings = rows[own], binding[own], bindings[own]
         else:
             rows = np.arange(len(p))
             binding = np.zeros(len(p), dtype=np.intp)
         lhs, rhs, defined = self.sides(variables, arrays, rows, bindings)
-        return _Block(variables, arrays, rows, ordinals[rows], binding, bindings, lhs, rhs,
-                      _margin(lhs, self.op, rhs), defined)
+        return _Block(variables, arrays, sizes, rows, ordinals[rows], binding, bindings, lhs,
+                      rhs, _margin(lhs, self.op, rhs), defined)
 
     def sides(self, variables, arrays, rows, bindings):
         """Both sides of every case, and whether each case is defined."""
@@ -467,23 +508,28 @@ class _Search:
 
     def confirm(self, block, i):
         """Case ``i`` of ``block`` as (lhs, rhs, margin, witness) if it
-        violates the entry, else None.  A row's case is confirmed from its
-        own values; an expression's is evaluated on its own and, for a
-        witness search, again after a JSON round trip."""
+        violates the entry, else None.  The case is cut to its own support
+        and evaluated on its own: a row's by its sides on a stack of one, an
+        expression's by :func:`~discinfo.expr.evaluate` and, for a witness
+        search, again after a JSON round trip."""
         row = block.rows[i]
-        d = JointDistribution(block.variables, block.arrays[0][row])
+        variables, cells = _crop(block.variables, block.arrays, row, block.sizes[row])
+        d = JointDistribution(variables, cells[0])
         bindings = {n: int(block.bindings[i, j]) for j, n in enumerate(self.free)}
         q = None
         if self.row is not None:
-            lhs, rhs, margin = (float(a[i]) for a in (block.lhs, block.rhs, block.margin))
+            (lhs,), (rhs,), (defined,) = self.sides(variables, [c[None] for c in cells], [0], None)
+            if not defined:
+                return None
+            lhs, rhs, margin = float(lhs), float(rhs), float(_margin(lhs, self.op, rhs))
         else:
             if self.entry.needs_q:
-                cells = block.arrays[1]
-                q = JointDistribution(block.variables, cells[row if len(cells) > 1 else 0])
+                q = JointDistribution(variables, cells[1])
             try:
                 lhs, rhs, margin = self.alone(d, q, bindings)
             except (ZeroProbabilityEvent, SupportMismatch):
                 return None
+        block.margin[i] = margin  # the case counts with its own margin, not its padded one
         if margin <= self.threshold:
             return None
         witness = {"distribution": d.to_json_dict(), "bindings": bindings}
@@ -544,20 +590,6 @@ def check_suite(suite: IdentitySuite, seeds: int = DEFAULT_SEEDS,
 # ---------------------------------------------------------------------------
 # Weight-algebra entries: the cross-entropy of unnormalized q under scaling,
 # powers, products and mixtures
-
-
-def _draw_case(rng, row) -> list:
-    """One case of a :class:`WeightRow`, drawn in this order: the variable
-    count and sizes, each distribution, each weight's cells and then its
-    scale, and the factor."""
-    drawn = [_random_cells(rng, int(rng.integers(1, 3)))]
-    shape = drawn[0].shape
-    drawn += [_floored(rng, shape) for _ in range(row.dists - 1)]
-    drawn += [(rng.exponential(1.0, size=shape) + CELL_FLOOR) * float(rng.uniform(0.2, 5.0))
-              for _ in range(row.weights)]
-    if row.factor is not None:
-        drawn.append(np.full((1,) * len(shape), float(rng.uniform(*row.factor))))
-    return drawn
 
 
 def _mass(w):

@@ -68,6 +68,16 @@ class TestEval:
         assert captured.out == ""
         assert "out of range" in captured.err
 
+    @pytest.mark.parametrize("name", ["_y", "\u00c9", "x y"])
+    def test_unwritable_variable_name_is_usage_error(self, tmp_path, capsys, name):
+        doc = {"variables": [{"name": "X", "support": ["0", "1"]},
+                             {"name": name, "support": ["0", "1"]}], "probs": [0.25] * 4}
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["eval", "--dist", str(path), "H[X]"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["eval", "--dist", missing, "H[X]"]) == 2
@@ -113,10 +123,12 @@ class TestDiagram:
         (("X", "_y"), "_y=1"), (("A", "a"), "a=1"), (("X", "Y"), "X=0,Y=1"), (("X", "Y"), ""),
     ])
     def test_unprintable_table_is_usage_error(self, tmp_path, capsys, names, observe):
-        variables = tuple(Variable(n, ("0", "1")) for n in names)
-        path = str(tmp_path / "d.json")
-        dump_distribution(JointDistribution(variables, np.full((2, 2), 0.25)), path)
-        assert main(["diagram", "--dist", path, "--observe", observe]) == 2
+        # written by hand: a name such as _y cannot be made into a Variable
+        doc = {"variables": [{"name": n, "support": ["0", "1"]} for n in names],
+               "probs": [0.25] * 4}
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["diagram", "--dist", str(path), "--observe", observe]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
 

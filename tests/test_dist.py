@@ -52,6 +52,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="cells"):
             JointDistribution((Variable("X", ("0", "1")),), [1.0])
 
+    @pytest.mark.parametrize("name", ["_y", "\u00c9", "X\u00e9", "1X", "x-y", "x y", ""])
+    def test_rejects_names_the_notation_cannot_write(self, name):
+        with pytest.raises(ValueError):
+            Variable(name, ("0", "1"))
+
+    @pytest.mark.parametrize("name", ["X", "y", "Y1", "x_2", "Omega"])
+    def test_accepts_names_the_notation_can_write(self, name):
+        assert Variable(name, ("0", "1")).name == name
+
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="duplicate"):
             JointDistribution(

@@ -348,15 +348,19 @@ class TestDiagram:
                 ]
                 assert [v for _, v in t.rows()] == pytest.approx(direct, abs=1e-12)
 
-    @pytest.mark.parametrize("names,observed", [
-        (("X", "_y"), "_y"), (("_x", "Y"), "Y"), (("\u00c9", "Y"), "Y"),
-        (("A", "a", "B"), "B"), (("A", "a"), "a"),
+    # a name outside the notation's rule is refused when its Variable is
+    # made; names equal up to case are refused by diagram
+    @pytest.mark.parametrize("names,observed,error", [
+        pytest.param(("X", "_y"), "_y", ValueError, id="names0-_y"),
+        pytest.param(("_x", "Y"), "Y", ValueError, id="names1-Y"),
+        pytest.param(("\u00c9", "Y"), "Y", ValueError, id="names2-Y"),
+        pytest.param(("A", "a", "B"), "B", UnknownVariable, id="names3-B"),
+        pytest.param(("A", "a"), "a", UnknownVariable, id="names4-a"),
     ])
-    def test_names_the_notation_cannot_write(self, names, observed):
-        d = JointDistribution(
-            tuple(Variable(n, ("0", "1")) for n in names), np.full((2,) * len(names), 0.5 ** len(names))
-        )
-        with pytest.raises(UnknownVariable):
+    def test_names_the_notation_cannot_write(self, names, observed, error):
+        with pytest.raises(error):
+            d = JointDistribution(tuple(Variable(n, ("0", "1")) for n in names),
+                                  np.full((2,) * len(names), 0.5 ** len(names)))
             diagram(d, {observed: 1})
 
 

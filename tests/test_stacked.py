@@ -43,7 +43,7 @@ from discinfo import (
 )
 from discinfo import quantities as qt
 from discinfo.dist import scale
-from discinfo.expr import evaluate_stack
+from discinfo.expr import evaluate_stack, free_tied_identifiers
 from discinfo.identities import (
     Status,
     WeightRow,
@@ -119,20 +119,48 @@ class TestWeightAlgebraReports:
                 assert got["worst_margin"] == pytest.approx(want["worst_margin"], abs=1e-12)
 
 
+def _padded(rng, sizes, floor=1e-3):
+    """The documented bulk draw of one tensor per case: exponentials over
+    the padded shape, normalized, floored and renormalized inside each
+    case's support, exact zeros outside; returns (cells, inside)."""
+    full = sizes.max(axis=0)
+    inside = np.ones((len(sizes), *full), dtype=bool)
+    for j, k in enumerate(full):
+        axis = np.arange(k).reshape((k,) + (1,) * (len(full) - 1 - j))
+        inside &= axis < sizes[:, j].reshape((-1,) + (1,) * len(full))
+    cells = np.where(inside, rng.exponential(1.0, size=inside.shape), 0.0)
+    axes = tuple(range(1, cells.ndim))
+    cells /= cells.sum(axis=axes, keepdims=True)
+    cells = np.where(inside, np.maximum(cells, floor), 0.0)
+    return cells / cells.sum(axis=axes, keepdims=True), inside
+
+
+def _own(names, cells, size):
+    """A case of a padded draw as a distribution cut to its own support."""
+    variables = tuple(Variable(n, [str(k) for k in range(s)]) for n, s in zip(names, size))
+    return variables, cells[tuple(slice(s) for s in size)]
+
+
 def _replay_weight_cases(rng, seeds):
     """The (p, q, a) of a one-distribution, one-weight row with a factor on
-    (0.1, 3.0), drawn one case at a time in the documented order."""
+    (0.1, 3.0), drawn in bulk in the documented order: the variable counts,
+    the sizes, p's cells, the weight's cells, its scales, the factors."""
+    counts = rng.integers(1, 3, size=seeds)
+    sizes = rng.integers(2, 5, size=(seeds, 2))
+    sizes[counts == 1, 1] = 1
+    p_cells, inside = _padded(rng, sizes)
+    weights = np.where(inside, rng.exponential(1.0, size=inside.shape) + 1e-3, 0.0)
+    scales = rng.uniform(0.2, 5.0, size=seeds)
+    factors = rng.uniform(0.1, 3.0, size=seeds)
     cases = []
-    for _ in range(seeds):
-        shape = tuple(int(rng.integers(2, 5)) for _ in range(int(rng.integers(1, 3))))
-        variables = tuple(Variable(n, [str(k) for k in range(s)]) for n, s in zip("XY", shape))
-        cells = rng.exponential(1.0, size=shape)
-        cells /= cells.sum()
-        cells = np.maximum(cells, 1e-3)
-        p = JointDistribution(variables, cells / cells.sum())
-        weights = rng.exponential(1.0, size=shape) + 1e-3
-        q = UnnormalizedWeight(variables, weights * float(rng.uniform(0.2, 5.0)))
-        cases.append((p, q, float(rng.uniform(0.1, 3.0))))
+    for i in range(seeds):
+        own = tuple(sizes[i, :counts[i]]) + (1,) * (2 - counts[i])
+        variables, cells = _own("XY", p_cells[i], own)
+        _, w = _own("XY", weights[i] * scales[i], own)
+        shape = own[:counts[i]]
+        p = JointDistribution(variables[:counts[i]], cells.reshape(shape))
+        q = UnnormalizedWeight(variables[:counts[i]], w.reshape(shape))
+        cases.append((p, q, float(factors[i])))
     return cases
 
 
@@ -179,7 +207,7 @@ class TestWeightRows:
         row = WeightRow(1, 1, (0.1, 3.0), "!=", lambda ce, p, q, a: (ce(p, q * a), ce(p, q)))
         entry = SuiteEntry("scaling_matters", Expectation.EXISTS_VIOLATION, check=row)
         report = check_entry(entry, 40, np.random.default_rng(0))
-        a = _replay_weight_cases(np.random.default_rng(0), 1)[0][2]
+        a = _replay_weight_cases(np.random.default_rng(0), 40)[0][2]
         assert report.passed and report.seeds_tried == 1
         assert report.gap == pytest.approx(abs(math.log(a)), abs=1e-12)
         assert report.worst_margin is None
@@ -422,19 +450,100 @@ def test_an_error_after_the_verdict_is_not_raised(rng_seed):
             check_entry(entry, 20, np.random.default_rng(rng_seed))
 
 
+@pytest.mark.parametrize("rng_seed", range(6))
+def test_an_outcome_past_a_later_case_support_raises(rng_seed):
+    # a one-case-at-a-time search raises at the first draw without y=3; the
+    # padded stack must not read that draw as a zero-probability case (one
+    # variable, so no grid raises instead)
+    entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, expression="H[y=3] <= 100")
+    sizes = np.random.default_rng(rng_seed).integers(2, 5, size=(20, 1))
+    assert (sizes[:, 0] < 4).any()
+    with pytest.raises(UnknownVariable):
+        check_entry(entry, 20, np.random.default_rng(rng_seed))
+
+
+# ---------------------------------------------------------------------------
+# Padded stacks: every case of an entry in one stack, padded with exact zeros
+
+
+def _one_side(node, d, q, bindings):
+    try:
+        return evaluate(node, d, q=q, bindings=bindings)
+    except (ZeroProbabilityEvent, SupportMismatch):
+        return None
+
+
+@pytest.mark.parametrize("entry", [e for e in default_suite().entries if e.check is None],
+                         ids=lambda e: e.name)
+@pytest.mark.parametrize("zeros", [False, True])
+def test_padded_stack_matches_each_cropped_case(entry, zeros):
+    # exact zeros inside the supports too (zeros=True) make undefined cases
+    rng = np.random.default_rng(len(entry.name))
+    names, n = entry.variable_names(), 60
+    free = [t[0].upper() + t[1:] for t in free_tied_identifiers(entry.node)]
+    sizes = rng.integers(2, 5, size=(n, len(names)))
+    tensors = []
+    for _ in range(1 + entry.needs_q):
+        cells, inside = _padded(rng, sizes)
+        if zeros:
+            cells = cells * (rng.random(cells.shape) < 0.7)
+            cells[(cells.reshape(n, -1).sum(axis=1) == 0,) + (0,) * len(names)] = 1.0
+            cells /= cells.sum(axis=tuple(range(1, cells.ndim)), keepdims=True)
+        tensors.append(cells)
+    axes = [names.index(f) for f in free]
+    bindings = rng.integers(0, sizes[:, axes]) if axes else np.zeros((n, 0), dtype=np.intp)
+    full = tuple(Variable(m, [str(k) for k in range(s)])
+                 for m, s in zip(names, tensors[0].shape[1:]))
+    ps = qt.Stack(full, tensors[0])
+    qs = qt.Stack(full, tensors[1]) if entry.needs_q else None
+    env = {f: bindings[:, j] for j, f in enumerate(free)}
+    undefined = 0
+    for side in (entry.node.lhs, entry.node.rhs):
+        values, defined = evaluate_stack(side, ps, qs, env)
+        for i in range(n):
+            variables, p_cells = _own(names, tensors[0][i], sizes[i])
+            d = JointDistribution(variables, p_cells)
+            q = JointDistribution(*_own(names, tensors[1][i], sizes[i])) if qs else None
+            one = _one_side(side, d, q, {f: int(b) for f, b in zip(free, bindings[i])})
+            assert defined[i] == (one is not None)
+            if one is None:
+                undefined += 1
+            else:
+                assert values[i] == pytest.approx(one, abs=1e-12)
+    if not zeros:
+        assert undefined == 0
+
+
+def test_a_witness_search_binds_only_inside_each_case_support():
+    # never violated; the random draws and the full grid are floored or
+    # positive, so only the zero grid's 16 undefined cases are skipped
+    entry = SuiteEntry("e", Expectation.EXISTS_VIOLATION, expression="H[y|X] != H[y|X] + 0")
+    report = check_entry(entry, 10, np.random.default_rng(5))
+    y = entry.variable_names().index("Y")
+    own = np.random.default_rng(5).integers(2, 5, size=(10, 2))[:, y]
+    assert report.status is Status.HELD
+    assert report.seeds_tried == 10 + 80 + 9**4
+    assert report.cases_skipped == 16
+    assert report.cases_evaluated == own.sum() + 2 * 80 - 16 + 2 * 9**4
+
+
 # ---------------------------------------------------------------------------
 # Search observability
 
 
 def _scalar_count(expression, names, seeds, rng_seed):
     """(evaluated, skipped) of an always entry, one case at a time in the
-    search's order: each random draw with its random binding of y, then
-    every binding of y on every zero-grid distribution."""
+    search's order: each random draw (drawn in bulk in the documented
+    order: the sizes, the cells, then a binding of y inside each case's
+    support), then every binding of y on every zero-grid distribution."""
     rng = np.random.default_rng(rng_seed)
+    sizes = rng.integers(2, 5, size=(seeds, len(names)))
+    cells, _ = _padded(rng, sizes)
+    ys = rng.integers(0, sizes[:, [names.index("Y")]])
     cases = []
-    for _ in range(seeds):
-        d = random_distribution(rng, names)
-        cases.append((d, {"Y": int(rng.integers(d.variable("Y").size))}))
+    for i in range(seeds):
+        d = JointDistribution(*_own(names, cells[i], sizes[i]))
+        cases.append((d, {"Y": int(ys[i, 0])}))
     for d in grid_distributions(names, (0.0, 0.5, 1.0)):
         cases += [(d, {"Y": y}) for y in (0, 1)]
     skipped = 0
