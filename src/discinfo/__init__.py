@@ -8,7 +8,10 @@ counterexample search suite, an entropy-form bound for binomial
 coefficients, and exact-enumeration Bayesian models with BALD and
 label-aware core-set acquisition at desk scale.
 
-``bayes``, ``simulate`` and ``stirling`` load on first use of a name (PEP 562).
+``import discinfo`` loads only ``dist``, ``errors`` and ``quantities``.  The
+notation (``expr``), the identity search (``identities``), ``bayes``,
+``simulate`` and ``stirling`` load on first use of one of their names
+(PEP 562), and that first use binds all of the module's names.
 """
 
 import importlib
@@ -35,24 +38,11 @@ from .errors import (
     MalformedInput,
     MissingQDistribution,
     NonPositiveProbability,
+    ParseError,
     SupportMismatch,
     UnknownVariable,
     ZeroEvidence,
     ZeroProbabilityEvent,
-)
-from .expr import DiagramTable, ParseError, diagram, evaluate, format_expression, parse
-from .identities import (
-    Expectation,
-    IdentitySuite,
-    SearchReport,
-    SuiteEntry,
-    WitnessReport,
-    chaining_distribution,
-    check_suite,
-    default_suite,
-    parse_suite_file,
-    three_cell_distribution,
-    verify_reference_witnesses,
 )
 from .quantities import (
     LogBase,
@@ -149,6 +139,10 @@ __all__ = [
 ]
 
 _LAZY = {
+    "expr": ("DiagramTable", "diagram", "evaluate", "format_expression", "parse"),
+    "identities": ("Expectation", "IdentitySuite", "SearchReport", "SuiteEntry", "WitnessReport",
+                   "chaining_distribution", "check_suite", "default_suite", "parse_suite_file",
+                   "three_cell_distribution", "verify_reference_witnesses"),
     "bayes": ("BayesModel", "CsdDecomposition", "Dataset", "ElboVAEResult", "ElboVIResult",
               "LatentVarModel", "Posterior", "bald", "batch_score", "csd", "csd_decomposition",
               "elbo_vae", "elbo_vi", "joint_label_hypothesis", "load_model", "log_evidence",

@@ -14,10 +14,8 @@ import json
 import logging
 import sys
 
-from . import identities
-from .dist import Assignment, load_distribution
-from .errors import CounterexampleMismatch, DiscinfoError
-from .expr import ParseError, diagram, evaluate
+from .dist import DEFAULT_SEEDS, Assignment, load_distribution
+from .errors import CounterexampleMismatch, DiscinfoError, ParseError
 from .quantities import LogBase
 
 
@@ -39,6 +37,8 @@ def _parse_observe(text: str) -> dict:
 
 
 def _cmd_eval(args) -> int:
+    from .expr import evaluate
+
     d = load_distribution(args.dist)
     q = load_distribution(args.q) if args.q else None
     bindings = None
@@ -53,6 +53,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
+    from .expr import diagram
+
     d = load_distribution(args.dist)
     a = Assignment.from_labels(d, _parse_observe(args.observe))
     table = diagram(d, a, base=_base(args))
@@ -63,7 +65,9 @@ def _cmd_diagram(args) -> int:
 
 
 def _run_suite(suite, args) -> int:
-    reports = identities.check_suite(suite, seeds=args.seeds, rng_seed=args.rng_seed)
+    from .identities import check_suite
+
+    reports = check_suite(suite, seeds=args.seeds, rng_seed=args.rng_seed)
     for report in reports:
         print(report.format_line())
     if args.json:
@@ -76,18 +80,24 @@ def _run_suite(suite, args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .identities import parse_suite_file
+
     with open(args.suite, "r", encoding="utf-8") as fh:
-        suite = identities.parse_suite_file(fh.read())
+        suite = parse_suite_file(fh.read())
     return _run_suite(suite, args)
 
 
 def _cmd_search(args) -> int:
-    return _run_suite(identities.default_suite(), args)
+    from .identities import default_suite
+
+    return _run_suite(default_suite(), args)
 
 
 def _cmd_verify_paper(args) -> int:
+    from .identities import verify_reference_witnesses
+
     try:
-        report = identities.verify_reference_witnesses()
+        report = verify_reference_witnesses()
     except CounterexampleMismatch as exc:
         print(f"MISMATCH: {exc}", file=sys.stderr)
         return 1
@@ -161,13 +171,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run an identity suite file")
     p.add_argument("--suite", required=True, help="suite file (one comparison per line)")
-    p.add_argument("--seeds", type=int, default=identities.DEFAULT_SEEDS)
+    p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS,
+                   help="random cases per entry (default: %(default)s)")
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--json", help="also write the reports as JSON to this path")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("search", help="run the built-in identity suite and counterexample search")
-    p.add_argument("--seeds", type=int, default=identities.DEFAULT_SEEDS)
+    p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS,
+                   help="random cases per entry (default: %(default)s)")
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--json", help="also write the reports as JSON to this path")
     p.set_defaults(func=_cmd_search)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ZeroProbabilityEvent, malformed_input
 
 DEFAULT_MAX_CELLS = 2**22
+DEFAULT_SEEDS = 500  # random cases per identity-search entry, also the CLI's --seeds default
 
 # Every numerical threshold of the package, one name per decision.
 SUM_TOLERANCE = 1e-9  # a total this close to 1 is accepted as normalized

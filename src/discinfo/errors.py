@@ -31,6 +31,15 @@ class ZeroEvidence(DiscinfoError):
     """Observed data has probability zero under every hypothesis."""
 
 
+class ParseError(DiscinfoError):
+    """A syntax error with its byte offset and the tokens that were expected."""
+
+    def __init__(self, offset: int, expected, message: str):
+        self.offset = int(offset)
+        self.expected = frozenset(expected)
+        super().__init__(f"{message} at offset {self.offset}")
+
+
 class MalformedInput(DiscinfoError, ValueError):
     """A JSON document whose structure is not the documented one."""
 

@@ -30,7 +30,9 @@ Grammar (EBNF)::
     termlist   = termspec { "," termspec }
     termspec   = UPPER_IDENT | LOWER_IDENT [ "=" OUTCOME ]
 
-A NUMBER is a decimal literal that fits a float; ``1e400`` does not.
+A NUMBER is a decimal literal that fits a float; ``1e400`` does not.  An
+identifier is an ASCII letter, then ASCII letters, digits or ``_`` (the rule
+``dist`` applies to variable names), so ``_x`` is not one.
 Parsing is total: every malformed input raises :class:`ParseError` carrying
 the byte offset of the failure and the set of expected tokens.
 """
@@ -55,20 +57,12 @@ from .dist import (
 from .errors import (
     DiscinfoError,
     MissingQDistribution,
+    ParseError,
     UnknownVariable,
 )
 from .quantities import LogBase, Term
 
 _QUANTITY_HEADS = ("H", "I", "CE", "KL", "IC", "E")
-
-
-class ParseError(DiscinfoError):
-    """A syntax error with its byte offset and the tokens that were expected."""
-
-    def __init__(self, offset: int, expected, message: str):
-        self.offset = int(offset)
-        self.expected = frozenset(expected)
-        super().__init__(f"{message} at offset {self.offset}")
 
 
 class EvaluationError(DiscinfoError):
@@ -169,8 +163,8 @@ class ComparisonNode:
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>==|<=|>=|!=|\|\||[\[\](){},;|=+\-*])
+      | (?P<name>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<op>==|<=|>=|!=|\|\||[\[\](){},;|=+\-*_])
     """,
     re.VERBOSE,
 )

@@ -48,6 +48,7 @@ from . import expr as ex
 from . import quantities as qt
 from .dist import (
     CELL_FLOOR,
+    DEFAULT_SEEDS,
     EQ_TOLERANCE,
     NEQ_GAP,
     WITNESS_SEPARATION,
@@ -61,7 +62,6 @@ from .errors import (
     ZeroProbabilityEvent,
 )
 
-DEFAULT_SEEDS = 500
 GRID_CHUNK = 1024  # grid tensors per stack, so a full grid is never held at once
 MARGIN_SLACK = 1e-12  # stacked margins this far below a threshold are re-checked alone
 SUPPORT_SIZES = range(2, 5)  # the support sizes a random variable is drawn with

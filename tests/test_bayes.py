@@ -10,6 +10,7 @@ from discinfo import (
     InvalidIndex,
     JointDistribution,
     LatentVarModel,
+    MalformedInput,
     SupportMismatch,
     Variable,
     ZeroEvidence,
@@ -37,6 +38,7 @@ from discinfo.bayes import (
     LabelConfigs,
     Posterior,
     _log_likelihood_sum,
+    _normalized,
     bald_scores,
     csd_scores,
     csd_table,
@@ -574,6 +576,29 @@ class TestModelJson:
         with pytest.raises(ValueError, match="sums to 1.1"):
             BayesModel(m.hypotheses, m.prior, m.inputs, m.labels, lik)
 
+    @pytest.mark.parametrize("row", [0.5, [0.5], [], [0.5, 0.25, 0.25], [[0.5], [0.5]],
+                                     [0.5, [0.5]]])
+    def test_a_short_scalar_or_ragged_row_is_malformed(self, row):
+        # a row of the wrong length is never broadcast to the label count
+        doc = opposite_coins_model().to_json_dict()
+        doc["likelihood"]["B"]["x1"] = row
+        with pytest.raises(MalformedInput, match="malformed model JSON"):
+            BayesModel.from_json_dict(doc)
+
+    def test_one_label_rows_still_need_a_list(self):
+        doc = {"hypotheses": ["A"], "prior": [1.0], "inputs": ["x"], "labels": ["0"],
+               "likelihood": {"A": {"x": [1.0]}}}
+        assert BayesModel.from_json_dict(doc).likelihood.shape == (1, 1, 1)
+        doc["likelihood"]["A"]["x"] = 1.0
+        with pytest.raises(MalformedInput):
+            BayesModel.from_json_dict(doc)
+
+    def test_load_is_bit_identical_to_the_model_written(self):
+        model, _, _ = threshold_task(64, seed=5)
+        loaded = BayesModel.from_json_dict(model.to_json_dict())
+        assert loaded.likelihood.tobytes() == model.likelihood.tobytes()
+        assert loaded.prior.tobytes() == model.prior.tobytes()
+
     def test_hypothesis_cap(self):
         with pytest.raises(ValueError, match="cap"):
             BayesModel(
@@ -583,6 +608,49 @@ class TestModelJson:
                 labels=("0", "1"),
                 likelihood=np.full((10_001, 1, 2), 0.5),
             )
+
+
+def _near_rows(rng, shape):
+    t = rng.random(shape) * rng.choice([1e-3, 1.0, 1e3], size=shape)
+    return t / t.sum(axis=-1, keepdims=True)
+
+
+class TestNormalized:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_short_last_axis_is_bit_identical_to_numpy(self, n):
+        rng = np.random.default_rng(n)
+        for shape in [(n,), (300, n), (7, 11, n)]:
+            t = _near_rows(rng, shape)
+            for table in (t, np.asfortranarray(t), t[::-1]):
+                want = table / table.sum(axis=-1, keepdims=True)
+                assert _normalized(table, "t").tobytes() == want.tobytes()
+
+    def test_long_prior_is_bit_identical_to_numpy(self):
+        t = _near_rows(np.random.default_rng(513), (513,))
+        assert _normalized(t, "t").tobytes() == (t / t.sum(keepdims=True)).tobytes()
+
+    @pytest.mark.parametrize("table,message", [
+        ([0.5, np.nan], "t must hold finite, non-negative numbers"),
+        ([[[0.5, 0.5]], [[0.5, np.nan]]], "t must hold finite, non-negative numbers"),
+        ([0.5, np.inf], "t must hold finite, non-negative numbers"),
+        ([[0.5, 0.5], [np.inf, 0.0]], "t must hold finite, non-negative numbers"),
+        ([-np.inf, 1.0], "t must hold finite, non-negative numbers"),
+        ([[0.5, 0.5], [-0.1, 1.1]], "t must hold finite, non-negative numbers"),
+        (1.0, "t must hold finite, non-negative numbers"),
+        ([], "t sums to 0.0, not 1"),
+        (np.zeros((3, 0)), "t sums to 0.0, not 1"),
+        ([[0.5, 0.4], [0.5, 0.6]], "t sums to 0.9, not 1"),
+        ([[0.5, 0.5], [0.5, 0.6]], "t sums to 1.1, not 1"),
+        ([1e308, 1e308], "t sums to inf, not 1"),
+        ([[0.5, 0.5], [1e308, 1e308]], "t sums to inf, not 1"),
+        (np.zeros((0, 3)), "zero-size array to reduction operation minimum"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_errors_keep_their_type_and_message(self, table, message):
+        with pytest.raises(ValueError) as err:
+            _normalized(table, "t")
+        assert type(err.value) is ValueError
+        assert str(err.value).startswith(message)
 
 
 class TestDatasetAndEvidence:

@@ -7,7 +7,8 @@ import pytest
 from discinfo.bayes import BayesModel, dump_model
 from discinfo.cli import main
 from discinfo.dist import JointDistribution, Variable, dump_distribution
-from discinfo.simulate import CSV_HEADER
+from discinfo.errors import MalformedInput
+from discinfo.simulate import CSV_HEADER, load_config
 
 
 @pytest.fixture
@@ -179,6 +180,18 @@ class TestCheckAndSearch:
         suite.write_text("H[X] <= 0 # expect: always\n")
         assert main(["check", "--suite", str(suite), "--seeds", "10"]) == 1
 
+    def test_identifier_starting_with_underscore_is_usage_error(self, tmp_path, capsys):
+        suite = tmp_path / "suite.txt"
+        suite.write_text("H[_x] >= 0 # expect: always\n")
+        assert main(["check", "--suite", str(suite)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at offset 2" in err and "Traceback" not in err
+
+    def test_search_help_shows_the_default_seeds(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["search", "--help"])
+        assert "(default: 500)" in capsys.readouterr().out
+
     def test_search_writes_json(self, tmp_path, capsys):
         out_path = tmp_path / "reports.json"
         code = main(["search", "--seeds", "8", "--json", str(out_path)])
@@ -296,6 +309,22 @@ class TestMalformedJson:
         assert main(["sim", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed") and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("row", [0.5, [0.5], [0.5, 0.5, 0.0], [[0.5], [0.5]]])
+    def test_short_or_ragged_likelihood_row(self, tmp_path, capsys, row):
+        model, pool, eval_set = __import__("discinfo").threshold_task(4, 2)
+        doc = model.to_json_dict()
+        doc["likelihood"][model.hypotheses[1]][model.inputs[2]] = row
+        cfg = {"model": doc, "pool": [list(p) for p in pool],
+               "eval": [list(p) for p in eval_set]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(MalformedInput, match="malformed model JSON"):
+            load_config(path)
+        assert main(["sim", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed model JSON") and "Traceback" not in err
 
 
 class TestUsageErrors:

@@ -147,6 +147,15 @@ class TestParse:
             parse("H[X] @ 2")
         assert err.value.offset == 5
 
+    def test_identifier_must_start_with_a_letter(self):
+        # the rule dist applies to variable names, so no parsed name is unwritable
+        with pytest.raises(ParseError) as err:
+            parse("H[_x] >= 0")
+        assert err.value.offset == 2
+
+    def test_expectation_underscore_may_stand_apart(self):
+        assert parse("E _ {p(x)}[H[x]]") == parse("E_{p(x)}[H[x]]")
+
 
 class TestParseTotality:
     @settings(max_examples=300, deadline=None, derandomize=True)

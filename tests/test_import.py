@@ -27,12 +27,35 @@ def _run(code):
     return done.stdout.strip()
 
 
+def _loaded(code, modules):
+    return _run(f"{code}; print([m for m in {modules!r} if m in sys.modules])")
+
+
+def test_import_loads_only_dist_errors_and_quantities():
+    code = "import discinfo; print(sorted(m for m in sys.modules if m.startswith('discinfo.')))"
+    assert _run(code) == "['discinfo.dist', 'discinfo.errors', 'discinfo.quantities']"
+
+
+def test_cli_import_leaves_the_notation_and_the_search_unloaded():
+    # each command imports what it uses, so `discinfo sim` never loads them
+    assert _loaded("import discinfo.cli", ("discinfo.expr", "discinfo.identities")) == "[]"
+
+
+def test_sim_command_loads_neither_the_notation_nor_the_search(tmp_path):
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "o.csv"
+    code = (f"import json, discinfo.cli; m, p, e = discinfo.threshold_task(4, 2); "
+            f"open({str(path)!r}, 'w').write(json.dumps({{'model': m.to_json_dict(), "
+            "'pool': [list(x) for x in p], 'eval': [list(x) for x in e]})); "
+            f"discinfo.cli.main(['sim', '--config', {str(path)!r}, '--out', {str(out)!r}])")
+    assert _loaded(code, ("discinfo.expr", "discinfo.identities")) == "[]"
+
+
 LAZY = ("discinfo.bayes", "discinfo.simulate", "discinfo.stirling")
 
 
 def test_import_leaves_bayes_simulate_and_stirling_unloaded():
-    code = f"import discinfo, discinfo.cli; print([m for m in {LAZY!r} if m in sys.modules])"
-    assert _run(code) == "[]"
+    assert _loaded("import discinfo, discinfo.cli", LAZY) == "[]"
 
 
 def test_first_use_binds_all_of_a_modules_names():
@@ -43,6 +66,18 @@ def test_first_use_binds_all_of_a_modules_names():
     assert _run(code) == "['SimConfig', 'SimResult', 'threshold_task']"
 
 
+@pytest.mark.parametrize("use,module,names", [
+    ("parse", "expr", ("DiagramTable", "diagram", "evaluate", "format_expression")),
+    ("check_suite", "identities", ("IdentitySuite", "default_suite", "parse_suite_file",
+                                   "verify_reference_witnesses")),
+])
+def test_first_use_of_the_notation_or_the_search_binds_all_its_names(use, module, names):
+    code = (f"import discinfo; discinfo.{use}; "
+            f"print(all(getattr(discinfo.{module}, n) is vars(discinfo)[n] for n in {names!r}), "
+            "'run_sim' in vars(discinfo))")
+    assert _run(code) == "True False"
+
+
 def test_every_exported_name_resolves():
     for name in discinfo.__all__:
         assert getattr(discinfo, name) is not None
@@ -51,5 +86,6 @@ def test_every_exported_name_resolves():
     assert discinfo.bald is bayes.bald
     assert discinfo.run_sim is simulate.run_sim
     assert discinfo.stirling_bound is stirling.stirling_bound
+    assert discinfo.ParseError is discinfo.expr.ParseError
     with pytest.raises(AttributeError):
         discinfo.no_such_name  # noqa: B018
