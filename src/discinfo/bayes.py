@@ -29,7 +29,7 @@ from .errors import (
     ZeroProbabilityEvent,
     malformed_input,
 )
-from .quantities import plogq
+from .quantities import _plogq, plogq
 
 MAX_HYPOTHESES = 10_000
 MAX_LABEL_CONFIGS = 10**6
@@ -58,13 +58,16 @@ def _row_sums(table: np.ndarray) -> np.ndarray:
     return total[..., None]
 
 
-def _normalized(table, what: str) -> np.ndarray:
+def _normalized(table, what: str, *, least: bool = False):
     """``table`` as floats, each row along its last axis divided by its sum;
     raises unless every entry is finite and non-negative and every row sums
-    to 1 within ``RENORM_TOLERANCE``."""
+    to 1 within ``RENORM_TOLERANCE``.  With ``least``, also a lower bound on
+    every entry of it: the least entry over the largest sum (division rounds
+    monotonically)."""
     table = np.asarray(table, dtype=float)
     # the least entry is NaN if any is, so one reduction rules out NaN and negatives
-    if table.ndim == 0 or (table.size and not np.minimum.reduce(table, axis=None) >= 0):
+    low = np.minimum.reduce(table, axis=None, initial=np.inf) if table.ndim else np.nan
+    if not low >= 0:
         raise ValueError(f"{what} must hold finite, non-negative numbers")
     total = _row_sums(table)
     lo, hi = total.min(), total.max()  # no temporary the size of ``total``
@@ -73,7 +76,7 @@ def _normalized(table, what: str) -> np.ndarray:
     for extreme in (lo, hi):
         if abs(extreme - 1.0) > RENORM_TOLERANCE:
             raise ValueError(f"{what} sums to {float(extreme)!r}, not 1")
-    return table / total
+    return (table / total, low / hi) if least else table / total
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +109,7 @@ class BayesModel:
         expected = (len(hypotheses), len(inputs), len(labels))
         if lik.shape != expected:
             raise ValueError(f"likelihood must have shape {expected}, got {lik.shape}")
-        lik = _normalized(lik, "a likelihood row p(. | x, omega)")
+        lik, least = _normalized(lik, "a likelihood row p(. | x, omega)", least=True)
         prior.setflags(write=False)
         lik.setflags(write=False)
         object.__setattr__(self, "hypotheses", hypotheses)
@@ -114,6 +117,8 @@ class BayesModel:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "likelihood", lik)
+        # every cell above ZERO_CELL: the score tables need no 0 * log 0 mask
+        object.__setattr__(self, "_positive", bool(least > ZERO_CELL))
 
     @property
     def n_hypotheses(self) -> int:
@@ -308,14 +313,15 @@ def predictive_table(model: BayesModel, post: Posterior) -> np.ndarray:
     return (post.probs @ model.likelihood.reshape(n_omega, n_x * n_y)).reshape(n_x, n_y)
 
 
-def _label_entropy(lik: np.ndarray) -> np.ndarray:
-    """H[Y | x, omega] of likelihood rows p(. | x, omega) on the last axis.
+def _label_entropy(lik: np.ndarray, positive=False, buf=None, out=None) -> np.ndarray:
+    """H[Y | x, omega] of likelihood rows p(. | x, omega) on the last axis,
+    into ``out`` if given; ``positive`` and ``buf`` go to ``_plogq``.
 
     The label axis is short, so it is summed one slice at a time: a numpy
     reduction over a short innermost axis runs several times slower.
     """
-    terms = plogq(lik)
-    entropy = -terms[..., 0]
+    terms, _ = _plogq(lik, positive=positive, out=buf)
+    entropy = np.negative(terms[..., 0], out=out)
     for y in range(1, terms.shape[-1]):
         entropy -= terms[..., y]
     return entropy
@@ -332,14 +338,19 @@ def label_entropy_table(model: BayesModel) -> np.ndarray:
     This is the posterior-independent half of every BALD score, so a
     simulation builds it once and reuses it at every step.  It is built a
     block of hypotheses at a time, each block one contiguous run of the
-    likelihood table, so no temporary as large as that table is held.
+    likelihood table, so no temporary as large as that table is held.  A
+    model whose every cell is above ``ZERO_CELL`` (decided when it is built)
+    takes its terms p log p through one reused buffer with no 0 * log 0
+    scan; the table is bit-identical either way.
     """
     lik = model.likelihood
     n_omega, n_x, n_y = lik.shape
     table = np.empty((n_omega, n_x))
     step = _block(n_x * n_y)
+    buf = np.empty((min(step, n_omega), n_x, n_y))
     for start in range(0, n_omega, step):
-        table[start:start + step] = _label_entropy(lik[start:start + step])
+        block = lik[start:start + step]
+        _label_entropy(block, model._positive, buf[:len(block)], table[start:start + step])
     return table
 
 
@@ -423,14 +434,15 @@ class CsdTable:
 
 def csd_table(model: BayesModel, xs, ys) -> CsdTable:
     """The :class:`CsdTable` of the labelled candidates (xs[i], ys[i]); a
-    simulation builds it once over its pool and reuses it at every step."""
+    simulation builds it once over its pool and reuses it at every step.  A
+    model whose every cell is above ``ZERO_CELL`` needs no clamp in p log p."""
     xs = _resolve_all(model.inputs, xs, "input")
     ys = _resolve_all(model.labels, ys, "label")
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
     cells = model.likelihood.reshape(model.n_hypotheses, -1)
     lik = np.take(cells, xs * model.n_labels + ys, axis=1)
-    plogp = _xlogx(lik)
+    plogp = _plogq(lik, positive=True)[0] if model._positive else _xlogx(lik)
     lik.setflags(write=False)
     plogp.setflags(write=False)
     return CsdTable(lik, plogp)

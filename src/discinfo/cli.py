@@ -213,7 +213,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ParseError as exc:
-        print(f"error: {exc} (expected {sorted(exc.expected)})", file=sys.stderr)
+        listed = str(sorted(exc.expected))  # most messages already list it
+        print(f"error: {exc}" + ("" if listed in str(exc) else f" (expected {listed})"),
+              file=sys.stderr)
         return 2
     except (DiscinfoError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

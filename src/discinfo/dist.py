@@ -161,8 +161,12 @@ class JointDistribution:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "JointDistribution":
         with malformed_input("distribution"):
+            if any(isinstance(v["support"], str) for v in doc["variables"]):
+                raise TypeError("a support must be a list of outcome labels, not a string")
             variables = [Variable(v["name"], tuple(v["support"])) for v in doc["variables"]]
-            probs = np.asarray(doc["probs"], dtype=float)
+            probs = np.array(doc["probs"])
+            if probs.dtype.kind in "UbO":  # strings, booleans or None
+                raise TypeError(f"probs must be numbers, not {probs.dtype.name} values")
         return cls(tuple(variables), probs)
 
 

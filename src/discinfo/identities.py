@@ -58,6 +58,7 @@ from .dist import (
 from .errors import (
     CounterexampleMismatch,
     DiscinfoError,
+    ParseError,
     SupportMismatch,
     ZeroProbabilityEvent,
 )
@@ -704,9 +705,12 @@ def parse_suite_file(text: str) -> IdentitySuite:
                 f"line {lineno}: expect must be 'always' or 'violation', got "
                 f"{expect_word!r}"
             ) from None
-        entries.append(
-            SuiteEntry(f"L{lineno}: {expr_text.strip()}", expect, expression=expr_text.strip())
-        )
+        try:
+            entries.append(SuiteEntry(f"L{lineno}: {expr_text.strip()}", expect,
+                                      expression=expr_text.strip()))
+        except ParseError as exc:
+            exc.args = (f"line {lineno}: {exc}",)
+            raise
     if not entries:
         raise ValueError("the suite file contains no entries")
     return IdentitySuite(tuple(entries))

@@ -101,14 +101,17 @@ def information_content(rho: float, base: LogBase = LogBase.NATS) -> float:
     return base.from_nats(-math.log(rho))
 
 
-def _plogq(p: np.ndarray, q=None, floor=ZERO_CELL):
+def _plogq(p: np.ndarray, q=None, floor=ZERO_CELL, *, positive=False, out=None):
     """The terms of :func:`plogq`, and the mask of the cells where q is not
     positive under p's mass (None when there is no such cell); those cells'
     terms are 0.  A cell of p at or below ``floor`` (at most ``ZERO_CELL``,
-    broadcasting against p) is a 0 * log 0 cell."""
-    if np.minimum.reduce(p, axis=None, initial=np.inf) > ZERO_CELL:  # no 0 * log 0 cell
+    broadcasting against p) is a 0 * log 0 cell.  ``positive`` tells that p
+    has no such cell, sparing the scan; the terms of such a p's entropy (q
+    None) then go to ``out`` if given."""
+    # no 0 * log 0 cell
+    if positive or np.minimum.reduce(p, axis=None, initial=np.inf) > ZERO_CELL:
         if q is None:
-            out = np.log(p)
+            out = np.log(p, out=out)
             out *= p
             return out, None
         if np.minimum.reduce(q, axis=None, initial=np.inf) > 0:  # a NaN fails too

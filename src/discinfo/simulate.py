@@ -84,16 +84,32 @@ class SimConfig:
                     BayesModel.from_json_dict(spec)
                 )
             fields = dict(
-                pool=tuple(tuple(p) for p in doc["pool"]),
-                eval_set=tuple(tuple(p) for p in doc["eval"]),
-                initial=tuple(tuple(p) for p in doc.get("initial", ())),
+                pool=_pairs(doc["pool"]),
+                eval_set=_pairs(doc["eval"]),
+                initial=_pairs(doc.get("initial", ())),
                 acquisition=doc.get("acquisition", "bald"),
-                batch_size=int(doc.get("batch_size", 1)),
-                steps=int(doc.get("steps", 10)),
-                seed=int(doc.get("seed", 0)),
-                noise_rate=float(doc.get("noise_rate", 0.0)),
+                batch_size=_number(doc, "batch_size", 1),
+                steps=_number(doc, "steps", 10),
+                seed=_number(doc, "seed", 0),
+                noise_rate=_number(doc, "noise_rate", 0.0, float),
             )
         return cls(model=model, **fields)
+
+
+def _pairs(entries) -> tuple:
+    pairs = tuple(tuple(p) for p in entries)
+    if any(len(p) != 2 for p in pairs):
+        raise TypeError("every pool, eval and initial entry must be an [input, label] pair")
+    return pairs
+
+
+def _number(doc, key, default, kind=int):
+    """``doc[key]`` (else ``default``) as ``kind``: not a bool or a string,
+    and for an int, without a fraction."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or kind is int and value % 1:
+        raise TypeError(f"{key}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def load_config(path) -> SimConfig:

@@ -998,3 +998,112 @@ class TestLabelEntropyTable:
         for w, x in zip(omegas, xs):
             row = JointDistribution((Variable("Y", m.labels),), lik[w, x])
             assert table[w, x] == pytest.approx(entropy(row, ["Y"]), abs=1e-12)
+
+
+def masked_label_entropy_table(lik):
+    """The label-entropy table as built before the model decided positivity:
+    a block of hypotheses at a time, each block scanned for 0 * log 0 cells
+    and masked if it holds one."""
+    n_omega, n_x, n_y = lik.shape
+    table = np.empty((n_omega, n_x))
+    step = max(1, _BLOCK_CELLS // (n_x * n_y))
+    for start in range(0, n_omega, step):
+        block = lik[start:start + step]
+        if block.min() > ZERO_CELL:
+            terms = np.log(block)
+        else:
+            terms = np.where(block > ZERO_CELL, block, 1.0)
+            np.log(terms, out=terms)
+        terms *= block
+        h = -terms[..., 0]
+        for y in range(1, n_y):
+            h -= terms[..., y]
+        table[start:start + step] = h
+    return table
+
+
+def clamped_xlogx(v):
+    """p log p of the csd table with the clamp at the least positive float."""
+    out = np.maximum(v, np.nextafter(0.0, 1.0))
+    np.log(out, out=out)
+    out *= v
+    return out
+
+
+_Z = ZERO_CELL
+_ABOVE_Z = np.nextafter(ZERO_CELL, 1.0)
+# rows holding a small cell: normalised to exactly ZERO_CELL (the row sums to
+# 1.0 in order), to just above it, and a raw cell just above it in a row
+# that sums above 1, so that the normalised cell falls below it
+_SMALL_ROWS = {
+    "at": [_Z, 0.5, 1.0 - (_Z + 0.5)],
+    "just_above": [_ABOVE_Z, 0.5, 1.0 - (_ABOVE_Z + 0.5)],
+    "raw_above_row_over_1": [_ABOVE_Z, 0.5, 0.5 + 1e-9],
+}
+
+
+@st.composite
+def table_models(draw):
+    """Models with n_y = 3 whose likelihood may hold exact zeros and cells
+    at or near ZERO_CELL, in shapes whose last block is ragged or whose
+    blocks hold one hypothesis each."""
+    n_x, n_omega = draw(st.sampled_from([
+        (1, st.integers(1, 6)), (7, st.integers(1, 30)),
+        (1000, st.integers(20, 50)),  # 21 hypotheses a block, the last ragged
+        (_BLOCK_CELLS // 3 + 1, st.integers(1, 3)),  # one hypothesis a block
+    ]))
+    n_omega = draw(n_omega)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lik = rng.dirichlet(np.ones(3), size=(n_omega, n_x))
+    zeros = rng.random(lik.shape) < draw(st.sampled_from([0.0, 0.0, 0.05]))
+    lik[zeros] = 0.0
+    lik[lik.sum(axis=-1) == 0, 0] = 1.0
+    lik /= lik.sum(axis=-1, keepdims=True)
+    for kind in draw(st.lists(st.sampled_from(sorted(_SMALL_ROWS)), max_size=2)):
+        lik[rng.integers(n_omega), rng.integers(n_x)] = _SMALL_ROWS[kind]
+    model = BayesModel(
+        hypotheses=tuple(f"w{i}" for i in range(n_omega)),
+        prior=np.full(n_omega, 1.0 / n_omega),
+        inputs=tuple(f"x{i}" for i in range(n_x)),
+        labels=("a", "b", "c"),
+        likelihood=lik,
+    )
+    n = draw(st.integers(1, 40))
+    return model, rng.integers(n_x, size=n), rng.integers(3, size=n)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestScoreTablePositivity:
+    """Positivity is decided once, when the model is built; both score
+    tables are bit-identical to their masked and clamped builds either way."""
+
+    @given(table_models())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_tables_match_masked_builds_bit_for_bit(self, case):
+        m, xs, ys = case
+        lik = m.likelihood
+        if (lik <= ZERO_CELL).any():
+            assert not m._positive
+        assert _same_bits(label_entropy_table(m), masked_label_entropy_table(lik))
+        table = csd_table(m, xs, ys)
+        columns = lik.reshape(m.n_hypotheses, -1)[:, xs * 3 + ys]
+        assert _same_bits(table.lik, columns)
+        assert _same_bits(table.plogp, clamped_xlogx(columns))
+
+    @pytest.mark.parametrize("kind, cell_at_most_zero_cell", [
+        ("at", True), ("just_above", False), ("raw_above_row_over_1", True),
+    ])
+    def test_small_cells(self, kind, cell_at_most_zero_cell):
+        lik = np.full((2, 2, 3), 1.0 / 3.0)
+        lik[1, 0] = _SMALL_ROWS[kind]
+        m = BayesModel(("a", "b"), [0.5, 0.5], ("x", "y"), ("0", "1", "2"), lik)
+        assert (m.likelihood[1, 0, 0] <= ZERO_CELL) == cell_at_most_zero_cell
+        assert m._positive == (not cell_at_most_zero_cell)
+        assert _same_bits(label_entropy_table(m), masked_label_entropy_table(m.likelihood))
+
+    def test_positive_models_take_the_fast_path(self):
+        assert threshold_task(32)[0]._positive
+        assert not opposite_coins_model()._positive

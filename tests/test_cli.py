@@ -6,7 +6,7 @@ import pytest
 
 from discinfo.bayes import BayesModel, dump_model
 from discinfo.cli import main
-from discinfo.dist import JointDistribution, Variable, dump_distribution
+from discinfo.dist import JointDistribution, Variable, dump_distribution, load_distribution
 from discinfo.errors import MalformedInput
 from discinfo.simulate import CSV_HEADER, load_config
 
@@ -187,6 +187,15 @@ class TestCheckAndSearch:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "at offset 2" in err and "Traceback" not in err
 
+    def test_parse_error_names_its_line_and_the_expected_set_once(self, tmp_path, capsys):
+        suite = tmp_path / "suite.txt"
+        suite.write_text("H[X] >= 0 # expect: always\nH[X] >= # expect: always\n")
+        assert main(["check", "--suite", str(suite)]) == 2
+        err = capsys.readouterr().err
+        expected = "['CE', 'E', 'H', 'I', 'IC', 'KL', 'NUMBER']"
+        assert err == (f"error: line 2: expected one of {expected}, "
+                       f"found end of input at offset 7\n")
+
     def test_search_help_shows_the_default_seeds(self, capsys):
         with pytest.raises(SystemExit):
             main(["search", "--help"])
@@ -325,6 +334,60 @@ class TestMalformedJson:
         assert main(["sim", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed model JSON") and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("change", [
+        {"steps": 2.7},
+        {"steps": True},
+        {"seed": True},
+        {"seed": 1.5},
+        {"batch_size": False},
+        {"batch_size": "2"},
+        {"noise_rate": True},
+        {"noise_rate": "0.1"},
+        {"pool": [[0, 1, 2]]},
+    ])
+    def test_sim_config_scalar_or_pair(self, tmp_path, capsys, change):
+        model, pool, eval_set = __import__("discinfo").threshold_task(4, 2)
+        cfg = {"model": model.to_json_dict(), "pool": [list(p) for p in pool],
+               "eval": [list(p) for p in eval_set], **change}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(MalformedInput, match="malformed simulation config JSON"):
+            load_config(path)
+        assert main(["sim", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed simulation config JSON")
+
+    def test_sim_config_integral_float_is_an_integer(self, tmp_path):
+        model, pool, eval_set = __import__("discinfo").threshold_task(4, 2)
+        cfg = {"model": model.to_json_dict(), "pool": [list(p) for p in pool],
+               "eval": [list(p) for p in eval_set], "steps": 2.0, "noise_rate": 0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        loaded = load_config(path)
+        assert (loaded.steps, loaded.noise_rate) == (2, 0.0)
+        assert type(loaded.steps) is int and type(loaded.noise_rate) is float
+
+    @pytest.mark.parametrize("doc", [
+        {"variables": [{"name": "X", "support": "01"}], "probs": [0.5, 0.5]},
+        {"variables": [{"name": "X", "support": ["0", "1"]}], "probs": ["0.5", "0.5"]},
+        {"variables": [{"name": "X", "support": ["0", "1"]}], "probs": [True, False]},
+        {"variables": [{"name": "X", "support": ["0", "1"]}], "probs": [None, 1.0]},
+    ])
+    def test_distribution_support_or_probs(self, tmp_path, capsys, doc):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedInput, match="malformed distribution JSON"):
+            load_distribution(path)
+        assert main(["eval", "--dist", str(path), "H[X]"]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed distribution JSON")
+
+    def test_distribution_integer_probs_load(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(
+            {"variables": [{"name": "X", "support": ["0", "1"]}], "probs": [[1], [0]]}))
+        assert load_distribution(path).probs.tolist() == [1.0, 0.0]
 
 
 class TestUsageErrors:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -494,3 +495,57 @@ class TestObservability:
         with caplog.at_level("INFO", logger="discinfo.simulate"):
             run_sim(cfg)
         assert not caplog.records
+
+
+# sha256 of run_sim(...).to_csv() on threshold_task(n, seed=1), 12 steps,
+# batch 3, run seed 1, recorded before the score tables skipped the 0 * log 0
+# scan on models whose every cell is above ZERO_CELL; they hold where numpy's
+# float kernels give _FLOAT_KERNELS_SHA256
+_FLOAT_KERNELS_SHA256 = "d0b4cf70dd364d655498e42cbb3100bb0a60aee24c57233798597e0458644ba4"
+_GOLDEN_CSV_SHA256 = {
+    (32, "uniform", 0.0): "95a8b7c289e01466cde1d4468bc2f93190984897997f56e491cf5859ee7292ee",
+    (32, "uniform", 0.1): "e729e944c5b746707f90d038e2a909e357ff65a8a0a923d42746ee2b19e45161",
+    (32, "bald", 0.0): "8f996af6cedeef38cb155f5159c4e9b5f9a8630c9fc16b7ac66ed4244771c362",
+    (32, "bald", 0.1): "b3f7b2e55a734460262f01c7f11916a4a2e6ce00e8f8f589554c6f561cd2574b",
+    (32, "csd", 0.0): "701615e439d765d180fc30adddf32634a135490a4b9ffe22d1ec223de3c45ef8",
+    (32, "csd", 0.1): "817b165224f07de71d17b3884d4c95f165118660c778f8f041fc73b0b01d894f",
+    (32, "batch_bald", 0.0): "6957a9ce265f970a4145bed2863f5b96e6c31852fa339aeff755cf16b7eae8da",
+    (32, "batch_bald", 0.1): "1b8cbf97d071de1a555e48b644d1da177d11f213d8903d8ec844fef5713cea1f",
+    (32, "batch_csd", 0.0): "0aa8b382a3c0f28a567115fda9ac3fa49f2d9b006fa9f57d70d8cd3b64f6578c",
+    (32, "batch_csd", 0.1): "51660d6b86d197c6eb571fd598357cba95558866e4ef6f047fa8880d19ce5541",
+    (128, "uniform", 0.0): "bf1daddf55eee01726a5d0235d5b3c944e1825fe9eeb13b3aa4699138e67b121",
+    (128, "uniform", 0.1): "ae6d2096849cff7ad11e4449ef22a057a921ebae289ac2ede80c5568009a0ee9",
+    (128, "bald", 0.0): "d3ae150139259cb5d5dde7c5071c48d7b6f78d7dcfb12678cd449c898b86d4df",
+    (128, "bald", 0.1): "8bfae36ae7e5a3b7d3b6a3bc7d5ba549e4b5a9264640ef0fcb629c7406d7b915",
+    (128, "csd", 0.0): "b23b8d65258ee7f6fc3672ca94ff565dc1cfb8a829dd547d73ad3397fd957b89",
+    (128, "csd", 0.1): "b7d1cbf38d5638097d39209dcb74752f370c8a52b5d2da9891acea71899a699a",
+    (128, "batch_bald", 0.0): "66b96eaac967064a8a421c7b8d0d5366fe4ce86a02e55b58cdf4d1607b57cd0d",
+    (128, "batch_bald", 0.1): "eb3bddaf666c270bc4eea9375e9c785b8c15b57b07549e2da65c21a9a2620d65",
+    (128, "batch_csd", 0.0): "db18d301e84cbaec34a6d28233decc9dfe48ac616435e06a506c8b4c497ce53e",
+    (128, "batch_csd", 0.1): "d32b5228c8f2b2956057c64d65daeb8d9efd085e0c6feeaa84c11435b00508d8",
+}
+
+
+
+
+def _float_kernels_digest() -> str:
+    """A fingerprint of the numpy log, exp and matrix-vector product the
+    simulator runs on: a numpy build or CPU that rounds them differently in
+    the last bit also changes the CSV bytes, so the hashes do not apply."""
+    x = np.linspace(1e-6, 1.0, 4099)
+    m = np.random.default_rng(0).random((97, 4099))
+    parts = (np.log(x), np.exp(-30 * x), x @ m.T, m[:, :97] @ x[:97])
+    return hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()
+
+
+class TestGoldenCsv:
+    @pytest.mark.parametrize("n_points, acquisition, noise_rate", list(_GOLDEN_CSV_SHA256))
+    def test_csv_hash(self, n_points, acquisition, noise_rate):
+        if _float_kernels_digest() != _FLOAT_KERNELS_SHA256:
+            pytest.skip("numpy's log, exp or matmul rounds differently from where the "
+                        "hashes were recorded")
+        model, pool, eval_set = threshold_task(n_points, seed=1)
+        cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acquisition,
+                        batch_size=3, steps=12, seed=1, noise_rate=noise_rate)
+        digest = hashlib.sha256(run_sim(cfg).to_csv().encode()).hexdigest()
+        assert digest == _GOLDEN_CSV_SHA256[n_points, acquisition, noise_rate]
