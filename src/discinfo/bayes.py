@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import RENORM_TOLERANCE, ZERO_CELL, ZERO_MASS, JointDistribution, Variable
+from .dist import (
+    RENORM_TOLERANCE,
+    ZERO_CELL,
+    ZERO_MASS,
+    JointDistribution,
+    Variable,
+    number_array,
+)
 from .errors import (
     BatchTooLarge,
     InvalidIndex,
@@ -159,11 +166,8 @@ class BayesModel:
             labels = [str(y) for y in doc["labels"]]
             table = doc["likelihood"]
             rows = [[table[h][x] for x in inputs] for h in hypotheses]
-            try:
-                lik = np.array(rows, dtype=float)
-            except ValueError as exc:  # ragged rows, or an entry that is not a number
-                raise MalformedInput(f"malformed model JSON: likelihood: {exc}") from None
-            prior = np.asarray(doc["prior"], dtype=float)
+            lik = number_array(rows, "model", "likelihood")
+            prior = number_array(doc["prior"], "model", "prior")
         shape = (len(hypotheses), len(inputs), len(labels))
         if lik.shape != shape and all(shape):  # the constructor reports an empty name list
             raise MalformedInput(

@@ -5,14 +5,20 @@ Subcommands: ``eval``, ``diagram``, ``check``, ``search``, ``verify-paper``,
 fails, 2 on usage errors (bad flags, unreadable files, malformed
 expressions).  ``--log-level`` sets what the package logs to stderr:
 ``INFO`` adds one line per searched entry, ``DEBUG`` each simulator step.
+
+:func:`main` may be called many times in one process.  It parses with one
+parser built on its first call; everything else, from the files it reads to
+the logging set-up, belongs to the call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
+from contextlib import contextmanager
 
 from .dist import DEFAULT_SEEDS, Assignment, load_distribution
 from .errors import CounterexampleMismatch, DiscinfoError, ParseError
@@ -143,6 +149,7 @@ def _cmd_sim(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``discinfo`` command line on every call."""
     parser = argparse.ArgumentParser(
         prog="discinfo",
         description="Exact information quantities over finite discrete distributions.",
@@ -205,13 +212,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(level=args.log_level, stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call.  Parsing does not
+    change a parser, and no caller but :func:`main` sees this one."""
+    return build_parser()
+
+
+@contextmanager
+def _package_logging(level: str):
+    """Send the package's records at ``level`` and above to the current
+    ``sys.stderr`` for one call, then put the ``discinfo`` logger back."""
+    logger = logging.getLogger("discinfo")
+    saved_level, saved_propagate = logger.level, logger.propagate
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger.addHandler(handler)
+    logger.setLevel(level)
+    logger.propagate = False  # a handler the caller put on root would print each record again
     try:
-        return args.func(args)
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved_level)
+        logger.propagate = saved_propagate
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        with _package_logging(args.log_level):
+            return args.func(args)
     except ParseError as exc:
         listed = str(sorted(exc.expected))  # most messages already list it
         print(f"error: {exc}" + ("" if listed in str(exc) else f" (expected {listed})"),

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .errors import ZeroProbabilityEvent, malformed_input
+from .errors import MalformedInput, ZeroProbabilityEvent, malformed_input
 
 DEFAULT_MAX_CELLS = 2**22
 DEFAULT_SEEDS = 500  # random cases per identity-search entry, also the CLI's --seeds default
@@ -164,9 +165,7 @@ class JointDistribution:
             if any(isinstance(v["support"], str) for v in doc["variables"]):
                 raise TypeError("a support must be a list of outcome labels, not a string")
             variables = [Variable(v["name"], tuple(v["support"])) for v in doc["variables"]]
-            probs = np.array(doc["probs"])
-            if probs.dtype.kind in "UbO":  # strings, booleans or None
-                raise TypeError(f"probs must be numbers, not {probs.dtype.name} values")
+            probs = number_array(doc["probs"], "distribution", "probs")
         return cls(tuple(variables), probs)
 
 
@@ -327,6 +326,28 @@ def _tensor_of(obj) -> np.ndarray:
     if isinstance(obj, UnnormalizedWeight):
         return obj.weights
     raise TypeError(f"expected a JointDistribution or UnnormalizedWeight, got {type(obj)!r}")
+
+
+def number_array(value, what: str, key: str) -> np.ndarray:
+    """``value`` (a JSON number or nested lists) as one numpy array, read in
+    bulk.  Raises :class:`MalformedInput` naming the ``what`` document and its
+    ``key`` when the lists are ragged or hold strings, booleans or None."""
+    try:
+        array = np.array(value)
+    except ValueError as exc:  # nested lists of unequal length
+        raise MalformedInput(f"malformed {what} JSON: {key}: {exc}") from None
+    kind = array.dtype.kind
+    # beside numbers, true and false become 1 and 0, so only then look at each entry
+    if kind in "iuf" and array.ndim and ((array == 0) | (array == 1)).any():
+        entries = value
+        for _ in range(array.ndim - 1):
+            entries = chain.from_iterable(entries)
+        if bool in set(map(type, entries)):
+            kind = "b"
+    if kind in "UbO":
+        raise MalformedInput(f"malformed {what} JSON: {key} must hold numbers, not "
+                             f"{'bool' if kind == 'b' else array.dtype.name} values")
+    return array
 
 
 def load_distribution(path) -> JointDistribution:

@@ -1,11 +1,15 @@
+import io
 import json
+import logging
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+from discinfo import cli
 from discinfo.bayes import BayesModel, dump_model
-from discinfo.cli import main
+from discinfo.cli import build_parser, main
 from discinfo.dist import JointDistribution, Variable, dump_distribution, load_distribution
 from discinfo.errors import MalformedInput
 from discinfo.simulate import CSV_HEADER, load_config
@@ -279,6 +283,8 @@ _MALFORMED_DIST = [
     {"variables": [5], "probs": [1.0]},
     {"variables": [{"name": "X", "support": 3}], "probs": [0.5, 0.5]},
     {"probs": [1.0]},
+    {"variables": [{"name": "X", "support": ["0", "1"]}, {"name": "Y", "support": ["0", "1"]}],
+     "probs": [[0.25, 0.25], [0.5]]},
 ]
 
 
@@ -359,6 +365,39 @@ class TestMalformedJson:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed simulation config JSON")
 
+    @pytest.mark.parametrize("key,value,kind", [
+        ("prior", ["0.5", "0.25", "0.25"], "str"),
+        ("prior", [True, False, False], "bool"),
+        ("prior", [0.5, None, 0.5], "object"),
+        ("likelihood", [True, False], "bool"),
+        ("likelihood", ["0.5", "0.5"], "str"),
+    ])
+    def test_model_tables_must_hold_numbers(self, tmp_path, capsys, key, value, kind):
+        model, pool, eval_set = __import__("discinfo").threshold_task(2)
+        doc = model.to_json_dict()
+        if key == "prior":
+            doc["prior"] = value
+        else:
+            doc["likelihood"][model.hypotheses[1]][model.inputs[0]] = value
+        cfg = {"model": doc, "pool": [list(p) for p in pool],
+               "eval": [list(p) for p in eval_set]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(MalformedInput, match=f"malformed model JSON: {key} must hold "
+                                                 f"numbers, not {kind}"):
+            load_config(path)
+        assert main(["sim", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: malformed model JSON: {key}")
+
+    def test_model_integer_tables_load(self):
+        model = __import__("discinfo").threshold_task(2)[0]
+        doc = model.to_json_dict()
+        doc["prior"] = [1, 0, 0]
+        doc["likelihood"][model.hypotheses[0]][model.inputs[0]] = [1, 0]
+        loaded = BayesModel.from_json_dict(doc)
+        assert loaded.prior.tolist() == [1.0, 0.0, 0.0]
+        assert loaded.likelihood[0, 0].tolist() == [1.0, 0.0]
+
     def test_sim_config_integral_float_is_an_integer(self, tmp_path):
         model, pool, eval_set = __import__("discinfo").threshold_task(4, 2)
         cfg = {"model": model.to_json_dict(), "pool": [list(p) for p in pool],
@@ -374,6 +413,8 @@ class TestMalformedJson:
         {"variables": [{"name": "X", "support": ["0", "1"]}], "probs": ["0.5", "0.5"]},
         {"variables": [{"name": "X", "support": ["0", "1"]}], "probs": [True, False]},
         {"variables": [{"name": "X", "support": ["0", "1"]}], "probs": [None, 1.0]},
+        {"variables": [{"name": "X", "support": ["0", "1"]}], "probs": [True, 0.0]},
+        {"variables": [{"name": "X", "support": ["0", "1"]}], "probs": [[0.5, 0.5], [0.0]]},
     ])
     def test_distribution_support_or_probs(self, tmp_path, capsys, doc):
         path = tmp_path / "d.json"
@@ -400,3 +441,87 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["eval", "H[X]"])
         assert err.value.code == 2
+
+
+class TestRepeatedMain:
+    """``main`` reuses one parser within a process; nothing else carries over."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return captured.out, captured.err, code
+
+    def test_back_to_back_commands_match_a_new_parser(self, three_cell_path, tmp_path,
+                                                      capsys, monkeypatch):
+        q = JointDistribution((Variable("X", ("0", "1")), Variable("Y", ("0", "1"))),
+                              [0.25] * 4)
+        q_path = str(tmp_path / "q.json")
+        dump_distribution(q, q_path)
+        p = ["--dist", three_cell_path]
+        sequence = [
+            ["eval", *p, "--q", q_path, "KL[p(X,Y) || q(X,Y)]"],
+            ["eval", *p, "KL[p(X,Y) || q(X,Y)]"],  # no --q this time: exit 2
+            ["eval", *p, "H[X,Y]"],
+            ["--base", "bits", "eval", *p, "H[X,Y]"],
+            ["eval", *p, "H[X,Y]"],
+            ["diagram", *p, "--observe", "Y=1"],
+            ["eval", *p, "--observe", "Y=0", "H[X|y]"],
+            ["eval", *p, "H[X|y]"],  # no --observe this time: exit 2
+            ["eval", "H[X]"],  # no --dist: SystemExit 2
+            ["search", "--help"],
+        ]
+        main(["stirling", "--n", "4", "--r", "2"])  # the parser exists before the sequence
+        capsys.readouterr()
+
+        def no_new_parser():
+            raise AssertionError("main built a second parser")
+
+        monkeypatch.setattr(cli, "build_parser", no_new_parser)
+        reused = [self._run(argv, capsys) for argv in sequence]
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_parser", build_parser)  # a new parser on every call
+        fresh = [self._run(argv, capsys) for argv in sequence]
+        assert reused == fresh
+        assert [code for _, _, code in fresh] == [0, 2, 0, 0, 0, 0, 0, 2, 2, 0]
+        assert fresh[3][0] == "1.58496250072\n" != fresh[4][0]
+
+    def test_a_built_parser_is_the_callers_own(self, coin_path, capsys):
+        argv = ["eval", "--dist", coin_path, "H[X]"]
+        assert main(argv) == 0
+        before = capsys.readouterr().out
+        parser = build_parser()
+        assert parser is not build_parser()
+        parser.set_defaults(base="bits")
+        assert parser.parse_args(argv).base == "bits"
+        assert main(argv) == 0
+        assert capsys.readouterr().out == before == "0.69314718056\n"
+
+    def test_log_level_and_stderr_belong_to_each_call(self, tmp_path):
+        suite = tmp_path / "suite.txt"
+        suite.write_text("H[X] >= 0 # expect: always\n"
+                         "H[X,Y] == H[X] + H[Y|X] # expect: always\n")
+        argv = ["check", "--suite", str(suite), "--seeds", "3"]
+        root, package = logging.getLogger(), logging.getLogger("discinfo")
+
+        def state():
+            return ([*root.handlers], root.level,
+                    [*package.handlers], package.level, package.propagate)
+
+        streams = []
+        for flags in ([], ["--log-level", "INFO"], []):
+            before = state()
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                assert main(flags + argv) == 0
+            assert state() == before
+            streams.append(err.getvalue())
+        first, info, last = streams
+        assert first == last == ""
+        lines = info.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("INFO discinfo.identities: ") for line in lines)
+        assert "3 cases evaluated" in lines[0]
