@@ -14,7 +14,6 @@ Models and posteriors are immutable; updates return new values.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .dist import (
     ZERO_MASS,
     JointDistribution,
     Variable,
+    known_keys,
     number_array,
 )
 from .errors import (
@@ -36,7 +36,7 @@ from .errors import (
     ZeroProbabilityEvent,
     malformed_input,
 )
-from .quantities import _plogq, plogq
+from .quantities import Stack, _plogq, plogq
 
 MAX_HYPOTHESES = 10_000
 MAX_LABEL_CONFIGS = 10**6
@@ -161,6 +161,7 @@ class BayesModel:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BayesModel":
         with malformed_input("model"):
+            known_keys(doc, ("hypotheses", "prior", "inputs", "labels", "likelihood"), "model")
             hypotheses = [str(h) for h in doc["hypotheses"]]
             inputs = [str(x) for x in doc["inputs"]]
             labels = [str(y) for y in doc["labels"]]
@@ -282,6 +283,9 @@ def _posterior_from_log(log_post: np.ndarray) -> Posterior:
 
 def update(model: BayesModel, post: Posterior, x, y) -> Posterior:
     """One exact Bayes step: reweight the posterior by p(y | x, omega)."""
+    if post.probs.shape != model.prior.shape:
+        raise ValueError(f"posterior has length {post.probs.size}; the model has "
+                         f"{model.n_hypotheses} hypotheses")
     xi, yi = model.input_index(x), model.label_index(y)
     weights = post.probs * model.likelihood[:, xi, yi]
     total = weights.sum()
@@ -300,13 +304,14 @@ def predictive(model: BayesModel, post: Posterior, x) -> np.ndarray:
 
 
 def joint_label_hypothesis(model: BayesModel, post: Posterior, x) -> JointDistribution:
-    """The joint over (Omega, Y) at input x -- a bridge to the exact
-    information-quantity engine for cross-checking the fast scores."""
+    """The joint over (Omega, Y) at input x: csd_decomposition and surprise
+    evaluate their expressions over it, and tests check the fast scores."""
     xi = model.input_index(x)
     cells = post.probs[:, None] * model.likelihood[:, xi, :]
     return JointDistribution(
         (Variable("Omega", model.hypotheses), Variable("Y", model.labels)),
         cells,
+        max_cells=cells.size,  # no larger than the likelihood table already held
     )
 
 
@@ -506,30 +511,27 @@ def csd(model: BayesModel, post: Posterior, x, y) -> float:
     return score
 
 
+# Each CsdDecomposition field the notation writes, over joint_label_hypothesis
+# at the input, with y the observed label
+_CSD_ROWS = {
+    "info_gain": "I[Omega; y]",
+    "code_shift": "H[Omega] - CE[p(Omega|y) || p(Omega)]",
+    "surprise": "KL[p(Omega|y) || p(Omega)]",
+    "label_entropy_direct": "H[y|Omega]",
+}
+
+
+def _label_rows(model: BayesModel, post: Posterior, x, y, *fields) -> dict:
+    """The named ``_CSD_ROWS`` fields at input x with y the observed label."""
+    from .expr import evaluate
+
+    joint, bindings = joint_label_hypothesis(model, post, x), {"Y": model.label_index(y)}
+    return {f: evaluate(_CSD_ROWS[f], joint, bindings=bindings) for f in fields}
+
+
 def surprise(model: BayesModel, post: Posterior, x, y) -> float:
     """KL of the updated posterior from the current one; always >= 0."""
-    new_post, _, _ = _updated(model, post, x, y)
-    return _kl(new_post.probs, post.probs)
-
-
-def _updated(model: BayesModel, post: Posterior, x, y):
-    """The posterior after observing (x, y), the evidence p(y | x, data),
-    and the likelihood column p(y | x, omega)."""
-    xi, yi = model.input_index(x), model.label_index(y)
-    lik = model.likelihood[:, xi, yi]
-    evidence = float(post.probs @ lik)
-    if evidence <= ZERO_MASS:
-        raise ZeroProbabilityEvent(
-            f"label {model.labels[yi]!r} has zero predictive probability at "
-            f"x={model.inputs[xi]!r}"
-        )
-    return Posterior(post.probs * lik / evidence), evidence, lik
-
-
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) of two vectors: the expectation under p of -log(q / p)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(-plogq(p, q / p).sum())
+    return _label_rows(model, post, x, y, "surprise")["surprise"]
 
 
 @dataclass(frozen=True)
@@ -553,16 +555,11 @@ def csd_decomposition(model: BayesModel, post: Posterior, x, y) -> CsdDecomposit
     the current posterior is uniform, in which case the information gain
     equals the surprise exactly.
     """
-    new_post, evidence, lik = _updated(model, post, x, y)
-    old, new = post.probs, new_post.probs
-    return CsdDecomposition(
-        info_gain=post.entropy - new_post.entropy,
-        # the old posterior code's expected length under the old and new beliefs
-        code_shift=post.entropy + float(plogq(new, old).sum()),
-        surprise=_kl(new, old),
-        label_entropy_direct=float(-plogq(new, lik).sum()),
-        label_entropy_importance=float(-plogq(old * lik / evidence, lik).sum()),
-    )
+    rows = _label_rows(model, post, x, y, *_CSD_ROWS)
+    old, lik = post.probs, model.likelihood[:, model.input_index(x), model.label_index(y)]
+    # the notation cannot write an importance weight, so this route stays numpy
+    importance = float(-plogq(old * lik / (old @ lik), lik).sum())
+    return CsdDecomposition(**rows, label_entropy_importance=importance)
 
 
 def batch_score(model: BayesModel, post: Posterior, xs, ys=None) -> float:
@@ -615,6 +612,9 @@ class ElboVIResult:
     kl_gap: float  # KL(q || posterior); log_evidence == elbo + kl_gap
 
 
+_VI_KL = "KL[q(Omega) || p(Omega)]"
+
+
 def elbo_vi(model: BayesModel, data: Dataset | list, q) -> ElboVIResult:
     """The variational lower bound on log p(data), exactly.
 
@@ -622,20 +622,27 @@ def elbo_vi(model: BayesModel, data: Dataset | list, q) -> ElboVIResult:
     log evidence, and the KL gap to the exact posterior; the three satisfy
     log_evidence = elbo + kl_gap identically.
     """
+    from .expr import evaluate
+
     if not isinstance(data, Dataset):
         data = Dataset.from_pairs(model, data)
     q = _normalized(q, "variational distribution")
+    if q.shape != model.prior.shape:
+        raise ValueError(f"q has length {q.size}; the model has {model.n_hypotheses} hypotheses")
     post = posterior(model, data)
     if np.any((post.probs > ZERO_CELL) & (q <= 0)):
         raise SupportMismatch("q must be positive wherever the posterior has mass")
     xs, ys = np.array(data.pairs, dtype=np.intp).reshape(-1, 2).T
     # E_q IC(p(data | omega)), one observation per column; q mass on a
     # hypothesis that rules the data out makes the bound vacuous (SupportMismatch)
+    # (not an expression: that would condition on p(data), often under ZERO_MASS)
     expected_nll = float(-plogq(q[:, None], model.likelihood[:, xs, ys]).sum())
+    omega = (Variable("Omega", model.hypotheses),)
+    q_dist = JointDistribution(omega, q)
     return ElboVIResult(
-        elbo=-expected_nll - _kl(q, model.prior),
+        elbo=-expected_nll - evaluate(_VI_KL, JointDistribution(omega, model.prior), q_dist),
         log_evidence=log_evidence(model, data),
-        kl_gap=_kl(q, post.probs),
+        kl_gap=evaluate(_VI_KL, JointDistribution(omega, post.probs), q_dist),
     )
 
 
@@ -692,55 +699,51 @@ class ElboVAEResult:
     expected_gap: float
 
 
+# The per-input rows of an ElboVAEResult, over the joints p(x, z) = p(z) p(x|z)
+# and q(x, z) = q(z|x) / n_x with x the input
+_VAE_ROWS = {
+    "nll": "H[x]",
+    "reconstruction": "CE[q(Z|x) || p(x|Z)]",
+    "kl_prior": "KL[q(Z|x) || p(Z)]",
+    "gap": "KL[q(Z|x) || p(Z|x)]",
+}
+
+
 def elbo_vae(lv: LatentVarModel, x_weights=None) -> ElboVAEResult:
     """Evaluate the reconstruction bound of a latent-variable model exactly.
 
     ``x_weights`` is the distribution over inputs used for the expected
     bound; it defaults to the model marginal p(x), in which case the
     expected negative log likelihood is exactly the entropy of p(x).
-    Inputs with zero weight are skipped; a positive weight on an input of
-    zero model probability is an error.
+    Inputs of zero weight are skipped, and so by default is an input of model
+    probability at most ``ZERO_MASS``; a positive weight on one is an error.
     """
+    from .expr import evaluate, evaluate_stack
+
     marginal = lv.marginal_x
+    n_x = marginal.size
     if x_weights is None:
         weights = marginal.copy()
+        keep = marginal > ZERO_MASS
     else:
         weights = _normalized(x_weights, "x_weights")
-        if weights.size != marginal.size:
-            raise ValueError("x_weights length must match the input space")
-    n_x = marginal.size
-    nll = np.zeros(n_x)
-    recon = np.zeros(n_x)
-    kl_prior = np.zeros(n_x)
-    gap = np.zeros(n_x)
-    for xi in range(n_x):
-        if weights[xi] <= ZERO_CELL and x_weights is not None:
-            continue
-        if marginal[xi] <= ZERO_CELL:
-            if weights[xi] > ZERO_CELL:
-                raise ZeroProbabilityEvent(
-                    f"input {xi} has zero model probability but positive weight"
-                )
-            continue
-        q_z = lv.encoder[xi]
-        post_z = lv.prior_z * lv.decoder[:, xi] / marginal[xi]
-        if np.any((post_z > ZERO_CELL) & (q_z <= 0)):
-            raise SupportMismatch(
-                f"encoder is zero where the exact latent posterior has mass (x={xi})"
-            )
-        nll[xi] = -math.log(marginal[xi])
-        # SupportMismatch where q reaches a latent that cannot produce x
-        recon[xi] = float(-plogq(q_z, lv.decoder[:, xi]).sum())
-        kl_prior[xi] = _kl(q_z, lv.prior_z)
-        gap[xi] = _kl(q_z, post_z)
-    return ElboVAEResult(
-        x_weights=weights,
-        nll=nll,
-        reconstruction=recon,
-        kl_prior=kl_prior,
-        gap=gap,
-        expected_nll=float(weights @ nll),
-        expected_reconstruction=float(weights @ recon),
-        expected_kl_prior=float(weights @ kl_prior),
-        expected_gap=float(weights @ gap),
-    )
+        if weights.shape != marginal.shape:
+            raise ValueError(f"x_weights has length {weights.size}; the model has {n_x} inputs")
+        keep = weights > ZERO_CELL
+    variables = (Variable("X", range(n_x)), Variable("Z", range(lv.prior_z.size)))
+    joint = (lv.prior_z[:, None] * lv.decoder).T  # p(x, z), one row per input
+    p, q = (JointDistribution(variables, t, max_cells=t.size) for t in (joint, lv.encoder / n_x))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero p(x) raises at H[x]
+        faults = keep & ((joint / marginal[:, None] > ZERO_CELL) & (lv.encoder <= 0)).any(axis=1)
+    rows = {}
+    for field, text in _VAE_ROWS.items():
+        values, defined = evaluate_stack(text, Stack.of(p), Stack.of(q), {"X": np.arange(n_x)})
+        rows[field] = np.where(keep, values, 0.0)
+        faults |= keep & ~defined
+    if faults.any():  # the lowest faulty input raises the first error of its rows
+        x = int(np.argmax(faults))
+        for text in _VAE_ROWS.values():
+            evaluate(text, p, q, {"X": x})
+        raise SupportMismatch(f"encoder is zero where the exact latent posterior has mass (x={x})")
+    expected = {f"expected_{field}": float(weights @ row) for field, row in rows.items()}
+    return ElboVAEResult(x_weights=weights, **rows, **expected)

@@ -162,8 +162,11 @@ class JointDistribution:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "JointDistribution":
         with malformed_input("distribution"):
-            if any(isinstance(v["support"], str) for v in doc["variables"]):
-                raise TypeError("a support must be a list of outcome labels, not a string")
+            known_keys(doc, ("variables", "probs"), "distribution")
+            for v in doc["variables"]:
+                known_keys(v, ("name", "support"), "distribution", " in a variable entry")
+                if isinstance(v["support"], str):
+                    raise TypeError("a support must be a list of outcome labels, not a string")
             variables = [Variable(v["name"], tuple(v["support"])) for v in doc["variables"]]
             probs = number_array(doc["probs"], "distribution", "probs")
         return cls(tuple(variables), probs)
@@ -326,6 +329,14 @@ def _tensor_of(obj) -> np.ndarray:
     if isinstance(obj, UnnormalizedWeight):
         return obj.weights
     raise TypeError(f"expected a JointDistribution or UnnormalizedWeight, got {type(obj)!r}")
+
+
+def known_keys(doc: dict, keys, what: str, where: str = "") -> None:
+    """Raise :class:`MalformedInput` naming the first key of the ``what``
+    document (or of its part ``where``) that is not one of ``keys``."""
+    for key in doc.keys():
+        if key not in keys:
+            raise MalformedInput(f"malformed {what} JSON: unknown key {key!r}{where}")
 
 
 def number_array(value, what: str, key: str) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bayes
 from .bayes import BayesModel, Posterior
-from .dist import TIE_TOLERANCE
+from .dist import TIE_TOLERANCE, known_keys
 from .errors import ZeroEvidence, malformed_input
 
 logger = logging.getLogger(__name__)
@@ -78,6 +78,8 @@ class SimConfig:
     @classmethod
     def from_json_dict(cls, doc: dict, *, model: BayesModel | None = None) -> "SimConfig":
         with malformed_input("simulation config"):
+            known_keys(doc, ("model", "pool", "eval", "initial", "acquisition", "batch_size",
+                             "steps", "seed", "noise_rate"), "simulation config")
             if model is None:
                 spec = doc["model"]
                 model = bayes.load_model(spec) if isinstance(spec, str) else (

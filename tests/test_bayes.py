@@ -50,6 +50,7 @@ from discinfo.dist import ZERO_CELL, ZERO_MASS
 from discinfo.quantities import plogq
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import oracle_cross_entropy, oracle_entropy, oracle_mutual_info
 
 LN2 = math.log(2.0)
 
@@ -123,6 +124,13 @@ class TestPosterior:
         m = opposite_coins_model()
         with pytest.raises(ZeroEvidence):
             posterior(m, [("x1", "0"), ("x1", "1")])
+
+    @pytest.mark.parametrize("probs", [[1.0], [0.2, 0.3, 0.5]])
+    def test_update_rejects_a_posterior_of_another_length(self, probs):
+        # a one-entry posterior would broadcast against both hypotheses
+        m = opposite_coins_model()
+        with pytest.raises(ValueError, match=f"length {len(probs)}; the model has 2 hypotheses"):
+            update(m, Posterior(probs), "x0", "1")
 
     def test_long_dataset_no_underflow(self):
         rng = np.random.default_rng(1)
@@ -359,6 +367,64 @@ class TestCsdDecomposition:
         assert dec.surprise == pytest.approx(0.0, abs=1e-12)
 
 
+class TestApplicationsAgainstOracle:
+    """The paper's applications against ``tests/oracle.py``, which shares no
+    code with the notation kernel they are now evaluated by."""
+
+    def test_csd_decomposition_and_surprise(self):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            m = random_model(rng)
+            post = posterior(m, random_data(rng, m, int(rng.integers(0, 3))))
+            x, y = int(rng.integers(len(m.inputs))), int(rng.integers(m.n_labels))
+            names, sizes = ["W", "Y"], [m.n_hypotheses, m.n_labels]
+            cells = {(w, c): float(post.probs[w] * m.likelihood[w, x, c])
+                     for w in range(sizes[0]) for c in range(sizes[1])}
+            omega, label = [("W", None)], [("Y", y)]
+            h_omega = oracle_entropy(names, sizes, cells, omega)
+            ce = oracle_cross_entropy(names, sizes, cells, cells, omega, label,
+                                      q_head=omega, q_given=[])
+            h_new = oracle_entropy(names, sizes, cells, omega, label)
+            direct = oracle_entropy(names, sizes, cells, label, omega)
+            dec = csd_decomposition(m, post, x, y)
+            expected = {
+                "info_gain": oracle_mutual_info(names, sizes, cells, [omega, label]),
+                "code_shift": h_omega - ce,
+                "surprise": ce - h_new,
+                "label_entropy_direct": direct,
+                "label_entropy_importance": direct,
+            }
+            for field, want in expected.items():
+                assert getattr(dec, field) == pytest.approx(want, abs=1e-12), field
+            assert surprise(m, post, x, y) == pytest.approx(ce - h_new, abs=1e-12)
+
+    def test_elbo_vae_rows(self):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            lv = random_latent_model(rng, n_z=int(rng.integers(1, 4)), n_x=int(rng.integers(1, 5)))
+            n_z, n_x = lv.prior_z.size, lv.marginal_x.size
+            names, sizes = ["X", "Z"], [n_x, n_z]
+            p = {(x, z): float(lv.prior_z[z] * lv.decoder[z, x])
+                 for x in range(n_x) for z in range(n_z)}
+            q = {(x, z): float(lv.encoder[x, z]) / n_x for x in range(n_x) for z in range(n_z)}
+            weights = None if rng.random() < 0.5 else rng.dirichlet(np.ones(n_x))
+            res = elbo_vae(lv, weights)
+            latent = [("Z", None)]
+            for x in range(n_x):
+                at = [("X", x)]
+                h_q = oracle_entropy(names, sizes, q, latent, at)
+                rows = {
+                    "nll": oracle_entropy(names, sizes, p, at),
+                    "reconstruction": oracle_cross_entropy(names, sizes, q, p, latent, at,
+                                                           q_head=at, q_given=latent),
+                    "kl_prior": oracle_cross_entropy(names, sizes, q, p, latent, at,
+                                                     q_head=latent, q_given=[]) - h_q,
+                    "gap": oracle_cross_entropy(names, sizes, q, p, latent, at) - h_q,
+                }
+                for field, want in rows.items():
+                    assert getattr(res, field)[x] == pytest.approx(want, abs=1e-12), (field, x)
+
+
 class TestBatchScore:
     def test_single_input_reduces_to_bald_and_csd(self):
         rng = np.random.default_rng(12)
@@ -458,6 +524,13 @@ class TestElboVI:
         with pytest.raises(SupportMismatch):
             elbo_vi(m, [], [1.0, 0.0])  # posterior (= prior) has mass on B
 
+    @pytest.mark.parametrize("q", [[1.0], [0.2, 0.3, 0.5]])
+    def test_q_of_another_length(self, q):
+        # a one-entry q would broadcast to both hypotheses and break the identity
+        m = opposite_coins_model()
+        with pytest.raises(ValueError, match=f"q has length {len(q)}; the model has 2 hypotheses"):
+            elbo_vi(m, [("x0", "1")], q)
+
 
 def random_latent_model(rng, n_z=3, n_x=4):
     return LatentVarModel(
@@ -539,6 +612,59 @@ class TestElboVAE:
         assert res.expected_nll + res.expected_gap == pytest.approx(
             res.expected_reconstruction + res.expected_kl_prior, abs=1e-9
         )
+
+    @staticmethod
+    def rare_input_model(rho):
+        """p(x1) = rho: only the rare latent z1 produces x1, and the encoder
+        covers the exact latent posterior of both inputs."""
+        return LatentVarModel([1 - 2 * rho, 2 * rho], [[1.0, 0.0], [0.5, 0.5]],
+                              [[0.9, 0.1], [0.0, 1.0]])
+
+    def test_default_weights_skip_an_input_at_most_zero_mass(self):
+        # its weight is its marginal, at most ZERO_MASS: no term to condition on
+        res = elbo_vae(self.rare_input_model(1e-13))
+        assert res.x_weights[1] == pytest.approx(1e-13)
+        for row in (res.nll, res.reconstruction, res.kl_prior, res.gap):
+            assert row[1] == 0.0
+        assert res.expected_nll == res.x_weights[0] * res.nll[0]
+
+    def test_default_weights_keep_an_input_above_zero_mass(self):
+        res = elbo_vae(self.rare_input_model(1e-11))
+        assert res.nll[1] == pytest.approx(-math.log(1e-11), rel=1e-12)
+        assert res.nll[1] + res.gap[1] == pytest.approx(
+            res.reconstruction[1] + res.kl_prior[1], abs=1e-9)
+
+    def test_positive_weight_on_an_input_at_most_zero_mass(self):
+        lv = self.rare_input_model(1e-13)
+        with pytest.raises(ZeroProbabilityEvent):
+            elbo_vae(lv, [0.5, 0.5])
+        res = elbo_vae(lv, [1.0, 0.0])  # a zero weight skips it
+        assert res.nll[1] == 0.0 and res.expected_nll == res.nll[0] > 0.0
+
+    @pytest.mark.parametrize("fault,error", [
+        ("zero_marginal", ZeroProbabilityEvent),
+        ("uncovered", SupportMismatch),
+        ("decoder_zero", SupportMismatch),
+    ])
+    def test_the_lowest_faulty_input_decides_the_error(self, fault, error):
+        # input 1 has the fault; input 2 a support fault that comes later
+        prior_z = np.array([0.5, 0.5, 0.0])
+        decoder = np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
+        encoder = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]])
+        weights = [0.25, 0.5, 0.25]
+        if fault == "zero_marginal":
+            decoder = np.array([[0.5, 0.0, 0.5], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        elif fault == "uncovered":
+            decoder[0] = [0.4, 0.1, 0.5]  # z0 now produces x1, which the encoder misses
+        else:
+            encoder[1] = [0.5, 0.5, 0.0]  # q reaches z0, which cannot produce x1
+        with pytest.raises(error):
+            elbo_vae(LatentVarModel(prior_z, decoder, encoder), weights)
+
+    def test_weights_of_another_length(self):
+        lv = random_latent_model(np.random.default_rng(22))
+        with pytest.raises(ValueError, match="x_weights has length 3; the model has 4 inputs"):
+            elbo_vae(lv, [0.2, 0.3, 0.5])
 
 
 class TestModelJson:

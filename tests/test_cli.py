@@ -424,6 +424,31 @@ class TestMalformedJson:
         assert main(["eval", "--dist", str(path), "H[X]"]) == 2
         assert capsys.readouterr().err.startswith("error: malformed distribution JSON")
 
+    @pytest.mark.parametrize("part,key,what", [
+        ("config", "stepz", "simulation config"),
+        ("model", "priors", "model"),
+        ("dist", "prob", "distribution"),
+        ("variable", "sup", "distribution"),
+    ])
+    def test_unknown_key_is_named(self, tmp_path, capsys, part, key, what):
+        # a misspelt key must not fall back to a default: "stepz" would run 10 steps
+        model, pool, eval_set = __import__("discinfo").threshold_task(4, 2)
+        cfg = {"model": model.to_json_dict(), "pool": [list(p) for p in pool],
+               "eval": [list(p) for p in eval_set]}
+        dist = {"variables": [{"name": "X", "support": ["0", "1"]}], "probs": [0.5, 0.5]}
+        parts = {"config": cfg, "model": cfg["model"], "dist": dist, "variable": dist["variables"][0]}
+        parts[part][key] = 3
+        path = tmp_path / "doc.json"
+        if what == "distribution":
+            path.write_text(json.dumps(dist))
+            argv = ["eval", "--dist", str(path), "H[X]"]
+        else:
+            path.write_text(json.dumps(cfg))
+            argv = ["sim", "--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed {what} JSON: unknown key {key!r}")
+
     def test_distribution_integer_probs_load(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text(json.dumps(
