@@ -25,7 +25,9 @@ from .dist import (
     JointDistribution,
     Variable,
     known_keys,
+    names_of,
     number_array,
+    read_json,
 )
 from .errors import (
     BatchTooLarge,
@@ -162,11 +164,17 @@ class BayesModel:
     def from_json_dict(cls, doc: dict) -> "BayesModel":
         with malformed_input("model"):
             known_keys(doc, ("hypotheses", "prior", "inputs", "labels", "likelihood"), "model")
-            hypotheses = [str(h) for h in doc["hypotheses"]]
-            inputs = [str(x) for x in doc["inputs"]]
-            labels = [str(y) for y in doc["labels"]]
+            hypotheses, inputs, labels = (
+                names_of(doc[key], "model", key) for key in ("hypotheses", "inputs", "labels")
+            )
             table = doc["likelihood"]
             rows = [[table[h][x] for x in inputs] for h in hypotheses]
+            # every declared name was looked up, so a mapping with more keys has one naming nothing
+            if len(table) > len(hypotheses):
+                known_keys(table, set(hypotheses), "model", " in likelihood")
+            for h in hypotheses:
+                if len(table[h]) > len(inputs):
+                    known_keys(table[h], set(inputs), "model", f" in likelihood[{h!r}]")
             lik = number_array(rows, "model", "likelihood")
             prior = number_array(doc["prior"], "model", "prior")
         shape = (len(hypotheses), len(inputs), len(labels))
@@ -175,7 +183,7 @@ class BayesModel:
                 f"malformed model JSON: every likelihood row must be a list of "
                 f"{len(labels)} numbers, one per label"
             )
-        return cls(tuple(hypotheses), prior, tuple(inputs), tuple(labels), lik)
+        return cls(hypotheses, prior, inputs, labels, lik)
 
 
 def _resolve(names: tuple[str, ...], key, what: str) -> int:
@@ -201,8 +209,7 @@ def _resolve_all(names: tuple[str, ...], keys, what: str) -> np.ndarray:
 
 
 def load_model(path) -> BayesModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return BayesModel.from_json_dict(json.load(fh))
+    return BayesModel.from_json_dict(read_json(path, "model"))
 
 
 def dump_model(model: BayesModel, path) -> None:
@@ -281,13 +288,21 @@ def _posterior_from_log(log_post: np.ndarray) -> Posterior:
     return Posterior(probs / probs.sum())
 
 
-def update(model: BayesModel, post: Posterior, x, y) -> Posterior:
-    """One exact Bayes step: reweight the posterior by p(y | x, omega)."""
+def _probs(model: BayesModel, post: Posterior) -> np.ndarray:
+    """The posterior's probabilities, checked to be one per hypothesis of the
+    model: every function that weighs the model's tables by a posterior reads
+    them here, so a wrong length is never broadcast or reported by numpy."""
     if post.probs.shape != model.prior.shape:
         raise ValueError(f"posterior has length {post.probs.size}; the model has "
                          f"{model.n_hypotheses} hypotheses")
+    return post.probs
+
+
+def update(model: BayesModel, post: Posterior, x, y) -> Posterior:
+    """One exact Bayes step: reweight the posterior by p(y | x, omega)."""
+    probs = _probs(model, post)
     xi, yi = model.input_index(x), model.label_index(y)
-    weights = post.probs * model.likelihood[:, xi, yi]
+    weights = probs * model.likelihood[:, xi, yi]
     total = weights.sum()
     if total <= ZERO_MASS:
         raise ZeroEvidence(
@@ -300,14 +315,14 @@ def update(model: BayesModel, post: Posterior, x, y) -> Posterior:
 def predictive(model: BayesModel, post: Posterior, x) -> np.ndarray:
     """The posterior-mixture label distribution p(y | x, data)."""
     xi = model.input_index(x)
-    return post.probs @ model.likelihood[:, xi, :]
+    return _probs(model, post) @ model.likelihood[:, xi, :]
 
 
 def joint_label_hypothesis(model: BayesModel, post: Posterior, x) -> JointDistribution:
     """The joint over (Omega, Y) at input x: csd_decomposition and surprise
     evaluate their expressions over it, and tests check the fast scores."""
     xi = model.input_index(x)
-    cells = post.probs[:, None] * model.likelihood[:, xi, :]
+    cells = _probs(model, post)[:, None] * model.likelihood[:, xi, :]
     return JointDistribution(
         (Variable("Omega", model.hypotheses), Variable("Y", model.labels)),
         cells,
@@ -319,7 +334,7 @@ def predictive_table(model: BayesModel, post: Posterior) -> np.ndarray:
     """p(y | x, data) for every input, shape (n_x, n_y): one matmul of the
     posterior with the likelihood table."""
     n_omega, n_x, n_y = model.likelihood.shape
-    return (post.probs @ model.likelihood.reshape(n_omega, n_x * n_y)).reshape(n_x, n_y)
+    return (_probs(model, post) @ model.likelihood.reshape(n_omega, n_x * n_y)).reshape(n_x, n_y)
 
 
 def _label_entropy(lik: np.ndarray, positive=False, buf=None, out=None) -> np.ndarray:
@@ -418,7 +433,7 @@ def bald_scores(model: BayesModel, post: Posterior, table: np.ndarray,
     """
     if prefix is None:
         prefix = LabelConfigs.empty(model)
-    return _joint_bald(post.probs, model.likelihood, table, prefix)
+    return _joint_bald(_probs(model, post), model.likelihood, table, prefix)
 
 
 def _xlogx(v: np.ndarray) -> np.ndarray:
@@ -468,7 +483,7 @@ def csd_scores(model: BayesModel, post: Posterior, table: CsdTable, given=()) ->
     entropy after each candidate is three matvecs against the table.  Both
     entropies are exact: 0 log 0 = 0 at exact zeros only.
     """
-    weights = post.probs
+    weights = probs = _probs(model, post)
     for x, y in given:
         weights = weights * model.likelihood[:, model.input_index(x), model.label_index(y)]
     total = weights @ table.lik  # unnormalised, so the floor is on the joint mass
@@ -481,7 +496,7 @@ def csd_scores(model: BayesModel, post: Posterior, table: CsdTable, given=()) ->
     plogp = _xlogx(p)
     mean = plogp.sum()
     after = np.log(z) - (p @ table.plogp + (plogp - mean * p) @ table.lik) / z - mean
-    return np.where(possible, -_xlogx(post.probs).sum() - after, -np.inf)
+    return np.where(possible, -_xlogx(probs).sum() - after, -np.inf)
 
 
 def bald(model: BayesModel, post: Posterior, x) -> float:
@@ -494,7 +509,7 @@ def bald(model: BayesModel, post: Posterior, x) -> float:
 def _bald_at(model: BayesModel, post: Posterior, xi: int, prefix: LabelConfigs) -> float:
     """:func:`bald_scores` restricted to input ``xi``."""
     lik = model.likelihood[:, xi:xi + 1]
-    return float(_joint_bald(post.probs, lik, _label_entropy(lik), prefix)[0])
+    return float(_joint_bald(_probs(model, post), lik, _label_entropy(lik), prefix)[0])
 
 
 def csd(model: BayesModel, post: Posterior, x, y) -> float:

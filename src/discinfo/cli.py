@@ -248,7 +248,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}" + ("" if listed in str(exc) else f" (expected {listed})"),
               file=sys.stderr)
         return 2
-    except (DiscinfoError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (DiscinfoError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

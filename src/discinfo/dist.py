@@ -167,7 +167,8 @@ class JointDistribution:
                 known_keys(v, ("name", "support"), "distribution", " in a variable entry")
                 if isinstance(v["support"], str):
                     raise TypeError("a support must be a list of outcome labels, not a string")
-            variables = [Variable(v["name"], tuple(v["support"])) for v in doc["variables"]]
+            variables = [Variable(v["name"], names_of(v["support"], "distribution", "support"))
+                         for v in doc["variables"]]
             probs = number_array(doc["probs"], "distribution", "probs")
         return cls(tuple(variables), probs)
 
@@ -339,6 +340,19 @@ def known_keys(doc: dict, keys, what: str, where: str = "") -> None:
             raise MalformedInput(f"malformed {what} JSON: unknown key {key!r}{where}")
 
 
+def names_of(values, what: str, key: str) -> tuple[str, ...]:
+    """The names or outcome labels ``values`` (under ``key`` of the ``what``
+    document) as strings, an integer as its digits.  A float is
+    :class:`MalformedInput`: :func:`read_json` hands an integer outside
+    [-2**63, 2**64) over as one, so its digits are lost."""
+    values = tuple(values)
+    for value in values:
+        if isinstance(value, float):
+            raise MalformedInput(f"malformed {what} JSON: {key} holds the float {value!r}; a "
+                                 f"name is a string or an integer in [-2**63, 2**64)")
+    return tuple(map(str, values))
+
+
 def number_array(value, what: str, key: str) -> np.ndarray:
     """``value`` (a JSON number or nested lists) as one numpy array, read in
     bulk.  Raises :class:`MalformedInput` naming the ``what`` document and its
@@ -361,9 +375,30 @@ def number_array(value, what: str, key: str) -> np.ndarray:
     return array
 
 
+def read_json(path, what: str):
+    """The JSON document in the file at ``path``; ``what`` names its kind
+    (a distribution, a model, a simulation config) in errors.
+
+    orjson parses the file's bytes to the values :mod:`json` gives, with two
+    differences.  A ``NaN`` or ``Infinity`` literal, a number beyond the
+    float range, invalid UTF-8, a byte order mark or a lone surrogate escape
+    is :class:`MalformedInput`.  An integer outside [-2**63, 2**64) arrives
+    as a float, so the readers refuse a float wherever they would use its
+    digits.  orjson is imported on the first call: a run that reads no file
+    never loads it.
+    """
+    import orjson
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
+        raise MalformedInput(f"malformed {what} JSON: {exc}") from None
+
+
 def load_distribution(path) -> JointDistribution:
-    with open(path, "r", encoding="utf-8") as fh:
-        return JointDistribution.from_json_dict(json.load(fh))
+    return JointDistribution.from_json_dict(read_json(path, "distribution"))
 
 
 def dump_distribution(d: JointDistribution, path) -> None:

@@ -695,7 +695,8 @@ def evaluate(expression, dist: JointDistribution, q=None, bindings=None, *,
     env = {n: int(i) for n, i in _environment(bindings, dist, q).items()}
     p = qt.Stack.of(dist)
     qs = None if q is None else p if q is dist else qt.Stack.of(q)
-    return qt.one_value(*_eval(node, _Scope(p, qs, env, base)))
+    # the resolved bindings name the tied outcomes when their event has no mass
+    return qt.one_value(*_eval(node, _Scope(p, qs, env, base)), env.items())
 
 
 def evaluate_stack(expression, p, q=None, bindings=None, *, base: LogBase = LogBase.NATS):
@@ -776,7 +777,8 @@ def diagram(d: JointDistribution, observed, *, base: LogBase = LogBase.NATS) -> 
     labels = tuple(template.format(X=xs, x=xs.lower(), y=y_name.lower())
                    for _, template in _DIAGRAM_ROWS)
     scope = _Scope(qt.Stack.of(d), None, {y_name: y_idx}, base)
-    return DiagramTable(labels, *(qt.one_value(*_eval(parse(label), scope)) for label in labels))
+    return DiagramTable(labels, *(qt.one_value(*_eval(parse(label), scope), scope.env.items())
+                                  for label in labels))
 
 
 def children(node) -> tuple:

@@ -15,7 +15,6 @@ ever receives the input, so it cannot peek at labels by construction.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import bayes
 from .bayes import BayesModel, Posterior
-from .dist import TIE_TOLERANCE, known_keys
+from .dist import TIE_TOLERANCE, known_keys, read_json
 from .errors import ZeroEvidence, malformed_input
 
 logger = logging.getLogger(__name__)
@@ -107,16 +106,20 @@ def _pairs(entries) -> tuple:
 
 def _number(doc, key, default, kind=int):
     """``doc[key]`` (else ``default``) as ``kind``: not a bool or a string,
-    and for an int, without a fraction."""
+    and for an int, without a fraction and, given as a float, below 2**63 in
+    magnitude (``read_json`` hands a larger integer over as a float, its
+    digits lost)."""
     value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or kind is int and value % 1:
         raise TypeError(f"{key}: expected {kind.__name__}, got {value!r}")
+    if kind is int and isinstance(value, float) and abs(value) >= 2**63:
+        raise TypeError(f"{key}: the float {value!r} is too large to be an exact integer; "
+                        f"give an integer in [-2**63, 2**64)")
     return kind(value)
 
 
 def load_config(path) -> SimConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SimConfig.from_json_dict(json.load(fh))
+    return SimConfig.from_json_dict(read_json(path, "simulation config"))
 
 
 @dataclass(frozen=True)

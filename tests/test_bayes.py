@@ -32,6 +32,7 @@ from discinfo import (
     threshold_task,
     update,
 )
+from discinfo import bayes
 from discinfo.bayes import (
     _BLOCK_CELLS,
     Dataset,
@@ -131,6 +132,27 @@ class TestPosterior:
         m = opposite_coins_model()
         with pytest.raises(ValueError, match=f"length {len(probs)}; the model has 2 hypotheses"):
             update(m, Posterior(probs), "x0", "1")
+
+    @pytest.mark.parametrize("name,args", [
+        ("update", ("0", "1")),
+        ("predictive", ("0",)),
+        ("predictive_table", ()),
+        ("bald", ("0",)),
+        ("bald_scores", ("entropy table",)),
+        ("csd", ("0", "1")),
+        ("csd_scores", ("csd table",)),
+        ("batch_score", (["0", "1"],)),
+        ("batch_score", (["0", "1"], ["1", "1"])),
+        ("surprise", ("0", "1")),
+        ("csd_decomposition", ("0", "1")),
+    ])
+    def test_every_posterior_reader_refuses_another_length(self, name, args):
+        # never numpy's matmul mismatch, and never a one-entry posterior broadcast
+        m = threshold_task(2)[0]  # three hypotheses
+        tables = {"entropy table": label_entropy_table(m), "csd table": csd_table(m, [0], [1])}
+        args = [tables.get(a, a) if isinstance(a, str) else a for a in args]
+        with pytest.raises(ValueError, match="^posterior has length 1; the model has 3 hypotheses"):
+            getattr(bayes, name)(m, Posterior([1.0]), *args)
 
     def test_long_dataset_no_underflow(self):
         rng = np.random.default_rng(1)

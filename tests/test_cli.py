@@ -2,6 +2,7 @@ import io
 import json
 import logging
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -454,6 +455,112 @@ class TestMalformedJson:
         path.write_text(json.dumps(
             {"variables": [{"name": "X", "support": ["0", "1"]}], "probs": [[1], [0]]}))
         assert load_distribution(path).probs.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("key,value", [("zz", {"0": [0.5, 0.5], "1": [0.5, 0.5]}),
+                                           ("9", "junk")])
+    def test_likelihood_key_naming_nothing(self, tmp_path, capsys, key, value):
+        # an extra key must not load as the model without it
+        model, pool, eval_set = __import__("discinfo").threshold_task(2)
+        doc = model.to_json_dict()
+        (doc["likelihood"] if key == "zz" else doc["likelihood"]["t0"])[key] = value
+        where = "in likelihood" if key == "zz" else "in likelihood['t0']"
+        with pytest.raises(MalformedInput, match=f"unknown key {key!r} {re.escape(where)}$"):
+            BayesModel.from_json_dict(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": doc, "pool": [list(p) for p in pool],
+                                    "eval": [list(p) for p in eval_set]}))
+        assert main(["sim", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed model JSON: unknown key {key!r}")
+
+
+def _dist_bytes(support=b'"0", "1"', probs=b"0.5, 0.5"):
+    return (b'{"variables": [{"name": "X", "support": [' + support + b']}], "probs": ['
+            + probs + b"]}")
+
+
+class TestReaderRejections:
+    """Documents the reader refuses although stdlib ``json`` gives them a
+    value or a bare decode error: each is MalformedInput naming the file
+    kind, and the CLI exits 2."""
+
+    @pytest.mark.parametrize("text", [
+        _dist_bytes(probs=b"NaN, 1.0"),
+        _dist_bytes(probs=b"Infinity, 0.5"),
+        _dist_bytes(probs=b"1e400, 0.5"),
+        _dist_bytes(support=b'"0", 1.5'),
+        _dist_bytes(support=b'"0", 123456789012345678901234567890'),
+        _dist_bytes(support=b'"0", "\xff"'),
+        b"\xef\xbb\xbf" + _dist_bytes(),
+        _dist_bytes(support=b'"0", "\\ud800"'),
+    ], ids=["nan", "infinity", "beyond-float-range", "float-label", "label-beyond-64-bits",
+            "invalid-utf8", "bom", "lone-surrogate"])
+    def test_distribution(self, tmp_path, capsys, text):
+        path = tmp_path / "d.json"
+        path.write_bytes(text)
+        with pytest.raises(MalformedInput, match="^malformed distribution JSON: "):
+            load_distribution(path)
+        for command in (["eval", "--dist", str(path), "H[X]"],
+                        ["diagram", "--dist", str(path), "--observe", "X=0"]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: malformed distribution JSON: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key,text,what", [
+        ("seed", b"18446744073709551616", "simulation config"),
+        ("seed", b"-9223372036854775809", "simulation config"),
+        ("steps", b"1e19", "simulation config"),
+        ("noise_rate", b"NaN", "simulation config"),
+        ("labels", b"1.0", "model"),
+        ("inputs", b"1e30", "model"),
+        ("hypotheses", b"36893488147419103232", "model"),
+        ("prior", b"Infinity", "simulation config"),  # an inline model is part of the config
+    ], ids=["seed-2**64", "seed-below--2**63", "steps-1e19", "nan-noise-rate", "float-label",
+            "float-input", "hypothesis-beyond-64-bits", "infinite-prior"])
+    def test_sim_config(self, tmp_path, capsys, key, text, what):
+        model, pool, eval_set = __import__("discinfo").threshold_task(2)
+        cfg = {"model": model.to_json_dict(), "pool": [list(p) for p in pool],
+               "eval": [list(p) for p in eval_set]}
+        doc = cfg["model"]
+        if key in doc:  # the last entry of the list is the one written as ``text``
+            old, name = doc[key][-1], str(json.loads(text))
+            doc[key] = [*doc[key][:-1], "@"]
+            # the likelihood keys the entry as str() would, so only the float is at fault
+            keyed = {"hypotheses": [doc["likelihood"]], "inputs": doc["likelihood"].values()}
+            for table in keyed.get(key, ()):
+                table[name] = table.pop(old)
+        else:
+            cfg[key] = "@"
+        path = tmp_path / "cfg.json"
+        path.write_bytes(json.dumps(cfg).encode().replace(b'"@"', text))
+        with pytest.raises(MalformedInput, match=f"^malformed {what} JSON: "):
+            load_config(path)
+        assert main(["sim", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed {what} JSON: ") and "Traceback" not in err
+
+    def test_model_file_by_path(self, tmp_path, capsys):
+        model, pool, eval_set = __import__("discinfo").threshold_task(2)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model.to_json_dict()).replace("0.98", "NaN", 1))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": str(model_path), "pool": [list(p) for p in pool],
+                                    "eval": [list(p) for p in eval_set]}))
+        with pytest.raises(MalformedInput, match="^malformed model JSON: "):
+            load_config(path)
+        assert main(["sim", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed model JSON: ")
+
+    def test_integers_up_to_64_bits_still_load(self, tmp_path):
+        model, pool, eval_set = __import__("discinfo").threshold_task(2)
+        doc = model.to_json_dict()
+        doc["labels"] = [0, 18446744073709551615]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": doc, "pool": [[0, 0]], "eval": [[0, 0]],
+                                    "seed": 2**64 - 1, "batch_size": 2**63}))
+        cfg = load_config(path)
+        assert (cfg.seed, cfg.batch_size) == (2**64 - 1, 2**63)
+        assert cfg.model.labels == ("0", "18446744073709551615")
 
 
 class TestUsageErrors:

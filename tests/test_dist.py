@@ -1,4 +1,6 @@
 import json
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from discinfo import (
     prob_of,
     product,
 )
-from discinfo.dist import dump_distribution, load_distribution
+from discinfo.dist import dump_distribution, load_distribution, read_json
 
 
 def three_cell():
@@ -255,3 +257,70 @@ class TestJsonFormat:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_distribution(path)
+
+
+def _hard_decimals(rng, n, exponents, signed):
+    """``n`` decimal strings that are hard to round to the nearest double, each
+    of a finite value: mantissas of 1 to 25 digits with exponents in the
+    closed range ``exponents``, the exact halfway points between adjacent
+    doubles of that range or of the subnormals, and those points cut to 16 to
+    25 digits."""
+    lo, hi = exponents
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 800  # a double, and the halfway point between two, is exact
+        while len(out) < n:
+            digits = "".join(map(str, rng.integers(0, 10, size=rng.integers(1, 26))))
+            text = f"{rng.integers(1, 10)}.{digits}e{rng.integers(lo, hi + 1)}"
+            kind = rng.integers(4)
+            if kind == 3:  # between two subnormals
+                x = float(rng.integers(0, 2**52)) * 2.0**-1074
+            else:
+                x = float(text)
+            if kind and math.isfinite(x):
+                y = math.nextafter(x, math.inf)
+                text = format((Decimal(x) + Decimal(y)) / 2, "e")
+                if rng.integers(2):
+                    mantissa, exponent = text.split("e")
+                    text = f"{mantissa[:rng.integers(17, 27)]}e{exponent}"
+            if math.isfinite(float(text)):
+                out.append(("-" if signed and rng.integers(2) else "") + text)
+    return out
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestReader:
+    """The reader parses with orjson; every float must be the one the stdlib
+    ``json`` module gives, to the last bit."""
+
+    def test_floats_of_the_whole_range_match_the_stdlib(self, tmp_path):
+        strings = _hard_decimals(np.random.default_rng(0), 8_000, (-330, 310), signed=True)
+        text = '{"variables": [{"name": "X", "support": ["0"]}], "probs": [%s]}' % ",".join(strings)
+        path = tmp_path / "d.json"
+        path.write_text(text, encoding="utf-8")
+        got = read_json(path, "distribution")["probs"]
+        np.testing.assert_array_equal(_bits(got), _bits(json.loads(text)["probs"]))
+
+    def test_loaded_probabilities_match_the_stdlib(self, tmp_path):
+        strings = _hard_decimals(np.random.default_rng(1), 8_000, (-330, -5), signed=False)
+        strings.append(repr(1.0 - math.fsum(map(float, strings))))
+        text = json.dumps({"variables": [{"name": "X", "support": list(range(len(strings)))}],
+                           "probs": []}).replace("[]", "[%s]" % ",".join(strings))
+        path = tmp_path / "d.json"
+        path.write_text(text, encoding="utf-8")
+        doc = json.loads(text)
+        want = JointDistribution((Variable("X", doc["variables"][0]["support"]),),
+                                 np.array(doc["probs"]))
+        got = load_distribution(path)
+        assert not got.renormalized and got.variables == want.variables
+        np.testing.assert_array_equal(_bits(got.probs), _bits(want.probs))
+
+    def test_integer_labels_are_read_as_their_digits(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text('{"variables": [{"name": "X", "support": [-9223372036854775808, '
+                        '18446744073709551615]}], "probs": [1, 0]}')
+        assert load_distribution(path).variables[0].support == (
+            "-9223372036854775808", "18446744073709551615")

@@ -11,6 +11,8 @@ from discinfo import (
     ParseError,
     UnknownVariable,
     Variable,
+    ZeroProbabilityEvent,
+    diagram,
     entropy,
     evaluate,
     format_expression,
@@ -289,6 +291,16 @@ class TestRoundTrip:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("key", ["Y", "y"])
+    def test_a_massless_tie_names_its_bindings(self, key):
+        d = JointDistribution((Variable("X", ("0", "1")), Variable("Y", ("0", "1"))),
+                              [0.5, 0.0, 0.5, 0.0])
+        message = r"^tied outcomes \{'Y': 1\} have probability at most 1e-12$"
+        with pytest.raises(ZeroProbabilityEvent, match=message):
+            evaluate("H[X|y]", d, bindings={key: 1})
+        with pytest.raises(ZeroProbabilityEvent, match=message):
+            diagram(d, {"Y": 1})
+
     def test_product_mi_is_zero(self):
         d = product(fair_coin("X"), fair_coin("Y"))
         assert evaluate("I[X;Y]", d) == pytest.approx(0.0, abs=1e-12)

@@ -89,3 +89,19 @@ def test_every_exported_name_resolves():
     assert discinfo.ParseError is discinfo.expr.ParseError
     with pytest.raises(AttributeError):
         discinfo.no_such_name  # noqa: B018
+
+
+def test_only_reading_a_file_loads_orjson(tmp_path):
+    # the JSON reader imports orjson on its first call, so the search and an
+    # in-memory simulation pay neither its import nor its memory
+    path = tmp_path / "coin.json"
+    path.write_text('{"variables": [{"name": "X", "support": ["0", "1"]}], "probs": [0.5, 0.5]}')
+    steps = [
+        "import discinfo",
+        "import discinfo.cli",
+        "discinfo.check_suite(discinfo.default_suite(), seeds=5)",
+        "m, p, e = discinfo.threshold_task(4, 2); discinfo.run_sim(discinfo.SimConfig(m, p, e))",
+        f"discinfo.load_distribution({str(path)!r})",
+    ]
+    code = "; ".join(f"{step}; print('orjson' in sys.modules)" for step in steps)
+    assert _run(code).split() == ["False"] * 4 + ["True"]
