@@ -16,129 +16,19 @@ notation (``expr``), the identity search (``identities``), ``bayes``,
 
 import importlib
 
-from .dist import (
-    Assignment,
-    JointDistribution,
-    UnnormalizedWeight,
-    Variable,
-    condition,
-    dump_distribution,
-    load_distribution,
-    marginalize,
-    power,
-    prob_of,
-    product,
-    scale,
-)
-from .errors import (
-    BatchTooLarge,
-    CounterexampleMismatch,
-    DiscinfoError,
-    InvalidIndex,
-    MalformedInput,
-    MissingQDistribution,
-    NonPositiveProbability,
-    ParseError,
-    SupportMismatch,
-    UnknownVariable,
-    ZeroEvidence,
-    ZeroProbabilityEvent,
-)
-from .quantities import (
-    LogBase,
-    Term,
-    cross_entropy,
-    entropy,
-    expected_marginal_ic,
-    information_content,
-    kl_divergence,
-    mutual_info,
-    triple_mi,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment",
-    "BatchTooLarge",
-    "BayesModel",
-    "CounterexampleMismatch",
-    "CsdDecomposition",
-    "Dataset",
-    "DiagramTable",
-    "DiscinfoError",
-    "ElboVAEResult",
-    "ElboVIResult",
-    "Expectation",
-    "IdentitySuite",
-    "InvalidIndex",
-    "MalformedInput",
-    "JointDistribution",
-    "LatentVarModel",
-    "LogBase",
-    "MissingQDistribution",
-    "NonPositiveProbability",
-    "ParseError",
-    "Posterior",
-    "SearchReport",
-    "SimConfig",
-    "SimResult",
-    "StirlingReport",
-    "SuiteEntry",
-    "SupportMismatch",
-    "Term",
-    "UnknownVariable",
-    "UnnormalizedWeight",
-    "Variable",
-    "WitnessReport",
-    "ZeroEvidence",
-    "ZeroProbabilityEvent",
-    "bald",
-    "batch_score",
-    "chaining_distribution",
-    "check_suite",
-    "condition",
-    "cross_entropy",
-    "csd",
-    "csd_decomposition",
-    "default_suite",
-    "diagram",
-    "dump_distribution",
-    "elbo_vae",
-    "elbo_vi",
-    "entropy",
-    "evaluate",
-    "expected_marginal_ic",
-    "format_expression",
-    "information_content",
-    "joint_label_hypothesis",
-    "kl_divergence",
-    "load_distribution",
-    "load_model",
-    "log_binomial_exact",
-    "log_binomial_sweep",
-    "log_evidence",
-    "marginalize",
-    "mutual_info",
-    "parse",
-    "parse_suite_file",
-    "posterior",
-    "power",
-    "predictive",
-    "prob_of",
-    "product",
-    "run_sim",
-    "scale",
-    "stirling_bound",
-    "surprise",
-    "three_cell_distribution",
-    "threshold_task",
-    "triple_mi",
-    "update",
-    "verify_reference_witnesses",
-]
-
-_LAZY = {
+# The exported names of each module: one table yields the eager imports, the
+# lazy ones and ``__all__``.
+_EXPORTS = {
+    "dist": ("Assignment", "JointDistribution", "UnnormalizedWeight", "Variable", "condition",
+             "dump_distribution", "load_distribution", "marginalize", "power", "prob_of",
+             "product", "scale"),
+    "errors": ("BatchTooLarge", "CounterexampleMismatch", "DiscinfoError", "InvalidIndex",
+               "MalformedInput", "MissingQDistribution", "NonPositiveProbability", "ParseError",
+               "SupportMismatch", "UnknownVariable", "ZeroEvidence", "ZeroProbabilityEvent"),
+    "quantities": ("LogBase", "Term", "cross_entropy", "entropy", "expected_marginal_ic",
+                   "information_content", "kl_divergence", "mutual_info", "triple_mi"),
     "expr": ("DiagramTable", "diagram", "evaluate", "format_expression", "parse"),
     "identities": ("Expectation", "IdentitySuite", "SearchReport", "SuiteEntry", "WitnessReport",
                    "chaining_distribution", "check_suite", "default_suite", "parse_suite_file",
@@ -150,13 +40,23 @@ _LAZY = {
     "simulate": ("SimConfig", "SimResult", "run_sim", "threshold_task"),
     "stirling": ("StirlingReport", "log_binomial_exact", "log_binomial_sweep", "stirling_bound"),
 }
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def _bind(module: str) -> None:
+    """Import ``module`` and bind all its exported names in the package."""
+    mod = importlib.import_module(f".{module}", __name__)
+    globals().update({name: getattr(mod, name) for name in _EXPORTS[module]})
+
+
+for _module in ("dist", "errors", "quantities"):
+    _bind(_module)
 
 
 def __getattr__(name):
     """Load the module that exports ``name`` and bind all its exported names."""
-    for module, names in _LAZY.items():
+    for module, names in _EXPORTS.items():
         if name in names:
-            mod = importlib.import_module(f".{module}", __name__)
-            globals().update({n: getattr(mod, n) for n in names})
+            _bind(module)
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

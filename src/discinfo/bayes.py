@@ -67,6 +67,14 @@ def _row_sums(table: np.ndarray) -> np.ndarray:
     return total[..., None]
 
 
+def _log(v: np.ndarray) -> np.ndarray:
+    """``np.log(v)`` of non-negative ``v``, -inf at its zeros, without
+    numpy's divide-by-zero warning."""
+    if np.minimum.reduce(v, axis=None, initial=np.inf) > 0:
+        return np.log(v)
+    return np.log(v, where=v > 0, out=np.full(v.shape, -np.inf))
+
+
 def _normalized(table, what: str, *, least: bool = False):
     """``table`` as floats, each row along its last axis divided by its sum;
     raises unless every entry is finite and non-negative and every row sums
@@ -78,8 +86,11 @@ def _normalized(table, what: str, *, least: bool = False):
     low = np.minimum.reduce(table, axis=None, initial=np.inf) if table.ndim else np.nan
     if not low >= 0:
         raise ValueError(f"{what} must hold finite, non-negative numbers")
-    total = _row_sums(table)
-    lo, hi = total.min(), total.max()  # no temporary the size of ``total``
+    if table.ndim == 1:  # one row, one sum: no keepdims reduction and no min/max wrappers
+        total = lo = hi = float(np.add.reduce(table))
+    else:
+        total = _row_sums(table)
+        lo, hi = total.min(), total.max()  # no temporary the size of ``total``
     if hi == np.inf and np.isinf(table).any():  # an infinite entry, not an overflowing sum
         raise ValueError(f"{what} must hold finite, non-negative numbers")
     for extreme in (lo, hi):
@@ -247,7 +258,7 @@ class Posterior:
 
     @property
     def entropy(self) -> float:
-        return float(-plogq(self.probs).sum())
+        return float(-np.add.reduce(plogq(self.probs)))
 
 
 def _log_likelihood_sum(model: BayesModel, data: Dataset) -> np.ndarray:
@@ -258,34 +269,34 @@ def _log_likelihood_sum(model: BayesModel, data: Dataset) -> np.ndarray:
     return total
 
 
-def posterior(model: BayesModel, data: Dataset | list) -> Posterior:
-    """Exact posterior over hypotheses given a dataset (log-space update)."""
+def _log_joint(model: BayesModel, data: Dataset | list) -> np.ndarray:
+    """log p(omega) + sum log p(y | x, omega) over the data, each finite or
+    -inf; without data, log p(omega) alone (adding 0.0 changes no bit)."""
     if not isinstance(data, Dataset):
         data = Dataset.from_pairs(model, data)
+    if not data.pairs:
+        return _log(model.prior)
     with np.errstate(divide="ignore"):
-        log_post = np.log(model.prior) + _log_likelihood_sum(model, data)
-    return _posterior_from_log(log_post)
+        return np.log(model.prior) + _log_likelihood_sum(model, data)
+
+
+def posterior(model: BayesModel, data: Dataset | list) -> Posterior:
+    """Exact posterior over hypotheses given a dataset (log-space update)."""
+    log_post = _log_joint(model, data)
+    top = np.maximum.reduce(log_post)  # the finite maximum, if any is finite
+    if not top > -np.inf:
+        raise ZeroEvidence("the dataset has probability zero under every hypothesis")
+    probs = np.exp(log_post - top)  # exp(-inf) is an exact 0
+    return Posterior(probs / np.add.reduce(probs))
 
 
 def log_evidence(model: BayesModel, data: Dataset | list) -> float:
     """log p(data) by exact enumeration over hypotheses."""
-    if not isinstance(data, Dataset):
-        data = Dataset.from_pairs(model, data)
-    with np.errstate(divide="ignore"):
-        log_joint = np.log(model.prior) + _log_likelihood_sum(model, data)
+    log_joint = _log_joint(model, data)
     top = log_joint.max()
     if not np.isfinite(top):
         raise ZeroEvidence("the dataset has probability zero under every hypothesis")
     return float(top + np.log(np.exp(log_joint - top).sum()))
-
-
-def _posterior_from_log(log_post: np.ndarray) -> Posterior:
-    finite = np.isfinite(log_post)
-    if not np.any(finite):
-        raise ZeroEvidence("the dataset has probability zero under every hypothesis")
-    shifted = log_post - log_post[finite].max()
-    probs = np.exp(shifted, where=np.isfinite(shifted), out=np.zeros_like(shifted))
-    return Posterior(probs / probs.sum())
 
 
 def _probs(model: BayesModel, post: Posterior) -> np.ndarray:
@@ -303,7 +314,7 @@ def update(model: BayesModel, post: Posterior, x, y) -> Posterior:
     probs = _probs(model, post)
     xi, yi = model.input_index(x), model.label_index(y)
     weights = probs * model.likelihood[:, xi, yi]
-    total = weights.sum()
+    total = np.add.reduce(weights)
     if total <= ZERO_MASS:
         raise ZeroEvidence(
             f"observation (x={model.inputs[xi]!r}, y={model.labels[yi]!r}) has zero "
@@ -400,24 +411,29 @@ class LabelConfigs:
         """The configurations of the prefix followed by input ``x``."""
         lik = model.likelihood[:, model.input_index(x), :]
         probs = (self.probs[:, :, None] * lik[:, None, :]).reshape(len(lik), -1)
-        return LabelConfigs(probs, self.cond + _label_entropy(lik))
+        return LabelConfigs(probs, self.cond + _label_entropy(lik, model._positive))
 
 
 def _joint_bald(probs: np.ndarray, lik: np.ndarray, table: np.ndarray,
-                prefix: LabelConfigs) -> np.ndarray:
+                prefix: LabelConfigs | None) -> np.ndarray:
     """I[Omega; Y_1..Y_k, Y | x_1..x_k, x] for each input x of the likelihood
     block ``lik`` (n_omega, n, n_y), whose label entropies are ``table``
     (n_omega, n): the entropy of the joint label predictive minus the
-    posterior mean of the prefix's and x's conditional entropies."""
+    posterior mean of the prefix's and x's conditional entropies.  No prefix
+    (k = 0) is the one all-ones configuration of zero entropy, so it is
+    skipped: the products by 1 and the sum with 0 change no bit."""
     n_omega, n, n_y = lik.shape
-    weighted = (probs[:, None] * prefix.probs).T  # (n_configs, n_omega)
+    # (n_configs, n_omega)
+    weighted = probs[None] if prefix is None else (probs[:, None] * prefix.probs).T
     n_configs = len(weighted)
     joint_entropy = np.empty(n)
     step = _block(n_configs * n_y)
     for start in range(0, n, step):
         block = lik[:, start:start + step].reshape(n_omega, -1)
         joint = (weighted @ block).reshape(n_configs, -1, n_y)
-        joint_entropy[start:start + step] = _label_entropy(joint).sum(axis=0)
+        joint_entropy[start:start + step] = np.add.reduce(_label_entropy(joint), axis=0)
+    if prefix is None:
+        return joint_entropy - probs @ table
     return joint_entropy - (probs @ prefix.cond + probs @ table)
 
 
@@ -431,19 +447,7 @@ def bald_scores(model: BayesModel, post: Posterior, table: np.ndarray,
     prefix's inputs followed by x, which greedy batch acquisition maximises
     one input at a time.
     """
-    if prefix is None:
-        prefix = LabelConfigs.empty(model)
     return _joint_bald(_probs(model, post), model.likelihood, table, prefix)
-
-
-def _xlogx(v: np.ndarray) -> np.ndarray:
-    """v log v elementwise, 0 only at exact zeros: unlike :func:`plogq`, no
-    cell up to ``ZERO_CELL`` is dropped, because reweighting by a candidate of
-    small predictive probability can lift such a cell to real mass."""
-    out = np.maximum(v, np.nextafter(0.0, 1.0))  # a positive cell stays as it is
-    np.log(out, out=out)
-    out *= v
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,14 +463,19 @@ class CsdTable:
 def csd_table(model: BayesModel, xs, ys) -> CsdTable:
     """The :class:`CsdTable` of the labelled candidates (xs[i], ys[i]); a
     simulation builds it once over its pool and reuses it at every step.  A
-    model whose every cell is above ``ZERO_CELL`` needs no clamp in p log p."""
+    model whose every cell is above ``ZERO_CELL`` needs no scan in p log p.
+
+    Here and in :func:`csd_scores`, p log p is 0 at exact zeros only: unlike
+    :func:`plogq`, no cell up to ``ZERO_CELL`` is dropped, because
+    reweighting by a candidate of small predictive probability can lift such
+    a cell to real mass."""
     xs = _resolve_all(model.inputs, xs, "input")
     ys = _resolve_all(model.labels, ys, "label")
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
     cells = model.likelihood.reshape(model.n_hypotheses, -1)
     lik = np.take(cells, xs * model.n_labels + ys, axis=1)
-    plogp = _plogq(lik, positive=True)[0] if model._positive else _xlogx(lik)
+    plogp = _plogq(lik, floor=0.0, positive=model._positive)[0]
     lik.setflags(write=False)
     plogp.setflags(write=False)
     return CsdTable(lik, plogp)
@@ -488,25 +497,28 @@ def csd_scores(model: BayesModel, post: Posterior, table: CsdTable, given=()) ->
         weights = weights * model.likelihood[:, model.input_index(x), model.label_index(y)]
     total = weights @ table.lik  # unnormalised, so the floor is on the joint mass
     possible = total > ZERO_MASS
-    scale = weights.sum() or 1.0  # without mass every candidate is impossible
+    scale = np.add.reduce(weights) or 1.0  # without mass every candidate is impossible
     p = weights / scale
     z = np.where(possible, total / scale, 1.0)
     # E_p[log p] is taken out of the matvec, so it sums only the small centred
     # terms, and scores equal in exact arithmetic round well inside TIE_TOLERANCE
-    plogp = _xlogx(p)
-    mean = plogp.sum()
+    plogp = _plogq(p, floor=0.0)[0]
+    mean = np.add.reduce(plogp)
     after = np.log(z) - (p @ table.plogp + (plogp - mean * p) @ table.lik) / z - mean
-    return np.where(possible, -_xlogx(probs).sum() - after, -np.inf)
+    # with no pair given and a unit sum, p is the posterior bit for bit
+    reweighted = weights is not probs or scale != 1.0
+    before = np.add.reduce(_plogq(probs, floor=0.0)[0]) if reweighted else mean
+    return np.where(possible, -before - after, -np.inf)
 
 
 def bald(model: BayesModel, post: Posterior, x) -> float:
     """Expected information gain about the hypotheses from labelling x:
     the predictive entropy minus the posterior-average conditional entropy.
     One input of :func:`bald_scores`."""
-    return _bald_at(model, post, model.input_index(x), LabelConfigs.empty(model))
+    return _bald_at(model, post, model.input_index(x), None)
 
 
-def _bald_at(model: BayesModel, post: Posterior, xi: int, prefix: LabelConfigs) -> float:
+def _bald_at(model: BayesModel, post: Posterior, xi: int, prefix: LabelConfigs | None) -> float:
     """:func:`bald_scores` restricted to input ``xi``."""
     lik = model.likelihood[:, xi:xi + 1]
     return float(_joint_bald(_probs(model, post), lik, _label_entropy(lik), prefix)[0])

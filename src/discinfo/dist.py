@@ -165,8 +165,6 @@ class JointDistribution:
             known_keys(doc, ("variables", "probs"), "distribution")
             for v in doc["variables"]:
                 known_keys(v, ("name", "support"), "distribution", " in a variable entry")
-                if isinstance(v["support"], str):
-                    raise TypeError("a support must be a list of outcome labels, not a string")
             variables = [Variable(v["name"], names_of(v["support"], "distribution", "support"))
                          for v in doc["variables"]]
             probs = number_array(doc["probs"], "distribution", "probs")
@@ -341,15 +339,20 @@ def known_keys(doc: dict, keys, what: str, where: str = "") -> None:
 
 
 def names_of(values, what: str, key: str) -> tuple[str, ...]:
-    """The names or outcome labels ``values`` (under ``key`` of the ``what``
-    document) as strings, an integer as its digits.  A float is
-    :class:`MalformedInput`: :func:`read_json` hands an integer outside
-    [-2**63, 2**64) over as one, so its digits are lost."""
-    values = tuple(values)
+    """The names or outcome labels ``values``, the list under ``key`` of the
+    ``what`` document, as strings, an integer as its digits.  Anything else
+    is :class:`MalformedInput`: a string or any other non-list in place of
+    the list, and an entry that is neither a string nor an integer (a
+    boolean, null, a list, an object, or a float, as which :func:`read_json`
+    hands over an integer outside [-2**63, 2**64), its digits lost)."""
+    if not isinstance(values, (list, tuple)):
+        raise MalformedInput(f"malformed {what} JSON: {key} must be a list, not "
+                             f"{json.dumps(values, default=repr)}")
     for value in values:
-        if isinstance(value, float):
-            raise MalformedInput(f"malformed {what} JSON: {key} holds the float {value!r}; a "
-                                 f"name is a string or an integer in [-2**63, 2**64)")
+        if isinstance(value, bool) or not isinstance(value, (str, int)):
+            raise MalformedInput(f"malformed {what} JSON: {key} holds "
+                                 f"{json.dumps(value, default=repr)}; a name is a string or an "
+                                 f"integer in [-2**63, 2**64)")
     return tuple(map(str, values))
 
 

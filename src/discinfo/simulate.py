@@ -156,13 +156,20 @@ class SimResult:
         return None
 
 
-def _evaluate(model: BayesModel, post: Posterior, eval_x, eval_y) -> tuple[float, float]:
-    """Accuracy and mean log loss over the evaluation set, as Python floats."""
-    pred = bayes.predictive_table(model, post)[eval_x]
-    correct = pred.argmax(axis=1) == eval_y  # argmax ties go to the lowest label
-    with np.errstate(divide="ignore"):
-        loss = -np.log(pred[np.arange(len(eval_y)), eval_y])
-    return float(correct.mean()), float(loss.mean())
+def _evaluate(model: BayesModel, post: Posterior, eval_x, eval_y, cells) -> tuple[float, float]:
+    """Accuracy and mean log loss over the evaluation set, as Python floats;
+    ``cells`` are the flat positions ``eval_x * n_labels + eval_y`` of its
+    labels in the predictive table.
+
+    Each is what ``ndarray.mean`` returns, a sum over the count, taken
+    without its wrappers; a label of zero predictive probability has log 0 =
+    -inf, as ``np.log`` gives it, without the warning."""
+    n = len(eval_y)
+    table = bayes.predictive_table(model, post)
+    correct = int(np.count_nonzero(table[eval_x].argmax(axis=1) == eval_y))  # ties: lowest label
+    loss = bayes._log(table.ravel()[cells])
+    np.negative(loss, out=loss)
+    return correct / n, float(np.add.reduce(loss)) / n
 
 
 def _apply_label_noise(pool, n_labels: int, rate: float, rng) -> tuple:
@@ -195,7 +202,7 @@ def _score_table(model, acquisition, pool_x, pool_y):
 
 def _tied(scores: np.ndarray) -> np.ndarray:
     """Which scores lie within ``TIE_TOLERANCE`` of the best (all if all are -inf)."""
-    return scores >= scores.max() - TIE_TOLERANCE
+    return scores >= np.maximum.reduce(scores) - TIE_TOLERANCE
 
 
 def _select_batch(model, post, remaining, pool_x, pool_y, cfg, rng, table):
@@ -217,22 +224,23 @@ def _select_batch(model, post, remaining, pool_x, pool_y, cfg, rng, table):
     labelled = cfg.acquisition.endswith("csd")
     if greedy:
         bayes.check_batch_size(model, b, labelled=labelled)
-    prefix = bayes.LabelConfigs.empty(model)
+    xs = pool_x[cands]
+    prefix = None  # the unlabelled batch so far, which bald_scores skips while empty
     left = np.arange(len(cands))  # positions into cands not yet chosen
     chosen: list[tuple[int, float]] = []
     first = None
-    for _ in range(b):
+    for pick in range(b):
         if first is None or greedy:
             if labelled:
                 given = [(pool_x[i], pool_y[i]) for i, _ in chosen]
                 scores = bayes.csd_scores(model, post, table, given)[cands]
             else:
-                scores = bayes.bald_scores(model, post, table, prefix)[pool_x[cands]]
+                scores = bayes.bald_scores(model, post, table, prefix)[xs]
             first = scores if first is None else first
-        k = left[int(np.argmax(_tied(scores[left])))]
+        k = left[_tied(scores[left]).argmax()]
         chosen.append((int(cands[k]), float(scores[k])))
-        if greedy and not labelled:
-            prefix = prefix.extend(model, pool_x[cands[k]])
+        if greedy and not labelled and pick < b - 1:  # no pick follows the last
+            prefix = (prefix or bayes.LabelConfigs.empty(model)).extend(model, xs[k])
         left = left[left != k]
     return chosen, first
 
@@ -246,17 +254,26 @@ def _leaders(model, scores, remaining, pool_x, k=3) -> str:
 def run_sim(cfg: SimConfig) -> SimResult:
     """Run the experiment; deterministic given the config (incl. its seed).
 
-    At DEBUG level each step logs its wall time, the top three candidate
-    scores of its first scoring pass, and how many tied at the top.
+    At DEBUG level the run first logs its set-up time (label noise, initial
+    posterior and score table), then each step its wall time, the top three
+    candidate scores of its first scoring pass, and how many tied at the top.
     """
-    rng = np.random.default_rng(cfg.seed)
+    debug = logger.isEnabledFor(logging.DEBUG)
+    if debug:
+        started = time.perf_counter()
+    # the seed feeds only uniform's draws and the label noise
+    draws = cfg.acquisition == "uniform" or cfg.noise_rate > 0
+    rng = np.random.default_rng(cfg.seed) if draws else None
     model = cfg.model
     pool = _apply_label_noise(cfg.pool, model.n_labels, cfg.noise_rate, rng)
     post = bayes.posterior(model, list(cfg.initial))
     pool_x, pool_y = (np.array(col, dtype=np.intp) for col in zip(*pool))
     table = _score_table(model, cfg.acquisition, pool_x, pool_y)
     eval_x, eval_y = (np.array(col, dtype=np.intp) for col in zip(*cfg.eval_set))
-    debug = logger.isEnabledFor(logging.DEBUG)
+    eval_cells = eval_x * model.n_labels + eval_y
+    if debug:
+        logger.debug("set-up: %.3f ms; label noise, initial posterior and score table",
+                     1e3 * (time.perf_counter() - started))
     remaining = list(range(len(pool)))
     rows: list[SimRow] = []
     for step in range(1, cfg.steps + 1):
@@ -278,7 +295,7 @@ def run_sim(cfg: SimConfig) -> SimResult:
                     "step %d: skipped (x=%s, y=%s): zero likelihood under every "
                     "hypothesis", step, model.inputs[xi], model.labels[yi],
                 )
-            accuracy, logloss = _evaluate(model, post, eval_x, eval_y)
+            accuracy, logloss = _evaluate(model, post, eval_x, eval_y, eval_cells)
             rows.append(
                 SimRow(
                     step=step,

@@ -1178,6 +1178,15 @@ def clamped_xlogx(v):
     return out
 
 
+def zero_masked_xlogx(v):
+    """p log p of the csd table with exact zeros masked to log 1: 0 there,
+    as the clamp gives it but for the sign of zero."""
+    out = np.where(v > 0, v, 1.0)
+    np.log(out, out=out)
+    out *= v
+    return out
+
+
 _Z = ZERO_CELL
 _ABOVE_Z = np.nextafter(ZERO_CELL, 1.0)
 # rows holding a small cell: normalised to exactly ZERO_CELL (the row sums to
@@ -1226,7 +1235,8 @@ def _same_bits(a, b):
 
 class TestScoreTablePositivity:
     """Positivity is decided once, when the model is built; both score
-    tables are bit-identical to their masked and clamped builds either way."""
+    tables are bit-identical to their masked builds either way, and the csd
+    table equals its clamped build in value."""
 
     @given(table_models())
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1236,10 +1246,13 @@ class TestScoreTablePositivity:
         if (lik <= ZERO_CELL).any():
             assert not m._positive
         assert _same_bits(label_entropy_table(m), masked_label_entropy_table(lik))
-        table = csd_table(m, xs, ys)
-        columns = lik.reshape(m.n_hypotheses, -1)[:, xs * 3 + ys]
-        assert _same_bits(table.lik, columns)
-        assert _same_bits(table.plogp, clamped_xlogx(columns))
+        every = np.arange(lik[0].size)  # the drawn candidates, then every cell
+        for xs, ys in ((xs, ys), (every // 3, every % 3)):
+            table = csd_table(m, xs, ys)
+            columns = lik.reshape(m.n_hypotheses, -1)[:, xs * 3 + ys]
+            assert _same_bits(table.lik, columns)
+            assert _same_bits(table.plogp, zero_masked_xlogx(columns))
+            assert np.array_equal(table.plogp, clamped_xlogx(columns))
 
     @pytest.mark.parametrize("kind, cell_at_most_zero_cell", [
         ("at", True), ("just_above", False), ("raw_above_row_over_1", True),

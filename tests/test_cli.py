@@ -493,8 +493,13 @@ class TestReaderRejections:
         _dist_bytes(support=b'"0", "\xff"'),
         b"\xef\xbb\xbf" + _dist_bytes(),
         _dist_bytes(support=b'"0", "\\ud800"'),
+        _dist_bytes(support=b"true, null"),
+        _dist_bytes(support=b'["0"], "1"'),
+        _dist_bytes(support=b'"0", {"1": 1}'),
+        _dist_bytes().replace(b'["0", "1"]', b'"01"'),
     ], ids=["nan", "infinity", "beyond-float-range", "float-label", "label-beyond-64-bits",
-            "invalid-utf8", "bom", "lone-surrogate"])
+            "invalid-utf8", "bom", "lone-surrogate", "boolean-and-null-labels", "nested-label",
+            "object-label", "string-support"])
     def test_distribution(self, tmp_path, capsys, text):
         path = tmp_path / "d.json"
         path.write_bytes(text)
@@ -538,6 +543,28 @@ class TestReaderRejections:
         assert main(["sim", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed {what} JSON: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("inputs", "01", 'inputs must be a list, not "01"'),
+        ("labels", [False, True], "labels holds false; a name is a string or an integer"),
+        ("hypotheses", ["t0", None, "t2"], "hypotheses holds null; a name is a string"),
+        ("inputs", [["0"], "1"], 'inputs holds ["0"]; a name is a string or an integer'),
+        ("labels", {"0": 0, "1": 1}, 'labels must be a list, not {"0": 0, "1": 1}'),
+    ], ids=["string-inputs", "boolean-labels", "null-hypothesis", "nested-input",
+            "object-labels"])
+    def test_name_lists(self, tmp_path, capsys, key, value, message):
+        # a name list holds strings and integers only: nothing else is read through str()
+        model, pool, eval_set = __import__("discinfo").threshold_task(2)
+        doc = model.to_json_dict()
+        doc[key] = value
+        with pytest.raises(MalformedInput, match=re.escape(f"malformed model JSON: {message}")):
+            BayesModel.from_json_dict(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": doc, "pool": [list(p) for p in pool],
+                                    "eval": [list(p) for p in eval_set]}))
+        assert main(["sim", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed model JSON: {message}") and "Traceback" not in err
 
     def test_model_file_by_path(self, tmp_path, capsys):
         model, pool, eval_set = __import__("discinfo").threshold_task(2)

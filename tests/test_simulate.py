@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,23 @@ class TestDeterminism:
                             acquisition="uniform", steps=10, seed=seed)
             rows.append(run_sim(cfg).to_csv())
         assert rows[0] != rows[1]
+
+    @pytest.mark.parametrize("acquisition", ["bald", "csd", "batch_bald", "batch_csd"])
+    def test_seed_feeds_only_uniform_draws_and_label_noise(self, acquisition):
+        # without label noise these runs draw nothing, so every seed prints the same CSV
+        model, pool, eval_set = threshold_task(16, 9)
+        csvs = {
+            run_sim(SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acquisition,
+                              batch_size=2, steps=4, seed=seed)).to_csv()
+            for seed in (0, 1, 2**63)
+        }
+        assert len(csvs) == 1
+        noisy = {
+            run_sim(SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acquisition,
+                              batch_size=2, steps=4, seed=seed, noise_rate=0.25)).to_csv()
+            for seed in (0, 1, 2**63)
+        }
+        assert len(noisy) > 1  # the noise is drawn from the seed
 
     def test_every_numeric_csv_field_parses_as_a_float(self):
         model, pool, eval_set = threshold_task(16, 9)
@@ -485,7 +503,8 @@ class TestObservability:
                         steps=3, seed=0)
         with caplog.at_level("DEBUG", logger="discinfo.simulate"):
             run_sim(cfg)
-        steps = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+        steps = [r.getMessage() for r in caplog.records
+                 if r.levelname == "DEBUG" and r.getMessage().startswith("step ")]
         assert len(steps) == 3
         assert all(" ms; top candidates " in m and m.count("=") == 3 for m in steps)
         # under the uniform prior the mirror-image inputs 7 and 8 tie
@@ -495,6 +514,19 @@ class TestObservability:
         with caplog.at_level("INFO", logger="discinfo.simulate"):
             run_sim(cfg)
         assert not caplog.records
+
+    @pytest.mark.parametrize("acquisition", ACQUISITIONS)
+    def test_debug_logs_the_set_up_once_before_the_first_step(self, caplog, acquisition):
+        model, pool, eval_set = threshold_task(16, 5)
+        cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acquisition,
+                        batch_size=2, steps=2, seed=0, noise_rate=0.25)
+        with caplog.at_level("DEBUG", logger="discinfo.simulate"):
+            run_sim(cfg)
+        messages = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+        assert len(messages) == 3 and messages[1].startswith("step 1: ")
+        match = re.fullmatch(r"set-up: (\d+\.\d{3}) ms; label noise, initial posterior and "
+                             r"score table", messages[0])
+        assert match and float(match[1]) >= 0.0
 
 
 # sha256 of run_sim(...).to_csv() on threshold_task(n, seed=1), 12 steps,
@@ -538,14 +570,77 @@ def _float_kernels_digest() -> str:
     return hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()
 
 
+def zero_cell_task(n_points: int, seed: int = 1):
+    """``threshold_task(n_points, seed=seed)`` with every likelihood cell more
+    than three inputs from its threshold set to exactly 0 or 1, so the score
+    tables, scores and posteriors take their 0 * log 0 paths, candidates of
+    impossible labels score -inf, and a flipped pool label can have zero
+    likelihood under every hypothesis."""
+    model, pool, eval_set = threshold_task(n_points, seed=seed)
+    lik = model.likelihood.copy()
+    x, t = np.arange(n_points)[None, :], np.arange(n_points + 1)[:, None]
+    lik[..., 1] = np.where(np.abs(x - t + 0.5) > 3, x >= t, lik[..., 1])
+    lik[..., 0] = 1.0 - lik[..., 1]
+    model = BayesModel(model.hypotheses, model.prior, model.inputs, model.labels, lik)
+    return model, pool, eval_set
+
+
+# the same runs on zero_cell_task(32), recorded before csd's p log p moved
+# from a clamp at the least positive float to the kernel's mask at exact zeros
+_ZERO_CELL_CSV_SHA256 = {
+    (32, "uniform", 0.0): "458b599d938a8b9778161f218553e60da50911b15fd9bfa09d144f90530798b2",
+    (32, "uniform", 0.2): "3a0fd21cd617481045c27570f0d1ae78c0f6c13bb3232e3099ab5d3945bd26fa",
+    (32, "bald", 0.0): "96c75837bad16baa1c0fa2a1c0822824ec3d557a69c17f7a3272ab70d6086282",
+    (32, "bald", 0.2): "63bfbc4e798ec1a9128139127b32444fff033194d7402891c45ad93e641357f5",
+    (32, "csd", 0.0): "2ad109ecfa573477620328238c1fa51517def8adf64400a5adde8327bdaed467",
+    (32, "csd", 0.2): "1bac040fe5d4ca2f6b83e1068b87a856882f7c3c8326e3b4c4cb528a781db0ef",
+    (32, "batch_bald", 0.0): "f720016de1138c973acbe5720f395f1fc4246235744dddca5f3e4470ebc4480d",
+    (32, "batch_bald", 0.2): "b6800807c13a9d626d83f48b4eddb486b86fd5dadbdbaaa2af52af01b7925237",
+    (32, "batch_csd", 0.0): "f4308be2dbcf08788242540741806d4ba7b05ed98acbabb11698779feb3137e7",
+    (32, "batch_csd", 0.2): "0f6f44c5e5eb5b060bd9c21ab2e1b0bc014d66981239e7badabbee3271eaefbe",
+}
+
+# small_config's CSV for each acquisition: its certain evaluation label prints
+# a log loss of 0.0, its one-hot posterior an entropy of -0.0, and the csd
+# score of the uninformative input -0.0 where bald's is 0.0
+_CERTAIN = "1,x1,0,0.6931471805599453,-0.0,1.0,0.0\n2,x0,0,{},-0.0,1.0,0.0\n"
+_SIGNED_ZERO_CSV = {
+    "uniform": "1,x0,0,0.6369616873214543,0.6931471805599453,1.0,0.6931471805599453\n"
+               "2,x1,0,0.04097352393619469,-0.0,1.0,0.0\n",
+    "bald": _CERTAIN.format("0.0"),
+    "csd": _CERTAIN.format("-0.0"),
+    "batch_bald": _CERTAIN.format("0.0"),
+    "batch_csd": _CERTAIN.format("-0.0"),
+}
+
+
+def _skip_unless_recorded_kernels():
+    if _float_kernels_digest() != _FLOAT_KERNELS_SHA256:
+        pytest.skip("numpy's log, exp or matmul rounds differently from where the "
+                    "hashes were recorded")
+
+
 class TestGoldenCsv:
     @pytest.mark.parametrize("n_points, acquisition, noise_rate", list(_GOLDEN_CSV_SHA256))
     def test_csv_hash(self, n_points, acquisition, noise_rate):
-        if _float_kernels_digest() != _FLOAT_KERNELS_SHA256:
-            pytest.skip("numpy's log, exp or matmul rounds differently from where the "
-                        "hashes were recorded")
+        _skip_unless_recorded_kernels()
         model, pool, eval_set = threshold_task(n_points, seed=1)
         cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acquisition,
                         batch_size=3, steps=12, seed=1, noise_rate=noise_rate)
         digest = hashlib.sha256(run_sim(cfg).to_csv().encode()).hexdigest()
         assert digest == _GOLDEN_CSV_SHA256[n_points, acquisition, noise_rate]
+
+    @pytest.mark.parametrize("n_points, acquisition, noise_rate", list(_ZERO_CELL_CSV_SHA256))
+    def test_zero_cell_csv_hash(self, n_points, acquisition, noise_rate):
+        _skip_unless_recorded_kernels()
+        model, pool, eval_set = zero_cell_task(n_points)
+        cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acquisition,
+                        batch_size=3, steps=12, seed=1, noise_rate=noise_rate)
+        digest = hashlib.sha256(run_sim(cfg).to_csv().encode()).hexdigest()
+        assert digest == _ZERO_CELL_CSV_SHA256[n_points, acquisition, noise_rate]
+
+    @pytest.mark.parametrize("acquisition", ACQUISITIONS)
+    def test_signed_zeros(self, acquisition):
+        _skip_unless_recorded_kernels()
+        csv = run_sim(small_config(acquisition=acquisition)).to_csv()
+        assert csv == f"{CSV_HEADER}\n{_SIGNED_ZERO_CSV[acquisition]}"
