@@ -505,7 +505,8 @@ def csd_scores(model: BayesModel, post: Posterior, table: CsdTable, given=()) ->
     plogp = _plogq(p, floor=0.0)[0]
     mean = np.add.reduce(plogp)
     after = np.log(z) - (p @ table.plogp + (plogp - mean * p) @ table.lik) / z - mean
-    # with no pair given and a unit sum, p is the posterior bit for bit
+    # with no pair given and a unit sum, p is the posterior bit for bit (most
+    # csd picks and first batch_csd picks: uniform priors and most later steps)
     reweighted = weights is not probs or scale != 1.0
     before = np.add.reduce(_plogq(probs, floor=0.0)[0]) if reweighted else mean
     return np.where(possible, -before - after, -np.inf)
@@ -607,9 +608,9 @@ def batch_score(model: BayesModel, post: Posterior, xs, ys=None) -> float:
         if score == -np.inf:
             raise ZeroProbabilityEvent("the labelled batch has zero probability")
         return score
-    prefix = LabelConfigs.empty(model)
+    prefix = None  # the empty batch, as in bald
     for xi in xis[:-1]:
-        prefix = prefix.extend(model, xi)
+        prefix = (prefix or LabelConfigs.empty(model)).extend(model, xi)
     return _bald_at(model, post, xis[-1], prefix)
 
 

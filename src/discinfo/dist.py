@@ -347,13 +347,29 @@ def names_of(values, what: str, key: str) -> tuple[str, ...]:
     hands over an integer outside [-2**63, 2**64), its digits lost)."""
     if not isinstance(values, (list, tuple)):
         raise MalformedInput(f"malformed {what} JSON: {key} must be a list, not "
-                             f"{json.dumps(values, default=repr)}")
+                             f"{_json_shown(values)}")
     for value in values:
         if isinstance(value, bool) or not isinstance(value, (str, int)):
-            raise MalformedInput(f"malformed {what} JSON: {key} holds "
-                                 f"{json.dumps(value, default=repr)}; a name is a string or an "
-                                 f"integer in [-2**63, 2**64)")
+            raise MalformedInput(f"malformed {what} JSON: {key} holds {_json_shown(value)}; "
+                                 f"a name is a string or an integer in [-2**63, 2**64)")
     return tuple(map(str, values))
+
+
+_JSON_KINDS = {str: "a string", int: "an integer", float: "a number", dict: "an object",
+               list: "a list", tuple: "a list"}
+
+
+def _json_shown(value) -> str:
+    """``value`` for an error message: null, true or false, else its JSON type
+    and the start of its repr, at most 60 characters of it, so that a large
+    document put in the wrong place is not written out whole."""
+    import reprlib
+
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)
+    text = reprlib.repr(value)
+    kind = _JSON_KINDS.get(type(value), f"a {type(value).__name__}")
+    return f"{kind} {text if len(text) <= 60 else text[:57] + '...'}"
 
 
 def number_array(value, what: str, key: str) -> np.ndarray:

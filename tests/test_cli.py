@@ -545,11 +545,11 @@ class TestReaderRejections:
         assert err.startswith(f"error: malformed {what} JSON: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("key,value,message", [
-        ("inputs", "01", 'inputs must be a list, not "01"'),
+        ("inputs", "01", "inputs must be a list, not a string '01'"),
         ("labels", [False, True], "labels holds false; a name is a string or an integer"),
         ("hypotheses", ["t0", None, "t2"], "hypotheses holds null; a name is a string"),
-        ("inputs", [["0"], "1"], 'inputs holds ["0"]; a name is a string or an integer'),
-        ("labels", {"0": 0, "1": 1}, 'labels must be a list, not {"0": 0, "1": 1}'),
+        ("inputs", [["0"], "1"], "inputs holds a list ['0']; a name is a string or an integer"),
+        ("labels", {"0": 0, "1": 1}, "labels must be a list, not an object {'0': 0, '1': 1}"),
     ], ids=["string-inputs", "boolean-labels", "null-hypothesis", "nested-input",
             "object-labels"])
     def test_name_lists(self, tmp_path, capsys, key, value, message):
@@ -565,6 +565,32 @@ class TestReaderRejections:
         assert main(["sim", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed model JSON: {message}") and "Traceback" not in err
+
+    def test_name_list_message_shows_only_the_start_of_a_large_value(self, tmp_path, capsys):
+        # a likelihood mapping put under inputs by mistake: megabytes, not one long line
+        model, pool, eval_set = __import__("discinfo").threshold_task(2)
+        doc = model.to_json_dict()
+        doc["inputs"] = {"x" * 1000: [0.5] * 100_000}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": doc, "pool": [list(p) for p in pool],
+                                    "eval": [list(p) for p in eval_set]}))
+        assert path.stat().st_size > 500_000
+        assert main(["sim", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed model JSON: inputs must be a list, not an object {")
+        assert len(err) < 200 and "Traceback" not in err
+
+    def test_name_list_of_a_programmatic_document_with_non_string_keys(self):
+        # json.dumps refuses non-string keys; the message must not depend on it
+        model, _, _ = __import__("discinfo").threshold_task(2)
+        doc = model.to_json_dict()
+        doc["labels"] = {0: "0", 1: "1"}
+        with pytest.raises(MalformedInput, match=re.escape(
+                "malformed model JSON: labels must be a list, not an object {0: '0', 1: '1'}")):
+            BayesModel.from_json_dict(doc)
+        doc["labels"] = [{0: "0"}, "1"]
+        with pytest.raises(MalformedInput, match=re.escape("labels holds an object {0: '0'};")):
+            BayesModel.from_json_dict(doc)
 
     def test_model_file_by_path(self, tmp_path, capsys):
         model, pool, eval_set = __import__("discinfo").threshold_task(2)
