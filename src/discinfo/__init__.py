@@ -21,14 +21,12 @@ __version__ = "0.1.0"
 # The exported names of each module: one table yields the eager imports, the
 # lazy ones and ``__all__``.
 _EXPORTS = {
-    "dist": ("Assignment", "JointDistribution", "UnnormalizedWeight", "Variable", "condition",
-             "dump_distribution", "load_distribution", "marginalize", "power", "prob_of",
-             "product", "scale"),
+    "dist": ("JointDistribution", "UnnormalizedWeight", "Variable", "condition",
+             "dump_distribution", "load_distribution"),
     "errors": ("BatchTooLarge", "CounterexampleMismatch", "DiscinfoError", "InvalidIndex",
                "MalformedInput", "MissingQDistribution", "NonPositiveProbability", "ParseError",
                "SupportMismatch", "UnknownVariable", "ZeroEvidence", "ZeroProbabilityEvent"),
-    "quantities": ("LogBase", "Term", "cross_entropy", "entropy", "expected_marginal_ic",
-                   "information_content", "kl_divergence", "mutual_info", "triple_mi"),
+    "quantities": ("LogBase", "Term", "entropy", "information_content", "mutual_info"),
     "expr": ("DiagramTable", "diagram", "evaluate", "format_expression", "parse"),
     "identities": ("Expectation", "IdentitySuite", "SearchReport", "SuiteEntry", "WitnessReport",
                    "chaining_distribution", "check_suite", "default_suite", "parse_suite_file",

@@ -210,10 +210,12 @@ def _resolve(names: tuple[str, ...], key, what: str) -> int:
         raise InvalidIndex(f"unknown {what} {key!r}") from None
 
 
-def _resolve_all(names: tuple[str, ...], keys, what: str) -> np.ndarray:
-    """:func:`_resolve` for many keys; an integer array already in range is
-    checked in one pass."""
+def _resolve_all(names: tuple[str, ...], keys, what: str, arg: str) -> np.ndarray:
+    """:func:`_resolve` for the list ``keys``, the argument ``arg``; an
+    integer array already in range is checked in one pass."""
     idx = np.asarray(keys)
+    if idx.ndim != 1:
+        raise ValueError(f"{arg} must be a list of {what}s; got {idx.ndim} dimensions")
     if idx.dtype.kind in "iu" and idx.size and idx.min() >= 0 and idx.max() < len(names):
         return idx.astype(np.intp, copy=False)
     return np.array([_resolve(names, k, what) for k in keys], dtype=np.intp)
@@ -447,6 +449,9 @@ def bald_scores(model: BayesModel, post: Posterior, table: np.ndarray,
     prefix's inputs followed by x, which greedy batch acquisition maximises
     one input at a time.
     """
+    if table.shape != model.likelihood.shape[:2]:
+        raise ValueError(f"label entropy table has shape {table.shape}, not (hypotheses, "
+                         f"inputs) = {model.likelihood.shape[:2]}")
     return _joint_bald(_probs(model, post), model.likelihood, table, prefix)
 
 
@@ -469,8 +474,8 @@ def csd_table(model: BayesModel, xs, ys) -> CsdTable:
     :func:`plogq`, no cell up to ``ZERO_CELL`` is dropped, because
     reweighting by a candidate of small predictive probability can lift such
     a cell to real mass."""
-    xs = _resolve_all(model.inputs, xs, "input")
-    ys = _resolve_all(model.labels, ys, "label")
+    xs = _resolve_all(model.inputs, xs, "input", "xs")
+    ys = _resolve_all(model.labels, ys, "label", "ys")
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
     cells = model.likelihood.reshape(model.n_hypotheses, -1)
@@ -493,6 +498,9 @@ def csd_scores(model: BayesModel, post: Posterior, table: CsdTable, given=()) ->
     entropies are exact: 0 log 0 = 0 at exact zeros only.
     """
     weights = probs = _probs(model, post)
+    if table.lik.shape[0] != model.n_hypotheses:
+        raise ValueError(f"csd table has {table.lik.shape[0]} rows; the model has "
+                         f"{model.n_hypotheses} hypotheses")
     for x, y in given:
         weights = weights * model.likelihood[:, model.input_index(x), model.label_index(y)]
     total = weights @ table.lik  # unnormalised, so the floor is on the joint mass

@@ -20,7 +20,7 @@ import logging
 import sys
 from contextlib import contextmanager
 
-from .dist import DEFAULT_SEEDS, Assignment, load_distribution
+from .dist import DEFAULT_SEEDS, load_distribution
 from .errors import CounterexampleMismatch, DiscinfoError, ParseError
 from .quantities import LogBase
 
@@ -42,6 +42,11 @@ def _parse_observe(text: str) -> dict:
     return out
 
 
+def _observed(d, text: str) -> dict:
+    """The ``--observe`` labels as outcome indices of ``d``'s variables."""
+    return {name: d.variable(name).index_of(label) for name, label in _parse_observe(text).items()}
+
+
 def _cmd_eval(args) -> int:
     from .expr import evaluate
 
@@ -49,7 +54,7 @@ def _cmd_eval(args) -> int:
     q = load_distribution(args.q) if args.q else None
     bindings = None
     if args.observe:
-        bindings = Assignment.from_labels(d, _parse_observe(args.observe)).as_dict()
+        bindings = _observed(d, args.observe)
     value = evaluate(args.expression, d, q=q, bindings=bindings, base=_base(args))
     if isinstance(value, bool):
         print("true" if value else "false")
@@ -62,8 +67,7 @@ def _cmd_diagram(args) -> int:
     from .expr import diagram
 
     d = load_distribution(args.dist)
-    a = Assignment.from_labels(d, _parse_observe(args.observe))
-    table = diagram(d, a, base=_base(args))
+    table = diagram(d, _observed(d, args.observe), base=_base(args))
     width = max(len(label) for label, _ in table.rows())
     for label, value in table.rows():
         print(f"{label:<{width}}  {value:.12g}")
@@ -248,7 +252,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}" + ("" if listed in str(exc) else f" (expected {listed})"),
               file=sys.stderr)
         return 2
-    except (DiscinfoError, OSError, ValueError, KeyError) as exc:
+    except (DiscinfoError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,7 +6,10 @@ variable varies fastest in the flattened view).  Values are immutable after
 construction -- tensors are marked read-only and every operation returns a
 new value -- so instances can be shared between threads without locking.
 
-Outcome labels are strings; all arithmetic is done on outcome indices.
+Outcome labels are strings; all arithmetic is done on outcome indices, and
+tied outcomes are a plain dict from variable name to outcome index.  Beyond
+conditioning, the tensor algebra (a marginal, a product) is numpy on
+``probs``, and a quantity beyond H and I an expression of :mod:`discinfo.expr`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import MalformedInput, ZeroProbabilityEvent, malformed_input
+from .errors import MalformedInput, UnknownVariable, ZeroProbabilityEvent, malformed_input
 
 DEFAULT_MAX_CELLS = 2**22
 DEFAULT_SEEDS = 500  # random cases per identity-search entry, also the CLI's --seeds default
@@ -25,7 +28,6 @@ DEFAULT_SEEDS = 500  # random cases per identity-search entry, also the CLI's --
 # Every numerical threshold of the package, one name per decision.
 SUM_TOLERANCE = 1e-9  # a total this close to 1 is accepted as normalized
 RENORM_TOLERANCE = 1e-6  # a total this close to 1 is renormalized; further off is an error
-Z_RELATIVE_TOLERANCE = 1e-9  # declared total mass vs. actual cell sum, relative
 ZERO_MASS = 1e-12  # conditioning on an event of at most this mass is an error
 ZERO_CELL = 1e-15  # a cell at or below this is an exact zero for 0 * log 0
 EQ_TOLERANCE = 1e-9  # slack of "==", "<=" and ">=", and of an identity that always holds
@@ -146,7 +148,7 @@ class JointDistribution:
         for i, v in enumerate(self.variables):
             if v.name == name:
                 return i
-        raise KeyError(f"no variable named {name!r}")
+        raise UnknownVariable(f"no variable named {name!r}")
 
     def variable(self, name: str) -> Variable:
         return self.variables[self.index_of(name)]
@@ -173,15 +175,12 @@ class JointDistribution:
 
 @dataclass(frozen=True, eq=False)
 class UnnormalizedWeight:
-    """A non-negative weight tensor with the same layout as a distribution.
-
-    ``z`` is the total mass; if supplied it must match the cell sum to
-    ``Z_RELATIVE_TOLERANCE`` relative.
-    """
+    """A non-negative weight tensor with the same layout as a distribution
+    and a positive total mass.  As the q side of a cross-entropy its mass
+    counts: doubling every weight lowers ``CE[p(X) || q(X)]`` by log 2."""
 
     variables: tuple[Variable, ...]
     weights: np.ndarray
-    z: float | None = None
 
     def __post_init__(self):
         variables = _validated_variables(self.variables)
@@ -190,95 +189,35 @@ class UnnormalizedWeight:
         weights = np.asarray(self.weights, dtype=float).reshape(shape)
         if np.any(weights < 0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite and non-negative")
-        total = float(weights.sum())
-        if total <= 0:
+        if float(weights.sum()) <= 0:
             raise ValueError("total mass must be positive")
-        if self.z is not None:
-            declared = float(self.z)
-            if abs(declared - total) > Z_RELATIVE_TOLERANCE * max(abs(declared), total):
-                raise ValueError(
-                    f"declared total mass {declared!r} does not match cell sum {total!r}"
-                )
         weights = np.ascontiguousarray(weights)
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "z", total)
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
-    def normalize(self) -> JointDistribution:
-        return JointDistribution(self.variables, self.weights / self.z)
+
+def checked_bindings(d: JointDistribution, bindings) -> dict[str, int]:
+    """``bindings`` (variable name -> outcome index) with integer indices,
+    each name a variable of ``d`` and each index one of its outcomes."""
+    out = {name: int(idx) for name, idx in dict(bindings).items()}
+    for name, idx in out.items():
+        if not 0 <= idx < d.variable(name).size:
+            raise ValueError(f"outcome index {idx} out of range for variable {name!r}")
+    return out
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A mapping from variable names to outcome indices (tied outcomes)."""
-
-    bindings: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        items = self.bindings
-        if isinstance(items, dict):
-            items = items.items()
-        pairs = tuple(sorted((str(n), int(i)) for n, i in items))
-        names = [n for n, _ in pairs]
-        if len(set(names)) != len(names):
-            raise ValueError("a variable may be bound at most once")
-        object.__setattr__(self, "bindings", pairs)
-
-    @classmethod
-    def from_labels(cls, d: JointDistribution, labels: dict) -> "Assignment":
-        """Build an assignment from outcome labels against a distribution."""
-        pairs = {}
-        for name, label in labels.items():
-            v = d.variable(name)
-            pairs[name] = v.index_of(label)
-        return cls(tuple(pairs.items()))
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.bindings)
-
-    def validate_against(self, d: JointDistribution) -> None:
-        for name, idx in self.bindings:
-            v = d.variable(name)  # raises KeyError for unknown names
-            if not 0 <= idx < v.size:
-                raise ValueError(
-                    f"outcome index {idx} out of range for variable {name!r}"
-                )
-
-
-def _coerce_assignment(a) -> Assignment:
-    if isinstance(a, Assignment):
-        return a
-    return Assignment(tuple(dict(a).items()))
-
-
-def marginalize(d: JointDistribution, keep) -> JointDistribution:
-    """Sum out every variable not in ``keep``; variable order is preserved."""
-    keep = set(keep)
-    if not keep:
-        raise ValueError("keep must name at least one variable")
-    names = set(d.names)
-    unknown = keep - names
-    if unknown:
-        raise KeyError(f"unknown variable(s): {sorted(unknown)}")
-    drop = tuple(i for i, v in enumerate(d.variables) if v.name not in keep)
-    kept = tuple(v for v in d.variables if v.name in keep)
-    probs = d.probs.sum(axis=drop) if drop else d.probs
-    return JointDistribution(kept, probs)
-
-
-def condition(d: JointDistribution, assignment) -> JointDistribution:
-    """Condition on tied outcomes; returns a distribution over unbound variables.
+def condition(d: JointDistribution, bindings) -> JointDistribution:
+    """Condition on tied outcomes, ``bindings`` mapping variable names to
+    outcome indices; returns a distribution over the unbound variables.
 
     Raises :class:`ZeroProbabilityEvent` if the assigned slice has mass at or
     below ``ZERO_MASS``.
     """
-    a = _coerce_assignment(assignment)
-    a.validate_against(d)
-    bound = a.as_dict()
+    bound = checked_bindings(d, bindings)
     if len(bound) >= len(d.variables):
         raise ValueError("conditioning must leave at least one variable free")
     ix = tuple(bound.get(v.name, slice(None)) for v in d.variables)
@@ -290,36 +229,6 @@ def condition(d: JointDistribution, assignment) -> JointDistribution:
         )
     kept = tuple(v for v in d.variables if v.name not in bound)
     return JointDistribution(kept, slice_probs / mass)
-
-
-def product(d1: JointDistribution, d2: JointDistribution) -> JointDistribution:
-    """Independent product; variable names must be disjoint."""
-    overlap = set(d1.names) & set(d2.names)
-    if overlap:
-        raise ValueError(f"variable name collision: {sorted(overlap)}")
-    probs = np.multiply.outer(d1.probs, d2.probs)
-    return JointDistribution(d1.variables + d2.variables, probs)
-
-
-def prob_of(d: JointDistribution, assignment) -> float:
-    """Marginal probability of a (possibly partial) assignment."""
-    a = _coerce_assignment(assignment)
-    a.validate_against(d)
-    bound = a.as_dict()
-    ix = tuple(bound.get(v.name, slice(None)) for v in d.variables)
-    return float(np.sum(d.probs[ix]))
-
-
-def scale(q, alpha: float) -> UnnormalizedWeight:
-    """Multiply every cell of a distribution or weight by ``alpha`` > 0."""
-    if alpha <= 0:
-        raise ValueError("scale factor must be positive")
-    return UnnormalizedWeight(q.variables, _tensor_of(q) * float(alpha))
-
-
-def power(q, alpha: float) -> UnnormalizedWeight:
-    """Raise every cell of a distribution or weight to the power ``alpha``."""
-    return UnnormalizedWeight(q.variables, _tensor_of(q) ** float(alpha))
 
 
 def _tensor_of(obj) -> np.ndarray:

@@ -20,7 +20,7 @@ class SupportMismatch(DiscinfoError):
 
 
 class UnknownVariable(DiscinfoError):
-    """An expression refers to a variable or binding that cannot be resolved."""
+    """An expression, a binding or a name refers to a variable that cannot be resolved."""
 
 
 class MissingQDistribution(DiscinfoError):

@@ -50,9 +50,8 @@ from .dist import (
     EQ_TOLERANCE,
     NEQ_GAP,
     ZERO_MASS,
-    Assignment,
     JointDistribution,
-    _coerce_assignment,
+    checked_bindings,
 )
 from .errors import (
     DiscinfoError,
@@ -669,8 +668,7 @@ def _environment(bindings, p, q) -> dict:
     env = {}
     if bindings is None:
         return env
-    items = bindings.bindings if isinstance(bindings, Assignment) else dict(bindings).items()
-    for name, idx in items:
+    for name, idx in dict(bindings).items():
         try:
             exact = _resolve_variable(p, name)
         except UnknownVariable:
@@ -756,21 +754,21 @@ class DiagramTable:
                 for label, (field, _) in zip(self.labels, _DIAGRAM_ROWS)]
 
 
-def diagram(d: JointDistribution, observed, *, base: LogBase = LogBase.NATS) -> DiagramTable:
+def diagram(d: JointDistribution, observed: dict, *, base: LogBase = LogBase.NATS) -> DiagramTable:
     """Evaluate the eight-quantity decomposition for one observed variable.
 
-    ``observed`` binds exactly one variable of ``d``; every other variable
-    forms the (joint) X group.  Each row is an expression over ``d`` with
-    the observed variable as a bare tied identifier, evaluated with that
-    binding.  Every variable name is one the notation can write (see
-    :class:`~discinfo.dist.Variable`), but two names equal up to case
-    cannot be told apart: :class:`UnknownVariable`.
+    ``observed`` maps exactly one variable of ``d`` to its observed outcome
+    index (``{"Y": 1}``); every other variable forms the (joint) X group.
+    Each row is an expression over ``d`` with the observed variable as a
+    bare tied identifier, evaluated with that binding.  Every variable name
+    is one the notation can write (see :class:`~discinfo.dist.Variable`),
+    but two names equal up to case cannot be told apart:
+    :class:`UnknownVariable`.
     """
-    obs = _coerce_assignment(observed)
-    if len(obs.bindings) != 1:
+    obs = checked_bindings(d, observed)
+    if len(obs) != 1:
         raise ValueError("diagram needs exactly one observed variable")
-    (y_name, y_idx), = obs.bindings
-    obs.validate_against(d)
+    (y_name, y_idx), = obs.items()
     xs = ",".join(n[0].upper() + n[1:] for n in d.names if n != y_name)
     if not xs:
         raise ValueError("diagram needs at least one unobserved variable")

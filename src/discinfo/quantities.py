@@ -21,8 +21,13 @@ exact zeros).  Tying to an outcome combination of zero probability raises
 The one kernel, :func:`_expected_ic_nats`, evaluates a whole
 :class:`Stack` of same-shape distributions at once, with tied outcomes
 that may differ per element, and marks the elements it cannot evaluate
-instead of raising.  The public functions are its calls on a stack of
-one, and raise the error the mark names.
+instead of raising.  The two term-list functions, :func:`entropy` and
+:func:`mutual_info`, are its calls on a stack of one, and raise the error
+the mark names.  Every other quantity -- cross-entropy, KL divergence,
+triple mutual information, expectations -- is written in the notation and
+evaluated on the same kernel by :func:`discinfo.expr.evaluate`:
+``CE[p(X|Y) || q(X|Y)]``, ``KL[p(X) || q(X)]``, ``I[X; Y; Z]``,
+``E_{p(x|y)}[H[x]]``.
 
 All functions are pure and operate on immutable values, so concurrent use
 needs no coordination.
@@ -36,14 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dist import (
-    JointDistribution,
-    UnnormalizedWeight,
-    ZERO_CELL,
-    ZERO_MASS,
-    _coerce_assignment,
-    _tensor_of,
-)
+from .dist import JointDistribution, ZERO_CELL, ZERO_MASS, _tensor_of
 from .errors import (
     NonPositiveProbability,
     SupportMismatch,
@@ -368,39 +366,6 @@ def entropy(d: JointDistribution, head, given=(), *, base: LogBase = LogBase.NAT
     return base.from_nats(one_value(*_expected_ic_nats(s, s, head, given), head, given))
 
 
-def cross_entropy(p: JointDistribution, q, head, given=(), *,
-                  q_head=None, q_given=None, base: LogBase = LogBase.NATS) -> float:
-    """Cross-entropy: expectation under p of the information content of q.
-
-    ``q`` may be a :class:`JointDistribution` or an
-    :class:`UnnormalizedWeight`; an unconditional q side uses the raw cell
-    mass, so scaled weights shift the result by the log of the scale.  The
-    expectation always runs over the joint of the left side's head and
-    conditioning variables (conditioned on its tied outcomes), which is why
-    a conditional left side and the matching joint left side give the same
-    cross-entropy.
-    """
-    ps = Stack.of(p)
-    qs = ps if q is p else Stack.of(q)
-    result = _expected_ic_nats(ps, qs, head, given, q_head=q_head, q_given=q_given)
-    return base.from_nats(one_value(*result, head, given))
-
-
-def kl_divergence(p: JointDistribution, q, head, given=(), *,
-                  q_head=None, q_given=None, base: LogBase = LogBase.NATS) -> float:
-    """KL divergence: cross-entropy minus the entropy of the left side.
-
-    The left side's conditional structure matters here (unlike for the
-    cross-entropy): ``kl(p, q, ["X"], ["Y"])`` subtracts H[X|Y] while a
-    joint left side would subtract H[X,Y].
-    """
-    ps = Stack.of(p)
-    qs = ps if q is p else Stack.of(q)
-    result = _minus(_expected_ic_nats(ps, qs, head, given, q_head=q_head, q_given=q_given),
-                    _expected_ic_nats(ps, ps, head, given))
-    return base.from_nats(one_value(*result, head, given))
-
-
 def mutual_info(d: JointDistribution, groups, given=(), *,
                 base: LogBase = LogBase.NATS) -> float:
     """Mutual information between two or more term groups.
@@ -426,23 +391,3 @@ def _mi_nats(s: Stack, groups, given):
         return _minus(_expected_ic_nats(s, s, left, given),
                       _expected_ic_nats(s, s, left, given + right))
     return _minus(_mi_nats(s, groups[:-1], given), _mi_nats(s, groups[:-1], given + groups[-1]))
-
-
-def triple_mi(d: JointDistribution, groups, given=(), *,
-              base: LogBase = LogBase.NATS) -> float:
-    """Triple mutual information ``I[A;B] - I[A;B|C]``; may be negative."""
-    groups = [as_terms(g) for g in groups]
-    if len(groups) != 3:
-        raise ValueError("triple mutual information needs exactly three groups")
-    return mutual_info(d, groups, given, base=base)
-
-
-def expected_marginal_ic(d: JointDistribution, x_names, observed, *,
-                         base: LogBase = LogBase.NATS) -> float:
-    """E over p(x | observed) of IC(p(x)): the marginal code length of the
-    head group averaged under the conditioned distribution."""
-    x_terms = as_terms(x_names)
-    obs_terms = as_terms(_coerce_assignment(observed).bindings)
-    s = Stack.of(d)
-    result = _expected_ic_nats(s, s, x_terms, obs_terms, q_head=x_terms, q_given=())
-    return base.from_nats(one_value(*result, obs_terms))

@@ -35,6 +35,7 @@ from discinfo import (
 from discinfo import bayes
 from discinfo.bayes import (
     _BLOCK_CELLS,
+    CsdTable,
     Dataset,
     LabelConfigs,
     Posterior,
@@ -866,6 +867,24 @@ class TestIndexResolver:
             csd_scores(m, post, csd_table(m, ["x1", "x1"], ["0", "1"])),
             csd_scores(m, post, csd_table(m, np.array([1, 1]), np.array([0, 1]))),
         )
+
+    @pytest.mark.parametrize("xs,ys,arg", [(0, 0, "xs"), ([0], 0, "ys"), ("1", ["0"], "xs"),
+                                           ([[0]], [0], "xs")])
+    def test_whole_pool_indices_are_lists(self, xs, ys, arg):
+        # a scalar is not taken for a list of one, nor a string for its characters
+        m = threshold_task(4)[0]
+        with pytest.raises(ValueError, match=f"^{arg} must be a list of"):
+            csd_table(m, xs, ys)
+
+    def test_score_tables_must_fit_the_model(self):
+        # never numpy's broadcast error: the message names the table
+        m = threshold_task(4)[0]
+        post = posterior(m, [])
+        with pytest.raises(ValueError, match="^label entropy table has shape"):
+            bald_scores(m, post, label_entropy_table(m)[:, :2])
+        table = csd_table(m, [0, 1], [0, 1])
+        with pytest.raises(ValueError, match="^csd table has 2 rows; the model has 5 hypotheses"):
+            csd_scores(m, post, CsdTable(table.lik[:2], table.plogp[:2]))
 
 
 @st.composite

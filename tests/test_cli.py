@@ -139,6 +139,14 @@ class TestDiagram:
         assert captured.out == "" and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [["eval", "H[X|q]"], ["diagram"]])
+def test_unknown_observed_variable_is_usage_error(three_cell_path, capsys, command):
+    argv = [command[0], "--dist", three_cell_path, "--observe", "Q=1", *command[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: no variable named 'Q'\n"
+
+
 class TestVerifyPaper:
     def test_exit_zero_and_golden_values(self, capsys):
         assert main(["verify-paper"]) == 0

@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discinfo import (
-    Assignment,
     JointDistribution,
+    ParseError,
+    UnknownVariable,
     UnnormalizedWeight,
     Variable,
     ZeroProbabilityEvent,
     condition,
-    marginalize,
-    prob_of,
-    product,
+    diagram,
+    entropy,
+    evaluate,
 )
 from discinfo.dist import dump_distribution, load_distribution, read_json
 
@@ -31,6 +32,21 @@ def three_cell():
 
 def fair_coin(name="X"):
     return JointDistribution((Variable(name, ("0", "1")),), [0.5, 0.5])
+
+
+def independent(*factors):
+    """The independent joint of the factors, an outer product in numpy."""
+    probs = factors[0].probs
+    for f in factors[1:]:
+        probs = np.multiply.outer(probs, f.probs)
+    return JointDistribution(sum((f.variables for f in factors), ()), probs)
+
+
+def ic_at(d, **outcomes):
+    """H[x, y, ...] with every named variable tied: the information content
+    of the marginal probability of those outcomes."""
+    text = "H[" + ", ".join(n.lower() for n in outcomes) + "]"
+    return evaluate(text, d, bindings=outcomes)
 
 
 class TestConstruction:
@@ -82,27 +98,35 @@ class TestConstruction:
 
 
 class TestMarginalize:
+    """The marginals the notation reads: H[x] at a tied outcome is minus the
+    log of its marginal probability."""
+
     def test_uniform_square_to_x(self):
-        d = product(fair_coin("X"), fair_coin("Y"))
-        m = marginalize(d, {"X"})
-        np.testing.assert_allclose(m.probs, [0.5, 0.5])
+        d = independent(fair_coin("X"), fair_coin("Y"))
+        np.testing.assert_allclose([ic_at(d, X=x) for x in (0, 1)], -np.log([0.5, 0.5]))
 
     def test_three_cell_to_x(self):
-        m = marginalize(three_cell(), {"X"})
-        np.testing.assert_allclose(m.probs, [1 / 3, 2 / 3])
+        d = three_cell()
+        np.testing.assert_allclose([ic_at(d, X=x) for x in (0, 1)], -np.log([1 / 3, 2 / 3]))
 
     def test_identity(self):
         d = three_cell()
-        m = marginalize(d, {"X", "Y"})
-        np.testing.assert_allclose(m.probs, d.probs)
+        for (x, y), p in np.ndenumerate(d.probs):
+            if p == 0:
+                with pytest.raises(ZeroProbabilityEvent):
+                    ic_at(d, X=x, Y=y)
+            else:
+                assert ic_at(d, X=x, Y=y) == pytest.approx(-math.log(p))
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            marginalize(three_cell(), {"Z"})
+        with pytest.raises(UnknownVariable):
+            evaluate("H[Z]", three_cell())
 
     def test_empty_keep(self):
         with pytest.raises(ValueError):
-            marginalize(three_cell(), set())
+            entropy(three_cell(), [])
+        with pytest.raises(ParseError):
+            evaluate("H[]", three_cell())
 
 
 class TestCondition:
@@ -111,7 +135,7 @@ class TestCondition:
         np.testing.assert_allclose(c.probs, [0.0, 1.0], atol=1e-15)
 
     def test_product_conditioning_is_noop(self):
-        d = product(fair_coin("X"), fair_coin("Y"))
+        d = independent(fair_coin("X"), fair_coin("Y"))
         c = condition(d, {"Y": 0})
         np.testing.assert_allclose(c.probs, [0.5, 0.5])
 
@@ -129,24 +153,30 @@ class TestCondition:
 
 
 class TestProduct:
+    """Independent joints, built in numpy, as the notation reads them."""
+
     def test_two_fair_coins(self):
-        d = product(fair_coin("X"), fair_coin("Y"))
-        np.testing.assert_allclose(d.probs, np.full((2, 2), 0.25))
+        d = independent(fair_coin("X"), fair_coin("Y"))
+        assert evaluate("I[X; Y]", d) == pytest.approx(0.0, abs=1e-12)
+        for x, y in np.ndindex(2, 2):
+            assert ic_at(d, X=x, Y=y) == pytest.approx(-math.log(0.25))
 
     def test_point_mass_extension(self):
         point = JointDistribution((Variable("Z", ("a",)),), [1.0])
-        d = product(three_cell(), point)
-        np.testing.assert_allclose(d.probs.reshape(2, 2), three_cell().probs)
+        d = independent(three_cell(), point)
+        assert evaluate("H[Z]", d) == 0.0
+        assert evaluate("H[X, Y, Z]", d) == pytest.approx(evaluate("H[X, Y]", three_cell()))
 
     def test_direct_multiplication(self):
         px = JointDistribution((Variable("X", ("0", "1")),), [1 / 3, 2 / 3])
         py = fair_coin("Y")
-        d = product(px, py)
-        np.testing.assert_allclose(d.probs.ravel(), [1 / 6, 1 / 6, 1 / 3, 1 / 3])
+        d = independent(px, py)
+        np.testing.assert_allclose([ic_at(d, X=x, Y=y) for x, y in np.ndindex(2, 2)],
+                                   -np.log([1 / 6, 1 / 6, 1 / 3, 1 / 3]))
 
     def test_name_collision(self):
-        with pytest.raises(ValueError, match="collision"):
-            product(fair_coin("X"), fair_coin("X"))
+        with pytest.raises(ValueError, match="duplicate"):
+            independent(fair_coin("X"), fair_coin("X"))
 
 
 positive_cells = st.lists(
@@ -162,9 +192,11 @@ def test_marginalize_composes(cells):
         (Variable("X", ("0", "1")), Variable("Y", ("0", "1")), Variable("Z", ("0", "1"))),
         arr / arr.sum(),
     )
-    via_two_steps = marginalize(marginalize(d, {"X", "Y"}), {"X"})
-    direct = marginalize(d, {"X"})
-    np.testing.assert_allclose(via_two_steps.probs, direct.probs, atol=1e-12)
+    # the notation marginalizes Y and Z at once; numpy sums out Z, then Y
+    xy = JointDistribution(d.variables[:2], d.probs.sum(axis=2))
+    x = JointDistribution(d.variables[:1], xy.probs.sum(axis=1))
+    for i in (0, 1):
+        assert np.exp(-ic_at(d, X=i)) == pytest.approx(x.probs[i], abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -188,40 +220,48 @@ def test_product_then_condition_recovers_factor(cells, y):
     arr = np.asarray(cells)
     d1 = JointDistribution((Variable("X", ("a", "b", "c")),), arr / arr.sum())
     d2 = fair_coin("Y")
-    c = condition(product(d1, d2), {"Y": y})
+    c = condition(independent(d1, d2), {"Y": y})
     np.testing.assert_allclose(c.probs, d1.probs, atol=1e-12)
 
 
 class TestAssignment:
-    def test_from_labels(self):
-        a = Assignment.from_labels(three_cell(), {"Y": "1"})
-        assert a.as_dict() == {"Y": 1}
+    """Tied outcomes are a plain dict from variable name to outcome index."""
 
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            Assignment((("Y", 0), ("Y", 1)))
+    def test_from_labels(self):
+        d = three_cell()
+        bindings = {"Y": d.variable("Y").index_of("1")}
+        assert bindings == {"Y": 1}
+        assert evaluate("H[X|y]", d, bindings=bindings) == pytest.approx(0.0, abs=1e-12)
 
     def test_validate_range(self):
-        a = Assignment((("Y", 7),))
-        with pytest.raises(ValueError):
-            a.validate_against(three_cell())
+        with pytest.raises(ValueError, match="out of range"):
+            condition(three_cell(), {"Y": 7})
+        with pytest.raises(ValueError, match="out of range"):
+            diagram(three_cell(), {"Y": 7})
+        with pytest.raises(UnknownVariable, match="no variable named 'Q'"):
+            condition(three_cell(), {"Q": 0})
 
     def test_prob_of_partial(self):
-        assert prob_of(three_cell(), {"Y": 0}) == pytest.approx(2 / 3)
+        assert np.exp(-ic_at(three_cell(), Y=0)) == pytest.approx(2 / 3)
 
 
 class TestWeights:
+    """A weight's total mass is its cell sum, and it shows as a shift of
+    log(mass) in every cross-entropy against the weight."""
+
     def test_z_is_cell_sum(self):
         w = UnnormalizedWeight((Variable("X", ("0", "1")),), [0.5, 1.5])
-        assert w.z == pytest.approx(2.0)
-
-    def test_declared_z_checked(self):
-        with pytest.raises(ValueError, match="total mass"):
-            UnnormalizedWeight((Variable("X", ("0", "1")),), [0.5, 1.5], z=3.0)
+        p = JointDistribution(w.variables, [0.25, 0.75])
+        assert evaluate("KL[p(X) || q(X)]", p, q=w) == pytest.approx(-math.log(2.0))
 
     def test_normalize(self):
         w = UnnormalizedWeight((Variable("X", ("0", "1")),), [1.0, 3.0])
-        np.testing.assert_allclose(w.normalize().probs, [0.25, 0.75])
+        p = JointDistribution(w.variables, [0.5, 0.5])
+        normalized = JointDistribution(w.variables, [0.25, 0.75])
+        assert evaluate("CE[p(X) || q(X)]", p, q=w) == pytest.approx(
+            evaluate("CE[p(X) || q(X)]", p, q=normalized) - math.log(4.0))
+        with pytest.raises(ValueError, match="total mass"):
+            UnnormalizedWeight(w.variables, [0.0, 0.0])
 
 
 class TestJsonFormat:

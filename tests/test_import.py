@@ -105,3 +105,15 @@ def test_only_reading_a_file_loads_orjson(tmp_path):
     ]
     code = "; ".join(f"{step}; print('orjson' in sys.modules)" for step in steps)
     assert _run(code).split() == ["False"] * 4 + ["True"]
+
+
+REMOVED = ("cross_entropy", "kl_divergence", "triple_mi", "expected_marginal_ic", "marginalize",
+           "prob_of", "power", "scale", "product", "Assignment")
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_are_gone(name):
+    # each quantity is an expression for evaluate, and bindings are a plain dict
+    assert name not in discinfo.__all__
+    with pytest.raises(AttributeError):
+        getattr(discinfo, name)

@@ -9,30 +9,24 @@ from discinfo import (
     JointDistribution,
     LogBase,
     NonPositiveProbability,
+    ParseError,
     SupportMismatch,
     UnknownVariable,
     UnnormalizedWeight,
     Variable,
     ZeroProbabilityEvent,
     condition,
-    cross_entropy,
     diagram,
     entropy,
     evaluate,
-    expected_marginal_ic,
     information_content,
-    kl_divergence,
-    marginalize,
     mutual_info,
-    power,
-    product,
-    scale,
     three_cell_distribution,
-    triple_mi,
 )
 
 from discinfo.dist import ZERO_CELL
 from discinfo.quantities import _plogq, plogq
+from notation import divergence
 from oracle import dist_to_cells, oracle_cross_entropy, oracle_entropy, oracle_mutual_info
 
 LN2 = math.log(2.0)
@@ -40,6 +34,16 @@ LN2 = math.log(2.0)
 
 def fair_coin(name="X"):
     return JointDistribution((Variable(name, ("0", "1")),), [0.5, 0.5])
+
+
+def two_fair_coins():
+    return JointDistribution((Variable("X", ("0", "1")), Variable("Y", ("0", "1"))),
+                             np.full((2, 2), 0.25))
+
+
+def weight(q, factor):
+    """The weight of q's cells times ``factor``."""
+    return UnnormalizedWeight(q.variables, q.probs * factor)
 
 
 def xor_triple():
@@ -97,7 +101,7 @@ class TestEntropy:
 
     def test_three_cell_golden_pair(self):
         d = three_cell_distribution()
-        assert expected_marginal_ic(d, ["X"], {"Y": 1}) == pytest.approx(
+        assert evaluate("E_{p(x|y)}[H[x]]", d, bindings={"Y": 1}) == pytest.approx(
             math.log(1.5), abs=1e-9
         )
         assert entropy(d, ["X"]) == pytest.approx(
@@ -129,7 +133,7 @@ class TestEntropy:
             entropy(fair_coin(), ["X"], ["X"])
 
     def test_unmentioned_variables_are_marginalized(self):
-        d = product(fair_coin("X"), fair_coin("Y"))
+        d = two_fair_coins()
         assert entropy(d, ["X"]) == pytest.approx(LN2, abs=1e-12)
 
 
@@ -138,15 +142,16 @@ class TestCrossEntropyAndKL:
         rng = np.random.default_rng(1)
         d = random_dist(rng, 2)
         heads = list(d.names)
-        assert cross_entropy(d, d, heads) == pytest.approx(entropy(d, heads), abs=1e-12)
+        assert evaluate(divergence("CE", heads, q="p"), d) == pytest.approx(
+            entropy(d, heads), abs=1e-12)
 
     def test_ce_scale_rule(self):
         rng = np.random.default_rng(2)
         p, q = random_dist(rng, 1), random_dist(rng, 1)
         q = JointDistribution(p.variables, np.resize(q.probs, p.shape) / np.resize(q.probs, p.shape).sum())
-        half_q = scale(q, 0.5)
-        assert cross_entropy(p, half_q, ["V0"]) == pytest.approx(
-            cross_entropy(p, q, ["V0"]) + LN2, abs=1e-12
+        half_q = weight(q, 0.5)
+        assert evaluate("CE[p(V0) || q(V0)]", p, q=half_q) == pytest.approx(
+            evaluate("CE[p(V0) || q(V0)]", p, q=q) + LN2, abs=1e-12
         )
 
     def test_ce_power_rule(self):
@@ -154,14 +159,15 @@ class TestCrossEntropyAndKL:
         variables = (Variable("X", ("0", "1", "2")),)
         p = JointDistribution(variables, rng.dirichlet(np.ones(3)))
         q = JointDistribution(variables, rng.dirichlet(np.ones(3)))
-        assert cross_entropy(p, power(q, 2.0), ["X"]) == pytest.approx(
-            2.0 * cross_entropy(p, q, ["X"]), abs=1e-12
+        squared = UnnormalizedWeight(variables, q.probs ** 2.0)
+        assert evaluate("CE[p(X) || q(X)]", p, q=squared) == pytest.approx(
+            2.0 * evaluate("CE[p(X) || q(X)]", p, q=q), abs=1e-12
         )
 
     def test_kl_self_zero(self):
         rng = np.random.default_rng(4)
         d = random_dist(rng, 2)
-        assert kl_divergence(d, d, list(d.names)) == pytest.approx(0.0, abs=1e-12)
+        assert evaluate("KL[p(V0, V1) || p(V0, V1)]", d) == pytest.approx(0.0, abs=1e-12)
 
     def test_kl_nonnegative_for_distributions(self):
         rng = np.random.default_rng(5)
@@ -170,13 +176,13 @@ class TestCrossEntropyAndKL:
             p = JointDistribution(variables, rng.dirichlet(np.ones(3)))
             raw = rng.dirichlet(np.ones(3)) + 1e-3
             q = JointDistribution(variables, raw / raw.sum())
-            assert kl_divergence(p, q, ["X"]) >= -1e-12
+            assert evaluate("KL[p(X) || q(X)]", p, q=q) >= -1e-12
 
     def test_kl_against_doubled_p_meets_mass_bound(self):
         rng = np.random.default_rng(6)
         d = random_dist(rng, 2)
-        doubled = scale(d, 2.0)
-        value = kl_divergence(d, doubled, list(d.names))
+        doubled = weight(d, 2.0)
+        value = evaluate("KL[p(V0, V1) || q(V0, V1)]", d, q=doubled)
         assert value == pytest.approx(-LN2, abs=1e-12)
         assert value == pytest.approx(information_content(2.0), abs=1e-12)
 
@@ -185,22 +191,22 @@ class TestCrossEntropyAndKL:
         p = JointDistribution(variables, [0.5, 0.5])
         q = JointDistribution(variables, [1.0, 0.0])
         with pytest.raises(SupportMismatch):
-            cross_entropy(p, q, ["X"])
+            evaluate("CE[p(X) || q(X)]", p, q=q)
 
     def test_q_side_terms_are_checked(self):
         d = three_cell_distribution()
         with pytest.raises(ValueError, match="out of range"):
-            cross_entropy(d, d, ["X"], q_head=[("X", 5)])
+            evaluate("CE[p(X) || p(x)]", d, bindings={"X": 5})
         with pytest.raises(ValueError, match="only once"):
-            cross_entropy(d, d, ["X"], q_head=["X"], q_given=["X"])
+            evaluate("CE[p(X) || p(X | X)]", d)
 
     def test_conditional_ce_left_insensitivity(self):
         rng = np.random.default_rng(7)
         d = random_dist(rng, 2)
         q = JointDistribution(d.variables, rng.dirichlet(np.ones(d.probs.size)).reshape(d.shape))
         x, y = d.names
-        conditional_left = cross_entropy(d, q, [x], [y])
-        joint_left = cross_entropy(d, q, [x, y], q_head=[x], q_given=[y])
+        conditional_left = evaluate(f"CE[p({x} | {y}) || q({x} | {y})]", d, q=q)
+        joint_left = evaluate(f"CE[p({x}, {y}) || q({x} | {y})]", d, q=q)
         assert conditional_left == pytest.approx(joint_left, abs=1e-12)
 
     def test_kl_left_structure_differs(self):
@@ -208,8 +214,8 @@ class TestCrossEntropyAndKL:
         d = random_dist(rng, 2)
         q = JointDistribution(d.variables, rng.dirichlet(np.ones(d.probs.size)).reshape(d.shape))
         x, y = d.names
-        conditional_left = kl_divergence(d, q, [x], [y])
-        joint_left = kl_divergence(d, q, [x, y], q_head=[x], q_given=[y])
+        conditional_left = evaluate(f"KL[p({x} | {y}) || q({x} | {y})]", d, q=q)
+        joint_left = evaluate(f"KL[p({x}, {y}) || q({x} | {y})]", d, q=q)
         # they differ exactly by the entropy of the conditioning variable
         assert conditional_left - joint_left == pytest.approx(
             entropy(d, [y]), abs=1e-9
@@ -218,7 +224,7 @@ class TestCrossEntropyAndKL:
 
 class TestMutualInfo:
     def test_independence_gives_zero(self):
-        d = product(fair_coin("X"), fair_coin("Y"))
+        d = two_fair_coins()
         assert mutual_info(d, [["X"], ["Y"]]) == pytest.approx(0.0, abs=1e-12)
 
     def test_surprise_equals_kl_of_conditional(self):
@@ -228,11 +234,9 @@ class TestMutualInfo:
             x, y = d.names
             for yi in range(d.variable(y).size):
                 lhs = mutual_info(d, [[(y, yi)], [x]])
-                from discinfo import condition
-
                 post = condition(d, {y: yi})
-                prior = marginalize(d, {x})
-                rhs = kl_divergence(post, prior, [x])
+                prior = JointDistribution(post.variables, d.probs.sum(axis=1))
+                rhs = evaluate(f"KL[p({x}) || q({x})]", post, q=prior)
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_group_order_matters_when_tied(self):
@@ -243,9 +247,9 @@ class TestMutualInfo:
 
     def test_zero_surprise_iff_independence(self):
         # independence => zero surprise for every outcome
-        d_ind = product(
-            JointDistribution((Variable("X", ("0", "1")),), [0.3, 0.7]),
-            JointDistribution((Variable("Y", ("0", "1")),), [0.6, 0.4]),
+        d_ind = JointDistribution(
+            (Variable("X", ("0", "1")), Variable("Y", ("0", "1"))),
+            np.multiply.outer([0.3, 0.7], [0.6, 0.4]),
         )
         for yi in (0, 1):
             assert mutual_info(d_ind, [[("Y", yi)], ["X"]]) == pytest.approx(
@@ -259,19 +263,20 @@ class TestMutualInfo:
         rng = np.random.default_rng(10)
         d = random_dist(rng, 2)
         x, y = d.names
-        independent = product(marginalize(d, {x}), marginalize(d, {y}))
+        independent = JointDistribution(
+            d.variables, np.multiply.outer(d.probs.sum(axis=1), d.probs.sum(axis=0)))
         assert mutual_info(d, [[x], [y]]) == pytest.approx(
-            kl_divergence(d, independent, [x, y]), abs=1e-9
+            evaluate(f"KL[p({x}, {y}) || q({x}, {y})]", d, q=independent), abs=1e-9
         )
 
 
 class TestTripleMI:
     def test_independent_triple_is_zero(self):
-        d = product(product(fair_coin("X"), fair_coin("Y")), fair_coin("Z"))
-        assert triple_mi(d, [["X"], ["Y"], ["Z"]]) == pytest.approx(0.0, abs=1e-12)
+        d = JointDistribution(xor_triple().variables, np.full((2, 2, 2), 0.125))
+        assert evaluate("I[X; Y; Z]", d) == pytest.approx(0.0, abs=1e-12)
 
     def test_xor_triple_is_minus_ln2(self):
-        assert triple_mi(xor_triple(), [["X"], ["Y"], ["Z"]]) == pytest.approx(
+        assert evaluate("I[X; Y; Z]", xor_triple()) == pytest.approx(
             -LN2, abs=1e-12
         )
 
@@ -281,20 +286,20 @@ class TestTripleMI:
         x, y, z = d.names
         sizes = d.variable(z).size
         weighted = sum(
-            prob * triple_mi(d, [[x], [y], [(z, zi)]])
+            prob * evaluate(f"I[{x}; {y}; {z.lower()}={zi}]", d)
             for zi in range(sizes)
-            if (prob := float(marginalize(d, {z}).probs[zi])) > 0
+            if (prob := float(d.probs.sum(axis=(0, 1))[zi])) > 0
         )
-        assert weighted == pytest.approx(triple_mi(d, [[x], [y], [z]]), abs=1e-9)
+        assert weighted == pytest.approx(evaluate(f"I[{x}; {y}; {z}]", d), abs=1e-9)
 
     def test_needs_three_groups(self):
-        with pytest.raises(ValueError):
-            triple_mi(xor_triple(), [["X"], ["Y"]])
+        with pytest.raises(ParseError):
+            evaluate("I[X; Y; ]", xor_triple())
 
 
 class TestDiagram:
     def test_independent_table(self):
-        d = product(fair_coin("X"), fair_coin("Y"))
+        d = two_fair_coins()
         table = diagram(d, {"Y": 1})
         assert table.gain == pytest.approx(0.0, abs=1e-12)
         assert table.surprise == pytest.approx(0.0, abs=1e-12)
@@ -344,7 +349,8 @@ class TestDiagram:
                     entropy(d, xs + obs), entropy(d, obs), entropy(d, xs),
                     mutual_info(d, [xs, obs]), mutual_info(d, [obs, xs]),
                     entropy(d, xs, obs), entropy(d, obs, xs),
-                    expected_marginal_ic(d, xs, {y: yi}),
+                    # the kernel's route for E_{p(x|y)}[H[x]], without the expectation
+                    evaluate(divergence("CE", xs, obs, q_given=[], q="p"), d),
                 ]
                 assert [v for _, v in t.rows()] == pytest.approx(direct, abs=1e-12)
 
@@ -416,7 +422,7 @@ class TestAgainstOracle:
             head = [(names[0], None)]
             given = [(names[1], None)] if rng.random() < 0.5 else []
             expected = oracle_cross_entropy(names, sizes, p_cells, q_cells, head, given)
-            got = cross_entropy(d, q, head, given)
+            got = evaluate(divergence("CE", head, given), d, q=q)
             assert got == pytest.approx(expected, abs=1e-10)
 
     def test_cross_entropy_three_variable_patterns(self):
@@ -465,18 +471,18 @@ class TestAgainstOracle:
                 q_head, q_given = q_terms[:q_split], q_terms[q_split:]
             expected = oracle_cross_entropy(names, sizes, p_cells, q_map, head, given,
                                             q_head=q_head, q_given=q_given)
-            kwargs = {"q_head": q_head, "q_given": q_given}
+            text = divergence("CE", head, given, q_head, q_given)
             if expected is None:
                 outcomes["zero_event"] += 1
                 with pytest.raises(ZeroProbabilityEvent):
-                    cross_entropy(d, q, head, given, **kwargs)
+                    evaluate(text, d, q=q)
             elif expected == math.inf:
                 outcomes["mismatch"] += 1
                 with pytest.raises(SupportMismatch):
-                    cross_entropy(d, q, head, given, **kwargs)
+                    evaluate(text, d, q=q)
             else:
                 outcomes["value"] += 1
-                got = cross_entropy(d, q, head, given, **kwargs)
+                got = evaluate(text, d, q=q)
                 assert got == pytest.approx(expected, abs=1e-10)
         assert all(count > 0 for count in outcomes.values()), outcomes
 
@@ -491,7 +497,7 @@ class TestAgainstOracle:
             expected = oracle_cross_entropy(
                 names, sizes, p_cells, q_cells, [(names[0], None)], []
             )
-            got = cross_entropy(d, w, [names[0]])
+            got = evaluate(f"CE[p({names[0]}) || q({names[0]})]", d, q=w)
             assert got == pytest.approx(expected, abs=1e-10)
 
 

@@ -35,14 +35,12 @@ from discinfo import (
     Variable,
     ZeroProbabilityEvent,
     check_suite,
-    cross_entropy,
     default_suite,
     entropy,
     evaluate,
     parse_suite_file,
 )
 from discinfo import quantities as qt
-from discinfo.dist import scale
 from discinfo.expr import evaluate_stack, free_tied_identifiers
 from discinfo.identities import (
     Status,
@@ -52,6 +50,7 @@ from discinfo.identities import (
     random_distribution,
 )
 
+from notation import divergence
 from oracle import oracle_cross_entropy
 
 DATA = Path(__file__).resolve().parent / "data" / "golden_search.json"
@@ -181,8 +180,9 @@ class TestWeightRows:
         assert report.status is Status.VIOLATED and not report.passed
         assert report.seeds_tried == report.cases_evaluated == first + 1
         assert report.cases_skipped == 0
-        assert report.lhs == cross_entropy(p, scale(q, a), p.names)
-        assert report.rhs == cross_entropy(p, q, p.names)
+        text = divergence("CE", p.names)
+        assert report.lhs == evaluate(text, p, q=UnnormalizedWeight(q.variables, q.weights * a))
+        assert report.rhs == evaluate(text, p, q=q)
         assert report.gap == pytest.approx(abs(math.log(a)), abs=1e-12)
         assert report.worst_margin == report.gap
         witness = JointDistribution.from_json_dict(report.witness["distribution"])
@@ -369,8 +369,9 @@ def test_stacked_kernel_matches_one_case_and_oracle(case):
             if q_kind == "entropy":
                 one = entropy(d, head, cond)
             else:
-                one = cross_entropy(d, qi, head, cond, q_head=_at(q_head, i),
-                                    q_given=_at(q_given, i))
+                text = divergence("CE", head, cond, _at(q_head, i), _at(q_given, i),
+                                  q="p" if q is None else "q")
+                one = evaluate(text, d, q=qi)
         except ZeroProbabilityEvent:
             one = ZeroProbabilityEvent
         except SupportMismatch:
