@@ -159,16 +159,10 @@ class BayesModel:
     def to_json_dict(self) -> dict:
         return {
             "hypotheses": list(self.hypotheses),
-            "prior": [float(p) for p in self.prior],
+            "prior": self.prior.tolist(),
             "inputs": list(self.inputs),
             "labels": list(self.labels),
-            "likelihood": {
-                h: {
-                    x: [float(v) for v in self.likelihood[i, j]]
-                    for j, x in enumerate(self.inputs)
-                }
-                for i, h in enumerate(self.hypotheses)
-            },
+            "likelihood": self.likelihood.tolist(),
         }
 
     @classmethod
@@ -179,21 +173,16 @@ class BayesModel:
                 names_of(doc[key], "model", key) for key in ("hypotheses", "inputs", "labels")
             )
             table = doc["likelihood"]
-            rows = [[table[h][x] for x in inputs] for h in hypotheses]
-            # every declared name was looked up, so a mapping with more keys has one naming nothing
-            if len(table) > len(hypotheses):
-                known_keys(table, set(hypotheses), "model", " in likelihood")
-            for h in hypotheses:
-                if len(table[h]) > len(inputs):
-                    known_keys(table[h], set(inputs), "model", f" in likelihood[{h!r}]")
-            lik = number_array(rows, "model", "likelihood")
+            shape = (len(hypotheses), len(inputs), len(labels))
+            layout = ("likelihood must be {} lists (one per hypothesis) of {} rows (one per input) "
+                      "of {} numbers (one per label), in declared order".format(*shape))
+            if not isinstance(table, (list, tuple)):
+                raise MalformedInput(f"malformed model JSON: {layout}; the layout changed, and "
+                                     f"a mapping keyed by name is no longer read")
+            lik = number_array(table, "model", "likelihood")
             prior = number_array(doc["prior"], "model", "prior")
-        shape = (len(hypotheses), len(inputs), len(labels))
         if lik.shape != shape and all(shape):  # the constructor reports an empty name list
-            raise MalformedInput(
-                f"malformed model JSON: every likelihood row must be a list of "
-                f"{len(labels)} numbers, one per label"
-            )
+            raise MalformedInput(f"malformed model JSON: {layout}; got shape {lik.shape}")
         return cls(hypotheses, prior, inputs, labels, lik)
 
 

@@ -29,22 +29,22 @@ def _base(args) -> LogBase:
     return LogBase(args.base)
 
 
-def _parse_observe(text: str) -> dict:
+def _observed(d, text: str) -> dict:
+    """The ``--observe`` entries NAME=OUTCOME as outcome indices of ``d``'s
+    variables, each name resolved as the notation resolves an identifier;
+    naming one variable twice is an error."""
+    from .expr import _resolve_variable
+
     out = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for piece in filter(None, map(str.strip, text.split(","))):
         if "=" not in piece:
             raise ValueError(f"--observe entries look like NAME=OUTCOME, got {piece!r}")
-        name, label = piece.split("=", 1)
-        out[name.strip()] = label.strip()
+        name, label = (part.strip() for part in piece.split("=", 1))
+        exact = _resolve_variable(d, name)
+        if exact in out:
+            raise ValueError(f"--observe names variable {exact!r} more than once")
+        out[exact] = d.variable(exact).index_of(label)
     return out
-
-
-def _observed(d, text: str) -> dict:
-    """The ``--observe`` labels as outcome indices of ``d``'s variables."""
-    return {name: d.variable(name).index_of(label) for name, label in _parse_observe(text).items()}
 
 
 def _cmd_eval(args) -> int:

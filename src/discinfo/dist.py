@@ -15,6 +15,7 @@ conditioning, the tensor algebra (a marginal, a product) is numpy on
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -203,11 +204,19 @@ class UnnormalizedWeight:
 def checked_bindings(d: JointDistribution, bindings) -> dict[str, int]:
     """``bindings`` (variable name -> outcome index) with integer indices,
     each name a variable of ``d`` and each index one of its outcomes."""
-    out = {name: int(idx) for name, idx in dict(bindings).items()}
+    out = {name: outcome_index(name, idx) for name, idx in dict(bindings).items()}
     for name, idx in out.items():
         if not 0 <= idx < d.variable(name).size:
             raise ValueError(f"outcome index {idx} out of range for variable {name!r}")
     return out
+
+
+def outcome_index(name: str, idx) -> int:
+    """``idx`` bound to variable ``name`` as an int: a float is refused, not truncated."""
+    try:
+        return operator.index(idx)
+    except TypeError:
+        raise ValueError(f"outcome index {idx!r} for variable {name!r} is not an integer") from None
 
 
 def condition(d: JointDistribution, bindings) -> JointDistribution:

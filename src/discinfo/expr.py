@@ -52,6 +52,7 @@ from .dist import (
     ZERO_MASS,
     JointDistribution,
     checked_bindings,
+    outcome_index,
 )
 from .errors import (
     DiscinfoError,
@@ -690,7 +691,7 @@ def evaluate(expression, dist: JointDistribution, q=None, bindings=None, *,
     comparisons.
     """
     node = parse(expression) if isinstance(expression, str) else expression
-    env = {n: int(i) for n, i in _environment(bindings, dist, q).items()}
+    env = {n: outcome_index(n, i) for n, i in _environment(bindings, dist, q).items()}
     p = qt.Stack.of(dist)
     qs = None if q is None else p if q is dist else qt.Stack.of(q)
     # the resolved bindings name the tied outcomes when their event has no mass

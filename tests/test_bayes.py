@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -700,8 +701,8 @@ class TestModelJson:
         assert loaded.hypotheses == m.hypotheses
         assert loaded.inputs == m.inputs
         assert loaded.labels == m.labels
-        np.testing.assert_allclose(loaded.prior, m.prior, atol=1e-12)
-        np.testing.assert_allclose(loaded.likelihood, m.likelihood, atol=1e-12)
+        assert loaded.prior.tobytes() == m.prior.tobytes()
+        assert loaded.likelihood.tobytes() == m.likelihood.tobytes()
 
     def test_validation_on_load(self, tmp_path):
         doc = {
@@ -709,7 +710,7 @@ class TestModelJson:
             "prior": [1.0],
             "inputs": ["x0"],
             "labels": ["0", "1"],
-            "likelihood": {"A": {"x0": [0.9, 0.3]}},
+            "likelihood": [[[0.9, 0.3]]],
         }
         import json
 
@@ -730,17 +731,38 @@ class TestModelJson:
     def test_a_short_scalar_or_ragged_row_is_malformed(self, row):
         # a row of the wrong length is never broadcast to the label count
         doc = opposite_coins_model().to_json_dict()
-        doc["likelihood"]["B"]["x1"] = row
+        doc["likelihood"][1][1] = row
         with pytest.raises(MalformedInput, match="malformed model JSON"):
             BayesModel.from_json_dict(doc)
 
     def test_one_label_rows_still_need_a_list(self):
         doc = {"hypotheses": ["A"], "prior": [1.0], "inputs": ["x"], "labels": ["0"],
-               "likelihood": {"A": {"x": [1.0]}}}
+               "likelihood": [[[1.0]]]}
         assert BayesModel.from_json_dict(doc).likelihood.shape == (1, 1, 1)
-        doc["likelihood"]["A"]["x"] = 1.0
-        with pytest.raises(MalformedInput):
+        doc["likelihood"][0][0] = 1.0
+        with pytest.raises(MalformedInput, match=re.escape(
+                "likelihood must be 1 lists (one per hypothesis) of 1 rows (one per input) of 1 "
+                "numbers (one per label), in declared order; got shape (1, 1)")):
             BayesModel.from_json_dict(doc)
+
+    @pytest.mark.parametrize("table", [
+        {"A": {"x0": [0.5, 0.5], "x1": [1.0, 0.0]}, "B": {"x0": [0.5, 0.5], "x1": [0.0, 1.0]}},
+        "AB", 0.5, None,
+    ], ids=["mapping", "string", "number", "null"])
+    def test_only_the_nested_layout_is_read(self, table):
+        # the mapping keyed by hypothesis and input name is refused, naming the new layout
+        doc = opposite_coins_model().to_json_dict()
+        doc["likelihood"] = table
+        with pytest.raises(MalformedInput, match=re.escape(
+                "malformed model JSON: likelihood must be 2 lists (one per hypothesis) of 2 rows "
+                "(one per input) of 2 numbers (one per label), in declared order; the layout "
+                "changed, and a mapping keyed by name is no longer read")):
+            BayesModel.from_json_dict(doc)
+
+    def test_the_table_is_written_in_declared_order(self):
+        m = opposite_coins_model()
+        assert m.to_json_dict()["likelihood"] == [[[0.5, 0.5], [1.0, 0.0]],
+                                                  [[0.5, 0.5], [0.0, 1.0]]]
 
     def test_load_is_bit_identical_to_the_model_written(self):
         model, _, _ = threshold_task(64, seed=5)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from discinfo import cli
-from discinfo.bayes import BayesModel, dump_model
+from discinfo.bayes import BayesModel, dump_model, load_model
 from discinfo.cli import build_parser, main
 from discinfo.dist import JointDistribution, Variable, dump_distribution, load_distribution
 from discinfo.errors import MalformedInput
@@ -144,7 +144,37 @@ def test_unknown_observed_variable_is_usage_error(three_cell_path, capsys, comma
     argv = [command[0], "--dist", three_cell_path, "--observe", "Q=1", *command[1:]]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "error: no variable named 'Q'\n"
+    assert captured.out == "" and captured.err == "error: no variable matches identifier 'Q'\n"
+
+
+@pytest.mark.parametrize("observe", ["Y=0,Y=1", "Y=0,y=1", "y=1, Y=1"])
+@pytest.mark.parametrize("command", [["eval", "H[X|y]"], ["diagram"]])
+def test_repeated_observed_variable_is_usage_error(three_cell_path, capsys, command, observe):
+    # a repeat must not let the last binding win silently
+    argv = [command[0], "--dist", three_cell_path, "--observe", observe, *command[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --observe names variable 'Y' more than once\n"
+
+
+@pytest.mark.parametrize("command", [["eval", "H[X|y]"], ["diagram"]])
+def test_observed_names_resolve_as_the_notation_does(three_cell_path, capsys, command):
+    outputs = []
+    for observe in ("Y=1", "y=1"):
+        argv = [command[0], "--dist", three_cell_path, "--observe", observe, *command[1:]]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].out and not outputs[0].err
+
+
+def test_an_ambiguous_observed_name_is_usage_error(tmp_path, capsys):
+    d = JointDistribution((Variable("X", ("0", "1")), Variable("Y", ("0", "1")),
+                           Variable("y", ("0", "1"))), np.full(8, 1 / 8))
+    path = tmp_path / "d.json"
+    dump_distribution(d, path)
+    assert main(["eval", "--dist", str(path), "--observe", "Y=1", "H[X]"]) == 2
+    assert capsys.readouterr().err.startswith("error: identifier 'Y' is ambiguous")
 
 
 class TestVerifyPaper:
@@ -339,7 +369,7 @@ class TestMalformedJson:
     def test_short_or_ragged_likelihood_row(self, tmp_path, capsys, row):
         model, pool, eval_set = __import__("discinfo").threshold_task(4, 2)
         doc = model.to_json_dict()
-        doc["likelihood"][model.hypotheses[1]][model.inputs[2]] = row
+        doc["likelihood"][1][2] = row
         cfg = {"model": doc, "pool": [list(p) for p in pool],
                "eval": [list(p) for p in eval_set]}
         path = tmp_path / "cfg.json"
@@ -387,7 +417,7 @@ class TestMalformedJson:
         if key == "prior":
             doc["prior"] = value
         else:
-            doc["likelihood"][model.hypotheses[1]][model.inputs[0]] = value
+            doc["likelihood"][1][0] = value
         cfg = {"model": doc, "pool": [list(p) for p in pool],
                "eval": [list(p) for p in eval_set]}
         path = tmp_path / "cfg.json"
@@ -402,7 +432,7 @@ class TestMalformedJson:
         model = __import__("discinfo").threshold_task(2)[0]
         doc = model.to_json_dict()
         doc["prior"] = [1, 0, 0]
-        doc["likelihood"][model.hypotheses[0]][model.inputs[0]] = [1, 0]
+        doc["likelihood"][0][0] = [1, 0]
         loaded = BayesModel.from_json_dict(doc)
         assert loaded.prior.tolist() == [1.0, 0.0, 0.0]
         assert loaded.likelihood[0, 0].tolist() == [1.0, 0.0]
@@ -464,22 +494,42 @@ class TestMalformedJson:
             {"variables": [{"name": "X", "support": ["0", "1"]}], "probs": [[1], [0]]}))
         assert load_distribution(path).probs.tolist() == [1.0, 0.0]
 
-    @pytest.mark.parametrize("key,value", [("zz", {"0": [0.5, 0.5], "1": [0.5, 0.5]}),
-                                           ("9", "junk")])
-    def test_likelihood_key_naming_nothing(self, tmp_path, capsys, key, value):
-        # an extra key must not load as the model without it
+    @pytest.mark.parametrize("extra", ["hypothesis", "input"])
+    def test_a_surplus_likelihood_list(self, tmp_path, capsys, extra):
+        # a table with one list more than the names declare must not load as the model without it
         model, pool, eval_set = __import__("discinfo").threshold_task(2)
         doc = model.to_json_dict()
-        (doc["likelihood"] if key == "zz" else doc["likelihood"]["t0"])[key] = value
-        where = "in likelihood" if key == "zz" else "in likelihood['t0']"
-        with pytest.raises(MalformedInput, match=f"unknown key {key!r} {re.escape(where)}$"):
+        for table in [doc["likelihood"]] if extra == "hypothesis" else doc["likelihood"]:
+            table.append(table[-1])
+        message = "malformed model JSON: likelihood must be 3 lists (one per hypothesis)"
+        with pytest.raises(MalformedInput, match=re.escape(message)):
             BayesModel.from_json_dict(doc)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": doc, "pool": [list(p) for p in pool],
                                     "eval": [list(p) for p in eval_set]}))
         assert main(["sim", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: malformed model JSON: unknown key {key!r}")
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+    def test_mapping_likelihood_names_the_new_layout(self, tmp_path, capsys):
+        # the layout keyed by hypothesis and input name, written by earlier versions
+        model, pool, eval_set = __import__("discinfo").threshold_task(2)
+        doc = model.to_json_dict()
+        doc["likelihood"] = {h: dict(zip(model.inputs, rows))
+                             for h, rows in zip(model.hypotheses, doc["likelihood"])}
+        layout = ("likelihood must be 3 lists (one per hypothesis) of 2 rows (one per input) of 2 "
+                  "numbers (one per label), in declared order; the layout changed, and a mapping "
+                  "keyed by name is no longer read")
+        model_path, cfg_path = tmp_path / "model.json", tmp_path / "cfg.json"
+        model_path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedInput, match=re.escape(f"malformed model JSON: {layout}")):
+            load_model(model_path)
+        for spec in (doc, str(model_path)):
+            cfg_path.write_text(json.dumps({"model": spec, "pool": [list(p) for p in pool],
+                                            "eval": [list(p) for p in eval_set]}))
+            assert main(["sim", "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: malformed model JSON: {layout}\n"
 
 
 def _dist_bytes(support=b'"0", "1"', probs=b"0.5, 0.5"):
@@ -536,12 +586,7 @@ class TestReaderRejections:
                "eval": [list(p) for p in eval_set]}
         doc = cfg["model"]
         if key in doc:  # the last entry of the list is the one written as ``text``
-            old, name = doc[key][-1], str(json.loads(text))
             doc[key] = [*doc[key][:-1], "@"]
-            # the likelihood keys the entry as str() would, so only the float is at fault
-            keyed = {"hypotheses": [doc["likelihood"]], "inputs": doc["likelihood"].values()}
-            for table in keyed.get(key, ()):
-                table[name] = table.pop(old)
         else:
             cfg[key] = "@"
         path = tmp_path / "cfg.json"

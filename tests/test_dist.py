@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -240,6 +241,20 @@ class TestAssignment:
             diagram(three_cell(), {"Y": 7})
         with pytest.raises(UnknownVariable, match="no variable named 'Q'"):
             condition(three_cell(), {"Q": 0})
+
+    @pytest.mark.parametrize("index", [0.7, 1.0, np.float64(1.0), "1"])
+    def test_indices_must_be_integers(self, index):
+        # a float is refused, never truncated to the outcome below it
+        message = f"outcome index {index!r} for variable 'Y' is not an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            condition(three_cell(), {"Y": index})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            diagram(three_cell(), {"Y": index})
+
+    @pytest.mark.parametrize("index", [np.int64(1), np.int8(1), np.uint32(1)])
+    def test_numpy_integer_indices(self, index):
+        assert condition(three_cell(), {"Y": index}).probs.tolist() == [0.0, 1.0]
+        assert diagram(three_cell(), {"Y": index}) == diagram(three_cell(), {"Y": 1})
 
     def test_prob_of_partial(self):
         assert np.exp(-ic_at(three_cell(), Y=0)) == pytest.approx(2 / 3)

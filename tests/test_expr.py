@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -325,6 +326,17 @@ class TestEvaluate:
             evaluate("H[X|y]", d)
         bound = evaluate("H[X|y]", d, bindings={"Y": 1})
         assert bound == pytest.approx(0.0, abs=1e-12)
+
+    def test_binding_indices_must_be_integers(self):
+        # a float index is refused: y=1.9 must not evaluate at y=1
+        d = three_cell_distribution()
+        for key, index in (("Y", 1.9), ("y", 0.0), ("Y", np.float32(1.0))):
+            message = f"outcome index {index!r} for variable 'Y' is not an integer"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                evaluate("H[X|y]", d, bindings={key: index})
+        for index in (np.int64(1), np.uint8(1)):
+            assert evaluate("H[X|y]", d, bindings={"y": index}) == evaluate(
+                "H[X|y]", d, bindings={"Y": 1})
 
     def test_missing_q(self):
         d = fair_coin()

@@ -632,10 +632,10 @@ def test_cli_log_level_debug_keeps_stdout(tmp_path):
         "prior": [0.5, 0.5],
         "inputs": ["x0", "x1"],
         "labels": ["0", "1"],
-        "likelihood": {
-            "A": {"x0": [0.5, 0.5], "x1": [0.9, 0.1]},
-            "B": {"x0": [0.5, 0.5], "x1": [0.2, 0.8]},
-        },
+        "likelihood": [
+            [[0.5, 0.5], [0.9, 0.1]],
+            [[0.5, 0.5], [0.2, 0.8]],
+        ],
     }
     config = {
         "model": model,
