@@ -179,7 +179,7 @@ class BayesModel:
             if not isinstance(table, (list, tuple)):
                 raise MalformedInput(f"malformed model JSON: {layout}; the layout changed, and "
                                      f"a mapping keyed by name is no longer read")
-            lik = number_array(table, "model", "likelihood")
+            lik = number_array(table, "model", "likelihood", layout)
             prior = number_array(doc["prior"], "model", "prior")
         if lik.shape != shape and all(shape):  # the constructor reports an empty name list
             raise MalformedInput(f"malformed model JSON: {layout}; got shape {lik.shape}")

@@ -180,20 +180,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observe", required=True, help="the observed outcome, e.g. 'Y=1'")
     p.set_defaults(func=_cmd_diagram)
 
-    p = sub.add_parser("check", help="run an identity suite file")
-    p.add_argument("--suite", required=True, help="suite file (one comparison per line)")
-    p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS,
-                   help="random cases per entry (default: %(default)s)")
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--json", help="also write the reports as JSON to this path")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("search", help="run the built-in identity suite and counterexample search")
-    p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS,
-                   help="random cases per entry (default: %(default)s)")
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--json", help="also write the reports as JSON to this path")
-    p.set_defaults(func=_cmd_search)
+    check = sub.add_parser("check", help="run an identity suite file")
+    check.add_argument("--suite", required=True, help="suite file (one comparison per line)")
+    check.set_defaults(func=_cmd_check)
+    search = sub.add_parser(
+        "search", help="run the built-in identity suite and counterexample search")
+    search.set_defaults(func=_cmd_search)
+    for p in (check, search):
+        p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS,
+                       help="random cases per entry (default: %(default)s)")
+        p.add_argument("--rng-seed", type=int, default=0)
+        p.add_argument("--json", help="also write the reports as JSON to this path")
 
     p = sub.add_parser(
         "verify-paper",

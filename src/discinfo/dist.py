@@ -211,9 +211,12 @@ def checked_bindings(d: JointDistribution, bindings) -> dict[str, int]:
     return out
 
 
-def outcome_index(name: str, idx) -> int:
-    """``idx`` bound to variable ``name`` as an int: a float is refused, not truncated."""
+def outcome_index(name: str, idx):
+    """``idx`` bound to variable ``name`` as an int, or an integer array of one
+    index per stack element as it is: a float is refused, not truncated."""
     try:
+        if isinstance(idx, np.ndarray) and idx.dtype.kind in "iu":
+            return idx
         return operator.index(idx)
     except TypeError:
         raise ValueError(f"outcome index {idx!r} for variable {name!r} is not an integer") from None
@@ -290,14 +293,16 @@ def _json_shown(value) -> str:
     return f"{kind} {text if len(text) <= 60 else text[:57] + '...'}"
 
 
-def number_array(value, what: str, key: str) -> np.ndarray:
+def number_array(value, what: str, key: str, layout: str = "") -> np.ndarray:
     """``value`` (a JSON number or nested lists) as one numpy array, read in
     bulk.  Raises :class:`MalformedInput` naming the ``what`` document and its
-    ``key`` when the lists are ragged or hold strings, booleans or None."""
+    ``key`` when the lists are ragged (stating ``layout`` instead, if given) or
+    hold strings, booleans or None."""
     try:
         array = np.array(value)
     except ValueError as exc:  # nested lists of unequal length
-        raise MalformedInput(f"malformed {what} JSON: {key}: {exc}") from None
+        detail = f"{layout}; got ragged lists" if layout else f"{key}: {exc}"
+        raise MalformedInput(f"malformed {what} JSON: {detail}") from None
     kind = array.dtype.kind
     # beside numbers, true and false become 1 and 0, so only then look at each entry
     if kind in "iuf" and array.ndim and ((array == 0) | (array == 1)).any():

@@ -105,13 +105,8 @@ class MINode:
 
 
 @dataclass(frozen=True)
-class CrossEntropyNode:
-    p_spec: DistSpec
-    q_spec: DistSpec
-
-
-@dataclass(frozen=True)
-class KLNode:
+class DivergenceNode:
+    kind: str  # "CE" or "KL"
     p_spec: DistSpec
     q_spec: DistSpec
 
@@ -133,27 +128,15 @@ class ScaledNode:
 
 
 @dataclass(frozen=True)
-class SumNode:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class DiffNode:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
 class ExpectationNode:
     measure: DistSpec
     body: object
 
 
 @dataclass(frozen=True)
-class ComparisonNode:
+class BinaryNode:
     lhs: object
-    op: str  # one of ==, <=, >=, !=
+    op: str  # "+", "-", or one of the comparisons ==, <=, >=, !=
     rhs: object
 
 
@@ -260,7 +243,7 @@ class _Parser:
         if tok.kind == "op" and tok.text in ("==", "<=", ">=", "!="):
             self.advance()
             rhs = self.parse_additive()
-            return ComparisonNode(lhs, tok.text, rhs)
+            return BinaryNode(lhs, tok.text, rhs)
         return lhs
 
     def parse_additive(self):
@@ -270,7 +253,7 @@ class _Parser:
             if tok.kind == "op" and tok.text in ("+", "-"):
                 self.advance()
                 rhs = self.parse_term()
-                node = SumNode(node, rhs) if tok.text == "+" else DiffNode(node, rhs)
+                node = BinaryNode(node, tok.text, rhs)
             else:
                 return node
 
@@ -330,8 +313,7 @@ class _Parser:
         self.expect_op("||")
         q_spec = self.parse_dist()
         self.expect_op("]")
-        cls = CrossEntropyNode if head.text == "CE" else KLNode
-        return cls(p_spec, q_spec)
+        return DivergenceNode(head.text, p_spec, q_spec)
 
     def parse_ic(self):
         self.advance()  # IC
@@ -449,20 +431,18 @@ def format_expression(node) -> str:
     """Render an AST back to surface syntax.
 
     The grammar has no parentheses, so additive chains must be
-    left-nested; a Sum/Diff in a right operand (or under a scale) has no
-    surface form and raises ``ValueError``.
+    left-nested; a comparison as an operand, an additive node as the right
+    operand of one, and either under a scale have no surface form and raise
+    ``ValueError``.
     """
-    if isinstance(node, ComparisonNode):
-        return (
-            f"{format_expression(node.lhs)} {node.op} {format_expression(node.rhs)}"
-        )
-    if isinstance(node, (SumNode, DiffNode)):
-        if isinstance(node.right, (SumNode, DiffNode)):
+    if isinstance(node, BinaryNode):
+        if _is_comparison(node.lhs) or _is_comparison(node.rhs):
+            raise ValueError("a comparison cannot be an operand")
+        if node.op in ("+", "-") and isinstance(node.rhs, BinaryNode):
             raise ValueError("right-nested additive chains have no surface form")
-        op = "+" if isinstance(node, SumNode) else "-"
-        return f"{format_expression(node.left)} {op} {format_expression(node.right)}"
+        return f"{format_expression(node.lhs)} {node.op} {format_expression(node.rhs)}"
     if isinstance(node, ScaledNode):
-        if isinstance(node.child, (SumNode, DiffNode, ComparisonNode)):
+        if isinstance(node.child, BinaryNode):
             raise ValueError("a scale factor applies to a single term")
         return f"{node.coeff!r} * {format_expression(node.child)}"
     if isinstance(node, ScalarNode):
@@ -479,13 +459,15 @@ def format_expression(node) -> str:
         if node.given:
             inner += " | " + _format_termlist(node.given)
         return f"I[{inner}]"
-    if isinstance(node, CrossEntropyNode):
-        return f"CE[{_format_dist(node.p_spec)} || {_format_dist(node.q_spec)}]"
-    if isinstance(node, KLNode):
-        return f"KL[{_format_dist(node.p_spec)} || {_format_dist(node.q_spec)}]"
+    if isinstance(node, DivergenceNode):
+        return f"{node.kind}[{_format_dist(node.p_spec)} || {_format_dist(node.q_spec)}]"
     if isinstance(node, ExpectationNode):
         return f"E_{{{_format_dist(node.measure)}}}[{format_expression(node.body)}]"
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _is_comparison(node) -> bool:
+    return isinstance(node, BinaryNode) and node.op not in ("+", "-")
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +547,11 @@ def _eval(node, scope: _Scope):
     if isinstance(node, ScaledNode):
         values, undefined = _eval_number(node.child, scope)
         return node.coeff * values, undefined
-    if isinstance(node, (SumNode, DiffNode)):
-        left, lu = _eval_number(node.left, scope)
-        right, ru = _eval_number(node.right, scope)
-        values = left + right if isinstance(node, SumNode) else left - right
+    if isinstance(node, BinaryNode):
+        lhs, lu = _eval_number(node.lhs, scope)
+        rhs, ru = _eval_number(node.rhs, scope)
+        values = (lhs + rhs if node.op == "+" else lhs - rhs if node.op == "-"
+                  else compare(lhs, node.op, rhs))
         return values, qt.first_undefined(lu, ru)
     if isinstance(node, EntropyNode):
         head = _resolve_terms(scope.p, node.terms, scope.env)
@@ -578,7 +561,7 @@ def _eval(node, scope: _Scope):
         groups = [_resolve_terms(scope.p, g, scope.env) for g in node.groups]
         given = _resolve_terms(scope.p, node.given, scope.env)
         return _in_base(qt._mi_nats(scope.p, groups, given), scope.base)
-    if isinstance(node, (CrossEntropyNode, KLNode)):
+    if isinstance(node, DivergenceNode):
         p_ref = scope.dist(node.p_spec.letter)
         q_ref = scope.dist(node.q_spec.letter)
         if p_ref.weight:
@@ -588,15 +571,11 @@ def _eval(node, scope: _Scope):
         q_head = _resolve_terms(q_ref, node.q_spec.head, scope.env)
         q_given = _resolve_terms(q_ref, node.q_spec.given, scope.env)
         result = qt._expected_ic_nats(p_ref, q_ref, p_head, p_given, q_head, q_given)
-        if isinstance(node, KLNode):
+        if node.kind == "KL":
             result = qt._minus(result, qt._expected_ic_nats(p_ref, p_ref, p_head, p_given))
         return _in_base(result, scope.base)
     if isinstance(node, ExpectationNode):
         return _eval_expectation(node, scope)
-    if isinstance(node, ComparisonNode):
-        lhs, lu = _eval_number(node.lhs, scope)
-        rhs, ru = _eval_number(node.rhs, scope)
-        return compare(lhs, node.op, rhs), qt.first_undefined(lu, ru)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -665,7 +644,7 @@ def compare(lhs, op: str, rhs):
 
 def _environment(bindings, p, q) -> dict:
     """Bindings keyed by exact variable names (matched case-insensitively,
-    in p first, then in q)."""
+    in p first, then in q), each index checked by :func:`outcome_index`."""
     env = {}
     if bindings is None:
         return env
@@ -676,7 +655,7 @@ def _environment(bindings, p, q) -> dict:
             if q is None:
                 raise
             exact = _resolve_variable(q, name)
-        env[exact] = idx
+        env[exact] = outcome_index(exact, idx)
     return env
 
 
@@ -691,7 +670,7 @@ def evaluate(expression, dist: JointDistribution, q=None, bindings=None, *,
     comparisons.
     """
     node = parse(expression) if isinstance(expression, str) else expression
-    env = {n: outcome_index(n, i) for n, i in _environment(bindings, dist, q).items()}
+    env = _environment(bindings, dist, q)
     p = qt.Stack.of(dist)
     qs = None if q is None else p if q is dist else qt.Stack.of(q)
     # the resolved bindings name the tied outcomes when their event has no mass
@@ -780,53 +759,29 @@ def diagram(d: JointDistribution, observed: dict, *, base: LogBase = LogBase.NAT
                                   for label in labels))
 
 
-def children(node) -> tuple:
-    """The sub-expressions of an AST node, in surface order."""
-    if isinstance(node, (SumNode, DiffNode)):
-        return (node.left, node.right)
-    if isinstance(node, ComparisonNode):
-        return (node.lhs, node.rhs)
-    if isinstance(node, ScaledNode):
-        return (node.child,)
-    if isinstance(node, ExpectationNode):
-        return (node.body,)
-    return ()
-
-
-def termlists(node) -> tuple:
-    """The term lists written in an AST node itself (not in its
-    sub-expressions), in surface order, each as a pair (letter of the
-    distribution it refers to, terms)."""
-    if isinstance(node, EntropyNode):
-        return (("p", node.terms), ("p", node.given))
-    if isinstance(node, MINode):
-        return tuple(("p", terms) for terms in node.groups + (node.given,))
-    if isinstance(node, (CrossEntropyNode, KLNode)):
-        specs = (node.p_spec, node.q_spec)
-    elif isinstance(node, ExpectationNode):
-        specs = (node.measure,)
-    else:
-        return ()
-    return tuple((s.letter, terms) for s in specs for terms in (s.head, s.given))
-
-
 def scoped_termlists(node, bound=frozenset()):
     """Every term list of the expression as (letter, terms, bound), in
     surface order; ``bound`` holds the lowercase names that enclosing
     expectations bind where the list is written.  An expectation binds its
     measure's head in its body and at the head itself; its conditioning side
     is read in the enclosing scope."""
-    lists = termlists(node)
-    if isinstance(node, ExpectationNode):
-        (letter, head), (_, given) = lists
-        inner = bound | {t.name.lower() for t in head}
-        lists = ((letter, head, inner), (letter, given, bound))
-        bound = inner
-    else:
-        lists = tuple((letter, terms, bound) for letter, terms in lists)
-    yield from lists
-    for child in children(node):
-        yield from scoped_termlists(child, bound)
+    if isinstance(node, EntropyNode):
+        yield from (("p", terms, bound) for terms in (node.terms, node.given))
+    elif isinstance(node, MINode):
+        yield from (("p", terms, bound) for terms in node.groups + (node.given,))
+    elif isinstance(node, DivergenceNode):
+        for s in (node.p_spec, node.q_spec):
+            yield from ((s.letter, terms, bound) for terms in (s.head, s.given))
+    elif isinstance(node, ExpectationNode):
+        inner = bound | {t.name.lower() for t in node.measure.head}
+        yield node.measure.letter, node.measure.head, inner
+        yield node.measure.letter, node.measure.given, bound
+        yield from scoped_termlists(node.body, inner)
+    elif isinstance(node, ScaledNode):
+        yield from scoped_termlists(node.child, bound)
+    elif isinstance(node, BinaryNode):
+        yield from scoped_termlists(node.lhs, bound)
+        yield from scoped_termlists(node.rhs, bound)
 
 
 def collect_identifiers(node) -> list[str]:

@@ -28,8 +28,8 @@ weights, which the notation cannot express) are rows of one table whose
 sides are written over stacks and evaluated by the same kernel.  A row is
 one more source of cases for the same search, staged, counted and
 reported as an expression is; it has no tied outcome and walks no grid,
-its draws form one stack per variable count, and its case is confirmed by
-its sides on that case alone, since its weights have no serialized form.
+its draws form one stack per variable count, and its witness is not
+re-checked after a round trip, since its weights have no serialized form.
 """
 
 from __future__ import annotations
@@ -55,13 +55,7 @@ from .dist import (
     JointDistribution,
     Variable,
 )
-from .errors import (
-    CounterexampleMismatch,
-    DiscinfoError,
-    ParseError,
-    SupportMismatch,
-    ZeroProbabilityEvent,
-)
+from .errors import CounterexampleMismatch, DiscinfoError, ParseError
 
 GRID_CHUNK = 1024  # grid tensors per stack, so a full grid is never held at once
 MARGIN_SLACK = 1e-12  # stacked margins this far below a threshold are re-checked alone
@@ -125,7 +119,7 @@ class SuiteEntry:
             raise TypeError("an entry's check must be a WeightRow")
         if self.expression is not None:
             node = ex.parse(self.expression)
-            if not isinstance(node, ex.ComparisonNode):
+            if not ex._is_comparison(node):
                 raise ValueError(f"entry {self.name!r} is not a comparison")
             idents = ex.collect_identifiers(node)
             object.__setattr__(self, "_node", node)
@@ -324,7 +318,7 @@ class _Block:
     """One evaluated stack of cases: the stacked arrays of its draws (the
     first holds the distributions) and their own support sizes, and per case:
     its distribution's row in them, its ordinal in draw order, the index and
-    values of its binding, its two sides, its margin and whether it is defined."""
+    values of its binding, its margin and whether it is defined."""
 
     variables: tuple
     arrays: list
@@ -333,8 +327,6 @@ class _Block:
     ordinal: np.ndarray
     binding: np.ndarray
     bindings: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
     margin: np.ndarray
     defined: np.ndarray
 
@@ -450,8 +442,8 @@ class _Search:
             rows = np.arange(len(p))
             binding = np.zeros(len(p), dtype=np.intp)
         lhs, rhs, defined = self.sides(variables, arrays, rows, bindings)
-        return _Block(variables, arrays, sizes, rows, ordinals[rows], binding, bindings, lhs,
-                      rhs, _margin(lhs, self.op, rhs), defined)
+        return _Block(variables, arrays, sizes, rows, ordinals[rows], binding, bindings,
+                      _margin(lhs, self.op, rhs), defined)
 
     def sides(self, variables, arrays, rows, bindings):
         """Both sides of every case, and whether each case is defined."""
@@ -510,44 +502,29 @@ class _Search:
     def confirm(self, block, i):
         """Case ``i`` of ``block`` as (lhs, rhs, margin, witness) if it
         violates the entry, else None.  The case is cut to its own support
-        and evaluated on its own: a row's by its sides on a stack of one, an
-        expression's by :func:`~discinfo.expr.evaluate` and, for a witness
-        search, again after a JSON round trip."""
-        row = block.rows[i]
+        and evaluated by its sides on a stack of one; an expression's witness
+        of a violation is evaluated so again after a JSON round trip."""
+        row, bindings = block.rows[i], block.bindings[[i]]
         variables, cells = _crop(block.variables, block.arrays, row, block.sizes[row])
-        d = JointDistribution(variables, cells[0])
-        bindings = {n: int(block.bindings[i, j]) for j, n in enumerate(self.free)}
-        q = None
-        if self.row is not None:
-            (lhs,), (rhs,), (defined,) = self.sides(variables, [c[None] for c in cells], [0], None)
-            if not defined:
-                return None
-            lhs, rhs, margin = float(lhs), float(rhs), float(_margin(lhs, self.op, rhs))
-        else:
-            if self.entry.needs_q:
-                q = JointDistribution(variables, cells[1])
-            try:
-                lhs, rhs, margin = self.alone(d, q, bindings)
-            except (ZeroProbabilityEvent, SupportMismatch):
-                return None
+        (lhs,), (rhs,), (defined,) = self.sides(variables, [c[None] for c in cells], [0], bindings)
+        if not defined:
+            return None
+        margin = float(_margin(lhs, self.op, rhs))
         block.margin[i] = margin  # the case counts with its own margin, not its padded one
         if margin <= self.threshold:
             return None
-        witness = {"distribution": d.to_json_dict(), "bindings": bindings}
-        if q is not None:
-            witness["q"] = q.to_json_dict()
+        witness = {"distribution": JointDistribution(variables, cells[0]).to_json_dict(),
+                   "bindings": {n: int(b) for n, b in zip(self.free, bindings[0])}}
+        if self.entry.needs_q:
+            witness["q"] = JointDistribution(variables, cells[1]).to_json_dict()
         if self.row is None and not self.always:  # reload the witness and re-check it
-            d, q = (JointDistribution.from_json_dict(witness[k]) if k in witness else None
-                    for k in ("distribution", "q"))
-            if self.alone(d, q, witness["bindings"])[2] <= self.threshold:
+            dists = [JointDistribution.from_json_dict(witness[k]) for k in ("distribution", "q")
+                     if k in witness]
+            (again_lhs,), (again_rhs,), (defined,) = self.sides(
+                dists[0].variables, [d.probs[None] for d in dists], [0], bindings)
+            if not defined or _margin(again_lhs, self.op, again_rhs) <= self.threshold:
                 return None
-        return lhs, rhs, margin, witness
-
-    def alone(self, d, q, bindings):
-        """The expression's two sides on one case, and its margin."""
-        lhs = ex.evaluate(self.node.lhs, d, q=q, bindings=bindings)
-        rhs = ex.evaluate(self.node.rhs, d, q=q, bindings=bindings)
-        return lhs, rhs, _margin(lhs, self.op, rhs)
+        return float(lhs), float(rhs), margin, witness
 
     def report(self, status, tried, verdict=None, found=None) -> SearchReport:
         """The report, with the cases counted up to the verdict, the

@@ -41,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dist import JointDistribution, ZERO_CELL, ZERO_MASS, _tensor_of
+from .dist import JointDistribution, ZERO_CELL, ZERO_MASS, _tensor_of, outcome_index
 from .errors import (
     NonPositiveProbability,
     SupportMismatch,
@@ -76,7 +76,8 @@ class Term:
 
 
 def as_terms(specs) -> tuple[Term, ...]:
-    """Coerce strings / (name, index) pairs / Terms into a Term tuple."""
+    """Coerce strings / (name, index) pairs / Terms into a Term tuple; an
+    index goes through :func:`~discinfo.dist.outcome_index`."""
     out = []
     for spec in specs:
         if isinstance(spec, Term):
@@ -85,9 +86,8 @@ def as_terms(specs) -> tuple[Term, ...]:
             out.append(Term(spec))
         else:
             name, idx = spec
-            if idx is not None and not isinstance(idx, np.ndarray):
-                idx = int(idx)
-            out.append(Term(str(name), idx))
+            name = str(name)
+            out.append(Term(name, None if idx is None else outcome_index(name, idx)))
     return tuple(out)
 
 

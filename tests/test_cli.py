@@ -511,6 +511,22 @@ class TestMalformedJson:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err
 
+    def test_ragged_likelihood_names_the_layout(self, tmp_path, capsys):
+        model, pool, eval_set = __import__("discinfo").threshold_task(2)
+        doc = model.to_json_dict()
+        doc["likelihood"][1][0] = [0.5]
+        message = ("malformed model JSON: likelihood must be 3 lists (one per hypothesis) of 2 "
+                   "rows (one per input) of 2 numbers (one per label), in declared order; got "
+                   "ragged lists")
+        model_path, cfg_path = tmp_path / "model.json", tmp_path / "cfg.json"
+        model_path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
+            load_model(model_path)
+        cfg_path.write_text(json.dumps({"model": str(model_path), "pool": [list(p) for p in pool],
+                                        "eval": [list(p) for p in eval_set]}))
+        assert main(["sim", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_mapping_likelihood_names_the_new_layout(self, tmp_path, capsys):
         # the layout keyed by hypothesis and input name, written by earlier versions
         model, pool, eval_set = __import__("discinfo").threshold_task(2)

@@ -22,18 +22,15 @@ from discinfo import (
     three_cell_distribution,
 )
 from discinfo.expr import (
-    ComparisonNode,
-    CrossEntropyNode,
-    DiffNode,
+    BinaryNode,
     DistSpec,
+    DivergenceNode,
     EntropyNode,
     ExpectationNode,
     ICNode,
-    KLNode,
     MINode,
     ScalarNode,
     ScaledNode,
-    SumNode,
     TermSpec,
     collect_identifiers,
     free_tied_identifiers,
@@ -85,7 +82,8 @@ class TestParse:
 
     def test_divergence(self):
         node = parse("KL[p(X,Y) || q(X|Y)]")
-        assert node == KLNode(
+        assert node == DivergenceNode(
+            "KL",
             DistSpec("p", (TermSpec("X"), TermSpec("Y"))),
             DistSpec("q", (TermSpec("X"),), (TermSpec("Y"),)),
         )
@@ -103,16 +101,16 @@ class TestParse:
 
     def test_arithmetic_and_comparison(self):
         node = parse("H[X,Y] == H[X] + H[Y|X]")
-        assert isinstance(node, ComparisonNode)
+        assert isinstance(node, BinaryNode)
         assert node.op == "=="
-        assert isinstance(node.rhs, SumNode)
+        assert isinstance(node.rhs, BinaryNode) and node.rhs.op == "+"
 
     def test_scaled_term(self):
         node = parse("0.5 * H[X]")
         assert node == ScaledNode(0.5, EntropyNode((TermSpec("X"),)))
 
     def test_bare_number(self):
-        assert parse("I[X;Y] >= 0") == ComparisonNode(
+        assert parse("I[X;Y] >= 0") == BinaryNode(
             MINode(((TermSpec("X"),), (TermSpec("Y"),))), ">=", ScalarNode(0.0)
         )
 
@@ -227,9 +225,9 @@ def _rng_quantity(rng, depth):
         given = _rng_termlist(rng) if rng.random() < 0.4 else ()
         return MINode(groups, given)
     if kind == 2:
-        return CrossEntropyNode(_rng_distspec(rng), _rng_distspec(rng))
+        return DivergenceNode("CE", _rng_distspec(rng), _rng_distspec(rng))
     if kind == 3:
-        return KLNode(_rng_distspec(rng), _rng_distspec(rng))
+        return DivergenceNode("KL", _rng_distspec(rng), _rng_distspec(rng))
     if kind == 4:
         return ICNode(_rng_number(rng))
     if depth > 2:
@@ -263,7 +261,7 @@ def _rng_additive(rng, depth):
     node = _rng_term(rng, depth)
     for _ in range(rng.integers(0, 3)):
         rhs = _rng_term(rng, depth)
-        node = SumNode(node, rhs) if rng.random() < 0.5 else DiffNode(node, rhs)
+        node = BinaryNode(node, "+" if rng.random() < 0.5 else "-", rhs)
     return node
 
 
@@ -271,7 +269,7 @@ def random_ast(rng):
     node = _rng_additive(rng, 0)
     if rng.random() < 0.4:
         ops = ["==", "<=", ">=", "!="]
-        return ComparisonNode(node, ops[rng.integers(4)], _rng_additive(rng, 0))
+        return BinaryNode(node, ops[rng.integers(4)], _rng_additive(rng, 0))
     return node
 
 
@@ -284,9 +282,22 @@ class TestRoundTrip:
             assert parse(text) == ast, text
 
     def test_right_nested_additive_has_no_surface_form(self):
-        bad = SumNode(ScalarNode(1.0), SumNode(ScalarNode(2.0), ScalarNode(3.0)))
+        bad = BinaryNode(ScalarNode(1.0), "+", BinaryNode(ScalarNode(2.0), "+", ScalarNode(3.0)))
         with pytest.raises(ValueError):
             format_expression(bad)
+
+    @pytest.mark.parametrize("op", ["+", "-", "==", "<="])
+    def test_a_comparison_operand_has_no_surface_form(self, op):
+        # 1.0 + 2.0 == 3.0 would parse back as (1.0 + 2.0) == 3.0
+        comparison = BinaryNode(ScalarNode(2.0), "==", ScalarNode(3.0))
+        for bad in (BinaryNode(ScalarNode(1.0), op, comparison),
+                    BinaryNode(comparison, op, ScalarNode(1.0))):
+            with pytest.raises(ValueError, match="a comparison cannot be an operand"):
+                format_expression(bad)
+
+    def test_a_comparison_inside_an_expectation_prints(self):
+        text = "E_{p(x)}[H[x] >= 0.0] == 1.0"
+        assert format_expression(parse(text)) == text
 
 
 class TestEvaluate:

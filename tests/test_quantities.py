@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,23 @@ class TestEntropy:
     def test_unmentioned_variables_are_marginalized(self):
         d = two_fair_coins()
         assert entropy(d, ["X"]) == pytest.approx(LN2, abs=1e-12)
+
+    @pytest.mark.parametrize("index", [1.9, 0.7, "1", np.float64(1.0), np.array([0.7]),
+                                       np.array([True])])
+    def test_term_indices_must_be_integers(self, index):
+        # a float is refused, never truncated to the outcome below it
+        d = three_cell_distribution()
+        message = f"outcome index {index!r} for variable 'Y' is not an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            entropy(d, ["X"], [("Y", index)])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mutual_info(d, [["X"], [("Y", index)]])
+
+    @pytest.mark.parametrize("index", [np.int8(1), np.array([1]), np.array([1], dtype=np.uint8)])
+    def test_integer_term_indices(self, index):
+        d = three_cell_distribution()
+        assert entropy(d, ["X"], [("Y", index)]) == entropy(d, ["X"], [("Y", 1)])
+        assert mutual_info(d, [["X"], [("Y", index)]]) == mutual_info(d, [["X"], [("Y", 1)]])
 
 
 class TestCrossEntropyAndKL:

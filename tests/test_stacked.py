@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,7 @@ from discinfo import (
     entropy,
     evaluate,
     parse_suite_file,
+    three_cell_distribution,
 )
 from discinfo import quantities as qt
 from discinfo.expr import evaluate_stack, free_tied_identifiers
@@ -435,6 +437,19 @@ def test_stacked_evaluation_matches_one_case(expression):
         assert defined[i]
         assert values[i] == pytest.approx(one, abs=1e-12)
     assert undefined < n
+
+
+@pytest.mark.parametrize("index", [1.9, np.float32(1.0), np.array([0.7, 1.0]),
+                                   np.array([False, True])])
+def test_stacked_binding_indices_must_be_integers(index):
+    # a float is refused, never truncated to the outcome below it
+    d = three_cell_distribution()
+    message = f"outcome index {index!r} for variable 'Y' is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate_stack("H[X|y]", qt.Stack.of(d), bindings={"y": index})
+    values, defined = evaluate_stack("H[X|y]", qt.Stack.of(d), bindings={"y": np.array([0, 1])})
+    assert defined.all()
+    assert values.tolist() == [evaluate("H[X|y]", d, bindings={"Y": i}) for i in (0, 1)]
 
 
 @pytest.mark.parametrize("rng_seed", range(6))
