@@ -187,8 +187,11 @@ class BayesModel:
 
 
 def _resolve(names: tuple[str, ...], key, what: str) -> int:
-    """Integers (Python or numpy) are positions and must lie in range; any
-    other key is looked up by its string form."""
+    """Integers (Python or numpy) are positions and must lie in range; a
+    boolean (Python or numpy) is neither a position nor a name; any other key
+    is looked up by its string form."""
+    if isinstance(key, (bool, np.bool_)):
+        raise InvalidIndex(f"{what} {key!r} is a boolean, not a position or a name")
     if isinstance(key, (int, np.integer)):
         if 0 <= key < len(names):
             return int(key)
@@ -201,11 +204,13 @@ def _resolve(names: tuple[str, ...], key, what: str) -> int:
 
 def _resolve_all(names: tuple[str, ...], keys, what: str, arg: str) -> np.ndarray:
     """:func:`_resolve` for the list ``keys``, the argument ``arg``; an
-    integer array already in range is checked in one pass."""
+    integer array already in range is checked in one pass (not a list, which
+    numpy would read as integers although it may hold booleans)."""
     idx = np.asarray(keys)
     if idx.ndim != 1:
         raise ValueError(f"{arg} must be a list of {what}s; got {idx.ndim} dimensions")
-    if idx.dtype.kind in "iu" and idx.size and idx.min() >= 0 and idx.max() < len(names):
+    if (isinstance(keys, np.ndarray) and idx.dtype.kind in "iu" and idx.size
+            and idx.min() >= 0 and idx.max() < len(names)):
         return idx.astype(np.intp, copy=False)
     return np.array([_resolve(names, k, what) for k in keys], dtype=np.intp)
 
@@ -405,14 +410,16 @@ class LabelConfigs:
         return LabelConfigs(probs, self.cond + _label_entropy(lik, model._positive))
 
 
-def _joint_bald(probs: np.ndarray, lik: np.ndarray, table: np.ndarray,
+def _joint_bald(probs: np.ndarray, lik: np.ndarray, cond: np.ndarray,
                 prefix: LabelConfigs | None) -> np.ndarray:
     """I[Omega; Y_1..Y_k, Y | x_1..x_k, x] for each input x of the likelihood
-    block ``lik`` (n_omega, n, n_y), whose label entropies are ``table``
-    (n_omega, n): the entropy of the joint label predictive minus the
-    posterior mean of the prefix's and x's conditional entropies.  No prefix
-    (k = 0) is the one all-ones configuration of zero entropy, so it is
-    skipped: the products by 1 and the sum with 0 change no bit."""
+    block ``lik`` (n_omega, n, n_y), whose posterior-mean label entropies
+    E_probs[H[Y | x, omega]] are ``cond`` (n,): the entropy of the joint label
+    predictive minus the posterior mean of the prefix's and x's conditional
+    entropies.  ``cond`` depends on the posterior alone, so every greedy pick
+    of one step shares it.  No prefix (k = 0) is the one all-ones
+    configuration of zero entropy, so it is skipped: the products by 1 and
+    the sum with 0 change no bit."""
     n_omega, n, n_y = lik.shape
     # (n_configs, n_omega)
     weighted = probs[None] if prefix is None else (probs[:, None] * prefix.probs).T
@@ -424,8 +431,8 @@ def _joint_bald(probs: np.ndarray, lik: np.ndarray, table: np.ndarray,
         joint = (weighted @ block).reshape(n_configs, -1, n_y)
         joint_entropy[start:start + step] = np.add.reduce(_label_entropy(joint), axis=0)
     if prefix is None:
-        return joint_entropy - probs @ table
-    return joint_entropy - (probs @ prefix.cond + probs @ table)
+        return joint_entropy - cond
+    return joint_entropy - (probs @ prefix.cond + cond)
 
 
 def bald_scores(model: BayesModel, post: Posterior, table: np.ndarray,
@@ -441,7 +448,11 @@ def bald_scores(model: BayesModel, post: Posterior, table: np.ndarray,
     if table.shape != model.likelihood.shape[:2]:
         raise ValueError(f"label entropy table has shape {table.shape}, not (hypotheses, "
                          f"inputs) = {model.likelihood.shape[:2]}")
-    return _joint_bald(_probs(model, post), model.likelihood, table, prefix)
+    if prefix is not None and len(prefix.probs) != model.n_hypotheses:
+        raise ValueError(f"prefix has {len(prefix.probs)} rows; the model has "
+                         f"{model.n_hypotheses} hypotheses")
+    probs = _probs(model, post)
+    return _joint_bald(probs, model.likelihood, probs @ table, prefix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,8 +529,8 @@ def bald(model: BayesModel, post: Posterior, x) -> float:
 
 def _bald_at(model: BayesModel, post: Posterior, xi: int, prefix: LabelConfigs | None) -> float:
     """:func:`bald_scores` restricted to input ``xi``."""
-    lik = model.likelihood[:, xi:xi + 1]
-    return float(_joint_bald(_probs(model, post), lik, _label_entropy(lik), prefix)[0])
+    lik, probs = model.likelihood[:, xi:xi + 1], _probs(model, post)
+    return float(_joint_bald(probs, lik, probs @ _label_entropy(lik), prefix)[0])
 
 
 def csd(model: BayesModel, post: Posterior, x, y) -> float:

@@ -110,6 +110,10 @@ class DivergenceNode:
     p_spec: DistSpec
     q_spec: DistSpec
 
+    def __post_init__(self):
+        if self.kind not in ("CE", "KL"):
+            raise ValueError(f"divergence kind must be 'CE' or 'KL', got {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class ICNode:
@@ -138,6 +142,10 @@ class BinaryNode:
     lhs: object
     op: str  # "+", "-", or one of the comparisons ==, <=, >=, !=
     rhs: object
+
+    def __post_init__(self):
+        if self.op not in ("+", "-", "==", "<=", ">=", "!="):
+            raise ValueError(f"operator must be one of + - == <= >= !=, got {self.op!r}")
 
 
 # ---------------------------------------------------------------------------

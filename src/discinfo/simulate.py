@@ -8,6 +8,8 @@ deterministic given the config and seed; the CSV output is byte-identical.
 
 Scoring is whole-pool: one pass of the ``bayes`` table operations scores
 every candidate at once, and the evaluation pass is one predictive matmul.
+A greedy batch step takes the posterior-mean label entropy of every input
+once and shares it between its picks.
 
 Label-aware acquisitions (csd, batch_csd) see the pool labels; bald only
 ever receives the input, so it cannot peek at labels by construction.
@@ -225,7 +227,9 @@ def _select_batch(model, post, remaining, pool_x, pool_y, cfg, rng, table):
     if greedy:
         bayes.check_batch_size(model, b, labelled=labelled)
     xs = pool_x[cands]
-    prefix = None  # the unlabelled batch so far, which bald_scores skips while empty
+    if not labelled:  # E_post H[Y | x, omega] of every input, shared by the step's picks
+        cond = post.probs @ table
+    prefix = None  # the unlabelled batch so far, which _joint_bald skips while empty
     left = np.arange(len(cands))  # positions into cands not yet chosen
     chosen: list[tuple[int, float]] = []
     first = None
@@ -235,7 +239,7 @@ def _select_batch(model, post, remaining, pool_x, pool_y, cfg, rng, table):
                 given = [(pool_x[i], pool_y[i]) for i, _ in chosen]
                 scores = bayes.csd_scores(model, post, table, given)[cands]
             else:
-                scores = bayes.bald_scores(model, post, table, prefix)[xs]
+                scores = bayes._joint_bald(post.probs, model.likelihood, cond, prefix)[xs]
             first = scores if first is None else first
         k = left[_tied(scores[left]).argmax()]
         chosen.append((int(cands[k]), float(scores[k])))

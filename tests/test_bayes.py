@@ -898,6 +898,29 @@ class TestIndexResolver:
         with pytest.raises(ValueError, match=f"^{arg} must be a list of"):
             csd_table(m, xs, ys)
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_a_boolean_is_not_a_position(self, flag):
+        # True == 1 and False == 0 in Python, but a flag names no input or label
+        m = threshold_task(4)[0]
+        post = posterior(m, [])
+        for call in (
+            lambda: bald(m, post, flag),
+            lambda: update(m, post, flag, 0),
+            lambda: update(m, post, 0, flag),
+            lambda: m.input_index(flag),
+            lambda: csd_table(m, [flag, 1], [0, 0]),
+            lambda: csd_table(m, np.array([flag]), [0]),
+        ):
+            with pytest.raises(InvalidIndex, match="is a boolean, not a position or a name"):
+                call()
+
+    def test_a_prefix_must_fit_the_model(self):
+        # never numpy's broadcast error: the message names the prefix
+        m, other = threshold_task(4)[0], threshold_task(8)[0]
+        prefix = LabelConfigs.empty(other).extend(other, 0)
+        with pytest.raises(ValueError, match="^prefix has 9 rows; the model has 5 hypotheses"):
+            bald_scores(m, posterior(m, []), label_entropy_table(m), prefix)
+
     def test_score_tables_must_fit_the_model(self):
         # never numpy's broadcast error: the message names the table
         m = threshold_task(4)[0]

@@ -315,6 +315,20 @@ class TestSim:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_a_boolean_pool_entry_is_usage_error(self, tmp_path, capsys):
+        model, _, eval_set = __import__("discinfo").threshold_task(8, 4)
+        cfg = {
+            "model": model.to_json_dict(),
+            "pool": [[True, 0], [2, True]],
+            "eval": [list(p) for p in eval_set],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sim", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input True is a boolean, not a position or a name\n"
+
 
 _MALFORMED_DIST = [
     {"variables": 5, "probs": [1.0]},

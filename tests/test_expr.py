@@ -295,6 +295,14 @@ class TestRoundTrip:
             with pytest.raises(ValueError, match="a comparison cannot be an operand"):
                 format_expression(bad)
 
+    def test_a_node_refuses_an_unknown_tag(self):
+        # neither prints a form that parses back, and _eval would read JS as CE
+        spec = DistSpec("p", (TermSpec("X"),))
+        with pytest.raises(ValueError, match="^divergence kind must be 'CE' or 'KL', got 'JS'"):
+            DivergenceNode("JS", spec, spec)
+        with pytest.raises(ValueError, match=r"^operator must be one of \+ - == <= >= !=, got '\*'"):
+            BinaryNode(ScalarNode(1.0), "*", ScalarNode(2.0))
+
     def test_a_comparison_inside_an_expectation_prints(self):
         text = "E_{p(x)}[H[x] >= 0.0] == 1.0"
         assert format_expression(parse(text)) == text

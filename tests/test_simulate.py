@@ -6,9 +6,17 @@ import re
 import numpy as np
 import pytest
 
-from discinfo import BatchTooLarge, BayesModel, InvalidIndex, SimConfig, run_sim, threshold_task
+from discinfo import (
+    BatchTooLarge,
+    BayesModel,
+    InvalidIndex,
+    SimConfig,
+    ZeroEvidence,
+    run_sim,
+    threshold_task,
+)
 from discinfo import bayes
-from discinfo.bayes import bald_scores, label_entropy_table, posterior, update
+from discinfo.bayes import LabelConfigs, bald_scores, label_entropy_table, posterior, update
 from discinfo.simulate import (
     ACQUISITIONS,
     CSV_HEADER,
@@ -273,6 +281,17 @@ class TestConfigJson:
         cfg = load_config(path)
         assert cfg.model.hypotheses == model.hypotheses
 
+    @pytest.mark.parametrize("pool", [[[True, 0], [2, 1]], [[1, 0], [2, True]]])
+    def test_a_boolean_pool_entry_is_refused(self, tmp_path, pool):
+        # JSON true would otherwise load as position 1
+        model, _, eval_set = threshold_task(4)
+        doc = {"model": model.to_json_dict(), "pool": pool, "eval": [list(p) for p in eval_set]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert "true" in path.read_text()
+        with pytest.raises(InvalidIndex, match="is a boolean, not a position or a name"):
+            load_config(path)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             small_config(acquisition="surprise")
@@ -476,11 +495,11 @@ class TestTieBand:
     ])
     def test_band_width(self, monkeypatch, acquisition, scores, picks):
         model, pool, eval_set = threshold_task(3, seed=0)
-        monkeypatch.setattr(bayes, "bald_scores", lambda *args: np.array(scores))
+        monkeypatch.setattr(bayes, "_joint_bald", lambda *args: np.array(scores))
         cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acquisition,
                         batch_size=2, steps=1)
         batch, _ = _select_batch(model, posterior(model, []), [0, 1, 2],
-                                 *_pool_arrays(cfg.pool), cfg, None, None)
+                                 *_pool_arrays(cfg.pool), cfg, None, label_entropy_table(model))
         assert [i for i, _ in batch] == picks
 
     def test_uniform_draws_keep_their_exact_order(self):
@@ -644,3 +663,33 @@ class TestGoldenCsv:
         _skip_unless_recorded_kernels()
         csv = run_sim(small_config(acquisition=acquisition)).to_csv()
         assert csv == f"{CSV_HEADER}\n{_SIGNED_ZERO_CSV[acquisition]}"
+
+
+class TestGreedyPicksReplay:
+    """Each greedy pick's score, rebuilt from the CSV rows alone: it needs no
+    recorded hash, so it runs where numpy rounds differently too."""
+
+    @pytest.mark.parametrize("noise_rate", [0.0, 0.2])
+    @pytest.mark.parametrize("batch_size", [2, 3, 4])
+    @pytest.mark.parametrize("task", [threshold_task, zero_cell_task],
+                             ids=lambda task: task.__name__)
+    def test_each_score_is_bald_scores_of_its_step_and_prefix(self, task, batch_size,
+                                                              noise_rate):
+        model, pool, eval_set = task(32, seed=1)
+        cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition="batch_bald",
+                        batch_size=batch_size, steps=6, seed=1, noise_rate=noise_rate)
+        rows = run_sim(cfg).rows
+        assert len(rows) == 6 * batch_size
+        table = label_entropy_table(model)
+        post = start = posterior(model, [])
+        step, prefix = 0, None
+        for row in rows:
+            if row.step != step:  # every pick of a step scores against its first posterior
+                step, start, prefix = row.step, post, None
+            x = model.input_index(row.x)
+            assert row.score == bald_scores(model, start, table, prefix)[x]
+            prefix = (prefix or LabelConfigs.empty(model)).extend(model, x)
+            try:
+                post = update(model, post, x, row.y)
+            except ZeroEvidence:  # the run skips such a label, as logged
+                pass
