@@ -31,7 +31,7 @@ _EXPORTS = {
     "identities": ("Expectation", "IdentitySuite", "SearchReport", "SuiteEntry", "WitnessReport",
                    "chaining_distribution", "check_suite", "default_suite", "parse_suite_file",
                    "three_cell_distribution", "verify_reference_witnesses"),
-    "bayes": ("BayesModel", "CsdDecomposition", "Dataset", "ElboVAEResult", "ElboVIResult",
+    "bayes": ("BayesModel", "CsdDecomposition", "ElboVAEResult", "ElboVIResult",
               "LatentVarModel", "Posterior", "bald", "batch_score", "csd", "csd_decomposition",
               "elbo_vae", "elbo_vi", "joint_label_hypothesis", "load_model", "log_evidence",
               "posterior", "predictive", "surprise", "update"),

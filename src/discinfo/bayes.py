@@ -225,22 +225,6 @@ def dump_model(model: BayesModel, path) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """An ordered list of (input index, label index) observations."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_pairs(cls, model: BayesModel, pairs) -> "Dataset":
-        return cls(tuple(
-            (model.input_index(x), model.label_index(y)) for x, y in pairs
-        ))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 @dataclass(frozen=True, eq=False)
 class Posterior:
     """An exact posterior over hypotheses."""
@@ -257,27 +241,33 @@ class Posterior:
         return float(-np.add.reduce(plogq(self.probs)))
 
 
-def _log_likelihood_sum(model: BayesModel, data: Dataset) -> np.ndarray:
+def _observations(model: BayesModel, data) -> list[tuple[int, int]]:
+    """The positions of a list of (input, label) pairs, each given by
+    position or name."""
+    return [(model.input_index(x), model.label_index(y)) for x, y in data]
+
+
+def _log_likelihood_sum(model: BayesModel, pairs) -> np.ndarray:
     total = np.zeros(model.n_hypotheses)
     with np.errstate(divide="ignore"):
-        for xi, yi in data.pairs:
+        for xi, yi in pairs:
             total += np.log(model.likelihood[:, xi, yi])
     return total
 
 
-def _log_joint(model: BayesModel, data: Dataset | list) -> np.ndarray:
+def _log_joint(model: BayesModel, data) -> np.ndarray:
     """log p(omega) + sum log p(y | x, omega) over the data, each finite or
     -inf; without data, log p(omega) alone (adding 0.0 changes no bit)."""
-    if not isinstance(data, Dataset):
-        data = Dataset.from_pairs(model, data)
-    if not data.pairs:
+    pairs = _observations(model, data)
+    if not pairs:
         return _log(model.prior)
     with np.errstate(divide="ignore"):
-        return np.log(model.prior) + _log_likelihood_sum(model, data)
+        return np.log(model.prior) + _log_likelihood_sum(model, pairs)
 
 
-def posterior(model: BayesModel, data: Dataset | list) -> Posterior:
-    """Exact posterior over hypotheses given a dataset (log-space update)."""
+def posterior(model: BayesModel, data) -> Posterior:
+    """Exact posterior over hypotheses given a list of (input, label) pairs
+    (log-space update)."""
     log_post = _log_joint(model, data)
     top = np.maximum.reduce(log_post)  # the finite maximum, if any is finite
     if not top > -np.inf:
@@ -286,7 +276,7 @@ def posterior(model: BayesModel, data: Dataset | list) -> Posterior:
     return Posterior(probs / np.add.reduce(probs))
 
 
-def log_evidence(model: BayesModel, data: Dataset | list) -> float:
+def log_evidence(model: BayesModel, data) -> float:
     """log p(data) by exact enumeration over hypotheses."""
     log_joint = _log_joint(model, data)
     top = log_joint.max()
@@ -393,21 +383,23 @@ class LabelConfigs:
     n_y**k label configurations c, and ``cond[omega]`` is
     H[Y_1..Y_k | x_1..x_k, omega].  The labels are independent given omega,
     so both grow by one input at a time (BatchBALD) instead of being rebuilt
-    for every candidate.
+    for every candidate.  ``n_labels`` is n_y, the label count of the model
+    the prefix was built on.
     """
 
     probs: np.ndarray  # (n_omega, n_y**k)
     cond: np.ndarray  # (n_omega,)
+    n_labels: int
 
     @classmethod
     def empty(cls, model: BayesModel) -> "LabelConfigs":
-        return cls(np.ones((model.n_hypotheses, 1)), np.zeros(model.n_hypotheses))
+        return cls(np.ones((model.n_hypotheses, 1)), np.zeros(model.n_hypotheses), model.n_labels)
 
     def extend(self, model: BayesModel, x) -> "LabelConfigs":
         """The configurations of the prefix followed by input ``x``."""
         lik = model.likelihood[:, model.input_index(x), :]
         probs = (self.probs[:, :, None] * lik[:, None, :]).reshape(len(lik), -1)
-        return LabelConfigs(probs, self.cond + _label_entropy(lik, model._positive))
+        return LabelConfigs(probs, self.cond + _label_entropy(lik, model._positive), model.n_labels)
 
 
 def _joint_bald(probs: np.ndarray, lik: np.ndarray, cond: np.ndarray,
@@ -451,6 +443,9 @@ def bald_scores(model: BayesModel, post: Posterior, table: np.ndarray,
     if prefix is not None and len(prefix.probs) != model.n_hypotheses:
         raise ValueError(f"prefix has {len(prefix.probs)} rows; the model has "
                          f"{model.n_hypotheses} hypotheses")
+    if prefix is not None and prefix.n_labels != model.n_labels:
+        raise ValueError(f"prefix has {prefix.n_labels} labels; the model has "
+                         f"{model.n_labels} labels")
     probs = _probs(model, post)
     return _joint_bald(probs, model.likelihood, probs @ table, prefix)
 
@@ -651,7 +646,7 @@ class ElboVIResult:
 _VI_KL = "KL[q(Omega) || p(Omega)]"
 
 
-def elbo_vi(model: BayesModel, data: Dataset | list, q) -> ElboVIResult:
+def elbo_vi(model: BayesModel, data, q) -> ElboVIResult:
     """The variational lower bound on log p(data), exactly.
 
     ``q`` is a distribution over hypotheses.  Returns the bound, the exact
@@ -660,15 +655,14 @@ def elbo_vi(model: BayesModel, data: Dataset | list, q) -> ElboVIResult:
     """
     from .expr import evaluate
 
-    if not isinstance(data, Dataset):
-        data = Dataset.from_pairs(model, data)
+    pairs = _observations(model, data)
     q = _normalized(q, "variational distribution")
     if q.shape != model.prior.shape:
         raise ValueError(f"q has length {q.size}; the model has {model.n_hypotheses} hypotheses")
-    post = posterior(model, data)
+    post = posterior(model, pairs)
     if np.any((post.probs > ZERO_CELL) & (q <= 0)):
         raise SupportMismatch("q must be positive wherever the posterior has mass")
-    xs, ys = np.array(data.pairs, dtype=np.intp).reshape(-1, 2).T
+    xs, ys = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     # E_q IC(p(data | omega)), one observation per column; q mass on a
     # hypothesis that rules the data out makes the bound vacuous (SupportMismatch)
     # (not an expression: that would condition on p(data), often under ZERO_MASS)
@@ -677,7 +671,7 @@ def elbo_vi(model: BayesModel, data: Dataset | list, q) -> ElboVIResult:
     q_dist = JointDistribution(omega, q)
     return ElboVIResult(
         elbo=-expected_nll - evaluate(_VI_KL, JointDistribution(omega, model.prior), q_dist),
-        log_evidence=log_evidence(model, data),
+        log_evidence=log_evidence(model, pairs),
         kl_gap=evaluate(_VI_KL, JointDistribution(omega, post.probs), q_dist),
     )
 

@@ -93,15 +93,15 @@ class DistSpec:
 
 
 @dataclass(frozen=True)
-class EntropyNode:
-    terms: tuple[TermSpec, ...]
-    given: tuple[TermSpec, ...] = ()
+class InfoNode:
+    """``H[...]`` with one term group, ``I[...]`` with two or more."""
 
-
-@dataclass(frozen=True)
-class MINode:
     groups: tuple[tuple[TermSpec, ...], ...]
     given: tuple[TermSpec, ...] = ()
+
+    def __post_init__(self):
+        if not self.groups:
+            raise ValueError("an information node needs at least one term group")
 
 
 @dataclass(frozen=True)
@@ -273,10 +273,8 @@ class _Parser:
                 return ScaledNode(value, self.parse_term())
             return ScalarNode(value)
         if tok.kind == "name":
-            if tok.text == "H":
-                return self.parse_entropy()
-            if tok.text == "I":
-                return self.parse_mi()
+            if tok.text in ("H", "I"):
+                return self.parse_info()
             if tok.text in ("CE", "KL"):
                 return self.parse_divergence()
             if tok.text == "IC":
@@ -285,34 +283,21 @@ class _Parser:
                 return self.parse_expectation()
         self.fail(set(_QUANTITY_HEADS) | {"NUMBER"})
 
-    def parse_entropy(self):
-        self.advance()  # H
-        self.expect_op("[")
-        terms = self.parse_termlist()
-        given = ()
-        if self.close_list("|", "]") == "|":
-            given = self.parse_termlist()
-            self.close_list("]")
-        return EntropyNode(terms, given)
-
-    def parse_mi(self):
-        self.advance()  # I
+    def parse_info(self):
+        mi = self.advance().text == "I"
         self.expect_op("[")
         groups = [self.parse_termlist()]
-        self.close_list(";")  # at least two groups
-        groups.append(self.parse_termlist())
+        if mi:
+            self.close_list(";")  # at least two groups
+            groups.append(self.parse_termlist())
+        closers = (";", "|", "]") if mi else ("|", "]")
+        while (sep := self.close_list(*closers)) == ";":
+            groups.append(self.parse_termlist())
         given = ()
-        while True:
-            sep = self.close_list(";", "|", "]")
-            if sep == ";":
-                groups.append(self.parse_termlist())
-            elif sep == "|":
-                given = self.parse_termlist()
-                self.close_list("]")
-                break
-            else:
-                break
-        return MINode(tuple(groups), given)
+        if sep == "|":
+            given = self.parse_termlist()
+            self.close_list("]")
+        return InfoNode(tuple(groups), given)
 
     def parse_divergence(self):
         head = self.advance()  # CE or KL
@@ -457,16 +442,11 @@ def format_expression(node) -> str:
         return repr(node.value)
     if isinstance(node, ICNode):
         return f"IC[{node.value!r}]"
-    if isinstance(node, EntropyNode):
-        inner = _format_termlist(node.terms)
-        if node.given:
-            inner += " | " + _format_termlist(node.given)
-        return f"H[{inner}]"
-    if isinstance(node, MINode):
+    if isinstance(node, InfoNode):
         inner = "; ".join(_format_termlist(g) for g in node.groups)
         if node.given:
             inner += " | " + _format_termlist(node.given)
-        return f"I[{inner}]"
+        return f"{'H' if len(node.groups) == 1 else 'I'}[{inner}]"
     if isinstance(node, DivergenceNode):
         return f"{node.kind}[{_format_dist(node.p_spec)} || {_format_dist(node.q_spec)}]"
     if isinstance(node, ExpectationNode):
@@ -561,11 +541,7 @@ def _eval(node, scope: _Scope):
         values = (lhs + rhs if node.op == "+" else lhs - rhs if node.op == "-"
                   else compare(lhs, node.op, rhs))
         return values, qt.first_undefined(lu, ru)
-    if isinstance(node, EntropyNode):
-        head = _resolve_terms(scope.p, node.terms, scope.env)
-        given = _resolve_terms(scope.p, node.given, scope.env)
-        return _in_base(qt._expected_ic_nats(scope.p, scope.p, head, given), scope.base)
-    if isinstance(node, MINode):
+    if isinstance(node, InfoNode):
         groups = [_resolve_terms(scope.p, g, scope.env) for g in node.groups]
         given = _resolve_terms(scope.p, node.given, scope.env)
         return _in_base(qt._mi_nats(scope.p, groups, given), scope.base)
@@ -636,18 +612,25 @@ def _eval_expectation(node: ExpectationNode, scope: _Scope):
     return np.where(undefined == 0, values, np.nan), undefined
 
 
-def compare(lhs, op: str, rhs):
-    """Tolerance-aware comparison: ``EQ_TOLERANCE`` slack for ==/<=/>=; !=
-    needs a gap above ``NEQ_GAP``.  Works elementwise on arrays."""
+def margin(lhs, op: str, rhs):
+    """How badly the comparison fails, elementwise on arrays: it holds when
+    the margin is at most ``EQ_TOLERANCE`` (==, <=, >=), or below 0 for !=,
+    which needs a gap above ``NEQ_GAP``."""
     if op == "==":
-        return abs(lhs - rhs) <= EQ_TOLERANCE
-    if op == "!=":
-        return abs(lhs - rhs) > NEQ_GAP
+        return abs(lhs - rhs)
     if op == "<=":
-        return lhs <= rhs + EQ_TOLERANCE
+        return lhs - rhs
     if op == ">=":
-        return lhs >= rhs - EQ_TOLERANCE
+        return rhs - lhs
+    if op == "!=":
+        return NEQ_GAP - abs(lhs - rhs)
     raise ValueError(f"unknown comparison operator {op!r}")
+
+
+def compare(lhs, op: str, rhs):
+    """The verdict of the comparison by its :func:`margin`."""
+    gap = margin(lhs, op, rhs)
+    return gap < 0 if op == "!=" else gap <= EQ_TOLERANCE
 
 
 def _environment(bindings, p, q) -> dict:
@@ -773,9 +756,7 @@ def scoped_termlists(node, bound=frozenset()):
     expectations bind where the list is written.  An expectation binds its
     measure's head in its body and at the head itself; its conditioning side
     is read in the enclosing scope."""
-    if isinstance(node, EntropyNode):
-        yield from (("p", terms, bound) for terms in (node.terms, node.given))
-    elif isinstance(node, MINode):
+    if isinstance(node, InfoNode):
         yield from (("p", terms, bound) for terms in node.groups + (node.given,))
     elif isinstance(node, DivergenceNode):
         for s in (node.p_spec, node.q_spec):

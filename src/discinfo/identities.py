@@ -277,20 +277,6 @@ ZERO_GRID_VALUES = {
 }
 
 
-def _margin(lhs, op: str, rhs):
-    """How badly the comparison fails (<= 0 means it holds exactly);
-    elementwise on arrays."""
-    if op == "==":
-        return abs(lhs - rhs)
-    if op == "<=":
-        return lhs - rhs
-    if op == ">=":
-        return rhs - lhs
-    if op == "!=":
-        return NEQ_GAP - abs(lhs - rhs)
-    raise ValueError(f"unknown comparison operator {op!r}")
-
-
 def _canonical(ident: str) -> str:
     return ident[0].upper() + ident[1:]
 
@@ -443,7 +429,7 @@ class _Search:
             binding = np.zeros(len(p), dtype=np.intp)
         lhs, rhs, defined = self.sides(variables, arrays, rows, bindings)
         return _Block(variables, arrays, sizes, rows, ordinals[rows], binding, bindings,
-                      _margin(lhs, self.op, rhs), defined)
+                      ex.margin(lhs, self.op, rhs), defined)
 
     def sides(self, variables, arrays, rows, bindings):
         """Both sides of every case, and whether each case is defined."""
@@ -509,7 +495,7 @@ class _Search:
         (lhs,), (rhs,), (defined,) = self.sides(variables, [c[None] for c in cells], [0], bindings)
         if not defined:
             return None
-        margin = float(_margin(lhs, self.op, rhs))
+        margin = float(ex.margin(lhs, self.op, rhs))
         block.margin[i] = margin  # the case counts with its own margin, not its padded one
         if margin <= self.threshold:
             return None
@@ -522,7 +508,7 @@ class _Search:
                      if k in witness]
             (again_lhs,), (again_rhs,), (defined,) = self.sides(
                 dists[0].variables, [d.probs[None] for d in dists], [0], bindings)
-            if not defined or _margin(again_lhs, self.op, again_rhs) <= self.threshold:
+            if not defined or ex.margin(again_lhs, self.op, again_rhs) <= self.threshold:
                 return None
         return float(lhs), float(rhs), margin, witness
 

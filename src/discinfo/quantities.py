@@ -376,18 +376,17 @@ def mutual_info(d: JointDistribution, groups, given=(), *,
     about X from observing Y=1, while the swapped order is the surprise of
     that outcome, and the two generally differ.
     """
+    if len(groups) < 2:
+        raise ValueError("mutual information needs at least two groups")
     result = _mi_nats(Stack.of(d), groups, given)
     return base.from_nats(one_value(*result, *groups, given))
 
 
 def _mi_nats(s: Stack, groups, given):
-    """The (values, undefined) of a mutual information over a stack."""
+    """The (values, undefined) of a mutual information over a stack; one
+    group is its entropy."""
     groups = [as_terms(g) for g in groups]
-    if len(groups) < 2:
-        raise ValueError("mutual information needs at least two groups")
     given = as_terms(given)
-    if len(groups) == 2:
-        left, right = groups
-        return _minus(_expected_ic_nats(s, s, left, given),
-                      _expected_ic_nats(s, s, left, given + right))
+    if len(groups) == 1:
+        return _expected_ic_nats(s, s, groups[0], given)
     return _minus(_mi_nats(s, groups[:-1], given), _mi_nats(s, groups[:-1], given + groups[-1]))

@@ -37,7 +37,6 @@ from discinfo import bayes
 from discinfo.bayes import (
     _BLOCK_CELLS,
     CsdTable,
-    Dataset,
     LabelConfigs,
     Posterior,
     _log_likelihood_sum,
@@ -842,7 +841,7 @@ class TestDatasetAndEvidence:
     def test_dataset_validation(self):
         m = opposite_coins_model()
         with pytest.raises(ValueError):
-            Dataset.from_pairs(m, [("x9", "0")])
+            posterior(m, [("x9", "0")])
 
 
 class TestIndexResolver:
@@ -860,7 +859,7 @@ class TestIndexResolver:
             lambda: bald(m, post, 99),
             lambda: predictive(m, post, 99),
             lambda: update(m, post, 0, 99),
-            lambda: Dataset.from_pairs(m, [(99, 0)]),
+            lambda: posterior(m, [(99, 0)]),
         ):
             with pytest.raises(DiscinfoError):
                 call()
@@ -919,6 +918,16 @@ class TestIndexResolver:
         m, other = threshold_task(4)[0], threshold_task(8)[0]
         prefix = LabelConfigs.empty(other).extend(other, 0)
         with pytest.raises(ValueError, match="^prefix has 9 rows; the model has 5 hypotheses"):
+            bald_scores(m, posterior(m, []), label_entropy_table(m), prefix)
+
+    def test_a_prefix_must_have_the_models_labels(self):
+        # a uniform 3-label prefix has the hypothesis count of threshold_task(4, 2) and was
+        # scored as [0.419, 0.577, 0.577, 0.419], where its own prefix gives 0.478 .. 0.913
+        m = threshold_task(4, 2)[0]
+        uniform = BayesModel(m.hypotheses, m.prior, m.inputs, ("a", "b", "c"),
+                             np.full((5, 4, 3), 1 / 3))
+        prefix = LabelConfigs.empty(uniform).extend(uniform, 0)
+        with pytest.raises(ValueError, match="^prefix has 3 labels; the model has 2 labels"):
             bald_scores(m, posterior(m, []), label_entropy_table(m), prefix)
 
     def test_score_tables_must_fit_the_model(self):
@@ -1018,10 +1027,10 @@ class TestWholePoolScores:
         rng = np.random.default_rng(31)
         for _ in range(20):
             m = random_model(rng)
-            data = Dataset.from_pairs(m, random_data(rng, m, 4))
+            data = random_data(rng, m, 4)
             full = np.log(m.likelihood)
             expected = np.zeros(m.n_hypotheses)
-            for xi, yi in data.pairs:
+            for xi, yi in data:
                 expected += full[:, xi, yi]
             np.testing.assert_array_equal(_log_likelihood_sum(m, data), expected)
 

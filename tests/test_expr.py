@@ -25,16 +25,17 @@ from discinfo.expr import (
     BinaryNode,
     DistSpec,
     DivergenceNode,
-    EntropyNode,
     ExpectationNode,
     ICNode,
-    MINode,
+    InfoNode,
     ScalarNode,
     ScaledNode,
     TermSpec,
     collect_identifiers,
     free_tied_identifiers,
+    margin,
 )
+from discinfo.dist import EQ_TOLERANCE, NEQ_GAP
 
 LN2 = math.log(2.0)
 
@@ -55,13 +56,13 @@ def random_dist(rng, names=("X", "Y"), max_support=3):
 class TestParse:
     def test_entropy_with_tied_term(self):
         node = parse("H[X, y=1 | Z]")
-        assert node == EntropyNode(
-            (TermSpec("X"), TermSpec("y", "1")), (TermSpec("Z"),)
+        assert node == InfoNode(
+            ((TermSpec("X"), TermSpec("y", "1")),), (TermSpec("Z"),)
         )
 
     def test_mi_with_tied_given(self):
         node = parse("I[Omega ; Y | x=0]")
-        assert node == MINode(
+        assert node == InfoNode(
             ((TermSpec("Omega"),), (TermSpec("Y"),)), (TermSpec("x", "0"),)
         )
 
@@ -92,7 +93,7 @@ class TestParse:
         node = parse("E_{p(x|y=1)}[H[x]]")
         assert node == ExpectationNode(
             DistSpec("p", (TermSpec("x"),), (TermSpec("y", "1"),)),
-            EntropyNode((TermSpec("x"),)),
+            InfoNode(((TermSpec("x"),),)),
         )
 
     def test_expectation_requires_lowercase_head(self):
@@ -107,11 +108,11 @@ class TestParse:
 
     def test_scaled_term(self):
         node = parse("0.5 * H[X]")
-        assert node == ScaledNode(0.5, EntropyNode((TermSpec("X"),)))
+        assert node == ScaledNode(0.5, InfoNode(((TermSpec("X"),),)))
 
     def test_bare_number(self):
         assert parse("I[X;Y] >= 0") == BinaryNode(
-            MINode(((TermSpec("X"),), (TermSpec("Y"),))), ">=", ScalarNode(0.0)
+            InfoNode(((TermSpec("X"),), (TermSpec("Y"),))), ">=", ScalarNode(0.0)
         )
 
     def test_ic_literal(self):
@@ -219,11 +220,11 @@ def _rng_quantity(rng, depth):
     kind = rng.integers(6)
     if kind == 0:
         given = _rng_termlist(rng) if rng.random() < 0.5 else ()
-        return EntropyNode(_rng_termlist(rng), given)
+        return InfoNode((_rng_termlist(rng),), given)
     if kind == 1:
         groups = tuple(_rng_termlist(rng) for _ in range(rng.integers(2, 4)))
         given = _rng_termlist(rng) if rng.random() < 0.4 else ()
-        return MINode(groups, given)
+        return InfoNode(groups, given)
     if kind == 2:
         return DivergenceNode("CE", _rng_distspec(rng), _rng_distspec(rng))
     if kind == 3:
@@ -296,12 +297,14 @@ class TestRoundTrip:
                 format_expression(bad)
 
     def test_a_node_refuses_an_unknown_tag(self):
-        # neither prints a form that parses back, and _eval would read JS as CE
+        # none prints a form that parses back, and _eval would read JS as CE
         spec = DistSpec("p", (TermSpec("X"),))
         with pytest.raises(ValueError, match="^divergence kind must be 'CE' or 'KL', got 'JS'"):
             DivergenceNode("JS", spec, spec)
         with pytest.raises(ValueError, match=r"^operator must be one of \+ - == <= >= !=, got '\*'"):
             BinaryNode(ScalarNode(1.0), "*", ScalarNode(2.0))
+        with pytest.raises(ValueError, match="^an information node needs at least one term group"):
+            InfoNode((), ())
 
     def test_a_comparison_inside_an_expectation_prints(self):
         text = "E_{p(x)}[H[x] >= 0.0] == 1.0"
@@ -318,6 +321,21 @@ class TestEvaluate:
             evaluate("H[X|y]", d, bindings={key: 1})
         with pytest.raises(ZeroProbabilityEvent, match=message):
             diagram(d, {"Y": 1})
+
+    @pytest.mark.parametrize("op", ["==", "<=", ">=", "!="])
+    def test_one_verdict_at_the_tolerance(self, op):
+        # lhs - rhs just inside and just outside the slack, on both sides: evaluate gives the
+        # verdict of expr.margin, which the identity search ranks and confirms cases by
+        slack = NEQ_GAP if op == "!=" else EQ_TOLERANCE
+        for factor in (0.99, 1.01):
+            for delta in (factor * slack, -factor * slack):
+                lhs, rhs = 0.5 + delta, 0.5
+                inside = factor < 1
+                held = {"==": inside, "<=": delta < 0 or inside, ">=": delta > 0 or inside,
+                        "!=": not inside}[op]
+                gap = margin(lhs, op, rhs)
+                assert (gap < 0 if op == "!=" else gap <= EQ_TOLERANCE) is held
+                assert evaluate(f"{lhs!r} {op} {rhs!r}", fair_coin()) is held
 
     def test_product_mi_is_zero(self):
         d = JointDistribution(fair_coin("X").variables + fair_coin("Y").variables,

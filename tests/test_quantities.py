@@ -257,6 +257,11 @@ class TestMutualInfo:
                 rhs = evaluate(f"KL[p({x}) || q({x})]", post, q=prior)
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
+    def test_one_group_is_refused(self):
+        # the notation's one-group node is H[...]; mutual_info itself needs two groups
+        with pytest.raises(ValueError, match="^mutual information needs at least two groups"):
+            mutual_info(two_fair_coins(), [["X"]])
+
     def test_group_order_matters_when_tied(self):
         d = three_cell_distribution()
         gain = mutual_info(d, [["X"], [("Y", 1)]])
