@@ -14,7 +14,7 @@ Models and posteriors are immutable; updates return new values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -375,46 +375,33 @@ def label_entropy_table(model: BayesModel) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True, eq=False)
-class LabelConfigs:
-    """The labels of a batch prefix x_1..x_k under each hypothesis.
-
-    ``probs[omega, c]`` is p(y_1..y_k = c | x_1..x_k, omega) for each of the
-    n_y**k label configurations c, and ``cond[omega]`` is
-    H[Y_1..Y_k | x_1..x_k, omega].  The labels are independent given omega,
-    so both grow by one input at a time (BatchBALD) instead of being rebuilt
-    for every candidate.  ``n_labels`` is n_y, the label count of the model
-    the prefix was built on.
-    """
-
-    probs: np.ndarray  # (n_omega, n_y**k)
-    cond: np.ndarray  # (n_omega,)
-    n_labels: int
-
-    @classmethod
-    def empty(cls, model: BayesModel) -> "LabelConfigs":
-        return cls(np.ones((model.n_hypotheses, 1)), np.zeros(model.n_hypotheses), model.n_labels)
-
-    def extend(self, model: BayesModel, x) -> "LabelConfigs":
-        """The configurations of the prefix followed by input ``x``."""
-        lik = model.likelihood[:, model.input_index(x), :]
-        probs = (self.probs[:, :, None] * lik[:, None, :]).reshape(len(lik), -1)
-        return LabelConfigs(probs, self.cond + _label_entropy(lik, model._positive), model.n_labels)
+def _prefix(model: BayesModel, xis) -> tuple[np.ndarray, np.ndarray] | None:
+    """The batch prefix at input positions ``xis`` (None if empty): p(y_1..y_k
+    = c | x_1..x_k, omega) of each of the n_y**k label configurations c,
+    shape (n_omega, n_y**k), and H[Y_1..Y_k | x_1..x_k, omega], shape
+    (n_omega,).  The labels are independent given omega, so both grow one
+    input at a time, bit for bit as from ones and zeros (0 + H maps -0.0 to 0.0)."""
+    if not len(xis):
+        return None
+    lik = model.likelihood[:, xis, :]
+    entropies = _label_entropy(lik, model._positive)  # (n_omega, k), elementwise
+    configs, cond = lik[:, 0], 0.0 + entropies[:, 0]
+    for i in range(1, len(xis)):
+        configs = (configs[:, :, None] * lik[:, i, None, :]).reshape(len(lik), -1)
+        cond = cond + entropies[:, i]
+    return configs, cond
 
 
-def _joint_bald(probs: np.ndarray, lik: np.ndarray, cond: np.ndarray,
-                prefix: LabelConfigs | None) -> np.ndarray:
+def _joint_bald(probs: np.ndarray, lik: np.ndarray, cond: np.ndarray, prefix) -> np.ndarray:
     """I[Omega; Y_1..Y_k, Y | x_1..x_k, x] for each input x of the likelihood
     block ``lik`` (n_omega, n, n_y), whose posterior-mean label entropies
     E_probs[H[Y | x, omega]] are ``cond`` (n,): the entropy of the joint label
     predictive minus the posterior mean of the prefix's and x's conditional
-    entropies.  ``cond`` depends on the posterior alone, so every greedy pick
-    of one step shares it.  No prefix (k = 0) is the one all-ones
-    configuration of zero entropy, so it is skipped: the products by 1 and
-    the sum with 0 change no bit."""
+    entropies.  ``prefix`` is :func:`_prefix` of x_1..x_k; none (k = 0)
+    skips the products by 1 and the sum with 0, which changes no bit."""
     n_omega, n, n_y = lik.shape
     # (n_configs, n_omega)
-    weighted = probs[None] if prefix is None else (probs[:, None] * prefix.probs).T
+    weighted = probs[None] if prefix is None else (probs[:, None] * prefix[0]).T
     n_configs = len(weighted)
     joint_entropy = np.empty(n)
     step = _block(n_configs * n_y)
@@ -424,40 +411,46 @@ def _joint_bald(probs: np.ndarray, lik: np.ndarray, cond: np.ndarray,
         joint_entropy[start:start + step] = np.add.reduce(_label_entropy(joint), axis=0)
     if prefix is None:
         return joint_entropy - cond
-    return joint_entropy - (probs @ prefix.cond + cond)
+    return joint_entropy - (probs @ prefix[1] + cond)
 
 
-def bald_scores(model: BayesModel, post: Posterior, table: np.ndarray,
-                prefix: LabelConfigs | None = None) -> np.ndarray:
+def joint_bald_scores(model: BayesModel, post: Posterior, cond, chosen=()) -> np.ndarray:
+    """The joint gain I[Omega; Y_1..Y_k, Y | x_1..x_k, x] of the ``chosen``
+    inputs x_1..x_k (a list, each by position or name) followed by x, for
+    every input x, shape (n_x,); greedy batch acquisition maximises it one
+    input at a time.  ``cond`` is E_post[H[Y | x, omega]] of every input,
+    ``post.probs @`` :func:`label_entropy_table`: it does not depend on the
+    chosen inputs, so every greedy pick of one step can share it."""
+    xis = _resolve_all(model.inputs, chosen, "input", "chosen")
+    check_batch_size(model, len(xis) + 1, labelled=False)
+    if np.shape(cond) != (len(model.inputs),):
+        raise ValueError(f"cond has shape {np.shape(cond)}, not (inputs,) = "
+                         f"({len(model.inputs)},)")
+    return _joint_bald(_probs(model, post), model.likelihood, cond, _prefix(model, xis))
+
+
+def bald_scores(model: BayesModel, post: Posterior, table: np.ndarray, chosen=()) -> np.ndarray:
     """The BALD score of every input, shape (n_x,).
 
-    ``table`` is :func:`label_entropy_table` of the model.  Without a
-    ``prefix``, entry x is the expected information gain I[Omega; Y | x];
-    with one it is the joint gain I[Omega; Y_1..Y_k, Y | x_1..x_k, x] of the
-    prefix's inputs followed by x, which greedy batch acquisition maximises
-    one input at a time.
+    ``table`` is :func:`label_entropy_table` of the model.  Without
+    ``chosen`` inputs, entry x is the expected information gain I[Omega; Y |
+    x]; with them it is the joint gain of :func:`joint_bald_scores`.
     """
     if table.shape != model.likelihood.shape[:2]:
         raise ValueError(f"label entropy table has shape {table.shape}, not (hypotheses, "
                          f"inputs) = {model.likelihood.shape[:2]}")
-    if prefix is not None and len(prefix.probs) != model.n_hypotheses:
-        raise ValueError(f"prefix has {len(prefix.probs)} rows; the model has "
-                         f"{model.n_hypotheses} hypotheses")
-    if prefix is not None and prefix.n_labels != model.n_labels:
-        raise ValueError(f"prefix has {prefix.n_labels} labels; the model has "
-                         f"{model.n_labels} labels")
-    probs = _probs(model, post)
-    return _joint_bald(probs, model.likelihood, probs @ table, prefix)
+    return joint_bald_scores(model, post, _probs(model, post) @ table, chosen)
 
 
 @dataclass(frozen=True, eq=False)
 class CsdTable:
     """The likelihood columns p(y | x, omega) of labelled candidates and
     their terms p log p, each of shape (n_omega, n): the
-    posterior-independent half of every csd score."""
+    posterior-independent half of every csd score on ``model``."""
 
     lik: np.ndarray
     plogp: np.ndarray
+    model: BayesModel = field(repr=False)
 
 
 def csd_table(model: BayesModel, xs, ys) -> CsdTable:
@@ -478,7 +471,7 @@ def csd_table(model: BayesModel, xs, ys) -> CsdTable:
     plogp = _plogq(lik, floor=0.0, positive=model._positive)[0]
     lik.setflags(write=False)
     plogp.setflags(write=False)
-    return CsdTable(lik, plogp)
+    return CsdTable(lik, plogp, model)
 
 
 def csd_scores(model: BayesModel, post: Posterior, table: CsdTable, given=()) -> np.ndarray:
@@ -493,9 +486,8 @@ def csd_scores(model: BayesModel, post: Posterior, table: CsdTable, given=()) ->
     entropies are exact: 0 log 0 = 0 at exact zeros only.
     """
     weights = probs = _probs(model, post)
-    if table.lik.shape[0] != model.n_hypotheses:
-        raise ValueError(f"csd table has {table.lik.shape[0]} rows; the model has "
-                         f"{model.n_hypotheses} hypotheses")
+    if table.model is not model:
+        raise ValueError("csd table was built on another model")
     for x, y in given:
         weights = weights * model.likelihood[:, model.input_index(x), model.label_index(y)]
     total = weights @ table.lik  # unnormalised, so the floor is on the joint mass
@@ -518,28 +510,15 @@ def csd_scores(model: BayesModel, post: Posterior, table: CsdTable, given=()) ->
 def bald(model: BayesModel, post: Posterior, x) -> float:
     """Expected information gain about the hypotheses from labelling x:
     the predictive entropy minus the posterior-average conditional entropy.
-    One input of :func:`bald_scores`."""
-    return _bald_at(model, post, model.input_index(x), None)
-
-
-def _bald_at(model: BayesModel, post: Posterior, xi: int, prefix: LabelConfigs | None) -> float:
-    """:func:`bald_scores` restricted to input ``xi``."""
-    lik, probs = model.likelihood[:, xi:xi + 1], _probs(model, post)
-    return float(_joint_bald(probs, lik, probs @ _label_entropy(lik), prefix)[0])
+    The batch of x alone, ``batch_score(model, post, [x])``."""
+    return batch_score(model, post, [x])
 
 
 def csd(model: BayesModel, post: Posterior, x, y) -> float:
     """Realized information gain of the labelled pair (x, y): the posterior
-    entropy drop after the exact Bayes step.  May be negative.  One
-    candidate of :func:`csd_scores`."""
-    xi, yi = model.input_index(x), model.label_index(y)
-    score = float(csd_scores(model, post, csd_table(model, [xi], [yi]))[0])
-    if score == -np.inf:
-        raise ZeroProbabilityEvent(
-            f"label {model.labels[yi]!r} has zero predictive probability at "
-            f"x={model.inputs[xi]!r}"
-        )
-    return score
+    entropy drop after the exact Bayes step.  May be negative.  The batch of
+    (x, y) alone, ``batch_score(model, post, [x], [y])``."""
+    return batch_score(model, post, [x], [y])
 
 
 # Each CsdDecomposition field the notation writes, over joint_label_hypothesis
@@ -594,7 +573,9 @@ def csd_decomposition(model: BayesModel, post: Posterior, x, y) -> CsdDecomposit
 
 
 def batch_score(model: BayesModel, post: Posterior, xs, ys=None) -> float:
-    """Joint acquisition score for a batch of inputs.
+    """Joint acquisition score for a batch of inputs, the last one scored as
+    one candidate on its own (so it may differ in the last bits from its
+    entry of :func:`bald_scores` or :func:`csd_scores`).
 
     Without labels this is the joint expected information gain
     I[Omega; Y_1..Y_b | x_1..x_b] over all label configurations; with labels
@@ -609,12 +590,12 @@ def batch_score(model: BayesModel, post: Posterior, xs, ys=None) -> float:
         table = csd_table(model, xis[-1:], yis[-1:])
         score = float(csd_scores(model, post, table, given=zip(xis[:-1], yis[:-1]))[0])
         if score == -np.inf:
-            raise ZeroProbabilityEvent("the labelled batch has zero probability")
+            raise ZeroProbabilityEvent(
+                f"label {model.labels[yis[-1]]!r} has zero predictive probability at "
+                f"x={model.inputs[xis[-1]]!r}" + (" given the earlier pairs" if xis[1:] else ""))
         return score
-    prefix = None  # the empty batch, as in bald
-    for xi in xis[:-1]:
-        prefix = (prefix or LabelConfigs.empty(model)).extend(model, xi)
-    return _bald_at(model, post, xis[-1], prefix)
+    lik, probs = model.likelihood[:, xis[-1]:xis[-1] + 1], _probs(model, post)
+    return float(_joint_bald(probs, lik, probs @ _label_entropy(lik), _prefix(model, xis[:-1]))[0])
 
 
 def check_batch_size(model: BayesModel, b: int, *, labelled: bool) -> None:

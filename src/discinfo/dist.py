@@ -36,6 +36,7 @@ NEQ_GAP = 1e-6  # "!=" needs a larger gap, and so does a counterexample
 CELL_FLOOR = 1e-3  # per-cell floor of the identity search's random distributions
 WITNESS_SEPARATION = 1e-3  # the chaining witness's two sides differ by more than this
 TIE_TOLERANCE = 1e-13  # acquisition scores this close (nats, absolute) to the best tie
+MARGIN_SLACK = 1e-12  # stacked search margins this far below a threshold are re-checked alone
 
 
 def _check_identifier(name: str) -> None:
@@ -103,7 +104,7 @@ class JointDistribution:
 
     variables: tuple[Variable, ...]
     probs: np.ndarray
-    renormalized: bool = False
+    renormalized: bool = field(init=False)
     max_cells: int = field(default=DEFAULT_MAX_CELLS, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,7 +126,7 @@ class JointDistribution:
         if np.any(probs < 0) or not np.all(np.isfinite(probs)):
             raise ValueError("probabilities must be finite and non-negative")
         total = float(probs.sum())
-        renormalized = self.renormalized
+        renormalized = False
         if abs(total - 1.0) > SUM_TOLERANCE:
             if abs(total - 1.0) <= RENORM_TOLERANCE:
                 probs = probs / total

@@ -50,6 +50,7 @@ from .dist import (
     CELL_FLOOR,
     DEFAULT_SEEDS,
     EQ_TOLERANCE,
+    MARGIN_SLACK,
     NEQ_GAP,
     WITNESS_SEPARATION,
     JointDistribution,
@@ -58,7 +59,6 @@ from .dist import (
 from .errors import CounterexampleMismatch, DiscinfoError, ParseError
 
 GRID_CHUNK = 1024  # grid tensors per stack, so a full grid is never held at once
-MARGIN_SLACK = 1e-12  # stacked margins this far below a threshold are re-checked alone
 SUPPORT_SIZES = range(2, 5)  # the support sizes a random variable is drawn with
 
 logger = logging.getLogger(__name__)

@@ -229,22 +229,20 @@ def _select_batch(model, post, remaining, pool_x, pool_y, cfg, rng, table):
     xs = pool_x[cands]
     if not labelled:  # E_post H[Y | x, omega] of every input, shared by the step's picks
         cond = post.probs @ table
-    prefix = None  # the unlabelled batch so far, which _joint_bald skips while empty
     left = np.arange(len(cands))  # positions into cands not yet chosen
     chosen: list[tuple[int, float]] = []
     first = None
-    for pick in range(b):
+    for _ in range(b):
         if first is None or greedy:
             if labelled:
                 given = [(pool_x[i], pool_y[i]) for i, _ in chosen]
                 scores = bayes.csd_scores(model, post, table, given)[cands]
             else:
-                scores = bayes._joint_bald(post.probs, model.likelihood, cond, prefix)[xs]
+                batch = [pool_x[i] for i, _ in chosen]
+                scores = bayes.joint_bald_scores(model, post, cond, batch)[xs]
             first = scores if first is None else first
         k = left[_tied(scores[left]).argmax()]
         chosen.append((int(cands[k]), float(scores[k])))
-        if greedy and not labelled and pick < b - 1:  # no pick follows the last
-            prefix = (prefix or bayes.LabelConfigs.empty(model)).extend(model, xs[k])
         left = left[left != k]
     return chosen, first
 

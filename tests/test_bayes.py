@@ -36,8 +36,6 @@ from discinfo import (
 from discinfo import bayes
 from discinfo.bayes import (
     _BLOCK_CELLS,
-    CsdTable,
-    LabelConfigs,
     Posterior,
     _log_likelihood_sum,
     _normalized,
@@ -45,10 +43,12 @@ from discinfo.bayes import (
     csd_scores,
     csd_table,
     dump_model,
+    joint_bald_scores,
     label_entropy_table,
     load_model,
 )
 from discinfo.dist import ZERO_CELL, ZERO_MASS
+from discinfo.expr import evaluate
 from discinfo.quantities import plogq
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +146,7 @@ class TestPosterior:
         ("batch_score", (["0", "1"], ["1", "1"])),
         ("surprise", ("0", "1")),
         ("csd_decomposition", ("0", "1")),
+        ("joint_bald_scores", (np.zeros(2),)),
     ])
     def test_every_posterior_reader_refuses_another_length(self, name, args):
         # never numpy's matmul mismatch, and never a one-entry posterior broadcast
@@ -338,6 +339,16 @@ class TestEvidenceFloor:
             with pytest.raises(ZeroProbabilityEvent):
                 csd(m, post, "x0", "1")
             assert scores[0] == -np.inf
+
+    def test_an_impossible_labelled_batch_names_its_last_pair(self):
+        m = opposite_coins_model()
+        post = posterior(m, [])
+        with pytest.raises(ZeroProbabilityEvent,
+                           match="^label '1' has zero predictive probability at x='x1'$"):
+            csd(m, Posterior([1.0, 0.0]), "x1", "1")
+        with pytest.raises(ZeroProbabilityEvent, match="^label '1' has zero predictive "
+                                                       "probability at x='x1' given the earlier"):
+            batch_score(m, post, ["x0", "x1", "x1"], ["0", "0", "1"])
 
 
 class TestCsdDecomposition:
@@ -914,21 +925,28 @@ class TestIndexResolver:
                 call()
 
     def test_a_prefix_must_fit_the_model(self):
-        # never numpy's broadcast error: the message names the prefix
-        m, other = threshold_task(4)[0], threshold_task(8)[0]
-        prefix = LabelConfigs.empty(other).extend(other, 0)
-        with pytest.raises(ValueError, match="^prefix has 9 rows; the model has 5 hypotheses"):
-            bald_scores(m, posterior(m, []), label_entropy_table(m), prefix)
+        # the batch so far is a list of inputs resolved by the model, so no prefix built on
+        # another model can be passed; an unknown input or too many of them is refused
+        m = threshold_task(4)[0]
+        post, table = posterior(m, []), label_entropy_table(m)
+        with pytest.raises(InvalidIndex, match="^unknown input 'x9'"):
+            bald_scores(m, post, table, ["0", "x9"])
+        with pytest.raises(BatchTooLarge, match="^batch size 7 exceeds the cap of 6"):
+            bald_scores(m, post, table, [0, 1, 2, 3, 0, 1])
+        with pytest.raises(ValueError, match="^chosen must be a list of inputs"):
+            bald_scores(m, post, table, 1)
+        with pytest.raises(ValueError, match=r"^cond has shape \(3,\), not \(inputs,\) = \(4,\)"):
+            joint_bald_scores(m, post, np.zeros(3))
 
     def test_a_prefix_must_have_the_models_labels(self):
-        # a uniform 3-label prefix has the hypothesis count of threshold_task(4, 2) and was
-        # scored as [0.419, 0.577, 0.577, 0.419], where its own prefix gives 0.478 .. 0.913
+        # a labelled prefix is a list of pairs whose labels the model resolves: a label of
+        # another label set, by name or by position, is refused, never read past the end
         m = threshold_task(4, 2)[0]
-        uniform = BayesModel(m.hypotheses, m.prior, m.inputs, ("a", "b", "c"),
-                             np.full((5, 4, 3), 1 / 3))
-        prefix = LabelConfigs.empty(uniform).extend(uniform, 0)
-        with pytest.raises(ValueError, match="^prefix has 3 labels; the model has 2 labels"):
-            bald_scores(m, posterior(m, []), label_entropy_table(m), prefix)
+        post, table = posterior(m, []), csd_table(m, [0, 1], [0, 0])
+        with pytest.raises(InvalidIndex, match="^unknown label 'c'$"):
+            csd_scores(m, post, table, given=[(0, "c")])
+        with pytest.raises(InvalidIndex, match=r"^label index 2 is out of range 0\.\.1$"):
+            csd_scores(m, post, table, given=[(0, 0), (1, 2)])
 
     def test_score_tables_must_fit_the_model(self):
         # never numpy's broadcast error: the message names the table
@@ -936,9 +954,18 @@ class TestIndexResolver:
         post = posterior(m, [])
         with pytest.raises(ValueError, match="^label entropy table has shape"):
             bald_scores(m, post, label_entropy_table(m)[:, :2])
-        table = csd_table(m, [0, 1], [0, 1])
-        with pytest.raises(ValueError, match="^csd table has 2 rows; the model has 5 hypotheses"):
-            csd_scores(m, post, CsdTable(table.lik[:2], table.plogp[:2]))
+        with pytest.raises(ValueError, match="^csd table was built on another model"):
+            csd_scores(m, post, csd_table(threshold_task(8)[0], [0, 1], [0, 1]))
+
+    def test_a_csd_table_of_the_same_shape_belongs_to_its_model(self):
+        # a table from threshold_task(8, 4, label_flip=0.3) was scored on threshold_task(8, 4)
+        # as [0.043, 0.062], where the model's own table gives [0.223, 0.356]
+        m, other = threshold_task(8, 4)[0], threshold_task(8, 4, label_flip=0.3)[0]
+        post = posterior(m, [])
+        np.testing.assert_allclose(csd_scores(m, post, csd_table(m, [1, 2], [0, 0])),
+                                   [0.223, 0.356], atol=5e-4)
+        with pytest.raises(ValueError, match="^csd table was built on another model"):
+            csd_scores(m, post, csd_table(other, [1, 2], [0, 0]))
 
 
 @st.composite
@@ -964,16 +991,16 @@ def models_with_posteriors(draw):
     return model, Posterior(weights / weights.sum())
 
 
-def _pair_joint(m, post, x1, x2):
-    """The engine's joint over (Omega, Y1, Y2) for the inputs x1, x2."""
-    from discinfo import JointDistribution, Variable
-
-    cells = np.einsum("w,wa,wb->wab", post.probs, m.likelihood[:, x1, :],
-                      m.likelihood[:, x2, :])
+def _batch_joint(m, post, xs):
+    """The joint p(Omega, Y1..Yk, Y) over the labels of the inputs xs, the
+    last one's label named Y; the labels are independent given Omega."""
+    cells = post.probs
+    for x in xs:
+        cells = cells[..., None] * m.likelihood[:, x, :].reshape(
+            (len(post.probs),) + (1,) * (cells.ndim - 1) + (m.n_labels,))
+    names = [f"Y{i}" for i in range(1, len(xs))] + ["Y"]
     return JointDistribution(
-        (Variable("Omega", m.hypotheses), Variable("Y1", m.labels), Variable("Y2", m.labels)),
-        cells,
-    )
+        (Variable("Omega", m.hypotheses),) + tuple(Variable(n, m.labels) for n in names), cells)
 
 
 class TestWholePoolScores:
@@ -1003,25 +1030,32 @@ class TestWholePoolScores:
                     mutual_info(joint, [["Omega"], [("Y", y)]]), abs=1e-9)
                 assert csd(m, post, x, y) == pytest.approx(score, abs=1e-12)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(models_with_posteriors(), st.data())
     def test_joint_scores_with_a_prefix_equal_engine(self, case, data):
+        # the batch scorers are their expressions, I[Omega; Y1, .., Yk, Y] for chosen inputs
+        # and I[Omega; y1, .., yk, y] for given pairs, k = 0..2, with -inf where the labelled
+        # batch is impossible
         m, post = case
-        x1 = data.draw(st.integers(0, len(m.inputs) - 1))
-        y1, y2 = (data.draw(st.integers(0, m.n_labels - 1)) for _ in range(2))
-        prefix = LabelConfigs.empty(m).extend(m, x1)
-        pool_bald = bald_scores(m, post, label_entropy_table(m), prefix)
+        k = data.draw(st.integers(0, 2))
+        chosen = [data.draw(st.integers(0, len(m.inputs) - 1)) for _ in range(k)]
+        labels = [data.draw(st.integers(0, m.n_labels - 1)) for _ in range(k + 1)]
+        pool_bald = bald_scores(m, post, label_entropy_table(m), chosen)
         xs = np.arange(len(m.inputs))
-        pool_csd = csd_scores(m, post, csd_table(m, xs, np.full(len(xs), y2)), given=[(x1, y1)])
-        for x2 in xs:
-            joint = _pair_joint(m, post, x1, x2)
-            assert pool_bald[x2] == pytest.approx(
-                mutual_info(joint, [["Omega"], ["Y1", "Y2"]]), abs=1e-9)
-            if joint.probs[:, y1, y2].sum() == 0:
-                assert pool_csd[x2] == -np.inf
+        pool_csd = csd_scores(m, post, csd_table(m, xs, np.full(len(xs), labels[-1])),
+                              given=list(zip(chosen, labels)))
+        names = [f"Y{i}" for i in range(1, k + 1)] + ["Y"]
+        unobserved = f"I[Omega; {', '.join(names)}]"
+        observed = f"I[Omega; {', '.join(n.lower() for n in names)}]"
+        for x in xs:
+            joint = _batch_joint(m, post, chosen + [x])
+            assert abs(pool_bald[x] - evaluate(unobserved, joint)) <= 1e-12
+            try:
+                gain = evaluate(observed, joint, bindings=dict(zip(names, labels)))
+            except ZeroProbabilityEvent:
+                assert pool_csd[x] == -np.inf
             else:
-                assert pool_csd[x2] == pytest.approx(
-                    mutual_info(joint, [["Omega"], [("Y1", y1), ("Y2", y2)]]), abs=1e-9)
+                assert abs(pool_csd[x] - gain) <= 1e-12
 
     def test_log_likelihood_sum_matches_the_full_table_log(self):
         rng = np.random.default_rng(31)

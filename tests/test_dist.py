@@ -63,6 +63,11 @@ class TestConstruction:
     def test_exact_sum_not_flagged(self):
         assert not fair_coin().renormalized
 
+    def test_renormalized_is_not_an_argument(self):
+        # the flag says what the constructor did, so a caller cannot set it on an exact sum
+        with pytest.raises(TypeError, match="renormalized"):
+            JointDistribution((Variable("X", ("0", "1")),), [0.5, 0.5], renormalized=True)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             JointDistribution((Variable("X", ("0", "1")),), [1.5, -0.5])

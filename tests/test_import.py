@@ -110,13 +110,14 @@ def test_only_reading_a_file_loads_orjson(tmp_path):
 
 REMOVED = ("cross_entropy", "kl_divergence", "triple_mi", "expected_marginal_ic", "marginalize",
            "prob_of", "power", "scale", "product", "Assignment", "Dataset", "expr.EntropyNode",
-           "expr.MINode")
+           "expr.MINode", "bayes.LabelConfigs")
 
 
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_names_are_gone(name):
     # each quantity is an expression for evaluate, bindings are a plain dict, data is a list
-    # of pairs, and H and I are one node; a dotted name is gone from its module
+    # of pairs, H and I are one node, and a greedy batch is a list of inputs; a dotted name is
+    # gone from its module
     module, _, name = name.rpartition(".")
     assert name not in discinfo.__all__
     with pytest.raises(AttributeError):

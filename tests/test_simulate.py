@@ -16,7 +16,7 @@ from discinfo import (
     threshold_task,
 )
 from discinfo import bayes
-from discinfo.bayes import LabelConfigs, bald_scores, label_entropy_table, posterior, update
+from discinfo.bayes import bald_scores, label_entropy_table, posterior, update
 from discinfo.simulate import (
     ACQUISITIONS,
     CSV_HEADER,
@@ -495,7 +495,7 @@ class TestTieBand:
     ])
     def test_band_width(self, monkeypatch, acquisition, scores, picks):
         model, pool, eval_set = threshold_task(3, seed=0)
-        monkeypatch.setattr(bayes, "_joint_bald", lambda *args: np.array(scores))
+        monkeypatch.setattr(bayes, "joint_bald_scores", lambda *args: np.array(scores))
         cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acquisition,
                         batch_size=2, steps=1)
         batch, _ = _select_batch(model, posterior(model, []), [0, 1, 2],
@@ -682,13 +682,13 @@ class TestGreedyPicksReplay:
         assert len(rows) == 6 * batch_size
         table = label_entropy_table(model)
         post = start = posterior(model, [])
-        step, prefix = 0, None
+        step, chosen = 0, []
         for row in rows:
             if row.step != step:  # every pick of a step scores against its first posterior
-                step, start, prefix = row.step, post, None
+                step, start, chosen = row.step, post, []
             x = model.input_index(row.x)
-            assert row.score == bald_scores(model, start, table, prefix)[x]
-            prefix = (prefix or LabelConfigs.empty(model)).extend(model, x)
+            assert row.score == bald_scores(model, start, table, chosen)[x]
+            chosen.append(x)
             try:
                 post = update(model, post, x, row.y)
             except ZeroEvidence:  # the run skips such a label, as logged
