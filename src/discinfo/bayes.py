@@ -241,10 +241,13 @@ class Posterior:
         return float(-np.add.reduce(plogq(self.probs)))
 
 
-def _observations(model: BayesModel, data) -> list[tuple[int, int]]:
-    """The positions of a list of (input, label) pairs, each given by
-    position or name."""
-    return [(model.input_index(x), model.label_index(y)) for x, y in data]
+def _observations(model: BayesModel, data, arg: str = "data") -> list[tuple[int, int]]:
+    """The positions of ``arg``, a list of (input, label) pairs, each given
+    by position or name, in order."""
+    pairs = np.asarray(data, dtype=object)
+    if pairs.shape != (0,) and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        raise ValueError(f"{arg} must be a list of (input, label) pairs")
+    return [(model.input_index(x), model.label_index(y)) for x, y in pairs]
 
 
 def _log_likelihood_sum(model: BayesModel, pairs) -> np.ndarray:
@@ -320,11 +323,8 @@ def joint_label_hypothesis(model: BayesModel, post: Posterior, x) -> JointDistri
     evaluate their expressions over it, and tests check the fast scores."""
     xi = model.input_index(x)
     cells = _probs(model, post)[:, None] * model.likelihood[:, xi, :]
-    return JointDistribution(
-        (Variable("Omega", model.hypotheses), Variable("Y", model.labels)),
-        cells,
-        max_cells=cells.size,  # no larger than the likelihood table already held
-    )
+    return JointDistribution((Variable("Omega", model.hypotheses), Variable("Y", model.labels)),
+                             cells)
 
 
 def predictive_table(model: BayesModel, post: Posterior) -> np.ndarray:
@@ -488,8 +488,8 @@ def csd_scores(model: BayesModel, post: Posterior, table: CsdTable, given=()) ->
     weights = probs = _probs(model, post)
     if table.model is not model:
         raise ValueError("csd table was built on another model")
-    for x, y in given:
-        weights = weights * model.likelihood[:, model.input_index(x), model.label_index(y)]
+    for xi, yi in _observations(model, given, "given"):
+        weights = weights * model.likelihood[:, xi, yi]
     total = weights @ table.lik  # unnormalised, so the floor is on the joint mass
     possible = total > ZERO_MASS
     scale = np.add.reduce(weights) or 1.0  # without mass every candidate is impossible
@@ -581,18 +581,19 @@ def batch_score(model: BayesModel, post: Posterior, xs, ys=None) -> float:
     I[Omega; Y_1..Y_b | x_1..x_b] over all label configurations; with labels
     it is the realized joint information gain of the labelled batch.
     """
-    xis = [model.input_index(x) for x in xs]
+    xis = _resolve_all(model.inputs, xs, "input", "xs")
     check_batch_size(model, len(xis), labelled=ys is not None)
     if ys is not None:
-        yis = [model.label_index(y) for y in ys]
+        yis = _resolve_all(model.labels, ys, "label", "ys")
         if len(yis) != len(xis):
             raise ValueError("xs and ys must have equal length")
         table = csd_table(model, xis[-1:], yis[-1:])
-        score = float(csd_scores(model, post, table, given=zip(xis[:-1], yis[:-1]))[0])
+        given = np.stack([xis[:-1], yis[:-1]], axis=1)
+        score = float(csd_scores(model, post, table, given)[0])
         if score == -np.inf:
             raise ZeroProbabilityEvent(
                 f"label {model.labels[yis[-1]]!r} has zero predictive probability at "
-                f"x={model.inputs[xis[-1]]!r}" + (" given the earlier pairs" if xis[1:] else ""))
+                f"x={model.inputs[xis[-1]]!r}" + (" given the earlier pairs" if len(xis) > 1 else ""))
         return score
     lik, probs = model.likelihood[:, xis[-1]:xis[-1] + 1], _probs(model, post)
     return float(_joint_bald(probs, lik, probs @ _label_entropy(lik), _prefix(model, xis[:-1]))[0])
@@ -743,7 +744,7 @@ def elbo_vae(lv: LatentVarModel, x_weights=None) -> ElboVAEResult:
         keep = weights > ZERO_CELL
     variables = (Variable("X", range(n_x)), Variable("Z", range(lv.prior_z.size)))
     joint = (lv.prior_z[:, None] * lv.decoder).T  # p(x, z), one row per input
-    p, q = (JointDistribution(variables, t, max_cells=t.size) for t in (joint, lv.encoder / n_x))
+    p, q = (JointDistribution(variables, t) for t in (joint, lv.encoder / n_x))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero p(x) raises at H[x]
         faults = keep & ((joint / marginal[:, None] > ZERO_CELL) & (lv.encoder <= 0)).any(axis=1)
     rows = {}

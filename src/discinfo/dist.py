@@ -3,8 +3,9 @@
 A :class:`JointDistribution` stores a dense probability tensor with one axis
 per variable, in the order the variables were declared (row-major: the last
 variable varies fastest in the flattened view).  Values are immutable after
-construction -- tensors are marked read-only and every operation returns a
-new value -- so instances can be shared between threads without locking.
+construction -- each holds its own read-only copy of the cells it was given,
+and every operation returns a new value -- so instances can be shared
+between threads without locking.
 
 Outcome labels are strings; all arithmetic is done on outcome indices, and
 tied outcomes are a plain dict from variable name to outcome index.  Beyond
@@ -15,6 +16,7 @@ conditioning, the tensor algebra (a marginal, a product) is numpy on
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from itertools import chain
@@ -23,7 +25,6 @@ import numpy as np
 
 from .errors import MalformedInput, UnknownVariable, ZeroProbabilityEvent, malformed_input
 
-DEFAULT_MAX_CELLS = 2**22
 DEFAULT_SEEDS = 500  # random cases per identity-search entry, also the CLI's --seeds default
 
 # Every numerical threshold of the package, one name per decision.
@@ -92,48 +93,45 @@ def _validated_variables(variables) -> tuple[Variable, ...]:
     return variables
 
 
+def _own_cells(obj, values, what: str) -> np.ndarray:
+    """Set ``obj``'s validated variables on it and return its cells: a float
+    copy of ``values`` with one axis per variable, each cell finite and
+    non-negative, so no later write to ``values`` reaches ``obj``."""
+    variables = _validated_variables(obj.variables)
+    object.__setattr__(obj, "variables", variables)
+    shape = tuple(v.size for v in variables)
+    cells, n_cells = np.array(values, dtype=float, order="C"), math.prod(shape)
+    if cells.size != n_cells:
+        raise ValueError(f"expected {n_cells} cells for shape {shape}, got {cells.size}")
+    cells = cells.reshape(shape)
+    if not (cells.min() >= 0 and cells.max() < math.inf):  # a NaN fails too
+        raise ValueError(f"{what} must be finite and non-negative")
+    return cells
+
+
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """A normalized dense joint distribution.
 
-    ``probs`` may be passed flat or shaped; it is validated (non-negative,
-    sums to one within ``SUM_TOLERANCE``) and stored read-only with one axis
-    per variable.  Inputs within ``RENORM_TOLERANCE`` of normalized are
-    divided by their sum and the value is flagged ``renormalized``.
+    ``probs`` may be passed flat or shaped; it is copied, validated
+    (non-negative, sums to one within ``SUM_TOLERANCE``) and stored read-only
+    with one axis per variable.  Inputs within ``RENORM_TOLERANCE`` of
+    normalized are divided by their sum and the value is flagged
+    ``renormalized``.
     """
 
     variables: tuple[Variable, ...]
     probs: np.ndarray
     renormalized: bool = field(init=False)
-    max_cells: int = field(default=DEFAULT_MAX_CELLS, repr=False, compare=False)
 
     def __post_init__(self):
-        variables = _validated_variables(self.variables)
-        object.__setattr__(self, "variables", variables)
-        shape = tuple(v.size for v in variables)
-        n_cells = int(np.prod(shape))
-        if n_cells > self.max_cells:
-            raise ValueError(
-                f"distribution has {n_cells} cells, more than the cap of "
-                f"{self.max_cells}; raise max_cells explicitly if intended"
-            )
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.size != n_cells:
-            raise ValueError(
-                f"expected {n_cells} cells for shape {shape}, got {probs.size}"
-            )
-        probs = probs.reshape(shape)
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite and non-negative")
+        probs = _own_cells(self, self.probs, "probabilities")
         total = float(probs.sum())
-        renormalized = False
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            if abs(total - 1.0) <= RENORM_TOLERANCE:
-                probs = probs / total
-                renormalized = True
-            else:
+        renormalized = abs(total - 1.0) > SUM_TOLERANCE
+        if renormalized:
+            if abs(total - 1.0) > RENORM_TOLERANCE:
                 raise ValueError(f"probabilities sum to {total!r}, not 1")
-        probs = np.ascontiguousarray(probs)
+            probs /= total
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "renormalized", renormalized)
@@ -185,15 +183,9 @@ class UnnormalizedWeight:
     weights: np.ndarray
 
     def __post_init__(self):
-        variables = _validated_variables(self.variables)
-        object.__setattr__(self, "variables", variables)
-        shape = tuple(v.size for v in variables)
-        weights = np.asarray(self.weights, dtype=float).reshape(shape)
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite and non-negative")
+        weights = _own_cells(self, self.weights, "weights")
         if float(weights.sum()) <= 0:
             raise ValueError("total mass must be positive")
-        weights = np.ascontiguousarray(weights)
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
 
@@ -214,13 +206,16 @@ def checked_bindings(d: JointDistribution, bindings) -> dict[str, int]:
 
 def outcome_index(name: str, idx):
     """``idx`` bound to variable ``name`` as an int, or an integer array of one
-    index per stack element as it is: a float is refused, not truncated."""
-    try:
-        if isinstance(idx, np.ndarray) and idx.dtype.kind in "iu":
-            return idx
-        return operator.index(idx)
-    except TypeError:
-        raise ValueError(f"outcome index {idx!r} for variable {name!r} is not an integer") from None
+    index per stack element as it is: a float is refused, not truncated, and
+    a boolean (Python or numpy) is refused, not read as 0 or 1."""
+    if isinstance(idx, np.ndarray) and idx.dtype.kind in "iu":
+        return idx
+    if not isinstance(idx, (bool, np.bool_)):
+        try:
+            return operator.index(idx)
+        except TypeError:
+            pass
+    raise ValueError(f"outcome index {idx!r} for variable {name!r} is not an integer")
 
 
 def condition(d: JointDistribution, bindings) -> JointDistribution:
@@ -242,14 +237,6 @@ def condition(d: JointDistribution, bindings) -> JointDistribution:
         )
     kept = tuple(v for v in d.variables if v.name not in bound)
     return JointDistribution(kept, slice_probs / mass)
-
-
-def _tensor_of(obj) -> np.ndarray:
-    if isinstance(obj, JointDistribution):
-        return obj.probs
-    if isinstance(obj, UnnormalizedWeight):
-        return obj.weights
-    raise TypeError(f"expected a JointDistribution or UnnormalizedWeight, got {type(obj)!r}")
 
 
 def known_keys(doc: dict, keys, what: str, where: str = "") -> None:

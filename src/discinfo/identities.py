@@ -238,14 +238,6 @@ def _variables(names, shape) -> tuple[Variable, ...]:
     return tuple(Variable(n, tuple(str(i) for i in range(s))) for n, s in zip(names, shape))
 
 
-def random_distribution(rng, names, floor=CELL_FLOOR) -> JointDistribution:
-    """A positive random joint, drawn as one case of the search: support
-    sizes from ``SUPPORT_SIZES``, then normalized exponentials floored per cell."""
-    sizes = rng.integers(SUPPORT_SIZES.start, SUPPORT_SIZES.stop, size=(1, len(names)))
-    cells = _floored(rng, _inside(sizes), floor)[0]
-    return JointDistribution(_variables(names, cells.shape), cells)
-
-
 def _grid_chunks(shape, values):
     """All normalized tensors with cells drawn from ``values`` (zero-sum
     combinations skipped), as stacks of at most ``GRID_CHUNK``."""
@@ -257,14 +249,6 @@ def _grid_chunks(shape, values):
             total += column
         keep = total > 0
         yield (cells[keep] / total[keep, None]).reshape((-1, *shape))
-
-
-def grid_distributions(names, values):
-    """Deterministic grid of binary-support distributions over ``names``."""
-    variables = _variables(names, (2,) * len(names))
-    for chunk in _grid_chunks(tuple(v.size for v in variables), values):
-        for cells in chunk:
-            yield JointDistribution(variables, cells)
 
 
 FULL_GRID_VALUES = {
@@ -493,11 +477,10 @@ class _Search:
         row, bindings = block.rows[i], block.bindings[[i]]
         variables, cells = _crop(block.variables, block.arrays, row, block.sizes[row])
         (lhs,), (rhs,), (defined,) = self.sides(variables, [c[None] for c in cells], [0], bindings)
-        if not defined:
-            return None
         margin = float(ex.margin(lhs, self.op, rhs))
-        block.margin[i] = margin  # the case counts with its own margin, not its padded one
-        if margin <= self.threshold:
+        # the case counts as it is on its own, not padded: skipped if undefined, else its margin
+        block.defined[i], block.margin[i] = defined, margin
+        if not defined or margin <= self.threshold:
             return None
         witness = {"distribution": JointDistribution(variables, cells[0]).to_json_dict(),
                    "bindings": {n: int(b) for n, b in zip(self.free, bindings[0])}}
@@ -687,23 +670,11 @@ def three_cell_distribution(order=("X", "Y")) -> JointDistribution:
     """Uniform mass on the cells (x,y) in {(0,0), (1,0), (1,1)} of two binary
     variables: the smallest distribution where conditioning on y=1 pins X
     down while the marginal of X stays uncertain."""
-    x_name, y_name = order
-    cells = {
-        (0, 0): 1.0 / 3.0,
-        (1, 0): 1.0 / 3.0,
-        (1, 1): 1.0 / 3.0,
-        (0, 1): 0.0,
-    }
-    variables = (Variable(x_name, ("0", "1")), Variable(y_name, ("0", "1")))
-    tensor = np.zeros((2, 2))
-    for (xi, yi), p in cells.items():
-        if order == ("X", "Y"):
-            tensor[xi, yi] = p
-        else:
-            tensor[yi, xi] = p
     if order not in (("X", "Y"), ("Y", "X")):
         raise ValueError("order must be a permutation of ('X', 'Y')")
-    return JointDistribution(variables, tensor)
+    cells = np.array([[1.0, 0.0], [1.0, 1.0]]) / 3.0  # axes: x, y
+    return JointDistribution(tuple(Variable(n, ("0", "1")) for n in order),
+                             cells if order == ("X", "Y") else cells.T)
 
 
 def chaining_distribution() -> JointDistribution:
@@ -715,19 +686,9 @@ def chaining_distribution() -> JointDistribution:
     * given y1 = 1: y2 uniform; x uniform when y2 = 0, but x = 0 surely
       when y2 = 1.
     """
-    variables = (
-        Variable("X", ("0", "1")),
-        Variable("Y1", ("0", "1")),
-        Variable("Y2", ("0", "1")),
-    )
-    t = np.zeros((2, 2, 2))  # axes: x, y1, y2
-    for x in (0, 1):
-        for y2 in (0, 1):
-            t[x, 0, y2] = 0.5 * 0.25  # p(y1=0) * p(x, y2 | y1=0)
-    for x in (0, 1):
-        t[x, 1, 0] = 0.5 * 0.5 * 0.5  # p(y1=1) p(y2=0|y1) p(x|y1, y2=0)
-    t[0, 1, 1] = 0.5 * 0.5 * 1.0
-    return JointDistribution(variables, t)
+    variables = tuple(Variable(n, ("0", "1")) for n in ("X", "Y1", "Y2"))
+    return JointDistribution(variables, [[[0.125, 0.125], [0.125, 0.25]],  # axes: x, y1, y2
+                                         [[0.125, 0.125], [0.125, 0.0]]])
 
 
 # the expression whose value on its witness is each WitnessReport field

@@ -41,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dist import JointDistribution, ZERO_CELL, ZERO_MASS, _tensor_of, outcome_index
+from .dist import JointDistribution, UnnormalizedWeight, ZERO_CELL, ZERO_MASS, outcome_index
 from .errors import (
     NonPositiveProbability,
     SupportMismatch,
@@ -174,7 +174,9 @@ class Stack:
         """The stack of one holding a distribution or weight."""
         if isinstance(d, JointDistribution):
             return cls(d.variables, d.probs[None])
-        return cls(d.variables, _tensor_of(d)[None], weight=True)
+        if isinstance(d, UnnormalizedWeight):
+            return cls(d.variables, d.weights[None], weight=True)
+        raise TypeError(f"expected a JointDistribution or UnnormalizedWeight, got {type(d)!r}")
 
     def __len__(self) -> int:
         return len(self.tensor) if self.rows is None else len(self.rows)

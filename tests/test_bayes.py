@@ -854,6 +854,12 @@ class TestDatasetAndEvidence:
         with pytest.raises(ValueError):
             posterior(m, [("x9", "0")])
 
+    def test_zero_evidence(self):
+        # x1 labels 0 only under A and 1 only under B, so seeing both has probability zero
+        m = opposite_coins_model()
+        with pytest.raises(ZeroEvidence, match="^the dataset has probability zero"):
+            log_evidence(m, [("x1", "0"), ("x1", "1")])
+
 
 class TestIndexResolver:
     def test_negative_index_is_rejected(self):
@@ -907,6 +913,23 @@ class TestIndexResolver:
         m = threshold_task(4)[0]
         with pytest.raises(ValueError, match=f"^{arg} must be a list of"):
             csd_table(m, xs, ys)
+
+    @pytest.mark.parametrize("call, arg", [
+        (lambda m, post, t: csd_scores(m, post, t, given=5), "given"),
+        (lambda m, post, t: csd_scores(m, post, t, given="01"), "given"),
+        (lambda m, post, t: csd_scores(m, post, t, given=[(0, 1, 0)]), "given"),
+        (lambda m, post, t: batch_score(m, post, 3), "xs"),
+        (lambda m, post, t: batch_score(m, post, [0], 1), "ys"),
+        (lambda m, post, t: posterior(m, [0, 1]), "data"),
+    ])
+    def test_pairs_and_batches_are_lists(self, call, arg):
+        # a scalar or a string is named as the argument it stands in for, never unpacked
+        m = threshold_task(4)[0]
+        post, table = posterior(m, []), csd_table(m, [0, 1], [0, 0])
+        with pytest.raises(ValueError, match=f"^{arg} must be a list of"):
+            call(m, post, table)
+        by_name = csd_scores(m, post, table, given=[("2", "1")])
+        np.testing.assert_array_equal(by_name, csd_scores(m, post, table, given=np.array([[2, 1]])))
 
     @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
     def test_a_boolean_is_not_a_position(self, flag):

@@ -67,6 +67,8 @@ class TestConstruction:
         # the flag says what the constructor did, so a caller cannot set it on an exact sum
         with pytest.raises(TypeError, match="renormalized"):
             JointDistribution((Variable("X", ("0", "1")),), [0.5, 0.5], renormalized=True)
+        with pytest.raises(TypeError):  # nor pass a third positional argument
+            JointDistribution((Variable("X", ("0", "1")),), [0.5, 0.5], True)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -92,10 +94,27 @@ class TestConstruction:
                 [0.25] * 4,
             )
 
-    def test_cell_cap(self):
-        v = Variable("X", tuple(str(i) for i in range(8)))
-        with pytest.raises(ValueError, match="cap"):
-            JointDistribution((v,), np.full(8, 1 / 8), max_cells=4)
+    def test_holds_its_own_copy(self):
+        # a write to the caller's array after construction reaches neither tensor
+        variables = (Variable("X", ("0", "1")), Variable("Y", ("0", "1")))
+        cells = np.full((2, 2), 0.25)
+        d = JointDistribution(variables, cells)
+        cells[0, 0], cells[0, 1] = 0.7, -0.2
+        assert d.probs.tolist() == [[0.25, 0.25], [0.25, 0.25]]
+        weights = np.array([0.5, 1.5])
+        w = UnnormalizedWeight(variables[:1], weights)
+        weights[:] = -1
+        assert w.weights.tolist() == [0.5, 1.5]
+
+    def test_cell_count_does_not_overflow(self):
+        variables = tuple(Variable(f"X{i}", tuple("0123456789")) for i in range(20))
+        with pytest.raises(ValueError, match=f"^expected {10**20} cells for shape"):
+            JointDistribution(variables, [1.0])
+
+    @pytest.mark.parametrize("cells", [[math.nan, 1.0], [math.inf, 0.0]])
+    def test_rejects_cells_that_are_not_finite(self, cells):
+        with pytest.raises(ValueError, match="^probabilities must be finite and non-negative$"):
+            JointDistribution((Variable("X", ("0", "1")),), cells)
 
     def test_probs_are_read_only(self):
         d = fair_coin()
@@ -256,6 +275,18 @@ class TestAssignment:
         with pytest.raises(ValueError, match=re.escape(message)):
             diagram(three_cell(), {"Y": index})
 
+    @pytest.mark.parametrize("index", [True, False, np.True_])
+    @pytest.mark.parametrize("call", [
+        lambda d, b: evaluate("H[X|y]", d, bindings=b),
+        lambda d, b: entropy(d, ["X"], list(b.items())),
+        lambda d, b: diagram(d, b),
+        lambda d, b: condition(d, b),
+    ], ids=["evaluate", "entropy", "diagram", "condition"])
+    def test_booleans_are_not_outcome_indices(self, call, index):
+        message = f"outcome index {index!r} for variable 'Y' is not an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(three_cell(), {"Y": index})
+
     @pytest.mark.parametrize("index", [np.int64(1), np.int8(1), np.uint32(1)])
     def test_numpy_integer_indices(self, index):
         assert condition(three_cell(), {"Y": index}).probs.tolist() == [0.0, 1.0]
@@ -282,6 +313,19 @@ class TestWeights:
             evaluate("CE[p(X) || q(X)]", p, q=normalized) - math.log(4.0))
         with pytest.raises(ValueError, match="total mass"):
             UnnormalizedWeight(w.variables, [0.0, 0.0])
+
+    @pytest.mark.parametrize("cells, message", [
+        ([1.0, 2.0, 3.0], "expected 2 cells for shape (2,), got 3"),
+        ([1.0, -1.0], "weights must be finite and non-negative"),
+        ([1.0, math.nan], "weights must be finite and non-negative"),
+    ])
+    def test_rejects_malformed_weights(self, cells, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            UnnormalizedWeight((Variable("X", ("0", "1")),), cells)
+
+    def test_q_must_be_a_distribution_or_a_weight(self):
+        with pytest.raises(TypeError, match="expected a JointDistribution or UnnormalizedWeight"):
+            evaluate("CE[p(X) || q(X)]", fair_coin(), q=[0.5, 0.5])
 
 
 class TestJsonFormat:

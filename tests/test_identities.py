@@ -19,9 +19,11 @@ from discinfo import (
 from discinfo.expr import collect_identifiers, free_tied_identifiers, parse
 from discinfo.identities import (
     Status,
+    _floored,
+    _grid_chunks,
+    _inside,
+    _Search,
     check_entry,
-    grid_distributions,
-    random_distribution,
 )
 
 from oracle import dist_to_cells, oracle_entropy, oracle_mutual_info
@@ -227,24 +229,27 @@ class TestTraversal:
 
 
 class TestGenerators:
-    def test_random_distribution_respects_floor(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            d = random_distribution(rng, ["X", "Y"], floor=1e-3)
-            assert d.probs.min() >= 1e-3 / (1 + 1e-3 * d.probs.size) - 1e-12
-            assert 2 <= d.variable("X").size <= 4
+    def test_random_draws_respect_floor(self):
+        entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, expression="H[X,Y] >= 0")
+        ((_, (cells,), _, _, sizes),) = _Search(entry, 20).draw(np.random.default_rng(0))
+        for case, size in zip(cells, sizes):
+            own = case[tuple(slice(s) for s in size)]
+            assert own.min() >= 1e-3 / (1 + 1e-3 * own.size) - 1e-12
+            assert own.sum() == pytest.approx(1.0) and 2 <= size[0] <= 4
 
-    def test_random_distribution_without_floor_is_normalized_exponentials(self):
-        d = random_distribution(np.random.default_rng(3), ["X", "Y"], floor=0)
+    def test_random_draw_without_floor_is_normalized_exponentials(self):
+        rng = np.random.default_rng(3)
+        cells = _floored(rng, _inside(rng.integers(2, 5, size=(1, 2))), floor=0)[0]
         rng = np.random.default_rng(3)
         shape = (int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-        cells = rng.exponential(1.0, size=shape)
-        assert np.array_equal(d.probs, cells / cells.sum())
+        expected = rng.exponential(1.0, size=shape)
+        assert np.array_equal(cells, expected / expected.sum())
 
     def test_grid_includes_zeros_and_skips_zero_sum(self):
-        dists = list(grid_distributions(["X", "Y"], (0.0, 1.0)))
-        assert len(dists) == 15  # 2^4 - 1 all-zero
-        assert any((d.probs == 0).sum() == 3 for d in dists)
+        cells = np.concatenate(list(_grid_chunks((2, 2), (0.0, 1.0))))
+        assert len(cells) == 15  # 2^4 - 1 all-zero
+        assert any((c == 0).sum() == 3 for c in cells)
+        assert np.array_equal(cells.sum(axis=(1, 2)), np.ones(15))
 
 
 class TestSuiteFiles:

@@ -110,15 +110,19 @@ def test_only_reading_a_file_loads_orjson(tmp_path):
 
 REMOVED = ("cross_entropy", "kl_divergence", "triple_mi", "expected_marginal_ic", "marginalize",
            "prob_of", "power", "scale", "product", "Assignment", "Dataset", "expr.EntropyNode",
-           "expr.MINode", "bayes.LabelConfigs")
+           "expr.MINode", "bayes.LabelConfigs", "dist.JointDistribution.max_cells",
+           "dist.DEFAULT_MAX_CELLS",
+           "identities.random_distribution", "identities.grid_distributions")
 
 
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_names_are_gone(name):
     # each quantity is an expression for evaluate, bindings are a plain dict, data is a list
-    # of pairs, H and I are one node, and a greedy batch is a list of inputs; a dotted name is
-    # gone from its module
-    module, _, name = name.rpartition(".")
+    # of pairs, H and I are one node, a greedy batch is a list of inputs, there is no cell cap
+    # and the search draws its own cases; a dotted name is gone from its module or class
+    owner, _, name = name.rpartition(".")
+    module, _, cls = owner.partition(".")
     assert name not in discinfo.__all__
+    owner = importlib.import_module(f"discinfo.{module}") if module else discinfo
     with pytest.raises(AttributeError):
-        getattr(importlib.import_module(f"discinfo.{module}") if module else discinfo, name)
+        getattr(getattr(owner, cls) if cls else owner, name)

@@ -239,6 +239,37 @@ class TestCrossEntropyAndKL:
             entropy(d, [y]), abs=1e-9
         )
 
+    @pytest.mark.parametrize("text", ["CE[p(X,Y,Z) || q(X,Y,Z)]", "KL[p(X|Y) || q(X|Y)]",
+                                      "CE[p(X,Y|z) || q(Y|X,z)]"])
+    def test_q_declared_in_another_order(self, text):
+        # q's marginal is read by name, so the order q declares its variables in does not matter
+        rng = np.random.default_rng(11)
+        sizes = {"X": 2, "Y": 3, "Z": 2}
+        variables = tuple(Variable(n, tuple(map(str, range(k)))) for n, k in sizes.items())
+        p = JointDistribution(variables, rng.dirichlet(np.ones(12)))
+        q = JointDistribution(variables, rng.dirichlet(np.ones(12)))
+        reordered = JointDistribution(tuple(variables[i] for i in (2, 0, 1)),
+                                      q.probs.transpose(2, 0, 1))
+        assert evaluate(text, p, q, {"z": 1}) == pytest.approx(
+            evaluate(text, p, reordered, {"z": 1}), abs=1e-12)
+
+    def test_q_side_variable_outside_the_measure(self):
+        with pytest.raises(UnknownVariable, match="^q-side variable 'Y' is neither tied nor "
+                                                  "part of the left-hand measure$"):
+            evaluate("CE[p(X) || q(Y)]", two_fair_coins(), two_fair_coins())
+
+    def test_binding_found_only_in_q(self):
+        # w names no variable of p, so the binding resolves in q, whose slice w=1 is q(X|w)
+        p = JointDistribution((Variable("X", ("0", "1")),), [0.3, 0.7])
+        q = JointDistribution((Variable("X", ("0", "1")), Variable("W", ("0", "1"))),
+                              [[0.1, 0.2], [0.3, 0.4]])
+        expected = -(0.3 * math.log(0.2 / 0.6) + 0.7 * math.log(0.4 / 0.6))
+        assert evaluate("CE[p(X) || q(X|w)]", p, q, {"w": 1}) == pytest.approx(expected, abs=1e-12)
+        with pytest.raises(UnknownVariable):
+            evaluate("CE[p(X) || q(X|w)]", p, q, {"v": 1})
+        with pytest.raises(UnknownVariable):  # without q, p is the only place to look
+            evaluate("H[X]", p, bindings={"w": 1})
+
 
 class TestMutualInfo:
     def test_independence_gives_zero(self):

@@ -178,6 +178,28 @@ class TestNoise:
         pool = ((0, 1), (1, 0))
         assert _apply_label_noise(pool, 2, 0.0, rng) == pool
 
+    def test_a_rate_that_rounds_to_no_flip_draws_nothing(self):
+        from discinfo.simulate import _apply_label_noise
+
+        rng = np.random.default_rng(0)
+        pool = ((0, 1), (1, 0), (2, 1))
+        assert _apply_label_noise(pool, 2, 0.1, rng) == pool  # round(0.3) flips none
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_more_than_two_labels_flip_to_one_of_the_others(self):
+        from discinfo.simulate import _apply_label_noise
+
+        pool = tuple((x, x % 3) for x in range(30))
+        noisy = _apply_label_noise(pool, 3, 0.5, np.random.default_rng(5))
+        # the documented draws: the pairs to flip, then in pool order one other label each
+        rng = np.random.default_rng(5)
+        expected = list(pool)
+        for i in sorted(rng.choice(30, size=15, replace=False).tolist()):
+            expected[i] = (i, [y for y in range(3) if y != i % 3][rng.integers(2)])
+        assert noisy == tuple(expected)
+        shifts = {(b - a) % 3 for (_, a), (_, b) in zip(pool, noisy)}
+        assert shifts == {0, 1, 2}  # 15 kept, and both other labels are drawn
+
 
 class TestZeroEvidenceHandling:
     def test_contradictory_pair_is_skipped_not_fatal(self, caplog):

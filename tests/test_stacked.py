@@ -47,9 +47,9 @@ from discinfo.expr import evaluate_stack, free_tied_identifiers
 from discinfo.identities import (
     Status,
     WeightRow,
+    _grid_chunks,
+    _Search,
     check_entry,
-    grid_distributions,
-    random_distribution,
 )
 
 from notation import divergence
@@ -439,6 +439,19 @@ def test_stacked_evaluation_matches_one_case(expression):
     assert undefined < n
 
 
+def test_a_measure_of_one_broadcasts_to_the_stack():
+    # the measure q is a stack of one under a body over p, a stack of three
+    rng = np.random.default_rng(2)
+    variables = (Variable("X", ("0", "1", "2")),)
+    p, q = rng.dirichlet(np.ones(3), size=3), rng.dirichlet(np.ones(3))
+    values, defined = evaluate_stack("E_{q(x)}[H[x]]", qt.Stack(variables, p),
+                                     qt.Stack(variables, q[None]))
+    assert defined.tolist() == [True] * 3
+    expected = [evaluate("E_{q(x)}[H[x]]", JointDistribution(variables, cells),
+                         q=JointDistribution(variables, q)) for cells in p]
+    assert values.tolist() == pytest.approx(expected, abs=1e-12)
+
+
 @pytest.mark.parametrize("index", [1.9, np.float32(1.0), np.array([0.7, 1.0]),
                                    np.array([False, True])])
 def test_stacked_binding_indices_must_be_integers(index):
@@ -457,8 +470,8 @@ def test_an_error_after_the_verdict_is_not_raised(rng_seed):
     # y=3 exists only when Y has 4 outcomes: a one-case-at-a-time search
     # stops at a first draw that has it, and raises at one that lacks it
     entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, expression="H[X|y=3] >= 5")
-    first = random_distribution(np.random.default_rng(rng_seed), ["X", "Y"])
-    if first.variable("Y").size == 4:
+    ((_, _, _, _, sizes),) = _Search(entry, 20).draw(np.random.default_rng(rng_seed))
+    if sizes[0, 1] == 4:
         report = check_entry(entry, 20, np.random.default_rng(rng_seed))
         assert (report.status, report.seeds_tried) == (Status.VIOLATED, 1)
     else:
@@ -476,6 +489,81 @@ def test_an_outcome_past_a_later_case_support_raises(rng_seed):
     assert (sizes[:, 0] < 4).any()
     with pytest.raises(UnknownVariable):
         check_entry(entry, 20, np.random.default_rng(rng_seed))
+
+
+def _turn_down_first(monkeypatch, verdict):
+    """Patch the search so that its first check of a case on its own returns
+    ``verdict(lhs, rhs, defined)`` in place of the evaluated sides."""
+    sides, calls = _Search.sides, []
+
+    def patched(self, variables, arrays, rows, bindings):
+        result = sides(self, variables, arrays, rows, bindings)
+        if isinstance(rows, list):  # a case alone; a stacked batch passes an array
+            calls.append(rows)
+            if len(calls) == 1:
+                return verdict(*result)
+        return result
+
+    monkeypatch.setattr(_Search, "sides", patched)
+
+
+@pytest.mark.parametrize("verdict, counts", [
+    (lambda lhs, rhs, defined: (lhs, rhs, ~defined), (1, 1)),  # undefined alone: skipped
+    (lambda lhs, rhs, defined: (rhs, rhs, defined), (2, 0)),  # holds alone: margin 0
+], ids=["undefined", "holds"])
+def test_a_stacked_candidate_turned_down_alone_is_not_reported(monkeypatch, verdict, counts):
+    # every case violates "H[X] >= 5"; the first is turned down when checked on its
+    # own, so the second is reported, and the first counts as it is on its own
+    entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, expression="H[X] >= 5")
+    expected = check_entry(entry, 20, np.random.default_rng(0))
+    assert (expected.status, expected.seeds_tried) == (Status.VIOLATED, 1)
+    _turn_down_first(monkeypatch, verdict)
+    report = check_entry(entry, 20, np.random.default_rng(0))
+    assert (report.status, report.seeds_tried) == (Status.VIOLATED, 2)
+    assert report.gap != expected.gap
+    assert report.worst_margin == report.gap
+    assert (report.cases_evaluated, report.cases_skipped) == counts
+
+
+def test_a_witness_that_fails_after_its_round_trip_is_not_reported(monkeypatch):
+    # if the reloaded witness no longer violates (here: it reloads as uniform,
+    # where I[X;y] is 0), no case is confirmed and the search runs out
+    entry = SuiteEntry("e", Expectation.EXISTS_VIOLATION, expression="I[X;y] >= 0")
+    assert check_entry(entry, 5, np.random.default_rng(0)).status is Status.VIOLATED
+
+    def uniform(cls, doc):
+        variables = tuple(Variable(v["name"], v["support"]) for v in doc["variables"])
+        return cls(variables, np.full(len(doc["probs"]), 1 / len(doc["probs"])))
+
+    monkeypatch.setattr(JointDistribution, "from_json_dict", classmethod(uniform))
+    report = check_entry(entry, 5, np.random.default_rng(0))
+    assert (report.status, report.witness) == (Status.HELD, None)
+    assert report.seeds_tried == 5 + 80 + 9**4
+
+
+def test_an_error_before_the_first_candidate_is_raised(monkeypatch):
+    # a row's one-variable cases raise and its two-variable cases all violate:
+    # the first case in draw order decides, as in a one-case-at-a-time search
+    row = WeightRow(1, 1, None, "==", lambda ce, p, q: (ce(p, q), ce(p, q) + 1.0))
+    entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, check=row)
+    sides = _Search.sides
+
+    def failing(self, variables, arrays, rows, bindings):
+        if len(variables) == 1:
+            raise ValueError("a one-variable case")
+        return sides(self, variables, arrays, rows, bindings)
+
+    monkeypatch.setattr(_Search, "sides", failing)
+    first_counts = []
+    for rng_seed in range(4):
+        first_counts.append(int(np.random.default_rng(rng_seed).integers(1, 3, size=20)[0]))
+        if first_counts[-1] == 1:
+            with pytest.raises(ValueError, match="^a one-variable case$"):
+                check_entry(entry, 20, np.random.default_rng(rng_seed))
+        else:
+            report = check_entry(entry, 20, np.random.default_rng(rng_seed))
+            assert (report.status, report.seeds_tried) == (Status.VIOLATED, 1)
+    assert sorted(set(first_counts)) == [1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +648,10 @@ def _scalar_count(expression, names, seeds, rng_seed):
     for i in range(seeds):
         d = JointDistribution(*_own(names, cells[i], sizes[i]))
         cases.append((d, {"Y": int(ys[i, 0])}))
-    for d in grid_distributions(names, (0.0, 0.5, 1.0)):
-        cases += [(d, {"Y": y}) for y in (0, 1)]
+    for chunk in _grid_chunks((2,) * len(names), (0.0, 0.5, 1.0)):
+        for cells in chunk:
+            d = JointDistribution(*_own(names, cells, cells.shape))
+            cases += [(d, {"Y": y}) for y in (0, 1)]
     skipped = 0
     for d, b in cases:
         try:
