@@ -216,7 +216,7 @@ def _resolve_all(names: tuple[str, ...], keys, what: str, arg: str) -> np.ndarra
 
 
 def load_model(path) -> BayesModel:
-    return BayesModel.from_json_dict(read_json(path, "model"))
+    return read_json(path, "model", BayesModel.from_json_dict)
 
 
 def dump_model(model: BayesModel, path) -> None:

@@ -15,6 +15,7 @@ conditioning, the tensor algebra (a marginal, a product) is numpy on
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import operator
@@ -204,18 +205,24 @@ def checked_bindings(d: JointDistribution, bindings) -> dict[str, int]:
     return out
 
 
-def outcome_index(name: str, idx):
-    """``idx`` bound to variable ``name`` as an int, or an integer array of one
-    index per stack element as it is: a float is refused, not truncated, and
-    a boolean (Python or numpy) is refused, not read as 0 or 1."""
-    if isinstance(idx, np.ndarray) and idx.dtype.kind in "iu":
-        return idx
-    if not isinstance(idx, (bool, np.bool_)):
+def integer(value, what: str) -> int:
+    """``value`` as an int: a float is refused, not truncated, and a boolean
+    (Python or numpy) is refused, not read as 0 or 1, with a ValueError
+    saying that ``what`` is not an integer."""
+    if not isinstance(value, (bool, np.bool_)):
         try:
-            return operator.index(idx)
+            return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"outcome index {idx!r} for variable {name!r} is not an integer")
+    raise ValueError(f"{what} is not an integer")
+
+
+def outcome_index(name: str, idx):
+    """``idx`` bound to variable ``name`` as an int (see :func:`integer`), or
+    an integer array of one index per stack element as it is."""
+    if isinstance(idx, np.ndarray) and idx.dtype.kind in "iu":
+        return idx
+    return integer(idx, f"outcome index {idx!r} for variable {name!r}")
 
 
 def condition(d: JointDistribution, bindings) -> JointDistribution:
@@ -305,9 +312,10 @@ def number_array(value, what: str, key: str, layout: str = "") -> np.ndarray:
     return array
 
 
-def read_json(path, what: str):
-    """The JSON document in the file at ``path``; ``what`` names its kind
-    (a distribution, a model, a simulation config) in errors.
+def read_json(path, what: str, build):
+    """``build(document)`` for the JSON document in the file at ``path``;
+    ``what`` names its kind (a distribution, a model, a simulation config)
+    in errors.
 
     orjson parses the file's bytes to the values :mod:`json` gives, with two
     differences.  A ``NaN`` or ``Infinity`` literal, a number beyond the
@@ -316,19 +324,33 @@ def read_json(path, what: str):
     as a float, so the readers refuse a float wherever they would use its
     digits.  orjson is imported on the first call: a run that reads no file
     never loads it.
+
+    The cyclic garbage collector is paused while orjson decodes and
+    ``build`` runs: a model holds one list per likelihood row, and the
+    collector's passes over them would cost more than the decode.  Built
+    under the pause, the document is freed before any pass sees it.  The
+    pause is process-wide; the collector is switched back on afterwards
+    only if it was on before.
     """
     import orjson
 
     with open(path, "rb") as fh:
         data = fh.read()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return orjson.loads(data)
-    except orjson.JSONDecodeError as exc:
-        raise MalformedInput(f"malformed {what} JSON: {exc}") from None
+        try:
+            doc = orjson.loads(data)
+        except orjson.JSONDecodeError as exc:
+            raise MalformedInput(f"malformed {what} JSON: {exc}") from None
+        return build(doc)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def load_distribution(path) -> JointDistribution:
-    return JointDistribution.from_json_dict(read_json(path, "distribution"))
+    return read_json(path, "distribution", JointDistribution.from_json_dict)
 
 
 def dump_distribution(d: JointDistribution, path) -> None:

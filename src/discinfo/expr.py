@@ -729,17 +729,20 @@ def diagram(d: JointDistribution, observed: dict, *, base: LogBase = LogBase.NAT
     """Evaluate the eight-quantity decomposition for one observed variable.
 
     ``observed`` maps exactly one variable of ``d`` to its observed outcome
-    index (``{"Y": 1}``); every other variable forms the (joint) X group.
+    index (``{"Y": 1}``, or ``{"y": 1}``: the name is matched as the notation
+    matches an identifier); every other variable forms the (joint) X group.
     Each row is an expression over ``d`` with the observed variable as a
     bare tied identifier, evaluated with that binding.  Every variable name
     is one the notation can write (see :class:`~discinfo.dist.Variable`),
     but two names equal up to case cannot be told apart:
     :class:`UnknownVariable`.
     """
-    obs = checked_bindings(d, observed)
-    if len(obs) != 1:
+    observed = dict(observed)
+    if len(observed) != 1:
         raise ValueError("diagram needs exactly one observed variable")
-    (y_name, y_idx), = obs.items()
+    (name, idx), = observed.items()
+    y_name = _resolve_variable(d, name)
+    y_idx = checked_bindings(d, {y_name: idx})[y_name]
     xs = ",".join(n[0].upper() + n[1:] for n in d.names if n != y_name)
     if not xs:
         raise ValueError("diagram needs at least one unobserved variable")

@@ -34,6 +34,7 @@ re-checked after a round trip, since its weights have no serialized form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -58,7 +59,6 @@ from .dist import (
 )
 from .errors import CounterexampleMismatch, DiscinfoError, ParseError
 
-GRID_CHUNK = 1024  # grid tensors per stack, so a full grid is never held at once
 SUPPORT_SIZES = range(2, 5)  # the support sizes a random variable is drawn with
 
 logger = logging.getLogger(__name__)
@@ -238,17 +238,15 @@ def _variables(names, shape) -> tuple[Variable, ...]:
     return tuple(Variable(n, tuple(str(i) for i in range(s))) for n, s in zip(names, shape))
 
 
-def _grid_chunks(shape, values):
+@functools.cache
+def _grid(shape, values):
     """All normalized tensors with cells drawn from ``values`` (zero-sum
-    combinations skipped), as stacks of at most ``GRID_CHUNK``."""
-    combos = itertools.product(values, repeat=math.prod(shape))
-    while chunk := list(itertools.islice(combos, GRID_CHUNK)):
-        cells = np.array(chunk, dtype=float)
-        total = cells[:, 0].copy()
-        for column in cells.T[1:]:  # left to right, so each tensor is combo / sum(combo)
-            total += column
-        keep = total > 0
-        yield (cells[keep] / total[keep, None]).reshape((-1, *shape))
+    combinations skipped), as one read-only stack built once per process."""
+    cells = np.array(list(itertools.product(values, repeat=math.prod(shape))), dtype=float)
+    total = functools.reduce(np.add, cells.T)  # left to right: each tensor is combo / sum(combo)
+    grid = (cells[total > 0] / total[total > 0, None]).reshape((-1, *shape))
+    grid.flags.writeable = False
+    return grid
 
 
 FULL_GRID_VALUES = {
@@ -341,13 +339,12 @@ class _Search:
         variables = _variables(self.names, shape)
         q = [np.full((1, *shape), 1.0 / 2**n)] if self.entry.needs_q else []  # uniform
         for values in (grid[n] for grid in self.grids if n in grid):
-            for cells in _grid_chunks(shape, values):
-                ordinals = np.arange(tried, tried + len(cells))
-                tried += len(cells)
-                sizes = np.broadcast_to(shape, (len(cells), n))
-                report = self.stage([(variables, [cells, *q], ordinals, None, sizes)])
-                if report is not None:
-                    return report
+            cells = _grid(shape, values)
+            batch = (variables, [cells, *q], np.arange(tried, tried + len(cells)), None,
+                     np.broadcast_to(shape, (len(cells), n)))
+            tried += len(cells)
+            if (report := self.stage([batch])) is not None:
+                return report
         return self.report(Status.HELD, tried)
 
     def draw(self, rng):

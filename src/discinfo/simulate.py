@@ -121,7 +121,7 @@ def _number(doc, key, default, kind=int):
 
 
 def load_config(path) -> SimConfig:
-    return SimConfig.from_json_dict(read_json(path, "simulation config"))
+    return read_json(path, "simulation config", SimConfig.from_json_dict)
 
 
 @dataclass(frozen=True)

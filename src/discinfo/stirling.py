@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dist import integer
 from .quantities import LogBase
 
 
@@ -35,7 +36,7 @@ def log_binomial_exact(n: int, r: int) -> float:
 
 def log_binomial_sweep(n: int) -> np.ndarray:
     """log C(n, r) for every r in 0..n (nats), via a cumulative recurrence."""
-    n = int(n)
+    n = integer(n, f"n = {n!r}")
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
@@ -102,7 +103,7 @@ def stirling_bound(n: int, r: int, rho: float | None = None, *,
 def report_sweep(n: int):
     """Vectorized (exact, bound, error) in nats for every r in 0..n, at the
     default rho = r/n.  Useful for scanning the invariants over a range."""
-    n = int(n)
+    n = integer(n, f"n = {n!r}")
     if n <= 0:
         raise ValueError("n must be positive")
     exact = log_binomial_sweep(n)
@@ -115,8 +116,7 @@ def report_sweep(n: int):
 
 
 def _check_domain(n, r):
-    n = int(n)
-    r = int(r)
+    n, r = integer(n, f"n = {n!r}"), integer(r, f"r = {r!r}")
     if n < 0:
         raise ValueError("n must be non-negative")
     if not 0 <= r <= n:

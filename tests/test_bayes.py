@@ -860,6 +860,30 @@ class TestDatasetAndEvidence:
         with pytest.raises(ZeroEvidence, match="^the dataset has probability zero"):
             log_evidence(m, [("x1", "0"), ("x1", "1")])
 
+    @staticmethod
+    def faint_label_model():
+        # label 0 has predictive mass 1.5e-20 <= ZERO_MASS under the uniform prior
+        return BayesModel(("a", "b"), [0.5, 0.5], ("x",), ("0", "1"),
+                          [[[1e-20, 1 - 1e-20]], [[2e-20, 1 - 2e-20]]])
+
+    def test_a_dataset_is_refused_only_at_zero_evidence(self):
+        m = self.faint_label_model()
+        np.testing.assert_allclose(posterior(m, [("x", "0")]).probs, [1 / 3, 2 / 3], rtol=1e-12)
+        assert log_evidence(m, [("x", "0")]) == pytest.approx(math.log(1.5e-20), rel=1e-12)
+        # thirty ordinary labels: evidence 1e-30, far under ZERO_MASS
+        m = BayesModel(("a",), [1.0], ("x",), ("0", "1"), [[[0.1, 0.9]]])
+        assert log_evidence(m, [("x", "0")] * 30) == pytest.approx(30 * math.log(0.1))
+        assert posterior(m, [("x", "0")] * 30).probs.tolist() == [1.0]
+
+    def test_a_step_is_refused_at_mass_at_most_zero_mass(self):
+        m = self.faint_label_model()
+        with pytest.raises(ZeroEvidence, match="has zero probability under the current"):
+            update(m, posterior(m, []), "x", "0")
+        with pytest.raises(ZeroProbabilityEvent, match="zero predictive probability"):
+            csd(m, posterior(m, []), "x", "0")
+        xs, ys = np.array([0]), np.array([0])
+        assert csd_scores(m, posterior(m, []), csd_table(m, xs, ys)).tolist() == [-np.inf]
+
 
 class TestIndexResolver:
     def test_negative_index_is_rejected(self):
@@ -1056,9 +1080,9 @@ class TestWholePoolScores:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(models_with_posteriors(), st.data())
     def test_joint_scores_with_a_prefix_equal_engine(self, case, data):
-        # the batch scorers are their expressions, I[Omega; Y1, .., Yk, Y] for chosen inputs
-        # and I[Omega; y1, .., yk, y] for given pairs, k = 0..2, with -inf where the labelled
-        # batch is impossible
+        # the batch scorers, whole-pool and single, are their expressions, I[Omega; Y1, .., Yk, Y]
+        # for chosen inputs and I[Omega; y1, .., yk, y] for given pairs, k = 0..2, with -inf (or
+        # ZeroProbabilityEvent) where the labelled batch is impossible
         m, post = case
         k = data.draw(st.integers(0, 2))
         chosen = [data.draw(st.integers(0, len(m.inputs) - 1)) for _ in range(k)]
@@ -1072,13 +1096,18 @@ class TestWholePoolScores:
         observed = f"I[Omega; {', '.join(n.lower() for n in names)}]"
         for x in xs:
             joint = _batch_joint(m, post, chosen + [x])
-            assert abs(pool_bald[x] - evaluate(unobserved, joint)) <= 1e-12
+            expected = evaluate(unobserved, joint)
+            assert abs(pool_bald[x] - expected) <= 1e-12
+            assert abs(batch_score(m, post, chosen + [x]) - expected) <= 1e-12
             try:
                 gain = evaluate(observed, joint, bindings=dict(zip(names, labels)))
             except ZeroProbabilityEvent:
                 assert pool_csd[x] == -np.inf
+                with pytest.raises(ZeroProbabilityEvent):
+                    batch_score(m, post, chosen + [x], labels)
             else:
                 assert abs(pool_csd[x] - gain) <= 1e-12
+                assert abs(batch_score(m, post, chosen + [x], labels) - gain) <= 1e-12
 
     def test_log_likelihood_sum_matches_the_full_table_log(self):
         rng = np.random.default_rng(31)

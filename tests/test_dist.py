@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from discinfo import (
     JointDistribution,
+    MalformedInput,
     ParseError,
     UnknownVariable,
     UnnormalizedWeight,
@@ -405,7 +407,7 @@ class TestReader:
         text = '{"variables": [{"name": "X", "support": ["0"]}], "probs": [%s]}' % ",".join(strings)
         path = tmp_path / "d.json"
         path.write_text(text, encoding="utf-8")
-        got = read_json(path, "distribution")["probs"]
+        got = read_json(path, "distribution", lambda doc: doc["probs"])
         np.testing.assert_array_equal(_bits(got), _bits(json.loads(text)["probs"]))
 
     def test_loaded_probabilities_match_the_stdlib(self, tmp_path):
@@ -428,3 +430,30 @@ class TestReader:
                         '18446744073709551615]}], "probs": [1, 0]}')
         assert load_distribution(path).variables[0].support == (
             "-9223372036854775808", "18446744073709551615")
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_the_collector_is_restored(self, tmp_path, collecting):
+        # after a good document and after a malformed one the collector is back on,
+        # unless the caller had turned it off
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text('{"probs": [[0.5, 0.5], [1, 0]]}')
+        bad.write_text('{"probs": [NaN]}')
+        was_on = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert read_json(good, "distribution", len) == 1
+            assert gc.isenabled() is collecting
+            with pytest.raises(MalformedInput):
+                read_json(bad, "distribution", len)
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was_on else gc.disable)()
+
+    def test_the_collector_is_paused_while_decoding_and_building(self, tmp_path, monkeypatch):
+        import orjson
+
+        path = tmp_path / "d.json"
+        path.write_text("{}")
+        assert read_json(path, "distribution", lambda doc: gc.isenabled()) is False
+        monkeypatch.setattr(orjson, "loads", lambda data: gc.isenabled())
+        assert read_json(path, "distribution", lambda enabled: enabled) is False

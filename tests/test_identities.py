@@ -20,7 +20,7 @@ from discinfo.expr import collect_identifiers, free_tied_identifiers, parse
 from discinfo.identities import (
     Status,
     _floored,
-    _grid_chunks,
+    _grid,
     _inside,
     _Search,
     check_entry,
@@ -246,10 +246,17 @@ class TestGenerators:
         assert np.array_equal(cells, expected / expected.sum())
 
     def test_grid_includes_zeros_and_skips_zero_sum(self):
-        cells = np.concatenate(list(_grid_chunks((2, 2), (0.0, 1.0))))
+        cells = _grid((2, 2), (0.0, 1.0))
         assert len(cells) == 15  # 2^4 - 1 all-zero
         assert any((c == 0).sum() == 3 for c in cells)
         assert np.array_equal(cells.sum(axis=(1, 2)), np.ones(15))
+
+    def test_grid_is_built_once_and_read_only(self):
+        cells = _grid((2, 2), (0.0, 0.5, 1.0))
+        assert _grid((2, 2), (0.0, 0.5, 1.0)) is cells
+        assert not cells.flags.writeable
+        with pytest.raises(ValueError):
+            cells[0, 0, 0] = 1.0
 
 
 class TestSuiteFiles:

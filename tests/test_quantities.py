@@ -382,6 +382,15 @@ class TestDiagram:
         rows = diagram(three_cell_distribution(), {"Y": 1}).rows()
         assert len(rows) == 8
 
+    def test_observed_name_resolves_as_in_evaluate(self):
+        d = three_cell_distribution()
+        assert diagram(d, {"y": 1}) == diagram(d, {"Y": 1})
+        assert evaluate("H[X|y]", d, bindings={"y": 1}) == diagram(d, {"y": 1}).cond_head
+        with pytest.raises(UnknownVariable, match="no variable matches identifier 'z'"):
+            diagram(d, {"z": 1})
+        with pytest.raises(ValueError, match="exactly one observed variable"):
+            diagram(d, {"y": 1, "Y": 1})
+
     @pytest.mark.parametrize("names", [
         ("a", "b"), ("X", "Y1", "Yy"), ("Yy", "b", "C1", "d"), ("A", "b", "Cc", "dD", "E_2"),
     ])

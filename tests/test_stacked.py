@@ -47,7 +47,7 @@ from discinfo.expr import evaluate_stack, free_tied_identifiers
 from discinfo.identities import (
     Status,
     WeightRow,
-    _grid_chunks,
+    _grid,
     _Search,
     check_entry,
 )
@@ -648,10 +648,9 @@ def _scalar_count(expression, names, seeds, rng_seed):
     for i in range(seeds):
         d = JointDistribution(*_own(names, cells[i], sizes[i]))
         cases.append((d, {"Y": int(ys[i, 0])}))
-    for chunk in _grid_chunks((2,) * len(names), (0.0, 0.5, 1.0)):
-        for cells in chunk:
-            d = JointDistribution(*_own(names, cells, cells.shape))
-            cases += [(d, {"Y": y}) for y in (0, 1)]
+    for cells in _grid((2,) * len(names), (0.0, 0.5, 1.0)):
+        d = JointDistribution(*_own(names, cells, cells.shape))
+        cases += [(d, {"Y": y}) for y in (0, 1)]
     skipped = 0
     for d, b in cases:
         try:

@@ -37,6 +37,21 @@ class TestLogBinomialExact:
         with pytest.raises(ValueError):
             log_binomial_exact(5, -1)
 
+    def test_refuses_non_integers(self):
+        with pytest.raises(ValueError, match="^n = 10.9 is not an integer$"):
+            log_binomial_exact(10.9, 3)
+        with pytest.raises(ValueError, match="^r = 3.2 is not an integer$"):
+            log_binomial_exact(10, 3.2)
+        with pytest.raises(ValueError, match="^r = True is not an integer$"):
+            log_binomial_exact(10, True)
+        assert log_binomial_exact(np.int64(10), np.uint8(3)) == log_binomial_exact(10, 3)
+
+    def test_sweep_refuses_non_integers(self):
+        for n in (5.5, 5.0, True, np.True_, "5"):
+            with pytest.raises(ValueError, match="^n = .* is not an integer$"):
+                log_binomial_sweep(n)
+        assert len(log_binomial_sweep(np.int32(5))) == 6
+
     def test_sweep_matches_scalar(self):
         for n in (1, 2, 17, 100):
             sweep = log_binomial_sweep(n)
@@ -62,6 +77,17 @@ class TestStirlingBound:
         report = stirling_bound(10, 5, base=LogBase.BITS)
         assert report.bound == pytest.approx(10.0, abs=1e-12)
         assert report.error_bound == pytest.approx(math.log2(10), abs=1e-12)
+
+    def test_refuses_non_integers(self):
+        with pytest.raises(ValueError, match="^n = 10.9 is not an integer$"):
+            stirling_bound(10.9, 3.7)
+        with pytest.raises(ValueError, match="^n = True is not an integer$"):
+            stirling_bound(True, False)
+        with pytest.raises(ValueError, match="^r = False is not an integer$"):
+            stirling_bound(1, False)
+        report = stirling_bound(np.int64(10), np.int64(5))
+        assert (type(report.n), type(report.r)) == (int, int)
+        assert report == stirling_bound(10, 5)
 
     def test_rho_sweep_minimized_at_maximum_likelihood(self):
         n, r = 24, 7
@@ -104,6 +130,11 @@ class TestSweepInvariants:
             np.testing.assert_allclose(error[inner], ic[inner], rtol=1e-8)
             assert error[0] == pytest.approx(0.0, abs=1e-12)
             assert error[n] == pytest.approx(0.0, abs=1e-12)
+
+    def test_report_sweep_refuses_non_integers(self):
+        for n in (5.5, True, np.True_):
+            with pytest.raises(ValueError, match="^n = .* is not an integer$"):
+                report_sweep(n)
 
     def test_relative_error_shrinks_with_n(self):
         ratios = []
