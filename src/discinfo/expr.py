@@ -635,7 +635,8 @@ def compare(lhs, op: str, rhs):
 
 def _environment(bindings, p, q) -> dict:
     """Bindings keyed by exact variable names (matched case-insensitively,
-    in p first, then in q), each index checked by :func:`outcome_index`."""
+    in p first, then in q), each index checked by :func:`outcome_index`;
+    two keys that name one variable are a ValueError."""
     env = {}
     if bindings is None:
         return env
@@ -646,6 +647,8 @@ def _environment(bindings, p, q) -> dict:
             if q is None:
                 raise
             exact = _resolve_variable(q, name)
+        if exact in env:
+            raise ValueError(f"bindings name variable {exact!r} more than once")
         env[exact] = outcome_index(exact, idx)
     return env
 
@@ -657,8 +660,8 @@ def evaluate(expression, dist: JointDistribution, q=None, bindings=None, *,
     ``q`` supplies the second distribution for ``q(...)`` references (a
     :class:`JointDistribution` or :class:`UnnormalizedWeight`).  ``bindings``
     resolves bare lowercase identifiers to outcome indices; keys are matched
-    to variable names case-insensitively.  Returns a float, or a bool for
-    comparisons.
+    to variable names case-insensitively, and two keys that match one
+    variable are a ValueError.  Returns a float, or a bool for comparisons.
     """
     node = parse(expression) if isinstance(expression, str) else expression
     env = _environment(bindings, dist, q)

@@ -21,7 +21,9 @@ array, and every binding of the free tied outcomes inside a case's own
 support as further stack elements.  The first case in draw order whose
 stacked margin crosses the threshold is cut to its own support and
 re-evaluated on its own before it is reported, so reports do not depend on
-how the cases were stacked.
+how the cases were stacked.  An expression writes only the outcomes 0 and 1,
+which every case has (checked when its entry is built), so an error it
+meets is the same at every case and is raised where the search meets it.
 
 The weight-algebra entries (scaled, powered, multiplied and mixed
 weights, which the notation cannot express) are rows of one table whose
@@ -56,8 +58,9 @@ from .dist import (
     WITNESS_SEPARATION,
     JointDistribution,
     Variable,
+    integer,
 )
-from .errors import CounterexampleMismatch, DiscinfoError, ParseError
+from .errors import CounterexampleMismatch, ParseError, UnknownVariable
 
 SUPPORT_SIZES = range(2, 5)  # the support sizes a random variable is drawn with
 
@@ -101,7 +104,10 @@ class SuiteEntry:
     """A named comparison: an expression, or a :class:`WeightRow`.
 
     Expression entries are comparison expressions in the surface notation;
-    bare lowercase identifiers are searched over all their outcomes.
+    bare lowercase identifiers are searched over all their outcomes.  An
+    outcome written in the expression (``y=1``) must be 0 or 1, the
+    outcomes every case of the search has, else :class:`UnknownVariable`
+    names the entry.
     ``check`` entries are weight-algebra rows for the comparisons the
     notation cannot express (mixtures, scaled and powered weights).
     """
@@ -121,11 +127,19 @@ class SuiteEntry:
             node = ex.parse(self.expression)
             if not ex._is_comparison(node):
                 raise ValueError(f"entry {self.name!r} is not a comparison")
-            idents = ex.collect_identifiers(node)
+            needs_q = False
+            for letter, terms, _ in ex.scoped_termlists(node):
+                needs_q |= letter == "q"
+                for t in (t for t in terms if t.outcome is not None):
+                    try:
+                        Variable(_canonical(t.name), ("0", "1")).index_of(t.outcome)
+                    except ValueError as exc:
+                        raise UnknownVariable(
+                            f"entry {self.name!r}: {exc}; an entry may write only the "
+                            "outcomes 0 and 1, which every case of the search has") from None
             object.__setattr__(self, "_node", node)
-            object.__setattr__(self, "_identifiers", idents)
-            object.__setattr__(self, "needs_q", any(
-                letter == "q" for letter, _, _ in ex.scoped_termlists(node)))
+            object.__setattr__(self, "_identifiers", ex.collect_identifiers(node))
+            object.__setattr__(self, "needs_q", needs_q)
 
     @property
     def node(self):
@@ -302,7 +316,8 @@ class _Block:
 class _Search:
     """The random draws, then for an expression the zero grid and (for a
     witness search) the full grid, each evaluated as stacks until a case is
-    confirmed.  A weight row's cases are its random draws alone."""
+    confirmed.  A weight row's cases are its random draws alone.  An error
+    raised by a stack propagates where the search meets it."""
 
     def __init__(self, entry, seeds):
         self.entry, self.seeds = entry, seeds
@@ -312,16 +327,11 @@ class _Search:
         if self.row is None:
             self.names = entry.variable_names()
             self.free = [_canonical(i) for i in ex.free_tied_identifiers(self.node)]
-            self.need = np.zeros(len(self.names), dtype=np.intp)  # y=3 needs 4 outcomes of Y
-            for t in (t for _, terms, _ in ex.scoped_termlists(self.node) for t in terms):
-                if t.outcome is not None and t.outcome.isdigit():
-                    j = self.names.index(_canonical(t.name))
-                    self.need[j] = max(self.need[j], int(t.outcome) + 1)
             # the dense positive grids are the discovery guarantee of witness searches
             self.grids = (ZERO_GRID_VALUES,) if self.always else (ZERO_GRID_VALUES,
                                                                   FULL_GRID_VALUES)
         else:  # one or two variables per case, no tied outcome and no grid
-            self.names, self.free, self.need, self.grids = ("X", "Y"), [], 0, ()
+            self.names, self.free, self.grids = ("X", "Y"), [], ()
         self.free_axes = [self.names.index(n) for n in self.free]
         self.blocks = []
 
@@ -377,17 +387,9 @@ class _Search:
         return stacks
 
     def random_batches(self, stacks, part):
-        """The cases of each stack whose ordinals are in ``part``.  The first
-        case that lacks an outcome the expression writes (such as y=3) comes
-        alone, cut to its own support, so it raises at its ordinal as it
-        would alone."""
+        """The cases of each stack whose ordinals are in ``part``."""
         for variables, arrays, ordinals, bindings, sizes in stacks:
             keep = (ordinals >= part.start) & (ordinals < part.stop)
-            for i in np.flatnonzero(keep & (sizes < self.need).any(axis=1))[:1]:
-                own, cells = _crop(variables, arrays, i, sizes[i])
-                yield (own, [c[None] for c in cells], ordinals[[i]],
-                       None if bindings is None else bindings[[i]], sizes[[i]])
-                keep[i:] = False  # the later cases cannot come before its error
             if keep.any():
                 yield (variables, [a[keep] for a in arrays], ordinals[keep],
                        None if bindings is None else bindings[keep], sizes[keep])
@@ -442,28 +444,18 @@ class _Search:
 
     def stage(self, batches) -> SearchReport | None:
         """Evaluate the batches, then report the first case in draw order
-        that is confirmed on its own; None when there is none.  A batch that
-        raises raises here too, unless a case before its first is reported."""
-        first_block, errors = len(self.blocks), []
-        for batch in batches:
-            try:
-                self.blocks.append(self.evaluate(*batch))
-            except (DiscinfoError, ValueError) as exc:
-                errors.append((int(batch[2][0]), exc))
+        that is confirmed on its own; None when there is none."""
+        first_block = len(self.blocks)
+        self.blocks += (self.evaluate(*batch) for batch in batches)
         candidates = sorted(
             (int(b.ordinal[i]), int(b.binding[i]), b, int(i))
             for b in self.blocks[first_block:]
             for i in np.flatnonzero(b.defined & (b.margin > self.threshold - MARGIN_SLACK))
         )
-        error = min(errors, key=lambda e: e[0], default=None)
         for ordinal, binding, block, i in candidates:
-            if error is not None and error[0] <= ordinal:
-                break
             found = self.confirm(block, i)
             if found is not None:
                 return self.report(Status.VIOLATED, ordinal + 1, (ordinal, binding), found)
-        if error is not None:
-            raise error[1]
         return None
 
     def confirm(self, block, i):
@@ -521,9 +513,15 @@ class _Search:
 def check_suite(suite: IdentitySuite, seeds: int = DEFAULT_SEEDS,
                 rng_seed: int = 0) -> list[SearchReport]:
     """Check every entry; reports come back in entry order and are fully
-    deterministic for a given ``rng_seed``."""
+    deterministic for a given ``rng_seed``.  Both are integers (see
+    :func:`~discinfo.dist.integer`), ``seeds`` at least 1 and ``rng_seed``
+    at least 0."""
+    seeds = integer(seeds, f"seeds = {seeds!r}")
+    rng_seed = integer(rng_seed, f"rng_seed = {rng_seed!r}")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
+    if rng_seed < 0:
+        raise ValueError("rng_seed must be >= 0")
     reports = []
     for i, entry in enumerate(suite.entries):
         rng = np.random.default_rng([rng_seed, i])

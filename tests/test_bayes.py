@@ -52,6 +52,7 @@ from discinfo.expr import evaluate
 from discinfo.quantities import plogq
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from notation import batch_gains, batch_joint
 from oracle import oracle_cross_entropy, oracle_entropy, oracle_mutual_info
 
 LN2 = math.log(2.0)
@@ -1038,18 +1039,6 @@ def models_with_posteriors(draw):
     return model, Posterior(weights / weights.sum())
 
 
-def _batch_joint(m, post, xs):
-    """The joint p(Omega, Y1..Yk, Y) over the labels of the inputs xs, the
-    last one's label named Y; the labels are independent given Omega."""
-    cells = post.probs
-    for x in xs:
-        cells = cells[..., None] * m.likelihood[:, x, :].reshape(
-            (len(post.probs),) + (1,) * (cells.ndim - 1) + (m.n_labels,))
-    names = [f"Y{i}" for i in range(1, len(xs))] + ["Y"]
-    return JointDistribution(
-        (Variable("Omega", m.hypotheses),) + tuple(Variable(n, m.labels) for n in names), cells)
-
-
 class TestWholePoolScores:
     """The whole-pool scores against the information engine, cell by cell."""
 
@@ -1091,11 +1080,10 @@ class TestWholePoolScores:
         xs = np.arange(len(m.inputs))
         pool_csd = csd_scores(m, post, csd_table(m, xs, np.full(len(xs), labels[-1])),
                               given=list(zip(chosen, labels)))
-        names = [f"Y{i}" for i in range(1, k + 1)] + ["Y"]
-        unobserved = f"I[Omega; {', '.join(names)}]"
-        observed = f"I[Omega; {', '.join(n.lower() for n in names)}]"
+        names, unobserved, _ = batch_gains(k, observed=False)
+        _, observed, _ = batch_gains(k, observed=True)
         for x in xs:
-            joint = _batch_joint(m, post, chosen + [x])
+            joint = batch_joint(m, post, chosen + [x])
             expected = evaluate(unobserved, joint)
             assert abs(pool_bald[x] - expected) <= 1e-12
             assert abs(batch_score(m, post, chosen + [x]) - expected) <= 1e-12

@@ -239,6 +239,17 @@ class TestCheckAndSearch:
         assert err == (f"error: line 2: expected one of {expected}, "
                        f"found end of input at offset 7\n")
 
+    def test_an_outcome_other_than_0_or_1_is_refused_at_every_seed(self, tmp_path, capsys):
+        # the line is refused when it is read, before any case is drawn
+        suite = tmp_path / "suite.txt"
+        suite.write_text("I[X;y=2] >= 0  # expect: violation\n")
+        for rng_seed in ("0", "4"):
+            assert main(["check", "--suite", str(suite), "--rng-seed", rng_seed]) == 2
+            assert capsys.readouterr() == ("", (
+                "error: entry 'L1: I[X;y=2] >= 0': '2' is not an outcome of variable 'Y'; "
+                "an entry may write only the outcomes 0 and 1, which every case of the "
+                "search has\n"))
+
     def test_search_help_shows_the_default_seeds(self, capsys):
         with pytest.raises(SystemExit):
             main(["search", "--help"])

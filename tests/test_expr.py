@@ -375,6 +375,13 @@ class TestEvaluate:
             assert evaluate("H[X|y]", d, bindings={"y": index}) == evaluate(
                 "H[X|y]", d, bindings={"Y": 1})
 
+    def test_two_keys_of_one_variable_are_refused(self):
+        # {"y": 1, "Y": 0} must not evaluate silently at whichever key came last
+        d = three_cell_distribution()
+        for bindings in ({"y": 1, "Y": 0}, {"Y": 0, "y": 0}):
+            with pytest.raises(ValueError, match="^bindings name variable 'Y' more than once$"):
+                evaluate("H[X|y]", d, bindings=bindings)
+
     def test_missing_q(self):
         d = fair_coin()
         with pytest.raises(MissingQDistribution):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from discinfo import (
     Expectation,
     JointDistribution,
     SuiteEntry,
+    UnknownVariable,
     chaining_distribution,
     check_suite,
     default_suite,
@@ -156,6 +158,19 @@ class TestSuiteMechanics:
         with pytest.raises(ValueError):
             SuiteEntry("not_cmp", Expectation.ALWAYS_TRUE, expression="H[X]")
 
+    @pytest.mark.parametrize("seeds, rng_seed, message", [
+        (True, 0, "seeds = True is not an integer"),
+        (2.5, 0, "seeds = 2.5 is not an integer"),
+        (np.True_, 0, f"seeds = {np.True_!r} is not an integer"),
+        (0, 0, "seeds must be >= 1"),
+        (5, True, "rng_seed = True is not an integer"),
+        (5, 1.0, "rng_seed = 1.0 is not an integer"),
+        (5, -1, "rng_seed must be >= 0"),
+    ])
+    def test_check_suite_refuses_what_is_not_a_count(self, seeds, rng_seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_suite(default_suite(), seeds=seeds, rng_seed=rng_seed)
+
     def test_duplicate_names_rejected(self):
         from discinfo import IdentitySuite
 
@@ -257,6 +272,42 @@ class TestGenerators:
         assert not cells.flags.writeable
         with pytest.raises(ValueError):
             cells[0, 0, 0] = 1.0
+
+
+class TestWrittenOutcomes:
+    """An entry may write only the outcomes 0 and 1, which every case of the
+    search has (each variable is drawn with at least two outcomes, named by
+    index, and every grid is binary): any other is refused when the entry
+    is built, so the verdict never depends on the cases drawn."""
+
+    @pytest.mark.parametrize("expect", list(Expectation))
+    @pytest.mark.parametrize("text, outcome", [
+        ("I[X;y=2] >= 0", "2"),
+        ("H[X|y=a] >= 0", "a"),
+        ("E_{p(x|y=2)}[H[x]] >= H[X|y]", "2"),
+        ("KL[p(X) || q(X|y=2)] >= 0", "2"),
+    ])
+    def test_another_outcome_is_refused_when_built(self, text, outcome, expect):
+        message = (f"entry 'e': {outcome!r} is not an outcome of variable 'Y'; an entry may "
+                   "write only the outcomes 0 and 1, which every case of the search has")
+        with pytest.raises(UnknownVariable, match=f"^{re.escape(message)}$"):
+            SuiteEntry("e", expect, expression=text)
+
+    @pytest.mark.parametrize("text", [
+        "H[X|y=0] >= 0",
+        "I[y=1;X] <= H[y=1]",
+        "E_{p(x|y=1)}[H[x]] >= H[X|y=1]",
+        "KL[p(X|y=0) || q(X|y=0)] >= 0",
+    ])
+    def test_outcomes_0_and_1_are_accepted(self, text):
+        entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, expression=text)
+        report = check_entry(entry, 20, np.random.default_rng(0))
+        assert report.passed and report.cases_evaluated > 0
+
+    def test_a_suite_file_line_is_refused_by_its_name(self):
+        text = "H[X] >= 0  # expect: always\n\nI[X;y=2] >= 0  # expect: violation\n"
+        with pytest.raises(UnknownVariable, match=re.escape("entry 'L3: I[X;y=2] >= 0': '2' is")):
+            parse_suite_file(text)
 
 
 class TestSuiteFiles:

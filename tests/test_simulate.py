@@ -12,6 +12,8 @@ from discinfo import (
     InvalidIndex,
     SimConfig,
     ZeroEvidence,
+    ZeroProbabilityEvent,
+    evaluate,
     run_sim,
     threshold_task,
 )
@@ -24,6 +26,8 @@ from discinfo.simulate import (
     _select_batch,
     load_config,
 )
+
+from notation import batch_gains, batch_joint
 
 LN2 = math.log(2.0)
 
@@ -713,5 +717,54 @@ class TestGreedyPicksReplay:
             chosen.append(x)
             try:
                 post = update(model, post, x, row.y)
+            except ZeroEvidence:  # the run skips such a label, as logged
+                pass
+
+
+class TestRowsAgainstExpressions:
+    """Each scored row is its expression over the joint of its step's first
+    posterior, the step's earlier picks (for a greedy batch) and its own
+    input: I[Omega; Y1, .., Yk, Y] for bald, and I[Omega; y1, .., yk, y] with
+    the picks' labels bound for csd, -inf where that raises
+    ZeroProbabilityEvent.  uniform's scores are draws, with no expression.
+
+    The expression's value is known to the evaluator's own rounding, which
+    shows as the spread between its two orders, I[Omega; ..] and I[..; Omega]:
+    on a peaked posterior that spread passes 1e-12 while the score stays
+    within 1e-15 of the exact value."""
+
+    @pytest.mark.parametrize("noise_rate", [0.0, 0.2])
+    @pytest.mark.parametrize("task", [threshold_task, zero_cell_task],
+                             ids=lambda task: task.__name__)
+    @pytest.mark.parametrize("acquisition, batch_size", [
+        ("bald", 1), ("csd", 1), ("bald", 3), ("csd", 3), ("batch_bald", 3), ("batch_csd", 3),
+    ])
+    def test_each_score_is_its_expression(self, acquisition, batch_size, task, noise_rate):
+        model, pool, eval_set = task(32, seed=1)
+        cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acquisition,
+                        batch_size=batch_size, steps=6, seed=1, noise_rate=noise_rate)
+        rows = run_sim(cfg).rows
+        assert len(rows) == 6 * batch_size
+        greedy, labelled = acquisition.startswith("batch_"), acquisition.endswith("csd")
+        post = start = posterior(model, [])
+        step, chosen = 0, []
+        for row in rows:
+            if row.step != step:
+                step, start, chosen = row.step, post, []
+            x, y = model.input_index(row.x), model.label_index(row.y)
+            prefix = chosen if greedy else []
+            names, gain, swapped = batch_gains(len(prefix), observed=labelled)
+            joint = batch_joint(model, start, [xi for xi, _ in prefix] + [x])
+            bindings = dict(zip(names, [yi for _, yi in prefix] + [y])) if labelled else None
+            try:
+                expected = evaluate(gain, joint, bindings=bindings)
+            except ZeroProbabilityEvent:
+                assert row.score == -np.inf
+            else:
+                spread = abs(expected - evaluate(swapped, joint, bindings=bindings))
+                assert abs(row.score - expected) <= 1e-12 + spread
+            chosen.append((x, y))
+            try:
+                post = update(model, post, x, y)
             except ZeroEvidence:  # the run skips such a label, as logged
                 pass

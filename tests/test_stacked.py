@@ -31,7 +31,6 @@ from discinfo import (
     JointDistribution,
     SuiteEntry,
     SupportMismatch,
-    UnknownVariable,
     UnnormalizedWeight,
     Variable,
     ZeroProbabilityEvent,
@@ -214,21 +213,22 @@ class TestWeightRows:
         assert report.gap == pytest.approx(abs(math.log(a)), abs=1e-12)
         assert report.worst_margin is None
 
-    def test_an_error_after_the_first_violation_is_not_raised(self):
-        # as for expressions, a stack that raises only matters if no case
-        # drawn before it violates: here the first draw has one variable
+    def test_a_stack_that_raises_raises_at_every_seed(self):
+        # a row's one-variable cases raise and its two-variable cases all
+        # violate: the error propagates even where the first draw violates
         def sides(ce, p, q):
-            if p.ndim > 2:
-                raise ValueError("no two-variable case")
+            if p.ndim == 2:
+                raise ValueError("a one-variable case")
             return ce(p, q), ce(p, q) + 1.0
 
-        entry = SuiteEntry("one_variable_only", Expectation.ALWAYS_TRUE,
+        entry = SuiteEntry("two_variables_only", Expectation.ALWAYS_TRUE,
                            check=WeightRow(1, 1, None, "==", sides))
-        assert len(_replay_weight_cases(np.random.default_rng(1), 1)[0][0].names) == 1
-        report = check_entry(entry, 40, np.random.default_rng(1))
-        assert report.status is Status.VIOLATED
-        assert (report.seeds_tried, report.cases_evaluated, report.cases_skipped) == (1, 1, 0)
-        assert report.gap == pytest.approx(1.0, abs=1e-12)
+        first_counts = set()
+        for rng_seed in range(4):
+            first_counts.add(int(np.random.default_rng(rng_seed).integers(1, 3, size=20)[0]))
+            with pytest.raises(ValueError, match="^a one-variable case$"):
+                check_entry(entry, 20, np.random.default_rng(rng_seed))
+        assert first_counts == {1, 2}
 
     def test_a_check_is_a_row(self):
         with pytest.raises(TypeError):
@@ -465,30 +465,11 @@ def test_stacked_binding_indices_must_be_integers(index):
     assert values.tolist() == [evaluate("H[X|y]", d, bindings={"Y": i}) for i in (0, 1)]
 
 
-@pytest.mark.parametrize("rng_seed", range(6))
-def test_an_error_after_the_verdict_is_not_raised(rng_seed):
-    # y=3 exists only when Y has 4 outcomes: a one-case-at-a-time search
-    # stops at a first draw that has it, and raises at one that lacks it
-    entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, expression="H[X|y=3] >= 5")
-    ((_, _, _, _, sizes),) = _Search(entry, 20).draw(np.random.default_rng(rng_seed))
-    if sizes[0, 1] == 4:
-        report = check_entry(entry, 20, np.random.default_rng(rng_seed))
-        assert (report.status, report.seeds_tried) == (Status.VIOLATED, 1)
-    else:
-        with pytest.raises(UnknownVariable):
-            check_entry(entry, 20, np.random.default_rng(rng_seed))
-
-
-@pytest.mark.parametrize("rng_seed", range(6))
-def test_an_outcome_past_a_later_case_support_raises(rng_seed):
-    # a one-case-at-a-time search raises at the first draw without y=3; the
-    # padded stack must not read that draw as a zero-probability case (one
-    # variable, so no grid raises instead)
-    entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, expression="H[y=3] <= 100")
-    sizes = np.random.default_rng(rng_seed).integers(2, 5, size=(20, 1))
-    assert (sizes[:, 0] < 4).any()
-    with pytest.raises(UnknownVariable):
-        check_entry(entry, 20, np.random.default_rng(rng_seed))
+def test_stacked_bindings_of_one_variable_are_refused():
+    # as in evaluate: two keys that name Y are an error, not the last one winning
+    stack = qt.Stack.of(three_cell_distribution())
+    with pytest.raises(ValueError, match="^bindings name variable 'Y' more than once$"):
+        evaluate_stack("H[X|y]", stack, bindings={"y": np.array([0, 1]), "Y": 0})
 
 
 def _turn_down_first(monkeypatch, verdict):
@@ -539,31 +520,6 @@ def test_a_witness_that_fails_after_its_round_trip_is_not_reported(monkeypatch):
     report = check_entry(entry, 5, np.random.default_rng(0))
     assert (report.status, report.witness) == (Status.HELD, None)
     assert report.seeds_tried == 5 + 80 + 9**4
-
-
-def test_an_error_before_the_first_candidate_is_raised(monkeypatch):
-    # a row's one-variable cases raise and its two-variable cases all violate:
-    # the first case in draw order decides, as in a one-case-at-a-time search
-    row = WeightRow(1, 1, None, "==", lambda ce, p, q: (ce(p, q), ce(p, q) + 1.0))
-    entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, check=row)
-    sides = _Search.sides
-
-    def failing(self, variables, arrays, rows, bindings):
-        if len(variables) == 1:
-            raise ValueError("a one-variable case")
-        return sides(self, variables, arrays, rows, bindings)
-
-    monkeypatch.setattr(_Search, "sides", failing)
-    first_counts = []
-    for rng_seed in range(4):
-        first_counts.append(int(np.random.default_rng(rng_seed).integers(1, 3, size=20)[0]))
-        if first_counts[-1] == 1:
-            with pytest.raises(ValueError, match="^a one-variable case$"):
-                check_entry(entry, 20, np.random.default_rng(rng_seed))
-        else:
-            report = check_entry(entry, 20, np.random.default_rng(rng_seed))
-            assert (report.status, report.seeds_tried) == (Status.VIOLATED, 1)
-    assert sorted(set(first_counts)) == [1, 2]
 
 
 # ---------------------------------------------------------------------------
