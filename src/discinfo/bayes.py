@@ -187,19 +187,22 @@ class BayesModel:
 
 
 def _resolve(names: tuple[str, ...], key, what: str) -> int:
-    """Integers (Python or numpy) are positions and must lie in range; a
-    boolean (Python or numpy) is neither a position nor a name; any other key
-    is looked up by its string form."""
-    if isinstance(key, (bool, np.bool_)):
-        raise InvalidIndex(f"{what} {key!r} is a boolean, not a position or a name")
-    if isinstance(key, (int, np.integer)):
+    """Integers (Python or numpy) are positions and must lie in range, and
+    strings are names, matched exactly: the rule of
+    :meth:`~discinfo.dist.Variable.index_of`.  A boolean (Python or numpy),
+    a float or any other key is neither a position nor a name."""
+    flag = isinstance(key, (bool, np.bool_))
+    if not flag and isinstance(key, (int, np.integer)):
         if 0 <= key < len(names):
             return int(key)
         raise InvalidIndex(f"{what} index {key} is out of range 0..{len(names) - 1}")
-    try:
-        return names.index(str(key))
-    except ValueError:
-        raise InvalidIndex(f"unknown {what} {key!r}") from None
+    if isinstance(key, str):
+        try:
+            return names.index(key)
+        except ValueError:
+            raise InvalidIndex(f"unknown {what} {key!r}") from None
+    kind = "boolean" if flag else type(key).__name__
+    raise InvalidIndex(f"{what} {key!r} is a {kind}, not a position or a name")
 
 
 def _resolve_all(names: tuple[str, ...], keys, what: str, arg: str) -> np.ndarray:

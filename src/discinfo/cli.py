@@ -30,20 +30,18 @@ def _base(args) -> LogBase:
 
 
 def _observed(d, text: str) -> dict:
-    """The ``--observe`` entries NAME=OUTCOME as outcome indices of ``d``'s
-    variables, each name resolved as the notation resolves an identifier;
+    """The ``--observe`` entries NAME=OUTCOME as bindings, each OUTCOME a
+    label, keyed by the name of the variable of ``d`` that NAME names;
     naming one variable twice is an error."""
-    from .expr import _resolve_variable
-
     out = {}
     for piece in filter(None, map(str.strip, text.split(","))):
         if "=" not in piece:
             raise ValueError(f"--observe entries look like NAME=OUTCOME, got {piece!r}")
         name, label = (part.strip() for part in piece.split("=", 1))
-        exact = _resolve_variable(d, name)
+        exact = d.variable(name).name
         if exact in out:
             raise ValueError(f"--observe names variable {exact!r} more than once")
-        out[exact] = d.variable(exact).index_of(label)
+        out[exact] = label
     return out
 
 

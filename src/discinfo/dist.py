@@ -8,7 +8,11 @@ and every operation returns a new value -- so instances can be shared
 between threads without locking.
 
 Outcome labels are strings; all arithmetic is done on outcome indices, and
-tied outcomes are a plain dict from variable name to outcome index.  Beyond
+tied outcomes are a plain dict from variable name to outcome index.  Two
+resolvers decide what a name and an outcome mean, and every entry point
+calls them: :meth:`JointDistribution.index_of` matches a name without
+regard to case, and :meth:`Variable.index_of` reads an integer as a
+position and a string as a label.  Beyond
 conditioning, the tensor algebra (a marginal, a product) is numpy on
 ``probs``, and a quantity beyond H and I an expression of :mod:`discinfo.expr`.
 """
@@ -50,16 +54,35 @@ def _check_identifier(name: str) -> None:
         raise ValueError(f"variable name {name!r}: not an ASCII letter, then letters, digits or _")
 
 
+def name_key(name: str) -> str:
+    """The key two names share when they name one variable: names match
+    without regard to case."""
+    return name.lower()
+
+
 @dataclass(frozen=True)
 class Variable:
-    """A named finite random variable with an ordered outcome support."""
+    """A named finite random variable with an ordered outcome support.
+
+    The support is a list (any iterable but a string) of labels; a label is
+    a string, or an integer (Python or numpy, not a boolean), which is kept
+    as its digits, so ``Variable("X", range(3))`` has the labels ``"0"``,
+    ``"1"`` and ``"2"``."""
 
     name: str
     support: tuple[str, ...]
 
     def __post_init__(self):
         _check_identifier(self.name)
-        support = tuple(str(s) for s in self.support)
+        if isinstance(self.support, str):
+            raise ValueError(f"variable {self.name!r}: support {self.support!r} is a string, "
+                             f"not a list of outcome labels")
+        support = tuple(self.support)
+        for label in support:
+            if isinstance(label, (bool, np.bool_)) or not isinstance(label, (str, int, np.integer)):
+                raise ValueError(f"variable {self.name!r}: outcome label {label!r} is neither "
+                                 f"a string nor an integer")
+        support = tuple(map(str, support))
         if not support:
             raise ValueError(f"variable {self.name!r} needs at least one outcome")
         if len(set(support)) != len(support):
@@ -70,28 +93,58 @@ class Variable:
     def size(self) -> int:
         return len(self.support)
 
-    def index_of(self, label: str) -> int:
-        """Resolve an outcome label (or a decimal index string) to an index."""
-        label = str(label)
-        if label in self.support:
-            return self.support.index(label)
-        if label.lstrip("-").isdigit():
-            idx = int(label)
-            if 0 <= idx < self.size:
-                return idx
-        raise ValueError(f"{label!r} is not an outcome of variable {self.name!r}")
+    def index_of(self, outcome):
+        """The index of ``outcome``: the one resolver for an outcome.  An
+        integer (Python or numpy, not a boolean) is a position, checked
+        against the support; a string is a label, matched exactly.  An
+        integer array of one position per stack element is returned as it
+        is, its range checked where it is used.  Anything else is a
+        ValueError saying that the outcome index is not an integer."""
+        if isinstance(outcome, str):
+            if outcome in self.support:
+                return self.support.index(outcome)
+            raise ValueError(f"{outcome!r} is not an outcome of variable {self.name!r}")
+        if isinstance(outcome, np.ndarray) and outcome.dtype.kind in "iu":
+            return outcome
+        idx = integer(outcome, f"outcome index {outcome!r} for variable {self.name!r}")
+        if not 0 <= idx < self.size:
+            raise ValueError(f"outcome index {idx} out of range for variable {self.name!r}")
+        return idx
 
 
 def _validated_variables(variables) -> tuple[Variable, ...]:
-    variables = tuple(
-        v if isinstance(v, Variable) else Variable(v[0], tuple(v[1])) for v in variables
-    )
+    variables = tuple(v if isinstance(v, Variable) else Variable(*v) for v in variables)
     if not variables:
         raise ValueError("a distribution needs at least one variable")
     names = [v.name for v in variables]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate variable names: {names}")
+    if len(set(map(name_key, names))) != len(names):  # one identifier would name two
+        raise ValueError(f"duplicate variable names (equal up to case): {names}")
     return variables
+
+
+class _Axes:
+    """A value with one axis per variable of ``variables``, each variable
+    named once up to case.  :meth:`index_of` is the one resolver for a
+    variable name."""
+
+    __slots__ = ()
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(v.name for v in self.variables)
+
+    def index_of(self, name: str) -> int:
+        """The axis of the variable ``name`` names, matched without regard
+        to case (see :func:`name_key`), else :class:`UnknownVariable`."""
+        if isinstance(name, str):
+            key = name_key(name)
+            for i, v in enumerate(self.variables):
+                if name_key(v.name) == key:
+                    return i
+        raise UnknownVariable(f"no variable matches identifier {name!r}")
+
+    def variable(self, name: str) -> Variable:
+        return self.variables[self.index_of(name)]
 
 
 def _own_cells(obj, values, what: str) -> np.ndarray:
@@ -111,7 +164,7 @@ def _own_cells(obj, values, what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class JointDistribution:
+class JointDistribution(_Axes):
     """A normalized dense joint distribution.
 
     ``probs`` may be passed flat or shaped; it is copied, validated
@@ -138,21 +191,8 @@ class JointDistribution:
         object.__setattr__(self, "renormalized", renormalized)
 
     @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return self.probs.shape
-
-    def index_of(self, name: str) -> int:
-        for i, v in enumerate(self.variables):
-            if v.name == name:
-                return i
-        raise UnknownVariable(f"no variable named {name!r}")
-
-    def variable(self, name: str) -> Variable:
-        return self.variables[self.index_of(name)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -175,7 +215,7 @@ class JointDistribution:
 
 
 @dataclass(frozen=True, eq=False)
-class UnnormalizedWeight:
+class UnnormalizedWeight(_Axes):
     """A non-negative weight tensor with the same layout as a distribution
     and a positive total mass.  As the q side of a cross-entropy its mass
     counts: doubling every weight lowers ``CE[p(X) || q(X)]`` by log 2."""
@@ -190,18 +230,23 @@ class UnnormalizedWeight:
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
 
-
-def checked_bindings(d: JointDistribution, bindings) -> dict[str, int]:
-    """``bindings`` (variable name -> outcome index) with integer indices,
-    each name a variable of ``d`` and each index one of its outcomes."""
-    out = {name: outcome_index(name, idx) for name, idx in dict(bindings).items()}
-    for name, idx in out.items():
-        if not 0 <= idx < d.variable(name).size:
-            raise ValueError(f"outcome index {idx} out of range for variable {name!r}")
+def checked_bindings(d, bindings, q=None) -> dict:
+    """``bindings`` keyed by the names of the variables of ``d`` (or, for a
+    name ``d`` lacks, of ``q``) that its keys name, each outcome resolved by
+    :meth:`Variable.index_of`; two keys that name one variable are a
+    ValueError."""
+    out = {}
+    for name, outcome in dict(bindings).items():
+        try:
+            var = d.variable(name)
+        except UnknownVariable:
+            if q is None:
+                raise
+            var = q.variable(name)
+        if var.name in out:
+            raise ValueError(f"bindings name variable {var.name!r} more than once")
+        out[var.name] = var.index_of(outcome)
     return out
 
 
@@ -217,22 +262,17 @@ def integer(value, what: str) -> int:
     raise ValueError(f"{what} is not an integer")
 
 
-def outcome_index(name: str, idx):
-    """``idx`` bound to variable ``name`` as an int (see :func:`integer`), or
-    an integer array of one index per stack element as it is."""
-    if isinstance(idx, np.ndarray) and idx.dtype.kind in "iu":
-        return idx
-    return integer(idx, f"outcome index {idx!r} for variable {name!r}")
-
-
 def condition(d: JointDistribution, bindings) -> JointDistribution:
     """Condition on tied outcomes, ``bindings`` mapping variable names to
-    outcome indices; returns a distribution over the unbound variables.
+    outcomes (see :func:`checked_bindings`); returns a distribution over the
+    unbound variables.
 
     Raises :class:`ZeroProbabilityEvent` if the assigned slice has mass at or
     below ``ZERO_MASS``.
     """
     bound = checked_bindings(d, bindings)
+    if any(isinstance(o, np.ndarray) for o in bound.values()):  # evaluate_stack's form only
+        raise ValueError("condition takes one outcome per variable, not an array of them")
     if len(bound) >= len(d.variables):
         raise ValueError("conditioning must leave at least one variable free")
     ix = tuple(bound.get(v.name, slice(None)) for v in d.variables)

@@ -12,9 +12,10 @@ Surface syntax (whitespace-insensitive)::
     0.5 * H[X] + H[Y] == H[X,Y]    scaling, +/-, and comparisons
 
 Uppercase identifiers denote untied (averaged) variables; lowercase
-identifiers denote tied variables, bound either literally (``y=1``) or via
-bindings supplied at evaluation time.  Identifiers resolve to distribution
-variables case-insensitively, so ``y`` ties the variable named ``Y``.
+identifiers denote tied variables, bound either literally (``y=1``, the
+outcome labelled ``1``) or via bindings supplied at evaluation time.  An
+identifier names a variable as :mod:`discinfo.dist` resolves a name, without
+regard to case, so ``y`` ties the variable named ``Y``.
 
 Grammar (EBNF)::
 
@@ -46,14 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantities as qt
-from .dist import (
-    EQ_TOLERANCE,
-    NEQ_GAP,
-    ZERO_MASS,
-    JointDistribution,
-    checked_bindings,
-    outcome_index,
-)
+from .dist import EQ_TOLERANCE, NEQ_GAP, ZERO_MASS, JointDistribution, checked_bindings, name_key
 from .errors import (
     DiscinfoError,
     MissingQDistribution,
@@ -489,29 +483,17 @@ class _Scope:
         return _Scope(p, q, env, self.base, len(elements))
 
 
-def _resolve_variable(dist, ident: str) -> str:
-    """Case-insensitive unique match from an identifier to a variable name."""
-    matches = [v.name for v in dist.variables if v.name.lower() == ident.lower()]
-    if not matches:
-        raise UnknownVariable(f"no variable matches identifier {ident!r}")
-    if len(matches) > 1:
-        raise UnknownVariable(f"identifier {ident!r} is ambiguous: {matches}")
-    return matches[0]
-
-
 def _resolve_term(dist, spec: TermSpec, env: dict) -> Term:
-    name = _resolve_variable(dist, spec.name)
+    var = dist.variable(spec.name)
     if not spec.tied:
-        return Term(name)
+        return Term(var.name)
     if spec.outcome is not None:
-        var = dist.variables[dist.names.index(name)]
         try:
-            idx = var.index_of(spec.outcome)
+            return Term(var.name, var.index_of(spec.outcome))
         except ValueError as exc:
             raise UnknownVariable(str(exc)) from exc
-        return Term(name, idx)
-    if name in env:
-        return Term(name, env[name])
+    if var.name in env:
+        return Term(var.name, env[var.name])
     raise UnknownVariable(
         f"tied identifier {spec.name!r} has no outcome: bind it with "
         f"'{spec.name}=<outcome>' or supply it in the bindings"
@@ -580,7 +562,7 @@ def _eval_expectation(node: ExpectationNode, scope: _Scope):
     ``ZERO_MASS`` of every element become the elements of one stack, on
     which the body is evaluated once."""
     measure = scope.dist(node.measure.letter)
-    iter_names = [_resolve_variable(measure, t.name) for t in node.measure.head]
+    iter_names = [measure.variable(t.name).name for t in node.measure.head]
     if len(set(iter_names)) != len(iter_names):
         raise EvaluationError("expectation variables must be distinct")
     given = _resolve_terms(measure, node.measure.given, scope.env)
@@ -633,38 +615,20 @@ def compare(lhs, op: str, rhs):
     return gap < 0 if op == "!=" else gap <= EQ_TOLERANCE
 
 
-def _environment(bindings, p, q) -> dict:
-    """Bindings keyed by exact variable names (matched case-insensitively,
-    in p first, then in q), each index checked by :func:`outcome_index`;
-    two keys that name one variable are a ValueError."""
-    env = {}
-    if bindings is None:
-        return env
-    for name, idx in dict(bindings).items():
-        try:
-            exact = _resolve_variable(p, name)
-        except UnknownVariable:
-            if q is None:
-                raise
-            exact = _resolve_variable(q, name)
-        if exact in env:
-            raise ValueError(f"bindings name variable {exact!r} more than once")
-        env[exact] = outcome_index(exact, idx)
-    return env
-
-
 def evaluate(expression, dist: JointDistribution, q=None, bindings=None, *,
              base: LogBase = LogBase.NATS):
     """Evaluate an expression (text or AST) against a distribution.
 
     ``q`` supplies the second distribution for ``q(...)`` references (a
     :class:`JointDistribution` or :class:`UnnormalizedWeight`).  ``bindings``
-    resolves bare lowercase identifiers to outcome indices; keys are matched
-    to variable names case-insensitively, and two keys that match one
-    variable are a ValueError.  Returns a float, or a bool for comparisons.
+    gives bare lowercase identifiers their outcomes, resolved by
+    :func:`~discinfo.dist.checked_bindings` in ``dist``, then in ``q``: a
+    key names a variable without regard to case, an integer outcome is a
+    position and a string a label.  Returns a float, or a bool for
+    comparisons.
     """
     node = parse(expression) if isinstance(expression, str) else expression
-    env = _environment(bindings, dist, q)
+    env = checked_bindings(dist, bindings or {}, q)
     p = qt.Stack.of(dist)
     qs = None if q is None else p if q is dist else qt.Stack.of(q)
     # the resolved bindings name the tied outcomes when their event has no mass
@@ -675,13 +639,14 @@ def evaluate_stack(expression, p, q=None, bindings=None, *, base: LogBase = LogB
     """Evaluate an expression over a stack of same-shape distributions.
 
     ``p`` and ``q`` are :class:`~discinfo.quantities.Stack` values, and
-    ``bindings`` maps names to an outcome index or to an array of one index
-    per element.  Returns ``(values, defined)``, two arrays of the stack
-    length: ``defined`` is False exactly where :func:`evaluate` on that
-    element raises :class:`ZeroProbabilityEvent` or :class:`SupportMismatch`.
+    ``bindings`` maps names to an outcome (as for :func:`evaluate`) or to an
+    integer array of one outcome index per element.  Returns ``(values,
+    defined)``, two arrays of the stack length: ``defined`` is False exactly
+    where :func:`evaluate` on that element raises
+    :class:`ZeroProbabilityEvent` or :class:`SupportMismatch`.
     """
     node = parse(expression) if isinstance(expression, str) else expression
-    env = _environment(bindings, p, q)
+    env = checked_bindings(p, bindings or {}, q)
     n = max(len(p), 1 if q is None else len(q),
             *(len(o) for o in env.values() if isinstance(o, np.ndarray)))
     values, undefined = _eval(node, _Scope(p, q, env, base, n))
@@ -731,21 +696,17 @@ class DiagramTable:
 def diagram(d: JointDistribution, observed: dict, *, base: LogBase = LogBase.NATS) -> DiagramTable:
     """Evaluate the eight-quantity decomposition for one observed variable.
 
-    ``observed`` maps exactly one variable of ``d`` to its observed outcome
-    index (``{"Y": 1}``, or ``{"y": 1}``: the name is matched as the notation
-    matches an identifier); every other variable forms the (joint) X group.
-    Each row is an expression over ``d`` with the observed variable as a
-    bare tied identifier, evaluated with that binding.  Every variable name
-    is one the notation can write (see :class:`~discinfo.dist.Variable`),
-    but two names equal up to case cannot be told apart:
-    :class:`UnknownVariable`.
+    ``observed`` maps exactly one variable of ``d`` to its observed outcome,
+    resolved as :func:`evaluate` resolves a binding (``{"Y": 1}``, ``{"y":
+    1}`` and, on the support ``("0", "1")``, ``{"Y": "1"}`` are one
+    observation); every other variable forms the (joint) X group.  Each row
+    is an expression over ``d`` with the observed variable as a bare tied
+    identifier, evaluated with that binding.
     """
     observed = dict(observed)
     if len(observed) != 1:
         raise ValueError("diagram needs exactly one observed variable")
-    (name, idx), = observed.items()
-    y_name = _resolve_variable(d, name)
-    y_idx = checked_bindings(d, {y_name: idx})[y_name]
+    (y_name, y_idx), = checked_bindings(d, observed).items()
     xs = ",".join(n[0].upper() + n[1:] for n in d.names if n != y_name)
     if not xs:
         raise ValueError("diagram needs at least one unobserved variable")
@@ -758,8 +719,9 @@ def diagram(d: JointDistribution, observed: dict, *, base: LogBase = LogBase.NAT
 
 def scoped_termlists(node, bound=frozenset()):
     """Every term list of the expression as (letter, terms, bound), in
-    surface order; ``bound`` holds the lowercase names that enclosing
-    expectations bind where the list is written.  An expectation binds its
+    surface order; ``bound`` holds the :func:`~discinfo.dist.name_key` of
+    each name that enclosing expectations bind where the list is written.
+    An expectation binds its
     measure's head in its body and at the head itself; its conditioning side
     is read in the enclosing scope."""
     if isinstance(node, InfoNode):
@@ -768,7 +730,7 @@ def scoped_termlists(node, bound=frozenset()):
         for s in (node.p_spec, node.q_spec):
             yield from ((s.letter, terms, bound) for terms in (s.head, s.given))
     elif isinstance(node, ExpectationNode):
-        inner = bound | {t.name.lower() for t in node.measure.head}
+        inner = bound | {name_key(t.name) for t in node.measure.head}
         yield node.measure.letter, node.measure.head, inner
         yield node.measure.letter, node.measure.given, bound
         yield from scoped_termlists(node.body, inner)
@@ -795,6 +757,6 @@ def free_tied_identifiers(node) -> list[str]:
     for _, terms, bound in scoped_termlists(node):
         free.update(dict.fromkeys(
             t.name for t in terms
-            if t.tied and t.outcome is None and t.name.lower() not in bound
+            if t.tied and t.outcome is None and name_key(t.name) not in bound
         ))
     return list(free)

@@ -274,7 +274,9 @@ ZERO_GRID_VALUES = {
 
 
 def _canonical(ident: str) -> str:
-    return ident[0].upper() + ident[1:]
+    """The name of the variable ``ident`` names, as the search's cases print
+    it; identifiers equal up to case name one variable."""
+    return ident.capitalize()
 
 
 def _search_op(entry) -> str:
@@ -326,7 +328,7 @@ class _Search:
         self.threshold = EQ_TOLERANCE if self.always else NEQ_GAP
         if self.row is None:
             self.names = entry.variable_names()
-            self.free = [_canonical(i) for i in ex.free_tied_identifiers(self.node)]
+            self.free = list(dict.fromkeys(map(_canonical, ex.free_tied_identifiers(self.node))))
             # the dense positive grids are the discovery guarantee of witness searches
             self.grids = (ZERO_GRID_VALUES,) if self.always else (ZERO_GRID_VALUES,
                                                                   FULL_GRID_VALUES)

@@ -41,13 +41,9 @@ from enum import Enum
 
 import numpy as np
 
-from .dist import JointDistribution, UnnormalizedWeight, ZERO_CELL, ZERO_MASS, outcome_index
-from .errors import (
-    NonPositiveProbability,
-    SupportMismatch,
-    UnknownVariable,
-    ZeroProbabilityEvent,
-)
+from .dist import (ZERO_CELL, ZERO_MASS, JointDistribution, UnnormalizedWeight, _Axes,
+                   _validated_variables)
+from .errors import NonPositiveProbability, SupportMismatch, UnknownVariable, ZeroProbabilityEvent
 
 _LN2 = math.log(2.0)
 
@@ -75,19 +71,19 @@ class Term:
         return self.outcome is not None
 
 
-def as_terms(specs) -> tuple[Term, ...]:
-    """Coerce strings / (name, index) pairs / Terms into a Term tuple; an
-    index goes through :func:`~discinfo.dist.outcome_index`."""
+def _term(spec) -> Term:
+    """A name, a (name, outcome) pair or a Term, as a Term, unresolved."""
+    return spec if isinstance(spec, Term) else Term(spec) if isinstance(spec, str) else Term(*spec)
+
+
+def as_terms(s: "Stack", specs) -> tuple[Term, ...]:
+    """``specs`` (names, (name, outcome) pairs or Terms) as Terms of the
+    stack ``s``: each name resolved by :meth:`Stack.index_of`, each outcome
+    by :meth:`~discinfo.dist.Variable.index_of`."""
     out = []
-    for spec in specs:
-        if isinstance(spec, Term):
-            out.append(spec)
-        elif isinstance(spec, str):
-            out.append(Term(spec))
-        else:
-            name, idx = spec
-            name = str(name)
-            out.append(Term(name, None if idx is None else outcome_index(name, idx)))
+    for t in map(_term, specs):
+        var = s.variable(t.name)
+        out.append(Term(var.name, None if t.outcome is None else var.index_of(t.outcome)))
     return tuple(out)
 
 
@@ -151,20 +147,21 @@ _sum = np.add.reduce
 _SUPPORT_MESSAGE = "q is zero (or undefined) at an outcome where p has positive mass"
 
 
-class Stack:
+class Stack(_Axes):
     """Same-shape tensors over one set of variables, with a leading batch axis.
 
     ``tensor`` has shape ``(rows, *shape)``.  Element ``i`` of the stack is
     ``tensor[rows[i]]``, or ``tensor[i]`` when ``rows`` is None.  A stack of
     one broadcasts against stacks of any length.  ``weight`` marks
-    unnormalized weights.
+    unnormalized weights.  Names equal up to case are refused, as for a
+    distribution, and :meth:`index_of` resolves a name.
     """
 
     __slots__ = ("variables", "names", "tensor", "rows", "weight")
 
     def __init__(self, variables, tensor, rows=None, weight=False):
-        self.variables = variables
-        self.names = tuple([v.name for v in variables])
+        self.variables = _validated_variables(variables)
+        self.names = tuple([v.name for v in self.variables])
         self.tensor = tensor
         self.rows = rows
         self.weight = weight
@@ -209,7 +206,7 @@ def one_value(values: np.ndarray, undefined: np.ndarray, *term_lists):
         return values.item()
     code = undefined[0]
     if code == ZERO_PROBABILITY:
-        tied = {t.name: t.outcome for terms in term_lists for t in as_terms(terms) if t.tied}
+        tied = {t.name: t.outcome for terms in term_lists for t in map(_term, terms) if t.tied}
         what = f"tied outcomes {tied}" if tied else "the tied outcomes"
         raise ZeroProbabilityEvent(f"{what} have probability at most {ZERO_MASS!r}")
     if code == SUPPORT_MISMATCH:
@@ -221,9 +218,6 @@ def _subtensor(names, tensor, wanted):
     """Marginal of ``tensor`` (a batch axis, then one axis per entry of
     ``names``) onto the ``wanted`` names, keeping the axis order of ``names``."""
     wanted = set(wanted)
-    unknown = wanted.difference(names)
-    if unknown:
-        raise UnknownVariable(f"unknown variable(s): {sorted(unknown)}")
     drop = tuple(1 + i for i, n in enumerate(names) if n not in wanted)
     kept = [n for n in names if n in wanted]
     return (_sum(tensor, axis=drop) if drop else tensor), kept
@@ -241,14 +235,12 @@ def gather(tensor, names, at: dict, rows=None):
 
 
 def _check_terms(d, terms) -> None:
-    """Each name once and known to ``d``, and each tie within its
-    variable's outcomes."""
+    """Each name once, and each tie within its variable's outcomes; the
+    names are ``d``'s own, resolved by the public call."""
     names = [t.name for t in terms]
     if len(set(names)) != len(names):
         raise ValueError(f"a variable may appear only once per query: {names}")
     for t in terms:
-        if t.name not in d.names:
-            raise UnknownVariable(f"no variable named {t.name!r}")
         size = d.variables[d.names.index(t.name)].size
         o = t.outcome
         if o is not None and not (((o >= 0) & (o < size)).all() if type(o) is np.ndarray
@@ -274,10 +266,10 @@ def _expected_ic_nats(p: Stack, q: Stack, p_head, p_given, q_head=None, q_given=
     ``ZERO_MASS``, and else ``SUPPORT_MISMATCH`` where q is not positive
     under p's mass; the value is NaN there.
     """
-    p_head, p_given = as_terms(p_head), as_terms(p_given)
+    p_head, p_given = tuple(map(_term, p_head)), tuple(map(_term, p_given))
     same_sides = q_head is None and q_given is None
-    q_head = p_head if q_head is None else as_terms(q_head)
-    q_given = p_given if q_given is None else as_terms(q_given)
+    q_head = p_head if q_head is None else tuple(map(_term, q_head))
+    q_given = p_given if q_given is None else tuple(map(_term, q_given))
     if not p_head or not q_head:
         raise ValueError("an information query needs head terms on both sides")
     p_terms, q_terms = p_head + p_given, q_head + q_given
@@ -358,13 +350,15 @@ def entropy(d: JointDistribution, head, given=(), *, base: LogBase = LogBase.NAT
     """Entropy of the head terms given the conditioning terms.
 
     ``head`` and ``given`` are sequences of variable names (untied) or
-    ``(name, outcome_index)`` pairs (tied).  Examples::
+    ``(name, outcome)`` pairs (tied), resolved by :func:`as_terms`.
+    Examples::
 
         entropy(d, ["X"])                      # H[X]
         entropy(d, ["X"], [("Y", 1)])          # H[X | Y=1]
         entropy(d, [("Y", 1)], ["X"])          # H[y | X] with y = outcome 1
     """
     s = Stack.of(d)
+    head, given = as_terms(s, head), as_terms(s, given)
     return base.from_nats(one_value(*_expected_ic_nats(s, s, head, given), head, given))
 
 
@@ -380,15 +374,14 @@ def mutual_info(d: JointDistribution, groups, given=(), *,
     """
     if len(groups) < 2:
         raise ValueError("mutual information needs at least two groups")
-    result = _mi_nats(Stack.of(d), groups, given)
-    return base.from_nats(one_value(*result, *groups, given))
+    s = Stack.of(d)
+    groups, given = [as_terms(s, g) for g in groups], as_terms(s, given)
+    return base.from_nats(one_value(*_mi_nats(s, groups, given), *groups, given))
 
 
 def _mi_nats(s: Stack, groups, given):
-    """The (values, undefined) of a mutual information over a stack; one
-    group is its entropy."""
-    groups = [as_terms(g) for g in groups]
-    given = as_terms(given)
+    """The (values, undefined) of a mutual information over a stack, its
+    groups and ``given`` tuples of Terms; one group is its entropy."""
     if len(groups) == 1:
         return _expected_ic_nats(s, s, groups[0], given)
     return _minus(_mi_nats(s, groups[:-1], given), _mi_nats(s, groups[:-1], given + groups[-1]))

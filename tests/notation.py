@@ -3,9 +3,10 @@ as (name, outcome index or None) pairs can be evaluated as an expression,
 and the joint of a batch's labels that the acquisition scores are written
 over.
 
-Identifiers resolve to variables case-insensitively, so an untied name is
-written with its first letter upper-cased and a tied one lower-cased.  The
-tests' supports are "0", "1", ..., so an outcome index is also its label.
+An identifier names a variable without regard to case, so an untied name is
+written with its first letter upper-cased and a tied one lower-cased.  A
+written outcome (``y=1``) is a label, and the tests' supports are "0", "1",
+..., so an outcome index is written as its digits.
 """
 
 from discinfo import JointDistribution, Variable

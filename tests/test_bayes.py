@@ -972,6 +972,30 @@ class TestIndexResolver:
             with pytest.raises(InvalidIndex, match="is a boolean, not a position or a name"):
                 call()
 
+    @pytest.mark.parametrize("key, kind", [(1.5, "float"), (np.float64(1.5), "float64"),
+                                           (None, "NoneType"), ((0,), "tuple")])
+    def test_a_name_is_a_string(self, key, kind):
+        # an input named "1.5" is found by the string "1.5" only, never by the float 1.5
+        m = BayesModel(("a", "b"), [0.5, 0.5], ("1.5", "x"), ("0", "1"),
+                       np.full((2, 2, 2), 0.5))
+        assert m.input_index("1.5") == 0 and m.input_index(1) == 1
+        message = f"input {key!r} is a {kind}, not a position or a name"
+        with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
+            m.input_index(key)
+        with pytest.raises(InvalidIndex, match=f"^{re.escape(message.replace('input', 'label'))}$"):
+            m.label_index(key)
+
+    @pytest.mark.parametrize("field", ["hypotheses", "inputs", "labels"])
+    @pytest.mark.parametrize("names, message", [((), "{} must be non-empty"),
+                                                (("a", "a"), "duplicate {}")])
+    def test_a_name_list_is_non_empty_and_distinct(self, field, names, message):
+        lists = {"hypotheses": ("h0", "h1"), "inputs": ("x0", "x1"), "labels": ("0", "1")}
+        lists[field] = names
+        shape = tuple(len(lists[k]) for k in ("hypotheses", "inputs", "labels"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(field))}$"):
+            BayesModel(lists["hypotheses"], np.full(shape[0], 1 / max(shape[0], 1)),
+                       lists["inputs"], lists["labels"], np.full(shape, 1 / max(shape[2], 1)))
+
     def test_a_prefix_must_fit_the_model(self):
         # the batch so far is a list of inputs resolved by the model, so no prefix built on
         # another model can be passed; an unknown input or too many of them is refused

@@ -168,13 +168,17 @@ def test_observed_names_resolve_as_the_notation_does(three_cell_path, capsys, co
     assert outputs[0] == outputs[1] and outputs[0].out and not outputs[0].err
 
 
-def test_an_ambiguous_observed_name_is_usage_error(tmp_path, capsys):
-    d = JointDistribution((Variable("X", ("0", "1")), Variable("Y", ("0", "1")),
-                           Variable("y", ("0", "1"))), np.full(8, 1 / 8))
+def test_names_equal_up_to_case_are_usage_error(tmp_path, capsys):
+    # Y and y would name one variable, so the file is refused before a name is resolved
+    doc = {"variables": [{"name": n, "support": ["0", "1"]} for n in ("X", "Y", "y")],
+           "probs": [1 / 8] * 8}
     path = tmp_path / "d.json"
-    dump_distribution(d, path)
+    path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["eval", "--dist", str(path), "--observe", "Y=1", "H[X]"]) == 2
-    assert capsys.readouterr().err.startswith("error: identifier 'Y' is ambiguous")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: duplicate variable names (equal up to case): "
+                            "['X', 'Y', 'y']\n")
 
 
 class TestVerifyPaper:

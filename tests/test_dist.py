@@ -21,8 +21,12 @@ from discinfo import (
     diagram,
     entropy,
     evaluate,
+    mutual_info,
 )
+from discinfo.cli import main
 from discinfo.dist import dump_distribution, load_distribution, read_json
+from discinfo.expr import evaluate_stack
+from discinfo.quantities import Stack
 
 
 def three_cell():
@@ -88,6 +92,35 @@ class TestConstruction:
     @pytest.mark.parametrize("name", ["X", "y", "Y1", "x_2", "Omega"])
     def test_accepts_names_the_notation_can_write(self, name):
         assert Variable(name, ("0", "1")).name == name
+
+    @pytest.mark.parametrize("build", [
+        JointDistribution, UnnormalizedWeight,
+        lambda variables, cells: Stack(variables, np.reshape(cells, (1, 2, 2, 2))),
+    ], ids=["distribution", "weight", "stack"])
+    def test_rejects_names_equal_up_to_case(self, build):
+        # A and a would both be named by the identifier a, so no value holds both
+        message = "duplicate variable names (equal up to case): ['A', 'B', 'a']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(tuple(Variable(n, ("0", "1")) for n in ("A", "B", "a")), [0.125] * 8)
+
+    @pytest.mark.parametrize("support, message", [
+        ("ab", "variable 'X': support 'ab' is a string, not a list of outcome labels"),
+        ((True, "1"), "variable 'X': outcome label True is neither a string nor an integer"),
+        (("0", 1.5), "variable 'X': outcome label 1.5 is neither a string nor an integer"),
+        ((np.False_,), "variable 'X': outcome label np.False_ is neither a string nor an integer"),
+    ])
+    def test_support_follows_the_json_readers_rule(self, support, message):
+        # a string is not split into its characters, and a boolean or a float is no label
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Variable("X", support)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            JointDistribution((("X", support),), [1.0])
+
+    def test_integer_labels_are_their_digits(self):
+        assert Variable("X", range(3)).support == ("0", "1", "2")
+        assert Variable("X", (np.int64(7), "a", -1)).support == ("7", "a", "-1")
+        assert JointDistribution((("X", range(2)),), [0.5, 0.5]).variables == (
+            Variable("X", ("0", "1")),)
 
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -265,10 +298,10 @@ class TestAssignment:
             condition(three_cell(), {"Y": 7})
         with pytest.raises(ValueError, match="out of range"):
             diagram(three_cell(), {"Y": 7})
-        with pytest.raises(UnknownVariable, match="no variable named 'Q'"):
+        with pytest.raises(UnknownVariable, match="^no variable matches identifier 'Q'$"):
             condition(three_cell(), {"Q": 0})
 
-    @pytest.mark.parametrize("index", [0.7, 1.0, np.float64(1.0), "1"])
+    @pytest.mark.parametrize("index", [0.7, 1.0, np.float64(1.0), None])
     def test_indices_must_be_integers(self, index):
         # a float is refused, never truncated to the outcome below it
         message = f"outcome index {index!r} for variable 'Y' is not an integer"
@@ -289,6 +322,13 @@ class TestAssignment:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(three_cell(), {"Y": index})
 
+    @pytest.mark.parametrize("index", [np.array([1]), np.array([5]), np.array([0, 1])])
+    def test_condition_takes_no_array(self, index):
+        # an array of one outcome per stack element is evaluate_stack's; here it is refused
+        message = "condition takes one outcome per variable, not an array of them"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            condition(three_cell(), {"Y": index})
+
     @pytest.mark.parametrize("index", [np.int64(1), np.int8(1), np.uint32(1)])
     def test_numpy_integer_indices(self, index):
         assert condition(three_cell(), {"Y": index}).probs.tolist() == [0.0, 1.0]
@@ -296,6 +336,73 @@ class TestAssignment:
 
     def test_prob_of_partial(self):
         assert np.exp(-ic_at(three_cell(), Y=0)) == pytest.approx(2 / 3)
+
+
+def one_zero():
+    # Y's first outcome is labelled "1": H[X|Y=label "1"] = H(1/4, 3/4) and
+    # H[X|Y=position 1] = H(1/3, 2/3)
+    return JointDistribution((Variable("X", ("0", "1")), Variable("Y", ("1", "0"))),
+                             [[1 / 7, 1 / 7], [3 / 7, 2 / 7]])
+
+
+H_LABEL_1 = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))  # 0.562335...
+H_POSITION_1 = -(math.log(1 / 3) / 3 + 2 / 3 * math.log(2 / 3))  # 0.636514...
+
+
+class TestOneRule:
+    """A name matches without regard to case, an integer outcome is a
+    position and a string outcome a label, at every entry point."""
+
+    @pytest.mark.parametrize("name", ["y", "Y"])
+    @pytest.mark.parametrize("key, index", [(1, 1), ("1", 0), (np.int64(1), 1), ("0", 1)])
+    def test_every_entry_point_resolves_one_outcome(self, tmp_path, capsys, name, key, index):
+        d = one_zero()
+        want = H_LABEL_1 if index == 0 else H_POSITION_1
+        assert evaluate("H[X|y]", d, bindings={name: key}) == pytest.approx(want, abs=1e-12)
+        values, defined = evaluate_stack("H[X|y]", Stack.of(d), bindings={name: key})
+        assert defined.all() and values.tolist() == [evaluate("H[X|y]", d, bindings={"Y": index})]
+        assert entropy(d, ["x"], [(name, key)]) == entropy(d, ["X"], [("Y", index)])
+        assert mutual_info(d, [["x"], [(name, key)]]) == mutual_info(d, [["X"], [("Y", index)]])
+        assert condition(d, {name: key}).probs.tolist() == condition(d, {"Y": index}).probs.tolist()
+        assert diagram(d, {name: key}) == diagram(d, {"Y": index})
+        assert diagram(d, {name: key}).cond_head == evaluate("H[X|y]", d, bindings={"Y": index})
+        if isinstance(key, str):  # the notation and --observe write a label
+            written = "1" if index == 0 else "0"
+            assert evaluate(f"H[X|y={written}]", d) == evaluate("H[X|y]", d, bindings={"Y": index})
+            path = tmp_path / "d.json"
+            dump_distribution(d, path)
+            assert main(["eval", "--dist", str(path), "--observe", f"{name}={key}", "H[X|y]"]) == 0
+            assert capsys.readouterr().out == f"{want:.12g}\n"
+
+    def test_the_label_1_and_the_position_1_differ(self):
+        d = one_zero()
+        assert evaluate("H[X|y=1]", d) == evaluate("H[X|y]", d, bindings={"Y": "1"})
+        assert evaluate("H[X|y=1]", d) == pytest.approx(H_LABEL_1, abs=1e-12)
+        assert evaluate("H[X|y]", d, bindings={"Y": 1}) == pytest.approx(H_POSITION_1, abs=1e-12)
+
+    def test_a_written_outcome_is_a_label_only(self):
+        # a decimal is no longer read as a position where no label matches
+        d = JointDistribution((Variable("X", ("0", "1")), Variable("Y", ("a", "b"))),
+                              [0.25] * 4)
+        with pytest.raises(UnknownVariable, match="^'1' is not an outcome of variable 'Y'$"):
+            evaluate("H[X|y=1]", d)
+        for call in (lambda: evaluate("H[X|y]", d, bindings={"y": "1"}),
+                     lambda: condition(d, {"Y": "1"}),
+                     lambda: entropy(d, ["X"], [("Y", "1")])):
+            with pytest.raises(ValueError, match="^'1' is not an outcome of variable 'Y'$"):
+                call()
+        assert evaluate("H[X|y=b]", d) == evaluate("H[X|y]", d, bindings={"Y": 1})
+
+    def test_library_names_match_without_regard_to_case(self):
+        d = three_cell()
+        assert entropy(d, ["x"]) == entropy(d, ["X"])
+        assert mutual_info(d, [["x"], ["y"]]) == mutual_info(d, [["X"], ["Y"]])
+        assert condition(d, {"y": 1}).probs.tolist() == condition(d, {"Y": 1}).probs.tolist()
+        assert d.variable("x") is d.variable("X") and d.index_of("y") == 1
+        with pytest.raises(ValueError, match="^bindings name variable 'Y' more than once$"):
+            condition(d, {"y": 1, "Y": 0})
+        with pytest.raises(ValueError, match="^a variable may appear only once per query"):
+            entropy(d, ["X", "x"])
 
 
 class TestWeights:

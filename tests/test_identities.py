@@ -322,6 +322,14 @@ I[X;y] >= 0               # expect: violation
         reports = check_suite(suite, seeds=60, rng_seed=0)
         assert all(r.passed for r in reports)
 
+    def test_identifiers_equal_up_to_case_name_one_variable(self):
+        # XY and Xy, and the tied xY, are one variable of each case, never two
+        suite = parse_suite_file("H[XY] == H[Xy]  # expect: always\n"
+                                 "H[X|xY] <= H[X]  # expect: violation\n")
+        assert [e.variable_names() for e in suite.entries] == [("Xy",), ("X", "Xy")]
+        reports = check_suite(suite, seeds=20, rng_seed=0)
+        assert [r.passed for r in reports] == [True, True]
+
     def test_missing_directive(self):
         with pytest.raises(ValueError, match="directive"):
             parse_suite_file("H[X] >= 0\n")

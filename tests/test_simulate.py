@@ -326,6 +326,15 @@ class TestConfigJson:
         with pytest.raises(ValueError):
             small_config(batch_size=0)
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(steps=0), "steps must be >= 1"),
+        (dict(pool=()), "pool must be non-empty"),
+        (dict(eval_set=()), "eval_set must be non-empty"),
+    ])
+    def test_refuses_an_empty_run(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**overrides)
+
     def test_pool_indices_are_checked(self):
         with pytest.raises(InvalidIndex):
             small_config(pool=((-1, 0),))
