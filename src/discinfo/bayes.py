@@ -13,7 +13,6 @@ Models and posteriors are immutable; updates return new values.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,7 @@ from .dist import (
     names_of,
     number_array,
     read_json,
+    write_json,
 )
 from .errors import (
     BatchTooLarge,
@@ -223,9 +223,7 @@ def load_model(path) -> BayesModel:
 
 
 def dump_model(model: BayesModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, model.to_json_dict())
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import sys
 from contextlib import contextmanager
 
-from .dist import DEFAULT_SEEDS, load_distribution
+from .dist import DEFAULT_SEEDS, load_distribution, write_json
 from .errors import CounterexampleMismatch, DiscinfoError, ParseError
 from .quantities import LogBase
 
@@ -79,9 +78,7 @@ def _run_suite(suite, args) -> int:
     for report in reports:
         print(report.format_line())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump([r.to_json_dict() for r in reports], fh, indent=2)
-            fh.write("\n")
+        write_json(args.json, [r.to_json_dict() for r in reports])
     failed = [r for r in reports if not r.passed]
     print(f"{len(reports) - len(failed)}/{len(reports)} entries passed")
     return 1 if failed else 0

@@ -93,19 +93,16 @@ class Variable:
     def size(self) -> int:
         return len(self.support)
 
-    def index_of(self, outcome):
-        """The index of ``outcome``: the one resolver for an outcome.  An
-        integer (Python or numpy, not a boolean) is a position, checked
-        against the support; a string is a label, matched exactly.  An
-        integer array of one position per stack element is returned as it
-        is, its range checked where it is used.  Anything else is a
-        ValueError saying that the outcome index is not an integer."""
+    def index_of(self, outcome) -> int:
+        """The index of ``outcome``: the one resolver for one outcome.  An
+        integer (Python or numpy, or a 0-d integer array; not a boolean) is
+        a position, checked against the support; a string is a label,
+        matched exactly.  Anything else, an array of outcomes included, is
+        a ValueError saying that the outcome index is not an integer."""
         if isinstance(outcome, str):
             if outcome in self.support:
                 return self.support.index(outcome)
             raise ValueError(f"{outcome!r} is not an outcome of variable {self.name!r}")
-        if isinstance(outcome, np.ndarray) and outcome.dtype.kind in "iu":
-            return outcome
         idx = integer(outcome, f"outcome index {outcome!r} for variable {self.name!r}")
         if not 0 <= idx < self.size:
             raise ValueError(f"outcome index {idx} out of range for variable {self.name!r}")
@@ -231,11 +228,11 @@ class UnnormalizedWeight(_Axes):
         object.__setattr__(self, "weights", weights)
 
 
-def checked_bindings(d, bindings, q=None) -> dict:
+def checked_bindings(d, bindings, q=None, read=Variable.index_of) -> dict:
     """``bindings`` keyed by the names of the variables of ``d`` (or, for a
-    name ``d`` lacks, of ``q``) that its keys name, each outcome resolved by
-    :meth:`Variable.index_of`; two keys that name one variable are a
-    ValueError."""
+    name ``d`` lacks, of ``q``) that its keys name, each outcome read by
+    ``read``: :meth:`Variable.index_of`, or evaluate_stack's reader of
+    arrays.  Two keys that name one variable are a ValueError."""
     out = {}
     for name, outcome in dict(bindings).items():
         try:
@@ -246,7 +243,7 @@ def checked_bindings(d, bindings, q=None) -> dict:
             var = q.variable(name)
         if var.name in out:
             raise ValueError(f"bindings name variable {var.name!r} more than once")
-        out[var.name] = var.index_of(outcome)
+        out[var.name] = read(var, outcome)
     return out
 
 
@@ -271,8 +268,6 @@ def condition(d: JointDistribution, bindings) -> JointDistribution:
     below ``ZERO_MASS``.
     """
     bound = checked_bindings(d, bindings)
-    if any(isinstance(o, np.ndarray) for o in bound.values()):  # evaluate_stack's form only
-        raise ValueError("condition takes one outcome per variable, not an array of them")
     if len(bound) >= len(d.variables):
         raise ValueError("conditioning must leave at least one variable free")
     ix = tuple(bound.get(v.name, slice(None)) for v in d.variables)
@@ -393,7 +388,12 @@ def load_distribution(path) -> JointDistribution:
     return read_json(path, "distribution", JointDistribution.from_json_dict)
 
 
-def dump_distribution(d: JointDistribution, path) -> None:
+def write_json(path, doc) -> None:
+    """Write ``doc`` to the file at ``path`` as JSON, indented by 2, with a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(d.to_json_dict(), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def dump_distribution(d: JointDistribution, path) -> None:
+    write_json(path, d.to_json_dict())

@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantities as qt
-from .dist import EQ_TOLERANCE, NEQ_GAP, ZERO_MASS, JointDistribution, checked_bindings, name_key
+from .dist import (EQ_TOLERANCE, NEQ_GAP, ZERO_MASS, JointDistribution, Variable,
+                   checked_bindings, name_key)
 from .errors import (
     DiscinfoError,
     MissingQDistribution,
@@ -627,30 +628,60 @@ def evaluate(expression, dist: JointDistribution, q=None, bindings=None, *,
     position and a string a label.  Returns a float, or a bool for
     comparisons.
     """
-    node = parse(expression) if isinstance(expression, str) else expression
-    env = checked_bindings(dist, bindings or {}, q)
     p = qt.Stack.of(dist)
-    qs = None if q is None else p if q is dist else qt.Stack.of(q)
+    node, scope = _prepare(expression, p, None if q is None else p if q is dist else qt.Stack.of(q),
+                         bindings, base, Variable.index_of)
     # the resolved bindings name the tied outcomes when their event has no mass
-    return qt.one_value(*_eval(node, _Scope(p, qs, env, base)), env.items())
+    return qt.one_value(*_eval(node, scope), scope.env.items())
+
+
+def _prepare(expression, p: qt.Stack, q, bindings, base, read):
+    """The AST of ``expression`` and the scope it is evaluated in, the
+    ``bindings`` read by ``read``.  A q variable that names a p variable up
+    to case takes p's spelling, and must have p's outcomes: the kernel pairs
+    the two sides by name and position."""
+    if q is not None and q is not p and q.variables != p.variables:
+        in_p = {name_key(v.name): v for v in p.variables}
+        variables = [in_p.get(name_key(v.name), v) for v in q.variables]
+        for v, w in zip(q.variables, variables):
+            if v.support != w.support:
+                raise ValueError(f"q's variable {v.name!r} has the outcomes "
+                                 f"{list(v.support)}, p's {list(w.support)}")
+        q = qt.Stack(variables, q.tensor, q.rows, q.weight)
+    node = parse(expression) if isinstance(expression, str) else expression
+    return node, _Scope(p, q, checked_bindings(p, bindings or {}, q, read), base)
+
+
+def _outcomes(var, outcome):
+    """:func:`evaluate_stack`'s outcome reader: a 1-D integer array holds one
+    position per stack element, any other value is one outcome."""
+    if not (isinstance(outcome, np.ndarray) and outcome.ndim and outcome.dtype.kind in "iu"):
+        return var.index_of(outcome)
+    if outcome.ndim > 1 or not ((outcome >= 0) & (outcome < var.size)).all():
+        raise ValueError(f"outcome positions {outcome!r} for variable {var.name!r}: not one "
+                         f"position in 0..{var.size - 1} per stack element")
+    return outcome
 
 
 def evaluate_stack(expression, p, q=None, bindings=None, *, base: LogBase = LogBase.NATS):
     """Evaluate an expression over a stack of same-shape distributions.
 
     ``p`` and ``q`` are :class:`~discinfo.quantities.Stack` values, and
-    ``bindings`` maps names to an outcome (as for :func:`evaluate`) or to an
-    integer array of one outcome index per element.  Returns ``(values,
-    defined)``, two arrays of the stack length: ``defined`` is False exactly
-    where :func:`evaluate` on that element raises
+    ``bindings`` maps names to an outcome (as for :func:`evaluate`) or to a
+    1-D integer array of one in-range outcome index per element.  ``p``,
+    ``q`` and each array have length 1 or the stack's length n.  Returns
+    ``(values, defined)``, two arrays of length n: ``defined`` is False
+    exactly where :func:`evaluate` on that element raises
     :class:`ZeroProbabilityEvent` or :class:`SupportMismatch`.
     """
-    node = parse(expression) if isinstance(expression, str) else expression
-    env = checked_bindings(p, bindings or {}, q)
-    n = max(len(p), 1 if q is None else len(q),
-            *(len(o) for o in env.values() if isinstance(o, np.ndarray)))
-    values, undefined = _eval(node, _Scope(p, q, env, base, n))
-    return np.broadcast_to(values, n), np.broadcast_to(undefined == 0, n)
+    node, scope = _prepare(expression, p, q, bindings, base, _outcomes)
+    lengths = {"p": len(p), **({} if q is None else {"q": len(q)}),
+               **{name: len(o) for name, o in scope.env.items() if isinstance(o, np.ndarray)}}
+    scope.n = max(lengths.values())
+    if not set(lengths.values()) <= {1, scope.n}:
+        raise ValueError(f"lengths {lengths}: each must be 1 or the stack's length n")
+    values, undefined = _eval(node, scope)
+    return np.broadcast_to(values, scope.n), np.broadcast_to(undefined == 0, scope.n)
 
 
 # The eight rows of a diagram: a DiagramTable field and its expression, with

@@ -204,14 +204,11 @@ def one_value(values: np.ndarray, undefined: np.ndarray, *term_lists):
     the terms name the tied outcomes in the error message."""
     if undefined is DEFINED:
         return values.item()
-    code = undefined[0]
-    if code == ZERO_PROBABILITY:
+    if undefined[0] == ZERO_PROBABILITY:
         tied = {t.name: t.outcome for terms in term_lists for t in map(_term, terms) if t.tied}
         what = f"tied outcomes {tied}" if tied else "the tied outcomes"
         raise ZeroProbabilityEvent(f"{what} have probability at most {ZERO_MASS!r}")
-    if code == SUPPORT_MISMATCH:
-        raise SupportMismatch(_SUPPORT_MESSAGE)
-    return values[0].item()
+    raise SupportMismatch(_SUPPORT_MESSAGE)
 
 
 def _subtensor(names, tensor, wanted):
@@ -234,18 +231,12 @@ def gather(tensor, names, at: dict, rows=None):
     return tensor[(_ALL if rows is None else rows, *ix)]
 
 
-def _check_terms(d, terms) -> None:
-    """Each name once, and each tie within its variable's outcomes; the
-    names are ``d``'s own, resolved by the public call."""
+def _check_terms(terms) -> None:
+    """Each name once; the public calls resolved each name, and checked each
+    tie's range or made it from the stack's own outcomes."""
     names = [t.name for t in terms]
     if len(set(names)) != len(names):
         raise ValueError(f"a variable may appear only once per query: {names}")
-    for t in terms:
-        size = d.variables[d.names.index(t.name)].size
-        o = t.outcome
-        if o is not None and not (((o >= 0) & (o < size)).all() if type(o) is np.ndarray
-                                  else 0 <= o < size):
-            raise ValueError(f"outcome index {t.outcome} out of range for variable {t.name!r}")
 
 
 def _expected_ic_nats(p: Stack, q: Stack, p_head, p_given, q_head=None, q_given=None):
@@ -273,13 +264,13 @@ def _expected_ic_nats(p: Stack, q: Stack, p_head, p_given, q_head=None, q_given=
     if not p_head or not q_head:
         raise ValueError("an information query needs head terms on both sides")
     p_terms, q_terms = p_head + p_given, q_head + q_given
-    _check_terms(p, p_terms)
+    _check_terms(p_terms)
     tensor, kept = _subtensor(p.names, p.tensor, [t.name for t in p_terms])
     tied = {t.name: t.outcome for t in p_terms if t.outcome is not None}
     if same_sides and q is p:
         fixed = tied
     else:
-        _check_terms(q, q_terms)
+        _check_terms(q_terms)
         fixed = {}
         for t in q_terms:
             if t.outcome is not None:

@@ -39,8 +39,6 @@ def log_binomial_sweep(n: int) -> np.ndarray:
     n = integer(n, f"n = {n!r}")
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return np.zeros(1)
     r = np.arange(1, n + 1, dtype=float)
     steps = np.log(n - r + 1.0) - np.log(r)
     out = np.empty(n + 1)

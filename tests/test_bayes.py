@@ -589,6 +589,17 @@ class TestElboVAE:
         with pytest.raises(ValueError, match="sums to" if fault == "sum" else "non-negative"):
             LatentVarModel(**tables)
 
+    @pytest.mark.parametrize("table, message", [
+        ("decoder", "decoder must have one row per latent outcome"),
+        ("encoder", "encoder must have shape (n_x, n_z)"),
+    ])
+    def test_the_tables_fit_the_latent_prior(self, table, message):
+        lv = random_latent_model(np.random.default_rng(5))
+        tables = {name: getattr(lv, name) for name in ("prior_z", "decoder", "encoder")}
+        tables[table] = tables[table][:-1]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LatentVarModel(**tables)
+
     def test_exact_encoder_meets_bound(self):
         rng = np.random.default_rng(17)
         lv = random_latent_model(rng)
@@ -995,6 +1006,24 @@ class TestIndexResolver:
         with pytest.raises(ValueError, match=f"^{re.escape(message.format(field))}$"):
             BayesModel(lists["hypotheses"], np.full(shape[0], 1 / max(shape[0], 1)),
                        lists["inputs"], lists["labels"], np.full(shape, 1 / max(shape[2], 1)))
+
+    @pytest.mark.parametrize("prior, likelihood, message", [
+        ([1.0], np.full((2, 2, 2), 0.5), "prior length must match the hypothesis count"),
+        ([0.5, 0.5], np.full((2, 2), 0.5), "likelihood must have shape (2, 2, 2), got (2, 2)"),
+    ])
+    def test_the_tables_fit_the_name_lists(self, prior, likelihood, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BayesModel(("h0", "h1"), prior, ("x0", "x1"), ("0", "1"), likelihood)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda m, post: csd_table(m, [0, 1], [0]), "xs and ys must have equal length"),
+        (lambda m, post: batch_score(m, post, [0, 1], [0]), "xs and ys must have equal length"),
+        (lambda m, post: batch_score(m, post, []), "batch must contain at least one input"),
+    ], ids=["csd_table", "batch_score", "empty batch"])
+    def test_one_label_per_input_and_at_least_one_input(self, call, message):
+        m = threshold_task(4)[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(m, posterior(m, []))
 
     def test_a_prefix_must_fit_the_model(self):
         # the batch so far is a list of inputs resolved by the model, so no prefix built on

@@ -99,6 +99,15 @@ class TestEval:
         expected = 0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
         assert value == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("expression, value", [("CE[p(X) || q(X)]", "0.69314718056"),
+                                                   ("KL[p(X) || q(X)]", "0.130812035941")])
+    def test_q_file_spelling_a_variable_in_lower_case(self, tmp_path, capsys, expression, value):
+        p, q = tmp_path / "p.json", tmp_path / "q.json"
+        dump_distribution(JointDistribution((Variable("X", ("0", "1")),), [0.25, 0.75]), p)
+        dump_distribution(JointDistribution((Variable("x", ("0", "1")),), [0.5, 0.5]), q)
+        assert main(["eval", "--dist", str(p), "--q", str(q), expression]) == 0
+        assert capsys.readouterr() == (f"{value}\n", "")
+
 
 class TestDiagram:
     def test_eight_labeled_rows(self, three_cell_path, capsys):
@@ -147,6 +156,14 @@ def test_unknown_observed_variable_is_usage_error(three_cell_path, capsys, comma
     assert captured.out == "" and captured.err == "error: no variable matches identifier 'Q'\n"
 
 
+@pytest.mark.parametrize("command", [["eval", "H[X|y]"], ["diagram"]])
+def test_observed_entry_without_an_outcome_is_usage_error(three_cell_path, capsys, command):
+    argv = [command[0], "--dist", three_cell_path, "--observe", "X=0, Y", *command[1:]]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: --observe entries look like NAME=OUTCOME, got 'Y'\n")
+
+
 @pytest.mark.parametrize("observe", ["Y=0,Y=1", "Y=0,y=1", "y=1, Y=1"])
 @pytest.mark.parametrize("command", [["eval", "H[X|y]"], ["diagram"]])
 def test_repeated_observed_variable_is_usage_error(three_cell_path, capsys, command, observe):
@@ -189,6 +206,13 @@ class TestVerifyPaper:
         assert "0.636514168" in out  # ln(3 * 2^(1/3) / 2)
         assert "0.182321556" in out  # ln(6/5)
         assert "0.0353748905" in out  # ln(2 sqrt(3) 5^(1/4) / 5)
+
+    def test_a_value_off_its_expected_one_is_a_mismatch(self, capsys, monkeypatch):
+        from discinfo.identities import WitnessReport
+
+        monkeypatch.setattr(WitnessReport, "golden_values", lambda self: [("H[X]", 1.0, 2.0)])
+        assert main(["verify-paper"]) == 1
+        assert capsys.readouterr() == ("", "MISMATCH: H[X]: computed 1.0, expected 2.0\n")
 
 
 class TestStirling:
@@ -295,7 +319,7 @@ class TestSim:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 3
 
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path, capsys):
         model, pool, eval_set = __import__("discinfo").threshold_task(12, 4)
         dump_model(model, tmp_path / "m.json")
         for acquisition in ("uniform", "bald", "csd", "batch_bald", "batch_csd"):
@@ -315,6 +339,8 @@ class TestSim:
             assert main(["sim", "--config", str(cfg_path), "--out", str(a)]) == 0
             assert main(["sim", "--config", str(cfg_path), "--out", str(b)]) == 0
             assert a.read_bytes() == b.read_bytes()
+            assert main(["sim", "--config", str(cfg_path)]) == 0  # no --out: to stdout
+            assert capsys.readouterr().out == a.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("entry", [[-1, 0], [99, 0], ["x1", "7"], [0, 2]])
     def test_bad_pool_entry_is_usage_error(self, tmp_path, capsys, entry):

@@ -84,6 +84,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="cells"):
             JointDistribution((Variable("X", ("0", "1")),), [1.0])
 
+    def test_rejects_no_variables(self):
+        with pytest.raises(ValueError, match="^a distribution needs at least one variable$"):
+            JointDistribution((), [1.0])
+
     @pytest.mark.parametrize("name", ["_y", "\u00c9", "X\u00e9", "1X", "x-y", "x y", ""])
     def test_rejects_names_the_notation_cannot_write(self, name):
         with pytest.raises(ValueError):
@@ -108,6 +112,8 @@ class TestConstruction:
         ((True, "1"), "variable 'X': outcome label True is neither a string nor an integer"),
         (("0", 1.5), "variable 'X': outcome label 1.5 is neither a string nor an integer"),
         ((np.False_,), "variable 'X': outcome label np.False_ is neither a string nor an integer"),
+        ((), "variable 'X' needs at least one outcome"),
+        (("0", 0), "variable 'X' has duplicate outcome labels"),
     ])
     def test_support_follows_the_json_readers_rule(self, support, message):
         # a string is not split into its characters, and a boolean or a float is no label
@@ -324,8 +330,8 @@ class TestAssignment:
 
     @pytest.mark.parametrize("index", [np.array([1]), np.array([5]), np.array([0, 1])])
     def test_condition_takes_no_array(self, index):
-        # an array of one outcome per stack element is evaluate_stack's; here it is refused
-        message = "condition takes one outcome per variable, not an array of them"
+        # an array of one outcome per stack element is evaluate_stack's; here it is no integer
+        message = f"outcome index {index!r} for variable 'Y' is not an integer"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             condition(three_cell(), {"Y": index})
 

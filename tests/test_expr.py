@@ -11,6 +11,7 @@ from discinfo import (
     MissingQDistribution,
     ParseError,
     UnknownVariable,
+    UnnormalizedWeight,
     Variable,
     ZeroProbabilityEvent,
     diagram,
@@ -24,6 +25,7 @@ from discinfo import (
 from discinfo.expr import (
     BinaryNode,
     DistSpec,
+    EvaluationError,
     DivergenceNode,
     ExpectationNode,
     ICNode,
@@ -99,6 +101,15 @@ class TestParse:
     def test_expectation_requires_lowercase_head(self):
         with pytest.raises(ParseError):
             parse("E_{p(X)}[H[X]]")
+
+    def test_expectation_conditions_on_tied_terms(self):
+        message = "expectation conditioning terms must be tied (lowercase) at offset 0"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse("E_{p(x|Y)}[H[x]]")
+
+    def test_input_must_be_a_string(self):
+        with pytest.raises(ParseError, match="^input must be a string at offset 0$"):
+            parse(5)
 
     def test_arithmetic_and_comparison(self):
         node = parse("H[X,Y] == H[X] + H[Y|X]")
@@ -177,7 +188,7 @@ class TestParseTotality:
                 assert 0 <= err.offset <= len(prefix)
 
     def test_deep_nesting_is_a_parse_error(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^expression is nested too deeply at offset 0$"):
             parse("1 * " * 100_000 + "H[X]")
 
 
@@ -306,6 +317,17 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="^an information node needs at least one term group"):
             InfoNode((), ())
 
+    def test_a_scale_applies_to_one_term(self):
+        bad = ScaledNode(2.0, BinaryNode(ScalarNode(1.0), "+", ScalarNode(2.0)))
+        with pytest.raises(ValueError, match="^a scale factor applies to a single term$"):
+            format_expression(bad)
+
+    @pytest.mark.parametrize("call", [format_expression, lambda node: evaluate(node, fair_coin())],
+                             ids=["format_expression", "evaluate"])
+    def test_only_a_node_is_an_expression(self, call):
+        with pytest.raises(TypeError, match=r"^not an expression node: \(1, 2\)$"):
+            call((1, 2))
+
     def test_a_comparison_inside_an_expectation_prints(self):
         text = "E_{p(x)}[H[x] >= 0.0] == 1.0"
         assert format_expression(parse(text)) == text
@@ -386,6 +408,25 @@ class TestEvaluate:
         d = fair_coin()
         with pytest.raises(MissingQDistribution):
             evaluate("KL[p(X) || q(X)]", d)
+
+    @pytest.mark.parametrize("expression, q, message", [
+        ("CE[q(X) || p(X)]", UnnormalizedWeight((Variable("X", ("0", "1")),), [1.0, 3.0]),
+         "the left-hand side of CE/KL must be a distribution"),
+        (BinaryNode(BinaryNode(ScalarNode(1.0), "==", ScalarNode(1.0)), "+", ScalarNode(1.0)),
+         None, "comparisons cannot be nested inside arithmetic"),
+        ("E_{p(x, x)}[H[x]]", None, "expectation variables must be distinct"),
+    ])
+    def test_what_cannot_be_evaluated(self, expression, q, message):
+        with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+            evaluate(expression, fair_coin(), q)
+
+    def test_margin_knows_four_operators(self):
+        with pytest.raises(ValueError, match="^unknown comparison operator '<'$"):
+            margin(1.0, "<", 2.0)
+
+    def test_a_diagram_needs_an_unobserved_variable(self):
+        with pytest.raises(ValueError, match="^diagram needs at least one unobserved variable$"):
+            diagram(fair_coin(), {"X": 0})
 
     def test_arithmetic(self):
         d = fair_coin()

@@ -18,6 +18,7 @@ from discinfo import (
     three_cell_distribution,
     verify_reference_witnesses,
 )
+from discinfo import identities
 from discinfo.expr import collect_identifiers, free_tied_identifiers, parse
 from discinfo.identities import (
     Status,
@@ -47,6 +48,29 @@ class TestReferenceWitnesses:
         report = verify_reference_witnesses()
         gap = report.three_cell_cond_outcome - report.three_cell_wrong_decomposition
         assert gap == pytest.approx(LN2 / 3, abs=1e-9)
+
+    def test_three_cell_order_is_x_y_or_y_x(self):
+        with pytest.raises(ValueError, match=r"^order must be a permutation of \('X', 'Y'\)$"):
+            three_cell_distribution(("X", "Z"))
+
+    def test_a_value_that_moves_with_the_axis_order_is_a_mismatch(self, monkeypatch):
+        # the Y, X witness is swapped for a uniform one, so its values differ from the X, Y one
+        original = identities.three_cell_distribution
+
+        def witness(order=("X", "Y")):
+            d = original(order)
+            return d if order == ("X", "Y") else JointDistribution(d.variables, [0.25] * 4)
+
+        monkeypatch.setattr(identities, "three_cell_distribution", witness)
+        with pytest.raises(CounterexampleMismatch,
+                           match="^axis order changed the three-cell values$"):
+            verify_reference_witnesses()
+
+    def test_chaining_sides_that_do_not_differ_are_a_mismatch(self, monkeypatch):
+        monkeypatch.setattr(identities, "WITNESS_SEPARATION", math.inf)
+        with pytest.raises(CounterexampleMismatch,
+                           match="^the chaining equation sides do not differ$"):
+            verify_reference_witnesses()
 
     def test_chaining_pair_unordered(self):
         report = verify_reference_witnesses()
@@ -157,6 +181,11 @@ class TestSuiteMechanics:
     def test_entry_must_be_comparison(self):
         with pytest.raises(ValueError):
             SuiteEntry("not_cmp", Expectation.ALWAYS_TRUE, expression="H[X]")
+
+    def test_entry_needs_an_expression_or_a_check(self):
+        message = "an entry needs exactly one of expression / check"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SuiteEntry("neither", Expectation.ALWAYS_TRUE)
 
     @pytest.mark.parametrize("seeds, rng_seed, message", [
         (True, 0, "seeds = True is not an integer"),
@@ -303,6 +332,10 @@ class TestWrittenOutcomes:
         entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, expression=text)
         report = check_entry(entry, 20, np.random.default_rng(0))
         assert report.passed and report.cases_evaluated > 0
+
+    def test_a_suite_file_comment_must_be_a_directive(self):
+        with pytest.raises(ValueError, match="^line 2: 'expect:' directive not found$"):
+            parse_suite_file("H[X] >= 0  # expect: always\nH[X] >= 0  # always\n")
 
     def test_a_suite_file_line_is_refused_by_its_name(self):
         text = "H[X] >= 0  # expect: always\n\nI[X;y=2] >= 0  # expect: violation\n"

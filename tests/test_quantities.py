@@ -26,7 +26,8 @@ from discinfo import (
 )
 
 from discinfo.dist import ZERO_CELL
-from discinfo.quantities import _plogq, plogq
+from discinfo.expr import evaluate_stack
+from discinfo.quantities import Stack, _plogq, plogq
 from notation import divergence
 from oracle import dist_to_cells, oracle_cross_entropy, oracle_entropy, oracle_mutual_info
 
@@ -148,7 +149,7 @@ class TestEntropy:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             mutual_info(d, [["X"], [("Y", index)]])
 
-    @pytest.mark.parametrize("index", [np.int8(1), np.array([1]), np.array([1], dtype=np.uint8)])
+    @pytest.mark.parametrize("index", [np.int8(1), np.array(1), np.array(1, dtype=np.uint8)])
     def test_integer_term_indices(self, index):
         d = three_cell_distribution()
         assert entropy(d, ["X"], [("Y", index)]) == entropy(d, ["X"], [("Y", 1)])
@@ -210,6 +211,30 @@ class TestCrossEntropyAndKL:
         q = JointDistribution(variables, [1.0, 0.0])
         with pytest.raises(SupportMismatch):
             evaluate("CE[p(X) || q(X)]", p, q=q)
+
+    @pytest.mark.parametrize("q_name", ["X", "x"])
+    def test_q_spelling_of_a_p_variable_is_one_variable(self, q_name):
+        # X and x name one variable, so q over x is q over X
+        p = JointDistribution((Variable("X", ("0", "1")),), [0.25, 0.75])
+        q = JointDistribution((Variable(q_name, ("0", "1")),), [0.5, 0.5])
+        ce, kl = LN2, 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
+        assert evaluate("CE[p(X) || q(X)]", p, q=q) == pytest.approx(ce, abs=1e-15)
+        assert evaluate("KL[p(X) || q(X)]", p, q=q) == pytest.approx(kl, abs=1e-15)
+        assert kl == pytest.approx(0.130812035941137, abs=1e-15)
+        values, defined = evaluate_stack("KL[p(x) || q(x)]", Stack.of(p), Stack.of(q),
+                                         bindings={"X": np.array([0, 1])})
+        assert defined.all()
+        assert values.tolist() == pytest.approx([math.log(0.5), math.log(1.5)], abs=1e-15)
+
+    def test_q_variable_of_other_outcomes_is_refused(self):
+        # outcomes pair by position, so a variable of p and q must have the same ones
+        p = JointDistribution((Variable("X", ("0", "1", "2")),), [0.25, 0.25, 0.5])
+        q = JointDistribution((Variable("x", ("0", "1")),), [0.5, 0.5])
+        message = "q's variable 'x' has the outcomes ['0', '1'], p's ['0', '1', '2']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate("E_{p(x)}[CE[p(X|x) || q(x)]]", p, q=q)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_stack("CE[p(X) || q(X)]", Stack.of(p), Stack.of(q))
 
     def test_q_side_terms_are_checked(self):
         d = three_cell_distribution()

@@ -335,6 +335,16 @@ class TestConfigJson:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             small_config(**overrides)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(label_flip=0.5), "label_flip must lie in (0, 0.5)"),
+        (dict(label_flip=0.0), "label_flip must lie in (0, 0.5)"),
+        (dict(true_threshold=0), "true_threshold must lie in 1..n_points"),
+        (dict(true_threshold=5), "true_threshold must lie in 1..n_points"),
+    ])
+    def test_threshold_task_refuses_what_is_outside_its_range(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            threshold_task(4, **kwargs)
+
     def test_pool_indices_are_checked(self):
         with pytest.raises(InvalidIndex):
             small_config(pool=((-1, 0),))

@@ -35,9 +35,12 @@ from discinfo import (
     Variable,
     ZeroProbabilityEvent,
     check_suite,
+    condition,
     default_suite,
+    diagram,
     entropy,
     evaluate,
+    mutual_info,
     parse_suite_file,
     three_cell_distribution,
 )
@@ -470,6 +473,65 @@ def test_stacked_bindings_of_one_variable_are_refused():
     stack = qt.Stack.of(three_cell_distribution())
     with pytest.raises(ValueError, match="^bindings name variable 'Y' more than once$"):
         evaluate_stack("H[X|y]", stack, bindings={"y": np.array([0, 1]), "Y": 0})
+
+
+@pytest.mark.parametrize("call", [
+    lambda d, b: evaluate("H[X|y]", d, bindings=b),
+    lambda d, b: entropy(d, ["X"], list(b.items())),
+    lambda d, b: mutual_info(d, [["X"], list(b.items())]),
+    lambda d, b: diagram(d, b),
+    lambda d, b: condition(d, b),
+], ids=["evaluate", "entropy", "mutual_info", "diagram", "condition"])
+@pytest.mark.parametrize("index", [np.array([0, 1]), np.array([1], dtype=np.uint8)])
+def test_an_array_of_outcomes_is_evaluate_stack_s_alone(call, index):
+    # one outcome per stack element means nothing on one distribution, even for one element
+    message = f"outcome index {index!r} for variable 'Y' is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(three_cell_distribution(), {"Y": index})
+
+
+def test_evaluate_no_longer_answers_an_array_with_element_0():
+    # Y=1 has no mass, so the stacked form is defined for element 0 alone; evaluate
+    # returned element 0's ln 2
+    d = _two_binary([0.5, 0.0, 0.5, 0.0])
+    values, defined = evaluate_stack("H[X|y]", qt.Stack.of(d), bindings={"Y": np.array([0, 1])})
+    assert defined.tolist() == [True, False] and values[0] == pytest.approx(LN2, abs=1e-12)
+    message = "outcome index array([0, 1]) for variable 'Y' is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate("H[X|y]", d, bindings={"Y": np.array([0, 1])})
+
+
+@pytest.mark.parametrize("bindings, n, message", [
+    ({"Y": np.array([[0, 1]])}, 1, "outcome positions array([[0, 1]]) for variable 'Y': not one "
+                                   "position in 0..1 per stack element"),
+    ({"Y": np.array([0, 2])}, 1, "outcome positions array([0, 2]) for variable 'Y': not one "
+                                 "position in 0..1 per stack element"),
+    ({"Y": np.array([-1, 0, 1])}, 3, "outcome positions array([-1,  0,  1]) for variable 'Y': "
+                                     "not one position in 0..1 per stack element"),
+    ({"Y": np.array([0, 1])}, 3,
+     "lengths {'p': 3, 'Y': 2}: each must be 1 or the stack's length n"),
+    ({"Y": np.array([0, 1]), "X": np.array([0, 1, 1])}, 1,
+     "lengths {'p': 1, 'Y': 2, 'X': 3}: each must be 1 or the stack's length n"),
+], ids=["2-D", "above", "below", "stack", "two arrays"])
+def test_stacked_array_bindings_are_checked(bindings, n, message):
+    d = three_cell_distribution()
+    stack = qt.Stack(d.variables, np.broadcast_to(d.probs, (n, 2, 2)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate_stack("H[X|y]", stack, bindings=bindings)
+
+
+def test_stack_lengths_are_1_or_n():
+    d = three_cell_distribution()
+    p = qt.Stack(d.variables, np.broadcast_to(d.probs, (3, 2, 2)))
+    q = qt.Stack(d.variables, np.broadcast_to(d.probs, (2, 2, 2)))
+    message = "lengths {'p': 3, 'q': 2}: each must be 1 or the stack's length n"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate_stack("CE[p(X) || q(X)]", p, q)
+    # a length-1 array, a 0-d array and an integer are one outcome for every element
+    want = evaluate("H[X|y]", d, bindings={"Y": 1})
+    for outcome in (np.array([1]), np.array(1), 1):
+        values, defined = evaluate_stack("H[X|y]", p, bindings={"Y": outcome})
+        assert defined.all() and values.tolist() == [want] * 3
 
 
 def _turn_down_first(monkeypatch, verdict):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,11 @@ class TestLogBinomialExact:
                 log_binomial_sweep(n)
         assert len(log_binomial_sweep(np.int32(5))) == 6
 
+    def test_sweep_domain(self):
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
+            log_binomial_sweep(-1)
+        assert log_binomial_sweep(0).tolist() == [0.0]
+
     def test_sweep_matches_scalar(self):
         for n in (1, 2, 17, 100):
             sweep = log_binomial_sweep(n)
@@ -77,6 +83,15 @@ class TestStirlingBound:
         report = stirling_bound(10, 5, base=LogBase.BITS)
         assert report.bound == pytest.approx(10.0, abs=1e-12)
         assert report.error_bound == pytest.approx(math.log2(10), abs=1e-12)
+
+    @pytest.mark.parametrize("args, message", [
+        ((-1, 0), "n must be non-negative"),
+        ((4, 2, 1.5), "rho must lie in [0, 1]"),
+        ((4, 2, -0.5), "rho must lie in [0, 1]"),
+    ])
+    def test_refuses_values_outside_the_domain(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stirling_bound(*args)
 
     def test_refuses_non_integers(self):
         with pytest.raises(ValueError, match="^n = 10.9 is not an integer$"):
@@ -130,6 +145,10 @@ class TestSweepInvariants:
             np.testing.assert_allclose(error[inner], ic[inner], rtol=1e-8)
             assert error[0] == pytest.approx(0.0, abs=1e-12)
             assert error[n] == pytest.approx(0.0, abs=1e-12)
+
+    def test_report_sweep_refuses_no_trials(self):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            report_sweep(0)
 
     def test_report_sweep_refuses_non_integers(self):
         for n in (5.5, True, np.True_):
