@@ -114,9 +114,7 @@ class BayesModel:
         inputs = tuple(str(x) for x in self.inputs)
         labels = tuple(str(y) for y in self.labels)
         if len(hypotheses) > MAX_HYPOTHESES:
-            raise ValueError(
-                f"{len(hypotheses)} hypotheses exceeds the cap of {MAX_HYPOTHESES}"
-            )
+            raise ValueError(f"{len(hypotheses)} hypotheses exceeds the cap of {MAX_HYPOTHESES}")
         for name, seq in (("hypotheses", hypotheses), ("inputs", inputs), ("labels", labels)):
             if not seq:
                 raise ValueError(f"{name} must be non-empty")
@@ -239,7 +237,16 @@ class Posterior:
 
     @property
     def entropy(self) -> float:
-        return float(-np.add.reduce(plogq(self.probs)))
+        return _entropy(self.probs)
+
+
+def _entropy(probs: np.ndarray) -> float:
+    return float(-np.add.reduce(plogq(probs)))
+
+
+def _renormalized(probs: np.ndarray) -> np.ndarray:
+    """The division that :class:`Posterior` applies, without its checks."""
+    return probs / np.add.reduce(probs)
 
 
 def _observations(model: BayesModel, data, arg: str = "data") -> list[tuple[int, int]]:
@@ -259,30 +266,33 @@ def _log_likelihood_sum(model: BayesModel, pairs) -> np.ndarray:
     return total
 
 
-def _log_joint(model: BayesModel, data) -> np.ndarray:
-    """log p(omega) + sum log p(y | x, omega) over the data, each finite or
-    -inf; without data, log p(omega) alone (adding 0.0 changes no bit)."""
-    pairs = _observations(model, data)
-    if not pairs:
+def _log_joint(model: BayesModel, pairs) -> np.ndarray:
+    """log p(omega) + sum log p(y | x, omega) over the (input, label) positions,
+    each finite or -inf; without pairs, log p(omega) alone (adding 0.0 changes no bit)."""
+    if not len(pairs):
         return _log(model.prior)
     with np.errstate(divide="ignore"):
         return np.log(model.prior) + _log_likelihood_sum(model, pairs)
 
 
-def posterior(model: BayesModel, data) -> Posterior:
-    """Exact posterior over hypotheses given a list of (input, label) pairs
-    (log-space update)."""
-    log_post = _log_joint(model, data)
+def _posterior(model: BayesModel, pairs) -> np.ndarray:
+    """:func:`posterior` at (input, label) positions, before :class:`Posterior`."""
+    log_post = _log_joint(model, pairs)
     top = np.maximum.reduce(log_post)  # the finite maximum, if any is finite
     if not top > -np.inf:
         raise ZeroEvidence("the dataset has probability zero under every hypothesis")
-    probs = np.exp(log_post - top)  # exp(-inf) is an exact 0
-    return Posterior(probs / np.add.reduce(probs))
+    return _renormalized(np.exp(log_post - top))  # exp(-inf) is an exact 0
+
+
+def posterior(model: BayesModel, data) -> Posterior:
+    """Exact posterior over hypotheses given a list of (input, label) pairs
+    (log-space update)."""
+    return Posterior(_posterior(model, _observations(model, data)))
 
 
 def log_evidence(model: BayesModel, data) -> float:
     """log p(data) by exact enumeration over hypotheses."""
-    log_joint = _log_joint(model, data)
+    log_joint = _log_joint(model, _observations(model, data))
     top = log_joint.max()
     if not np.isfinite(top):
         raise ZeroEvidence("the dataset has probability zero under every hypothesis")
@@ -301,16 +311,18 @@ def _probs(model: BayesModel, post: Posterior) -> np.ndarray:
 
 def update(model: BayesModel, post: Posterior, x, y) -> Posterior:
     """One exact Bayes step: reweight the posterior by p(y | x, omega)."""
-    probs = _probs(model, post)
-    xi, yi = model.input_index(x), model.label_index(y)
+    return Posterior(_update(model, _probs(model, post), model.input_index(x),
+                             model.label_index(y)))
+
+
+def _update(model: BayesModel, probs: np.ndarray, xi: int, yi: int) -> np.ndarray:
+    """:func:`update` at positions ``xi``, ``yi``, before :class:`Posterior`."""
     weights = probs * model.likelihood[:, xi, yi]
     total = np.add.reduce(weights)
     if total <= ZERO_MASS:
-        raise ZeroEvidence(
-            f"observation (x={model.inputs[xi]!r}, y={model.labels[yi]!r}) has zero "
-            f"probability under the current posterior"
-        )
-    return Posterior(weights / total)
+        raise ZeroEvidence(f"observation (x={model.inputs[xi]!r}, y={model.labels[yi]!r}) has "
+                           f"zero probability under the current posterior")
+    return weights / total
 
 
 def predictive(model: BayesModel, post: Posterior, x) -> np.ndarray:
@@ -331,8 +343,11 @@ def joint_label_hypothesis(model: BayesModel, post: Posterior, x) -> JointDistri
 def predictive_table(model: BayesModel, post: Posterior) -> np.ndarray:
     """p(y | x, data) for every input, shape (n_x, n_y): one matmul of the
     posterior with the likelihood table."""
-    n_omega, n_x, n_y = model.likelihood.shape
-    return (_probs(model, post) @ model.likelihood.reshape(n_omega, n_x * n_y)).reshape(n_x, n_y)
+    return _predictive_table(model, _probs(model, post))
+
+
+def _predictive_table(model: BayesModel, probs: np.ndarray) -> np.ndarray:
+    return (probs @ model.likelihood.reshape(len(probs), -1)).reshape(model.likelihood.shape[1:])
 
 
 def _label_entropy(lik: np.ndarray, positive=False, buf=None, out=None) -> np.ndarray:
@@ -381,16 +396,22 @@ def _prefix(model: BayesModel, xis) -> tuple[np.ndarray, np.ndarray] | None:
     = c | x_1..x_k, omega) of each of the n_y**k label configurations c,
     shape (n_omega, n_y**k), and H[Y_1..Y_k | x_1..x_k, omega], shape
     (n_omega,).  The labels are independent given omega, so both grow one
-    input at a time, bit for bit as from ones and zeros (0 + H maps -0.0 to 0.0)."""
+    input at a time (:func:`_grown`)."""
     if not len(xis):
         return None
-    lik = model.likelihood[:, xis, :]
-    entropies = _label_entropy(lik, model._positive)  # (n_omega, k), elementwise
-    configs, cond = lik[:, 0], 0.0 + entropies[:, 0]
-    for i in range(1, len(xis)):
-        configs = (configs[:, :, None] * lik[:, i, None, :]).reshape(len(lik), -1)
-        cond = cond + entropies[:, i]
-    return configs, cond
+    prefix = None
+    for xi, entropy in zip(xis, _label_entropy(model.likelihood[:, xis, :], model._positive).T):
+        prefix = _grown(model, prefix, xi, entropy)
+    return prefix
+
+
+def _grown(model: BayesModel, prefix, xi, entropy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``prefix`` (None: no input) grown by input ``xi`` of H[Y | xi, omega] ``entropy``, which
+    a column of :func:`label_entropy_table` holds bit for bit; 0 + H maps -0.0 to 0.0."""
+    lik = model.likelihood[:, xi]
+    if prefix is None:
+        return lik, 0.0 + entropy
+    return (prefix[0][:, :, None] * lik[:, None, :]).reshape(len(lik), -1), prefix[1] + entropy
 
 
 def _joint_bald(probs: np.ndarray, lik: np.ndarray, cond: np.ndarray, prefix) -> np.ndarray:
@@ -467,6 +488,10 @@ def csd_table(model: BayesModel, xs, ys) -> CsdTable:
     ys = _resolve_all(model.labels, ys, "label", "ys")
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
+    return _csd_table(model, xs, ys)
+
+
+def _csd_table(model: BayesModel, xs: np.ndarray, ys: np.ndarray) -> CsdTable:
     cells = model.likelihood.reshape(model.n_hypotheses, -1)
     lik = np.take(cells, xs * model.n_labels + ys, axis=1)
     plogp = _plogq(lik, floor=0.0, positive=model._positive)[0]
@@ -486,10 +511,16 @@ def csd_scores(model: BayesModel, post: Posterior, table: CsdTable, given=()) ->
     entropy after each candidate is three matvecs against the table.  Both
     entropies are exact: 0 log 0 = 0 at exact zeros only.
     """
-    weights = probs = _probs(model, post)
+    probs = _probs(model, post)
     if table.model is not model:
         raise ValueError("csd table was built on another model")
-    for xi, yi in _observations(model, given, "given"):
+    return _csd_scores(model, probs, table, _observations(model, given, "given"))
+
+
+def _csd_scores(model: BayesModel, probs: np.ndarray, table: CsdTable, given) -> np.ndarray:
+    """:func:`csd_scores` with ``given`` (input, label) positions."""
+    weights = probs
+    for xi, yi in given:
         weights = weights * model.likelihood[:, xi, yi]
     total = weights @ table.lik  # unnormalised, so the floor is on the joint mass
     possible = total > ZERO_MASS
@@ -588,9 +619,8 @@ def batch_score(model: BayesModel, post: Posterior, xs, ys=None) -> float:
         yis = _resolve_all(model.labels, ys, "label", "ys")
         if len(yis) != len(xis):
             raise ValueError("xs and ys must have equal length")
-        table = csd_table(model, xis[-1:], yis[-1:])
-        given = np.stack([xis[:-1], yis[:-1]], axis=1)
-        score = float(csd_scores(model, post, table, given)[0])
+        table = _csd_table(model, xis[-1:], yis[-1:])
+        score = float(_csd_scores(model, _probs(model, post), table, zip(xis[:-1], yis[:-1]))[0])
         if score == -np.inf:
             raise ZeroProbabilityEvent(
                 f"label {model.labels[yis[-1]]!r} has zero predictive probability at "
@@ -609,10 +639,8 @@ def check_batch_size(model: BayesModel, b: int, *, labelled: bool) -> None:
     if b > MAX_BATCH:
         raise BatchTooLarge(f"batch size {b} exceeds the cap of {MAX_BATCH}")
     if not labelled and model.n_labels**b > MAX_LABEL_CONFIGS:
-        raise BatchTooLarge(
-            f"{model.n_labels**b} label configurations exceed the cap of "
-            f"{MAX_LABEL_CONFIGS}"
-        )
+        raise BatchTooLarge(f"{model.n_labels**b} label configurations exceed the cap of "
+                            f"{MAX_LABEL_CONFIGS}")
 
 
 # ---------------------------------------------------------------------------

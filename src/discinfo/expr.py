@@ -669,7 +669,7 @@ def evaluate_stack(expression, p, q=None, bindings=None, *, base: LogBase = LogB
     ``p`` and ``q`` are :class:`~discinfo.quantities.Stack` values, and
     ``bindings`` maps names to an outcome (as for :func:`evaluate`) or to a
     1-D integer array of one in-range outcome index per element.  ``p``,
-    ``q`` and each array have length 1 or the stack's length n.  Returns
+    ``q`` and each array have length 1 or the stack's length n >= 1.  Returns
     ``(values, defined)``, two arrays of length n: ``defined`` is False
     exactly where :func:`evaluate` on that element raises
     :class:`ZeroProbabilityEvent` or :class:`SupportMismatch`.
@@ -678,7 +678,7 @@ def evaluate_stack(expression, p, q=None, bindings=None, *, base: LogBase = LogB
     lengths = {"p": len(p), **({} if q is None else {"q": len(q)}),
                **{name: len(o) for name, o in scope.env.items() if isinstance(o, np.ndarray)}}
     scope.n = max(lengths.values())
-    if not set(lengths.values()) <= {1, scope.n}:
+    if not scope.n or not set(lengths.values()) <= {1, scope.n}:  # no empty stack
         raise ValueError(f"lengths {lengths}: each must be 1 or the stack's length n")
     values, undefined = _eval(node, scope)
     return np.broadcast_to(values, scope.n), np.broadcast_to(undefined == 0, scope.n)

@@ -6,10 +6,10 @@ acquisition function, acquires the top scorer(s) (a score within
 performs an exact posterior update, and records evaluation metrics.  Runs are
 deterministic given the config and seed; the CSV output is byte-identical.
 
-Scoring is whole-pool: one pass of the ``bayes`` table operations scores
-every candidate at once, and the evaluation pass is one predictive matmul.
-A greedy batch step takes the posterior-mean label entropy of every input
-once and shares it between its picks.
+Scoring is whole-pool: one pass of the ``bayes`` kernels scores every
+candidate at once, on the posterior's array and the positions ``SimConfig``
+checked, and the evaluation pass is one predictive matmul.  A greedy batch
+step shares the label entropies of every input between its picks.
 
 Label-aware acquisitions (csd, batch_csd) see the pool labels; bald only
 ever receives the input, so it cannot peek at labels by construction.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bayes
-from .bayes import BayesModel, Posterior
+from .bayes import BayesModel
 from .dist import TIE_TOLERANCE, known_keys, read_json
 from .errors import ZeroEvidence, malformed_input
 
@@ -56,9 +56,7 @@ class SimConfig:
 
     def __post_init__(self):
         if self.acquisition not in ACQUISITIONS:
-            raise ValueError(
-                f"acquisition must be one of {ACQUISITIONS}, got {self.acquisition!r}"
-            )
+            raise ValueError(f"acquisition must be one of {ACQUISITIONS}, got {self.acquisition!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.steps < 1:
@@ -71,9 +69,7 @@ class SimConfig:
             raise ValueError("eval_set must be non-empty")
         m = self.model
         for name in ("pool", "eval_set", "initial"):
-            pairs = tuple(
-                (m.input_index(x), m.label_index(y)) for x, y in getattr(self, name)
-            )
+            pairs = tuple((m.input_index(x), m.label_index(y)) for x, y in getattr(self, name))
             object.__setattr__(self, name, pairs)
 
     @classmethod
@@ -83,9 +79,8 @@ class SimConfig:
                              "steps", "seed", "noise_rate"), "simulation config")
             if model is None:
                 spec = doc["model"]
-                model = bayes.load_model(spec) if isinstance(spec, str) else (
-                    BayesModel.from_json_dict(spec)
-                )
+                model = (bayes.load_model(spec) if isinstance(spec, str)
+                         else BayesModel.from_json_dict(spec))
             fields = dict(
                 pool=_pairs(doc["pool"]),
                 eval_set=_pairs(doc["eval"]),
@@ -141,24 +136,17 @@ class SimResult:
     rows: tuple[SimRow, ...]
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.step},{r.x},{r.y},{r.score!r},{r.posterior_entropy!r},"
-                f"{r.accuracy!r},{r.logloss!r}"
-            )
+        lines = [CSV_HEADER] + [f"{r.step},{r.x},{r.y},{r.score!r},{r.posterior_entropy!r},"
+                                f"{r.accuracy!r},{r.logloss!r}" for r in self.rows]
         return "\n".join(lines) + "\n"
 
     def acquisitions_to_accuracy(self, target: float = 1.0) -> int | None:
         """1-based count of acquisitions until eval accuracy first reaches
         ``target``; None if it never does."""
-        for i, row in enumerate(self.rows):
-            if row.accuracy >= target:
-                return i + 1
-        return None
+        return next((i + 1 for i, row in enumerate(self.rows) if row.accuracy >= target), None)
 
 
-def _evaluate(model: BayesModel, post: Posterior, eval_x, eval_y, cells) -> tuple[float, float]:
+def _evaluate(model: BayesModel, probs, eval_x, eval_y, cells) -> tuple[float, float]:
     """Accuracy and mean log loss over the evaluation set, as Python floats;
     ``cells`` are the flat positions ``eval_x * n_labels + eval_y`` of its
     labels in the predictive table.
@@ -167,16 +155,14 @@ def _evaluate(model: BayesModel, post: Posterior, eval_x, eval_y, cells) -> tupl
     without its wrappers; a label of zero predictive probability has log 0 =
     -inf, as ``np.log`` gives it, without the warning."""
     n = len(eval_y)
-    table = bayes.predictive_table(model, post)
-    correct = int(np.count_nonzero(table[eval_x].argmax(axis=1) == eval_y))  # ties: lowest label
+    table = bayes._predictive_table(model, probs)
+    correct = int(np.count_nonzero(table.argmax(axis=1)[eval_x] == eval_y))  # ties: lowest label
     loss = bayes._log(table.ravel()[cells])
     np.negative(loss, out=loss)
     return correct / n, float(np.add.reduce(loss)) / n
 
 
 def _apply_label_noise(pool, n_labels: int, rate: float, rng) -> tuple:
-    if rate <= 0.0:
-        return tuple(pool)
     n_flip = int(round(rate * len(pool)))
     if n_flip == 0:
         return tuple(pool)
@@ -198,7 +184,7 @@ def _score_table(model, acquisition, pool_x, pool_y):
     if acquisition in ("bald", "batch_bald"):
         return bayes.label_entropy_table(model)
     if acquisition in ("csd", "batch_csd"):
-        return bayes.csd_table(model, pool_x, pool_y)
+        return bayes._csd_table(model, pool_x, pool_y)
     return None
 
 
@@ -207,14 +193,15 @@ def _tied(scores: np.ndarray) -> np.ndarray:
     return scores >= np.maximum.reduce(scores) - TIE_TOLERANCE
 
 
-def _select_batch(model, post, remaining, pool_x, pool_y, cfg, rng, table):
+def _select_batch(model, probs, remaining, pool_x, pool_y, cfg, rng, table):
     """One step's batch as [(pool index, score), ...] in acquisition order,
     and the first scoring pass's score of every remaining candidate.
 
-    ``remaining`` is in ascending pool order.  Uniform draws are ranked by a
-    stable sort; every other pick is the lowest remaining pool index tied with
-    the best score.  The greedy batch variants rescore after each pick the
-    joint gain of the batch so far plus one candidate.
+    ``probs`` is the posterior's array and ``remaining`` is in ascending
+    pool order.  Uniform draws are ranked by a stable sort; every other pick
+    is the lowest remaining pool index tied with the best score.  The greedy
+    batch variants rescore after each pick the joint gain of the batch so far
+    plus one candidate.
     """
     cands = np.asarray(remaining)
     b = min(cfg.batch_size, len(cands))
@@ -222,28 +209,29 @@ def _select_batch(model, post, remaining, pool_x, pool_y, cfg, rng, table):
         scores = rng.random(len(cands))
         order = np.argsort(-scores, kind="stable")[:b]
         return [(int(cands[k]), float(scores[k])) for k in order], scores
-    greedy = cfg.acquisition.startswith("batch_")
-    labelled = cfg.acquisition.endswith("csd")
+    greedy, labelled = cfg.acquisition.startswith("batch_"), cfg.acquisition.endswith("csd")
     if greedy:
         bayes.check_batch_size(model, b, labelled=labelled)
     xs = pool_x[cands]
     if not labelled:  # E_post H[Y | x, omega] of every input, shared by the step's picks
-        cond = post.probs @ table
+        cond = probs @ table
     left = np.arange(len(cands))  # positions into cands not yet chosen
     chosen: list[tuple[int, float]] = []
-    first = None
+    prefix = None  # of the greedy bald picks so far
     for _ in range(b):
-        if first is None or greedy:
+        if not chosen or greedy:
             if labelled:
                 given = [(pool_x[i], pool_y[i]) for i, _ in chosen]
-                scores = bayes.csd_scores(model, post, table, given)[cands]
+                scores = bayes._csd_scores(model, probs, table, given)[cands]
             else:
-                batch = [pool_x[i] for i, _ in chosen]
-                scores = bayes.joint_bald_scores(model, post, cond, batch)[xs]
-            first = scores if first is None else first
+                scores = bayes._joint_bald(probs, model.likelihood, cond, prefix)[xs]
+            first = scores if not chosen else first
         k = left[_tied(scores[left]).argmax()]
         chosen.append((int(cands[k]), float(scores[k])))
-        left = left[left != k]
+        if len(chosen) < b:  # another pick follows
+            left = left[left != k]
+            if greedy and not labelled:
+                prefix = bayes._grown(model, prefix, xs[k], table[:, xs[k]])
     return chosen, first
 
 
@@ -260,15 +248,13 @@ def run_sim(cfg: SimConfig) -> SimResult:
     posterior and score table), then each step its wall time, the top three
     candidate scores of its first scoring pass, and how many tied at the top.
     """
-    debug = logger.isEnabledFor(logging.DEBUG)
-    if debug:
-        started = time.perf_counter()
+    debug, started = logger.isEnabledFor(logging.DEBUG), time.perf_counter()
     # the seed feeds only uniform's draws and the label noise
     draws = cfg.acquisition == "uniform" or cfg.noise_rate > 0
     rng = np.random.default_rng(cfg.seed) if draws else None
     model = cfg.model
     pool = _apply_label_noise(cfg.pool, model.n_labels, cfg.noise_rate, rng)
-    post = bayes.posterior(model, list(cfg.initial))
+    probs = bayes._renormalized(bayes._posterior(model, cfg.initial))
     pool_x, pool_y = (np.array(col, dtype=np.intp) for col in zip(*pool))
     table = _score_table(model, cfg.acquisition, pool_x, pool_y)
     eval_x, eval_y = (np.array(col, dtype=np.intp) for col in zip(*cfg.eval_set))
@@ -281,9 +267,8 @@ def run_sim(cfg: SimConfig) -> SimResult:
     for step in range(1, cfg.steps + 1):
         if not remaining:
             break
-        if debug:
-            started = time.perf_counter()
-        batch, scores = _select_batch(model, post, remaining, pool_x, pool_y, cfg, rng, table)
+        started = time.perf_counter()
+        batch, scores = _select_batch(model, probs, remaining, pool_x, pool_y, cfg, rng, table)
         if debug:
             leaders = _leaders(model, scores, remaining, pool_x)
             ties = int(_tied(scores).sum())
@@ -291,24 +276,12 @@ def run_sim(cfg: SimConfig) -> SimResult:
             remaining.remove(pool_idx)
             xi, yi = pool[pool_idx]
             try:
-                post = bayes.update(model, post, xi, yi)
-            except ZeroEvidence:
-                logger.warning(
-                    "step %d: skipped (x=%s, y=%s): zero likelihood under every "
-                    "hypothesis", step, model.inputs[xi], model.labels[yi],
-                )
-            accuracy, logloss = _evaluate(model, post, eval_x, eval_y, eval_cells)
-            rows.append(
-                SimRow(
-                    step=step,
-                    x=model.inputs[xi],
-                    y=model.labels[yi],
-                    score=score,
-                    posterior_entropy=post.entropy,
-                    accuracy=accuracy,
-                    logloss=logloss,
-                )
-            )
+                probs = bayes._renormalized(bayes._update(model, probs, xi, yi))
+            except ZeroEvidence as err:
+                logger.warning("step %d: skipped: %s", step, err)
+            accuracy, logloss = _evaluate(model, probs, eval_x, eval_y, eval_cells)
+            rows.append(SimRow(step, model.inputs[xi], model.labels[yi], score,
+                               bayes._entropy(probs), accuracy, logloss))
         if debug:
             logger.debug("step %d: %.3f ms; top candidates %s; %d tied at the top", step,
                          1e3 * (time.perf_counter() - started), leaders, ties)

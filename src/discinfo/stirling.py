@@ -27,8 +27,6 @@ def log_binomial_exact(n: int, r: int) -> float:
     sum_{k=1..m} [log(n - m + k) - log k] with m = min(r, n - r)."""
     n, r = _check_domain(n, r)
     m = min(r, n - r)
-    if m == 0:
-        return 0.0
     return math.fsum(
         math.log(n - m + k) - math.log(k) for k in range(1, m + 1)
     )

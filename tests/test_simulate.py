@@ -18,10 +18,19 @@ from discinfo import (
     threshold_task,
 )
 from discinfo import bayes
-from discinfo.bayes import bald_scores, label_entropy_table, posterior, update
+from discinfo.bayes import (
+    bald_scores,
+    csd_scores,
+    csd_table,
+    label_entropy_table,
+    posterior,
+    predictive_table,
+    update,
+)
 from discinfo.simulate import (
     ACQUISITIONS,
     CSV_HEADER,
+    _apply_label_noise,
     _score_table,
     _select_batch,
     load_config,
@@ -220,7 +229,10 @@ class TestZeroEvidenceHandling:
         with caplog.at_level("WARNING"):
             result = run_sim(cfg)
         assert len(result.rows) == 2  # both consumed, one skipped
-        assert any("skipped" in rec.message for rec in caplog.records)
+        # hypothesis B gives (x1, 1) probability 1; the posterior after (x1, 0) gives it none
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "step 2: skipped: observation (x='x1', y='1') has zero probability under the current "
+            "posterior"]
 
 
 class TestOrderingClaim:
@@ -396,7 +408,7 @@ class TestWholePoolSelection:
         post = posterior(model, [])
         remaining = list(range(len(pool)))
         for _ in range(6):
-            batch, _ = _select_batch(model, post, remaining, pool_x, pool_y, cfg, None, table)
+            batch, _ = _select_batch(model, post.probs, remaining, pool_x, pool_y, cfg, None, table)
             if acquisition in ("bald", "csd"):
                 ref = {j: _reference_score(model, post.probs, cfg.pool, [], j, acquisition)
                        for j in remaining}
@@ -421,7 +433,7 @@ class TestWholePoolSelection:
         rng = np.random.default_rng(3)
         draws = {i: rng.random() for i in range(len(pool))}
         ranked = sorted(draws, key=lambda i: (-draws[i], i))[:4]
-        batch, _ = _select_batch(model, posterior(model, []), list(range(len(pool))),
+        batch, _ = _select_batch(model, posterior(model, []).probs, list(range(len(pool))),
                                  *_pool_arrays(cfg.pool), cfg, np.random.default_rng(3), None)
         assert batch == [(i, draws[i]) for i in ranked]
 
@@ -445,7 +457,7 @@ class TestWholePoolSelection:
                             eval_set=(("x1", "0"),), initial=(("x0", "0"),),
                             acquisition=acq, batch_size=2, steps=1)
             pool_x, pool_y = _pool_arrays(cfg.pool)
-            batch, _ = _select_batch(model, posterior(model, list(cfg.initial)), [0, 1],
+            batch, _ = _select_batch(model, posterior(model, list(cfg.initial)).probs, [0, 1],
                                      pool_x, pool_y, cfg, None,
                                      _score_table(model, acq, pool_x, pool_y))
             assert batch == [(0, -np.inf), (1, -np.inf)]
@@ -499,7 +511,7 @@ class TestTieBand:
                             steps=1, seed=0)
             pool_x, pool_y = _pool_arrays(cfg.pool)
             table = _score_table(model, acquisition, pool_x, pool_y)
-            batch, scores = _select_batch(model, posterior(model, []), [0, 1], pool_x, pool_y,
+            batch, scores = _select_batch(model, posterior(model, []).probs, [0, 1], pool_x, pool_y,
                                           cfg, None, table)
             assert scores[0] == pytest.approx(scores[1], abs=1e-13)
             assert batch[0][0] == 0
@@ -523,7 +535,7 @@ class TestTieBand:
         table = _score_table(model, acquisition, pool_x, pool_y)
         post, remaining = posterior(model, []), list(range(len(pool)))
         for _ in range(8):
-            batch, _ = _select_batch(model, post, remaining, pool_x, pool_y, cfg, None, table)
+            batch, _ = _select_batch(model, post.probs, remaining, pool_x, pool_y, cfg, None, table)
             for i, _ in batch:
                 twin = len(pool) - 1 - i
                 assert i < twin or twin not in remaining
@@ -540,10 +552,10 @@ class TestTieBand:
     ])
     def test_band_width(self, monkeypatch, acquisition, scores, picks):
         model, pool, eval_set = threshold_task(3, seed=0)
-        monkeypatch.setattr(bayes, "joint_bald_scores", lambda *args: np.array(scores))
+        monkeypatch.setattr(bayes, "_joint_bald", lambda *args: np.array(scores))
         cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition=acquisition,
                         batch_size=2, steps=1)
-        batch, _ = _select_batch(model, posterior(model, []), [0, 1, 2],
+        batch, _ = _select_batch(model, posterior(model, []).probs, [0, 1, 2],
                                  *_pool_arrays(cfg.pool), cfg, None, label_entropy_table(model))
         assert [i for i, _ in batch] == picks
 
@@ -555,7 +567,7 @@ class TestTieBand:
         model, pool, eval_set = threshold_task(3, seed=0)
         cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition="uniform",
                         batch_size=3, steps=1)
-        batch, _ = _select_batch(model, posterior(model, []), [0, 1, 2],
+        batch, _ = _select_batch(model, posterior(model, []).probs, [0, 1, 2],
                                  *_pool_arrays(cfg.pool), cfg, Draws(), None)
         assert [i for i, _ in batch] == [1, 0, 2]
 
@@ -711,33 +723,62 @@ class TestGoldenCsv:
 
 
 class TestGreedyPicksReplay:
-    """Each greedy pick's score, rebuilt from the CSV rows alone: it needs no
-    recorded hash, so it runs where numpy rounds differently too."""
+    """Every column of every row, rebuilt from the CSV rows alone with the
+    public, checked ``bayes`` functions: the run steps on the posterior's
+    array through the kernels behind them, and this pins the two to each
+    other bit for bit.  It needs no recorded hash, so it runs where numpy
+    rounds differently too.  uniform's scores are draws, with no rebuild."""
 
+    @pytest.mark.parametrize("initial", [(), (5, 20, 2)], ids=["", "initial"])
     @pytest.mark.parametrize("noise_rate", [0.0, 0.2])
-    @pytest.mark.parametrize("batch_size", [2, 3, 4])
     @pytest.mark.parametrize("task", [threshold_task, zero_cell_task],
                              ids=lambda task: task.__name__)
-    def test_each_score_is_bald_scores_of_its_step_and_prefix(self, task, batch_size,
-                                                              noise_rate):
+    @pytest.mark.parametrize("acquisition, batch_size", [
+        ("uniform", 1), ("bald", 1), ("csd", 1), ("batch_bald", 2), ("batch_bald", 3),
+        ("batch_bald", 4), ("batch_csd", 2), ("batch_csd", 3), ("batch_csd", 4),
+    ])
+    def test_each_row_is_rebuilt_from_the_public_functions(self, acquisition, batch_size,
+                                                           task, noise_rate, initial):
         model, pool, eval_set = task(32, seed=1)
-        cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition="batch_bald",
-                        batch_size=batch_size, steps=6, seed=1, noise_rate=noise_rate)
+        initial = tuple(pool[x] for x in initial)  # entry x of the pool is input x, truly labelled
+        cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, initial=initial,
+                        acquisition=acquisition, batch_size=batch_size, steps=6, seed=1,
+                        noise_rate=noise_rate)
         rows = run_sim(cfg).rows
         assert len(rows) == 6 * batch_size
-        table = label_entropy_table(model)
-        post = start = posterior(model, [])
+        noisy = _apply_label_noise(cfg.pool, model.n_labels, noise_rate,
+                                   np.random.default_rng(cfg.seed))
+        position = {x: i for i, (x, _) in enumerate(noisy)}  # one pool entry per input
+        tables = {"bald": label_entropy_table(model),
+                  "csd": csd_table(model, *zip(*noisy))}
+        eval_x, eval_y = _pool_arrays(cfg.eval_set)
+        greedy, kind = acquisition.startswith("batch_"), acquisition.rsplit("_", 1)[-1]
+        post = start = posterior(model, list(cfg.initial))
         step, chosen = 0, []
         for row in rows:
             if row.step != step:  # every pick of a step scores against its first posterior
                 step, start, chosen = row.step, post, []
-            x = model.input_index(row.x)
-            assert row.score == bald_scores(model, start, table, chosen)[x]
-            chosen.append(x)
+            x, y = model.input_index(row.x), model.label_index(row.y)
+            assert noisy[position[x]] == (x, y)
+            given = chosen if greedy else []
+            if kind == "bald":
+                prefix = [xi for xi, _ in given]
+                assert row.score == bald_scores(model, start, tables[kind], prefix)[x]
+            elif kind == "csd":
+                scores = csd_scores(model, start, tables[kind], given)
+                assert row.score == scores[position[x]]
+            chosen.append((x, y))
             try:
-                post = update(model, post, x, row.y)
+                post = update(model, post, x, y)
             except ZeroEvidence:  # the run skips such a label, as logged
                 pass
+            table = predictive_table(model, post)
+            correct = np.count_nonzero(table[eval_x].argmax(axis=1) == eval_y)
+            with np.errstate(divide="ignore"):
+                loss = -np.log(table[eval_x, eval_y]).sum()
+            assert row.posterior_entropy == post.entropy
+            assert row.accuracy == correct / len(eval_y)
+            assert row.logloss == float(loss) / len(eval_y)
 
 
 class TestRowsAgainstExpressions:

@@ -534,6 +534,21 @@ def test_stack_lengths_are_1_or_n():
         assert defined.all() and values.tolist() == [want] * 3
 
 
+@pytest.mark.parametrize("n, bindings, message", [
+    (0, None, "lengths {'p': 0}: each must be 1 or the stack's length n"),
+    (0, {"Y": np.zeros(0, int)},
+     "lengths {'p': 0, 'Y': 0}: each must be 1 or the stack's length n"),
+    (1, {"Y": np.zeros(0, int)},
+     "lengths {'p': 1, 'Y': 0}: each must be 1 or the stack's length n"),
+], ids=["empty stack", "empty stack and array", "empty array"])
+def test_an_empty_stack_or_array_is_refused(n, bindings, message):
+    # an empty stack failed in the kernel with numpy's "cannot reshape array of size 0"
+    d = three_cell_distribution()
+    stack = qt.Stack(d.variables, np.zeros((n, 2, 2)) + d.probs)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate_stack("H[X|y]" if bindings else "H[X]", stack, bindings=bindings)
+
+
 def _turn_down_first(monkeypatch, verdict):
     """Patch the search so that its first check of a case on its own returns
     ``verdict(lhs, rhs, defined)`` in place of the evaluated sides."""
