@@ -674,14 +674,20 @@ def evaluate_stack(expression, p, q=None, bindings=None, *, base: LogBase = LogB
     exactly where :func:`evaluate` on that element raises
     :class:`ZeroProbabilityEvent` or :class:`SupportMismatch`.
     """
+    node, scope = _stack_scope(expression, p, q, bindings, base)
+    values, undefined = _eval(node, scope)
+    return np.broadcast_to(values, scope.n), np.broadcast_to(undefined == 0, scope.n)
+
+
+def _stack_scope(expression, p, q, bindings, base=LogBase.NATS):
+    """:func:`evaluate_stack`'s checked read: the AST and its scope, of length ``n``."""
     node, scope = _prepare(expression, p, q, bindings, base, _outcomes)
     lengths = {"p": len(p), **({} if q is None else {"q": len(q)}),
                **{name: len(o) for name, o in scope.env.items() if isinstance(o, np.ndarray)}}
     scope.n = max(lengths.values())
     if not scope.n or not set(lengths.values()) <= {1, scope.n}:  # no empty stack
         raise ValueError(f"lengths {lengths}: each must be 1 or the stack's length n")
-    values, undefined = _eval(node, scope)
-    return np.broadcast_to(values, scope.n), np.broadcast_to(undefined == 0, scope.n)
+    return node, scope
 
 
 # The eight rows of a diagram: a DiagramTable field and its expression, with

@@ -119,6 +119,8 @@ class SuiteEntry:
     needs_q: bool = field(init=False, default=False)
 
     def __post_init__(self):
+        if not isinstance(self.expect, Expectation):
+            raise TypeError(f"entry {self.name!r}: expect {self.expect!r} is not an Expectation")
         if (self.expression is None) == (self.check is None):
             raise ValueError("an entry needs exactly one of expression / check")
         if self.check is not None and not isinstance(self.check, WeightRow):
@@ -132,13 +134,14 @@ class SuiteEntry:
                 needs_q |= letter == "q"
                 for t in (t for t in terms if t.outcome is not None):
                     try:
-                        Variable(_canonical(t.name), ("0", "1")).index_of(t.outcome)
+                        Variable(*_canonical([t.name]), ("0", "1")).index_of(t.outcome)
                     except ValueError as exc:
                         raise UnknownVariable(
                             f"entry {self.name!r}: {exc}; an entry may write only the "
                             "outcomes 0 and 1, which every case of the search has") from None
             object.__setattr__(self, "_node", node)
-            object.__setattr__(self, "_identifiers", ex.collect_identifiers(node))
+            object.__setattr__(self, "_names", _canonical(ex.collect_identifiers(node)))
+            object.__setattr__(self, "_free", _canonical(ex.free_tied_identifiers(node)))
             object.__setattr__(self, "needs_q", needs_q)
 
     @property
@@ -147,7 +150,7 @@ class SuiteEntry:
 
     def variable_names(self) -> tuple[str, ...]:
         """Canonical distribution variable names for the identifiers used."""
-        return tuple(dict.fromkeys(map(_canonical, getattr(self, "_identifiers", ()))))
+        return getattr(self, "_names", ())
 
 
 @dataclass(frozen=True)
@@ -248,6 +251,7 @@ def _crop(variables, arrays, row, own):
             [a[row if len(a) > 1 else 0][cut] for a in arrays])
 
 
+@functools.cache  # built once per process: a Variable is frozen
 def _variables(names, shape) -> tuple[Variable, ...]:
     return tuple(Variable(n, tuple(str(i) for i in range(s))) for n, s in zip(names, shape))
 
@@ -273,10 +277,10 @@ ZERO_GRID_VALUES = {
 }
 
 
-def _canonical(ident: str) -> str:
-    """The name of the variable ``ident`` names, as the search's cases print
-    it; identifiers equal up to case name one variable."""
-    return ident.capitalize()
+def _canonical(identifiers) -> tuple[str, ...]:
+    """The names of the variables the identifiers name, once each, as the
+    search's cases print them; identifiers equal up to case name one variable."""
+    return tuple(dict.fromkeys(ident.capitalize() for ident in identifiers))
 
 
 def _search_op(entry) -> str:
@@ -327,13 +331,12 @@ class _Search:
         self.always = entry.expect is Expectation.ALWAYS_TRUE
         self.threshold = EQ_TOLERANCE if self.always else NEQ_GAP
         if self.row is None:
-            self.names = entry.variable_names()
-            self.free = list(dict.fromkeys(map(_canonical, ex.free_tied_identifiers(self.node))))
+            self.names, self.free = entry.variable_names(), entry._free
             # the dense positive grids are the discovery guarantee of witness searches
             self.grids = (ZERO_GRID_VALUES,) if self.always else (ZERO_GRID_VALUES,
                                                                   FULL_GRID_VALUES)
         else:  # one or two variables per case, no tied outcome and no grid
-            self.names, self.free, self.grids = ("X", "Y"), [], ()
+            self.names, self.free, self.grids = ("X", "Y"), (), ()
         self.free_axes = [self.names.index(n) for n in self.free]
         self.blocks = []
 
@@ -440,9 +443,10 @@ class _Search:
             q = arrays[1]
             qs = qt.Stack(variables, q, stack_rows if len(q) > 1 else None)
         env = {n: bindings[:, j] for j, n in enumerate(self.free)}
-        lhs, lhs_defined = ex.evaluate_stack(self.node.lhs, ps, qs, env)
-        rhs, rhs_defined = ex.evaluate_stack(self.node.rhs, ps, qs, env)
-        return lhs, rhs, lhs_defined & rhs_defined
+        node, scope = ex._stack_scope(self.node, ps, qs, env)  # one checked read, both sides
+        (lhs, lhs_code), (rhs, rhs_code) = (ex._eval(s, scope) for s in (node.lhs, node.rhs))
+        lhs, rhs, lhs_code = (np.broadcast_to(a, scope.n) for a in (lhs, rhs, lhs_code))
+        return lhs, rhs, (lhs_code == 0) & (rhs_code == 0)
 
     def stage(self, batches) -> SearchReport | None:
         """Evaluate the batches, then report the first case in draw order

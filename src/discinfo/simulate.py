@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bayes
 from .bayes import BayesModel
-from .dist import TIE_TOLERANCE, known_keys, read_json
+from .dist import TIE_TOLERANCE, integer, known_keys, read_json
 from .errors import ZeroEvidence, malformed_input
 
 logger = logging.getLogger(__name__)
@@ -33,6 +33,8 @@ logger = logging.getLogger(__name__)
 ACQUISITIONS = ("uniform", "bald", "csd", "batch_bald", "batch_csd")
 
 CSV_HEADER = "step,x,y,score,posterior_entropy,accuracy,logloss"
+
+_NUMBERS = (("batch_size", int), ("steps", int), ("seed", int), ("noise_rate", float))
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,8 @@ class SimConfig:
     noise_rate: float = 0.0
 
     def __post_init__(self):
+        for key, kind in _NUMBERS:  # in Python as in a config file
+            object.__setattr__(self, key, _number(key, getattr(self, key), kind))
         if self.acquisition not in ACQUISITIONS:
             raise ValueError(f"acquisition must be one of {ACQUISITIONS}, got {self.acquisition!r}")
         if self.batch_size < 1:
@@ -86,12 +90,9 @@ class SimConfig:
                 eval_set=_pairs(doc["eval"]),
                 initial=_pairs(doc.get("initial", ())),
                 acquisition=doc.get("acquisition", "bald"),
-                batch_size=_number(doc, "batch_size", 1),
-                steps=_number(doc, "steps", 10),
-                seed=_number(doc, "seed", 0),
-                noise_rate=_number(doc, "noise_rate", 0.0, float),
+                **{key: doc[key] for key, _ in _NUMBERS if key in doc},
             )
-        return cls(model=model, **fields)
+            return cls(model=model, **fields)  # its numbers are read by _number
 
 
 def _pairs(entries) -> tuple:
@@ -101,15 +102,15 @@ def _pairs(entries) -> tuple:
     return pairs
 
 
-def _number(doc, key, default, kind=int):
-    """``doc[key]`` (else ``default``) as ``kind``: not a bool or a string,
-    and for an int, without a fraction and, given as a float, below 2**63 in
-    magnitude (``read_json`` hands a larger integer over as a float, its
-    digits lost)."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or kind is int and value % 1:
+def _number(key, value, kind):
+    """The config field ``key`` as ``kind``: a number (Python or numpy), not
+    a bool or a string, and for an int, without a fraction and, given as a
+    float, below 2**63 in magnitude (``read_json`` hands a larger integer
+    over as a float, its digits lost)."""
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not number or kind is int and value % 1:
         raise TypeError(f"{key}: expected {kind.__name__}, got {value!r}")
-    if kind is int and isinstance(value, float) and abs(value) >= 2**63:
+    if kind is int and isinstance(value, (float, np.floating)) and abs(value) >= 2**63:
         raise TypeError(f"{key}: the float {value!r} is too large to be an exact integer; "
                         f"give an integer in [-2**63, 2**64)")
     return kind(value)
@@ -300,9 +301,13 @@ def threshold_task(n_points: int = 32, true_threshold: int | None = None, *,
     """
     if not 0.0 < label_flip < 0.5:
         raise ValueError("label_flip must lie in (0, 0.5)")
+    n_points = integer(n_points, f"n_points = {n_points!r}")
     rng = np.random.default_rng(seed)
     if true_threshold is None:
+        if n_points < 2:
+            raise ValueError(f"n_points = {n_points}: a drawn threshold needs at least 2 points")
         true_threshold = int(rng.integers(1, n_points))
+    true_threshold = integer(true_threshold, f"true_threshold = {true_threshold!r}")
     if not 0 < true_threshold <= n_points:
         raise ValueError("true_threshold must lie in 1..n_points")
     inputs = tuple(str(i) for i in range(n_points))

@@ -18,14 +18,16 @@ from discinfo import (
     three_cell_distribution,
     verify_reference_witnesses,
 )
-from discinfo import identities
+from discinfo import expr, identities
 from discinfo.expr import collect_identifiers, free_tied_identifiers, parse
 from discinfo.identities import (
     Status,
+    WeightRow,
     _floored,
     _grid,
     _inside,
     _Search,
+    _variables,
     check_entry,
 )
 
@@ -187,6 +189,27 @@ class TestSuiteMechanics:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SuiteEntry("neither", Expectation.ALWAYS_TRUE)
 
+    def test_a_check_reads_the_entry_as_it_was_built(self, monkeypatch):
+        # the names and the free tied outcomes are recorded once, when the entry is built
+        entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, expression="I[x;y1,y2] >= I[x;y1] - 9")
+        assert (entry.variable_names(), entry._free) == (("X", "Y1", "Y2"), ("X", "Y1", "Y2"))
+        want = check_entry(entry, 20, np.random.default_rng(0))
+
+        def walked(*args):
+            raise AssertionError("the entry's expression was walked again")
+        monkeypatch.setattr(expr, "scoped_termlists", walked)
+        assert check_entry(entry, 20, np.random.default_rng(0)) == want
+
+    @pytest.mark.parametrize("expect", ["always", "ALWAYS_TRUE", None, True])
+    @pytest.mark.parametrize("kind", ["expression", "check"])
+    def test_entry_expect_must_be_an_expectation(self, expect, kind):
+        # a string would run as a witness search whose report cannot be printed
+        row = WeightRow(1, 0, None, "==", lambda ce, p: (ce(p, p), ce(p, p)))
+        body = {"expression": "H[X] >= 0"} if kind == "expression" else {"check": row}
+        message = f"entry 's': expect {expect!r} is not an Expectation"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            SuiteEntry("s", expect, **body)
+
     @pytest.mark.parametrize("seeds, rng_seed, message", [
         (True, 0, "seeds = True is not an integer"),
         (2.5, 0, "seeds = 2.5 is not an integer"),
@@ -301,6 +324,12 @@ class TestGenerators:
         assert not cells.flags.writeable
         with pytest.raises(ValueError):
             cells[0, 0, 0] = 1.0
+
+    def test_case_variables_are_built_once(self):
+        variables = _variables(("X", "Y"), (2, 3))
+        assert _variables(("X", "Y"), (2, 3)) is variables
+        assert [(v.name, v.support) for v in variables] == [("X", ("0", "1")),
+                                                            ("Y", ("0", "1", "2"))]
 
 
 class TestWrittenOutcomes:

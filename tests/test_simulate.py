@@ -10,6 +10,7 @@ from discinfo import (
     BatchTooLarge,
     BayesModel,
     InvalidIndex,
+    MalformedInput,
     SimConfig,
     ZeroEvidence,
     ZeroProbabilityEvent,
@@ -356,6 +357,71 @@ class TestConfigJson:
     def test_threshold_task_refuses_what_is_outside_its_range(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             threshold_task(4, **kwargs)
+
+    @pytest.mark.parametrize("args, message", [
+        ((1,), "n_points = 1: a drawn threshold needs at least 2 points"),
+        ((0,), "n_points = 0: a drawn threshold needs at least 2 points"),
+        ((True,), "n_points = True is not an integer"),
+        ((2.5,), "n_points = 2.5 is not an integer"),
+        ((8.0, 3), "n_points = 8.0 is not an integer"),
+        ((8, 3.5), "true_threshold = 3.5 is not an integer"),
+        ((8, True), "true_threshold = True is not an integer"),
+    ])
+    def test_threshold_task_checks_its_integers(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            threshold_task(*args)
+
+    def test_threshold_task_of_one_point_with_its_threshold(self):
+        model, pool, eval_set = threshold_task(1, 1)
+        assert model.inputs == ("0",) and pool == eval_set == ((0, 0),)
+        assert threshold_task(2)[1] == ((0, 0), (1, 1))  # the one threshold a draw can give
+        assert threshold_task(np.int64(8), np.int64(3))[1] == threshold_task(8, 3)[1]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("batch_size", True, "batch_size: expected int, got True"),
+        ("steps", True, "steps: expected int, got True"),
+        ("seed", True, "seed: expected int, got True"),
+        ("seed", np.True_, f"seed: expected int, got {np.True_!r}"),
+        ("batch_size", 2.5, "batch_size: expected int, got 2.5"),
+        ("steps", 2.5, "steps: expected int, got 2.5"),
+        ("seed", 1.5, "seed: expected int, got 1.5"),
+        ("seed", "1", "seed: expected int, got '1'"),
+        ("seed", 1e19, "seed: the float 1e+19 is too large to be an exact integer; "
+                       "give an integer in [-2**63, 2**64)"),
+        ("noise_rate", "0.1", "noise_rate: expected float, got '0.1'"),
+        ("noise_rate", True, "noise_rate: expected float, got True"),
+        ("noise_rate", None, "noise_rate: expected float, got None"),
+    ])
+    def test_config_fields_are_read_as_the_json_reader_reads_them(self, field, value, message):
+        model, pool, eval_set = threshold_task(8)
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            SimConfig(model=model, pool=pool, eval_set=eval_set, **{field: value})
+
+    def test_config_integral_numbers_become_ints(self):
+        model, pool, eval_set = threshold_task(8)
+        cfg = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition="batch_bald",
+                        batch_size=2.0, steps=np.int64(2), seed=np.float64(1.0), noise_rate=0)
+        assert [(type(v), v) for v in (cfg.batch_size, cfg.steps, cfg.seed, cfg.noise_rate)] == [
+            (int, 2), (int, 2), (int, 1), (float, 0.0)]
+        same = SimConfig(model=model, pool=pool, eval_set=eval_set, acquisition="batch_bald",
+                         batch_size=2, steps=2, seed=1)
+        assert run_sim(cfg).to_csv() == run_sim(same).to_csv()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("steps", 2.7, "steps: expected int, got 2.7"),
+        ("seed", True, "seed: expected int, got True"),
+        ("batch_size", "2", "batch_size: expected int, got '2'"),
+        ("noise_rate", "0.1", "noise_rate: expected float, got '0.1'"),
+    ])
+    def test_json_reader_messages(self, tmp_path, field, value, message):
+        model, pool, eval_set = threshold_task(8)
+        doc = {"model": model.to_json_dict(), "pool": [list(p) for p in pool],
+               "eval": [list(p) for p in eval_set], field: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedInput, match=(
+                f"^{re.escape('malformed simulation config JSON: TypeError: ' + message)}$")):
+            load_config(path)
 
     def test_pool_indices_are_checked(self):
         with pytest.raises(InvalidIndex):

@@ -10,6 +10,13 @@ exactly, and their values to 1e-12.
 weight-algebra entries of the default suite, recorded from their
 one-case-at-a-time checks at 1, 25 and 500 random samples with ``rng_seed``
 0 and 7; the stacked rows must reproduce them the same way.
+
+``data/golden_search_counts.json`` holds the full reports of the default
+suite at 500 random samples with ``rng_seed`` 0 and at 50 with ``rng_seed``
+1, recorded from the search that read a stage's stacks and bindings once per
+side of the comparison.  The search must reproduce their verdicts, sample
+and case counts and witnesses exactly, and their values and worst margins to
+1e-12.
 """
 
 import json
@@ -59,6 +66,7 @@ from oracle import oracle_cross_entropy
 
 DATA = Path(__file__).resolve().parent / "data" / "golden_search.json"
 WEIGHT_DATA = DATA.with_name("golden_weight_algebra.json")
+COUNTS_DATA = DATA.with_name("golden_search_counts.json")
 LN2 = math.log(2.0)
 
 
@@ -99,6 +107,28 @@ class TestGoldenReports:
         for name in ("L2: H[X] == H[X|Y]", "L3: I[X;Y] >= H[X]"):
             assert wanted[name]["status"] == "VIOLATED"
             assert wanted[name]["witness"]["distribution"]["probs"]
+
+
+class TestGoldenCounts:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(COUNTS_DATA.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("run", [0, 1], ids=["500_samples_rng_seed_0", "50_samples_rng_seed_1"])
+    def test_recorded_reports(self, golden, run):
+        run = golden["runs"][run]
+        reports = check_suite(default_suite(), seeds=run["seeds"], rng_seed=run["rng_seed"])
+        assert len(reports) == len(run["reports"]) == len(default_suite().entries)
+        for got, want in zip(reports, run["reports"]):
+            got = got.to_json_dict()
+            for key in ("name", "status", "seeds_tried", "cases_evaluated", "cases_skipped",
+                        "witness"):
+                assert got[key] == want[key], (want["name"], key)
+            for key in ("lhs", "rhs", "gap", "worst_margin"):
+                if want[key] is None:
+                    assert got[key] is None, (want["name"], key)
+                else:
+                    assert got[key] == pytest.approx(want[key], abs=1e-12), (want["name"], key)
 
 
 class TestWeightAlgebraReports:
@@ -610,13 +640,13 @@ def _one_side(node, d, q, bindings):
         return None
 
 
-@pytest.mark.parametrize("entry", [e for e in default_suite().entries if e.check is None],
-                         ids=lambda e: e.name)
-@pytest.mark.parametrize("zeros", [False, True])
-def test_padded_stack_matches_each_cropped_case(entry, zeros):
-    # exact zeros inside the supports too (zeros=True) make undefined cases
+def _padded_entry_cases(entry, zeros, n=60):
+    """``n`` padded cases of an entry and one binding of its free tied
+    outcomes per case, inside its support: (sizes, tensors, free, bindings,
+    variables of the padded shape).  With ``zeros``, exact zeros inside the
+    supports too make undefined cases."""
     rng = np.random.default_rng(len(entry.name))
-    names, n = entry.variable_names(), 60
+    names = entry.variable_names()
     free = [t[0].upper() + t[1:] for t in free_tied_identifiers(entry.node)]
     sizes = rng.integers(2, 5, size=(n, len(names)))
     tensors = []
@@ -631,6 +661,17 @@ def test_padded_stack_matches_each_cropped_case(entry, zeros):
     bindings = rng.integers(0, sizes[:, axes]) if axes else np.zeros((n, 0), dtype=np.intp)
     full = tuple(Variable(m, [str(k) for k in range(s)])
                  for m, s in zip(names, tensors[0].shape[1:]))
+    return sizes, tensors, free, bindings, full
+
+
+_EXPRESSION_ENTRIES = [e for e in default_suite().entries if e.check is None]
+
+
+@pytest.mark.parametrize("entry", _EXPRESSION_ENTRIES, ids=lambda e: e.name)
+@pytest.mark.parametrize("zeros", [False, True])
+def test_padded_stack_matches_each_cropped_case(entry, zeros):
+    names, n = entry.variable_names(), 60
+    sizes, tensors, free, bindings, full = _padded_entry_cases(entry, zeros, n)
     ps = qt.Stack(full, tensors[0])
     qs = qt.Stack(full, tensors[1]) if entry.needs_q else None
     env = {f: bindings[:, j] for j, f in enumerate(free)}
@@ -649,6 +690,39 @@ def test_padded_stack_matches_each_cropped_case(entry, zeros):
                 assert values[i] == pytest.approx(one, abs=1e-12)
     if not zeros:
         assert undefined == 0
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("entry", _EXPRESSION_ENTRIES, ids=lambda e: e.name)
+@pytest.mark.parametrize("zeros", [False, True])
+@pytest.mark.parametrize("repeat", [1, 2])
+def test_one_read_sides_equal_two_evaluate_stack_calls(entry, zeros, repeat):
+    # the search reads a stage's stacks and bindings once and evaluates both
+    # sides on them; each side must equal its own evaluate_stack call bit for
+    # bit, defined or not, with each distribution stacked once per binding
+    # (repeat=2 adds a second binding of each inside its own support)
+    sizes, tensors, free, bindings, full = _padded_entry_cases(entry, zeros)
+    rows = np.repeat(np.arange(len(sizes)), repeat)
+    axes = [entry.variable_names().index(f) for f in free]
+    bindings = np.repeat(bindings, repeat, axis=0)
+    bindings[1::repeat] = (bindings[1::repeat] + 1) % sizes[rows[1::repeat]][:, axes]
+    stack_rows = None if repeat == 1 else rows
+    ps = qt.Stack(full, tensors[0], stack_rows)
+    qs = qt.Stack(full, tensors[1], stack_rows) if entry.needs_q else None
+    env = {f: bindings[:, j] for j, f in enumerate(free)}
+    lhs, rhs, defined = _Search(entry, 1).sides(full, tensors, rows, bindings)
+    want_lhs, lhs_defined = evaluate_stack(entry.node.lhs, ps, qs, env)
+    want_rhs, rhs_defined = evaluate_stack(entry.node.rhs, ps, qs, env)
+    assert _bits(lhs) == _bits(want_lhs) and _bits(rhs) == _bits(want_rhs)
+    assert _bits(defined) == _bits(lhs_defined & rhs_defined)
+    assert defined.flags.writeable  # the search marks a case it cut and re-evaluated
+    assert zeros or defined.all()
+    if zeros and entry.name in ("pointwise_chaining", "surprise_as_kl",
+                                "kl_nonnegative_for_distributions"):
+        assert not defined.all()  # undefined elements are compared too
 
 
 def test_a_witness_search_binds_only_inside_each_case_support():
