@@ -31,7 +31,6 @@ from .dist import (
 )
 from .errors import (
     BatchTooLarge,
-    InvalidIndex,
     MalformedInput,
     SupportMismatch,
     ZeroEvidence,
@@ -101,40 +100,36 @@ def _normalized(table, what: str, *, least: bool = False):
 
 @dataclass(frozen=True, eq=False)
 class BayesModel:
-    """Finite hypothesis space, prior, and likelihood table p(y | x, omega)."""
+    """Finite hypothesis space, prior, and likelihood table p(y | x, omega);
+    the hypotheses, inputs and labels are the outcomes of its variables."""
 
     hypotheses: tuple[str, ...]
     prior: np.ndarray  # (n_omega,)
     inputs: tuple[str, ...]
     labels: tuple[str, ...]
     likelihood: np.ndarray  # (n_omega, n_x, n_y)
+    hypothesis_var: Variable = field(init=False, repr=False)  # Omega
+    input_var: Variable = field(init=False, repr=False)  # X
+    label_var: Variable = field(init=False, repr=False)  # Y
 
     def __post_init__(self):
-        hypotheses = tuple(str(h) for h in self.hypotheses)
-        inputs = tuple(str(x) for x in self.inputs)
-        labels = tuple(str(y) for y in self.labels)
-        if len(hypotheses) > MAX_HYPOTHESES:
-            raise ValueError(f"{len(hypotheses)} hypotheses exceeds the cap of {MAX_HYPOTHESES}")
-        for name, seq in (("hypotheses", hypotheses), ("inputs", inputs), ("labels", labels)):
-            if not seq:
-                raise ValueError(f"{name} must be non-empty")
-            if len(set(seq)) != len(seq):
-                raise ValueError(f"duplicate {name}")
+        omega = Variable("Omega", self.hypotheses)  # the cap reads its size: any iterable
+        if omega.size > MAX_HYPOTHESES:
+            raise ValueError(f"{omega.size} hypotheses exceeds the cap of {MAX_HYPOTHESES}")
+        x, y = Variable("X", self.inputs), Variable("Y", self.labels)
         prior = _normalized(self.prior, "prior")
-        if prior.shape != (len(hypotheses),):
+        if prior.shape != (omega.size,):
             raise ValueError("prior length must match the hypothesis count")
         lik = np.asarray(self.likelihood, dtype=float)
-        expected = (len(hypotheses), len(inputs), len(labels))
-        if lik.shape != expected:
+        if lik.shape != (expected := (omega.size, x.size, y.size)):
             raise ValueError(f"likelihood must have shape {expected}, got {lik.shape}")
         lik, least = _normalized(lik, "a likelihood row p(. | x, omega)", least=True)
         prior.setflags(write=False)
         lik.setflags(write=False)
-        object.__setattr__(self, "hypotheses", hypotheses)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "likelihood", lik)
+        for name, value in (("hypotheses", omega.support), ("inputs", x.support),
+                            ("labels", y.support), ("hypothesis_var", omega), ("input_var", x),
+                            ("label_var", y), ("prior", prior), ("likelihood", lik)):
+            object.__setattr__(self, name, value)
         # every cell above ZERO_CELL: the score tables need no 0 * log 0 mask
         object.__setattr__(self, "_positive", bool(least > ZERO_CELL))
 
@@ -148,11 +143,11 @@ class BayesModel:
 
     def input_index(self, x) -> int:
         """The position of input ``x``, given by position or by name."""
-        return _resolve(self.inputs, x, "input")
+        return self.input_var.index_of(x)
 
     def label_index(self, y) -> int:
         """The position of label ``y``, given by position or by name."""
-        return _resolve(self.labels, y, "label")
+        return self.label_var.index_of(y)
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,36 +179,16 @@ class BayesModel:
         return cls(hypotheses, prior, inputs, labels, lik)
 
 
-def _resolve(names: tuple[str, ...], key, what: str) -> int:
-    """Integers (Python or numpy) are positions and must lie in range, and
-    strings are names, matched exactly: the rule of
-    :meth:`~discinfo.dist.Variable.index_of`.  A boolean (Python or numpy),
-    a float or any other key is neither a position nor a name."""
-    flag = isinstance(key, (bool, np.bool_))
-    if not flag and isinstance(key, (int, np.integer)):
-        if 0 <= key < len(names):
-            return int(key)
-        raise InvalidIndex(f"{what} index {key} is out of range 0..{len(names) - 1}")
-    if isinstance(key, str):
-        try:
-            return names.index(key)
-        except ValueError:
-            raise InvalidIndex(f"unknown {what} {key!r}") from None
-    kind = "boolean" if flag else type(key).__name__
-    raise InvalidIndex(f"{what} {key!r} is a {kind}, not a position or a name")
-
-
-def _resolve_all(names: tuple[str, ...], keys, what: str, arg: str) -> np.ndarray:
-    """:func:`_resolve` for the list ``keys``, the argument ``arg``; an
-    integer array already in range is checked in one pass (not a list, which
-    numpy would read as integers although it may hold booleans)."""
+def _resolve_all(var: Variable, keys, arg: str, what: str) -> np.ndarray:
+    """``var.index_of`` of each of ``keys``, the list of ``what`` keys ``arg``;
+    an integer array (not a list, which may hold booleans) is checked in one
+    pass by ``var.positions``."""
     idx = np.asarray(keys)
     if idx.ndim != 1:
         raise ValueError(f"{arg} must be a list of {what}s; got {idx.ndim} dimensions")
-    if (isinstance(keys, np.ndarray) and idx.dtype.kind in "iu" and idx.size
-            and idx.min() >= 0 and idx.max() < len(names)):
-        return idx.astype(np.intp, copy=False)
-    return np.array([_resolve(names, k, what) for k in keys], dtype=np.intp)
+    if isinstance(keys, np.ndarray) and idx.dtype.kind in "iu":
+        return var.positions(idx).astype(np.intp, copy=False)
+    return np.array([var.index_of(k) for k in keys], dtype=np.intp)
 
 
 def load_model(path) -> BayesModel:
@@ -255,7 +230,7 @@ def _observations(model: BayesModel, data, arg: str = "data") -> list[tuple[int,
     pairs = np.asarray(data, dtype=object)
     if pairs.shape != (0,) and (pairs.ndim != 2 or pairs.shape[1] != 2):
         raise ValueError(f"{arg} must be a list of (input, label) pairs")
-    return [(model.input_index(x), model.label_index(y)) for x, y in pairs]
+    return [(model.input_index(x), model.label_index(y)) for x, y in pairs.tolist()]
 
 
 def _log_likelihood_sum(model: BayesModel, pairs) -> np.ndarray:
@@ -336,8 +311,7 @@ def joint_label_hypothesis(model: BayesModel, post: Posterior, x) -> JointDistri
     evaluate their expressions over it, and tests check the fast scores."""
     xi = model.input_index(x)
     cells = _probs(model, post)[:, None] * model.likelihood[:, xi, :]
-    return JointDistribution((Variable("Omega", model.hypotheses), Variable("Y", model.labels)),
-                             cells)
+    return JointDistribution((model.hypothesis_var, model.label_var), cells)
 
 
 def predictive_table(model: BayesModel, post: Posterior) -> np.ndarray:
@@ -443,7 +417,7 @@ def joint_bald_scores(model: BayesModel, post: Posterior, cond, chosen=()) -> np
     input at a time.  ``cond`` is E_post[H[Y | x, omega]] of every input,
     ``post.probs @`` :func:`label_entropy_table`: it does not depend on the
     chosen inputs, so every greedy pick of one step can share it."""
-    xis = _resolve_all(model.inputs, chosen, "input", "chosen")
+    xis = _resolve_all(model.input_var, chosen, "chosen", "input")
     check_batch_size(model, len(xis) + 1, labelled=False)
     if np.shape(cond) != (len(model.inputs),):
         raise ValueError(f"cond has shape {np.shape(cond)}, not (inputs,) = "
@@ -484,8 +458,8 @@ def csd_table(model: BayesModel, xs, ys) -> CsdTable:
     :func:`plogq`, no cell up to ``ZERO_CELL`` is dropped, because
     reweighting by a candidate of small predictive probability can lift such
     a cell to real mass."""
-    xs = _resolve_all(model.inputs, xs, "input", "xs")
-    ys = _resolve_all(model.labels, ys, "label", "ys")
+    xs = _resolve_all(model.input_var, xs, "xs", "input")
+    ys = _resolve_all(model.label_var, ys, "ys", "label")
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
     return _csd_table(model, xs, ys)
@@ -613,10 +587,10 @@ def batch_score(model: BayesModel, post: Posterior, xs, ys=None) -> float:
     I[Omega; Y_1..Y_b | x_1..x_b] over all label configurations; with labels
     it is the realized joint information gain of the labelled batch.
     """
-    xis = _resolve_all(model.inputs, xs, "input", "xs")
+    xis = _resolve_all(model.input_var, xs, "xs", "input")
     check_batch_size(model, len(xis), labelled=ys is not None)
     if ys is not None:
-        yis = _resolve_all(model.labels, ys, "label", "ys")
+        yis = _resolve_all(model.label_var, ys, "ys", "label")
         if len(yis) != len(xis):
             raise ValueError("xs and ys must have equal length")
         table = _csd_table(model, xis[-1:], yis[-1:])
@@ -678,7 +652,7 @@ def elbo_vi(model: BayesModel, data, q) -> ElboVIResult:
     # hypothesis that rules the data out makes the bound vacuous (SupportMismatch)
     # (not an expression: that would condition on p(data), often under ZERO_MASS)
     expected_nll = float(-plogq(q[:, None], model.likelihood[:, xs, ys]).sum())
-    omega = (Variable("Omega", model.hypotheses),)
+    omega = (model.hypothesis_var,)
     q_dist = JointDistribution(omega, q)
     return ElboVIResult(
         elbo=-expected_nll - evaluate(_VI_KL, JointDistribution(omega, model.prior), q_dist),

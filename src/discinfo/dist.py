@@ -28,7 +28,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import MalformedInput, UnknownVariable, ZeroProbabilityEvent, malformed_input
+from .errors import (InvalidIndex, MalformedInput, UnknownVariable, ZeroProbabilityEvent,
+                     malformed_input)
 
 DEFAULT_SEEDS = 500  # random cases per identity-search entry, also the CLI's --seeds default
 
@@ -94,19 +95,32 @@ class Variable:
         return len(self.support)
 
     def index_of(self, outcome) -> int:
-        """The index of ``outcome``: the one resolver for one outcome.  An
-        integer (Python or numpy, or a 0-d integer array; not a boolean) is
-        a position, checked against the support; a string is a label,
-        matched exactly.  Anything else, an array of outcomes included, is
-        a ValueError saying that the outcome index is not an integer."""
+        """The index of ``outcome``: the one resolver for one outcome, input
+        or label.  An integer (Python or numpy, or a 0-d integer array; not
+        a boolean) is a position, checked against the support; a string is
+        a label, matched exactly.  Anything else, an array of outcomes
+        included, is not an integer.  Each refusal is :class:`InvalidIndex`."""
         if isinstance(outcome, str):
-            if outcome in self.support:
+            try:
                 return self.support.index(outcome)
-            raise ValueError(f"{outcome!r} is not an outcome of variable {self.name!r}")
-        idx = integer(outcome, f"outcome index {outcome!r} for variable {self.name!r}")
-        if not 0 <= idx < self.size:
-            raise ValueError(f"outcome index {idx} out of range for variable {self.name!r}")
+            except ValueError:
+                raise InvalidIndex(f"{outcome!r} is not an outcome of variable "
+                                   f"{self.name!r}") from None
+        try:
+            idx = integer(outcome, "outcome index")
+        except ValueError:
+            raise InvalidIndex(f"outcome index {outcome!r} for variable {self.name!r} "
+                               f"is not an integer") from None
+        if not 0 <= idx < len(self.support):
+            raise InvalidIndex(f"outcome index {idx} out of range for variable {self.name!r}")
         return idx
+
+    def positions(self, array: np.ndarray) -> np.ndarray:
+        """The 1-D integer ``array``, checked in one pass: its first entry out
+        of range is refused as :meth:`index_of` refuses it."""
+        if len(array) and not (array.min() >= 0 and array.max() < len(self.support)):
+            self.index_of(array[((array < 0) | (array >= len(self.support))).argmax()])
+        return array
 
 
 def _validated_variables(variables) -> tuple[Variable, ...]:

@@ -56,7 +56,7 @@ def malformed_input(what: str):
 
 
 class InvalidIndex(DiscinfoError, ValueError):
-    """An input or label, given by position or by name, that the model lacks."""
+    """An outcome, input or label that its variable lacks, or neither a position nor a label."""
 
 
 class BatchTooLarge(DiscinfoError):

@@ -51,6 +51,7 @@ from .dist import (EQ_TOLERANCE, NEQ_GAP, ZERO_MASS, JointDistribution, Variable
                    checked_bindings, name_key)
 from .errors import (
     DiscinfoError,
+    InvalidIndex,
     MissingQDistribution,
     ParseError,
     UnknownVariable,
@@ -491,7 +492,7 @@ def _resolve_term(dist, spec: TermSpec, env: dict) -> Term:
     if spec.outcome is not None:
         try:
             return Term(var.name, var.index_of(spec.outcome))
-        except ValueError as exc:
+        except InvalidIndex as exc:
             raise UnknownVariable(str(exc)) from exc
     if var.name in env:
         return Term(var.name, env[var.name])
@@ -657,10 +658,10 @@ def _outcomes(var, outcome):
     position per stack element, any other value is one outcome."""
     if not (isinstance(outcome, np.ndarray) and outcome.ndim and outcome.dtype.kind in "iu"):
         return var.index_of(outcome)
-    if outcome.ndim > 1 or not ((outcome >= 0) & (outcome < var.size)).all():
+    if outcome.ndim > 1:
         raise ValueError(f"outcome positions {outcome!r} for variable {var.name!r}: not one "
                          f"position in 0..{var.size - 1} per stack element")
-    return outcome
+    return var.positions(outcome)
 
 
 def evaluate_stack(expression, p, q=None, bindings=None, *, base: LogBase = LogBase.NATS):
@@ -778,22 +779,29 @@ def scoped_termlists(node, bound=frozenset()):
         yield from scoped_termlists(node.rhs, bound)
 
 
+def read_terms(node):
+    """One pass of :func:`scoped_termlists`: every variable identifier of the
+    expression and its bare lowercase identifiers that require external
+    bindings (not bound by a literal outcome or an enclosing expectation),
+    each in order of first appearance (case preserved), the letters of its
+    term lists, and its terms that write an outcome."""
+    names, free, letters, written = {}, {}, set(), []
+    for letter, terms, bound in scoped_termlists(node):
+        letters.add(letter)
+        for t in terms:
+            names[t.name] = None
+            if t.outcome is not None:
+                written.append(t)
+            elif t.tied and name_key(t.name) not in bound:
+                free[t.name] = None
+    return list(names), list(free), letters, written
+
+
 def collect_identifiers(node) -> list[str]:
-    """Every variable identifier mentioned anywhere in the expression, in
-    order of first appearance (case preserved)."""
-    seen = {}
-    for _, terms, _ in scoped_termlists(node):
-        seen.update(dict.fromkeys(t.name for t in terms))
-    return list(seen)
+    """Every variable identifier of the expression (see :func:`read_terms`)."""
+    return read_terms(node)[0]
 
 
 def free_tied_identifiers(node) -> list[str]:
-    """Bare lowercase identifiers that require external bindings (i.e. not
-    bound by a literal outcome or an enclosing expectation)."""
-    free = {}
-    for _, terms, bound in scoped_termlists(node):
-        free.update(dict.fromkeys(
-            t.name for t in terms
-            if t.tied and t.outcome is None and name_key(t.name) not in bound
-        ))
-    return list(free)
+    """The free tied identifiers of the expression (see :func:`read_terms`)."""
+    return read_terms(node)[1]

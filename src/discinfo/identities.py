@@ -60,7 +60,7 @@ from .dist import (
     Variable,
     integer,
 )
-from .errors import CounterexampleMismatch, ParseError, UnknownVariable
+from .errors import CounterexampleMismatch, InvalidIndex, ParseError, UnknownVariable
 
 SUPPORT_SIZES = range(2, 5)  # the support sizes a random variable is drawn with
 
@@ -129,20 +129,18 @@ class SuiteEntry:
             node = ex.parse(self.expression)
             if not ex._is_comparison(node):
                 raise ValueError(f"entry {self.name!r} is not a comparison")
-            needs_q = False
-            for letter, terms, _ in ex.scoped_termlists(node):
-                needs_q |= letter == "q"
-                for t in (t for t in terms if t.outcome is not None):
-                    try:
-                        Variable(*_canonical([t.name]), ("0", "1")).index_of(t.outcome)
-                    except ValueError as exc:
-                        raise UnknownVariable(
-                            f"entry {self.name!r}: {exc}; an entry may write only the "
-                            "outcomes 0 and 1, which every case of the search has") from None
+            names, free, letters, written = ex.read_terms(node)
+            for t in written:
+                try:
+                    Variable(*_canonical([t.name]), ("0", "1")).index_of(t.outcome)
+                except InvalidIndex as exc:
+                    raise UnknownVariable(
+                        f"entry {self.name!r}: {exc}; an entry may write only the "
+                        "outcomes 0 and 1, which every case of the search has") from None
             object.__setattr__(self, "_node", node)
-            object.__setattr__(self, "_names", _canonical(ex.collect_identifiers(node)))
-            object.__setattr__(self, "_free", _canonical(ex.free_tied_identifiers(node)))
-            object.__setattr__(self, "needs_q", needs_q)
+            object.__setattr__(self, "_names", _canonical(names))
+            object.__setattr__(self, "_free", _canonical(free))
+            object.__setattr__(self, "needs_q", "q" in letters)
 
     @property
     def node(self):

@@ -67,13 +67,11 @@ class SimConfig:
             raise ValueError("steps must be >= 1")
         if not 0.0 <= self.noise_rate <= 1.0:
             raise ValueError("noise_rate must lie in [0, 1]")
-        if not self.pool:
-            raise ValueError("pool must be non-empty")
-        if not self.eval_set:
-            raise ValueError("eval_set must be non-empty")
-        m = self.model
+        _seed(self.seed)
         for name in ("pool", "eval_set", "initial"):
-            pairs = tuple((m.input_index(x), m.label_index(y)) for x, y in getattr(self, name))
+            pairs = tuple(bayes._observations(self.model, getattr(self, name), name))
+            if not pairs and name != "initial":
+                raise ValueError(f"{name} must be non-empty")
             object.__setattr__(self, name, pairs)
 
     @classmethod
@@ -114,6 +112,13 @@ def _number(key, value, kind):
         raise TypeError(f"{key}: the float {value!r} is too large to be an exact integer; "
                         f"give an integer in [-2**63, 2**64)")
     return kind(value)
+
+
+def _seed(seed) -> int:
+    """``seed`` read as a config's: an integer in [0, 2**64), numpy's range."""
+    if not 0 <= (seed := _number("seed", seed, int)) < 2**64:
+        raise ValueError(f"seed = {seed!r}: a seed must lie in [0, 2**64)")
+    return seed
 
 
 def load_config(path) -> SimConfig:
@@ -302,7 +307,7 @@ def threshold_task(n_points: int = 32, true_threshold: int | None = None, *,
     if not 0.0 < label_flip < 0.5:
         raise ValueError("label_flip must lie in (0, 0.5)")
     n_points = integer(n_points, f"n_points = {n_points!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     if true_threshold is None:
         if n_points < 2:
             raise ValueError(f"n_points = {n_points}: a drawn threshold needs at least 2 points")

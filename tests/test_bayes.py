@@ -972,40 +972,49 @@ class TestIndexResolver:
         # True == 1 and False == 0 in Python, but a flag names no input or label
         m = threshold_task(4)[0]
         post = posterior(m, [])
-        for call in (
-            lambda: bald(m, post, flag),
-            lambda: update(m, post, flag, 0),
-            lambda: update(m, post, 0, flag),
-            lambda: m.input_index(flag),
-            lambda: csd_table(m, [flag, 1], [0, 0]),
-            lambda: csd_table(m, np.array([flag]), [0]),
+        for call, variable, shown in (
+            (lambda: bald(m, post, flag), "X", flag),
+            (lambda: update(m, post, flag, 0), "X", flag),
+            (lambda: update(m, post, 0, flag), "Y", flag),
+            (lambda: m.input_index(flag), "X", flag),
+            (lambda: csd_table(m, [flag, 1], [0, 0]), "X", flag),
+            # an array's entry is a numpy boolean, whatever the flag was
+            (lambda: csd_table(m, np.array([flag]), [0]), "X", np.bool_(flag)),
         ):
-            with pytest.raises(InvalidIndex, match="is a boolean, not a position or a name"):
+            message = f"outcome index {shown!r} for variable {variable!r} is not an integer"
+            with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
                 call()
 
-    @pytest.mark.parametrize("key, kind", [(1.5, "float"), (np.float64(1.5), "float64"),
-                                           (None, "NoneType"), ((0,), "tuple")])
-    def test_a_name_is_a_string(self, key, kind):
+    @pytest.mark.parametrize("key", [1.5, np.float64(1.5), None, (0,)])
+    def test_a_name_is_a_string(self, key):
         # an input named "1.5" is found by the string "1.5" only, never by the float 1.5
         m = BayesModel(("a", "b"), [0.5, 0.5], ("1.5", "x"), ("0", "1"),
                        np.full((2, 2, 2), 0.5))
         assert m.input_index("1.5") == 0 and m.input_index(1) == 1
-        message = f"input {key!r} is a {kind}, not a position or a name"
+        message = f"outcome index {key!r} for variable 'X' is not an integer"
         with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
             m.input_index(key)
-        with pytest.raises(InvalidIndex, match=f"^{re.escape(message.replace('input', 'label'))}$"):
+        with pytest.raises(InvalidIndex, match=f"^{re.escape(message.replace('X', 'Y'))}$"):
             m.label_index(key)
 
-    @pytest.mark.parametrize("field", ["hypotheses", "inputs", "labels"])
-    @pytest.mark.parametrize("names, message", [((), "{} must be non-empty"),
-                                                (("a", "a"), "duplicate {}")])
-    def test_a_name_list_is_non_empty_and_distinct(self, field, names, message):
+    @pytest.mark.parametrize("field, variable", [("hypotheses", "Omega"), ("inputs", "X"),
+                                                 ("labels", "Y")])
+    @pytest.mark.parametrize("names, message", [
+        ((), "variable {!r} needs at least one outcome"),
+        (("a", "a"), "variable {!r} has duplicate outcome labels")])
+    def test_a_name_list_is_non_empty_and_distinct(self, field, variable, names, message):
         lists = {"hypotheses": ("h0", "h1"), "inputs": ("x0", "x1"), "labels": ("0", "1")}
         lists[field] = names
         shape = tuple(len(lists[k]) for k in ("hypotheses", "inputs", "labels"))
-        with pytest.raises(ValueError, match=f"^{re.escape(message.format(field))}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(variable))}$"):
             BayesModel(lists["hypotheses"], np.full(shape[0], 1 / max(shape[0], 1)),
                        lists["inputs"], lists["labels"], np.full(shape, 1 / max(shape[2], 1)))
+
+    def test_names_may_be_any_iterable(self):
+        # the cap on the hypotheses reads the built variable, not len() of its argument
+        m = BayesModel((h for h in ("a", "b")), [0.5, 0.5], iter(("x",)), range(2),
+                       np.full((2, 1, 2), 0.5))
+        assert (m.hypotheses, m.inputs, m.labels) == (("a", "b"), ("x",), ("0", "1"))
 
     @pytest.mark.parametrize("prior, likelihood, message", [
         ([1.0], np.full((2, 2, 2), 0.5), "prior length must match the hypothesis count"),
@@ -1030,7 +1039,7 @@ class TestIndexResolver:
         # another model can be passed; an unknown input or too many of them is refused
         m = threshold_task(4)[0]
         post, table = posterior(m, []), label_entropy_table(m)
-        with pytest.raises(InvalidIndex, match="^unknown input 'x9'"):
+        with pytest.raises(InvalidIndex, match="^'x9' is not an outcome of variable 'X'$"):
             bald_scores(m, post, table, ["0", "x9"])
         with pytest.raises(BatchTooLarge, match="^batch size 7 exceeds the cap of 6"):
             bald_scores(m, post, table, [0, 1, 2, 3, 0, 1])
@@ -1044,9 +1053,9 @@ class TestIndexResolver:
         # another label set, by name or by position, is refused, never read past the end
         m = threshold_task(4, 2)[0]
         post, table = posterior(m, []), csd_table(m, [0, 1], [0, 0])
-        with pytest.raises(InvalidIndex, match="^unknown label 'c'$"):
+        with pytest.raises(InvalidIndex, match="^'c' is not an outcome of variable 'Y'$"):
             csd_scores(m, post, table, given=[(0, "c")])
-        with pytest.raises(InvalidIndex, match=r"^label index 2 is out of range 0\.\.1$"):
+        with pytest.raises(InvalidIndex, match="^outcome index 2 out of range for variable 'Y'$"):
             csd_scores(m, post, table, given=[(0, 0), (1, 2)])
 
     def test_score_tables_must_fit_the_model(self):

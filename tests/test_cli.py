@@ -368,7 +368,7 @@ class TestSim:
         assert main(["sim", "--config", str(cfg_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: input True is a boolean, not a position or a name\n"
+        assert captured.err == "error: outcome index True for variable 'X' is not an integer\n"
 
 
 _MALFORMED_DIST = [

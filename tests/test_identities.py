@@ -200,6 +200,19 @@ class TestSuiteMechanics:
         monkeypatch.setattr(expr, "scoped_termlists", walked)
         assert check_entry(entry, 20, np.random.default_rng(0)) == want
 
+    def test_an_entry_is_walked_once_when_built(self, monkeypatch):
+        # its names, free tied outcomes, use of q and written outcomes come from one pass
+        walks, walk = [], expr.scoped_termlists
+
+        def counted(node, bound=frozenset()):
+            walks.append(node)
+            return walk(node, bound)
+        monkeypatch.setattr(expr, "scoped_termlists", counted)
+        entry = SuiteEntry("e", Expectation.ALWAYS_TRUE,
+                           expression="E_{q(x)}[H[Y|x]] >= I[x;y=1] - 9")
+        assert walks.count(entry.node) == 1
+        assert (entry.variable_names(), entry._free, entry.needs_q) == (("X", "Y"), ("X",), True)
+
     @pytest.mark.parametrize("expect", ["always", "ALWAYS_TRUE", None, True])
     @pytest.mark.parametrize("kind", ["expression", "check"])
     def test_entry_expect_must_be_an_expectation(self, expect, kind):

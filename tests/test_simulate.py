@@ -19,6 +19,7 @@ from discinfo import (
     threshold_task,
 )
 from discinfo import bayes
+from discinfo.cli import main
 from discinfo.bayes import (
     bald_scores,
     csd_scores,
@@ -320,15 +321,17 @@ class TestConfigJson:
         cfg = load_config(path)
         assert cfg.model.hypotheses == model.hypotheses
 
-    @pytest.mark.parametrize("pool", [[[True, 0], [2, 1]], [[1, 0], [2, True]]])
-    def test_a_boolean_pool_entry_is_refused(self, tmp_path, pool):
+    @pytest.mark.parametrize("pool, variable", [([[True, 0], [2, 1]], "X"),
+                                                ([[1, 0], [2, True]], "Y")])
+    def test_a_boolean_pool_entry_is_refused(self, tmp_path, pool, variable):
         # JSON true would otherwise load as position 1
         model, _, eval_set = threshold_task(4)
         doc = {"model": model.to_json_dict(), "pool": pool, "eval": [list(p) for p in eval_set]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert "true" in path.read_text()
-        with pytest.raises(InvalidIndex, match="is a boolean, not a position or a name"):
+        message = f"outcome index True for variable {variable!r} is not an integer"
+        with pytest.raises(InvalidIndex, match=f"^{re.escape(message)}$"):
             load_config(path)
 
     def test_validation(self):
@@ -432,6 +435,40 @@ class TestConfigJson:
             small_config(eval_set=(("x1", "7"),))
         cfg = small_config(pool=((np.int64(1), np.int64(0)),))
         assert cfg.pool == ((1, 0),)
+
+    @pytest.mark.parametrize("field", ["pool", "eval_set", "initial"])
+    @pytest.mark.parametrize("pairs", [[(0, 1, 2)], [5], [(0, 1), (1,)], "01"],
+                             ids=["triple", "scalar", "ragged", "string"])
+    def test_pairs_are_read_as_posterior_reads_its_data(self, field, pairs):
+        # a list of (input, label) pairs, never Python's unpacking error ("too many values
+        # to unpack (expected 2)", "cannot unpack non-iterable int object")
+        message = f"{field} must be a list of (input, label) pairs"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**{field: pairs})
+
+    @pytest.mark.parametrize("seed", [-1, -1.0, np.int64(-5), -2**63, 2**64])
+    def test_a_seed_lies_in_numpy_s_range(self, seed):
+        # before, a negative seed was accepted and a uniform run failed inside numpy
+        message = f"seed = {int(seed)}: a seed must lie in [0, 2**64)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(seed=seed, acquisition="uniform")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            threshold_task(8, seed=seed)
+        assert small_config(seed=2**64 - 1).seed == 2**64 - 1
+        assert threshold_task(8, seed=2**64 - 1)[0].n_hypotheses == 9
+
+    @pytest.mark.parametrize("seed", [-1, -1.0, -2**63])
+    def test_a_seed_in_a_config_file_lies_in_numpy_s_range(self, tmp_path, capsys, seed):
+        model, pool, eval_set = threshold_task(8)
+        doc = {"model": model.to_json_dict(), "pool": [list(p) for p in pool],
+               "eval": [list(p) for p in eval_set], "acquisition": "uniform", "seed": seed}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        message = f"seed = {int(seed)}: a seed must lie in [0, 2**64)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        assert main(["sim", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _entropy(p):

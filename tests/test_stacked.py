@@ -534,10 +534,8 @@ def test_evaluate_no_longer_answers_an_array_with_element_0():
 @pytest.mark.parametrize("bindings, n, message", [
     ({"Y": np.array([[0, 1]])}, 1, "outcome positions array([[0, 1]]) for variable 'Y': not one "
                                    "position in 0..1 per stack element"),
-    ({"Y": np.array([0, 2])}, 1, "outcome positions array([0, 2]) for variable 'Y': not one "
-                                 "position in 0..1 per stack element"),
-    ({"Y": np.array([-1, 0, 1])}, 3, "outcome positions array([-1,  0,  1]) for variable 'Y': "
-                                     "not one position in 0..1 per stack element"),
+    ({"Y": np.array([0, 2])}, 1, "outcome index 2 out of range for variable 'Y'"),
+    ({"Y": np.array([-1, 0, 1])}, 3, "outcome index -1 out of range for variable 'Y'"),
     ({"Y": np.array([0, 1])}, 3,
      "lengths {'p': 3, 'Y': 2}: each must be 1 or the stack's length n"),
     ({"Y": np.array([0, 1]), "X": np.array([0, 1, 1])}, 1,
