@@ -28,20 +28,16 @@ def _base(args) -> LogBase:
     return LogBase(args.base)
 
 
-def _observed(d, text: str) -> dict:
-    """The ``--observe`` entries NAME=OUTCOME as bindings, each OUTCOME a
-    label, keyed by the name of the variable of ``d`` that NAME names;
-    naming one variable twice is an error."""
-    out = {}
+def _observed(text: str) -> list[tuple[str, str]]:
+    """The ``--observe`` entries NAME=OUTCOME as (name, label) pairs: bindings,
+    which the evaluator resolves and checks."""
+    pairs = []
     for piece in filter(None, map(str.strip, text.split(","))):
         if "=" not in piece:
             raise ValueError(f"--observe entries look like NAME=OUTCOME, got {piece!r}")
-        name, label = (part.strip() for part in piece.split("=", 1))
-        exact = d.variable(name).name
-        if exact in out:
-            raise ValueError(f"--observe names variable {exact!r} more than once")
-        out[exact] = label
-    return out
+        name, label = piece.split("=", 1)
+        pairs.append((name.strip(), label.strip()))
+    return pairs
 
 
 def _cmd_eval(args) -> int:
@@ -49,9 +45,7 @@ def _cmd_eval(args) -> int:
 
     d = load_distribution(args.dist)
     q = load_distribution(args.q) if args.q else None
-    bindings = None
-    if args.observe:
-        bindings = _observed(d, args.observe)
+    bindings = _observed(args.observe) if args.observe else None
     value = evaluate(args.expression, d, q=q, bindings=bindings, base=_base(args))
     if isinstance(value, bool):
         print("true" if value else "false")
@@ -64,7 +58,7 @@ def _cmd_diagram(args) -> int:
     from .expr import diagram
 
     d = load_distribution(args.dist)
-    table = diagram(d, _observed(d, args.observe), base=_base(args))
+    table = diagram(d, _observed(args.observe), base=_base(args))
     width = max(len(label) for label, _ in table.rows())
     for label, value in table.rows():
         print(f"{label:<{width}}  {value:.12g}")

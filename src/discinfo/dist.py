@@ -23,6 +23,7 @@ import gc
 import json
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -118,7 +119,8 @@ class Variable:
     def positions(self, array: np.ndarray) -> np.ndarray:
         """The 1-D integer ``array``, checked in one pass: its first entry out
         of range is refused as :meth:`index_of` refuses it."""
-        if len(array) and not (array.min() >= 0 and array.max() < len(self.support)):
+        if len(array) and not (np.minimum.reduce(array) >= 0
+                               and np.maximum.reduce(array) < len(self.support)):
             self.index_of(array[((array < 0) | (array >= len(self.support))).argmax()])
         return array
 
@@ -243,12 +245,18 @@ class UnnormalizedWeight(_Axes):
 
 
 def checked_bindings(d, bindings, q=None, read=Variable.index_of) -> dict:
-    """``bindings`` keyed by the names of the variables of ``d`` (or, for a
-    name ``d`` lacks, of ``q``) that its keys name, each outcome read by
-    ``read``: :meth:`Variable.index_of`, or evaluate_stack's reader of
-    arrays.  Two keys that name one variable are a ValueError."""
+    """``bindings``, a mapping or a list of (name, outcome) pairs, as a dict
+    keyed by the name of the variable of ``d`` (or, for a name ``d`` lacks,
+    of ``q``) that each name names, each outcome read by ``read``:
+    :meth:`Variable.index_of`, or evaluate_stack's reader of arrays.  A
+    variable bound twice, however its names are spelled, is a ValueError,
+    and so is an entry of the list that is not a pair."""
     out = {}
-    for name, outcome in dict(bindings).items():
+    for pair in bindings.items() if isinstance(bindings, Mapping) else bindings:
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise ValueError(f"bindings must be a mapping or a list of (name, outcome) pairs, "
+                             f"not hold {pair!r}")
+        name, outcome = pair
         try:
             var = d.variable(name)
         except UnknownVariable:

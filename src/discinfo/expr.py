@@ -574,24 +574,24 @@ def _eval_expectation(node: ExpectationNode, scope: _Scope):
     if len(weights) < scope.n:
         weights = np.broadcast_to(weights, (scope.n,) + weights.shape[1:])
     flat = weights.reshape(len(weights), -1)
-    mass = flat.sum(axis=1)
-    elements, cells = np.nonzero(flat > ZERO_MASS)
+    mass = np.add.reduce(flat, axis=1)
+    elements, cells = (flat > ZERO_MASS).nonzero()
     total = np.zeros(len(flat))
     undefined = np.zeros(len(flat), dtype=np.int8)
     if len(elements):
         free = [n for n in kept if n not in tied]
         extra = dict(zip(free, np.unravel_index(cells, weights.shape[1:])))
         values, body_undefined = _eval_number(node.body, scope.take(elements, extra))
-        values = np.broadcast_to(values, elements.shape)
+        # a constant body (one value) broadcasts in the product
         total = np.bincount(elements, weights=flat[elements, cells] * values, minlength=len(flat))
-        if body_undefined.any():
+        if np.logical_or.reduce(body_undefined, axis=None):
             bad = np.flatnonzero(np.broadcast_to(body_undefined, elements.shape))
             first_bad, at = np.unique(elements[bad], return_index=True)
             undefined[first_bad] = np.broadcast_to(body_undefined, elements.shape)[bad[at]]
     undefined[mass <= ZERO_MASS] = qt.ZERO_PROBABILITY
     with np.errstate(divide="ignore", invalid="ignore"):
         values = total / mass
-    if not undefined.any():
+    if not np.logical_or.reduce(undefined, axis=None):
         return values, qt.DEFINED
     return np.where(undefined == 0, values, np.nan), undefined
 
@@ -623,9 +623,10 @@ def evaluate(expression, dist: JointDistribution, q=None, bindings=None, *,
 
     ``q`` supplies the second distribution for ``q(...)`` references (a
     :class:`JointDistribution` or :class:`UnnormalizedWeight`).  ``bindings``
-    gives bare lowercase identifiers their outcomes, resolved by
+    (a mapping or a list of (name, outcome) pairs) gives bare lowercase
+    identifiers their outcomes, resolved by
     :func:`~discinfo.dist.checked_bindings` in ``dist``, then in ``q``: a
-    key names a variable without regard to case, an integer outcome is a
+    name names a variable without regard to case, an integer outcome is a
     position and a string a label.  Returns a float, or a bool for
     comparisons.
     """
@@ -731,20 +732,21 @@ class DiagramTable:
                 for label, (field, _) in zip(self.labels, _DIAGRAM_ROWS)]
 
 
-def diagram(d: JointDistribution, observed: dict, *, base: LogBase = LogBase.NATS) -> DiagramTable:
+def diagram(d: JointDistribution, observed, *, base: LogBase = LogBase.NATS) -> DiagramTable:
     """Evaluate the eight-quantity decomposition for one observed variable.
 
-    ``observed`` maps exactly one variable of ``d`` to its observed outcome,
-    resolved as :func:`evaluate` resolves a binding (``{"Y": 1}``, ``{"y":
-    1}`` and, on the support ``("0", "1")``, ``{"Y": "1"}`` are one
-    observation); every other variable forms the (joint) X group.  Each row
-    is an expression over ``d`` with the observed variable as a bare tied
-    identifier, evaluated with that binding.
+    ``observed`` binds exactly one variable of ``d`` to its observed outcome,
+    read as :func:`evaluate` reads its bindings, a mapping or a list of
+    (name, outcome) pairs (``{"Y": 1}``, ``{"y": 1}``, ``[("Y", 1)]`` and, on
+    the support ``("0", "1")``, ``{"Y": "1"}`` are one observation); every
+    other variable forms the (joint) X group.  Each row is an expression
+    over ``d`` with the observed variable as a bare tied identifier,
+    evaluated with that binding.
     """
-    observed = dict(observed)
+    observed = checked_bindings(d, observed)
     if len(observed) != 1:
         raise ValueError("diagram needs exactly one observed variable")
-    (y_name, y_idx), = checked_bindings(d, observed).items()
+    (y_name, y_idx), = observed.items()
     xs = ",".join(n[0].upper() + n[1:] for n in d.names if n != y_name)
     if not xs:
         raise ValueError("diagram needs at least one unobserved variable")

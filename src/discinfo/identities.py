@@ -103,11 +103,12 @@ class WeightRow:
 class SuiteEntry:
     """A named comparison: an expression, or a :class:`WeightRow`.
 
-    Expression entries are comparison expressions in the surface notation;
-    bare lowercase identifiers are searched over all their outcomes.  An
-    outcome written in the expression (``y=1``) must be 0 or 1, the
-    outcomes every case of the search has, else :class:`UnknownVariable`
-    names the entry.
+    Expression entries are comparison expressions in the surface notation
+    that name at least one variable, the variables whose distributions the
+    search draws; bare lowercase identifiers are searched over all their
+    outcomes.  An outcome written in the expression (``y=1``) must be 0 or
+    1, the outcomes every case of the search has, else
+    :class:`UnknownVariable` names the entry.
     ``check`` entries are weight-algebra rows for the comparisons the
     notation cannot express (mixtures, scaled and powered weights).
     """
@@ -130,6 +131,9 @@ class SuiteEntry:
             if not ex._is_comparison(node):
                 raise ValueError(f"entry {self.name!r} is not a comparison")
             names, free, letters, written = ex.read_terms(node)
+            if not names:
+                raise ValueError(f"entry {self.name!r} names no variable; the search draws "
+                                 "distributions over the variables an entry names")
             for t in written:
                 try:
                     Variable(*_canonical([t.name]), ("0", "1")).index_of(t.outcome)
@@ -223,11 +227,20 @@ class SearchReport:
         }
 
 
+@functools.cache
+def _indices(shape) -> np.ndarray:
+    """``np.indices(shape)``, read-only, built once per process."""
+    indices = np.indices(shape)
+    indices.flags.writeable = False
+    return indices
+
+
 def _inside(sizes) -> np.ndarray:
     """Per case, which cells of the padded shape (each variable's largest
     drawn size) lie inside the case's own support ``sizes[i]``."""
-    full = sizes.max(axis=0, initial=1)
-    return (np.indices(full) < sizes.reshape(*sizes.shape, *(1,) * len(full))).all(axis=1)
+    full = tuple(np.maximum.reduce(sizes, axis=0, initial=1).tolist())
+    return np.logical_and.reduce(_indices(full) < sizes.reshape(*sizes.shape, *(1,) * len(full)),
+                                 axis=1)
 
 
 def _floored(rng, inside, floor=CELL_FLOOR) -> np.ndarray:
@@ -235,10 +248,10 @@ def _floored(rng, inside, floor=CELL_FLOOR) -> np.ndarray:
     there and renormalized; the cells outside are exact zeros."""
     axes = tuple(range(1, inside.ndim))
     cells = np.where(inside, rng.exponential(1.0, size=inside.shape), 0.0)
-    cells /= cells.sum(axis=axes, keepdims=True)
+    cells /= np.add.reduce(cells, axis=axes, keepdims=True)
     if floor > 0:
         cells = np.where(inside, np.maximum(cells, floor), 0.0)
-        cells /= cells.sum(axis=axes, keepdims=True)
+        cells /= np.add.reduce(cells, axis=axes, keepdims=True)
     return cells
 
 
@@ -382,7 +395,7 @@ class _Search:
         bindings = rng.integers(0, sizes[:, self.free_axes]) if self.always else None
         stacks = []
         for count in sorted(set(counts.tolist())):  # np.unique would import numpy.ma
-            idx = np.flatnonzero(counts == count)
+            idx = (counts == count).nonzero()[0]
             cut = (idx,) + (slice(None),) * count + (0,) * (width - count)
             stacks.append((_variables(self.names, inside.shape[1:1 + count]),
                            [a[cut] for a in arrays], idx,
@@ -390,12 +403,18 @@ class _Search:
         return stacks
 
     def random_batches(self, stacks, part):
-        """The cases of each stack whose ordinals are in ``part``."""
-        for variables, arrays, ordinals, bindings, sizes in stacks:
-            keep = (ordinals >= part.start) & (ordinals < part.stop)
-            if keep.any():
-                yield (variables, [a[keep] for a in arrays], ordinals[keep],
-                       None if bindings is None else bindings[keep], sizes[keep])
+        """The cases of each stack whose ordinals are in ``part``: a stack
+        whose cases all are, as it is.  A stack's ordinals ascend, so the
+        cases in ``part`` are one slice of it."""
+        for stack in stacks:
+            variables, arrays, ordinals, bindings, sizes = stack
+            start, stop = ordinals.searchsorted((part.start, part.stop))
+            if stop - start == len(ordinals):
+                yield stack
+            elif start < stop:
+                cut = slice(start, stop)
+                yield (variables, [a[cut] for a in arrays], ordinals[cut],
+                       None if bindings is None else bindings[cut], sizes[cut])
 
     def evaluate(self, variables, arrays, ordinals, bindings, sizes) -> _Block:
         """Stack the cases of one batch: each distribution with its own
@@ -405,10 +424,9 @@ class _Search:
         if bindings is None:
             combos = list(itertools.product(*(range(variables[j].size) for j in self.free_axes)))
             combos = np.array(combos, dtype=np.intp).reshape(len(combos), len(self.free))
-            rows = np.repeat(np.arange(len(p)), len(combos))
-            binding = np.tile(np.arange(len(combos)), len(p))
+            rows, binding = np.divmod(np.arange(len(p) * len(combos)), len(combos))
             bindings = combos[binding]
-            own = (bindings < sizes[rows][:, self.free_axes]).all(axis=1)
+            own = np.logical_and.reduce(bindings < sizes[rows][:, self.free_axes], axis=1)
             rows, binding, bindings = rows[own], binding[own], bindings[own]
         else:
             rows = np.arange(len(p))
@@ -443,8 +461,10 @@ class _Search:
         env = {n: bindings[:, j] for j, n in enumerate(self.free)}
         node, scope = ex._stack_scope(self.node, ps, qs, env)  # one checked read, both sides
         (lhs, lhs_code), (rhs, rhs_code) = (ex._eval(s, scope) for s in (node.lhs, node.rhs))
-        lhs, rhs, lhs_code = (np.broadcast_to(a, scope.n) for a in (lhs, rhs, lhs_code))
-        return lhs, rhs, (lhs_code == 0) & (rhs_code == 0)
+        lhs, rhs = (a if len(a) == scope.n else np.broadcast_to(a, scope.n) for a in (lhs, rhs))
+        # confirm writes into the stage's defined
+        defined = np.logical_and(lhs_code == 0, rhs_code == 0, out=np.empty(scope.n, dtype=bool))
+        return lhs, rhs, defined
 
     def stage(self, batches) -> SearchReport | None:
         """Evaluate the batches, then report the first case in draw order
@@ -454,7 +474,7 @@ class _Search:
         candidates = sorted(
             (int(b.ordinal[i]), int(b.binding[i]), b, int(i))
             for b in self.blocks[first_block:]
-            for i in np.flatnonzero(b.defined & (b.margin > self.threshold - MARGIN_SLACK))
+            for i in (b.defined & (b.margin > self.threshold - MARGIN_SLACK)).nonzero()[0]
         )
         for ordinal, binding, block, i in candidates:
             found = self.confirm(block, i)
@@ -504,7 +524,7 @@ class _Search:
             n = int(np.count_nonzero(defined))
             evaluated, skipped = evaluated + n, skipped + cases - n
             if self.always and n:
-                margin = float(b.margin[defined].max())
+                margin = float(np.maximum.reduce(b.margin[defined]))
                 worst = margin if worst is None else max(worst, margin)
         if evaluated == 0:
             status = Status.UNTESTED
@@ -540,7 +560,7 @@ def check_suite(suite: IdentitySuite, seeds: int = DEFAULT_SEEDS,
 
 def _mass(w):
     """The total mass of each weight, shaped like a factor."""
-    return w.sum(axis=tuple(range(1, w.ndim)), keepdims=True)
+    return np.add.reduce(w, axis=tuple(range(1, w.ndim)), keepdims=True)
 
 
 def _mix(a, p1, p2):

@@ -114,7 +114,7 @@ def _plogq(p: np.ndarray, q=None, floor=ZERO_CELL, *, positive=False, out=None):
     bad = None
     if q is not None:
         ok = out > 0  # a NaN fails too
-        if not ok.all():
+        if not np.logical_and.reduce(ok, axis=None):
             bad = ~ok
             out[bad] = 1.0
     np.log(out, out=out)
@@ -143,7 +143,9 @@ SUPPORT_MISMATCH = 2
 DEFINED = np.zeros(1, dtype=np.int8)
 DEFINED.setflags(write=False)
 _ALL = slice(None)
+# the ufuncs' own reductions: an array's sum() and any() go through numpy's Python wrappers
 _sum = np.add.reduce
+_any = np.logical_or.reduce
 _SUPPORT_MESSAGE = "q is zero (or undefined) at an outcome where p has positive mass"
 
 
@@ -179,22 +181,25 @@ class Stack(_Axes):
         return len(self.tensor) if self.rows is None else len(self.rows)
 
     def take(self, elements) -> "Stack":
-        """The stack of the given elements."""
+        """The stack of the given elements, on this stack's checked variables."""
         if self.rows is not None:
             rows = self.rows[elements]
         elif len(self.tensor) > 1:
             rows = elements
         else:
             return self
-        return Stack(self.variables, self.tensor, rows, self.weight)
+        taken = object.__new__(Stack)
+        taken.variables, taken.names, taken.tensor = self.variables, self.names, self.tensor
+        taken.rows, taken.weight = rows, self.weight
+        return taken
 
 
 def first_undefined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise, the first of two undefined codes that is set (0 if none):
     an evaluation reports the error it meets first."""
-    if a is DEFINED or not a.any():
+    if a is DEFINED or not _any(a, axis=None):
         return b
-    if b is DEFINED or not b.any():
+    if b is DEFINED or not _any(b, axis=None):
         return a
     return np.where(a != 0, a, b)
 
@@ -225,6 +230,8 @@ def gather(tensor, names, at: dict, rows=None):
     ``at`` (name -> outcome index, or one index per stack element), for each
     element; ``rows`` picks each element's batch row.  The named axes in
     ``at`` are indexed away; the others keep their order."""
+    if rows is None and not at:
+        return tensor
     ix = [at.get(n, _ALL) for n in names]
     if rows is None and any(type(o) is np.ndarray for o in at.values()):
         rows = np.arange(len(tensor)) if len(tensor) > 1 else 0
@@ -326,9 +333,9 @@ def _expected_ic_nats(p: Stack, q: Stack, p_head, p_given, q_head=None, q_given=
         return out, DEFINED
     undefined = np.zeros(n, dtype=np.int8)
     if bad is not None:
-        undefined[bad.reshape(n, -1).any(axis=1)] = SUPPORT_MISMATCH
+        undefined[_any(bad.reshape(n, -1), axis=1)] = SUPPORT_MISMATCH
     if zero is not None:
-        undefined[np.broadcast_to(zero, n)] = ZERO_PROBABILITY
+        np.copyto(undefined, ZERO_PROBABILITY, where=zero)
     return np.where(undefined == 0, out, np.nan), undefined
 
 

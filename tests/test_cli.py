@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from discinfo import cli
+from discinfo import cli, evaluate, three_cell_distribution
 from discinfo.bayes import BayesModel, dump_model, load_model
 from discinfo.cli import build_parser, main
 from discinfo.dist import JointDistribution, Variable, dump_distribution, load_distribution
@@ -26,8 +26,6 @@ def coin_path(tmp_path):
 
 @pytest.fixture
 def three_cell_path(tmp_path):
-    from discinfo import three_cell_distribution
-
     path = tmp_path / "three.json"
     dump_distribution(three_cell_distribution(), path)
     return str(path)
@@ -172,7 +170,21 @@ def test_repeated_observed_variable_is_usage_error(three_cell_path, capsys, comm
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --observe names variable 'Y' more than once\n"
+    assert captured.err == "error: bindings name variable 'Y' more than once\n"
+
+
+def test_observed_names_resolve_in_q_as_bindings_do(tmp_path, three_cell_path, capsys):
+    # --observe hands its pairs to evaluate, which resolves a name p lacks in q
+    q = JointDistribution((Variable("X", ("0", "1")), Variable("Z", ("0", "1"))),
+                          [[0.1, 0.2], [0.3, 0.4]])
+    q_path = str(tmp_path / "q.json")
+    dump_distribution(q, q_path)
+    argv = ["eval", "--dist", three_cell_path, "--q", q_path, "--observe", "z=0,Y=1",
+            "CE[p(X|y) || q(X|z)]"]
+    assert main(argv) == 0
+    want = evaluate("CE[p(X|y) || q(X|z)]", three_cell_distribution(), q=q,
+                    bindings={"Z": 0, "Y": 1})
+    assert capsys.readouterr() == (f"{want:.12g}\n", "")
 
 
 @pytest.mark.parametrize("command", [["eval", "H[X|y]"], ["diagram"]])
@@ -250,6 +262,14 @@ class TestCheckAndSearch:
         suite = tmp_path / "suite.txt"
         suite.write_text("H[X] <= 0 # expect: always\n")
         assert main(["check", "--suite", str(suite), "--seeds", "10"]) == 1
+
+    def test_a_line_without_a_variable_is_usage_error(self, tmp_path, capsys):
+        suite = tmp_path / "suite.txt"
+        suite.write_text("0.5 <= 1  # expect: always\n")
+        assert main(["check", "--suite", str(suite)]) == 2
+        assert capsys.readouterr() == ("", "error: entry 'L1: 0.5 <= 1' names no variable; the "
+                                           "search draws distributions over the variables an "
+                                           "entry names\n")
 
     def test_identifier_starting_with_underscore_is_usage_error(self, tmp_path, capsys):
         suite = tmp_path / "suite.txt"

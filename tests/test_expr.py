@@ -400,9 +400,28 @@ class TestEvaluate:
     def test_two_keys_of_one_variable_are_refused(self):
         # {"y": 1, "Y": 0} must not evaluate silently at whichever key came last
         d = three_cell_distribution()
-        for bindings in ({"y": 1, "Y": 0}, {"Y": 0, "y": 0}):
+        for bindings in ({"y": 1, "Y": 0}, {"Y": 0, "y": 0}, [("Y", 1), ("Y", 0)],
+                         [("Y", 1), ("y", 0)], (("y", 0), ("y", 0))):
             with pytest.raises(ValueError, match="^bindings name variable 'Y' more than once$"):
                 evaluate("H[X|y]", d, bindings=bindings)
+
+    def test_bindings_may_be_a_list_of_pairs(self):
+        d = three_cell_distribution()
+        for outcome in (0, 1, "0"):
+            assert evaluate("H[X|y]", d, bindings=[("y", outcome)]) == evaluate(
+                "H[X|y]", d, bindings={"Y": outcome})
+        q = JointDistribution((Variable("X", ("0", "1")), Variable("Z", ("0", "1"))),
+                              [[0.1, 0.2], [0.3, 0.4]])
+        assert evaluate("CE[p(X) || q(X|z)]", d, q=q, bindings=[("y", 1), ("z", 0)]) == evaluate(
+            "CE[p(X) || q(X|z)]", d, q=q, bindings={"Z": 0})
+
+    @pytest.mark.parametrize("entry", ["Y1", "Y12", ("Y",), ("Y", 1, 0), 1])
+    def test_a_binding_that_is_not_a_pair_is_refused(self, entry):
+        # dict() read the string "Y1" as the pair ("Y", "1")
+        message = ("bindings must be a mapping or a list of (name, outcome) pairs, "
+                   f"not hold {entry!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate("H[X|y]", three_cell_distribution(), bindings=[entry])
 
     def test_missing_q(self):
         d = fair_coin()

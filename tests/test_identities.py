@@ -385,6 +385,29 @@ class TestWrittenOutcomes:
             parse_suite_file(text)
 
 
+class TestAnEntryNamesAVariable:
+    """The search draws distributions over the variables an entry names, so
+    an entry that names none is refused when it is built."""
+
+    MESSAGE = ("entry {!r} names no variable; the search draws distributions over the "
+               "variables an entry names")
+
+    @pytest.mark.parametrize("expect", list(Expectation))
+    @pytest.mark.parametrize("text", ["0.5 <= 1", "IC[0.5] >= 0", "2 * IC[0.25] == IC[0.5] + 1"])
+    def test_an_entry_without_a_variable_is_refused(self, text, expect):
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE.format('e'))}$"):
+            SuiteEntry("e", expect, expression=text)
+
+    @pytest.mark.parametrize("text, name", [
+        ("0.5 <= 1  # expect: always\n", "L1: 0.5 <= 1"),
+        ("H[X] >= 0  # expect: always\n\nIC[0.5] >= 0  # expect: violation\n",
+         "L3: IC[0.5] >= 0"),
+    ])
+    def test_a_suite_file_line_without_a_variable_is_refused_by_its_name(self, text, name):
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE.format(name))}$"):
+            parse_suite_file(text)
+
+
 class TestSuiteFiles:
     def test_parse_and_run(self, tmp_path):
         text = """

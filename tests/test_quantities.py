@@ -413,8 +413,14 @@ class TestDiagram:
         assert evaluate("H[X|y]", d, bindings={"y": 1}) == diagram(d, {"y": 1}).cond_head
         with pytest.raises(UnknownVariable, match="no variable matches identifier 'z'"):
             diagram(d, {"z": 1})
-        with pytest.raises(ValueError, match="exactly one observed variable"):
-            diagram(d, {"y": 1, "Y": 1})
+        assert diagram(d, [("y", 1)]) == diagram(d, {"Y": 1})
+        for observed in ({"y": 1, "Y": 1}, [("Y", 1), ("Y", 0)], [("Y", 1), ("y", 0)]):
+            # the last pair must not win, as dict() would let it
+            with pytest.raises(ValueError, match="^bindings name variable 'Y' more than once$"):
+                diagram(d, observed)
+        for observed in ({"X": 0, "y": 1}, [], [("x", 0), ("Y", 1)]):
+            with pytest.raises(ValueError, match="^diagram needs exactly one observed variable$"):
+                diagram(d, observed)
 
     @pytest.mark.parametrize("names", [
         ("a", "b"), ("X", "Y1", "Yy"), ("Yy", "b", "C1", "d"), ("A", "b", "Cc", "dD", "E_2"),

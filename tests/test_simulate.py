@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -931,3 +932,90 @@ class TestRowsAgainstExpressions:
                 post = update(model, post, x, y)
             except ZeroEvidence:  # the run skips such a label, as logged
                 pass
+
+
+def _bound_model(rng, n_x):
+    """A random model of 2-5 hypotheses over ``n_x`` inputs and 2-3 labels,
+    every cell positive; with one chance in three input 1 copies input 0,
+    so two candidates tie exactly."""
+    n_omega, n_y = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+    lik = (rng.dirichlet(np.ones(n_y), size=(n_omega, n_x)) + 0.02) / (1 + 0.02 * n_y)
+    if rng.random() < 1 / 3:
+        lik[:, 1] = lik[:, 0]
+    return BayesModel(tuple(f"w{i}" for i in range(n_omega)), rng.dirichlet(np.ones(n_omega)),
+                      tuple(f"x{i}" for i in range(n_x)), tuple(f"y{i}" for i in range(n_y)), lik)
+
+
+def _greedy_batch(model, probs, pool, acquisition, b):
+    """One step's batch of ``run_sim``'s selection, as pool indices in pick order."""
+    cfg = SimConfig(model=model, pool=pool, eval_set=pool[:1], acquisition=acquisition,
+                    batch_size=b)
+    pool_x, pool_y = _pool_arrays(cfg.pool)
+    table = _score_table(model, acquisition, pool_x, pool_y)
+    batch, _ = _select_batch(model, probs, list(range(len(pool))), pool_x, pool_y, cfg, None,
+                             table)
+    return [i for i, _ in batch]
+
+
+class TestGreedyBounds:
+    """BatchBALD's guarantee: a model's labels are independent given Omega,
+    so the joint gain I[Omega; Y_1..Y_k | x_1..x_k] is monotone submodular,
+    and the greedy batch scores at least (1 - 1/e) of the best batch of its
+    size.  The labelled gain of ``batch_csd`` has no such bound."""
+
+    BOUND = 1 - 1 / math.e
+
+    def test_the_joint_gain_is_submodular(self):
+        rng = np.random.default_rng(20211)
+        for _ in range(300):
+            model = _bound_model(rng, 5)
+            post = bayes.Posterior(rng.dirichlet(np.ones(model.n_hypotheses)))
+            cond = post.probs @ label_entropy_table(model)
+            order = [int(x) for x in rng.permutation(5)[:3]]
+            # the gain of every input x given each prefix B of ``order``, from the
+            # joint gains: I[B, x] - I[B], with I[B] the last pick's joint gain
+            gains = []
+            for k in range(len(order) + 1):
+                joint = bayes.joint_bald_scores(model, post, cond, order[:k])
+                before = bayes.joint_bald_scores(model, post, cond, order[:k - 1])[order[k - 1]] \
+                    if k else 0.0
+                gains.append(joint - before)
+            for j in range(len(gains)):  # A = order[:j] is a prefix of B = order[:k]
+                for k in range(j, len(gains)):
+                    assert (gains[k] <= gains[j] + 1e-12).all()
+
+    def test_the_greedy_batch_meets_the_bound(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n_x = int(rng.integers(2, 9))
+            model = _bound_model(rng, n_x)
+            probs = rng.dirichlet(np.ones(model.n_hypotheses))
+            post = bayes.Posterior(probs)
+            pool = [(x, int(rng.integers(model.n_labels))) for x in range(n_x)]
+            b = int(rng.integers(1, min(3, n_x) + 1))
+            greedy = bayes.batch_score(model, post, _greedy_batch(model, post.probs, pool,
+                                                                  "batch_bald", b))
+            best = max(bayes.batch_score(model, post, list(batch))
+                       for batch in itertools.combinations(range(n_x), b))
+            assert greedy >= self.BOUND * best - 1e-12
+
+    def test_the_labelled_greedy_batch_has_no_bound(self):
+        # the prior favours A; the greedy pair first confirms it with (x2, 0), and then
+        # each other pair pulls towards B, while (x0, 0) and (x1, 1) together favour B
+        # firmly: a realized gain is neither monotone nor submodular
+        lik = np.array([[0.2, 0.7, 0.6], [0.8, 0.1, 0.4]])  # p(y = 0 | x, omega)
+        model = BayesModel(("A", "B"), [0.75, 0.25], ("x0", "x1", "x2"), ("0", "1"),
+                           np.stack([lik, 1 - lik], axis=-1))
+        post, pool = bayes.Posterior(model.prior), [(0, 0), (1, 1), (2, 0)]
+        greedy = _greedy_batch(model, post.probs, pool, "batch_csd", 2)
+        assert greedy == [2, 1]
+
+        def score(batch):
+            return bayes.batch_score(model, post, [pool[i][0] for i in batch],
+                                     [pool[i][1] for i in batch])
+
+        scores = {batch: score(batch) for batch in itertools.combinations(range(3), 2)}
+        assert max(scores, key=scores.get) == (0, 1)
+        assert score(greedy) == pytest.approx(-0.110677, abs=1e-6)
+        assert scores[(0, 1)] == pytest.approx(0.061933, abs=1e-6)
+        assert score(greedy) < 0 < self.BOUND * scores[(0, 1)]

@@ -485,6 +485,40 @@ def test_a_measure_of_one_broadcasts_to_the_stack():
     assert values.tolist() == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("expression, constant", [("E_{p(x)}[IC[0.5]]", math.log(2.0)),
+                                                   ("E_{p(x|y=1)}[0.5]", 0.5)])
+def test_a_constant_body_is_its_constant_on_every_element(expression, constant):
+    # the body is one value for the whole stack, weighted by each element's measure
+    rng = np.random.default_rng(5)
+    variables = (Variable("X", ("0", "1", "2")), Variable("Y", ("0", "1")))
+    cells = rng.exponential(size=(5, 3, 2))
+    cells /= cells.sum(axis=(1, 2), keepdims=True)
+    values, defined = evaluate_stack(expression, qt.Stack(variables, cells))
+    assert values.shape == defined.shape == (5,)
+    assert defined.tolist() == [True] * 5
+    assert values.tolist() == pytest.approx([constant] * 5, abs=1e-15)
+    assert values.tolist() == [evaluate(expression, JointDistribution(variables, c))
+                               for c in cells]
+
+
+def test_a_constant_side_is_held_with_margin_zero():
+    entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, expression="E_{p(x)}[0.5] == 0.5")
+    report = check_entry(entry, 50, np.random.default_rng(0))
+    assert report.status is Status.HELD and report.cases_evaluated > 0
+    assert report.worst_margin == 0.0
+
+
+def test_a_stage_builds_writable_blocks_of_its_length():
+    # confirm writes a case's own margin and defined into its stage's block
+    entry = next(e for e in default_suite().entries if e.name == "entropy_nonnegative")
+    search = _Search(entry, 30)
+    assert search.run(np.random.default_rng(0)).status is Status.HELD
+    assert [len(b.rows) for b in search.blocks] == [30]  # one variable walks no grid
+    for block in search.blocks:
+        for array in (block.defined, block.margin):
+            assert array.shape == block.rows.shape and array.flags.writeable
+
+
 @pytest.mark.parametrize("index", [1.9, np.float32(1.0), np.array([0.7, 1.0]),
                                    np.array([False, True])])
 def test_stacked_binding_indices_must_be_integers(index):
