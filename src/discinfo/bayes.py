@@ -13,6 +13,7 @@ Models and posteriors are immutable; updates return new values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,28 +75,46 @@ def _log(v: np.ndarray) -> np.ndarray:
     return np.log(v, where=v > 0, out=np.full(v.shape, -np.inf))
 
 
+def _sums_to_one(lo, hi) -> bool:
+    return abs(lo - 1.0) <= RENORM_TOLERANCE and abs(hi - 1.0) <= RENORM_TOLERANCE
+
+
 def _normalized(table, what: str, *, least: bool = False):
     """``table`` as floats, each row along its last axis divided by its sum;
     raises unless every entry is finite and non-negative and every row sums
     to 1 within ``RENORM_TOLERANCE``.  With ``least``, also a lower bound on
     every entry of it: the least entry over the largest sum (division rounds
-    monotonically)."""
+    monotonically).
+
+    A table of rows is summed and divided a block of its first axis at a
+    time, into the one array returned, so no other temporary as large as its
+    row sums or its quotient is held.  A block is divided only when its sums
+    pass, so an infinite entry is reported before any division warns."""
     table = np.asarray(table, dtype=float)
     # the least entry is NaN if any is, so one reduction rules out NaN and negatives
     low = np.minimum.reduce(table, axis=None, initial=np.inf) if table.ndim else np.nan
     if not low >= 0:
         raise ValueError(f"{what} must hold finite, non-negative numbers")
     if table.ndim == 1:  # one row, one sum: no keepdims reduction and no min/max wrappers
-        total = lo = hi = float(np.add.reduce(table))
+        lo = hi = float(np.add.reduce(table))
+        out = table / lo if _sums_to_one(lo, hi) else None
     else:
-        total = _row_sums(table)
-        lo, hi = total.min(), total.max()  # no temporary the size of ``total``
+        out, lo, hi = np.empty(table.shape), np.inf, -np.inf
+        step = _block(math.prod(table.shape[1:]))
+        # a table of no rows takes one empty block, whose min raises numpy's zero-size error
+        for start in range(0, max(len(table), 1), step):
+            block = table[start:start + step]
+            total = _row_sums(block)
+            block_lo, block_hi = total.min(), total.max()  # no temporary the size of ``total``
+            lo, hi = min(lo, block_lo), max(hi, block_hi)
+            if _sums_to_one(block_lo, block_hi):
+                np.divide(block, total, out=out[start:start + step])
     if hi == np.inf and np.isinf(table).any():  # an infinite entry, not an overflowing sum
         raise ValueError(f"{what} must hold finite, non-negative numbers")
     for extreme in (lo, hi):
         if abs(extreme - 1.0) > RENORM_TOLERANCE:
             raise ValueError(f"{what} sums to {float(extreme)!r}, not 1")
-    return (table / total, low / hi) if least else table / total
+    return (out, low / hi) if least else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,7 +358,7 @@ def _label_entropy(lik: np.ndarray, positive=False, buf=None, out=None) -> np.nd
 
 
 def _block(cells_per_slice: int) -> int:
-    return max(1, _BLOCK_CELLS // cells_per_slice)
+    return max(1, _BLOCK_CELLS // max(1, cells_per_slice))
 
 
 def label_entropy_table(model: BayesModel) -> np.ndarray:
@@ -466,9 +485,18 @@ def csd_table(model: BayesModel, xs, ys) -> CsdTable:
 
 
 def _csd_table(model: BayesModel, xs: np.ndarray, ys: np.ndarray) -> CsdTable:
+    """:func:`csd_table` at positions: the columns are gathered in one call
+    (``np.take`` into a block of ``out`` buffers its writes, so a gather per
+    block is slower), then p log p is taken a block of hypotheses at a time,
+    each multiply reading the logs it has just written while they are in
+    cache, as :func:`label_entropy_table` does."""
     cells = model.likelihood.reshape(model.n_hypotheses, -1)
     lik = np.take(cells, xs * model.n_labels + ys, axis=1)
-    plogp = _plogq(lik, floor=0.0, positive=model._positive)[0]
+    plogp = np.empty(lik.shape)
+    step = _block(len(xs))
+    for start in range(0, len(lik), step):
+        _plogq(lik[start:start + step], floor=0.0, positive=model._positive,
+               out=plogp[start:start + step])
     lik.setflags(write=False)
     plogp.setflags(write=False)
     return CsdTable(lik, plogp, model)

@@ -589,8 +589,7 @@ def _eval_expectation(node: ExpectationNode, scope: _Scope):
             first_bad, at = np.unique(elements[bad], return_index=True)
             undefined[first_bad] = np.broadcast_to(body_undefined, elements.shape)[bad[at]]
     undefined[mass <= ZERO_MASS] = qt.ZERO_PROBABILITY
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = total / mass
+    values = qt._divide(total, mass)
     if not np.logical_or.reduce(undefined, axis=None):
         return values, qt.DEFINED
     return np.where(undefined == 0, values, np.nan), undefined

@@ -96,12 +96,11 @@ def information_content(rho: float, base: LogBase = LogBase.NATS) -> float:
 
 
 def _plogq(p: np.ndarray, q=None, floor=ZERO_CELL, *, positive=False, out=None):
-    """The terms of :func:`plogq`, and the mask of the cells where q is not
-    positive under p's mass (None when there is no such cell); those cells'
-    terms are 0.  A cell of p at or below ``floor`` (at most ``ZERO_CELL``,
-    broadcasting against p) is a 0 * log 0 cell.  ``positive`` tells that p
-    has no such cell, sparing the scan; the terms of such a p's entropy (q
-    None) then go to ``out`` if given."""
+    """The terms of :func:`plogq`, into ``out`` (p's shape) if given, and the
+    mask of the cells where q is not positive under p's mass (None when there
+    is no such cell); those cells' terms are 0.  A cell of p at or below
+    ``floor`` (at most ``ZERO_CELL``, broadcasting against p) is a 0 * log 0
+    cell.  ``positive`` tells that p has no such cell, sparing the scan."""
     # no 0 * log 0 cell
     if positive or np.minimum.reduce(p, axis=None, initial=np.inf) > ZERO_CELL:
         if q is None:
@@ -109,8 +108,14 @@ def _plogq(p: np.ndarray, q=None, floor=ZERO_CELL, *, positive=False, out=None):
             out *= p
             return out, None
         if np.minimum.reduce(q, axis=None, initial=np.inf) > 0:  # a NaN fails too
-            return np.log(q) * p, None
-    out = np.where(p > floor, p if q is None else q, 1.0)
+            if out is None:
+                return np.log(q) * p, None
+            return np.multiply(np.log(q, out=out), p, out=out), None
+    if out is None:
+        out = np.where(p > floor, p if q is None else q, 1.0)
+    else:  # putmask runs several times faster than a copyto with where=
+        np.copyto(out, p if q is None else q)
+        np.putmask(out, ~(p > floor), 1.0)
     bad = None
     if q is not None:
         ok = out > 0  # a NaN fails too
@@ -319,8 +324,7 @@ def _expected_ic_nats(p: Stack, q: Stack, p_head, p_given, q_head=None, q_given=
     # with q = p on the p sides, the numerator is the tied slice itself
     values = joint if same_sides and q is p else q_marginal({t.name for t in q_terms})
     if q_given:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = values / q_marginal({t.name for t in q_given})
+        values = _divide(values, q_marginal({t.name for t in q_given}))
     zero = None
     if np.minimum.reduce(mass) <= ZERO_MASS:
         zero = mass <= ZERO_MASS
@@ -337,6 +341,16 @@ def _expected_ic_nats(p: Stack, q: Stack, p_head, p_given, q_head=None, q_given=
     if zero is not None:
         np.copyto(undefined, ZERO_PROBABILITY, where=zero)
     return np.where(undefined == 0, out, np.nan), undefined
+
+
+def _divide(a, b):
+    """``a / b`` of finite a and b, with numpy's divide and invalid warnings
+    silenced only when b holds a zero, the one cell that raises them.
+    count_nonzero is the cheapest test, cheaper than entering np.errstate."""
+    if np.count_nonzero(b) == b.size:
+        return a / b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return a / b
 
 
 def _minus(a, b):

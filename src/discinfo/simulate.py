@@ -319,8 +319,11 @@ def threshold_task(n_points: int = 32, true_threshold: int | None = None, *,
     hypotheses = tuple(f"t{t}" for t in range(n_points + 1))
     lik = np.empty((n_points + 1, n_points, 2))
     above = np.arange(n_points)[None, :] >= np.arange(n_points + 1)[:, None]  # x >= t
-    lik[..., 1] = np.where(above, 1.0 - label_flip, label_flip)
-    lik[..., 0] = 1.0 - lik[..., 1]
+    ones = (label_flip, 1.0 - label_flip)  # p(y = 1 | x, t) for x < t and for x >= t
+    # each label's column is filled in place, p(y = 0) as 1 - p(y = 1)
+    for column, (below, at) in ((lik[..., 1], ones), (lik[..., 0], (1.0 - ones[0], 1.0 - ones[1]))):
+        column.fill(below)
+        np.copyto(column, at, where=above)
     model = BayesModel(
         hypotheses=hypotheses,
         prior=np.full(n_points + 1, 1.0 / (n_points + 1)),

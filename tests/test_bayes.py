@@ -818,6 +818,29 @@ class TestNormalized:
                 want = table / table.sum(axis=-1, keepdims=True)
                 assert _normalized(table, "t").tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n_y", [2, 3, 9])  # from 8 labels on numpy sums pairwise
+    def test_tables_of_several_blocks_are_bit_identical_to_numpy(self, n_y):
+        rng = np.random.default_rng(n_y)
+        for shape in [(3 * _BLOCK_CELLS // n_y + 7, n_y), (150, 500, n_y)]:
+            step = _BLOCK_CELLS // math.prod(shape[1:])
+            assert shape[0] > 2 * step and shape[0] % step  # a ragged last block
+            t = _near_rows(rng, shape)
+            for table in (t, np.asfortranarray(t), t[::-1]):
+                sums = table.sum(axis=-1, keepdims=True)
+                got, least = _normalized(table, "t", least=True)
+                assert got.tobytes() == (table / sums).tobytes()
+                assert least == table.min() / sums.max()
+
+    @pytest.mark.parametrize("low_first", [True, False])
+    def test_a_table_of_several_blocks_reports_its_extremes_in_order(self, low_first):
+        t = np.full((3 * _BLOCK_CELLS // 2, 2), 0.5)  # blocks of _BLOCK_CELLS // 2 rows
+        t[(10, -10) if low_first else (-10, 10), 1] = (0.4, 0.6)
+        with pytest.raises(ValueError, match=r"^t sums to 0\.9, not 1$"):
+            _normalized(t, "t")
+        t[-10 if low_first else 10, 1] = np.inf  # reported before any block divides an inf
+        with pytest.raises(ValueError, match="^t must hold finite, non-negative numbers$"):
+            _normalized(t, "t")
+
     def test_long_prior_is_bit_identical_to_numpy(self):
         t = _near_rows(np.random.default_rng(513), (513,))
         assert _normalized(t, "t").tobytes() == (t / t.sum(keepdims=True)).tobytes()

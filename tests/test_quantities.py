@@ -657,6 +657,11 @@ class TestKernelBranches:
     def test_mask_free_branch_equals_masked_branch(self, case):
         p, q = case
         expected, expected_bad = masked_plogq(p, q)
+        buf = np.empty(expected.shape)
+        into, into_bad = _plogq(p, q, out=buf)
+        assert into is buf and buf.tobytes() == expected.tobytes()
+        assert (into_bad is None) == (expected_bad is None)
+        assert into_bad is None or np.array_equal(into_bad, expected_bad)
         out, bad = _plogq(p, q)
         assert np.shape(out) == expected.shape
         assert np.array_equal(out, expected, equal_nan=True)

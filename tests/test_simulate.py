@@ -735,6 +735,11 @@ _GOLDEN_CSV_SHA256 = {
     (128, "batch_bald", 0.1): "eb3bddaf666c270bc4eea9375e9c785b8c15b57b07549e2da65c21a9a2620d65",
     (128, "batch_csd", 0.0): "db18d301e84cbaec34a6d28233decc9dfe48ac616435e06a506c8b4c497ce53e",
     (128, "batch_csd", 0.1): "d32b5228c8f2b2956057c64d65daeb8d9efd085e0c6feeaa84c11435b00508d8",
+    # a csd table of several blocks of hypotheses, recorded before it was built a block at a time
+    (512, "csd", 0.0): "260991cc399291d8f1c49254954bdc47af868022eb992ef23b2ee785c683b353",
+    (512, "csd", 0.1): "47ba339752e195bddb3fa81365d037c95578edac1527b0889560faf9a0ee0da4",
+    (512, "batch_csd", 0.0): "2235f4e3d58a857638aa8914cdb0bf12fa1d91b1bc16fb83d2c7b6d1f48731dd",
+    (512, "batch_csd", 0.1): "d2cbd55598522d0f2fd651c9fc3ceafab520226d50966b942e6b5162921fea37",
 }
 
 
@@ -778,6 +783,12 @@ _ZERO_CELL_CSV_SHA256 = {
     (32, "batch_bald", 0.2): "b6800807c13a9d626d83f48b4eddb486b86fd5dadbdbaaa2af52af01b7925237",
     (32, "batch_csd", 0.0): "f4308be2dbcf08788242540741806d4ba7b05ed98acbabb11698779feb3137e7",
     (32, "batch_csd", 0.2): "0f6f44c5e5eb5b060bd9c21ab2e1b0bc014d66981239e7badabbee3271eaefbe",
+    # a csd table of several blocks holding 0 * log 0 cells, recorded before it was built a
+    # block at a time
+    (512, "csd", 0.0): "ba05d0f2599a28b0e03a8f789e3cd6b46f8918ead2ec40b2176251b09576bd7d",
+    (512, "csd", 0.2): "468e3fc5152863b69af3c6fbd13ac43508b86ae2a2aad032dfbc49f8070f8a27",
+    (512, "batch_csd", 0.0): "1dc59c564e54c5d8e1041e0ead73429d755218617c6db644f95c8d10f113b061",
+    (512, "batch_csd", 0.2): "1aed2ee6fc92a4938e75dad6cb5d741ac44b116896bd48e10eea856f2ca2693d",
 }
 
 # small_config's CSV for each acquisition: its certain evaluation label prints
