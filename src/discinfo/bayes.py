@@ -55,11 +55,10 @@ def _row_sums(table: np.ndarray) -> np.ndarray:
     A short last axis of a table of rows is summed one slice at a time,
     which runs several times faster than numpy's reduction over it.  numpy
     adds up fewer than 8 entries in order, as the slices do; from 8 on it
-    pairs them, so a longer axis keeps ``np.sum``, and so does a 1-D table,
-    which is a single row.
+    pairs them, so a longer axis keeps ``np.sum``.
     """
     n = table.shape[-1]
-    if table.ndim == 1 or not 0 < n < 8:
+    if not 0 < n < 8:
         return table.sum(axis=-1, keepdims=True)
     total = table[..., 0].copy()
     for k in range(1, n):

@@ -530,17 +530,15 @@ def _eval(node, scope: _Scope):
         given = _resolve_terms(scope.p, node.given, scope.env)
         return _in_base(qt._mi_nats(scope.p, groups, given), scope.base)
     if isinstance(node, DivergenceNode):
-        p_ref = scope.dist(node.p_spec.letter)
-        q_ref = scope.dist(node.q_spec.letter)
+        p_spec, q_spec = node.p_spec, node.q_spec
+        p_ref, q_ref = scope.dist(p_spec.letter), scope.dist(q_spec.letter)
         if p_ref.weight:
             raise EvaluationError("the left-hand side of CE/KL must be a distribution")
-        p_head = _resolve_terms(p_ref, node.p_spec.head, scope.env)
-        p_given = _resolve_terms(p_ref, node.p_spec.given, scope.env)
-        q_head = _resolve_terms(q_ref, node.q_spec.head, scope.env)
-        q_given = _resolve_terms(q_ref, node.q_spec.given, scope.env)
-        result = qt._expected_ic_nats(p_ref, q_ref, p_head, p_given, q_head, q_given)
+        p_sides = [_resolve_terms(p_ref, t, scope.env) for t in (p_spec.head, p_spec.given)]
+        q_sides = [_resolve_terms(q_ref, t, scope.env) for t in (q_spec.head, q_spec.given)]
+        result = qt._expected_ic_nats(p_ref, q_ref, *p_sides, *q_sides)
         if node.kind == "KL":
-            result = qt._minus(result, qt._expected_ic_nats(p_ref, p_ref, p_head, p_given))
+            result = qt._minus(result, qt._expected_ic_nats(p_ref, p_ref, *p_sides))
         return _in_base(result, scope.base)
     if isinstance(node, ExpectationNode):
         return _eval_expectation(node, scope)
@@ -632,8 +630,7 @@ def evaluate(expression, dist: JointDistribution, q=None, bindings=None, *,
     p = qt.Stack.of(dist)
     node, scope = _prepare(expression, p, None if q is None else p if q is dist else qt.Stack.of(q),
                          bindings, base, Variable.index_of)
-    # the resolved bindings name the tied outcomes when their event has no mass
-    return qt.one_value(*_eval(node, scope), scope.env.items())
+    return qt.one_value(*_eval(node, scope), scope.env)  # the resolved bindings name the ties
 
 
 def _prepare(expression, p: qt.Stack, q, bindings, base, read):
@@ -752,7 +749,7 @@ def diagram(d: JointDistribution, observed, *, base: LogBase = LogBase.NATS) -> 
     labels = tuple(template.format(X=xs, x=xs.lower(), y=y_name.lower())
                    for _, template in _DIAGRAM_ROWS)
     scope = _Scope(qt.Stack.of(d), None, {y_name: y_idx}, base)
-    return DiagramTable(labels, *(qt.one_value(*_eval(parse(label), scope), scope.env.items())
+    return DiagramTable(labels, *(qt.one_value(*_eval(parse(label), scope), scope.env)
                                   for label in labels))
 
 

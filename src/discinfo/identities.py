@@ -439,11 +439,12 @@ class _Search:
         """Both sides of every case, and whether each case is defined."""
         if self.row is not None:
             codes = []
+            head = tuple(qt.Term(v.name) for v in variables)
 
             def ce(p, q):
                 ps = qt.Stack(variables, p)
                 qs = ps if q is p else qt.Stack(variables, q)
-                values, undefined = qt._expected_ic_nats(ps, qs, ps.names, ())
+                values, undefined = qt._expected_ic_nats(ps, qs, head, ())
                 codes.append(undefined)
                 return values.reshape(-1, *(1,) * len(variables))
 

@@ -21,9 +21,10 @@ exact zeros).  Tying to an outcome combination of zero probability raises
 The one kernel, :func:`_expected_ic_nats`, evaluates a whole
 :class:`Stack` of same-shape distributions at once, with tied outcomes
 that may differ per element, and marks the elements it cannot evaluate
-instead of raising.  The two term-list functions, :func:`entropy` and
-:func:`mutual_info`, are its calls on a stack of one, and raise the error
-the mark names.  Every other quantity -- cross-entropy, KL divergence,
+instead of raising; it takes tuples of resolved :class:`Term` s alone.
+The term-list functions :func:`entropy` and :func:`mutual_info` read
+their lists by :func:`as_terms`, call it on a stack of one, and raise the
+error the mark names.  Every other quantity -- cross-entropy, KL divergence,
 triple mutual information, expectations -- is written in the notation and
 evaluated on the same kernel by :func:`discinfo.expr.evaluate`:
 ``CE[p(X|Y) || q(X|Y)]``, ``KL[p(X) || q(X)]``, ``I[X; Y; Z]``,
@@ -46,6 +47,7 @@ from .dist import (ZERO_CELL, ZERO_MASS, JointDistribution, UnnormalizedWeight, 
 from .errors import NonPositiveProbability, SupportMismatch, UnknownVariable, ZeroProbabilityEvent
 
 _LN2 = math.log(2.0)
+_NOT_TERMS = "terms must be a list of names and (name, outcome) pairs, not "
 
 
 class LogBase(Enum):
@@ -71,19 +73,19 @@ class Term:
         return self.outcome is not None
 
 
-def _term(spec) -> Term:
-    """A name, a (name, outcome) pair or a Term, as a Term, unresolved."""
-    return spec if isinstance(spec, Term) else Term(spec) if isinstance(spec, str) else Term(*spec)
-
-
 def as_terms(s: "Stack", specs) -> tuple[Term, ...]:
-    """``specs`` (names, (name, outcome) pairs or Terms) as Terms of the
-    stack ``s``: each name resolved by :meth:`Stack.index_of`, each outcome
-    by :meth:`~discinfo.dist.Variable.index_of`."""
+    """``specs``, a list of names (untied) and (name, outcome) pairs (tied, or
+    untied at None), as Terms of ``s``: names resolved by :meth:`Stack.index_of`,
+    outcomes by :meth:`~discinfo.dist.Variable.index_of`; else a ValueError."""
+    if isinstance(specs, str):
+        raise ValueError(_NOT_TERMS + repr(specs))
     out = []
-    for t in map(_term, specs):
-        var = s.variable(t.name)
-        out.append(Term(var.name, None if t.outcome is None else var.index_of(t.outcome)))
+    for spec in specs:
+        pair = (spec, None) if isinstance(spec, str) else spec
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise ValueError(f"{_NOT_TERMS}hold {spec!r}")
+        var = s.variable(pair[0])
+        out.append(Term(var.name, None if pair[1] is None else var.index_of(pair[1])))
     return tuple(out)
 
 
@@ -209,13 +211,12 @@ def first_undefined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(a != 0, a, b)
 
 
-def one_value(values: np.ndarray, undefined: np.ndarray, *term_lists):
-    """The value of a stack of one, or the error that leaves it undefined;
-    the terms name the tied outcomes in the error message."""
+def one_value(values: np.ndarray, undefined: np.ndarray, tied: dict):
+    """The value of a stack of one, or the error that leaves it undefined,
+    which names the caller's resolved ``tied`` outcomes (name -> index)."""
     if undefined is DEFINED:
         return values.item()
     if undefined[0] == ZERO_PROBABILITY:
-        tied = {t.name: t.outcome for terms in term_lists for t in map(_term, terms) if t.tied}
         what = f"tied outcomes {tied}" if tied else "the tied outcomes"
         raise ZeroProbabilityEvent(f"{what} have probability at most {ZERO_MASS!r}")
     raise SupportMismatch(_SUPPORT_MESSAGE)
@@ -244,8 +245,7 @@ def gather(tensor, names, at: dict, rows=None):
 
 
 def _check_terms(terms) -> None:
-    """Each name once; the public calls resolved each name, and checked each
-    tie's range or made it from the stack's own outcomes."""
+    """Each name once; the callers resolved each name and checked each tie."""
     names = [t.name for t in terms]
     if len(set(names)) != len(names):
         raise ValueError(f"a variable may appear only once per query: {names}")
@@ -257,11 +257,13 @@ def _expected_ic_nats(p: Stack, q: Stack, p_head, p_given, q_head=None, q_given=
 
     The one information kernel: every quantity of this module is this
     expectation or a difference of two.  The expectation runs over the
-    untied p-side variables conditioned on every p-side tie.  A tie is an
-    outcome index, or an array with one index per element.  The q sides
-    default to the p sides; a q-side term takes its own tie, else a p-side
-    tie of that name, else the expectation point.  With ``q is p`` and the
-    default q sides it is the entropy of p_head given p_given.
+    untied p-side variables conditioned on every p-side tie.  Each side is
+    a tuple of resolved :class:`Term` s (see :func:`as_terms`), converted
+    nowhere here; a tie is an outcome index, or an array with one index
+    per element.  The q sides default to the p sides; a q-side term takes
+    its own tie, else a p-side tie of that name, else the expectation
+    point.  With ``q is p`` and the default q sides it is the entropy of
+    p_head given p_given.
 
     Returns ``(values, undefined)``, arrays of the stack length (1 when
     nothing varies per element).  ``undefined`` is 0 where the value is
@@ -269,10 +271,9 @@ def _expected_ic_nats(p: Stack, q: Stack, p_head, p_given, q_head=None, q_given=
     ``ZERO_MASS``, and else ``SUPPORT_MISMATCH`` where q is not positive
     under p's mass; the value is NaN there.
     """
-    p_head, p_given = tuple(map(_term, p_head)), tuple(map(_term, p_given))
     same_sides = q_head is None and q_given is None
-    q_head = p_head if q_head is None else tuple(map(_term, q_head))
-    q_given = p_given if q_given is None else tuple(map(_term, q_given))
+    q_head = p_head if q_head is None else q_head
+    q_given = p_given if q_given is None else q_given
     if not p_head or not q_head:
         raise ValueError("an information query needs head terms on both sides")
     p_terms, q_terms = p_head + p_given, q_head + q_given
@@ -361,7 +362,7 @@ def _minus(a, b):
 def entropy(d: JointDistribution, head, given=(), *, base: LogBase = LogBase.NATS) -> float:
     """Entropy of the head terms given the conditioning terms.
 
-    ``head`` and ``given`` are sequences of variable names (untied) or
+    ``head`` and ``given`` are lists of variable names (untied) and
     ``(name, outcome)`` pairs (tied), resolved by :func:`as_terms`.
     Examples::
 
@@ -371,7 +372,8 @@ def entropy(d: JointDistribution, head, given=(), *, base: LogBase = LogBase.NAT
     """
     s = Stack.of(d)
     head, given = as_terms(s, head), as_terms(s, given)
-    return base.from_nats(one_value(*_expected_ic_nats(s, s, head, given), head, given))
+    tied = {t.name: t.outcome for t in head + given if t.tied}
+    return base.from_nats(one_value(*_expected_ic_nats(s, s, head, given), tied))
 
 
 def mutual_info(d: JointDistribution, groups, given=(), *,
@@ -388,7 +390,8 @@ def mutual_info(d: JointDistribution, groups, given=(), *,
         raise ValueError("mutual information needs at least two groups")
     s = Stack.of(d)
     groups, given = [as_terms(s, g) for g in groups], as_terms(s, given)
-    return base.from_nats(one_value(*_mi_nats(s, groups, given), *groups, given))
+    tied = {t.name: t.outcome for terms in (*groups, given) for t in terms if t.tied}
+    return base.from_nats(one_value(*_mi_nats(s, groups, given), tied))
 
 
 def _mi_nats(s: Stack, groups, given):

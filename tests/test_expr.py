@@ -343,6 +343,11 @@ class TestEvaluate:
             evaluate("H[X|y]", d, bindings={key: 1})
         with pytest.raises(ZeroProbabilityEvent, match=message):
             diagram(d, {"Y": 1})
+        # the term-list API names the ties it resolved
+        with pytest.raises(ZeroProbabilityEvent, match=message):
+            entropy(d, ["X"], [(key, 1)])
+        with pytest.raises(ZeroProbabilityEvent, match=message):
+            mutual_info(d, [["X"], [(key, 1)]])
 
     @pytest.mark.parametrize("op", ["==", "<=", ">=", "!="])
     def test_one_verdict_at_the_tolerance(self, op):

@@ -155,6 +155,25 @@ class TestEntropy:
         assert entropy(d, ["X"], [("Y", index)]) == entropy(d, ["X"], [("Y", 1)])
         assert mutual_info(d, [["X"], [("Y", index)]]) == mutual_info(d, [["X"], [("Y", 1)]])
 
+    @pytest.mark.parametrize("terms, shown", [
+        ("XY", "'XY'"), ([5], "hold 5"), ([None], "hold None"),
+        ([("X", 0, 1)], "hold ('X', 0, 1)"), ([("X",)], "hold ('X',)")])
+    def test_a_term_list_holds_names_and_pairs(self, terms, shown):
+        # a bare string is not read as one name per character, nor a 1-tuple as an untied name
+        d = three_cell_distribution()
+        message = f"terms must be a list of names and (name, outcome) pairs, not {shown}"
+        calls = [lambda: entropy(d, terms), lambda: entropy(d, ["X"], terms),
+                 lambda: mutual_info(d, [terms, ["Y"]]), lambda: mutual_info(d, [["X"], terms]),
+                 lambda: mutual_info(d, [["X"], ["Y"]], terms)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_groups_given_as_a_string_are_refused(self):
+        message = "terms must be a list of names and (name, outcome) pairs, not 'X'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mutual_info(three_cell_distribution(), "XY")
+
 
 class TestCrossEntropyAndKL:
     def test_ce_self_is_entropy(self):

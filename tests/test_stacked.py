@@ -348,9 +348,9 @@ def kernel_cases(draw):
     order = list(draw(st.permutations(names)))
     n_head = draw(st.integers(1, n_vars))
     n_given = draw(st.integers(0, n_vars - n_head))
-    p_head = [(m, outcome(m)) for m in order[:n_head]]
-    p_given = [(m, outcome(m)) for m in order[n_head:n_head + n_given]]
-    p_side = {m for m, _ in p_head + p_given}
+    p_head = tuple(qt.Term(m, outcome(m)) for m in order[:n_head])
+    p_given = tuple(qt.Term(m, outcome(m)) for m in order[n_head:n_head + n_given])
+    p_side = {t.name for t in p_head + p_given}
 
     q_kind = draw(st.sampled_from(["entropy", "p_other_sides", "distribution", "weight"]))
     q = None if q_kind in ("entropy", "p_other_sides") else tensors(q_kind == "distribution")
@@ -365,17 +365,19 @@ def kernel_cases(draw):
             tie = outcome(m)
             if tie is None and m not in p_side:
                 tie = draw(st.integers(0, shape[names.index(m)] - 1))
-            return (m, tie)
+            return qt.Term(m, tie)
 
-        q_head = [q_term(m) for m in q_order[:n_qh]]
-        q_given = [q_term(m) for m in q_order[n_qh:n_qh + n_qg]]
+        q_head = tuple(q_term(m) for m in q_order[:n_qh])
+        q_given = tuple(q_term(m) for m in q_order[n_qh:n_qh + n_qg])
     return names, shape, tensors(True), q_kind, q, p_head, p_given, q_head, q_given
 
 
 def _at(terms, i):
+    """Element ``i``'s terms as the (name, outcome) pairs of the term-list API."""
     if terms is None:
         return None
-    return [(m, o[i] if isinstance(o, np.ndarray) else o) for m, o in terms]
+    return [(t.name, t.outcome[i] if isinstance(t.outcome, np.ndarray) else t.outcome)
+            for t in terms]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -389,7 +391,7 @@ def test_stacked_kernel_matches_one_case_and_oracle(case):
     n = len(p)
     values, undefined = np.broadcast_to(values, n), np.broadcast_to(undefined, n)
     event(f"q: {q_kind}")
-    ties = [o for _, o in p_head + p_given + (q_head or []) + (q_given or []) if o is not None]
+    ties = [t.outcome for t in p_head + p_given + (q_head or ()) + (q_given or ()) if t.tied]
     event(f"per-element ties: {any(isinstance(o, np.ndarray) for o in ties)}")
     for i in range(n):
         d = JointDistribution(variables, p[i])
