@@ -251,30 +251,22 @@ def _observations(model: BayesModel, data, arg: str = "data") -> list[tuple[int,
     return [(model.input_index(x), model.label_index(y)) for x, y in pairs.tolist()]
 
 
-def _log_likelihood_sum(model: BayesModel, pairs) -> np.ndarray:
+def _log_joint(model: BayesModel, pairs) -> tuple[np.ndarray, np.floating]:
+    """log p(omega) + sum log p(y | x, omega) over the (input, label) positions
+    (the columns summed from zeros, then added to the log prior) less its
+    finite maximum, and that maximum; raises if no entry is finite."""
     total = np.zeros(model.n_hypotheses)
-    with np.errstate(divide="ignore"):
-        for xi, yi in pairs:
-            total += np.log(model.likelihood[:, xi, yi])
-    return total
-
-
-def _log_joint(model: BayesModel, pairs) -> np.ndarray:
-    """log p(omega) + sum log p(y | x, omega) over the (input, label) positions,
-    each finite or -inf; without pairs, log p(omega) alone (adding 0.0 changes no bit)."""
-    if not len(pairs):
-        return _log(model.prior)
-    with np.errstate(divide="ignore"):
-        return np.log(model.prior) + _log_likelihood_sum(model, pairs)
+    for xi, yi in pairs:
+        total += _log(model.likelihood[:, xi, yi])
+    log_joint = _log(model.prior) + total
+    if not (top := np.maximum.reduce(log_joint)) > -np.inf:
+        raise ZeroEvidence("the dataset has probability zero under every hypothesis")
+    return log_joint - top, top
 
 
 def _posterior(model: BayesModel, pairs) -> np.ndarray:
     """:func:`posterior` at (input, label) positions, before :class:`Posterior`."""
-    log_post = _log_joint(model, pairs)
-    top = np.maximum.reduce(log_post)  # the finite maximum, if any is finite
-    if not top > -np.inf:
-        raise ZeroEvidence("the dataset has probability zero under every hypothesis")
-    return _renormalized(np.exp(log_post - top))  # exp(-inf) is an exact 0
+    return _renormalized(np.exp(_log_joint(model, pairs)[0]))  # exp(-inf) is an exact 0
 
 
 def posterior(model: BayesModel, data) -> Posterior:
@@ -285,11 +277,8 @@ def posterior(model: BayesModel, data) -> Posterior:
 
 def log_evidence(model: BayesModel, data) -> float:
     """log p(data) by exact enumeration over hypotheses."""
-    log_joint = _log_joint(model, _observations(model, data))
-    top = log_joint.max()
-    if not np.isfinite(top):
-        raise ZeroEvidence("the dataset has probability zero under every hypothesis")
-    return float(top + np.log(np.exp(log_joint - top).sum()))
+    shifted, top = _log_joint(model, _observations(model, data))
+    return float(top + np.log(np.exp(shifted).sum()))
 
 
 def _probs(model: BayesModel, post: Posterior) -> np.ndarray:
@@ -428,32 +417,19 @@ def _joint_bald(probs: np.ndarray, lik: np.ndarray, cond: np.ndarray, prefix) ->
     return joint_entropy - (probs @ prefix[1] + cond)
 
 
-def joint_bald_scores(model: BayesModel, post: Posterior, cond, chosen=()) -> np.ndarray:
+def bald_scores(model: BayesModel, post: Posterior, table: np.ndarray, chosen=()) -> np.ndarray:
     """The joint gain I[Omega; Y_1..Y_k, Y | x_1..x_k, x] of the ``chosen``
     inputs x_1..x_k (a list, each by position or name) followed by x, for
-    every input x, shape (n_x,); greedy batch acquisition maximises it one
-    input at a time.  ``cond`` is E_post[H[Y | x, omega]] of every input,
-    ``post.probs @`` :func:`label_entropy_table`: it does not depend on the
-    chosen inputs, so every greedy pick of one step can share it."""
-    xis = _resolve_all(model.input_var, chosen, "chosen", "input")
-    check_batch_size(model, len(xis) + 1, labelled=False)
-    if np.shape(cond) != (len(model.inputs),):
-        raise ValueError(f"cond has shape {np.shape(cond)}, not (inputs,) = "
-                         f"({len(model.inputs)},)")
-    return _joint_bald(_probs(model, post), model.likelihood, cond, _prefix(model, xis))
-
-
-def bald_scores(model: BayesModel, post: Posterior, table: np.ndarray, chosen=()) -> np.ndarray:
-    """The BALD score of every input, shape (n_x,).
-
-    ``table`` is :func:`label_entropy_table` of the model.  Without
-    ``chosen`` inputs, entry x is the expected information gain I[Omega; Y |
-    x]; with them it is the joint gain of :func:`joint_bald_scores`.
-    """
+    every input x, shape (n_x,); without ``chosen``, BALD's I[Omega; Y | x].
+    ``table`` is :func:`label_entropy_table` of the model.  Greedy batch
+    acquisition maximises the gain one input at a time."""
     if table.shape != model.likelihood.shape[:2]:
         raise ValueError(f"label entropy table has shape {table.shape}, not (hypotheses, "
                          f"inputs) = {model.likelihood.shape[:2]}")
-    return joint_bald_scores(model, post, _probs(model, post) @ table, chosen)
+    cond = _probs(model, post) @ table
+    xis = _resolve_all(model.input_var, chosen, "chosen", "input")
+    check_batch_size(model, len(xis) + 1, labelled=False)
+    return _joint_bald(post.probs, model.likelihood, cond, _prefix(model, xis))
 
 
 @dataclass(frozen=True, eq=False)

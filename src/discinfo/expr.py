@@ -630,14 +630,31 @@ def evaluate(expression, dist: JointDistribution, q=None, bindings=None, *,
     p = qt.Stack.of(dist)
     node, scope = _prepare(expression, p, None if q is None else p if q is dist else qt.Stack.of(q),
                          bindings, base, Variable.index_of)
-    return qt.one_value(*_eval(node, scope), scope.env)  # the resolved bindings name the ties
+    values, undefined = _eval(node, scope)  # the ties that met an event are sought on error alone
+    return qt.one_value(values, undefined, _ties_met(node, scope) if undefined[0] else {})
+
+
+def _ties_met(node, scope: _Scope):
+    """The p-side ties of ``node``'s first undefined quantity ({} for an expectation), or None."""
+    if isinstance(node, (ScaledNode, BinaryNode)):
+        for child in (node.child,) if isinstance(node, ScaledNode) else (node.lhs, node.rhs):
+            if (ties := _ties_met(child, scope)) is not None:
+                return ties
+    elif _eval(node, scope)[1][0]:
+        if isinstance(node, ExpectationNode):
+            return {}
+        d, specs = ((scope.p, node.groups + (node.given,)) if isinstance(node, InfoNode) else
+                    (scope.dist(node.p_spec.letter), (node.p_spec.head, node.p_spec.given)))
+        return {t.name: t.outcome for s in specs for t in _resolve_terms(d, s, scope.env) if t.tied}
 
 
 def _prepare(expression, p: qt.Stack, q, bindings, base, read):
     """The AST of ``expression`` and the scope it is evaluated in, the
     ``bindings`` read by ``read``.  A q variable that names a p variable up
     to case takes p's spelling, and must have p's outcomes: the kernel pairs
-    the two sides by name and position."""
+    the two sides by name and position.  A weight is refused as p."""
+    if p.weight:
+        raise EvaluationError("p must be a distribution, not an unnormalized weight")
     if q is not None and q is not p and q.variables != p.variables:
         in_p = {name_key(v.name): v for v in p.variables}
         variables = [in_p.get(name_key(v.name), v) for v in q.variables]
@@ -742,15 +759,13 @@ def diagram(d: JointDistribution, observed, *, base: LogBase = LogBase.NATS) -> 
     observed = checked_bindings(d, observed)
     if len(observed) != 1:
         raise ValueError("diagram needs exactly one observed variable")
-    (y_name, y_idx), = observed.items()
+    y_name, = observed
     xs = ",".join(n[0].upper() + n[1:] for n in d.names if n != y_name)
     if not xs:
         raise ValueError("diagram needs at least one unobserved variable")
     labels = tuple(template.format(X=xs, x=xs.lower(), y=y_name.lower())
                    for _, template in _DIAGRAM_ROWS)
-    scope = _Scope(qt.Stack.of(d), None, {y_name: y_idx}, base)
-    return DiagramTable(labels, *(qt.one_value(*_eval(parse(label), scope), scope.env)
-                                  for label in labels))
+    return DiagramTable(labels, *(evaluate(t, d, bindings=observed, base=base) for t in labels))
 
 
 def scoped_termlists(node, bound=frozenset()):
@@ -794,12 +809,3 @@ def read_terms(node):
                 free[t.name] = None
     return list(names), list(free), letters, written
 
-
-def collect_identifiers(node) -> list[str]:
-    """Every variable identifier of the expression (see :func:`read_terms`)."""
-    return read_terms(node)[0]
-
-
-def free_tied_identifiers(node) -> list[str]:
-    """The free tied identifiers of the expression (see :func:`read_terms`)."""
-    return read_terms(node)[1]

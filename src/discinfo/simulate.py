@@ -94,10 +94,10 @@ class SimConfig:
 
 
 def _pairs(entries) -> tuple:
-    pairs = tuple(tuple(p) for p in entries)
-    if any(len(p) != 2 for p in pairs):
+    """A config's [input, label] lists as pairs: a string or a mapping of two is not one."""
+    if any(not isinstance(p, list) or len(p) != 2 for p in entries):
         raise TypeError("every pool, eval and initial entry must be an [input, label] pair")
-    return pairs
+    return tuple(map(tuple, entries))
 
 
 def _number(key, value, kind):

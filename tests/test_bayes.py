@@ -37,13 +37,12 @@ from discinfo import bayes
 from discinfo.bayes import (
     _BLOCK_CELLS,
     Posterior,
-    _log_likelihood_sum,
+    _log_joint,
     _normalized,
     bald_scores,
     csd_scores,
     csd_table,
     dump_model,
-    joint_bald_scores,
     label_entropy_table,
     load_model,
 )
@@ -147,7 +146,6 @@ class TestPosterior:
         ("batch_score", (["0", "1"], ["1", "1"])),
         ("surprise", ("0", "1")),
         ("csd_decomposition", ("0", "1")),
-        ("joint_bald_scores", (np.zeros(2),)),
     ])
     def test_every_posterior_reader_refuses_another_length(self, name, args):
         # never numpy's matmul mismatch, and never a one-entry posterior broadcast
@@ -1068,8 +1066,6 @@ class TestIndexResolver:
             bald_scores(m, post, table, [0, 1, 2, 3, 0, 1])
         with pytest.raises(ValueError, match="^chosen must be a list of inputs"):
             bald_scores(m, post, table, 1)
-        with pytest.raises(ValueError, match=r"^cond has shape \(3,\), not \(inputs,\) = \(4,\)"):
-            joint_bald_scores(m, post, np.zeros(3))
 
     def test_a_prefix_must_have_the_models_labels(self):
         # a labelled prefix is a list of pairs whose labels the model resolves: a label of
@@ -1183,15 +1179,27 @@ class TestWholePoolScores:
                 assert abs(batch_score(m, post, chosen + [x], labels) - gain) <= 1e-12
 
     def test_log_likelihood_sum_matches_the_full_table_log(self):
+        # _log_joint sums the columns from zeros, adds the log prior, then subtracts the
+        # maximum: the same bits as the full table's log; zero cells (opposite coins) are -inf
         rng = np.random.default_rng(31)
-        for _ in range(20):
-            m = random_model(rng)
-            data = random_data(rng, m, 4)
-            full = np.log(m.likelihood)
-            expected = np.zeros(m.n_hypotheses)
+        models = [(random_model(rng), None) for _ in range(20)]
+        models += [(opposite_coins_model(), [(1, 0), (0, 1)]), (opposite_coins_model(), [])]
+        for m, data in models:
+            data = random_data(rng, m, 4) if data is None else data
+            with np.errstate(divide="ignore"):
+                full, expected = np.log(m.likelihood), np.log(m.prior)
+            total = np.zeros(m.n_hypotheses)
             for xi, yi in data:
-                expected += full[:, xi, yi]
-            np.testing.assert_array_equal(_log_likelihood_sum(m, data), expected)
+                total += full[:, xi, yi]
+            expected = expected + total
+            shifted, top = _log_joint(m, data)
+            assert top == expected.max()
+            assert shifted.tobytes() == (expected - expected.max()).tobytes()
+        # log_evidence is top + log(sum(exp(shifted))), also under ZERO_MASS
+        m = TestDatasetAndEvidence.faint_label_model()
+        for data in ([], [(0, 0)], [(0, 0)] * 30, [(0, 1)] * 3):
+            shifted, top = _log_joint(m, data)
+            assert log_evidence(m, data) == float(top + np.log(np.sum(np.exp(shifted))))
 
 
 def block_csd_scores(m, post, xs, ys, given=()):

@@ -466,6 +466,10 @@ class TestMalformedJson:
         {"noise_rate": True},
         {"noise_rate": "0.1"},
         {"pool": [[0, 1, 2]]},
+        # a pair is a JSON list of two: not a string of two characters, nor an object's two keys
+        {"pool": ["01", "31"]},
+        {"eval": ["01"]},
+        {"initial": [{"0": 1, "1": 0}]},
     ])
     def test_sim_config_scalar_or_pair(self, tmp_path, capsys, change):
         model, pool, eval_set = __import__("discinfo").threshold_task(4, 2)

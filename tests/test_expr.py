@@ -33,11 +33,12 @@ from discinfo.expr import (
     ScalarNode,
     ScaledNode,
     TermSpec,
-    collect_identifiers,
-    free_tied_identifiers,
+    evaluate_stack,
     margin,
+    read_terms,
 )
 from discinfo.dist import EQ_TOLERANCE, NEQ_GAP
+from discinfo.quantities import Stack
 
 LN2 = math.log(2.0)
 
@@ -349,6 +350,23 @@ class TestEvaluate:
         with pytest.raises(ZeroProbabilityEvent, match=message):
             mutual_info(d, [["X"], [(key, 1)]])
 
+    @pytest.mark.parametrize("expression, bindings, ties", [
+        ("H[X|z=0]", None, "tied outcomes {'Z': 0}"),
+        ("H[X|y] + H[X|z=0]", {"Y": 0}, "tied outcomes {'Z': 0}"),  # P(Y=0) = 0.5
+        ("2.0 * H[X|y=1] - KL[p(X|z=0) || p(X)] >= 0", None, "tied outcomes {'Z': 0}"),
+        # an expectation's ties vary over its measure: a massless measure names none
+        ("H[X|y] + E_{p(x|z=0)}[H[x]]", {"Y": 0}, "the tied outcomes"),
+    ])
+    def test_a_massless_tie_names_the_quantity_that_met_it(self, expression, bindings, ties):
+        # probability 0.25 where Z = 1, 0 elsewhere: the written tie z=0 is the massless one,
+        # whether or not another tie is bound
+        probs = np.zeros((2, 2, 2))
+        probs[..., 1] = 0.25
+        d = JointDistribution(tuple(Variable(n, ("0", "1")) for n in "XYZ"), probs)
+        message = f"^{re.escape(ties)} have probability at most 1e-12$"
+        with pytest.raises(ZeroProbabilityEvent, match=message):
+            evaluate(expression, d, bindings=bindings)
+
     @pytest.mark.parametrize("op", ["==", "<=", ">=", "!="])
     def test_one_verdict_at_the_tolerance(self, op):
         # lhs - rhs just inside and just outside the slack, on both sides: evaluate gives the
@@ -444,6 +462,20 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
             evaluate(expression, fair_coin(), q)
 
+    def test_a_weight_is_refused_as_p(self):
+        # a weight is a q: read as p it gave H[X] = -log 2 on the weights (2, 2)
+        w = UnnormalizedWeight((Variable("X", ("0", "1")),), [2.0, 2.0])
+        message = "^p must be a distribution, not an unnormalized weight$"
+        for expression in ("H[X]", "E_{p(x)}[H[x]]", "KL[p(X) || q(X)]"):
+            with pytest.raises(EvaluationError, match=message):
+                evaluate(expression, w, q=fair_coin())
+        with pytest.raises(EvaluationError, match=message):
+            evaluate_stack("H[X]", Stack.of(w))
+        ones = UnnormalizedWeight((Variable("X", ("0", "1")), Variable("Y", ("0", "1"))),
+                                  np.ones((2, 2)))
+        with pytest.raises(EvaluationError, match=message):
+            diagram(ones, {"Y": 0})
+
     def test_margin_knows_four_operators(self):
         with pytest.raises(ValueError, match="^unknown comparison operator '<'$"):
             margin(1.0, "<", 2.0)
@@ -503,8 +535,7 @@ class TestTraversal:
     ])
     def test_nested_expectations(self, text, identifiers, free):
         node = parse(text)
-        assert collect_identifiers(node) == identifiers
-        assert free_tied_identifiers(node) == free
+        assert read_terms(node)[:2] == (identifiers, free)
 
 
 class TestEvaluatorAgainstDirectCalls:

@@ -19,7 +19,7 @@ from discinfo import (
     verify_reference_witnesses,
 )
 from discinfo import expr, identities
-from discinfo.expr import collect_identifiers, free_tied_identifiers, parse
+from discinfo.expr import parse, read_terms
 from discinfo.identities import (
     Status,
     WeightRow,
@@ -294,8 +294,7 @@ class TestTraversal:
     @pytest.mark.parametrize("text,identifiers,free,needs_q", BUILT_IN_TRAVERSALS)
     def test_built_in_expression(self, text, identifiers, free, needs_q):
         node = parse(text)
-        assert collect_identifiers(node) == identifiers
-        assert free_tied_identifiers(node) == free
+        assert read_terms(node)[:2] == (identifiers, free)
         assert SuiteEntry("e", Expectation.ALWAYS_TRUE, expression=text).needs_q is needs_q
 
     @pytest.mark.parametrize("text,needs_q", [

@@ -981,14 +981,14 @@ class TestGreedyBounds:
         for _ in range(300):
             model = _bound_model(rng, 5)
             post = bayes.Posterior(rng.dirichlet(np.ones(model.n_hypotheses)))
-            cond = post.probs @ label_entropy_table(model)
+            table = label_entropy_table(model)
             order = [int(x) for x in rng.permutation(5)[:3]]
             # the gain of every input x given each prefix B of ``order``, from the
             # joint gains: I[B, x] - I[B], with I[B] the last pick's joint gain
             gains = []
             for k in range(len(order) + 1):
-                joint = bayes.joint_bald_scores(model, post, cond, order[:k])
-                before = bayes.joint_bald_scores(model, post, cond, order[:k - 1])[order[k - 1]] \
+                joint = bayes.bald_scores(model, post, table, order[:k])
+                before = bayes.bald_scores(model, post, table, order[:k - 1])[order[k - 1]] \
                     if k else 0.0
                 gains.append(joint - before)
             for j in range(len(gains)):  # A = order[:j] is a prefix of B = order[:k]

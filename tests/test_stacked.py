@@ -52,7 +52,7 @@ from discinfo import (
     three_cell_distribution,
 )
 from discinfo import quantities as qt
-from discinfo.expr import evaluate_stack, free_tied_identifiers
+from discinfo.expr import evaluate_stack, read_terms
 from discinfo.identities import (
     Status,
     WeightRow,
@@ -681,7 +681,7 @@ def _padded_entry_cases(entry, zeros, n=60):
     supports too make undefined cases."""
     rng = np.random.default_rng(len(entry.name))
     names = entry.variable_names()
-    free = [t[0].upper() + t[1:] for t in free_tied_identifiers(entry.node)]
+    free = [t[0].upper() + t[1:] for t in read_terms(entry.node)[1]]
     sizes = rng.integers(2, 5, size=(n, len(names)))
     tensors = []
     for _ in range(1 + entry.needs_q):
