@@ -248,7 +248,8 @@ def _observations(model: BayesModel, data, arg: str = "data") -> list[tuple[int,
     pairs = np.asarray(data, dtype=object)
     if pairs.shape != (0,) and (pairs.ndim != 2 or pairs.shape[1] != 2):
         raise ValueError(f"{arg} must be a list of (input, label) pairs")
-    return [(model.input_index(x), model.label_index(y)) for x, y in pairs.tolist()]
+    input_index, label_index = model.input_var.index_of, model.label_var.index_of
+    return [(input_index(x), label_index(y)) for x, y in pairs.tolist()]
 
 
 def _log_joint(model: BayesModel, pairs) -> tuple[np.ndarray, np.floating]:

@@ -4,7 +4,8 @@ Subcommands: ``eval``, ``diagram``, ``check``, ``search``, ``verify-paper``,
 ``stirling``, ``sim``.  Exit codes: 0 on success, 1 when a verification
 fails, 2 on usage errors (bad flags, unreadable files, malformed
 expressions).  ``--log-level`` sets what the package logs to stderr:
-``INFO`` adds one line per searched entry, ``DEBUG`` each simulator step.
+``INFO`` adds one line per searched entry and per simulator phase,
+``DEBUG`` each simulator step.
 
 :func:`main` may be called many times in one process.  It parses with one
 parser built on its first call; everything else, from the files it reads to

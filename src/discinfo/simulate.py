@@ -18,8 +18,10 @@ ever receives the input, so it cannot peek at labels by construction.
 from __future__ import annotations
 
 import logging
+import os
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -44,6 +46,10 @@ class SimConfig:
     ``noise_rate`` flips that fraction of pool labels (chosen by the run
     seed) before the run starts -- the mislabeling ablation.  The
     evaluation set is never touched by noise.
+
+    Each list of pairs is read once, into a tuple of int position pairs.
+    The pool and the evaluation set are kept as read-only (n, 2) intp
+    arrays too (``_pool``, ``_eval_set``), which :func:`run_sim` indexes.
     """
 
     model: BayesModel
@@ -57,6 +63,7 @@ class SimConfig:
     noise_rate: float = 0.0
 
     def __post_init__(self):
+        started = time.perf_counter()
         for key, kind in _NUMBERS:  # in Python as in a config file
             object.__setattr__(self, key, _number(key, getattr(self, key), kind))
         if self.acquisition not in ACQUISITIONS:
@@ -69,10 +76,22 @@ class SimConfig:
             raise ValueError("noise_rate must lie in [0, 1]")
         _seed(self.seed)
         for name in ("pool", "eval_set", "initial"):
-            pairs = tuple(bayes._observations(self.model, getattr(self, name), name))
+            pairs = bayes._observations(self.model, getattr(self, name), name)
             if not pairs and name != "initial":
                 raise ValueError(f"{name} must be non-empty")
-            object.__setattr__(self, name, pairs)
+            object.__setattr__(self, name, tuple(pairs))
+            if name != "initial":  # also as a read-only position array, which run_sim indexes
+                positions = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs))
+                positions.setflags(write=False)
+                object.__setattr__(self, f"_{name}", positions.reshape(-1, 2))
+        labels = self.model.labels
+        if len(labels) < 2 and (n_flip := _flip_count(self.noise_rate, len(self.pool))):
+            raise ValueError(f"noise_rate = {self.noise_rate!r} flips {n_flip} pool labels, but "
+                             f"the model has the one label {labels[0]!r}: none to flip to")
+        if logger.isEnabledFor(logging.INFO):
+            logger.info("config check: %.3f ms; %d pool, %d eval and %d initial pairs",
+                        1e3 * (time.perf_counter() - started), len(self.pool),
+                        len(self.eval_set), len(self.initial))
 
     @classmethod
     def from_json_dict(cls, doc: dict, *, model: BayesModel | None = None) -> "SimConfig":
@@ -80,9 +99,13 @@ class SimConfig:
             known_keys(doc, ("model", "pool", "eval", "initial", "acquisition", "batch_size",
                              "steps", "seed", "noise_rate"), "simulation config")
             if model is None:
-                spec = doc["model"]
+                started, spec = time.perf_counter(), doc["model"]
                 model = (bayes.load_model(spec) if isinstance(spec, str)
                          else BayesModel.from_json_dict(spec))
+                if logger.isEnabledFor(logging.INFO):
+                    logger.info("model: %.3f ms; %d hypotheses, %d inputs, %d labels",
+                                1e3 * (time.perf_counter() - started), model.n_hypotheses,
+                                len(model.inputs), model.n_labels)
             fields = dict(
                 pool=_pairs(doc["pool"]),
                 eval_set=_pairs(doc["eval"]),
@@ -122,7 +145,15 @@ def _seed(seed) -> int:
 
 
 def load_config(path) -> SimConfig:
-    return read_json(path, "simulation config", SimConfig.from_json_dict)
+    """The config in the JSON file at ``path``.  At INFO level the
+    ``discinfo.simulate`` logger records the model's build time, the config
+    check time, then the file's size and the time to load it, both included."""
+    started = time.perf_counter()
+    cfg = read_json(path, "simulation config", SimConfig.from_json_dict)
+    if logger.isEnabledFor(logging.INFO):
+        logger.info("config file: %d bytes; loaded in %.3f ms", os.path.getsize(path),
+                    1e3 * (time.perf_counter() - started))
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -168,21 +199,26 @@ def _evaluate(model: BayesModel, probs, eval_x, eval_y, cells) -> tuple[float, f
     return correct / n, float(np.add.reduce(loss)) / n
 
 
-def _apply_label_noise(pool, n_labels: int, rate: float, rng) -> tuple:
-    n_flip = int(round(rate * len(pool)))
+def _flip_count(rate: float, n: int) -> int:
+    """How many of ``n`` pool labels label noise at ``rate`` flips."""
+    return int(round(rate * n))
+
+
+def _apply_label_noise(labels: np.ndarray, n_labels: int, rate: float, rng) -> np.ndarray:
+    """The pool's label positions with ``_flip_count`` of them flipped: the
+    pairs to flip are one ``rng.choice``, then in pool order each takes the
+    other label, or of more than two one other drawn by ``rng.integers``."""
+    n_flip = _flip_count(rate, len(labels))
     if n_flip == 0:
-        return tuple(pool)
-    idx = rng.choice(len(pool), size=n_flip, replace=False)
-    noisy = list(pool)
-    for i in sorted(int(j) for j in idx):
-        xi, yi = noisy[i]
+        return labels
+    noisy = labels.copy()
+    for i in np.sort(rng.choice(len(labels), size=n_flip, replace=False)).tolist():
         if n_labels == 2:
-            flipped = 1 - yi
+            noisy[i] = 1 - noisy[i]
         else:
-            others = [y for y in range(n_labels) if y != yi]
-            flipped = int(others[rng.integers(len(others))])
-        noisy[i] = (xi, flipped)
-    return tuple(noisy)
+            k = int(rng.integers(n_labels - 1))  # the k-th label other than noisy[i]
+            noisy[i] = k + (k >= noisy[i])
+    return noisy
 
 
 def _score_table(model, acquisition, pool_x, pool_y):
@@ -203,37 +239,36 @@ def _select_batch(model, probs, remaining, pool_x, pool_y, cfg, rng, table):
     """One step's batch as [(pool index, score), ...] in acquisition order,
     and the first scoring pass's score of every remaining candidate.
 
-    ``probs`` is the posterior's array and ``remaining`` is in ascending
-    pool order.  Uniform draws are ranked by a stable sort; every other pick
-    is the lowest remaining pool index tied with the best score.  The greedy
-    batch variants rescore after each pick the joint gain of the batch so far
-    plus one candidate.
+    ``probs`` is the posterior's array and ``remaining`` the intp array of
+    the pool indices not yet acquired, in ascending order.  Uniform draws
+    are ranked by a stable sort; every other pick is the lowest remaining
+    pool index tied with the best score.  The greedy batch variants rescore
+    after each pick the joint gain of the batch so far plus one candidate.
     """
-    cands = np.asarray(remaining)
-    b = min(cfg.batch_size, len(cands))
+    b = min(cfg.batch_size, len(remaining))
     if cfg.acquisition == "uniform":
-        scores = rng.random(len(cands))
+        scores = rng.random(len(remaining))
         order = np.argsort(-scores, kind="stable")[:b]
-        return [(int(cands[k]), float(scores[k])) for k in order], scores
+        return [(int(remaining[k]), float(scores[k])) for k in order], scores
     greedy, labelled = cfg.acquisition.startswith("batch_"), cfg.acquisition.endswith("csd")
     if greedy:
         bayes.check_batch_size(model, b, labelled=labelled)
-    xs = pool_x[cands]
+    xs = pool_x[remaining]
     if not labelled:  # E_post H[Y | x, omega] of every input, shared by the step's picks
         cond = probs @ table
-    left = np.arange(len(cands))  # positions into cands not yet chosen
+    left = np.arange(len(remaining))  # positions into remaining not yet chosen
     chosen: list[tuple[int, float]] = []
     prefix = None  # of the greedy bald picks so far
     for _ in range(b):
         if not chosen or greedy:
             if labelled:
                 given = [(pool_x[i], pool_y[i]) for i, _ in chosen]
-                scores = bayes._csd_scores(model, probs, table, given)[cands]
+                scores = bayes._csd_scores(model, probs, table, given)[remaining]
             else:
                 scores = bayes._joint_bald(probs, model.likelihood, cond, prefix)[xs]
             first = scores if not chosen else first
         k = left[_tied(scores[left]).argmax()]
-        chosen.append((int(cands[k]), float(scores[k])))
+        chosen.append((int(remaining[k]), float(scores[k])))
         if len(chosen) < b:  # another pick follows
             left = left[left != k]
             if greedy and not labelled:
@@ -250,28 +285,38 @@ def _leaders(model, scores, remaining, pool_x, k=3) -> str:
 def run_sim(cfg: SimConfig) -> SimResult:
     """Run the experiment; deterministic given the config (incl. its seed).
 
-    At DEBUG level the run first logs its set-up time (label noise, initial
-    posterior and score table), then each step its wall time, the top three
-    candidate scores of its first scoring pass, and how many tied at the top.
+    The pool and evaluation set are the position arrays the config checked.
+    At INFO level the run logs its score-table build time and, at the end,
+    its total step time.  At DEBUG level it first logs its set-up time
+    (label noise, initial posterior and score table), then each step its
+    wall time, the top three candidate scores of its first scoring pass, and
+    how many tied at the top.
     """
-    debug, started = logger.isEnabledFor(logging.DEBUG), time.perf_counter()
+    info, debug = logger.isEnabledFor(logging.INFO), logger.isEnabledFor(logging.DEBUG)
+    started = time.perf_counter()
     # the seed feeds only uniform's draws and the label noise
     draws = cfg.acquisition == "uniform" or cfg.noise_rate > 0
     rng = np.random.default_rng(cfg.seed) if draws else None
     model = cfg.model
-    pool = _apply_label_noise(cfg.pool, model.n_labels, cfg.noise_rate, rng)
+    pool_x, pool_y = cfg._pool.T
+    pool_y = _apply_label_noise(pool_y, model.n_labels, cfg.noise_rate, rng)
     probs = bayes._renormalized(bayes._posterior(model, cfg.initial))
-    pool_x, pool_y = (np.array(col, dtype=np.intp) for col in zip(*pool))
+    table_started = time.perf_counter()
     table = _score_table(model, cfg.acquisition, pool_x, pool_y)
-    eval_x, eval_y = (np.array(col, dtype=np.intp) for col in zip(*cfg.eval_set))
+    set_up = time.perf_counter()
+    if info:
+        logger.info("score table: %.3f ms; %s over %d pool points",
+                    1e3 * (set_up - table_started), cfg.acquisition, len(pool_x))
+    eval_x, eval_y = cfg._eval_set.T
     eval_cells = eval_x * model.n_labels + eval_y
     if debug:
         logger.debug("set-up: %.3f ms; label noise, initial posterior and score table",
-                     1e3 * (time.perf_counter() - started))
-    remaining = list(range(len(pool)))
+                     1e3 * (set_up - started))
+    remaining = np.arange(len(pool_x))
     rows: list[SimRow] = []
+    steps_started = time.perf_counter()
     for step in range(1, cfg.steps + 1):
-        if not remaining:
+        if not len(remaining):
             break
         started = time.perf_counter()
         batch, scores = _select_batch(model, probs, remaining, pool_x, pool_y, cfg, rng, table)
@@ -279,8 +324,8 @@ def run_sim(cfg: SimConfig) -> SimResult:
             leaders = _leaders(model, scores, remaining, pool_x)
             ties = int(_tied(scores).sum())
         for pool_idx, score in batch:
-            remaining.remove(pool_idx)
-            xi, yi = pool[pool_idx]
+            remaining = remaining[remaining != pool_idx]
+            xi, yi = int(pool_x[pool_idx]), int(pool_y[pool_idx])
             try:
                 probs = bayes._renormalized(bayes._update(model, probs, xi, yi))
             except ZeroEvidence as err:
@@ -291,6 +336,9 @@ def run_sim(cfg: SimConfig) -> SimResult:
         if debug:
             logger.debug("step %d: %.3f ms; top candidates %s; %d tied at the top", step,
                          1e3 * (time.perf_counter() - started), leaders, ties)
+    if info:
+        logger.info("steps: %.3f ms; %d steps, %d points acquired",
+                    1e3 * (time.perf_counter() - steps_started), rows[-1].step, len(rows))
     return SimResult(config=cfg, rows=tuple(rows))
 
 

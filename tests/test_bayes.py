@@ -1096,6 +1096,13 @@ class TestIndexResolver:
         with pytest.raises(ValueError, match="^csd table was built on another model"):
             csd_scores(m, post, csd_table(other, [1, 2], [0, 0]))
 
+    def test_a_list_of_pairs_reports_its_first_fault_in_pair_order(self):
+        model = threshold_task(512, 200)[0]  # inputs "0".."511", labels ("0", "1")
+        pairs = [[x, int(x >= 200)] for x in range(512)]
+        pairs[3][1], pairs[5][0] = 7, 999
+        with pytest.raises(InvalidIndex, match="outcome index 7 out of range for variable 'Y'"):
+            bayes._observations(model, pairs)
+
 
 @st.composite
 def models_with_posteriors(draw):

@@ -390,6 +390,19 @@ class TestSim:
         assert captured.out == ""
         assert captured.err == "error: outcome index True for variable 'X' is not an integer\n"
 
+    def test_label_noise_on_a_one_label_model_is_usage_error(self, tmp_path, capsys):
+        # before, the run failed inside numpy and printed "error: high <= 0"
+        model = BayesModel(("a", "b"), [.5, .5], ("x0", "x1"), ("only",), np.ones((2, 2, 1)))
+        cfg = {"model": model.to_json_dict(), "pool": [[0, 0], [1, 0]], "eval": [[0, 0]],
+               "noise_rate": 0.5}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sim", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: noise_rate = 0.5 flips 1 pool labels, but the model has "
+                                "the one label 'only': none to flip to\n")
+
 
 _MALFORMED_DIST = [
     {"variables": 5, "probs": [1.0]},

@@ -174,47 +174,59 @@ class TestDeterminism:
 
 
 class TestNoise:
+    # _apply_label_noise takes and returns the pool's label positions, in pool order
+
     def test_flip_count_is_rounded_fraction(self):
         model, pool, eval_set = threshold_task(20, 10)
         from discinfo.simulate import _apply_label_noise
 
         rng = np.random.default_rng(0)
-        noisy = _apply_label_noise(
-            tuple((model.input_index(x), model.label_index(y)) for x, y in pool),
-            2, 0.3, rng,
-        )
-        clean = tuple((model.input_index(x), model.label_index(y)) for x, y in pool)
-        flips = sum(a != b for a, b in zip(noisy, clean))
-        assert flips == 6  # round(0.3 * 20)
+        clean = np.array([model.label_index(y) for _, y in pool])
+        noisy = _apply_label_noise(clean, 2, 0.3, rng)
+        assert np.count_nonzero(noisy != clean) == 6  # round(0.3 * 20)
 
     def test_zero_rate_is_identity(self):
         from discinfo.simulate import _apply_label_noise
 
         rng = np.random.default_rng(0)
-        pool = ((0, 1), (1, 0))
-        assert _apply_label_noise(pool, 2, 0.0, rng) == pool
+        labels = np.array([1, 0])
+        assert _apply_label_noise(labels, 2, 0.0, rng).tolist() == [1, 0]
 
     def test_a_rate_that_rounds_to_no_flip_draws_nothing(self):
         from discinfo.simulate import _apply_label_noise
 
         rng = np.random.default_rng(0)
-        pool = ((0, 1), (1, 0), (2, 1))
-        assert _apply_label_noise(pool, 2, 0.1, rng) == pool  # round(0.3) flips none
+        labels = np.array([1, 0, 1])
+        assert _apply_label_noise(labels, 2, 0.1, rng).tolist() == [1, 0, 1]  # round(0.3) flips none
         assert rng.random() == np.random.default_rng(0).random()
 
     def test_more_than_two_labels_flip_to_one_of_the_others(self):
         from discinfo.simulate import _apply_label_noise
 
-        pool = tuple((x, x % 3) for x in range(30))
-        noisy = _apply_label_noise(pool, 3, 0.5, np.random.default_rng(5))
+        clean = np.arange(30) % 3
+        noisy = _apply_label_noise(clean, 3, 0.5, np.random.default_rng(5))
         # the documented draws: the pairs to flip, then in pool order one other label each
         rng = np.random.default_rng(5)
-        expected = list(pool)
+        expected = clean.tolist()
         for i in sorted(rng.choice(30, size=15, replace=False).tolist()):
-            expected[i] = (i, [y for y in range(3) if y != i % 3][rng.integers(2)])
-        assert noisy == tuple(expected)
-        shifts = {(b - a) % 3 for (_, a), (_, b) in zip(pool, noisy)}
-        assert shifts == {0, 1, 2}  # 15 kept, and both other labels are drawn
+            expected[i] = [y for y in range(3) if y != i % 3][rng.integers(2)]
+        assert noisy.tolist() == expected
+        assert clean.tolist() == [x % 3 for x in range(30)]  # flipped in a copy
+        assert {*((noisy - clean) % 3).tolist()} == {0, 1, 2}  # 15 kept, both others drawn
+
+    def test_a_one_label_model_has_no_label_to_flip_to(self, tmp_path):
+        model = BayesModel(("a", "b"), [.5, .5], ("x0", "x1"), ("only",), np.ones((2, 2, 1)))
+        pool = ((0, 0), (1, 0))
+        # before, run_sim raised numpy's bare "high <= 0" from rng.integers(0)
+        message = ("noise_rate = 0.5 flips 1 pool labels, but the model has the one label "
+                   "'only': none to flip to")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimConfig(model, pool, pool, noise_rate=0.5)
+        # a rate that rounds to no flip runs as before, and so does a clean run
+        for rate in (0.2, 0.0):
+            rows = run_sim(SimConfig(model, pool, pool, acquisition="uniform", steps=2,
+                                     noise_rate=rate)).rows
+            assert [(r.x, r.y) for r in rows] == [("x0", "only"), ("x1", "only")]
 
 
 class TestZeroEvidenceHandling:
@@ -288,6 +300,16 @@ class TestBatchAcquisitions:
 
 
 class TestConfigJson:
+    def test_a_config_holds_the_checked_pairs_as_read_only_arrays(self):
+        model, pool, eval_set = threshold_task(512, 200)
+        cfg = SimConfig(model=model, pool=[list(p) for p in pool],
+                        eval_set=np.array(eval_set, dtype=np.int32))
+        assert cfg.pool == cfg.eval_set == pool and cfg.initial == ()
+        assert all(type(v) is int for pair in cfg.pool + cfg.eval_set for v in pair)
+        for positions in (cfg._pool, cfg._eval_set):
+            assert positions.dtype == np.intp and positions.tolist() == [list(p) for p in pool]
+            assert not positions.flags.writeable
+
     def test_load_inline_model(self, tmp_path):
         model = disambiguation_model()
         doc = {
@@ -693,7 +715,9 @@ class TestObservability:
         caplog.clear()
         with caplog.at_level("INFO", logger="discinfo.simulate"):
             run_sim(cfg)
-        assert not caplog.records
+        # at INFO the run's two phase records only (score table, steps), no step record
+        assert [(r.levelname, r.getMessage().split(":")[0]) for r in caplog.records] == [
+            ("INFO", "score table"), ("INFO", "steps")]
 
     @pytest.mark.parametrize("acquisition", ACQUISITIONS)
     def test_debug_logs_the_set_up_once_before_the_first_step(self, caplog, acquisition):
@@ -707,6 +731,49 @@ class TestObservability:
         match = re.fullmatch(r"set-up: (\d+\.\d{3}) ms; label noise, initial posterior and "
                              r"score table", messages[0])
         assert match and float(match[1]) >= 0.0
+
+    # the INFO phase records of a config file's run, as the README documents them
+    PHASES = (
+        r"model: (\d+\.\d{3}) ms; (\d+) hypotheses, (\d+) inputs, (\d+) labels",
+        r"config check: (\d+\.\d{3}) ms; (\d+) pool, (\d+) eval and (\d+) initial pairs",
+        r"config file: (\d+) bytes; loaded in (\d+\.\d{3}) ms",
+        r"score table: (\d+\.\d{3}) ms; (\w+) over (\d+) pool points",
+        r"steps: (\d+\.\d{3}) ms; (\d+) steps, (\d+) points acquired",
+    )
+
+    def test_info_logs_each_phase_of_a_config_file_run(self, tmp_path, caplog, capsys):
+        model, pool, eval_set = threshold_task(16, 5)
+        doc = {"model": model.to_json_dict(), "pool": [list(p) for p in pool],
+               "eval": [list(p) for p in eval_set[:4]], "initial": [[0, 0]],
+               "acquisition": "batch_bald", "batch_size": 2, "steps": 3}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        # the fields besides each time: the model's sizes; the pair counts; bytes; the
+        # acquisition and pool size; the steps run and the points acquired
+        want = [[17, 16, 2], [16, 4, 1], [path.stat().st_size], ["batch_bald", 16], [3, 6]]
+        with caplog.at_level("INFO", logger="discinfo.simulate"):
+            run_sim(load_config(path))
+        assert {r.levelname for r in caplog.records} == {"INFO"}
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == len(self.PHASES)
+        for message, pattern, fields in zip(messages, self.PHASES, want):
+            match = re.fullmatch(pattern, message)
+            assert match, message
+            times = [float(g) for g in match.groups() if "." in g]
+            assert times and min(times) >= 0.0
+            rest = [int(g) if g.isdigit() else g for g in match.groups() if "." not in g]
+            assert rest == fields, message
+        # discinfo sim prints the same records at --log-level INFO, and none by default
+        out = str(tmp_path / "out.csv")
+        assert main(["sim", "--config", str(path), "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["--log-level", "INFO", "sim", "--config", str(path), "--out", out]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        prefix = "INFO discinfo.simulate: "
+        assert len(lines) == len(self.PHASES)
+        assert all(line.startswith(prefix) for line in lines)
+        assert [re.fullmatch(p, line[len(prefix):]) is not None
+                for p, line in zip(self.PHASES, lines)] == [True] * len(self.PHASES)
 
 
 # sha256 of run_sim(...).to_csv() on threshold_task(n, seed=1), 12 steps,
@@ -861,8 +928,9 @@ class TestGreedyPicksReplay:
                         noise_rate=noise_rate)
         rows = run_sim(cfg).rows
         assert len(rows) == 6 * batch_size
-        noisy = _apply_label_noise(cfg.pool, model.n_labels, noise_rate,
-                                   np.random.default_rng(cfg.seed))
+        labels = _apply_label_noise(np.array([y for _, y in cfg.pool]), model.n_labels,
+                                    noise_rate, np.random.default_rng(cfg.seed))
+        noisy = tuple(zip([x for x, _ in cfg.pool], labels.tolist()))
         position = {x: i for i, (x, _) in enumerate(noisy)}  # one pool entry per input
         tables = {"bald": label_entropy_table(model),
                   "csd": csd_table(model, *zip(*noisy))}
