@@ -303,8 +303,9 @@ def _update(model: BayesModel, probs: np.ndarray, xi: int, yi: int) -> np.ndarra
     weights = probs * model.likelihood[:, xi, yi]
     total = np.add.reduce(weights)
     if total <= ZERO_MASS:
+        what = "zero probability" if total == 0 else f"probability at most {ZERO_MASS!r}"
         raise ZeroEvidence(f"observation (x={model.inputs[xi]!r}, y={model.labels[yi]!r}) has "
-                           f"zero probability under the current posterior")
+                           f"{what} under the current posterior")
     return weights / total
 
 
@@ -600,9 +601,17 @@ def batch_score(model: BayesModel, post: Posterior, xs, ys=None) -> float:
         table = _csd_table(model, xis[-1:], yis[-1:])
         score = float(_csd_scores(model, _probs(model, post), table, zip(xis[:-1], yis[:-1]))[0])
         if score == -np.inf:
+            weights = _probs(model, post)
+            for xi, yi in zip(xis, yis):  # the joint mass _csd_scores refused, in its order
+                weights = weights * model.likelihood[:, xi, yi]
+            label, x = model.labels[yis[-1]], model.inputs[xis[-1]]
+            if np.add.reduce(weights) == 0:
+                raise ZeroProbabilityEvent(
+                    f"label {label!r} has zero predictive probability at x={x!r}"
+                    + (" given the earlier pairs" if len(xis) > 1 else ""))
+            has = " and the earlier pairs have" if len(xis) > 1 else " has"
             raise ZeroProbabilityEvent(
-                f"label {model.labels[yis[-1]]!r} has zero predictive probability at "
-                f"x={model.inputs[xis[-1]]!r}" + (" given the earlier pairs" if len(xis) > 1 else ""))
+                f"label {label!r} at x={x!r}{has} probability at most {ZERO_MASS!r}")
         return score
     lik, probs = model.likelihood[:, xis[-1]:xis[-1] + 1], _probs(model, post)
     return float(_joint_bald(probs, lik, probs @ _label_entropy(lik), _prefix(model, xis[:-1]))[0])

@@ -18,12 +18,16 @@ The cases are evaluated as stacks: all random draws as one stack, each
 padded with exact zeros to the largest drawn size of every variable (exact
 zeros are 0 * log 0 and carry no expectation weight), each grid as one
 array, and every binding of the free tied outcomes inside a case's own
-support as further stack elements.  The first case in draw order whose
-stacked margin crosses the threshold is cut to its own support and
-re-evaluated on its own before it is reported, so reports do not depend on
-how the cases were stacked.  An expression writes only the outcomes 0 and 1,
-which every case has (checked when its entry is built), so an error it
-meets is the same at every case and is raised where the search meets it.
+support as further stack elements; an "always" entry over two variables
+pads its zero grid into its random stack, so both are one evaluation.  The
+first case in draw order whose stacked margin crosses the threshold is cut
+to its own support and re-evaluated on its own before it is reported, so
+verdicts and witnesses do not depend on how the cases were stacked: padding
+changes no value in exact arithmetic, but a padded sum runs in another order
+and can move its last bit, which a worst margin may show.  An expression
+writes only the outcomes 0 and 1, which every case has (checked when its
+entry is built), so an error it meets is the same at every case and is
+raised where the search meets it.
 
 The weight-algebra entries (scaled, powered, multiplied and mixed
 weights, which the notation cannot express) are rows of one table whose
@@ -330,10 +334,29 @@ class _Block:
     defined: np.ndarray
 
 
+def _padded_into(stack, grid):
+    """The grid's batch appended to the random stack's, each of its arrays
+    padded with exact zeros to the stack's padded shape."""
+    variables, arrays, sizes, rows, *cases = stack
+    _, grid_arrays, grid_sizes, grid_rows, *grid_cases = grid
+    merged = []
+    for a, g in zip(arrays, grid_arrays):
+        out = np.zeros((len(a) + len(grid_sizes), *a.shape[1:]))
+        out[:len(a)] = a
+        out[(slice(len(a), None), *map(slice, g.shape[1:]))] = g  # a grid's q is one tensor
+        merged.append(out)
+    return (variables, merged, np.concatenate((sizes, grid_sizes)),
+            np.concatenate((rows, grid_rows + len(sizes))),
+            *map(np.concatenate, zip(cases, grid_cases)))
+
+
 class _Search:
     """The random draws, then for an expression the zero grid and (for a
     witness search) the full grid, each evaluated as stacks until a case is
-    confirmed.  A weight row's cases are its random draws alone.  An error
+    confirmed.  An "always" search over two variables pads its zero grid
+    into its random stack and evaluates both as one stage; over three, the
+    padding would cost a grid case 8 times its cells, so its grid is a stage
+    of its own.  A weight row's cases are its random draws alone.  An error
     raised by a stack propagates where the search meets it."""
 
     def __init__(self, entry, seeds):
@@ -353,25 +376,18 @@ class _Search:
 
     def run(self, rng) -> SearchReport:
         stacks = self.draw(rng)
-        # a witness search looks at the first draw alone first: most stop there
-        cut = self.seeds if self.always else min(1, self.seeds)
-        for part in (range(cut), range(cut, self.seeds)):
-            report = self.stage(self.random_batches(stacks, part))
-            if report is not None:
+        grids = self.grid_batches()
+        if not self.always:  # a witness search looks at its first draw alone: most stop there
+            stages = (self.random_batches(stacks, part)
+                      for part in (range(1), range(1, self.seeds)))
+        elif len(self.names) == 2 and stacks and self.grids:
+            stages = [[_padded_into(self.batch(*stacks[0]), next(grids))]]
+        else:
+            stages = [[self.batch(*stack) for stack in stacks]]
+        for batches in itertools.chain(stages, ([grid] for grid in grids)):
+            if (report := self.stage(batches)) is not None:
                 return report
-        tried = self.seeds
-        n = len(self.names)
-        shape = (2,) * n
-        variables = _variables(self.names, shape)
-        q = [np.full((1, *shape), 1.0 / 2**n)] if self.entry.needs_q else []  # uniform
-        for values in (grid[n] for grid in self.grids if n in grid):
-            cells = _grid(shape, values)
-            batch = (variables, [cells, *q], np.arange(tried, tried + len(cells)), None,
-                     np.broadcast_to(shape, (len(cells), n)))
-            tried += len(cells)
-            if (report := self.stage([batch])) is not None:
-                return report
-        return self.report(Status.HELD, tried)
+        return self.report(Status.HELD, sum(len(b.sizes) for b in self.blocks))
 
     def draw(self, rng):
         """Every random case at once, as padded stacks, one per variable count,
@@ -402,37 +418,51 @@ class _Search:
                            None if bindings is None else bindings[idx], sizes[idx, :count]))
         return stacks
 
-    def random_batches(self, stacks, part):
-        """The cases of each stack whose ordinals are in ``part``: a stack
-        whose cases all are, as it is.  A stack's ordinals ascend, so the
-        cases in ``part`` are one slice of it."""
-        for stack in stacks:
-            variables, arrays, ordinals, bindings, sizes = stack
-            start, stop = ordinals.searchsorted((part.start, part.stop))
-            if stop - start == len(ordinals):
-                yield stack
-            elif start < stop:
-                cut = slice(start, stop)
-                yield (variables, [a[cut] for a in arrays], ordinals[cut],
-                       None if bindings is None else bindings[cut], sizes[cut])
+    def grid_batches(self):
+        """Each grid the entry walks as one batch, numbered on after the random
+        draws, each built when the search reaches it."""
+        n = len(self.names)
+        shape = (2,) * n
+        variables = _variables(self.names, shape)
+        q = [np.full((1, *shape), 1.0 / 2**n)] if self.entry.needs_q else []  # uniform
+        tried = self.seeds
+        for values in (grid[n] for grid in self.grids if n in grid):
+            cells = _grid(shape, values)
+            yield self.batch(variables, [cells, *q], np.arange(tried, tried + len(cells)), None,
+                             np.broadcast_to(shape, (len(cells), n)))
+            tried += len(cells)
 
-    def evaluate(self, variables, arrays, ordinals, bindings, sizes) -> _Block:
-        """Stack the cases of one batch: each distribution with its own
+    def random_batches(self, stacks, part):
+        """The batch of the cases of each stack whose ordinals are in ``part``.
+        A stack's ordinals ascend, so the cases in ``part`` are one slice of it."""
+        for variables, arrays, ordinals, bindings, sizes in stacks:
+            start, stop = ordinals.searchsorted((part.start, part.stop))
+            if start < stop:
+                cut = slice(start, stop)
+                yield self.batch(variables, [a[cut] for a in arrays], ordinals[cut],
+                                 None if bindings is None else bindings[cut], sizes[cut])
+
+    def batch(self, variables, arrays, ordinals, bindings, sizes):
+        """The cases of a stack, as (variables, arrays, own sizes) and per case
+        (row, ordinal, binding index, binding): each distribution with its own
         binding, or (``bindings`` None) with every binding inside its own
         support in turn."""
-        p = arrays[0]
         if bindings is None:
             combos = list(itertools.product(*(range(variables[j].size) for j in self.free_axes)))
             combos = np.array(combos, dtype=np.intp).reshape(len(combos), len(self.free))
-            rows, binding = np.divmod(np.arange(len(p) * len(combos)), len(combos))
+            rows, binding = np.divmod(np.arange(len(sizes) * len(combos)), len(combos))
             bindings = combos[binding]
             own = np.logical_and.reduce(bindings < sizes[rows][:, self.free_axes], axis=1)
             rows, binding, bindings = rows[own], binding[own], bindings[own]
         else:
-            rows = np.arange(len(p))
-            binding = np.zeros(len(p), dtype=np.intp)
+            rows = np.arange(len(sizes))
+            binding = np.zeros(len(sizes), dtype=np.intp)
+        return variables, arrays, sizes, rows, ordinals[rows], binding, bindings
+
+    def evaluate(self, variables, arrays, sizes, rows, ordinals, binding, bindings) -> _Block:
+        """One batch's cases, evaluated as one stack."""
         lhs, rhs, defined = self.sides(variables, arrays, rows, bindings)
-        return _Block(variables, arrays, sizes, rows, ordinals[rows], binding, bindings,
+        return _Block(variables, arrays, sizes, rows, ordinals, binding, bindings,
                       ex.margin(lhs, self.op, rhs), defined)
 
     def sides(self, variables, arrays, rows, bindings):

@@ -909,11 +909,17 @@ class TestDatasetAndEvidence:
         assert posterior(m, [("x", "0")] * 30).probs.tolist() == [1.0]
 
     def test_a_step_is_refused_at_mass_at_most_zero_mass(self):
+        # 1.5e-20 is under ZERO_MASS but not zero, and the message says what was measured
         m = self.faint_label_model()
-        with pytest.raises(ZeroEvidence, match="has zero probability under the current"):
+        with pytest.raises(ZeroEvidence, match=r"^observation \(x='x', y='0'\) has probability "
+                                               r"at most 1e-12 under the current posterior$"):
             update(m, posterior(m, []), "x", "0")
-        with pytest.raises(ZeroProbabilityEvent, match="zero predictive probability"):
+        with pytest.raises(ZeroProbabilityEvent,
+                           match="^label '0' at x='x' has probability at most 1e-12$"):
             csd(m, posterior(m, []), "x", "0")
+        with pytest.raises(ZeroProbabilityEvent, match="^label '0' at x='x' and the earlier pairs "
+                                                       "have probability at most 1e-12$"):
+            batch_score(m, posterior(m, []), ["x", "x"], ["1", "0"])
         xs, ys = np.array([0]), np.array([0])
         assert csd_scores(m, posterior(m, []), csd_table(m, xs, ys)).tolist() == [-np.inf]
 

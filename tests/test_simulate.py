@@ -250,6 +250,19 @@ class TestZeroEvidenceHandling:
             "posterior"]
 
 
+    def test_a_faint_pair_is_skipped_with_the_mass_it_was_refused_at(self, caplog):
+        # label 0 has predictive mass 1.5e-20: at most ZERO_MASS, but not zero
+        model = BayesModel(("a", "b"), [0.5, 0.5], ("x",), ("0", "1"),
+                           [[[1e-20, 1 - 1e-20]], [[2e-20, 1 - 2e-20]]])
+        cfg = SimConfig(model, (("x", "0"),), (("x", "1"),), acquisition="uniform", steps=1)
+        with caplog.at_level("WARNING"):
+            rows = run_sim(cfg).rows
+        assert len(rows) == 1
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "step 1: skipped: observation (x='x', y='0') has probability at most 1e-12 under "
+            "the current posterior"]
+
+
 class TestOrderingClaim:
     @staticmethod
     def _median_counts(acq, noise_rate=0.0, draws=10):

@@ -521,6 +521,67 @@ def test_a_stage_builds_writable_blocks_of_its_length():
             assert array.shape == block.rows.shape and array.flags.writeable
 
 
+@pytest.mark.parametrize("name, seeds, evaluations", [
+    ("chain_rule_joint", 50, 1),  # the zero grid is padded into the random stack
+    ("conditional_ce_left_insensitive", 50, 1),  # and so is its uniform q
+    ("triple_mi_expectation", 50, 2),  # three variables: the grid is a stage of its own
+    ("entropy_nonnegative", 50, 1),  # one variable walks no grid
+    ("ce_scaling_shifts_by_ic", 50, 2),  # a row: one stack per variable count
+    ("information_gain_can_be_negative", 500, 2),  # a witness search: the first draw alone
+])
+def test_stage_evaluations_per_entry(monkeypatch, name, seeds, evaluations):
+    entries = default_suite().entries
+    i = next(k for k, e in enumerate(entries) if e.name == name)
+    evaluate, batches = _Search.evaluate, []
+
+    def counted(self, *batch):
+        batches.append(batch)
+        return evaluate(self, *batch)
+
+    monkeypatch.setattr(_Search, "evaluate", counted)
+    report = check_entry(entries[i], seeds, np.random.default_rng([0, i]))
+    assert report.passed
+    assert len(batches) == evaluations
+    if entries[i].expect is Expectation.ALWAYS_TRUE:
+        assert sum(len(sizes) for _, _, sizes, *_ in batches) == report.seeds_tried
+
+
+def test_the_merged_stage_pads_the_grid_with_exact_zeros():
+    # a two-variable "always" entry: 40 random draws, then the 80 zero-grid tensors
+    # with every binding of y, all on the random stack's padded shape
+    entry = SuiteEntry("e", Expectation.ALWAYS_TRUE, expression="I[X;y] <= H[X]")
+    search = _Search(entry, 40)
+    assert search.run(np.random.default_rng(3)).status is Status.HELD
+    (block,) = search.blocks
+    grid = _grid((2, 2), (0.0, 0.5, 1.0))
+    p = block.arrays[0]
+    assert p.shape == (40 + 80, *block.sizes[:40].max(axis=0)) == (120, 4, 4)
+    assert np.array_equal(p[40:, :2, :2], grid)
+    assert not p[40:, 2:].any() and not p[40:, :, 2:].any()
+    grid_cases = block.ordinal >= 40
+    assert block.ordinal[grid_cases].tolist() == np.repeat(np.arange(40, 120), 2).tolist()
+    assert block.binding[grid_cases].tolist() == block.bindings[grid_cases, 0].tolist() == [
+        0, 1] * 80
+    assert (block.rows[grid_cases] == block.ordinal[grid_cases]).all()
+
+
+@pytest.mark.parametrize("line, seeds, rng_seed, tried, probs, q", [
+    ("H[X|Y] >= 0.05", 500, 0, 501, [0.0, 0.0, 0.0, 1.0], None),
+    ("KL[p(X|Y) || q(X|Y)] >= 0.01", 50, 1, 60, [0.0, 0.5, 0.0, 0.5], [0.25] * 4),
+])
+def test_a_violation_only_the_zero_grid_has_is_found_in_the_merged_stage(
+        line, seeds, rng_seed, tried, probs, q):
+    # the random draws are floored, so only a grid tensor with exact zeros violates
+    (report,) = check_suite(parse_suite_file(f"{line}  # expect: always"), seeds=seeds,
+                            rng_seed=rng_seed)
+    assert (report.status, report.seeds_tried) == (Status.VIOLATED, tried)
+    assert (report.cases_evaluated, report.cases_skipped) == (tried, 0)
+    assert report.lhs == 0.0 and report.gap == report.worst_margin == report.rhs
+    witness = report.witness
+    assert witness["distribution"]["probs"] == probs and witness["bindings"] == {}
+    assert (witness["q"]["probs"] if q else witness.get("q")) == q
+
+
 @pytest.mark.parametrize("index", [1.9, np.float32(1.0), np.array([0.7, 1.0]),
                                    np.array([False, True])])
 def test_stacked_binding_indices_must_be_integers(index):
