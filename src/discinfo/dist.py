@@ -23,6 +23,7 @@ import gc
 import json
 import math
 import operator
+import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
@@ -79,12 +80,8 @@ class Variable:
         if isinstance(self.support, str):
             raise ValueError(f"variable {self.name!r}: support {self.support!r} is a string, "
                              f"not a list of outcome labels")
-        support = tuple(self.support)
-        for label in support:
-            if isinstance(label, (bool, np.bool_)) or not isinstance(label, (str, int, np.integer)):
-                raise ValueError(f"variable {self.name!r}: outcome label {label!r} is neither "
-                                 f"a string nor an integer")
-        support = tuple(map(str, support))
+        support = _labels(self.support, lambda label: ValueError(
+            f"variable {self.name!r}: outcome label {label!r} is neither a string nor an integer"))
         if not support:
             raise ValueError(f"variable {self.name!r} needs at least one outcome")
         if len(set(support)) != len(support):
@@ -321,10 +318,20 @@ def names_of(values, what: str, key: str) -> tuple[str, ...]:
     if not isinstance(values, (list, tuple)):
         raise MalformedInput(f"malformed {what} JSON: {key} must be a list, not "
                              f"{_json_shown(values)}")
+    return _labels(values, lambda value: MalformedInput(
+        f"malformed {what} JSON: {key} holds {_json_shown(value)}; "
+        f"a name is a string or an integer in [-2**63, 2**64)"))
+
+
+def _labels(values, refusal) -> tuple[str, ...]:
+    """The labels ``values`` as strings, an integer (Python or numpy, not a boolean) as
+    its digits, read once; the first that is neither raises ``refusal(value)``."""
+    values = tuple(values)
+    if set(map(type, values)) <= {str}:
+        return values
     for value in values:
-        if isinstance(value, bool) or not isinstance(value, (str, int)):
-            raise MalformedInput(f"malformed {what} JSON: {key} holds {_json_shown(value)}; "
-                                 f"a name is a string or an integer in [-2**63, 2**64)")
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (str, int, np.integer)):
+            raise refusal(value)
     return tuple(map(str, values))
 
 
@@ -346,27 +353,37 @@ def _json_shown(value) -> str:
 
 
 def number_array(value, what: str, key: str, layout: str = "") -> np.ndarray:
-    """``value`` (a JSON number or nested lists) as one numpy array, read in
-    bulk.  Raises :class:`MalformedInput` naming the ``what`` document and its
-    ``key`` when the lists are ragged (stating ``layout`` instead, if given) or
-    hold strings, booleans or None."""
+    """``value`` (a JSON number or nested lists) as one float array, read in
+    one pass: each level of lists is checked where it is met (every entry a
+    list, all of one length) and flattened, then the numbers are converted in
+    one call.  Raises :class:`MalformedInput` naming the ``what`` document and
+    its ``key`` when the lists are ragged (stating ``layout`` instead, if
+    given) or hold strings, booleans or None."""
+    entries, shape = (value, [len(value)]) if isinstance(value, (list, tuple)) else ([value], [])
     try:
-        array = np.array(value)
-    except ValueError as exc:  # nested lists of unequal length
-        detail = f"{layout}; got ragged lists" if layout else f"{key}: {exc}"
+        while entries and isinstance(entries[0], (list, tuple)):
+            n = len(entries[0])
+            if not (set(map(type, entries)) <= {list, tuple}
+                    and list(map(len, entries)).count(n) == len(entries)):
+                raise TypeError("ragged lists")
+            shape.append(n)
+            entries = list(chain.from_iterable(entries))
+        cells = np.frombuffer(struct.pack(f"{len(entries)}d", *entries)).reshape(shape)
+    except (TypeError, struct.error):
+        kinds = set(map(type, entries))
+        if kinds & {list, tuple}:  # a list of another length, or where a number belongs
+            detail = (f"{layout}; got ragged lists" if layout else
+                      f"{key}: setting an array element with a sequence. The requested array "
+                      f"has an inhomogeneous shape after {len(shape)} dimensions. The detected "
+                      f"shape was {tuple(shape)} + inhomogeneous part.")
+        else:
+            kind = "str" if str in kinds and kinds <= {str, int, float, bool} else "object"
+            detail = f"{key} must hold numbers, not {kind} values"
         raise MalformedInput(f"malformed {what} JSON: {detail}") from None
-    kind = array.dtype.kind
     # beside numbers, true and false become 1 and 0, so only then look at each entry
-    if kind in "iuf" and array.ndim and ((array == 0) | (array == 1)).any():
-        entries = value
-        for _ in range(array.ndim - 1):
-            entries = chain.from_iterable(entries)
-        if bool in set(map(type, entries)):
-            kind = "b"
-    if kind in "UbO":
-        raise MalformedInput(f"malformed {what} JSON: {key} must hold numbers, not "
-                             f"{'bool' if kind == 'b' else array.dtype.name} values")
-    return array
+    if ((cells == 0) | (cells == 1)).any() and bool in set(map(type, entries)):
+        raise MalformedInput(f"malformed {what} JSON: {key} must hold numbers, not bool values")
+    return cells
 
 
 def read_json(path, what: str, build):

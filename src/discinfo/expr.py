@@ -152,29 +152,22 @@ _TOKEN_RE = re.compile(
       | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)
       | (?P<name>[A-Za-z][A-Za-z0-9_]*)
       | (?P<op>==|<=|>=|!=|\|\||[\[\](){},;|=+\-*_])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "name" | "op" | "end"
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text``, each a tuple (kind, text, offset), the kind
+    "number", "name", "op" or "end"."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(pos, {"token"}, f"unexpected character {text[pos]!r}")
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(m.start(), {"token"}, f"unexpected character {m.group()!r}")
         if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+            tokens.append((m.lastgroup, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -183,104 +176,89 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
-        if tok.kind != "end":
+        if tok[0] != "end":
             self.pos += 1
         return tok
 
     def fail(self, expected, message=None):
-        tok = self.peek()
-        what = "end of input" if tok.kind == "end" else repr(tok.text)
+        kind, text, offset = self.peek()
+        what = "end of input" if kind == "end" else repr(text)
         raise ParseError(
-            tok.offset,
+            offset,
             expected,
             message or f"expected one of {sorted(expected)}, found {what}",
         )
 
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == op:
-            return self.advance()
-        self.fail({op})
+    def accept_op(self, *ops: str) -> str | None:
+        """Consume the operator here and return it if it is one of ``ops``."""
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "op" and text in ops:
+            self.pos += 1
+            return text
+        return None
+
+    def expect_op(self, op: str) -> None:
+        if not self.accept_op(op):
+            self.fail({op})
 
     def close_list(self, *closers: str) -> str:
         """Consume one of ``closers`` after a termlist; a further ','-separated
         term would also have been legal, so it joins the expected set."""
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in closers:
-            self.advance()
-            return tok.text
-        self.fail(set(closers) | {","})
+        return self.accept_op(*closers) or self.fail(set(closers) | {","})
 
     def number(self) -> float:
         """The numeric literal here; one too large for a float is an error,
         as it would not print back as written."""
-        tok = self.peek()
-        if tok.kind != "number":
+        kind, text, offset = self.peek()
+        if kind != "number":
             self.fail({"NUMBER"})
-        value = float(tok.text)
+        value = float(text)
         if not math.isfinite(value):
-            raise ParseError(tok.offset, {"NUMBER"},
-                             f"numeric literal {tok.text!r} is out of range")
+            raise ParseError(offset, {"NUMBER"}, f"numeric literal {text!r} is out of range")
         self.advance()
         return value
-
-    def accept_op(self, op: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == op:
-            self.advance()
-            return True
-        return False
 
     # expr = additive [ cmp additive ]
     def parse_expr(self):
         lhs = self.parse_additive()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ("==", "<=", ">=", "!="):
-            self.advance()
-            rhs = self.parse_additive()
-            return BinaryNode(lhs, tok.text, rhs)
+        if op := self.accept_op("==", "<=", ">=", "!="):
+            return BinaryNode(lhs, op, self.parse_additive())
         return lhs
 
     def parse_additive(self):
         node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in ("+", "-"):
-                self.advance()
-                rhs = self.parse_term()
-                node = BinaryNode(node, tok.text, rhs)
-            else:
-                return node
+        while op := self.accept_op("+", "-"):
+            node = BinaryNode(node, op, self.parse_term())
+        return node
 
     def parse_term(self):
-        tok = self.peek()
-        if tok.kind == "number":
+        kind, text, _ = self.peek()
+        if kind == "number":
             value = self.number()
             if self.accept_op("*"):
                 return ScaledNode(value, self.parse_term())
             return ScalarNode(value)
-        if tok.kind == "name":
-            if tok.text in ("H", "I"):
+        if kind == "name":
+            if text in ("H", "I"):
                 return self.parse_info()
-            if tok.text in ("CE", "KL"):
+            if text in ("CE", "KL"):
                 return self.parse_divergence()
-            if tok.text == "IC":
+            if text == "IC":
                 return self.parse_ic()
-            if tok.text in ("E", "E_"):
+            if text in ("E", "E_"):
                 return self.parse_expectation()
         self.fail(set(_QUANTITY_HEADS) | {"NUMBER"})
 
     def parse_info(self):
-        mi = self.advance().text == "I"
+        mi = self.advance()[1] == "I"
         self.expect_op("[")
         groups = [self.parse_termlist()]
         if mi:
@@ -296,13 +274,13 @@ class _Parser:
         return InfoNode(tuple(groups), given)
 
     def parse_divergence(self):
-        head = self.advance()  # CE or KL
+        head = self.advance()[1]  # CE or KL
         self.expect_op("[")
         p_spec = self.parse_dist()
         self.expect_op("||")
         q_spec = self.parse_dist()
         self.expect_op("]")
-        return DivergenceNode(head.text, p_spec, q_spec)
+        return DivergenceNode(head, p_spec, q_spec)
 
     def parse_ic(self):
         self.advance()  # IC
@@ -312,22 +290,22 @@ class _Parser:
         return ICNode(value)
 
     def parse_expectation(self):
-        tok = self.advance()  # E or E_
-        if tok.text == "E":
+        _, head, offset = self.advance()  # E or E_
+        if head == "E":
             self.expect_op("_")
         self.expect_op("{")
         measure = self.parse_dist()
         for t in measure.head:
             if not t.tied or t.outcome is not None:
                 raise ParseError(
-                    tok.offset,
+                    offset,
                     {"LOWER_IDENT"},
                     "expectation variables must be bare lowercase identifiers",
                 )
         for t in measure.given:
             if not t.tied:
                 raise ParseError(
-                    tok.offset,
+                    offset,
                     {"LOWER_IDENT"},
                     "expectation conditioning terms must be tied (lowercase)",
                 )
@@ -338,8 +316,8 @@ class _Parser:
         return ExpectationNode(measure, body)
 
     def parse_dist(self):
-        tok = self.peek()
-        if tok.kind != "name" or tok.text not in ("p", "q"):
+        kind, letter, _ = self.peek()
+        if kind != "name" or letter not in ("p", "q"):
             self.fail({"p", "q"})
         self.advance()
         self.expect_op("(")
@@ -348,7 +326,7 @@ class _Parser:
         if self.close_list("|", ")") == "|":
             given = self.parse_termlist()
             self.close_list(")")
-        return DistSpec(tok.text, head, given)
+        return DistSpec(letter, head, given)
 
     def parse_termlist(self):
         terms = [self.parse_termspec()]
@@ -357,24 +335,23 @@ class _Parser:
         return tuple(terms)
 
     def parse_termspec(self):
-        tok = self.peek()
-        if tok.kind != "name":
+        kind, name, _ = self.peek()
+        if kind != "name":
             self.fail({"IDENT"})
         self.advance()
-        name = tok.text
-        if self.peek().kind == "op" and self.peek().text == "=":
+        if self.peek()[:2] == ("op", "="):
             if not name[0].islower():
                 raise ParseError(
-                    self.peek().offset,
+                    self.peek()[2],
                     {",", "|", "]", ")", ";"},
                     "only lowercase (tied) identifiers take an outcome binding",
                 )
             self.advance()
-            out = self.peek()
-            if out.kind not in ("name", "number"):
+            kind, outcome, _ = self.peek()
+            if kind not in ("name", "number"):
                 self.fail({"OUTCOME"})
             self.advance()
-            return TermSpec(name, out.text)
+            return TermSpec(name, outcome)
         return TermSpec(name)
 
 
@@ -388,9 +365,9 @@ def parse(text: str):
     try:
         parser = _Parser(text)
         node = parser.parse_expr()
-        end = parser.peek()
-        if end.kind != "end":
-            parser.fail({"end of input"}, f"trailing input {end.text!r}")
+        kind, text, _ = parser.peek()
+        if kind != "end":
+            parser.fail({"end of input"}, f"trailing input {text!r}")
         return node
     except ParseError:
         raise

@@ -169,19 +169,20 @@ class Stack(_Axes):
     __slots__ = ("variables", "names", "tensor", "rows", "weight")
 
     def __init__(self, variables, tensor, rows=None, weight=False):
-        self.variables = _validated_variables(variables)
-        self.names = tuple([v.name for v in self.variables])
-        self.tensor = tensor
-        self.rows = rows
-        self.weight = weight
+        self._set(_validated_variables(variables), tensor, rows, weight)
+
+    def _set(self, variables, tensor, rows, weight) -> "Stack":
+        self.variables, self.names = variables, tuple([v.name for v in variables])
+        self.tensor, self.rows, self.weight = tensor, rows, weight
+        return self
 
     @classmethod
     def of(cls, d) -> "Stack":
-        """The stack of one holding a distribution or weight."""
+        """The stack of one holding a distribution or weight, on its checked variables."""
         if isinstance(d, JointDistribution):
-            return cls(d.variables, d.probs[None])
+            return object.__new__(cls)._set(d.variables, d.probs[None], None, False)
         if isinstance(d, UnnormalizedWeight):
-            return cls(d.variables, d.weights[None], weight=True)
+            return object.__new__(cls)._set(d.variables, d.weights[None], None, True)
         raise TypeError(f"expected a JointDistribution or UnnormalizedWeight, got {type(d)!r}")
 
     def __len__(self) -> int:
